@@ -26,6 +26,7 @@ from .model import (
     BellBasis,
     CouplingSpec,
     InitialState,
+    TimeSeries,
     amplitudes_at,
     closed_form_series,
     concurrence_closed,
@@ -216,10 +217,9 @@ def _solver_dt(cfg: ScenarioConfig, solver: str) -> float:
     return {"volterra": cfg.dt_volterra, "ode": cfg.dt_ode, "bath": cfg.dt_bath}[solver]
 
 
-def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, s: float, dt: float,
-                 t_max: float):
+def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, init: InitialState,
+                 dt: float, t_max: float):
     res, coup = resonant_system(cfg.big_r, r1)
-    init = _init_state(cfg, s)
     if solver == "volterra":
         scfg = SolverConfig(dt=dt, t_max=t_max, method=METHOD_VOLTERRA)
         return solve_volterra(KernelSpec.from_reservoir(res), coup, init, scfg)
@@ -267,7 +267,7 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, s: float,
     dtau = tau[1] - tau[0]
     base = _solver_dt(cfg, solver)
     k = max(1, int(math.ceil(dtau / base - 1e-9)))
-    series = _run_numeric(cfg, solver, r1, s, dtau / k, cfg.tau_max)
+    series = _run_numeric(cfg, solver, r1, init, dtau / k, cfg.tau_max)
     return series.concurrence()[::k]
 
 
@@ -290,9 +290,9 @@ def run_zeno_compare(cfg: ScenarioConfig) -> ScenarioResult:
 
     Uses the first entry of the r1 and s grids as the initial condition.
     Measured columns hold the exact piecewise dynamics; at the measurement
-    times they coincide with the closed-form measured concurrence whenever
-    the per-interval survival is positive.  Intervals landing on a zero of
-    the survival amplitude are reported in the metadata and skipped.
+    times they coincide with the closed-form measured concurrence.  Intervals
+    landing on a zero of the survival amplitude are reported in the metadata
+    and skipped.
     """
     r1 = cfg.r1_axis()[0]
     s = cfg.s_axis()[0]
@@ -338,13 +338,15 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     rows = []
     all_ok = True
     for r1 in cfg.r1_axis():
+        res, coup = resonant_system(cfg.big_r, r1)
+        bath = _bath_by_state(cfg, r1) if cfg.include_bath else None
         for s in cfg.s_axis():
-            res, coup = resonant_system(cfg.big_r, r1)
             init = _init_state(cfg, s)
-            series = {}
-            for name in solvers:
-                series[name] = _run_numeric(cfg, name, r1, s, _solver_dt(cfg, name),
-                                            cfg.tau_max)
+            series = {name: _run_numeric(cfg, name, r1, init, _solver_dt(cfg, name),
+                                         cfg.tau_max)
+                      for name in ("volterra", "ode")}
+            if bath is not None:
+                series["bath"] = bath(init)
             pairs = [("closed", name) for name in solvers]
             pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
             for a, b in pairs:
@@ -369,6 +371,32 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(columns=columns, rows=rows,
                           meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
+
+
+def _bath_by_state(cfg: ScenarioConfig, r1: float):
+    """Bath series for any initial state of the s axis at one coupling.
+
+    The one-excitation Schroedinger equation is linear in the initial
+    amplitudes, and so is each RK4 step, so the run from
+    ``c01|10> + c02|01>`` equals ``c01`` times the |10> run plus ``c02``
+    times the |01> run up to rounding.  Two product-state runs then serve
+    every ``s``; with a single ``s`` one direct run is cheaper.  A
+    superposed series carries no per-step ``norm_total``: the norm of a
+    sum needs the overlap of the two mode vectors, which is not kept.
+    """
+    def run(init):
+        return _run_numeric(cfg, "bath", r1, init, cfg.dt_bath, cfg.tau_max)
+
+    if len(cfg.s_axis()) == 1:
+        return run
+    a, b = run(InitialState(1.0, 0.0)), run(InitialState(0.0, 1.0))
+    meta = {key: value for key, value in a.meta.items() if key != "norm_total"}
+
+    def superpose(init):
+        return TimeSeries(tau=a.tau, c1=init.c01 * a.c1 + init.c02 * b.c1,
+                          c2=init.c01 * a.c2 + init.c02 * b.c2, meta=meta)
+
+    return superpose
 
 
 def _max_amplitude_gap(sa, sb) -> float:

@@ -9,11 +9,13 @@ Frequent enough measurements make the effective rate vanish and freeze the
 state, entanglement included; the sub-radiant share is untouched by the
 whole protocol.
 
-The exponentiated-rate formulas silently assume ``E(T) > 0``.  In the
-underdamped regime the survival amplitude oscillates, and an interval with
-``E(T) < 0`` makes them disagree with the actual piecewise evolution at odd
-measurement counts; ``simulate_stroboscopic`` is the ground truth there, and
-results carry an ``oscillatory`` flag.
+The rate form ``exp(-zeno_rate * t / 2) = |E(T)|**N`` drops the sign of
+``E(T)``.  In the underdamped regime the survival amplitude oscillates, and
+an interval with ``E(T) < 0`` flips the sign of the super-radiant share at
+every measurement, which changes the concurrence at odd counts.  The
+amplitudes and the measured concurrence therefore use the signed
+``E(T)**N``; the rate only sets the populations, where the sign drops out.
+Results carry an ``oscillatory`` flag when ``E(T) < 0``.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     Always non-negative; shrinks linearly with ``T`` for short intervals, so
     frequent measurements suppress the decay.  Raises if the interval lands
     exactly on a zero of the survival amplitude, where the rate diverges.
-    ``oscillatory`` is set when ``E(T) < 0``, where the closed-form measured
-    concurrence stops being trustworthy (see module docstring).
+    ``oscillatory`` is set when ``E(T) < 0``, where the super-radiant share
+    changes sign at every measurement (see module docstring).
     """
     if not (math.isfinite(interval) and interval > 0.0):
         raise ValueError(f"interval must be positive and finite, got {interval!r}")
@@ -109,11 +111,12 @@ def concurrence_measured(res: ReservoirSpec, coup: CouplingSpec,
     """Concurrence right after the last measurement of the schedule.
 
     Closed form: ``2 |(beta_plus r1 g + beta_minus r2)(beta_plus r2 g - beta_minus r1)|``
-    with ``g = exp(-rate * t / 2)``.  Valid as stated only when the interval
-    survival is positive; check ``zeno_rate(...).oscillatory`` otherwise.
+    with ``g = E(T)**N``, the signed interval survival raised to the
+    measurement count.  This is the piecewise evolution at its last
+    measurement in every regime, including intervals with ``E(T) < 0``.
     """
     zr = zeno_rate(res, coup, sched.interval)
-    g = math.exp(-0.5 * zr.rate * sched.total_time)
+    g = zr.interval_survival ** sched.count
     basis = BellBasis.from_state(coup, init)
     r1, r2 = coup.r1, coup.r2
     bm, bp = basis.beta_minus, basis.beta_plus
@@ -136,7 +139,8 @@ def stroboscopic_amplitudes(res: ReservoirSpec, coup: CouplingSpec, init: Initia
     if np.any(tau < 0.0) or not np.all(np.isfinite(tau)):
         raise ValueError("tau must be finite and non-negative")
     k = np.floor(tau / interval).astype(np.int64)
-    local = tau - k * interval
+    # rounding can put tau a hair below k*interval; the local time is then 0
+    local = np.maximum(tau - k * interval, 0.0)
     e = survival_amplitude(res, coup, local)
     e_t = survival_amplitude(res, coup, interval)
     basis = BellBasis.from_state(coup, init)

@@ -1,5 +1,6 @@
 """Scenario runners, serialization, and the command-line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from zeno_ent import (
     run_zeno_compare,
     write_result,
 )
+from zeno_ent import scenarios
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
 
@@ -173,6 +175,39 @@ class TestSolverXcheck:
         assert "bath" not in solvers
         assert result.meta["passed"] is True
 
+    def test_superposed_bath_rows_match_direct_runs(self):
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
+                             s=(-1.0, 0.0, 0.3), phi=0.7, tau_max=2.0)
+        rows = run_solver_xcheck(cfg).rows
+        direct = [row for s in cfg.s
+                  for row in run_solver_xcheck(dataclasses.replace(cfg, s=(s,))).rows]
+        assert len(rows) == len(direct) == 18
+        for row, ref in zip(rows, direct):
+            assert row[:5] == ref[:5]
+            if "bath" in row[2:4]:
+                assert row[5] == pytest.approx(ref[5], abs=1e-12)
+            else:
+                assert row[5] == ref[5]
+
+    def test_bath_runs_once_per_state_basis(self, monkeypatch):
+        runs = []
+        real = scenarios.solve_discretized_bath
+
+        def counting(*args):
+            runs.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(scenarios, "solve_discretized_bath", counting)
+        single = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
+                                s=(0.3,), tau_max=0.5)
+        run_solver_xcheck(single)
+        assert len(runs) == 1
+        runs.clear()
+        default_axis = dataclasses.replace(single, s=())
+        run_solver_xcheck(default_axis)
+        assert len(runs) == 2
+        assert [(r.c01, r.c02) for r in runs] == [(1, 0), (0, 1)]
+
     def test_incommensurate_steps_rejected(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,
                              r1=(0.5,), s=(0.0,), tau_max=1.0,
@@ -285,6 +320,15 @@ class TestCliMain:
         text = out.read_text()
         assert text.count("\n") >= 7
         assert ",0\n" in text or text.endswith(",0")
+
+    def test_zeno_compare_defaults_write_table(self, tmp_path):
+        # grid times a rounding step below a measurement boundary used to
+        # give a negative local time and exit 2
+        out = tmp_path / "zeno.csv"
+        assert main(["zeno-compare", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "tau,C[unmeasured],C[T=0.1],C[T=1.0],C[T=5.0]"
+        assert len(lines) == 2002
 
     def test_skipped_schedule_reported_on_stderr(self, capsys):
         om = math.sqrt(399.0)

@@ -39,7 +39,62 @@ def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
                         n_modes=n_modes, freq_window=freq_window)
 
 
+def rk4_bath_reference(res, coup, init, cfg):
+    """Stage-vector RK4 (k1..k4) on the comb, the textbook form of the bath step."""
+    rabi = coup.alpha_t * res.w
+    comb = sample_lorentzian_modes(res, cfg.n_modes,
+                                   cfg.freq_window * max(1.0, rabi / res.lam))
+    g = np.array([m.g for m in comb])
+    idelta = 1j * np.array([m.delta for m in comb])
+    a1, a2 = coup.alpha1, coup.alpha2
+
+    def rhs(y):
+        out = np.empty_like(y)
+        s = g @ y[2:]
+        out[0] = -1j * a1 * s
+        out[1] = -1j * a2 * s
+        out[2:] = idelta * y[2:] - (1j * (a1 * y[0] + a2 * y[1])) * g
+        return out
+
+    dt = cfg.dt
+    n = int(round(cfg.t_max / dt))
+    y = np.zeros(cfg.n_modes + 2, dtype=complex)
+    y[0], y[1] = init.c01, init.c02
+    states = [y]
+    for _ in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    states = np.array(states)
+    return states[:, 0], states[:, 1], np.sum(np.abs(states) ** 2, axis=1)
+
+
 class TestSolverConfig:
+    def test_numpy_scalars_stored_as_floats(self):
+        cfg = SolverConfig(dt=np.float64(1e-3), t_max=np.float64(2.0),
+                           freq_window=np.float64(20.0))
+        for name in ("dt", "t_max", "freq_window"):
+            assert type(getattr(cfg, name)) is float
+
+    def test_float64_step_gives_identical_output(self):
+        res, coup = resonant_system(10.0, 0.87)
+        init = InitialState.from_separability(0.3, 0.7)
+        kernel = KernelSpec.from_reservoir(res)
+        for solve, make in ((solve_volterra, volterra_cfg), (solve_aux_ode, ode_cfg)):
+            plain = solve(kernel, coup, init, make(1e-3, 2.0))
+            wide = solve(kernel, coup, init, make(np.float64(1e-3), 2.0))
+            assert np.array_equal(plain.c1, wide.c1)
+            assert np.array_equal(plain.c2, wide.c2)
+
+    def test_refusal_message_prints_plain_step(self):
+        res, coup = resonant_system(25.0, 0.87)
+        init = InitialState.from_separability(0.0)
+        with pytest.raises(ValueError, match=r"^dt = 0\.001 under-resolves"):
+            solve_discretized_bath(res, coup, init, bath_cfg(np.float64(1e-3), 1.0))
+
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.0, t_max=1.0)
@@ -214,6 +269,17 @@ class TestDiscretizedBath:
                                                                   n_modes=400))
         np.testing.assert_allclose(series.c1, init.c01, atol=1e-12)
         np.testing.assert_allclose(series.c2, init.c02, atol=1e-12)
+
+    @pytest.mark.parametrize("big_r", [0.5, 10.0])
+    def test_nested_step_matches_stage_vector_rk4(self, big_r):
+        res, coup = resonant_system(big_r, 0.87)
+        init = InitialState.from_separability(0.3, 0.7)
+        cfg = bath_cfg(1e-3, 3.0, n_modes=50)
+        series = solve_discretized_bath(res, coup, init, cfg)
+        c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+        np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
 
     def test_total_excitation_conserved(self):
         res, coup = resonant_system(0.5, 0.87)

@@ -176,6 +176,20 @@ class TestConcurrenceMeasured:
         assert all(v > free for v in values)
         assert values[-1] == pytest.approx(1.0, abs=3e-3)
 
+    def test_odd_count_with_negative_survival_keeps_the_sign(self):
+        # E(0.3) < 0 at R = 10: one measurement flips the super-radiant share
+        res, coup = resonant_system(10.0, 0.87)
+        init = InitialState.from_separability(0.0)
+        assert zeno_rate(res, coup, 0.3).oscillatory is True
+        for n in (1, 2, 3):
+            sched = MeasurementSchedule(interval=0.3, count=n)
+            exact = simulate_stroboscopic(res, coup, init, sched).concurrence()[-1]
+            assert concurrence_measured(res, coup, init, sched) == \
+                pytest.approx(exact, abs=1e-12)
+        single = MeasurementSchedule(interval=0.3, count=1)
+        assert concurrence_measured(res, coup, init, single) == \
+            pytest.approx(0.28545, abs=1e-5)
+
     def test_measurements_beat_free_decay(self):
         res, coup = resonant_system(0.1, SQRT_HALF)
         init = InitialState.from_separability(0.0)
