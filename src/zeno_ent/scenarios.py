@@ -41,9 +41,11 @@ from .solvers import (
     METHOD_VOLTERRA,
     KernelSpec,
     SolverConfig,
+    comb_recurrence_time,
     solve_aux_ode,
     solve_discretized_bath,
     solve_volterra,
+    step_limit,
 )
 from .zeno import stroboscopic_amplitudes, zeno_rate
 
@@ -85,9 +87,14 @@ class ScenarioConfig:
     ``n_modes`` and ``freq_window`` set the bath comb: ``n_modes`` modes
     over ``+-freq_window * max(1, big_r)`` linewidths around resonance, so
     the comb widens with the coupling and always covers the vacuum-Rabi
-    splitting.  The band edge limits the step: with the default
-    ``dt_bath = 1e-3`` a bath run at ``big_r >= 25`` is rejected as
-    under-resolved (exit 2 on the command line).
+    splitting.  The band edge limits the step: ``time-evolution`` refines
+    each solver's step until it passes that solver's resolution check,
+    while ``solver-xcheck`` keeps ``dt_bath`` as given, so there a bath run
+    at ``big_r >= 25`` is rejected as under-resolved.  A bath run whose
+    ``tau_max`` passes the comb's recurrence time
+    ``2*pi/dω = pi * n_modes / (freq_window * max(1, big_r))`` is refused
+    before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  Refusals
+    exit 2 on the command line.
     """
 
     scenario: str
@@ -217,6 +224,9 @@ def _solver_dt(cfg: ScenarioConfig, solver: str) -> float:
     return {"volterra": cfg.dt_volterra, "ode": cfg.dt_ode, "bath": cfg.dt_bath}[solver]
 
 
+_METHODS = {"volterra": METHOD_VOLTERRA, "ode": METHOD_AUX_ODE, "bath": METHOD_BATH}
+
+
 def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, init: InitialState,
                  dt: float, t_max: float):
     res, coup = resonant_system(cfg.big_r, r1)
@@ -229,6 +239,13 @@ def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, init: InitialState
     if solver == "bath":
         scfg = SolverConfig(dt=dt, t_max=t_max, method=METHOD_BATH,
                             n_modes=cfg.n_modes, freq_window=cfg.freq_window)
+        recurrence = comb_recurrence_time(res, coup, scfg.n_modes, scfg.freq_window)
+        if scfg.t_max > recurrence:
+            raise ValueError(
+                f"tau_max = {scfg.t_max!r} runs past the bath comb's recurrence time "
+                f"{recurrence:.6g} (2*pi/d_omega for {scfg.n_modes} modes at "
+                f"big_r = {cfg.big_r!r}), where the comb sends the emitted excitation "
+                "back; raise n_modes or shorten tau_max")
         return solve_discretized_bath(res, coup, init, scfg)
     raise ValueError(f"not a numeric solver: {solver!r}")
 
@@ -263,10 +280,16 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, s: float,
     init = _init_state(cfg, s)
     if solver == "closed":
         return closed_form_series(res, coup, init, tau).concurrence()
-    # pick a step that divides the output spacing so no interpolation is needed
+    # pick a step that divides the output spacing so no interpolation is
+    # needed: the coarsest one no longer than the configured step that also
+    # passes the solver's own resolution check
     dtau = tau[1] - tau[0]
     base = _solver_dt(cfg, solver)
     k = max(1, int(math.ceil(dtau / base - 1e-9)))
+    limit = step_limit(res, coup, _METHODS[solver], cfg.freq_window)
+    k = max(k, int(dtau / limit))
+    while dtau / k >= limit:
+        k += 1
     series = _run_numeric(cfg, solver, r1, init, dtau / k, cfg.tau_max)
     return series.concurrence()[::k]
 

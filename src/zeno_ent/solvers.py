@@ -13,8 +13,16 @@ sharing any of its algebra:
   three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
 * ``solve_discretized_bath`` -- brute force: the Lorentzian reservoir is
   sampled on a uniform frequency comb and the full (2 + n_modes)-amplitude
-  Schroedinger system is integrated with RK4, written as the nested degree-4
-  Taylor polynomial of its constant generator.  Slowest, fewest assumptions.
+  Schroedinger system is integrated with RK4.  Slowest, fewest assumptions.
+
+Every one of these steps is a constant linear map ``y[n+1] = M y[n]``, and
+that is how they are evaluated.  The exponential-kernel Volterra step and
+the pseudomode RK4 step act on three amplitudes; ``M - 1`` is read off the
+scalar step's increment and the powers of ``M`` are applied blockwise
+(:func:`_amplitude_rows`).
+The comb generator is a diagonal plus a rank-1 coupling, so its RK4
+polynomial ``sum_{k<=4} (hA)^k / k!`` is a diagonal plus a rank-5 update,
+built once per run.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -33,10 +41,12 @@ __all__ = [
     "BathMode",
     "KernelSpec",
     "SolverConfig",
+    "comb_recurrence_time",
     "sample_lorentzian_modes",
     "solve_aux_ode",
     "solve_discretized_bath",
     "solve_volterra",
+    "step_limit",
 ]
 
 METHOD_VOLTERRA = "trapezoid-volterra"
@@ -147,13 +157,44 @@ def _check_method(cfg: SolverConfig, expected: str):
         raise ValueError(f"config selects method {cfg.method!r}, solver implements {expected!r}")
 
 
+def _step_bound(*rates: float) -> float:
+    return 1.0 / (2.0 * max(rates))
+
+
 def _check_resolution(dt: float, *rates: float):
     """Reject steps that cannot resolve the fastest timescale."""
-    fastest = max(rates)
-    if dt >= 1.0 / (2.0 * fastest):
-        raise ValueError(
-            f"dt = {dt!r} under-resolves the dynamics; need dt < {1.0 / (2.0 * fastest)!r}"
-        )
+    bound = _step_bound(*rates)
+    if dt >= bound:
+        raise ValueError(f"dt = {dt!r} under-resolves the dynamics; need dt < {bound!r}")
+
+
+def _comb_window(res: ReservoirSpec, coup: CouplingSpec, freq_window: float) -> float:
+    """Half-width of the bath comb in linewidths, ``K * max(1, rabi/lam)``.
+
+    The comb must reach past the vacuum-Rabi splitting at ``+-rabi``, or its
+    truncation floor grows as ``R**2``.
+    """
+    return freq_window * max(1.0, coup.alpha_t * res.w / res.lam)
+
+
+def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
+                         freq_window: float) -> float:
+    """Recurrence time ``2*pi/dω`` of the bath comb; past it the comb's
+    discrete spectrum sends the emitted excitation back to the qubits."""
+    dw = 2.0 * _comb_window(res, coup, freq_window) * res.lam / n_modes
+    return 2.0 * math.pi / dw
+
+
+def step_limit(res: ReservoirSpec, coup: CouplingSpec, method: str,
+               freq_window: float) -> float:
+    """Steps strictly below this bound pass ``method``'s resolution check on
+    the exponential kernel of ``res``; only the bath, whose band edge
+    counts as a rate, reads ``freq_window``."""
+    if method == METHOD_BATH:
+        return _step_bound(res.lam, coup.alpha_t * res.w,
+                           _comb_window(res, coup, freq_window) * res.lam)
+    kernel = KernelSpec.from_reservoir(res)
+    return _step_bound(kernel.lam, coup.alpha_t * math.sqrt(kernel.f0))
 
 
 def _grid(cfg: SolverConfig):
@@ -162,14 +203,52 @@ def _grid(cfg: SolverConfig):
     return n, np.arange(n + 1) * cfg.dt
 
 
+def _amplitude_rows(increment, y0, n: int):
+    """Rows ``x1`` and ``x2`` of ``M**k @ y0`` for ``k = 0..n``.
+
+    ``increment(x1, x2, v)`` is ``(M - 1) y`` for one step ``y -> M y`` of
+    a linear recurrence on three amplitudes; ``D = M - 1`` is read off as
+    its images of the unit vectors.  With ``K = isqrt(n + 1)`` and
+    ``J = ceil((n + 1) / K)``, the powers ``M**i = 1 + Q_i`` (``i < K``) and
+    the block states ``y_j = M**(j*K) @ y0`` (``j < J``) give
+    ``M**(j*K + i) @ y0 = y_j + Q_i @ y_j`` for every ``k``, so each row is
+    one ``(J, K)`` product and the loop runs ``K + J ~ 2 sqrt(n)`` times
+    instead of ``n``.  Carrying ``D`` and ``Q_i`` rather than ``M`` and its
+    powers keeps the rounding of the entries near 1 out of the map: each
+    block step adds a small correction to the state, as the scalar step
+    does, instead of applying one rounded matrix ``n`` times.
+    """
+    gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+    block = math.isqrt(n + 1)
+    count = -(-(n + 1) // block)
+    heads = np.empty((2, block, 3))
+    power = np.zeros((3, 3))
+    for i in range(block):
+        heads[:, i] = power[:2]
+        power += gen + gen @ power
+    states = np.empty((count, 3), dtype=complex)
+    y = np.array(y0, dtype=complex)
+    for j in range(count):
+        states[j] = y
+        y = y + power @ y
+    rows = []
+    for row, head in enumerate(heads):
+        out = states @ head.T
+        out += states[:, row:row + 1]
+        rows.append(out.reshape(-1)[:n + 1])
+    return tuple(rows)
+
+
 def solve_volterra(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
                    cfg: SolverConfig) -> TimeSeries:
     """Integrate the memory-kernel equations with trapezoid + Heun stepping.
 
     For exponential kernels the history integral is carried by the O(1)
     recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which reproduces the
-    composite trapezoid sum exactly; tabulated kernels fall back to the full
-    O(n) history sum per step.  Global error is O(dt^2) either way.
+    composite trapezoid sum exactly, so the step is a constant linear map on
+    ``(c1, c2, m)`` and is applied through :func:`_amplitude_rows`.
+    Tabulated kernels fall back to the full O(n) history sum per step.
+    Global error is O(dt^2) either way.
     """
     _check_method(cfg, METHOD_VOLTERRA)
     a1, a2 = coup.alpha1, coup.alpha2
@@ -182,38 +261,35 @@ def solve_volterra(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
             raise ValueError("tabulated kernel spacing must equal the solver dt")
     n, tau = _grid(cfg)
 
-    c1 = np.empty(n + 1, dtype=complex)
-    c2 = np.empty(n + 1, dtype=complex)
-    c1[0] = init.c01
-    c2[0] = init.c02
-
     dt = cfg.dt
     if kernel.kind == "exponential":
-        decay = math.exp(-kernel.lam * dt)
+        decay_m1 = math.expm1(-kernel.lam * dt)
+        decay = 1.0 + decay_m1
         wsq = kernel.w_sq
-        x1 = complex(init.c01)
-        x2 = complex(init.c02)
-        u = a1 * x1 + a2 * x2
-        m = 0j
         half = 0.5 * dt
         panel = half * wsq
-        for i in range(1, n + 1):
+
+        def increment(x1, x2, m):
+            u = a1 * x1 + a2 * x2
             d1 = -a1 * m
             d2 = -a2 * m
             # predictor (explicit Euler), then one trapezoidal correction
             up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
             mp = decay * m + panel * (decay * u + up)
-            x1 = x1 + half * (d1 - a1 * mp)
-            x2 = x2 + half * (d2 - a2 * mp)
-            un = a1 * x1 + a2 * x2
-            m = decay * m + panel * (decay * u + un)
-            u = un
-            c1[i] = x1
-            c2[i] = x2
+            dx1 = half * (d1 - a1 * mp)
+            dx2 = half * (d2 - a2 * mp)
+            un = u + a1 * dx1 + a2 * dx2
+            return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
+
+        c1, c2 = _amplitude_rows(increment, (init.c01, init.c02, 0.0), n)
     else:
         f = kernel.values
         if f.size < n + 1:
             raise ValueError(f"tabulated kernel too short: {f.size} samples, need {n + 1}")
+        c1 = np.empty(n + 1, dtype=complex)
+        c2 = np.empty(n + 1, dtype=complex)
+        c1[0] = init.c01
+        c2[0] = init.c02
         u_hist = np.empty(n + 1, dtype=complex)
         u_hist[0] = a1 * init.c01 + a2 * init.c02
         x1 = complex(init.c01)
@@ -244,7 +320,11 @@ def solve_volterra(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
 
 def solve_aux_ode(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
                   cfg: SolverConfig) -> TimeSeries:
-    """RK4 on the pseudo-mode reduction (exponential kernels only)."""
+    """RK4 on the pseudo-mode reduction (exponential kernels only).
+
+    The RK4 step is a constant linear map on ``(c1, c2, z)``, applied
+    through :func:`_amplitude_rows`.
+    """
     _check_method(cfg, METHOD_AUX_ODE)
     if kernel.kind != "exponential":
         raise ValueError("the auxiliary-ODE reduction requires an exponential kernel")
@@ -255,16 +335,9 @@ def solve_aux_ode(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
     _check_resolution(cfg.dt, lam, rabi)
     n, tau = _grid(cfg)
 
-    c1 = np.empty(n + 1, dtype=complex)
-    c2 = np.empty(n + 1, dtype=complex)
-    c1[0] = init.c01
-    c2[0] = init.c02
-
     dt = cfg.dt
-    x1 = complex(init.c01)
-    x2 = complex(init.c02)
-    z = 0j
-    for i in range(1, n + 1):
+
+    def increment(x1, x2, z):
         k1a, k1b, k1c = -a1 * z, -a2 * z, -lam * z + wsq * (a1 * x1 + a2 * x2)
         y1, y2, yz = x1 + 0.5 * dt * k1a, x2 + 0.5 * dt * k1b, z + 0.5 * dt * k1c
         k2a, k2b, k2c = -a1 * yz, -a2 * yz, -lam * yz + wsq * (a1 * y1 + a2 * y2)
@@ -272,11 +345,11 @@ def solve_aux_ode(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
         k3a, k3b, k3c = -a1 * yz, -a2 * yz, -lam * yz + wsq * (a1 * y1 + a2 * y2)
         y1, y2, yz = x1 + dt * k3a, x2 + dt * k3b, z + dt * k3c
         k4a, k4b, k4c = -a1 * yz, -a2 * yz, -lam * yz + wsq * (a1 * y1 + a2 * y2)
-        x1 = x1 + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        x2 = x2 + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        z = z + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        c1[i] = x1
-        c2[i] = x2
+        return ((dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+                (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
+                (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c))
+
+    c1, c2 = _amplitude_rows(increment, (init.c01, init.c02, 0.0), n)
 
     return TimeSeries(tau=tau, c1=c1, c2=c2,
                       meta={"solver": METHOD_AUX_ODE, "dt": dt})
@@ -313,27 +386,62 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     frequency instead of cutting the spectrum off near the splitting at
     ``+-rabi``.  The band edge enters the step check like any other rate,
     so with ``dt = 1e-3`` and ``freq_window = 20`` the check rejects
-    ``R = rabi/lam >= 25``.
+    ``R = rabi/lam >= 25`` (:func:`step_limit` gives the bound).
+
+    Each step is the RK4 polynomial of the constant generator, applied as
+    a diagonal plus a rank-5 update built once per run.
 
     Metadata carries the discrete recurrence time ``2*pi/dω`` (a warning flag
-    is set when the horizon exceeds it) and the total-excitation norm per
-    step for conservation checks.
+    is set when the horizon exceeds it; the scenarios refuse such runs) and
+    the total-excitation norm per step for conservation checks.
     """
     _check_method(cfg, METHOD_BATH)
     a1, a2 = coup.alpha1, coup.alpha2
     rabi = coup.alpha_t * res.w
-    # half-width in linewidths: the comb must reach past the vacuum-Rabi
-    # splitting at +-rabi, or its truncation floor grows as R**2
-    window = cfg.freq_window * max(1.0, rabi / res.lam)
-    band_edge = window * res.lam
-    _check_resolution(cfg.dt, res.lam, rabi, band_edge)
+    window = _comb_window(res, coup, cfg.freq_window)
+    _check_resolution(cfg.dt, res.lam, rabi, window * res.lam)
     n, tau = _grid(cfg)
 
     comb = sample_lorentzian_modes(res, cfg.n_modes, window)
     g = np.array([m.g for m in comb])
     delta = np.array([m.delta for m in comb])
-    dw = 2.0 * band_edge / cfg.n_modes
-    recurrence = 2.0 * math.pi / dw
+    recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
+
+    # The generator A of y' = A y is constant,
+    #   A(x1, x2, m) = (-i a1 g.m, -i a2 g.m, i delta m - i (a1 x1 + a2 x2) g),
+    # so one classic RK4 step is sum_{k<=4} (hA)^k / k!.  With E = i h delta
+    # and g_h = h g, every (hA)^k y is linear in E^k m and in the five
+    # scalars z = (a1 x1 + a2 x2, g_h.E^j m for j = 0..3), so the step is
+    #   m' = m + ((Phi - 1) m + W z),   x' = x + a (ell.z),
+    # with Phi = sum_{k<=4} E^k / k!.  Writing (hA)^k y as
+    # (u_k = c_k.z, m_k = E^k m + V_k z), the recursion
+    #   g_h.m_k = p_k.z,  p_k = e_{1+k} + V_k^T g_h,
+    #   V_{k+1} = E V_k - i g_h c_k^T,  c_{k+1} = -i |a|^2 p_k,
+    # gives W = sum V_k / k! and ell = -i sum p_{k-1} / k!.  Below, rot is
+    # E, gh is g_h, the rows of moments are g_h E^j, drive_t is W^T (the
+    # (5, n_modes) layout makes z @ W^T the faster product) and diag is
+    # Phi - 1, summed without forming Phi.
+    dt = cfg.dt
+    rot = 1j * dt * delta
+    gh = dt * g
+    moments = np.empty((4, cfg.n_modes), dtype=complex)
+    moments[0] = gh
+    for j in range(1, 4):
+        moments[j] = moments[j - 1] * rot
+    unit = np.eye(5)
+    coef_u = unit[0]
+    tail_t = np.zeros((5, cfg.n_modes), dtype=complex)
+    drive_t = np.zeros((5, cfg.n_modes), dtype=complex)
+    ell = np.zeros(5, dtype=complex)
+    fact = 1.0
+    for k in range(4):
+        p = unit[1 + k] + tail_t @ gh
+        tail_t = tail_t * rot - 1j * np.outer(coef_u, gh)
+        coef_u = -1j * (a1 * a1 + a2 * a2) * p
+        fact *= k + 1
+        drive_t += tail_t / fact
+        ell += -1j * p / fact
+    diag = rot * (1.0 + rot / 2.0 * (1.0 + rot / 3.0 * (1.0 + rot / 4.0)))
 
     c1 = np.empty(n + 1, dtype=complex)
     c2 = np.empty(n + 1, dtype=complex)
@@ -343,35 +451,20 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     c2[0] = x2
     norm[0] = abs(x1) ** 2 + abs(x2) ** 2
 
-    # The generator A of y' = A y is constant, so one classic RK4 step is
-    # the degree-4 Taylor polynomial of exp(hA), evaluated here in nested
-    # form: y + hA(y + h/2 A(y + h/3 A(y + h/4 A y))).  Each stage applies
-    #   A(v1, v2, m) = (-i a1 g.m, -i a2 g.m, i delta m - i (a1 v1 + a2 v2) g)
-    # with the qubit amplitudes as Python scalars and the modes in
-    # preallocated buffers.
-    dt = cfg.dt
-    stages = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
-    stage_rot = [1j * h * delta for h in stages]
-    gc = g.astype(complex)
     modes = np.zeros(cfg.n_modes, dtype=complex)
-    spare = [np.empty_like(modes), np.empty_like(modes)]
-    drive = np.empty_like(modes)
+    inc = np.empty_like(modes)
+    spread = np.empty_like(modes)
+    z = np.empty(5, dtype=complex)
     for i in range(1, n + 1):
-        w1, w2, wm = x1, x2, modes
-        for j, h in enumerate(stages):
-            out = spare[j & 1]
-            s = complex(gc @ wm)
-            np.multiply(stage_rot[j], wm, out=out)
-            out += modes
-            np.multiply(g, -1j * h * (a1 * w1 + a2 * w2), out=drive)
-            out += drive
-            k = -1j * h * s
-            w1 = x1 + k * a1
-            w2 = x2 + k * a2
-            wm = out
-        # the last stage wrote spare[1]; the old modes become its buffer
-        x1, x2 = w1, w2
-        modes, spare[1] = wm, modes
+        z[0] = a1 * x1 + a2 * x2
+        np.matmul(moments, modes, out=z[1:])
+        np.multiply(diag, modes, out=inc)
+        np.matmul(z, drive_t, out=spread)
+        inc += spread
+        modes += inc
+        k = complex(ell @ z)
+        x1 = x1 + a1 * k
+        x2 = x2 + a2 * k
         c1[i] = x1
         c2[i] = x2
         norm[i] = abs(x1) ** 2 + abs(x2) ** 2 + np.vdot(modes, modes).real

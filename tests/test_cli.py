@@ -7,11 +7,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zeno_ent import (
+    InitialState,
     ScenarioConfig,
+    closed_form_series,
     find_optimum,
+    resonant_system,
     run_solver_xcheck,
     run_stationary_surface,
     run_time_evolution,
@@ -126,6 +130,43 @@ class TestTimeEvolution:
             assert row_v[0] == pytest.approx(row_c[0], abs=1e-12)
             assert row_v[1] == pytest.approx(row_c[1], abs=1e-8)
             assert row_o[1] == pytest.approx(row_c[1], abs=1e-9)
+
+    def test_bath_refused_past_comb_recurrence(self, tmp_path, capsys):
+        # 2000 modes over +-200 linewidths at R = 10: dω = 0.2, so the comb
+        # recurs at 2 pi / 0.2 = 31.4, inside the 40-unit horizon
+        out = tmp_path / "late.csv"
+        code = main(["time-evolution", "--solver", "bath", "--big-r", "10",
+                     "--tau-max", "40", "--tau-steps", "8001", "--r1", "0.87",
+                     "--s", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "recurrence time 31.4159" in err
+        assert "raise n_modes or shorten tau_max" in err
+        assert not out.exists()
+
+    def test_bath_step_refined_to_band_edge(self, tmp_path, capsys):
+        # at R = 25 the band edge needs dt < 1e-3, so the configured
+        # dt_bath = 1e-3 is refined to 5e-3 / 6 instead of being refused
+        out = tmp_path / "strong.csv"
+        code = main(["time-evolution", "--solver", "bath", "--big-r", "25",
+                     "--r1", "0.87", "--s", "0", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        tau = np.array([float(r[0]) for r in rows])
+        conc = np.array([float(r[1]) for r in rows])
+        res, coup = resonant_system(25.0, 0.87)
+        ref = closed_form_series(res, coup, InitialState.from_separability(0.0),
+                                 tau).concurrence()
+        assert tau.size == 2001
+        assert float(np.max(np.abs(conc - ref))) < 3e-3
+
+    def test_bath_past_recurrence_at_r40_refused(self, capsys):
+        # the finer step would run, but the comb widened to +-800 linewidths
+        # recurs at 7.85, before the default horizon of 10
+        code = main(["time-evolution", "--solver", "bath", "--big-r", "40",
+                     "--r1", "0.87", "--s", "0"])
+        assert code == 2
+        assert "recurrence time 7.85398" in capsys.readouterr().err
 
 
 class TestZenoCompare:

@@ -72,6 +72,73 @@ def rk4_bath_reference(res, coup, init, cfg):
     return states[:, 0], states[:, 1], np.sum(np.abs(states) ** 2, axis=1)
 
 
+def volterra_reference(kernel, coup, init, dt, n):
+    """Trapezoid + Heun on the exponential kernel, one scalar step at a time."""
+    a1, a2 = coup.alpha1, coup.alpha2
+    decay = math.exp(-kernel.lam * dt)
+    half = 0.5 * dt
+    panel = half * kernel.w_sq
+    x1, x2, m = complex(init.c01), complex(init.c02), 0j
+    u = a1 * x1 + a2 * x2
+    c1, c2 = [x1], [x2]
+    for _ in range(n):
+        d1, d2 = -a1 * m, -a2 * m
+        up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
+        mp = decay * m + panel * (decay * u + up)
+        x1 = x1 + half * (d1 - a1 * mp)
+        x2 = x2 + half * (d2 - a2 * mp)
+        un = a1 * x1 + a2 * x2
+        m = decay * m + panel * (decay * u + un)
+        u = un
+        c1.append(x1)
+        c2.append(x2)
+    return np.array(c1), np.array(c2)
+
+
+def aux_ode_reference(kernel, coup, init, dt, n):
+    """Classic RK4 on (c1, c2, z), one scalar step at a time."""
+    a1, a2, lam, wsq = coup.alpha1, coup.alpha2, kernel.lam, kernel.w_sq
+
+    def rhs(x1, x2, z):
+        return -a1 * z, -a2 * z, -lam * z + wsq * (a1 * x1 + a2 * x2)
+
+    y = (complex(init.c01), complex(init.c02), 0j)
+    c1, c2 = [y[0]], [y[1]]
+    for _ in range(n):
+        k1 = rhs(*y)
+        k2 = rhs(*(v + 0.5 * dt * k for v, k in zip(y, k1)))
+        k3 = rhs(*(v + 0.5 * dt * k for v, k in zip(y, k2)))
+        k4 = rhs(*(v + dt * k for v, k in zip(y, k3)))
+        y = tuple(v + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + w)
+                  for v, p, q, r, w in zip(y, k1, k2, k3, k4))
+        c1.append(y[0])
+        c2.append(y[1])
+    return np.array(c1), np.array(c2)
+
+
+class TestLinearMapEvaluation:
+    """The blocked evaluation of the three-amplitude recurrences against
+    the same recurrences stepped one scalar step at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 99, 2500])
+    @pytest.mark.parametrize("r1", [0.0, 0.87, 1.0])
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
+    def test_matches_scalar_stepping(self, big_r, r1, n):
+        # n + 1 = 2, 3, 100 (a square) and 2501 (not a square)
+        res, coup = resonant_system(big_r, r1)
+        init = InitialState.from_separability(0.3, 0.7)
+        kernel = KernelSpec.from_reservoir(res)
+        dt = 1e-3
+        for solve, make, reference in ((solve_volterra, volterra_cfg, volterra_reference),
+                                       (solve_aux_ode, ode_cfg, aux_ode_reference)):
+            series = solve(kernel, coup, init, make(dt, n * dt))
+            c1, c2 = reference(kernel, coup, init, dt, n)
+            assert series.c1.shape == series.tau.shape == (n + 1,)
+            assert series.c1[0] == init.c01 and series.c2[0] == init.c02
+            np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-11)
+
+
 class TestSolverConfig:
     def test_numpy_scalars_stored_as_floats(self):
         cfg = SolverConfig(dt=np.float64(1e-3), t_max=np.float64(2.0),

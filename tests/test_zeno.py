@@ -216,9 +216,10 @@ class TestStroboscopic:
             closed = concurrence_measured(res, coup, init, sched)
             assert series.concurrence()[-1] == pytest.approx(closed, abs=1e-12)
 
-    def test_disagrees_with_closed_form_for_negative_survival(self):
-        # one interval past the first amplitude sign flip: the piecewise
-        # trajectory keeps the sign, the exponentiated form does not
+    def test_departs_from_free_evolution_after_negative_survival(self):
+        # half an interval past a measurement at T = 0.31, where E(T) < 0:
+        # the measured super-radiant amplitude is E(T) E(t - T), which the
+        # free amplitude E(t) does not follow
         res, coup, init = balanced_system()
         sched = MeasurementSchedule(interval=0.31, count=1)
         series = simulate_stroboscopic(res, coup, init, sched)
