@@ -38,7 +38,6 @@ from .scenarios import (
     write_result,
 )
 from .solvers import (
-    BathMode,
     KernelSpec,
     SolverConfig,
     sample_lorentzian_modes,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Amplitudes",
-    "BathMode",
     "BellBasis",
     "CouplingSpec",
     "DensityMatrix4",

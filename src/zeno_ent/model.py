@@ -239,6 +239,17 @@ class BellBasis:
             beta_plus=r1 * init.c01 + r2 * init.c02,
         )
 
+    def amplitudes(self, coup: CouplingSpec, e):
+        """Pair amplitudes ``(c1, c2)`` with the super-radiant share scaled by ``e``.
+
+        The inverse basis change ``c1 = r2 beta_minus + r1 e beta_plus``,
+        ``c2 = -r1 beta_minus + r2 e beta_plus``; ``e`` is a scalar or an
+        array of survival factors.
+        """
+        r1, r2 = coup.r1, coup.r2
+        bm, bp = self.beta_minus, self.beta_plus
+        return r2 * bm + r1 * e * bp, -r1 * bm + r2 * e * bp
+
 
 @dataclass(frozen=True)
 class Amplitudes:
@@ -383,11 +394,7 @@ def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t:
     """Pair amplitudes at time ``t``: the sub-radiant share is frozen, the
     super-radiant one carries the survival amplitude."""
     e = survival_amplitude(res, coup, t)
-    basis = BellBasis.from_state(coup, init)
-    r1, r2 = coup.r1, coup.r2
-    bm, bp = basis.beta_minus, basis.beta_plus
-    c1 = r2 * bm + r1 * e * bp
-    c2 = -r1 * bm + r2 * e * bp
+    c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
     return Amplitudes(c1=c1, c2=c2, t=float(t))
 
 
@@ -395,11 +402,7 @@ def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialStat
     """Vectorised ``amplitudes_at`` over a time grid."""
     tau = _checked_times(np.atleast_1d(tau))
     e = survival_amplitude(res, coup, tau)
-    basis = BellBasis.from_state(coup, init)
-    r1, r2 = coup.r1, coup.r2
-    bm, bp = basis.beta_minus, basis.beta_plus
-    c1 = r2 * bm + r1 * e * bp
-    c2 = -r1 * bm + r2 * e * bp
+    c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
     return TimeSeries(tau=tau, c1=np.asarray(c1, complex), c2=np.asarray(c2, complex),
                       meta={"solver": "closed"})
 

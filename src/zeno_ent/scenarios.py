@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -74,6 +75,9 @@ XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
 _SQRT_HALF = math.sqrt(0.5)
 
+_REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
+_INT_KEYS = ("tau_steps", "n_modes")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -118,10 +122,22 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; pick one of {SOLVERS}")
-        object.__setattr__(self, "r1", tuple(float(v) for v in self.r1))
-        object.__setattr__(self, "s", tuple(float(v) for v in self.s))
-        object.__setattr__(self, "meas_intervals",
-                           tuple(float(v) for v in self.meas_intervals))
+        for name in _REAL_KEYS:
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in _INT_KEYS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not isinstance(self.include_bath, (bool, np.bool_)):
+            raise ValueError(f"include_bath must be true or false, got {self.include_bath!r}")
+        for name in ("r1", "s", "meas_intervals"):
+            try:
+                values = tuple(float(v) for v in getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be a list of numbers, "
+                                 f"got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, values)
         if not (math.isfinite(self.big_r) and self.big_r > 0.0):
             raise ValueError(f"big_r must be positive, got {self.big_r!r}")
         for v in self.r1:
@@ -231,14 +247,14 @@ def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, init: InitialState
                  dt: float, t_max: float):
     res, coup = resonant_system(cfg.big_r, r1)
     if solver == "volterra":
-        scfg = SolverConfig(dt=dt, t_max=t_max, method=METHOD_VOLTERRA)
+        scfg = SolverConfig(dt=dt, t_max=t_max)
         return solve_volterra(KernelSpec.from_reservoir(res), coup, init, scfg)
     if solver == "ode":
-        scfg = SolverConfig(dt=dt, t_max=t_max, method=METHOD_AUX_ODE)
+        scfg = SolverConfig(dt=dt, t_max=t_max)
         return solve_aux_ode(KernelSpec.from_reservoir(res), coup, init, scfg)
     if solver == "bath":
-        scfg = SolverConfig(dt=dt, t_max=t_max, method=METHOD_BATH,
-                            n_modes=cfg.n_modes, freq_window=cfg.freq_window)
+        scfg = SolverConfig(dt=dt, t_max=t_max, n_modes=cfg.n_modes,
+                            freq_window=cfg.freq_window)
         recurrence = comb_recurrence_time(res, coup, scfg.n_modes, scfg.freq_window)
         if scfg.t_max > recurrence:
             raise ValueError(
@@ -382,10 +398,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                 else:
                     sa, sb = series[a], series[b]
                     ka, kb = _shared_stride(sa, sb)
-                    err = max(
-                        float(np.max(np.abs(sa.c1[::ka] - sb.c1[::kb]))),
-                        float(np.max(np.abs(sa.c2[::ka] - sb.c2[::kb]))),
-                    )
+                    err = _max_amplitude_gap(sa, sb, ka, kb)
                     npts = sa.tau[::ka].size
                     tol = XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b]
                 ok = err <= tol
@@ -422,9 +435,10 @@ def _bath_by_state(cfg: ScenarioConfig, r1: float):
     return superpose
 
 
-def _max_amplitude_gap(sa, sb) -> float:
-    return max(float(np.max(np.abs(sa.c1 - sb.c1))),
-               float(np.max(np.abs(sa.c2 - sb.c2))))
+def _max_amplitude_gap(sa, sb, ka: int = 1, kb: int = 1) -> float:
+    """Largest amplitude gap between ``sa[::ka]`` and ``sb[::kb]``."""
+    return max(float(np.max(np.abs(sa.c1[::ka] - sb.c1[::kb]))),
+               float(np.max(np.abs(sa.c2[::ka] - sb.c2[::kb]))))
 
 
 def _shared_stride(sa, sb):
@@ -472,9 +486,7 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
 
         def c_curve(r1: float) -> np.ndarray:
             coup = CouplingSpec.from_relative(cfg.big_r, r1)
-            basis = BellBasis.from_state(coup, init)
-            c1 = coup.r2 * basis.beta_minus + coup.r1 * e * basis.beta_plus
-            c2 = -coup.r1 * basis.beta_minus + coup.r2 * e * basis.beta_plus
+            c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
             return 2.0 * np.abs(c1 * np.conj(c2))
 
         best = (-1.0, 0.0, 0.0)

@@ -43,12 +43,11 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-4):
     return d, fd
 
 
-def grid_refine_max(f, xs, values=None, tol: float = 1e-4):
+def grid_refine_max(f, xs, tol: float = 1e-4):
     """Coarse argmax over the grid ``xs``, then golden refinement between
-    the neighbouring grid points.  ``values`` may carry precomputed ``f(xs)``."""
+    the neighbouring grid points."""
     xs = np.asarray(xs, dtype=float)
-    if values is None:
-        values = np.array([f(x) for x in xs])
+    values = np.array([f(x) for x in xs])
     i = int(np.argmax(values))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]

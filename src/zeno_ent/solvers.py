@@ -38,7 +38,6 @@ import numpy as np
 from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
 
 __all__ = [
-    "BathMode",
     "KernelSpec",
     "SolverConfig",
     "comb_recurrence_time",
@@ -109,31 +108,20 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class BathMode:
-    """One sampled reservoir mode: frequency, coupling, detuning from omega0."""
-
-    omega: float
-    g: float
-    delta: float
-
-
-@dataclass(frozen=True)
 class SolverConfig:
-    """Grid and method parameters shared by the integrators.
+    """Grid parameters shared by the integrators.
 
-    ``method`` may be left as None, in which case each solver uses its own;
-    a mismatching explicit value is rejected.  ``n_modes`` and
-    ``freq_window`` only matter for the discretized bath: the comb covers
-    ``omega0 +- K*max(lam, rabi)`` with ``K = freq_window``, i.e. K units of
-    the fastest rate, so it always reaches past the vacuum-Rabi splitting.
-    For ``rabi <= lam`` that is ``omega0 +- K*lam``.  ``dt``, ``t_max`` and
-    ``freq_window`` are stored as Python floats, so numpy scalars passed in
-    neither slow the scalar stepping loops nor leak into messages.
+    ``n_modes`` and ``freq_window`` only matter for the discretized bath:
+    the comb covers ``omega0 +- K*max(lam, rabi)`` with ``K = freq_window``,
+    i.e. K units of the fastest rate, so it always reaches past the
+    vacuum-Rabi splitting.  For ``rabi <= lam`` that is ``omega0 +- K*lam``.
+    ``dt``, ``t_max`` and ``freq_window`` are stored as Python floats, so
+    numpy scalars passed in neither slow the scalar stepping loops nor leak
+    into messages.
     """
 
     dt: float
     t_max: float
-    method: str | None = None
     n_modes: int = 200
     freq_window: float = 10.0
 
@@ -150,11 +138,6 @@ class SolverConfig:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes!r}")
         if not (math.isfinite(self.freq_window) and self.freq_window > 0.0):
             raise ValueError(f"freq_window must be positive, got {self.freq_window!r}")
-
-
-def _check_method(cfg: SolverConfig, expected: str):
-    if cfg.method is not None and cfg.method != expected:
-        raise ValueError(f"config selects method {cfg.method!r}, solver implements {expected!r}")
 
 
 def _step_bound(*rates: float) -> float:
@@ -250,7 +233,6 @@ def solve_volterra(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
     Tabulated kernels fall back to the full O(n) history sum per step.
     Global error is O(dt^2) either way.
     """
-    _check_method(cfg, METHOD_VOLTERRA)
     a1, a2 = coup.alpha1, coup.alpha2
     rabi = coup.alpha_t * math.sqrt(kernel.f0)
     if kernel.kind == "exponential":
@@ -325,7 +307,6 @@ def solve_aux_ode(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
     The RK4 step is a constant linear map on ``(c1, c2, z)``, applied
     through :func:`_amplitude_rows`.
     """
-    _check_method(cfg, METHOD_AUX_ODE)
     if kernel.kind != "exponential":
         raise ValueError("the auxiliary-ODE reduction requires an exponential kernel")
     a1, a2 = coup.alpha1, coup.alpha2
@@ -355,9 +336,10 @@ def solve_aux_ode(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
                       meta={"solver": METHOD_AUX_ODE, "dt": dt})
 
 
-def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float) -> list[BathMode]:
+def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float):
     """Uniform midpoint comb over ``[omega0 - K lam, omega0 + K lam]``.
 
+    Returns the mode frequencies and couplings ``(omegas, g)`` as arrays.
     Couplings follow ``g_k**2 = J(omega_k) * dω``; the comb is symmetric
     about resonance and never places a mode exactly at omega0.
     """
@@ -369,9 +351,7 @@ def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float
     dw = 2.0 * half / n_modes
     offsets = -half + (np.arange(n_modes) + 0.5) * dw
     omegas = res.omega0 + offsets
-    gs = np.sqrt(res.spectral_density(omegas) * dw)
-    return [BathMode(omega=float(w), g=float(g), delta=float(res.omega0 - w))
-            for w, g in zip(omegas, gs)]
+    return omegas, np.sqrt(res.spectral_density(omegas) * dw)
 
 
 def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
@@ -395,16 +375,14 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     is set when the horizon exceeds it; the scenarios refuse such runs) and
     the total-excitation norm per step for conservation checks.
     """
-    _check_method(cfg, METHOD_BATH)
     a1, a2 = coup.alpha1, coup.alpha2
     rabi = coup.alpha_t * res.w
     window = _comb_window(res, coup, cfg.freq_window)
     _check_resolution(cfg.dt, res.lam, rabi, window * res.lam)
     n, tau = _grid(cfg)
 
-    comb = sample_lorentzian_modes(res, cfg.n_modes, window)
-    g = np.array([m.g for m in comb])
-    delta = np.array([m.delta for m in comb])
+    omegas, g = sample_lorentzian_modes(res, cfg.n_modes, window)
+    delta = res.omega0 - omegas
     recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
 
     # The generator A of y' = A y is constant,

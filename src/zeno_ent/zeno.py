@@ -50,6 +50,11 @@ __all__ = [
 _SURVIVAL_FLOOR = 1e-14
 
 
+def _check_interval(interval):
+    if not (math.isfinite(interval) and interval > 0.0):
+        raise ValueError(f"interval must be positive and finite, got {interval!r}")
+
+
 @dataclass(frozen=True)
 class MeasurementSchedule:
     """``count`` equally spaced nonselective measurements, one every ``interval``."""
@@ -58,8 +63,7 @@ class MeasurementSchedule:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.interval) and self.interval > 0.0):
-            raise ValueError(f"interval must be positive and finite, got {self.interval!r}")
+        _check_interval(self.interval)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
 
@@ -86,8 +90,7 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     ``oscillatory`` is set when ``E(T) < 0``, where the super-radiant share
     changes sign at every measurement (see module docstring).
     """
-    if not (math.isfinite(interval) and interval > 0.0):
-        raise ValueError(f"interval must be positive and finite, got {interval!r}")
+    _check_interval(interval)
     e = survival_amplitude(res, coup, interval)
     if abs(e) < _SURVIVAL_FLOOR:
         raise ValueError(
@@ -110,17 +113,16 @@ def concurrence_measured(res: ReservoirSpec, coup: CouplingSpec,
                          init: InitialState, sched: MeasurementSchedule) -> float:
     """Concurrence right after the last measurement of the schedule.
 
-    Closed form: ``2 |(beta_plus r1 g + beta_minus r2)(beta_plus r2 g - beta_minus r1)|``
-    with ``g = E(T)**N``, the signed interval survival raised to the
-    measurement count.  This is the piecewise evolution at its last
-    measurement in every regime, including intervals with ``E(T) < 0``.
+    Closed form: ``2 |c1 c2|`` with the pair amplitudes of
+    :meth:`BellBasis.amplitudes` at ``e = E(T)**N``, the signed interval
+    survival raised to the measurement count.  This is the piecewise
+    evolution at its last measurement in every regime, including intervals
+    with ``E(T) < 0``.
     """
     zr = zeno_rate(res, coup, sched.interval)
     g = zr.interval_survival ** sched.count
-    basis = BellBasis.from_state(coup, init)
-    r1, r2 = coup.r1, coup.r2
-    bm, bp = basis.beta_minus, basis.beta_plus
-    return 2.0 * abs((bp * r1 * g + bm * r2) * (bp * r2 * g - bm * r1))
+    c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, g)
+    return 2.0 * abs(c1 * c2.conjugate())
 
 
 def stroboscopic_amplitudes(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
@@ -133,22 +135,19 @@ def stroboscopic_amplitudes(res: ReservoirSpec, coup: CouplingSpec, init: Initia
     reservoir correlations), so grid points on a boundary are unambiguous.
     Returns ``(c1, c2)`` arrays matching ``tau``.
     """
-    if not (math.isfinite(interval) and interval > 0.0):
-        raise ValueError(f"interval must be positive and finite, got {interval!r}")
+    _check_interval(interval)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or not np.all(np.isfinite(tau)):
         raise ValueError("tau must be finite and non-negative")
-    k = np.floor(tau / interval).astype(np.int64)
+    # k stays a float: an integer cast wraps once tau/interval passes 2**63
+    k = np.floor(tau / interval)
     # rounding can put tau a hair below k*interval; the local time is then 0
     local = np.maximum(tau - k * interval, 0.0)
     e = survival_amplitude(res, coup, local)
     e_t = survival_amplitude(res, coup, interval)
     basis = BellBasis.from_state(coup, init)
-    r1, r2 = coup.r1, coup.r2
-    bm = basis.beta_minus
-    bpk = basis.beta_plus * np.power(e_t, k)
-    c1 = r2 * bm + r1 * e * bpk
-    c2 = -r1 * bm + r2 * e * bpk
+    decayed = BellBasis(basis.beta_minus, basis.beta_plus * np.power(e_t, k))
+    c1, c2 = decayed.amplitudes(coup, e)
     return np.asarray(c1, complex), np.asarray(c2, complex)
 
 
@@ -171,11 +170,7 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
     c1, c2 = stroboscopic_amplitudes(res, coup, init, t_int, tau)
 
     e_t = survival_amplitude(res, coup, t_int)
-    basis = BellBasis.from_state(coup, init)
-    r1, r2 = coup.r1, coup.r2
-    bpk_end = basis.beta_plus * np.power(e_t, np.arange(1, n + 1))
-    g1 = r2 * basis.beta_minus + r1 * bpk_end
-    g2 = -r1 * basis.beta_minus + r2 * bpk_end
+    g1, g2 = BellBasis.from_state(coup, init).amplitudes(coup, e_t ** np.arange(1, n + 1))
     ground = 1.0 - (np.abs(g1) ** 2 + np.abs(g2) ** 2)
 
     return TimeSeries(

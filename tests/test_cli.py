@@ -1,11 +1,13 @@
 """Scenario runners, serialization, and the command-line front end."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from zeno_ent import (
     run_stationary_surface,
     run_time_evolution,
     run_zeno_compare,
+    stroboscopic_amplitudes,
     write_result,
 )
 from zeno_ent import scenarios
@@ -192,6 +195,21 @@ class TestZenoCompare:
         assert len(result.columns) == 3
         assert repr(tau_zero) in result.meta["schedule_errors"]
 
+    def test_tiny_interval_freezes_the_state(self):
+        # tau / T passes 2**63, where an integer measurement count would wrap
+        cfg = ScenarioConfig(scenario="zeno-compare", big_r=10.0, r1=(0.87,),
+                             tau_max=2.0, tau_steps=5, meas_intervals=(1e-3, 1e-30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_zeno_compare(cfg)
+            res, coup = resonant_system(10.0, 0.87)
+            init = InitialState.from_separability(0.0)
+            c1, c2 = stroboscopic_amplitudes(res, coup, init, 1e-30, [0.5, 1.0, 2.0])
+        frozen = [row[result.columns.index("C[T=1e-30]")] for row in result.rows]
+        np.testing.assert_allclose(frozen, init.initial_concurrence, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(2.0 * np.abs(c1 * np.conj(c2)),
+                                   init.initial_concurrence, rtol=0, atol=1e-12)
+
 
 class TestSolverXcheck:
     def test_all_pairs_pass_at_moderate_coupling(self):
@@ -339,6 +357,22 @@ class TestCliMain:
         missing = tmp_path / "ghost.json"
         assert main(["time-evolution", "--config", str(missing)]) == 2
 
+    @pytest.mark.parametrize("entry", [
+        pytest.param({"big_r": "abc"}, id="big_r-string"),
+        pytest.param({"phi": None}, id="phi-null"),
+        pytest.param({"dt_ode": "1e-3"}, id="dt_ode-string"),
+        pytest.param({"r1": [None]}, id="r1-null"),
+        pytest.param({"tau_steps": 2.5}, id="tau_steps-fraction"),
+        pytest.param({"tau_steps": "2001"}, id="tau_steps-string"),
+        pytest.param({"n_modes": 2.5}, id="n_modes-fraction"),
+        pytest.param({"include_bath": "no"}, id="include_bath-string"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(["time-evolution", "--config", str(cfg), "--tau-max", "0.1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_io_error_exits_4(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         code = main(["stationary-surface", "--r1", "0.5", "--s", "1",
@@ -407,3 +441,27 @@ class TestCliMain:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith("r1,s,c_s,is_argmax")
+
+
+GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "perfbench", "goldens.json")
+
+
+class TestGoldens:
+    """Closed-form tables against the sha256 digests kept with the benchmark."""
+
+    TABLES = {
+        "surface": ["stationary-surface"],
+        "evolution-20001": ["time-evolution", "--tau-steps", "20001"],
+        "zeno-criterion7": ["zeno-compare", "--big-r", "10", "--meas-interval",
+                            "0.01,0.005,0.001", "--tau-max", "2"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_table_matches_golden_digest(self, tmp_path, kind, fmt):
+        with open(GOLDENS, encoding="utf-8") as fh:
+            golden = json.load(fh)[f"{kind}/{fmt}"]
+        out = tmp_path / f"{kind}.{fmt}"
+        assert main(self.TABLES[kind] + ["--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden

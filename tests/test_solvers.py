@@ -17,7 +17,6 @@ from zeno_ent import (
     solve_discretized_bath,
     solve_volterra,
 )
-from zeno_ent.solvers import METHOD_AUX_ODE, METHOD_BATH, METHOD_VOLTERRA
 
 
 def max_gap(series, res, coup, init):
@@ -27,25 +26,23 @@ def max_gap(series, res, coup, init):
 
 
 def volterra_cfg(dt, t_max):
-    return SolverConfig(dt=dt, t_max=t_max, method=METHOD_VOLTERRA)
+    return SolverConfig(dt=dt, t_max=t_max)
 
 
 def ode_cfg(dt, t_max):
-    return SolverConfig(dt=dt, t_max=t_max, method=METHOD_AUX_ODE)
+    return SolverConfig(dt=dt, t_max=t_max)
 
 
 def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
-    return SolverConfig(dt=dt, t_max=t_max, method=METHOD_BATH,
-                        n_modes=n_modes, freq_window=freq_window)
+    return SolverConfig(dt=dt, t_max=t_max, n_modes=n_modes, freq_window=freq_window)
 
 
 def rk4_bath_reference(res, coup, init, cfg):
     """Stage-vector RK4 (k1..k4) on the comb, the textbook form of the bath step."""
     rabi = coup.alpha_t * res.w
-    comb = sample_lorentzian_modes(res, cfg.n_modes,
-                                   cfg.freq_window * max(1.0, rabi / res.lam))
-    g = np.array([m.g for m in comb])
-    idelta = 1j * np.array([m.delta for m in comb])
+    omegas, g = sample_lorentzian_modes(res, cfg.n_modes,
+                                        cfg.freq_window * max(1.0, rabi / res.lam))
+    idelta = 1j * (res.omega0 - omegas)
     a1, a2 = coup.alpha1, coup.alpha2
 
     def rhs(y):
@@ -181,13 +178,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             solve_discretized_bath(res, coup, init, bath_cfg(0.5, 5.0))
 
-    def test_method_mismatch_rejected(self):
-        res, coup = resonant_system(0.5, 0.5)
-        init = InitialState.from_separability(0.0)
-        with pytest.raises(ValueError):
-            solve_volterra(KernelSpec.from_reservoir(res), coup, init,
-                           ode_cfg(1e-3, 1.0))
-
 
 class TestVolterra:
     def test_reference_accuracy_weak_coupling(self):
@@ -292,15 +282,14 @@ class TestAuxOde:
 class TestDiscretizedBath:
     def test_mode_comb_weights_match_spectral_density(self):
         res = resonant_system(0.5, 0.5)[0]
-        modes = sample_lorentzian_modes(res, n_modes=200, freq_window=10.0)
-        assert len(modes) == 200
+        omegas, g = sample_lorentzian_modes(res, n_modes=200, freq_window=10.0)
+        assert omegas.shape == g.shape == (200,)
         d_omega = 2.0 * 10.0 * res.lam / 200
-        for m in (modes[0], modes[57], modes[-1]):
-            assert m.g ** 2 == pytest.approx(res.spectral_density(m.omega) * d_omega,
-                                             rel=1e-12)
-            assert m.delta == pytest.approx(res.omega0 - m.omega, abs=1e-12)
+        for k in (0, 57, -1):
+            assert g[k] ** 2 == pytest.approx(res.spectral_density(omegas[k]) * d_omega,
+                                              rel=1e-12)
         # comb is symmetric around resonance
-        assert modes[0].delta == pytest.approx(-modes[-1].delta, abs=1e-12)
+        assert omegas[0] - res.omega0 == pytest.approx(res.omega0 - omegas[-1], abs=1e-12)
 
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
@@ -390,7 +379,6 @@ class TestTimeSeries:
         init = InitialState.from_separability(0.3, 0.8)
         for solver, k in ((solve_volterra, KernelSpec.from_reservoir(res)),
                           (solve_aux_ode, KernelSpec.from_reservoir(res))):
-            series = solver(k, coup, init, SolverConfig(dt=1e-2, t_max=0.5,
-                                                        method=None))
+            series = solver(k, coup, init, SolverConfig(dt=1e-2, t_max=0.5))
             assert series.c1[0] == init.c01
             assert series.c2[0] == init.c02
