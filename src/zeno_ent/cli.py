@@ -12,6 +12,7 @@ cross-check exceeded its error budget, 4 output could not be written.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .scenarios import (
@@ -46,6 +47,21 @@ def _float_list(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+
+
+_LIST_OPTIONS = ("--r1", "--s", "--meas-interval")
+
+
+def _glue_negative_lists(argv: list[str]) -> list[str]:
+    """``--s -0.5,0.2`` as ``--s=-0.5,0.2``: argparse reads a value that
+    starts with a minus sign and is not a plain number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +126,7 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge_config(args)
         result = run_scenario(cfg)

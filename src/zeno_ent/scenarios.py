@@ -189,12 +189,17 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class ScenarioResult:
-    """Column-labelled table plus free-form metadata."""
+    """Column-labelled table plus metadata: ``data`` holds one 1-d column per
+    header (an array, or a list of ``str``) and ``rows`` is its row-wise view."""
 
     columns: list[str]
-    rows: list[list]
+    data: list
     meta: dict = field(default_factory=dict)
     config: ScenarioConfig | None = None
+
+    @property
+    def rows(self) -> list[list]:
+        return [list(row) for row in zip(*(np.asarray(c).tolist() for c in self.data))]
 
 
 @dataclass(frozen=True)
@@ -270,22 +275,23 @@ def run_stationary_surface(cfg: ScenarioConfig) -> ScenarioResult:
     """Long-time concurrence over the (r1, s) grid at fixed phi.
 
     The last row repeats the grid argmax with the ``is_argmax`` flag set.
+    One broadcast of :func:`stationary_concurrence` that rounds as it does:
+    ``np.hypot`` of the parts of ``beta_minus``, Python's ``** 2``.
     """
     r1_axis = cfg.r1_axis()
     s_axis = cfg.s_axis()
     coups = [CouplingSpec.from_relative(1.0, r1) for r1 in r1_axis]
     inits = [_init_state(cfg, s) for s in s_axis]
-    rows = []
-    best = (-1.0, 0.0, 0.0)
-    for r1, coup in zip(r1_axis, coups):
-        for s, init in zip(s_axis, inits):
-            c = stationary_concurrence(coup, init)
-            rows.append([r1, s, c, 0])
-            if c > best[0]:
-                best = (c, r1, s)
-    rows.append([best[1], best[2], best[0], 1])
-    meta = {"argmax": {"r1": best[1], "s": best[2], "c_s": best[0]}, "phi": cfg.phi}
-    return ScenarioResult(columns=["r1", "s", "c_s", "is_argmax"], rows=rows,
+    r1, r2 = (np.array([[getattr(c, name)] for c in coups]) for name in ("r1", "r2"))
+    c01, c02 = (np.array([getattr(i, name) for i in inits]) for name in ("c01", "c02"))
+    bm = np.hypot(r2 * c01.real - r1 * c02.real, r2 * c01.imag - r1 * c02.imag)
+    c_s = np.reshape([b ** 2 for b in bm.ravel().tolist()], bm.shape) * (2.0 * r1 * r2)
+    grid = [np.repeat(r1_axis, len(s_axis)), np.tile(s_axis, len(r1_axis)), c_s.ravel()]
+    j = int(np.argmax(grid[2]))     # the first maximum, as a strict ">" scan keeps
+    data = [np.append(col, col[j]) for col in grid] + [np.append(np.zeros(c_s.size, int), 1)]
+    meta = {"argmax": {k: float(col[j]) for k, col in zip(("r1", "s", "c_s"), grid)},
+            "phi": cfg.phi}
+    return ScenarioResult(columns=["r1", "s", "c_s", "is_argmax"], data=data,
                           meta=meta, config=cfg)
 
 
@@ -319,8 +325,7 @@ def run_time_evolution(cfg: ScenarioConfig) -> ScenarioResult:
         for s in cfg.s_axis():
             columns.append(f"C[r1={r1!r};s={s!r}]")
             data.append(_aligned_series(cfg, cfg.solver, r1, s, tau))
-    rows = [list(vals) for vals in zip(*data)]
-    return ScenarioResult(columns=columns, rows=rows,
+    return ScenarioResult(columns=columns, data=data,
                           meta={"solver": cfg.solver, "phi": cfg.phi}, config=cfg)
 
 
@@ -357,10 +362,9 @@ def run_zeno_compare(cfg: ScenarioConfig) -> ScenarioResult:
             "interval_survival": zr.interval_survival,
             "oscillatory": zr.oscillatory,
         }
-    rows = [list(vals) for vals in zip(*data)]
     meta = {"r1": r1, "s": s, "phi": cfg.phi, "schedules": schedules,
             "schedule_errors": errors}
-    return ScenarioResult(columns=columns, rows=rows, meta=meta, config=cfg)
+    return ScenarioResult(columns=columns, data=data, meta=meta, config=cfg)
 
 
 def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
@@ -404,7 +408,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                 ok = err <= tol
                 all_ok = all_ok and ok
                 rows.append([r1, s, a, b, npts, err, tol, int(ok)])
-    return ScenarioResult(columns=columns, rows=rows,
+    return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
                           meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
 
@@ -526,21 +530,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return _RUNNERS[cfg.scenario](cfg)
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
 def render_csv(result: ScenarioResult) -> str:
+    cols = [np.asarray(c) for c in result.data]
+    tmpl = ",".join({"f": "%.17g", "i": "%d", "U": "%s"}[c.dtype.kind] for c in cols)
     lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines += [tmpl % row for row in zip(*(c.tolist() for c in cols))]
     return "\n".join(lines) + "\n"
+
+
+def _json_cells(col: np.ndarray) -> list:
+    """``%s`` cells: a float prints its repr; strings and nan/inf go via ``json.dumps``."""
+    cells = col.tolist()
+    odd = np.ones(col.shape, bool) if col.dtype.kind == "U" else ~np.isfinite(col)
+    for i in np.flatnonzero(odd).tolist():
+        cells[i] = json.dumps(cells[i])
+    return cells
 
 
 def _json_safe(obj):
@@ -560,13 +564,18 @@ def _json_safe(obj):
 
 
 def render_json(result: ScenarioResult) -> str:
+    """``json.dumps(..., indent=1)``; the rows block comes from one row template."""
     payload = {
         "config": _json_safe(dataclasses.asdict(result.config)) if result.config else None,
         "columns": list(result.columns),
-        "rows": _json_safe(result.rows),
+        "rows": [],
         "meta": _json_safe(result.meta),
     }
-    return json.dumps(payload, indent=1) + "\n"
+    tmpl = "  [\n   " + ",\n   ".join(["%s"] * len(result.data)) + "\n  ]"
+    cells = (_json_cells(np.asarray(c)) for c in result.data)
+    rows = ",\n".join(tmpl % row for row in zip(*cells))
+    return json.dumps(payload, indent=1).replace(
+        '\n "rows": []', '\n "rows": ' + ("[\n" + rows + "\n ]" if rows else "[]"), 1) + "\n"
 
 
 def write_result(result: ScenarioResult, out_path: str | None, fmt: str = "csv") -> str:

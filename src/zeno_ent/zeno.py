@@ -21,6 +21,7 @@ Results carry an ``oscillatory`` flag when ``E(T) < 0``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class MeasurementSchedule:
 
     def __post_init__(self):
         _check_interval(self.interval)
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
 
@@ -96,8 +100,9 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
         raise ValueError(
             f"measurement interval {float(interval)!r} lands on a zero of the "
             "survival amplitude; the effective rate diverges")
-    # rounding can push E a hair above 1, clamp the rate at zero
-    rate = max(-math.log(e * e) / interval, 0.0)
+    # rounding can push E a hair above 1, clamp the rate at zero; max keeps
+    # the first of equal values, so 0.0 goes first and -0.0 never comes out
+    rate = max(0.0, -math.log(e * e) / interval)
     return ZenoRate(rate=rate, interval_survival=float(e), oscillatory=bool(e < 0.0))
 
 

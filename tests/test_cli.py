@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from zeno_ent import (
+    CouplingSpec,
     InitialState,
     ScenarioConfig,
+    ScenarioResult,
     closed_form_series,
     find_optimum,
     resonant_system,
@@ -22,6 +24,7 @@ from zeno_ent import (
     run_stationary_surface,
     run_time_evolution,
     run_zeno_compare,
+    stationary_concurrence,
     stroboscopic_amplitudes,
     write_result,
 )
@@ -109,6 +112,24 @@ class TestStationarySurface:
     def test_default_grid_size(self):
         result = run_stationary_surface(ScenarioConfig(scenario="stationary-surface"))
         assert len(result.rows) == 201 * 201 + 1
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0, math.pi])
+    def test_broadcast_equals_scalar_cells(self, phi):
+        # the cell loop the surface ran before it was one broadcast
+        cfg = ScenarioConfig(scenario="stationary-surface", phi=phi)
+        rows, best = [], (-1.0, 0.0, 0.0)
+        for r1 in cfg.r1_axis():
+            coup = CouplingSpec.from_relative(1.0, r1)
+            for s in cfg.s_axis():
+                c = stationary_concurrence(coup, InitialState.from_separability(s, phi))
+                rows.append([r1, s, c, 0])
+                if c > best[0]:
+                    best = (c, r1, s)
+        rows.append([best[1], best[2], best[0], 1])
+        result = run_stationary_surface(cfg)
+        assert result.rows == rows
+        assert result.meta == {"argmax": {"r1": best[1], "s": best[2], "c_s": best[0]},
+                               "phi": phi}
 
 
 class TestTimeEvolution:
@@ -295,7 +316,53 @@ class TestFindOptimum:
             find_optimum("fastest", ScenarioConfig(scenario="time-evolution"))
 
 
+def _format_cell(v) -> str:
+    """Cell-by-cell CSV formatting, the renderer the row templates replaced."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def _oracle_csv(result):
+    rows = [list(vals) for vals in zip(*result.data)]
+    lines = [",".join(result.columns)]
+    for row in rows:
+        lines.append(",".join(_format_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_json(result):
+    rows = [list(vals) for vals in zip(*result.data)]
+    payload = {
+        "config": scenarios._json_safe(dataclasses.asdict(result.config)),
+        "columns": list(result.columns),
+        "rows": scenarios._json_safe(rows),
+        "meta": scenarios._json_safe(result.meta),
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
 class TestSerialization:
+    def test_templates_match_cellwise_oracles(self):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
+                   1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
+        n = len(special)
+        result = ScenarioResult(
+            columns=["x", "n", "name", "y"],
+            data=[np.array(special), np.arange(-3, n - 3) * 10 ** 12,
+                  ["closed", "bath", 'quo"te', "caf\u00e9", "a\\b", "", "ode",
+                   "volterra", "x y", "1e5", "NaN", "tab\t"],
+                  np.array(special[::-1])],
+            meta={"phi": 0.7, "passed": True, "tolerances": {"ode": 1e-6}},
+            config=ScenarioConfig(scenario="solver-xcheck", r1=(0.5,), s=(-1.0,)))
+        assert render_csv(result) == _oracle_csv(result)
+        assert render_json(result) == _oracle_json(result)
+        assert json.loads(render_json(result))["rows"][5][2] == ""
+
     def tiny_result(self):
         cfg = ScenarioConfig(scenario="stationary-surface", r1=(0.5,), s=(1.0,))
         return run_stationary_surface(cfg)
@@ -372,6 +439,15 @@ class TestCliMain:
         cfg.write_text(json.dumps(entry))
         assert main(["time-evolution", "--config", str(cfg), "--tau-max", "0.1"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_list_is_a_value(self, tmp_path):
+        # argparse took "-0.5,0.2" for an option and exited 2
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        base = ["stationary-surface", "--r1", "0.3,0.9", "--phi", "2.5"]
+        assert main(base + ["--s", "-0.5,0.2", "--out", str(spaced)]) == 0
+        assert main(base + ["--s=-0.5,0.2", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert spaced.read_text().count("\n") == 6
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

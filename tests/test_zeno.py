@@ -68,6 +68,15 @@ class TestMeasurementSchedule:
         with pytest.raises(ValueError):
             MeasurementSchedule(interval=1.0, count=0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(2.0), "3"])
+    def test_rejects_count_that_is_not_an_integer(self, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            MeasurementSchedule(interval=0.1, count=count)
+
+    def test_numpy_integer_count_stored_as_int(self):
+        sched = MeasurementSchedule(interval=0.1, count=np.int64(3))
+        assert type(sched.count) is int and sched.count == 3
+
 
 class TestZenoRate:
     def test_rate_identity_with_interval_survival(self):
@@ -110,6 +119,12 @@ class TestZenoRate:
             except ValueError:
                 continue
             assert zr.rate >= 0.0
+
+    def test_rate_is_positive_zero_when_survival_rounds_to_one(self):
+        res, coup = resonant_system(10.0, 0.87)
+        zr = zeno_rate(res, coup, 1e-10)
+        assert zr.interval_survival == 1.0
+        assert zr.rate == 0.0 and math.copysign(1.0, zr.rate) == 1.0
 
     def test_oscillatory_flag_for_negative_survival(self):
         res, coup, _ = balanced_system()
