@@ -38,7 +38,6 @@ from .scenarios import (
     write_result,
 )
 from .solvers import (
-    KernelSpec,
     SolverConfig,
     sample_lorentzian_modes,
     solve_aux_ode,
@@ -63,7 +62,6 @@ __all__ = [
     "CouplingSpec",
     "DensityMatrix4",
     "InitialState",
-    "KernelSpec",
     "MeasurementSchedule",
     "OptimumResult",
     "RegimeParams",

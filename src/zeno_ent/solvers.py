@@ -1,13 +1,15 @@
 """Independent numerical routes to the pair dynamics.
 
 Three integrators check the closed form from :mod:`zeno_ent.model` without
-sharing any of its algebra:
+sharing any of its algebra.  All take ``(res, coup, init, cfg)``: the
+Lorentzian reservoir, whose memory kernel is ``f(tau) = w^2 e^{-lam tau}``,
+the couplings, the initial amplitudes and a :class:`SolverConfig`.
 
 * ``solve_volterra``     -- the memory-kernel integro-differential equations
   ``cj' = -int_0^t f(t-s) [alphaj^2 cj(s) + alphaj alphak ck(s)] ds``
   stepped with a trapezoidal quadrature and a Heun predictor-corrector
   (global error O(dt^2)).
-* ``solve_aux_ode``      -- for the exponential kernel the memory integral
+* ``solve_aux_ode``      -- the memory integral
   ``z(t) = int_0^t w^2 e^{-lam (t-s)} (alpha1 c1 + alpha2 c2) ds`` obeys
   ``z' = -lam z + w^2 (alpha1 c1 + alpha2 c2)``, turning the system into
   three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
@@ -15,11 +17,11 @@ sharing any of its algebra:
   sampled on a uniform frequency comb and the full (2 + n_modes)-amplitude
   Schroedinger system is integrated with RK4.  Slowest, fewest assumptions.
 
-Every one of these steps is a constant linear map ``y[n+1] = M y[n]``, and
-that is how they are evaluated.  The exponential-kernel Volterra step and
-the pseudomode RK4 step act on three amplitudes; ``M - 1`` is read off the
-scalar step's increment and the powers of ``M`` are applied blockwise
-(:func:`_amplitude_rows`).
+Each solver refuses a step at or above its :func:`step_limit`.  Every one
+of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
+how they are evaluated.  The Volterra step and the pseudomode RK4 step act
+on three amplitudes; ``M - 1`` is read off the scalar step's increment and
+the powers of ``M`` are applied blockwise (:func:`_amplitude_rows`).
 The comb generator is a diagonal plus a rank-1 coupling, so its RK4
 polynomial ``sum_{k<=4} (hA)^k / k!`` is a diagonal plus a rank-5 update,
 built once per run.
@@ -31,6 +33,7 @@ when one coupling vanishes; the tests drive them against the closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,6 @@ import numpy as np
 from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
 
 __all__ = [
-    "KernelSpec",
     "SolverConfig",
     "comb_recurrence_time",
     "sample_lorentzian_modes",
@@ -51,60 +53,6 @@ __all__ = [
 METHOD_VOLTERRA = "trapezoid-volterra"
 METHOD_AUX_ODE = "aux-ode-rk4"
 METHOD_BATH = "bath-rk4"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Reservoir correlation function, either analytic or sampled.
-
-    ``exponential`` kernels carry ``w_sq`` and ``lam`` with
-    ``f(tau) = w_sq * exp(-lam*tau)``; ``tabulated`` kernels carry samples
-    ``values[i] = f(i*dtau)`` on a uniform grid, which must coincide with the
-    solver grid.
-    """
-
-    kind: str
-    w_sq: float = 0.0
-    lam: float = 0.0
-    values: np.ndarray | None = None
-    dtau: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "exponential":
-            if not (math.isfinite(self.w_sq) and self.w_sq > 0.0):
-                raise ValueError(f"w_sq must be positive and finite, got {self.w_sq!r}")
-            if not (math.isfinite(self.lam) and self.lam > 0.0):
-                raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
-        elif self.kind == "tabulated":
-            vals = np.asarray(self.values, dtype=float)
-            if vals.ndim != 1 or vals.size < 2:
-                raise ValueError("tabulated kernel needs a 1-d array of at least 2 samples")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("kernel samples must be finite")
-            if not (math.isfinite(self.dtau) and self.dtau > 0.0):
-                raise ValueError(f"dtau must be positive and finite, got {self.dtau!r}")
-            object.__setattr__(self, "values", vals)
-        else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-
-    @classmethod
-    def exponential(cls, w_sq: float, lam: float) -> "KernelSpec":
-        return cls(kind="exponential", w_sq=w_sq, lam=lam)
-
-    @classmethod
-    def tabulated(cls, values, dtau: float) -> "KernelSpec":
-        return cls(kind="tabulated", values=np.asarray(values, dtype=float), dtau=dtau)
-
-    @classmethod
-    def from_reservoir(cls, res: ReservoirSpec) -> "KernelSpec":
-        return cls.exponential(w_sq=res.w**2, lam=res.lam)
-
-    @property
-    def f0(self) -> float:
-        """Kernel value at zero delay."""
-        if self.kind == "exponential":
-            return self.w_sq
-        return float(self.values[0])
 
 
 @dataclass(frozen=True)
@@ -134,19 +82,17 @@ class SolverConfig:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step long")
+        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, numbers.Integral):
+            raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}")
+        object.__setattr__(self, "n_modes", int(self.n_modes))
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes!r}")
         if not (math.isfinite(self.freq_window) and self.freq_window > 0.0):
             raise ValueError(f"freq_window must be positive, got {self.freq_window!r}")
 
 
-def _step_bound(*rates: float) -> float:
-    return 1.0 / (2.0 * max(rates))
-
-
-def _check_resolution(dt: float, *rates: float):
+def _check_resolution(dt: float, bound: float):
     """Reject steps that cannot resolve the fastest timescale."""
-    bound = _step_bound(*rates)
     if dt >= bound:
         raise ValueError(f"dt = {dt!r} under-resolves the dynamics; need dt < {bound!r}")
 
@@ -170,14 +116,14 @@ def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
 
 def step_limit(res: ReservoirSpec, coup: CouplingSpec, method: str,
                freq_window: float) -> float:
-    """Steps strictly below this bound pass ``method``'s resolution check on
-    the exponential kernel of ``res``; only the bath, whose band edge
-    counts as a rate, reads ``freq_window``."""
+    """Steps strictly below ``1 / (2 * fastest rate)`` pass ``method``'s
+    resolution check.  The rates are the memory decay ``lam`` and the
+    vacuum-Rabi frequency; only the bath, whose band edge counts as a rate,
+    reads ``freq_window``."""
+    rates = [res.lam, coup.alpha_t * res.w]
     if method == METHOD_BATH:
-        return _step_bound(res.lam, coup.alpha_t * res.w,
-                           _comb_window(res, coup, freq_window) * res.lam)
-    kernel = KernelSpec.from_reservoir(res)
-    return _step_bound(kernel.lam, coup.alpha_t * math.sqrt(kernel.f0))
+        rates.append(_comb_window(res, coup, freq_window) * res.lam)
+    return 1.0 / (2.0 * max(rates))
 
 
 def _grid(cfg: SolverConfig):
@@ -222,98 +168,53 @@ def _amplitude_rows(increment, y0, n: int):
     return tuple(rows)
 
 
-def solve_volterra(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
+def solve_volterra(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                    cfg: SolverConfig) -> TimeSeries:
     """Integrate the memory-kernel equations with trapezoid + Heun stepping.
 
-    For exponential kernels the history integral is carried by the O(1)
-    recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which reproduces the
-    composite trapezoid sum exactly, so the step is a constant linear map on
-    ``(c1, c2, m)`` and is applied through :func:`_amplitude_rows`.
-    Tabulated kernels fall back to the full O(n) history sum per step.
-    Global error is O(dt^2) either way.
+    The history integral of the kernel ``w^2 e^{-lam tau}`` is carried by
+    the O(1) recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which
+    reproduces the composite trapezoid sum over the whole history exactly,
+    so the step is a constant linear map on ``(c1, c2, m)`` and is applied
+    through :func:`_amplitude_rows`.  Global error is O(dt^2).
     """
+    _check_resolution(cfg.dt, step_limit(res, coup, METHOD_VOLTERRA, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
-    rabi = coup.alpha_t * math.sqrt(kernel.f0)
-    if kernel.kind == "exponential":
-        _check_resolution(cfg.dt, kernel.lam, rabi)
-    else:
-        _check_resolution(cfg.dt, rabi)
-        if abs(kernel.dtau - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-            raise ValueError("tabulated kernel spacing must equal the solver dt")
     n, tau = _grid(cfg)
 
     dt = cfg.dt
-    if kernel.kind == "exponential":
-        decay_m1 = math.expm1(-kernel.lam * dt)
-        decay = 1.0 + decay_m1
-        wsq = kernel.w_sq
-        half = 0.5 * dt
-        panel = half * wsq
+    decay_m1 = math.expm1(-res.lam * dt)
+    decay = 1.0 + decay_m1
+    half = 0.5 * dt
+    panel = half * res.w**2
 
-        def increment(x1, x2, m):
-            u = a1 * x1 + a2 * x2
-            d1 = -a1 * m
-            d2 = -a2 * m
-            # predictor (explicit Euler), then one trapezoidal correction
-            up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
-            mp = decay * m + panel * (decay * u + up)
-            dx1 = half * (d1 - a1 * mp)
-            dx2 = half * (d2 - a2 * mp)
-            un = u + a1 * dx1 + a2 * dx2
-            return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
+    def increment(x1, x2, m):
+        u = a1 * x1 + a2 * x2
+        d1 = -a1 * m
+        d2 = -a2 * m
+        # predictor (explicit Euler), then one trapezoidal correction
+        up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
+        mp = decay * m + panel * (decay * u + up)
+        dx1 = half * (d1 - a1 * mp)
+        dx2 = half * (d2 - a2 * mp)
+        un = u + a1 * dx1 + a2 * dx2
+        return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
 
-        c1, c2 = _amplitude_rows(increment, (init.c01, init.c02, 0.0), n)
-    else:
-        f = kernel.values
-        if f.size < n + 1:
-            raise ValueError(f"tabulated kernel too short: {f.size} samples, need {n + 1}")
-        c1 = np.empty(n + 1, dtype=complex)
-        c2 = np.empty(n + 1, dtype=complex)
-        c1[0] = init.c01
-        c2[0] = init.c02
-        u_hist = np.empty(n + 1, dtype=complex)
-        u_hist[0] = a1 * init.c01 + a2 * init.c02
-        x1 = complex(init.c01)
-        x2 = complex(init.c02)
-        for i in range(1, n + 1):
-            k = i - 1
-            if k == 0:
-                m = 0j
-            else:
-                m = dt * (0.5 * f[k] * u_hist[0]
-                          + np.dot(f[k - 1:0:-1], u_hist[1:k])
-                          + 0.5 * f[0] * u_hist[k])
-            d1 = -a1 * m
-            d2 = -a2 * m
-            up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
-            mp = dt * (0.5 * f[i] * u_hist[0]
-                       + np.dot(f[i - 1:0:-1], u_hist[1:i])
-                       + 0.5 * f[0] * up)
-            x1 = x1 + 0.5 * dt * (d1 - a1 * mp)
-            x2 = x2 + 0.5 * dt * (d2 - a2 * mp)
-            u_hist[i] = a1 * x1 + a2 * x2
-            c1[i] = x1
-            c2[i] = x2
-
-    return TimeSeries(tau=tau, c1=c1, c2=c2,
-                      meta={"solver": METHOD_VOLTERRA, "dt": dt, "kernel": kernel.kind})
+    c1, c2 = _amplitude_rows(increment, (init.c01, init.c02, 0.0), n)
+    return TimeSeries(tau=tau, c1=c1, c2=c2, meta={"solver": METHOD_VOLTERRA, "dt": dt})
 
 
-def solve_aux_ode(kernel: KernelSpec, coup: CouplingSpec, init: InitialState,
+def solve_aux_ode(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                   cfg: SolverConfig) -> TimeSeries:
-    """RK4 on the pseudo-mode reduction (exponential kernels only).
+    """RK4 on the pseudo-mode reduction of the exponential kernel.
 
     The RK4 step is a constant linear map on ``(c1, c2, z)``, applied
     through :func:`_amplitude_rows`.
     """
-    if kernel.kind != "exponential":
-        raise ValueError("the auxiliary-ODE reduction requires an exponential kernel")
+    _check_resolution(cfg.dt, step_limit(res, coup, METHOD_AUX_ODE, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
-    lam = kernel.lam
-    wsq = kernel.w_sq
-    rabi = coup.alpha_t * math.sqrt(wsq)
-    _check_resolution(cfg.dt, lam, rabi)
+    lam = res.lam
+    wsq = res.w**2
     n, tau = _grid(cfg)
 
     dt = cfg.dt
@@ -375,10 +276,9 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     is set when the horizon exceeds it; the scenarios refuse such runs) and
     the total-excitation norm per step for conservation checks.
     """
+    _check_resolution(cfg.dt, step_limit(res, coup, METHOD_BATH, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
-    rabi = coup.alpha_t * res.w
     window = _comb_window(res, coup, cfg.freq_window)
-    _check_resolution(cfg.dt, res.lam, rabi, window * res.lam)
     n, tau = _grid(cfg)
 
     omegas, g = sample_lorentzian_modes(res, cfg.n_modes, window)

@@ -18,7 +18,6 @@ from zeno_ent import (
     BellBasis,
     CouplingSpec,
     InitialState,
-    KernelSpec,
     MeasurementSchedule,
     RegimeParams,
     ScenarioConfig,
@@ -134,11 +133,10 @@ def test_criterion_04_revival_count():
         ref = _first_revival(closed)
         ok = ok and n_max >= 3 and math.isfinite(ref)
         details.append(f"r1={r1:g}: {n_max} maxima (>=3), first revival {ref:.4f}")
-        kernel = KernelSpec.from_reservoir(res)
         numeric = {
-            "volterra": solve_volterra(kernel, coup, init,
+            "volterra": solve_volterra(res, coup, init,
                                        SolverConfig(dt=1e-4, t_max=2.0)),
-            "ode": solve_aux_ode(kernel, coup, init,
+            "ode": solve_aux_ode(res, coup, init,
                                  SolverConfig(dt=1e-3, t_max=2.0)),
             "bath": solve_discretized_bath(res, coup, init,
                                            SolverConfig(dt=1e-3, t_max=2.0,
@@ -208,8 +206,7 @@ def test_criterion_05_weak_coupling_monotonicity():
 def test_criterion_06_markov_decay_rate():
     res, coup = resonant_system(0.05, 1.0)
     init = InitialState.from_separability(-1.0)
-    kernel = KernelSpec.from_reservoir(res)
-    series = solve_aux_ode(kernel, coup, init, SolverConfig(dt=1e-2, t_max=60.0))
+    series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-2, t_max=60.0))
     window = series.tau >= 10.0
     e_sq = np.abs(series.c1[window]) ** 2
     slope = np.polyfit(series.tau[window], np.log(e_sq), 1)[0]
@@ -343,8 +340,7 @@ def test_criterion_10_invariant_suite():
     closed = closed_form_series(res, coup, dark, tau)
     drift = max(float(np.max(np.abs(closed.c1 - closed.c1[0]))),
                 float(np.max(np.abs(closed.c2 - closed.c2[0]))))
-    kernel = KernelSpec.from_reservoir(res)
-    numeric = solve_volterra(kernel, coup, dark, SolverConfig(dt=1e-3, t_max=5.0))
+    numeric = solve_volterra(res, coup, dark, SolverConfig(dt=1e-3, t_max=5.0))
     drift = max(drift,
                 float(np.max(np.abs(numeric.c1 - numeric.c1[0]))),
                 float(np.max(np.abs(numeric.c2 - numeric.c2[0]))))

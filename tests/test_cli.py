@@ -17,6 +17,7 @@ from zeno_ent import (
     InitialState,
     ScenarioConfig,
     ScenarioResult,
+    SolverConfig,
     closed_form_series,
     find_optimum,
     resonant_system,
@@ -24,6 +25,8 @@ from zeno_ent import (
     run_stationary_surface,
     run_time_evolution,
     run_zeno_compare,
+    solve_aux_ode,
+    solve_volterra,
     stationary_concurrence,
     stroboscopic_amplitudes,
     write_result,
@@ -295,6 +298,28 @@ class TestSolverXcheck:
         with pytest.raises(ValueError, match="commensurate"):
             run_solver_xcheck(cfg)
 
+    def test_grids_ending_apart_compare_shared_points(self, tmp_path):
+        # 10 / 7e-4 rounds up, so the ODE grid ends at 10.0002 while the
+        # Volterra grid (dt = 1e-4) ends at 10.0: every seventh Volterra
+        # point meets the first 14286 ODE points
+        cfg, out = tmp_path / "c.json", tmp_path / "x.json"
+        cfg.write_text(json.dumps({"dt_ode": 7e-4, "include_bath": False,
+                                   "r1": [0.87], "s": [0.0]}))
+        assert main(["solver-xcheck", "--config", str(cfg), "--format", "json",
+                     "--out", str(out)]) == 0
+        row = next(r for r in json.loads(out.read_text())["rows"]
+                   if r[2:4] == ["volterra", "ode"])
+        res, coup = resonant_system(0.1, 0.87)
+        init = InitialState.from_separability(0.0)
+        sv = solve_volterra(res, coup, init, SolverConfig(dt=1e-4, t_max=10.0))
+        so = solve_aux_ode(res, coup, init, SolverConfig(dt=7e-4, t_max=10.0))
+        assert so.tau.size == 14287
+        n = 14286
+        gap = max(float(np.max(np.abs(sv.c1[::7][:n] - so.c1[:n]))),
+                  float(np.max(np.abs(sv.c2[::7][:n] - so.c2[:n]))))
+        assert row[4] == n
+        assert row[5] == gap
+
 
 class TestFindOptimum:
     def test_stationary_matches_analytic_argmax(self):
@@ -510,11 +535,15 @@ class TestCliMain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_installed_entry_point(self, tmp_path):
-        # one end-to-end check through the console script
+        # one end-to-end check through the console script, importing the
+        # package this test imported
+        root = os.path.dirname(os.path.dirname(scenarios.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "zeno_ent.cli", "stationary-surface",
              "--r1", "0.5", "--s", "1"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.startswith("r1,s,c_s,is_argmax")
 

@@ -8,7 +8,6 @@ import pytest
 from zeno_ent import (
     CouplingSpec,
     InitialState,
-    KernelSpec,
     SolverConfig,
     closed_form_series,
     resonant_system,
@@ -23,14 +22,6 @@ def max_gap(series, res, coup, init):
     ref = closed_form_series(res, coup, init, series.tau)
     return max(float(np.max(np.abs(series.c1 - ref.c1))),
                float(np.max(np.abs(series.c2 - ref.c2))))
-
-
-def volterra_cfg(dt, t_max):
-    return SolverConfig(dt=dt, t_max=t_max)
-
-
-def ode_cfg(dt, t_max):
-    return SolverConfig(dt=dt, t_max=t_max)
 
 
 def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
@@ -69,12 +60,12 @@ def rk4_bath_reference(res, coup, init, cfg):
     return states[:, 0], states[:, 1], np.sum(np.abs(states) ** 2, axis=1)
 
 
-def volterra_reference(kernel, coup, init, dt, n):
+def volterra_reference(res, coup, init, dt, n):
     """Trapezoid + Heun on the exponential kernel, one scalar step at a time."""
     a1, a2 = coup.alpha1, coup.alpha2
-    decay = math.exp(-kernel.lam * dt)
+    decay = math.exp(-res.lam * dt)
     half = 0.5 * dt
-    panel = half * kernel.w_sq
+    panel = half * res.w**2
     x1, x2, m = complex(init.c01), complex(init.c02), 0j
     u = a1 * x1 + a2 * x2
     c1, c2 = [x1], [x2]
@@ -92,9 +83,35 @@ def volterra_reference(kernel, coup, init, dt, n):
     return np.array(c1), np.array(c2)
 
 
-def aux_ode_reference(kernel, coup, init, dt, n):
+def volterra_full_history(f, coup, init, dt, n):
+    """Trapezoid + Heun with the memory integral summed over the whole
+    history from kernel samples ``f[i] = f(i*dt)`` at every step: O(n^2)."""
+    a1, a2 = coup.alpha1, coup.alpha2
+    u_hist = np.empty(n + 1, dtype=complex)
+    u_hist[0] = a1 * init.c01 + a2 * init.c02
+    x1, x2 = complex(init.c01), complex(init.c02)
+    c1, c2 = [x1], [x2]
+
+    def history(i, u_last):
+        # trapezoid rule for int_0^{t_i} f(t_i - s) u(s) ds, with u(t_i) = u_last
+        return dt * (0.5 * f[i] * u_hist[0] + np.dot(f[i - 1:0:-1], u_hist[1:i])
+                     + 0.5 * f[0] * u_last)
+
+    for i in range(1, n + 1):
+        m = history(i - 1, u_hist[i - 1]) if i > 1 else 0j
+        d1, d2 = -a1 * m, -a2 * m
+        mp = history(i, a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2))
+        x1 = x1 + 0.5 * dt * (d1 - a1 * mp)
+        x2 = x2 + 0.5 * dt * (d2 - a2 * mp)
+        u_hist[i] = a1 * x1 + a2 * x2
+        c1.append(x1)
+        c2.append(x2)
+    return np.array(c1), np.array(c2)
+
+
+def aux_ode_reference(res, coup, init, dt, n):
     """Classic RK4 on (c1, c2, z), one scalar step at a time."""
-    a1, a2, lam, wsq = coup.alpha1, coup.alpha2, kernel.lam, kernel.w_sq
+    a1, a2, lam, wsq = coup.alpha1, coup.alpha2, res.lam, res.w**2
 
     def rhs(x1, x2, z):
         return -a1 * z, -a2 * z, -lam * z + wsq * (a1 * x1 + a2 * x2)
@@ -124,12 +141,11 @@ class TestLinearMapEvaluation:
         # n + 1 = 2, 3, 100 (a square) and 2501 (not a square)
         res, coup = resonant_system(big_r, r1)
         init = InitialState.from_separability(0.3, 0.7)
-        kernel = KernelSpec.from_reservoir(res)
         dt = 1e-3
-        for solve, make, reference in ((solve_volterra, volterra_cfg, volterra_reference),
-                                       (solve_aux_ode, ode_cfg, aux_ode_reference)):
-            series = solve(kernel, coup, init, make(dt, n * dt))
-            c1, c2 = reference(kernel, coup, init, dt, n)
+        for solve, reference in ((solve_volterra, volterra_reference),
+                                 (solve_aux_ode, aux_ode_reference)):
+            series = solve(res, coup, init, SolverConfig(dt=dt, t_max=n * dt))
+            c1, c2 = reference(res, coup, init, dt, n)
             assert series.c1.shape == series.tau.shape == (n + 1,)
             assert series.c1[0] == init.c01 and series.c2[0] == init.c02
             np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-11)
@@ -146,10 +162,10 @@ class TestSolverConfig:
     def test_float64_step_gives_identical_output(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.3, 0.7)
-        kernel = KernelSpec.from_reservoir(res)
-        for solve, make in ((solve_volterra, volterra_cfg), (solve_aux_ode, ode_cfg)):
-            plain = solve(kernel, coup, init, make(1e-3, 2.0))
-            wide = solve(kernel, coup, init, make(np.float64(1e-3), 2.0))
+        for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
+            plain = solve(res, coup, init, SolverConfig(dt=1e-3, t_max=2.0, n_modes=50))
+            wide = solve(res, coup, init,
+                         SolverConfig(dt=np.float64(1e-3), t_max=2.0, n_modes=50))
             assert np.array_equal(plain.c1, wide.c1)
             assert np.array_equal(plain.c2, wide.c2)
 
@@ -158,6 +174,14 @@ class TestSolverConfig:
         init = InitialState.from_separability(0.0)
         with pytest.raises(ValueError, match=r"^dt = 0\.001 under-resolves"):
             solve_discretized_bath(res, coup, init, bath_cfg(np.float64(1e-3), 1.0))
+
+    @pytest.mark.parametrize("n_modes", [2.5, True, "50", 50.0])
+    def test_rejects_non_integer_mode_count(self, n_modes):
+        with pytest.raises(ValueError, match="n_modes must be an integer"):
+            SolverConfig(dt=1e-3, t_max=1.0, n_modes=n_modes)
+
+    def test_numpy_mode_count_stored_as_int(self):
+        assert type(SolverConfig(dt=1e-3, t_max=1.0, n_modes=np.int64(50)).n_modes) is int
 
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
@@ -169,37 +193,29 @@ class TestSolverConfig:
         # dt = 0.5 cannot resolve a decade-fast coupling
         res, coup = resonant_system(10.0, 0.5)
         init = InitialState.from_separability(0.0)
-        with pytest.raises(ValueError):
-            solve_volterra(KernelSpec.from_reservoir(res), coup, init,
-                           volterra_cfg(0.5, 5.0))
-        with pytest.raises(ValueError):
-            solve_aux_ode(KernelSpec.from_reservoir(res), coup, init,
-                          ode_cfg(0.5, 5.0))
-        with pytest.raises(ValueError):
-            solve_discretized_bath(res, coup, init, bath_cfg(0.5, 5.0))
+        for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
+            with pytest.raises(ValueError, match="under-resolves"):
+                solve(res, coup, init, bath_cfg(0.5, 5.0))
 
 
 class TestVolterra:
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(1.0)
-        series = solve_volterra(KernelSpec.from_reservoir(res), coup, init,
-                                volterra_cfg(1e-3, 10.0))
+        series = solve_volterra(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
         assert max_gap(series, res, coup, init) < 1e-5
 
     def test_reference_accuracy_strong_coupling(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_volterra(KernelSpec.from_reservoir(res), coup, init,
-                                volterra_cfg(1e-4, 10.0))
+        series = solve_volterra(res, coup, init, SolverConfig(dt=1e-4, t_max=10.0))
         assert max_gap(series, res, coup, init) < 1e-5
 
     def test_second_order_convergence(self):
         # halving dt divides the error by ~4
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        k = KernelSpec.from_reservoir(res)
-        gaps = [max_gap(solve_volterra(k, coup, init, volterra_cfg(dt, 2.0)),
+        gaps = [max_gap(solve_volterra(res, coup, init, SolverConfig(dt=dt, t_max=2.0)),
                         res, coup, init)
                 for dt in (1.6e-2, 8e-3, 4e-3)]
         assert 3.6 < gaps[0] / gaps[1] < 4.4
@@ -208,54 +224,41 @@ class TestVolterra:
     def test_subradiant_state_exactly_constant(self):
         res, coup = resonant_system(2.0, 0.7)
         init = coup.psi_minus()
-        series = solve_volterra(KernelSpec.from_reservoir(res), coup, init,
-                                volterra_cfg(1e-3, 5.0))
+        series = solve_volterra(res, coup, init, SolverConfig(dt=1e-3, t_max=5.0))
         np.testing.assert_allclose(series.c1, init.c01, atol=1e-12)
         np.testing.assert_allclose(series.c2, init.c02, atol=1e-12)
 
     def test_tabulated_kernel_matches_exponential_path(self):
-        # feeding the same exponential as a table must reproduce the
-        # recursion-based fast path to rounding accuracy
+        # the memory integral summed over the whole history from kernel
+        # samples must reproduce the O(1) recursion to rounding accuracy
         res, coup = resonant_system(0.5, 0.3)
         init = InitialState.from_separability(-0.5, 1.0)
         dt, t_max = 1e-3, 2.0
         n = int(round(t_max / dt))
-        tau = np.arange(n + 1) * dt
-        k_exp = KernelSpec.from_reservoir(res)
-        k_tab = KernelSpec.tabulated(res.memory_kernel(tau), dt)
-        fast = solve_volterra(k_exp, coup, init, volterra_cfg(dt, t_max))
-        slow = solve_volterra(k_tab, coup, init, volterra_cfg(dt, t_max))
-        np.testing.assert_allclose(slow.c1, fast.c1, atol=1e-10)
-        np.testing.assert_allclose(slow.c2, fast.c2, atol=1e-10)
-
-    def test_tabulated_kernel_requires_matching_grid(self):
-        res, coup = resonant_system(0.5, 0.3)
-        init = InitialState.from_separability(0.0)
-        k_tab = KernelSpec.tabulated(np.ones(10), 2e-3)
-        with pytest.raises(ValueError):
-            solve_volterra(k_tab, coup, init, volterra_cfg(1e-3, 5e-3))
+        fast = solve_volterra(res, coup, init, SolverConfig(dt=dt, t_max=t_max))
+        c1, c2 = volterra_full_history(res.memory_kernel(np.arange(n + 1) * dt),
+                                       coup, init, dt, n)
+        np.testing.assert_allclose(c1, fast.c1, atol=1e-10)
+        np.testing.assert_allclose(c2, fast.c2, atol=1e-10)
 
 
 class TestAuxOde:
     def test_reference_accuracy(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(1.0)
-        series = solve_aux_ode(KernelSpec.from_reservoir(res), coup, init,
-                               ode_cfg(1e-3, 10.0))
+        series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
         assert max_gap(series, res, coup, init) < 1e-6
 
     def test_reference_accuracy_strong_coupling(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_aux_ode(KernelSpec.from_reservoir(res), coup, init,
-                               ode_cfg(1e-3, 10.0))
+        series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
         assert max_gap(series, res, coup, init) < 1e-6
 
     def test_fourth_order_convergence(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        k = KernelSpec.from_reservoir(res)
-        gaps = [max_gap(solve_aux_ode(k, coup, init, ode_cfg(dt, 2.0)),
+        gaps = [max_gap(solve_aux_ode(res, coup, init, SolverConfig(dt=dt, t_max=2.0)),
                         res, coup, init)
                 for dt in (1.6e-2, 8e-3, 4e-3)]
         assert 14.0 < gaps[0] / gaps[1] < 18.0
@@ -264,19 +267,11 @@ class TestAuxOde:
     def test_agreement_with_volterra_at_shared_step(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(1.0)
-        k = KernelSpec.from_reservoir(res)
-        sv = solve_volterra(k, coup, init, volterra_cfg(1e-3, 10.0))
-        sa = solve_aux_ode(k, coup, init, ode_cfg(1e-3, 10.0))
+        sv = solve_volterra(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
+        sa = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
         gap = max(float(np.max(np.abs(sv.c1 - sa.c1))),
                   float(np.max(np.abs(sv.c2 - sa.c2))))
         assert gap < 1e-4
-
-    def test_requires_exponential_kernel(self):
-        res, coup = resonant_system(0.5, 0.5)
-        init = InitialState.from_separability(0.0)
-        k_tab = KernelSpec.tabulated(np.ones(5001), 1e-3)
-        with pytest.raises(ValueError):
-            solve_aux_ode(k_tab, coup, init, ode_cfg(1e-3, 5.0))
 
 
 class TestDiscretizedBath:
@@ -362,8 +357,7 @@ class TestTimeSeries:
     def test_grid_and_table_shape(self):
         res, coup = resonant_system(0.5, 0.5)
         init = InitialState.from_separability(0.0)
-        series = solve_aux_ode(KernelSpec.from_reservoir(res), coup, init,
-                               ode_cfg(1e-2, 1.0))
+        series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-2, t_max=1.0))
         assert series.tau.size == 101
         assert series.tau[0] == 0.0
         assert series.tau[-1] == pytest.approx(1.0, abs=1e-12)
@@ -377,8 +371,7 @@ class TestTimeSeries:
     def test_initial_point_is_exact(self):
         res, coup = resonant_system(0.5, 0.5)
         init = InitialState.from_separability(0.3, 0.8)
-        for solver, k in ((solve_volterra, KernelSpec.from_reservoir(res)),
-                          (solve_aux_ode, KernelSpec.from_reservoir(res))):
-            series = solver(k, coup, init, SolverConfig(dt=1e-2, t_max=0.5))
+        for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
+            series = solve(res, coup, init, SolverConfig(dt=1e-2, t_max=0.5, n_modes=50))
             assert series.c1[0] == init.c01
             assert series.c2[0] == init.c02
