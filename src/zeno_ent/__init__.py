@@ -39,6 +39,7 @@ from .scenarios import (
 )
 from .solvers import (
     SolverConfig,
+    bath_propagator,
     sample_lorentzian_modes,
     solve_aux_ode,
     solve_discretized_bath,
@@ -72,6 +73,7 @@ __all__ = [
     "TimeSeries",
     "ZenoRate",
     "amplitudes_at",
+    "bath_propagator",
     "closed_form_series",
     "concurrence_closed",
     "concurrence_measured",

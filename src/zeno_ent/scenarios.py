@@ -27,7 +27,6 @@ from .model import (
     BellBasis,
     CouplingSpec,
     InitialState,
-    TimeSeries,
     amplitudes_at,
     closed_form_series,
     concurrence_closed,
@@ -41,9 +40,9 @@ from .solvers import (
     METHOD_BATH,
     METHOD_VOLTERRA,
     SolverConfig,
+    bath_propagator,
     comb_recurrence_time,
     solve_aux_ode,
-    solve_discretized_bath,
     solve_volterra,
     step_limit,
 )
@@ -247,10 +246,16 @@ def _solver_dt(cfg: ScenarioConfig, solver: str) -> float:
 _METHODS = {"volterra": METHOD_VOLTERRA, "ode": METHOD_AUX_ODE, "bath": METHOD_BATH}
 
 
-def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, init: InitialState,
-                 dt: float, t_max: float):
-    res, coup = resonant_system(cfg.big_r, r1)
-    scfg = SolverConfig(dt=dt, t_max=t_max, n_modes=cfg.n_modes, freq_window=cfg.freq_window)
+def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
+    """``init -> TimeSeries`` of a numeric solver at one coupling, to ``tau_max``.
+
+    Volterra and the pseudomode ODE run once per initial state; the bath
+    steps its comb here, once, and serves every initial state from that run.
+    """
+    scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
+                        freq_window=cfg.freq_window)
+    # solvers are read from the module globals per call, so a solver
+    # patched in for a count or a trace is the one that runs
     if solver == "bath":
         recurrence = comb_recurrence_time(res, coup, scfg.n_modes, scfg.freq_window)
         if scfg.t_max > recurrence:
@@ -259,11 +264,9 @@ def _run_numeric(cfg: ScenarioConfig, solver: str, r1: float, init: InitialState
                 f"{recurrence:.6g} (2*pi/d_omega for {scfg.n_modes} modes at "
                 f"big_r = {cfg.big_r!r}), where the comb sends the emitted excitation "
                 "back; raise n_modes or shorten tau_max")
-    # read from the module globals per call, so a solver patched in for a
-    # count or a trace is the one that runs
-    solve = {"volterra": solve_volterra, "ode": solve_aux_ode,
-             "bath": solve_discretized_bath}[solver]
-    return solve(res, coup, init, scfg)
+        return bath_propagator(res, coup, scfg)
+    solve = {"volterra": solve_volterra, "ode": solve_aux_ode}[solver]
+    return lambda init: solve(res, coup, init, scfg)
 
 
 def run_stationary_surface(cfg: ScenarioConfig) -> ScenarioResult:
@@ -290,13 +293,12 @@ def run_stationary_surface(cfg: ScenarioConfig) -> ScenarioResult:
                           meta=meta, config=cfg)
 
 
-def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, s: float,
-                    tau: np.ndarray):
-    """Concurrence of the selected solver, sampled exactly on ``tau``."""
+def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray):
+    """``init ->`` concurrence of the selected solver at one coupling,
+    sampled exactly on ``tau``."""
     res, coup = resonant_system(cfg.big_r, r1)
-    init = _init_state(cfg, s)
     if solver == "closed":
-        return closed_form_series(res, coup, init, tau).concurrence()
+        return lambda init: closed_form_series(res, coup, init, tau).concurrence()
     # pick a step that divides the output spacing so no interpolation is
     # needed: the coarsest one no longer than the configured step that also
     # passes the solver's own resolution check
@@ -307,8 +309,8 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, s: float,
     k = max(k, int(dtau / limit))
     while dtau / k >= limit:
         k += 1
-    series = _run_numeric(cfg, solver, r1, init, dtau / k, cfg.tau_max)
-    return series.concurrence()[::k]
+    run = _propagator(cfg, solver, res, coup, dtau / k)
+    return lambda init: run(init).concurrence()[::k]
 
 
 def run_time_evolution(cfg: ScenarioConfig) -> ScenarioResult:
@@ -317,9 +319,10 @@ def run_time_evolution(cfg: ScenarioConfig) -> ScenarioResult:
     columns = ["tau"]
     data = [tau]
     for r1 in cfg.r1_axis():
+        series = _aligned_series(cfg, cfg.solver, r1, tau)
         for s in cfg.s_axis():
             columns.append(f"C[r1={r1!r};s={s!r}]")
-            data.append(_aligned_series(cfg, cfg.solver, r1, s, tau))
+            data.append(series(_init_state(cfg, s)))
     return ScenarioResult(columns=columns, data=data,
                           meta={"solver": cfg.solver, "phi": cfg.phi}, config=cfg)
 
@@ -377,14 +380,11 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     all_ok = True
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        bath = _bath_by_state(cfg, r1) if cfg.include_bath else None
+        runs = {name: _propagator(cfg, name, res, coup, _solver_dt(cfg, name))
+                for name in solvers}
         for s in cfg.s_axis():
             init = _init_state(cfg, s)
-            series = {name: _run_numeric(cfg, name, r1, init, _solver_dt(cfg, name),
-                                         cfg.tau_max)
-                      for name in ("volterra", "ode")}
-            if bath is not None:
-                series["bath"] = bath(init)
+            series = {name: run(init) for name, run in runs.items()}
             pairs = [("closed", name) for name in solvers]
             pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
             for a, b in pairs:
@@ -406,32 +406,6 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
                           meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
-
-
-def _bath_by_state(cfg: ScenarioConfig, r1: float):
-    """Bath series for any initial state of the s axis at one coupling.
-
-    The one-excitation Schroedinger equation is linear in the initial
-    amplitudes, and so is each RK4 step, so the run from
-    ``c01|10> + c02|01>`` equals ``c01`` times the |10> run plus ``c02``
-    times the |01> run up to rounding.  Two product-state runs then serve
-    every ``s``; with a single ``s`` one direct run is cheaper.  A
-    superposed series carries no per-step ``norm_total``: the norm of a
-    sum needs the overlap of the two mode vectors, which is not kept.
-    """
-    def run(init):
-        return _run_numeric(cfg, "bath", r1, init, cfg.dt_bath, cfg.tau_max)
-
-    if len(cfg.s_axis()) == 1:
-        return run
-    a, b = run(InitialState(1.0, 0.0)), run(InitialState(0.0, 1.0))
-    meta = {key: value for key, value in a.meta.items() if key != "norm_total"}
-
-    def superpose(init):
-        return TimeSeries(tau=a.tau, c1=init.c01 * a.c1 + init.c02 * b.c1,
-                          c2=init.c01 * a.c2 + init.c02 * b.c2, meta=meta)
-
-    return superpose
 
 
 def _max_amplitude_gap(sa, sb, ia=slice(None), ib=slice(None)) -> float:

@@ -16,15 +16,19 @@ the couplings, the initial amplitudes and a :class:`SolverConfig`.
 * ``solve_discretized_bath`` -- brute force: the Lorentzian reservoir is
   sampled on a uniform frequency comb and the full (2 + n_modes)-amplitude
   Schroedinger system is integrated with RK4.  Slowest, fewest assumptions.
+  :func:`bath_propagator` makes the comb run once per coupling and serves
+  any number of initial states from it.
 
 Each solver refuses a step at or above its :func:`step_limit`.  Every one
 of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
 how they are evaluated.  The Volterra step and the pseudomode RK4 step act
 on three amplitudes; ``M - 1`` is read off the scalar step's increment and
 the powers of ``M`` are applied blockwise (:func:`_amplitude_rows`).
-The comb generator is a diagonal plus a rank-1 coupling, so its RK4
-polynomial ``sum_{k<=4} (hA)^k / k!`` is a diagonal plus a rank-5 update,
-built once per run.
+The comb generator is a diagonal plus a rank-1 coupling ``g a^T``, so its
+RK4 polynomial ``sum_{k<=4} (hA)^k / k!`` is a diagonal plus a rank-5
+update, built once per run.  The pair enters the modes only through
+``u = a.x`` and moves only along ``a``, so one run driven by ``u = 1`` from
+empty modes gives every initial state's amplitudes and total norm.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -42,6 +46,7 @@ from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
 
 __all__ = [
     "SolverConfig",
+    "bath_propagator",
     "comb_recurrence_time",
     "sample_lorentzian_modes",
     "solve_aux_ode",
@@ -53,6 +58,7 @@ __all__ = [
 METHOD_VOLTERRA = "trapezoid-volterra"
 METHOD_AUX_ODE = "aux-ode-rk4"
 METHOD_BATH = "bath-rk4"
+METHODS = (METHOD_VOLTERRA, METHOD_AUX_ODE, METHOD_BATH)
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,19 @@ class SolverConfig:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step long")
-        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, numbers.Integral):
-            raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}")
-        object.__setattr__(self, "n_modes", int(self.n_modes))
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes!r}")
-        if not (math.isfinite(self.freq_window) and self.freq_window > 0.0):
-            raise ValueError(f"freq_window must be positive, got {self.freq_window!r}")
+        object.__setattr__(self, "n_modes", _check_comb(self.n_modes, self.freq_window))
+
+
+def _check_comb(n_modes, freq_window) -> int:
+    """Refuse a comb that is not a positive integer count of modes over a
+    positive, finite window; returns the count as an ``int``."""
+    if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral):
+        raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes!r}")
+    if not (math.isfinite(freq_window) and freq_window > 0.0):
+        raise ValueError(f"freq_window must be positive and finite, got {freq_window!r}")
+    return int(n_modes)
 
 
 def _check_resolution(dt: float, bound: float):
@@ -110,6 +122,7 @@ def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
                          freq_window: float) -> float:
     """Recurrence time ``2*pi/dω`` of the bath comb; past it the comb's
     discrete spectrum sends the emitted excitation back to the qubits."""
+    n_modes = _check_comb(n_modes, freq_window)
     dw = 2.0 * _comb_window(res, coup, freq_window) * res.lam / n_modes
     return 2.0 * math.pi / dw
 
@@ -119,7 +132,9 @@ def step_limit(res: ReservoirSpec, coup: CouplingSpec, method: str,
     """Steps strictly below ``1 / (2 * fastest rate)`` pass ``method``'s
     resolution check.  The rates are the memory decay ``lam`` and the
     vacuum-Rabi frequency; only the bath, whose band edge counts as a rate,
-    reads ``freq_window``."""
+    reads ``freq_window``.  ``method`` is one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")
     rates = [res.lam, coup.alpha_t * res.w]
     if method == METHOD_BATH:
         rates.append(_comb_window(res, coup, freq_window) * res.lam)
@@ -244,10 +259,7 @@ def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float
     Couplings follow ``g_k**2 = J(omega_k) * dω``; the comb is symmetric
     about resonance and never places a mode exactly at omega0.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if not (math.isfinite(freq_window) and freq_window > 0.0):
-        raise ValueError("freq_window must be positive")
+    n_modes = _check_comb(n_modes, freq_window)
     half = freq_window * res.lam
     dw = 2.0 * half / n_modes
     offsets = -half + (np.arange(n_modes) + 0.5) * dw
@@ -258,6 +270,15 @@ def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float
 def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                            cfg: SolverConfig) -> TimeSeries:
     """RK4 on the full qubit-pair + sampled-reservoir amplitude system.
+
+    One run of :func:`bath_propagator`, read at ``init``; see there for the
+    comb, the step and the metadata.
+    """
+    return bath_propagator(res, coup, cfg)(init)
+
+
+def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
+    """Step the comb once for this coupling; returns ``init -> TimeSeries``.
 
     Works in the frame rotating at each mode's detuning, which leaves the
     qubit amplitudes untouched and makes the right-hand side autonomous.
@@ -270,7 +291,14 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     ``R = rabi/lam >= 25`` (:func:`step_limit` gives the bound).
 
     Each step is the RK4 polynomial of the constant generator, applied as
-    a diagonal plus a rank-5 update built once per run.
+    a diagonal plus a rank-5 update built once per run.  The generator
+    reads the pair ``x`` only through ``u = a.x`` and moves it only along
+    the coupling vector ``a = (alpha1, alpha2)``.  The modes start empty
+    and the step is linear, so the modes and the summed pair increment
+    ``sigma`` of a run from ``u0 = a.x0`` are ``u0`` times those of one run
+    driven by ``u0 = 1``: ``x = x0 + a u0 sigma`` and the total norm is
+    ``|x|^2 + |u0|^2 nu`` with ``nu = |m|^2`` of that run.  That run is made
+    here, and every initial state is read off it.
 
     Metadata carries the discrete recurrence time ``2*pi/dω`` (a warning flag
     is set when the horizon exceeds it; the scenarios refuse such runs) and
@@ -298,8 +326,10 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     # gives W = sum V_k / k! and ell = -i sum p_{k-1} / k!.  Below, rot is
     # E, gh is g_h, the rows of moments are g_h E^j, drive_t is W^T (the
     # (5, n_modes) layout makes z @ W^T the faster product) and diag is
-    # Phi - 1, summed without forming Phi.
+    # Phi - 1, summed without forming Phi.  Since x' = x + a (ell.z), the
+    # drive of the unit-drive run is z[0] = a.x = 1 + |a|^2 sigma.
     dt = cfg.dt
+    asq = a1 * a1 + a2 * a2
     rot = 1j * dt * delta
     gh = dt * g
     moments = np.empty((4, cfg.n_modes), dtype=complex)
@@ -315,47 +345,47 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
     for k in range(4):
         p = unit[1 + k] + tail_t @ gh
         tail_t = tail_t * rot - 1j * np.outer(coef_u, gh)
-        coef_u = -1j * (a1 * a1 + a2 * a2) * p
+        coef_u = -1j * asq * p
         fact *= k + 1
         drive_t += tail_t / fact
         ell += -1j * p / fact
     diag = rot * (1.0 + rot / 2.0 * (1.0 + rot / 3.0 * (1.0 + rot / 4.0)))
 
-    c1 = np.empty(n + 1, dtype=complex)
-    c2 = np.empty(n + 1, dtype=complex)
-    norm = np.empty(n + 1)
-    x1, x2 = init.c01, init.c02
-    c1[0] = x1
-    c2[0] = x2
-    norm[0] = abs(x1) ** 2 + abs(x2) ** 2
-
+    # the unit-drive run: sigma is the summed pair increment, nu = |m|^2
+    sigma = np.zeros(n + 1, dtype=complex)
+    nu = np.zeros(n + 1)
+    acc = 0j
     modes = np.zeros(cfg.n_modes, dtype=complex)
     inc = np.empty_like(modes)
     spread = np.empty_like(modes)
     z = np.empty(5, dtype=complex)
     for i in range(1, n + 1):
-        z[0] = a1 * x1 + a2 * x2
+        z[0] = 1.0 + asq * acc
         np.matmul(moments, modes, out=z[1:])
         np.multiply(diag, modes, out=inc)
         np.matmul(z, drive_t, out=spread)
         inc += spread
         modes += inc
         k = complex(ell @ z)
-        x1 = x1 + a1 * k
-        x2 = x2 + a2 * k
-        c1[i] = x1
-        c2[i] = x2
-        norm[i] = abs(x1) ** 2 + abs(x2) ** 2 + np.vdot(modes, modes).real
+        acc = acc + k
+        sigma[i] = acc
+        nu[i] = np.vdot(modes, modes).real
 
-    return TimeSeries(
-        tau=tau, c1=c1, c2=c2,
-        meta={
-            "solver": METHOD_BATH,
-            "dt": dt,
-            "n_modes": cfg.n_modes,
-            "freq_window": cfg.freq_window,
-            "recurrence_time": recurrence,
-            "recurrence_warning": bool(cfg.t_max > recurrence),
-            "norm_total": norm,
-        },
-    )
+    meta = {
+        "solver": METHOD_BATH,
+        "dt": dt,
+        "n_modes": cfg.n_modes,
+        "freq_window": cfg.freq_window,
+        "recurrence_time": recurrence,
+        "recurrence_warning": bool(cfg.t_max > recurrence),
+    }
+
+    def series(init: InitialState) -> TimeSeries:
+        u0 = a1 * init.c01 + a2 * init.c02
+        drift = u0 * sigma
+        c1 = init.c01 + a1 * drift
+        c2 = init.c02 + a2 * drift
+        norm = np.abs(c1) ** 2 + np.abs(c2) ** 2 + abs(u0) ** 2 * nu
+        return TimeSeries(tau=tau, c1=c1, c2=c2, meta={**meta, "norm_total": norm})
+
+    return series

@@ -272,24 +272,29 @@ class TestSolverXcheck:
             else:
                 assert row[5] == ref[5]
 
-    def test_bath_runs_once_per_state_basis(self, monkeypatch):
+    def test_bath_runs_once_per_coupling(self, monkeypatch, tmp_path):
+        # one comb run per r1, whatever the number of initial states
         runs = []
-        real = scenarios.solve_discretized_bath
+        real = scenarios.bath_propagator
 
-        def counting(*args):
-            runs.append(args[2])
-            return real(*args)
+        def counting(res, coup, cfg):
+            runs.append(coup.r1)
+            return real(res, coup, cfg)
 
-        monkeypatch.setattr(scenarios, "solve_discretized_bath", counting)
+        monkeypatch.setattr(scenarios, "bath_propagator", counting)
         single = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
                                 s=(0.3,), tau_max=0.5)
         run_solver_xcheck(single)
-        assert len(runs) == 1
+        assert runs == pytest.approx([0.87])
         runs.clear()
-        default_axis = dataclasses.replace(single, s=())
-        run_solver_xcheck(default_axis)
-        assert len(runs) == 2
-        assert [(r.c01, r.c02) for r in runs] == [(1, 0), (0, 1)]
+        run_solver_xcheck(dataclasses.replace(single, r1=(0.0, 0.87), s=()))
+        assert runs == pytest.approx([0.0, 0.87])
+        runs.clear()
+        code = main(["time-evolution", "--solver", "bath", "--big-r", "0.5",
+                     "--r1", "0.0,0.87", "--s", "0,0.3", "--tau-max", "0.5",
+                     "--tau-steps", "11", "--out", str(tmp_path / "evo.csv")])
+        assert code == 0
+        assert runs == pytest.approx([0.0, 0.87])
 
     def test_incommensurate_steps_rejected(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,

@@ -8,14 +8,19 @@ import pytest
 from zeno_ent import (
     CouplingSpec,
     InitialState,
+    ScenarioConfig,
     SolverConfig,
+    bath_propagator,
     closed_form_series,
     resonant_system,
+    run_solver_xcheck,
     sample_lorentzian_modes,
     solve_aux_ode,
     solve_discretized_bath,
     solve_volterra,
 )
+from zeno_ent import scenarios
+from zeno_ent.solvers import comb_recurrence_time, step_limit
 
 
 def max_gap(series, res, coup, init):
@@ -323,14 +328,47 @@ class TestDiscretizedBath:
 
     @pytest.mark.parametrize("big_r", [0.5, 10.0])
     def test_nested_step_matches_stage_vector_rk4(self, big_r):
+        # one propagator run serves every initial state, including the
+        # sub-radiant one that the comb never sees (a.x0 = 0)
         res, coup = resonant_system(big_r, 0.87)
-        init = InitialState.from_separability(0.3, 0.7)
         cfg = bath_cfg(1e-3, 3.0, n_modes=50)
-        series = solve_discretized_bath(res, coup, init, cfg)
-        c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
-        np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
+        propagate = bath_propagator(res, coup, cfg)
+        inits = [InitialState(1.0, 0.0), InitialState(0.0, 1.0), coup.psi_minus(),
+                 InitialState.from_separability(0.3, 0.7)]
+        for init in inits:
+            series = propagate(init)
+            c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+            np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
+        direct = solve_discretized_bath(res, coup, inits[-1], cfg)
+        assert np.array_equal(direct.c1, series.c1)
+        assert np.array_equal(direct.meta["norm_total"], series.meta["norm_total"])
+
+    def test_xcheck_bath_series_carry_norm_total(self, monkeypatch):
+        # every s of a multi-s cross-check is read off one comb run, and
+        # each series still carries the norm of a direct run on its state
+        served = []
+        real = scenarios.bath_propagator
+
+        def recording(res, coup, cfg):
+            propagate = real(res, coup, cfg)
+
+            def series(init):
+                out = propagate(init)
+                served.append((res, coup, cfg, init, out))
+                return out
+            return series
+
+        monkeypatch.setattr(scenarios, "bath_propagator", recording)
+        run_solver_xcheck(ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
+                                         s=(-1.0, 0.0, 0.3), phi=0.7, tau_max=2.0,
+                                         n_modes=50))
+        assert len(served) == 3
+        for res, coup, cfg, init, out in served:
+            c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+            np.testing.assert_allclose(out.c1, c1, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(out.meta["norm_total"], norm, rtol=0, atol=1e-13)
 
     def test_total_excitation_conserved(self):
         res, coup = resonant_system(0.5, 0.87)
@@ -351,6 +389,34 @@ class TestDiscretizedBath:
         assert long.meta["recurrence_warning"] is True
         assert long.meta["recurrence_time"] == pytest.approx(2.0 * math.pi / 0.4,
                                                              rel=1e-12)
+
+
+class TestCombInputs:
+    @pytest.mark.parametrize("call", [
+        lambda res, coup: sample_lorentzian_modes(res, 2.5, 10.0),
+        lambda res, coup: sample_lorentzian_modes(res, True, 10.0),
+        lambda res, coup: sample_lorentzian_modes(res, 10.0, 10.0),
+        lambda res, coup: sample_lorentzian_modes(res, "10", 10.0),
+        lambda res, coup: comb_recurrence_time(res, coup, 0, 20.0),
+        lambda res, coup: comb_recurrence_time(res, coup, -100, 20.0),
+        lambda res, coup: comb_recurrence_time(res, coup, 2.5, 20.0),
+        lambda res, coup: comb_recurrence_time(res, coup, True, 20.0),
+        lambda res, coup: comb_recurrence_time(res, coup, 100, -1.0),
+        lambda res, coup: comb_recurrence_time(res, coup, 100, 0.0),
+        lambda res, coup: comb_recurrence_time(res, coup, 100, math.inf),
+        lambda res, coup: comb_recurrence_time(res, coup, 100, math.nan),
+    ], ids=["sample-2.5", "sample-True", "sample-10.0", "sample-str",
+            "recur-0", "recur-neg", "recur-2.5", "recur-True",
+            "recur-window-neg", "recur-window-0", "recur-window-inf", "recur-window-nan"])
+    def test_rejects_bad_comb(self, call):
+        res, coup = resonant_system(0.5, 0.87)
+        with pytest.raises(ValueError, match="n_modes must be|freq_window must be"):
+            call(res, coup)
+
+    def test_step_limit_rejects_unknown_method(self):
+        res, coup = resonant_system(0.5, 0.87)
+        with pytest.raises(ValueError, match="trapezoid-volterra, aux-ode-rk4, bath-rk4"):
+            step_limit(res, coup, "bogus", 20.0)
 
 
 class TestTimeSeries:
