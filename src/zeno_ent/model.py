@@ -84,8 +84,15 @@ class ReservoirSpec:
 
     def spectral_density(self, omega):
         """J(omega), a Lorentzian of half-width ``lam`` centred at ``omega0``."""
-        omega = np.asarray(omega, dtype=float)
-        out = (self.w**2 / math.pi) * self.lam / ((omega - self.omega0) ** 2 + self.lam**2)
+        return self.detuned_density(np.asarray(omega, dtype=float) - self.omega0)
+
+    def detuned_density(self, detuning):
+        """J at ``omega = omega0 + detuning``; the Lorentzian is written here only.
+
+        Read from the detuning, it loses no digits to a large ``omega0``.
+        """
+        detuning = np.asarray(detuning, dtype=float)
+        out = (self.w**2 / math.pi) * self.lam / (detuning**2 + self.lam**2)
         return out if out.ndim else float(out)
 
     def memory_kernel(self, tau):

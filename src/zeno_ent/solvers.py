@@ -28,7 +28,11 @@ The comb generator is a diagonal plus a rank-1 coupling ``g a^T``, so its
 RK4 polynomial ``sum_{k<=4} (hA)^k / k!`` is a diagonal plus a rank-5
 update, built once per run.  The pair enters the modes only through
 ``u = a.x`` and moves only along ``a``, so one run driven by ``u = 1`` from
-empty modes gives every initial state's amplitudes and total norm.
+empty modes gives every initial state's amplitudes and total norm.  The
+qubits sit on resonance of a symmetric Lorentzian, so the comb is mirrored
+about their frequency and that run never leaves the mirror-symmetric
+sector: only the upper half of the comb is stepped, and the pair reads it
+through five real scalars.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -252,19 +256,30 @@ def solve_aux_ode(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                       meta={"solver": METHOD_AUX_ODE, "dt": dt})
 
 
+def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
+    """Offsets from ``omega0`` and couplings of the comb; see
+    :func:`sample_lorentzian_modes`.  The offsets are exactly antisymmetric,
+    ``offsets == -offsets[::-1]``, and the couplings exactly symmetric."""
+    n_modes = _check_comb(n_modes, freq_window)
+    dw = 2.0 * (freq_window * res.lam) / n_modes
+    offsets = (np.arange(n_modes) - (n_modes - 1) / 2.0) * dw
+    return offsets, np.sqrt(res.detuned_density(offsets) * dw)
+
+
 def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float):
     """Uniform midpoint comb over ``[omega0 - K lam, omega0 + K lam]``.
 
     Returns the mode frequencies and couplings ``(omegas, g)`` as arrays.
-    Couplings follow ``g_k**2 = J(omega_k) * dω``; the comb is symmetric
-    about resonance and never places a mode exactly at omega0.
+    Couplings follow ``g_k**2 = J(omega_k) * dω``.  The comb is mirrored
+    exactly about resonance: its offsets from omega0 are built in detuning
+    coordinates, so mode ``-k`` sits at minus the offset of mode ``k`` and
+    has the same coupling.  An even comb has no mode at omega0; an odd comb
+    puts its centre mode exactly there (``n_modes = 3`` gives offsets
+    ``-2/3, 0, 2/3`` in units of ``K lam``), and :func:`bath_propagator`
+    carries it with weight 1 beside the mirror pairs.
     """
-    n_modes = _check_comb(n_modes, freq_window)
-    half = freq_window * res.lam
-    dw = 2.0 * half / n_modes
-    offsets = -half + (np.arange(n_modes) + 0.5) * dw
-    omegas = res.omega0 + offsets
-    return omegas, np.sqrt(res.spectral_density(omegas) * dw)
+    offsets, g = _comb(res, n_modes, freq_window)
+    return res.omega0 + offsets, g
 
 
 def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
@@ -300,76 +315,106 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     ``|x|^2 + |u0|^2 nu`` with ``nu = |m|^2`` of that run.  That run is made
     here, and every initial state is read off it.
 
-    Metadata carries the discrete recurrence time ``2*pi/dω`` (a warning flag
-    is set when the horizon exceeds it; the scenarios refuse such runs) and
-    the total-excitation norm per step for conservation checks.
+    Precondition: both qubits sit on resonance of a symmetric spectral
+    density, so the comb is mirrored about the qubit frequency (offsets
+    ``-d`` and ``d`` with equal couplings).  The generator is then real
+    symmetric up to the factor ``-i``, and a run from a real drive and
+    empty modes keeps ``u`` real and mode ``-k`` equal to ``-conj`` of mode
+    ``k``.  Only the upper half of the comb is stepped: one mode of each
+    mirror pair scaled by ``sqrt(2)``, plus an odd comb's centre mode with
+    weight 1, so ``nu`` is the squared norm of the kept modes.  The pair
+    reads the modes through the real five-vector ``z = (u, r_0..r_3)``
+    and the RK4 step is evaluated on that half (see the comments below).
+
+    Metadata carries the full mode count, the discrete recurrence time
+    ``2*pi/dω`` (a warning flag is set when the horizon exceeds it; the
+    scenarios refuse such runs) and the total-excitation norm per step for
+    conservation checks.
     """
     _check_resolution(cfg.dt, step_limit(res, coup, METHOD_BATH, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
     n, tau = _grid(cfg)
 
-    omegas, g = sample_lorentzian_modes(res, cfg.n_modes, window)
-    delta = res.omega0 - omegas
+    offsets, g = _comb(res, cfg.n_modes, window)
     recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
 
-    # The generator A of y' = A y is constant,
-    #   A(x1, x2, m) = (-i a1 g.m, -i a2 g.m, i delta m - i (a1 x1 + a2 x2) g),
-    # so one classic RK4 step is sum_{k<=4} (hA)^k / k!.  With E = i h delta
-    # and g_h = h g, every (hA)^k y is linear in E^k m and in the five
-    # scalars z = (a1 x1 + a2 x2, g_h.E^j m for j = 0..3), so the step is
-    #   m' = m + ((Phi - 1) m + W z),   x' = x + a (ell.z),
+    # Fold: keep modes [lower:], the upper half (the first kept mode of an
+    # odd comb is its centre, at offset 0).  With mult the multiplicity of
+    # a kept mode (2 for a mirror pair, 1 for the centre), m~ = sqrt(mult) m and
+    # g~ = sqrt(mult) g, the mirror symmetry gives g.m = i g~.Im(m~) over
+    # the full comb, and the generator of y' = A y on (u, m~) is
+    #   u' = |a|^2 g~.Im(m~),   m~' = i delta m~ - i u g~,
+    # real-linear in m~.  One classic RK4 step is sum_{k<=4} (hA)^k / k!.
+    # With E = i h delta and g_h = h g~, every (hA)^k y is linear in
+    # E^k m~ and in the five reals z = (u, Im(g_h.E^j m~) for j = 0..3),
+    # so the step is
+    #   m~' = m~ + ((Phi - 1) m~ + W z),   x' = x + a (ell.z),
     # with Phi = sum_{k<=4} E^k / k!.  Writing (hA)^k y as
-    # (u_k = c_k.z, m_k = E^k m + V_k z), the recursion
-    #   g_h.m_k = p_k.z,  p_k = e_{1+k} + V_k^T g_h,
-    #   V_{k+1} = E V_k - i g_h c_k^T,  c_{k+1} = -i |a|^2 p_k,
-    # gives W = sum V_k / k! and ell = -i sum p_{k-1} / k!.  Below, rot is
-    # E, gh is g_h, the rows of moments are g_h E^j, drive_t is W^T (the
-    # (5, n_modes) layout makes z @ W^T the faster product) and diag is
-    # Phi - 1, summed without forming Phi.  Since x' = x + a (ell.z), the
-    # drive of the unit-drive run is z[0] = a.x = 1 + |a|^2 sigma.
+    # (u_k = c_k.z, m_k = E^k m~ + V_k z), the recursion
+    #   Im(g_h.m_k) = p_k.z,  p_k = e_{1+k} + Im(V_k)^T g_h,
+    #   V_{k+1} = E V_k - i g_h c_k^T,  c_{k+1} = |a|^2 p_k,
+    # gives W = sum V_k / k! and ell = sum p_{k-1} / k!, both built here.
+    # Below, rot is E with delta = -offsets, gh is g_h, reading holds the
+    # rows that map the float view of m~ to z[1:] (Im(v.m) = Re(v).Im(m) +
+    # Im(v).Re(m), so each row is the float view of i conj(g_h E^j)), drive
+    # is the float view of W^T (z is real, so z @ drive is the float view of
+    # W z) and diag is Phi - 1, summed without forming Phi.  Since
+    # x' = x + a (ell.z), the drive of the unit-drive run is
+    # z[0] = a.x = 1 + |a|^2 sigma.
+    lower = cfg.n_modes // 2
+    weight = np.full(cfg.n_modes - lower, math.sqrt(2.0))
+    weight[: cfg.n_modes % 2] = 1.0
     dt = cfg.dt
     asq = a1 * a1 + a2 * a2
-    rot = 1j * dt * delta
-    gh = dt * g
-    moments = np.empty((4, cfg.n_modes), dtype=complex)
+    rot = -1j * dt * offsets[lower:]
+    gh = dt * weight * g[lower:]
+    moments = np.empty((4, rot.size), dtype=complex)
     moments[0] = gh
     for j in range(1, 4):
         moments[j] = moments[j - 1] * rot
+    reading = (1j * moments.conj()).view(float)
     unit = np.eye(5)
     coef_u = unit[0]
-    tail_t = np.zeros((5, cfg.n_modes), dtype=complex)
-    drive_t = np.zeros((5, cfg.n_modes), dtype=complex)
-    ell = np.zeros(5, dtype=complex)
+    tail_t = np.zeros((5, rot.size), dtype=complex)
+    drive_t = np.zeros((5, rot.size), dtype=complex)
+    ell = np.zeros(5)
     fact = 1.0
     for k in range(4):
-        p = unit[1 + k] + tail_t @ gh
+        p = unit[1 + k] + tail_t.imag @ gh
         tail_t = tail_t * rot - 1j * np.outer(coef_u, gh)
-        coef_u = -1j * asq * p
+        coef_u = asq * p
         fact *= k + 1
         drive_t += tail_t / fact
-        ell += -1j * p / fact
+        ell += p / fact
+    drive = drive_t.view(float)
     diag = rot * (1.0 + rot / 2.0 * (1.0 + rot / 3.0 * (1.0 + rot / 4.0)))
 
-    # the unit-drive run: sigma is the summed pair increment, nu = |m|^2
-    sigma = np.zeros(n + 1, dtype=complex)
-    nu = np.zeros(n + 1)
-    acc = 0j
-    modes = np.zeros(cfg.n_modes, dtype=complex)
+    # the unit-drive run: sigma is the summed pair increment, nu = |m~|^2
+    l0, l1, l2, l3, l4 = ell.tolist()
+    acc = 0.0
+    sigma = [acc]
+    nu = [acc]
+    modes = np.zeros(rot.size, dtype=complex)
+    flat = modes.view(float)
     inc = np.empty_like(modes)
     spread = np.empty_like(modes)
-    z = np.empty(5, dtype=complex)
-    for i in range(1, n + 1):
-        z[0] = 1.0 + asq * acc
-        np.matmul(moments, modes, out=z[1:])
+    spread_flat = spread.view(float)
+    z = np.empty(5)
+    for _ in range(n):
+        u = 1.0 + asq * acc
+        z[0] = u
+        np.matmul(reading, flat, out=z[1:])
         np.multiply(diag, modes, out=inc)
-        np.matmul(z, drive_t, out=spread)
+        np.matmul(z, drive, out=spread_flat)
         inc += spread
         modes += inc
-        k = complex(ell @ z)
-        acc = acc + k
-        sigma[i] = acc
-        nu[i] = np.vdot(modes, modes).real
+        _, r0, r1, r2, r3 = z.tolist()
+        acc += l0 * u + l1 * r0 + l2 * r1 + l3 * r2 + l4 * r3
+        sigma.append(acc)
+        nu.append(np.dot(flat, flat))
+    sigma = np.array(sigma)
+    nu = np.array(nu)
 
     meta = {
         "solver": METHOD_BATH,

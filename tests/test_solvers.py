@@ -8,6 +8,7 @@ import pytest
 from zeno_ent import (
     CouplingSpec,
     InitialState,
+    ReservoirSpec,
     ScenarioConfig,
     SolverConfig,
     bath_propagator,
@@ -290,6 +291,10 @@ class TestDiscretizedBath:
                                               rel=1e-12)
         # comb is symmetric around resonance
         assert omegas[0] - res.omega0 == pytest.approx(res.omega0 - omegas[-1], abs=1e-12)
+        # ... exactly: offsets mirror and couplings match bit for bit
+        offsets = omegas - res.omega0
+        assert np.array_equal(offsets, -offsets[::-1])
+        assert np.array_equal(g, g[::-1])
 
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
@@ -318,6 +323,20 @@ class TestDiscretizedBath:
             assert gaps[2000] == pytest.approx(gaps[n], rel=0.01)
         assert gaps[2000] < 1e-3
 
+    def test_series_independent_of_omega0(self):
+        # the comb is built in detuning coordinates, so a large resonance
+        # frequency cancels no digits
+        res, coup = resonant_system(10.0, 0.87)
+        init = InitialState(1.0, 0.0)
+        cfg = bath_cfg(1e-3, 2.0)
+        base = solve_discretized_bath(res, coup, init, cfg)
+        for omega0 in (1e9, 1e16):
+            shifted = solve_discretized_bath(ReservoirSpec(w=res.w, lam=res.lam, omega0=omega0),
+                                             coup, init, cfg)
+            assert np.array_equal(shifted.c1, base.c1)
+            assert np.array_equal(shifted.c2, base.c2)
+            assert np.array_equal(shifted.meta["norm_total"], base.meta["norm_total"])
+
     def test_subradiant_state_exactly_constant(self):
         res, coup = resonant_system(0.5, 0.7)
         init = coup.psi_minus()
@@ -326,12 +345,14 @@ class TestDiscretizedBath:
         np.testing.assert_allclose(series.c1, init.c01, atol=1e-12)
         np.testing.assert_allclose(series.c2, init.c02, atol=1e-12)
 
-    @pytest.mark.parametrize("big_r", [0.5, 10.0])
-    def test_nested_step_matches_stage_vector_rk4(self, big_r):
+    @pytest.mark.parametrize("big_r, n_modes", [(0.5, 50), (10.0, 50), (0.5, 51), (20.0, 400)])
+    def test_nested_step_matches_stage_vector_rk4(self, big_r, n_modes):
         # one propagator run serves every initial state, including the
-        # sub-radiant one that the comb never sees (a.x0 = 0)
+        # sub-radiant one that the comb never sees (a.x0 = 0); the folded
+        # comb is checked on an even comb, an odd one with its centre mode
+        # and the strong-coupling band edge
         res, coup = resonant_system(big_r, 0.87)
-        cfg = bath_cfg(1e-3, 3.0, n_modes=50)
+        cfg = bath_cfg(1e-3, 3.0, n_modes=n_modes)
         propagate = bath_propagator(res, coup, cfg)
         inits = [InitialState(1.0, 0.0), InitialState(0.0, 1.0), coup.psi_minus(),
                  InitialState.from_separability(0.3, 0.7)]
