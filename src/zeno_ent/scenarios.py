@@ -20,6 +20,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,6 +73,9 @@ SOLVERS = ("closed", "volterra", "ode", "bath")
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# tau points per block of the transient coarse-grid product
+_TAU_BLOCK = 4096
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
 _INT_KEYS = ("tau_steps", "n_modes")
@@ -269,21 +273,30 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
     return lambda init: solve(res, coup, init, scfg)
 
 
+def _stationary_grid(r1_axis, inits) -> np.ndarray:
+    """:func:`stationary_concurrence` at every (r1, init) pair, shape
+    ``(len(r1_axis), len(inits))``, bit for bit.
+
+    One broadcast that rounds as the scalar call does: weights from
+    ``CouplingSpec``, ``np.hypot`` of the parts of ``beta_minus``, Python's
+    ``** 2``.
+    """
+    coups = [CouplingSpec.from_relative(1.0, r1) for r1 in r1_axis]
+    r1, r2 = (np.array([[getattr(c, name)] for c in coups]) for name in ("r1", "r2"))
+    c01, c02 = (np.array([getattr(i, name) for i in inits]) for name in ("c01", "c02"))
+    bm = np.hypot(r2 * c01.real - r1 * c02.real, r2 * c01.imag - r1 * c02.imag)
+    return np.reshape([b ** 2 for b in bm.ravel().tolist()], bm.shape) * (2.0 * r1 * r2)
+
+
 def run_stationary_surface(cfg: ScenarioConfig) -> ScenarioResult:
     """Long-time concurrence over the (r1, s) grid at fixed phi.
 
     The last row repeats the grid argmax with the ``is_argmax`` flag set.
-    One broadcast of :func:`stationary_concurrence` that rounds as it does:
-    ``np.hypot`` of the parts of ``beta_minus``, Python's ``** 2``.
+    The grid is one broadcast (:func:`_stationary_grid`).
     """
     r1_axis = cfg.r1_axis()
     s_axis = cfg.s_axis()
-    coups = [CouplingSpec.from_relative(1.0, r1) for r1 in r1_axis]
-    inits = [_init_state(cfg, s) for s in s_axis]
-    r1, r2 = (np.array([[getattr(c, name)] for c in coups]) for name in ("r1", "r2"))
-    c01, c02 = (np.array([getattr(i, name) for i in inits]) for name in ("c01", "c02"))
-    bm = np.hypot(r2 * c01.real - r1 * c02.real, r2 * c01.imag - r1 * c02.imag)
-    c_s = np.reshape([b ** 2 for b in bm.ravel().tolist()], bm.shape) * (2.0 * r1 * r2)
+    c_s = _stationary_grid(r1_axis, [_init_state(cfg, s) for s in s_axis])
     grid = [np.repeat(r1_axis, len(s_axis)), np.tile(s_axis, len(r1_axis)), c_s.ravel()]
     j = int(np.argmax(grid[2]))     # the first maximum, as a strict ">" scan keeps
     data = [np.append(col, col[j]) for col in grid] + [np.append(np.zeros(c_s.size, int), 1)]
@@ -434,14 +447,53 @@ def _shared_points(sa, sb):
     return slice(0, n * k, k), slice(0, n)
 
 
+def _transient_peaks(r1_axis: np.ndarray, init: InitialState, e: np.ndarray) -> np.ndarray:
+    """Coarse peak ``max_tau 2 |c1 conj(c2)|`` of every ``r1`` row of the grid.
+
+    The pair amplitudes are affine in the survival factor, ``c = a + b E``,
+    so ``c1 conj(c2) = p0 + p1 E + p2 E**2`` and its squared modulus is a
+    real quartic ``sum_k kappa_k(r1) E**k``.  The whole grid is then one
+    ``(rows, 5) @ (5, len(e))`` product with the powers of ``E`` followed by
+    a row max.  Longer time grids go in blocks of ``_TAU_BLOCK`` points, so
+    the product's memory does not grow with ``tau_steps``.
+    """
+    # the basis change reads only the weights r1, r2 of a coupling, so arrays
+    # of them carry every row through it at once
+    weights = SimpleNamespace(r1=r1_axis, r2=np.sqrt(1.0 - r1_axis * r1_axis))
+    basis = BellBasis.from_state(weights, init)
+    a1, a2 = basis.amplitudes(weights, 0.0)
+    b1, b2 = BellBasis(0.0, basis.beta_plus).amplitudes(weights, 1.0)
+    p0 = a1 * np.conj(a2)
+    p1 = a1 * np.conj(b2) + b1 * np.conj(a2)
+    p2 = b1 * np.conj(b2)
+    kappa = np.stack([np.abs(p0) ** 2, 2.0 * (p0 * np.conj(p1)).real,
+                      np.abs(p1) ** 2 + 2.0 * (p0 * np.conj(p2)).real,
+                      2.0 * (p1 * np.conj(p2)).real, np.abs(p2) ** 2], axis=1)
+    top = np.full(r1_axis.size, -np.inf)
+    for k in range(0, e.size, _TAU_BLOCK):
+        powers = np.vander(e[k:k + _TAU_BLOCK], 5, increasing=True)
+        top = np.maximum(top, (kappa @ powers.T).max(axis=1))
+    return 2.0 * np.sqrt(np.maximum(top, 0.0))
+
+
 def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
     """Best initial condition per the requested objective.
 
     ``stationary``: maximise the long-time concurrence over r1 at the first
-    ``s`` of the config (coupling ratio only; the reservoir drops out).
+    ``s`` of the config (coupling ratio only; the reservoir drops out).  The
+    201-point r1 grid is the broadcast of :func:`_stationary_grid`, equal
+    to the scalar :func:`stationary_concurrence` at each point.
     ``transient``: maximise the closed-form concurrence over (r1, tau) on
-    [0, 1] x [0, tau_max].  Both do a coarse grid scan followed by
-    golden-section refinement to 1e-4.
+    [0, 1] x [0, tau_max].  ``|c1 conj(c2)|**2`` is a real quartic in the
+    survival amplitude ``E(tau)`` with coefficients that depend on r1 only,
+    so the 201-row coarse grid is one product of the coefficients with the
+    powers of ``E`` on the tau grid (:func:`_transient_peaks`).  Rows whose
+    coarse peak lies within 1e-12 of the best count as tied, and the
+    smallest r1 among them wins; that row alone is evaluated through
+    :meth:`BellBasis.amplitudes`, which gives tau (the first argmax) and the
+    coarse value.
+    Both do a coarse grid scan followed by golden-section refinement to
+    1e-4; the refined point is kept only if it beats the coarse one.
     """
     s = cfg.s_axis()[0]
     init = _init_state(cfg, s)
@@ -451,7 +503,8 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
             return stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
 
         xs = np.linspace(0.0, 1.0, 201)
-        r1_best, value = grid_refine_max(f, xs)
+        values = _stationary_grid(xs.tolist(), [init])[:, 0]
+        r1_best, value = grid_refine_max(f, xs, values)
         return OptimumResult(params={"r1": r1_best, "s": s, "phi": cfg.phi}, value=value)
 
     if objective == "transient":
@@ -461,18 +514,14 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
         # the survival amplitude depends on the couplings only through big_r,
         # so one evaluation serves every r1 on the scan grid
         e = survival_amplitude(res, ref_coup, tau)
+        peaks = _transient_peaks(r1_axis, init, e)
+        i = int(np.argmax(peaks >= peaks.max() - 1e-12))
 
-        def c_curve(r1: float) -> np.ndarray:
-            coup = CouplingSpec.from_relative(cfg.big_r, r1)
-            c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
-            return 2.0 * np.abs(c1 * np.conj(c2))
-
-        best = (-1.0, 0.0, 0.0)
-        for r1 in r1_axis:
-            curve = c_curve(r1)
-            j = int(np.argmax(curve))
-            if curve[j] > best[0]:
-                best = (float(curve[j]), float(r1), float(tau[j]))
+        coup = CouplingSpec.from_relative(cfg.big_r, r1_axis[i])
+        c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
+        curve = 2.0 * np.abs(c1 * np.conj(c2))
+        j = int(np.argmax(curve))
+        best = (float(curve[j]), float(r1_axis[i]), float(tau[j]))
 
         def f(r1: float, t: float) -> float:
             res2, coup = resonant_system(cfg.big_r, r1)

@@ -43,11 +43,11 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-4):
     return d, fd
 
 
-def grid_refine_max(f, xs, tol: float = 1e-4):
-    """Coarse argmax over the grid ``xs``, then golden refinement between
-    the neighbouring grid points."""
+def grid_refine_max(f, xs, values, tol: float = 1e-4):
+    """Coarse argmax of ``values``, which holds ``f`` on the grid ``xs``,
+    then golden refinement of ``f`` between the neighbouring grid points."""
     xs = np.asarray(xs, dtype=float)
-    values = np.array([f(x) for x in xs])
+    values = np.asarray(values, dtype=float)
     i = int(np.argmax(values))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]

@@ -160,18 +160,25 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
                           sched: MeasurementSchedule, samples_per_interval: int = 32) -> TimeSeries:
     """Piecewise evolution under the schedule, sampled inside every interval.
 
-    Ground truth for the measured dynamics in all regimes, including
-    intervals where the survival amplitude has gone negative.  Metadata
-    reports the per-interval survival ``E(T)``, the oscillatory flag, and
-    the population already leaked to the ground state just before each
-    measurement (informational; no threshold is enforced on it).
+    ``samples_per_interval``, a positive integer, evenly spaced points start
+    each interval, and the series ends on the last measurement.  Ground
+    truth for the measured dynamics in all regimes, including intervals
+    where the survival amplitude has gone negative.  Metadata reports the
+    per-interval survival ``E(T)``, the oscillatory flag, and the population
+    already leaked to the ground state just before each measurement
+    (informational; no threshold is enforced on it).
     """
+    if (isinstance(samples_per_interval, bool)
+            or not isinstance(samples_per_interval, numbers.Integral)):
+        raise ValueError(f"samples_per_interval must be an integer, "
+                         f"got {samples_per_interval!r}")
+    samples_per_interval = int(samples_per_interval)
     if samples_per_interval < 1:
-        raise ValueError("samples_per_interval must be >= 1")
+        raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval!r}")
     t_int = sched.interval
     n = sched.count
     local = np.linspace(0.0, t_int, samples_per_interval + 1)[:-1]
-    tau = np.concatenate([kk * t_int + local for kk in range(n)] + [[n * t_int]])
+    tau = np.append((np.arange(n)[:, None] * t_int + local).ravel(), n * t_int)
     c1, c2 = stroboscopic_amplitudes(res, coup, init, t_int, tau)
 
     e_t = survival_amplitude(res, coup, t_int)
@@ -184,6 +191,7 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
             "solver": "stroboscopic",
             "interval": t_int,
             "count": n,
+            "samples_per_interval": samples_per_interval,
             "interval_survival": float(e_t),
             "oscillatory": bool(e_t < 0.0),
             "ground_population_before_measurement": ground,

@@ -18,7 +18,9 @@ from zeno_ent import (
     ScenarioConfig,
     ScenarioResult,
     SolverConfig,
+    amplitudes_at,
     closed_form_series,
+    concurrence_closed,
     find_optimum,
     resonant_system,
     run_solver_xcheck,
@@ -34,6 +36,7 @@ from zeno_ent import (
 from zeno_ent import scenarios
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
+from zeno_ent.search import grid_refine_max
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -344,6 +347,78 @@ class TestFindOptimum:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
             find_optimum("fastest", ScenarioConfig(scenario="time-evolution"))
+
+
+def _optimum_draws(seed: int, size: int):
+    """Seeded (big_r, s, phi) draws: big_r log-uniform on [0.05, 20], plus
+    the critically damped boundary big_r = 0.5."""
+    rng = np.random.default_rng(seed)
+    draws = [(0.5, round(float(rng.uniform(-1.0, 1.0)), 4), float(rng.uniform(0.0, 2 * math.pi)))]
+    for _ in range(size - 1):
+        draws.append((float(np.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
+                      round(float(rng.uniform(-1.0, 1.0)), 4),
+                      float(rng.uniform(0.0, 2 * math.pi))))
+    return draws
+
+
+def _transient_loop_max(big_r: float, init: InitialState, tau: np.ndarray) -> float:
+    """Oracle: the coarse (r1, tau) grid maximum, one amplitude row per r1."""
+    best = -1.0
+    for r1 in np.linspace(0.0, 1.0, 201):
+        res, coup = resonant_system(big_r, float(r1))
+        series = closed_form_series(res, coup, init, tau)
+        best = max(best, float(np.max(2.0 * np.abs(series.c1 * np.conj(series.c2)))))
+    return best
+
+
+class TestOptimumGrids:
+    def test_stationary_grid_equals_scalar_calls(self):
+        xs = np.linspace(0.0, 1.0, 201)
+        for _, s, phi in _optimum_draws(41, 12):
+            init = InitialState.from_separability(s, phi)
+            scalar = [stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
+                      for r1 in xs]
+            assert scenarios._stationary_grid(xs.tolist(), [init])[:, 0].tolist() == scalar
+
+    def test_stationary_optimum_equals_per_point_scan(self):
+        # oracle: the grid filled by one scalar call per point, as the
+        # search did before it took the broadcast values
+        xs = np.linspace(0.0, 1.0, 201)
+        for big_r, s, phi in _optimum_draws(42, 12):
+            cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi)
+            init = InitialState.from_separability(s, phi)
+
+            def f(r1):
+                return stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
+
+            r1_best, value = grid_refine_max(f, xs, [f(x) for x in xs])
+            opt = find_optimum("stationary", cfg)
+            assert opt.params["r1"] == r1_best and opt.value == value
+
+    @pytest.mark.parametrize("seed, size, tau_steps", [
+        (43, 10, 2001),
+        # longer than one block of the coarse-grid product
+        (44, 2, 2 * scenarios._TAU_BLOCK + 1),
+    ])
+    def test_transient_optimum_against_per_row_loop(self, seed, size, tau_steps):
+        tau = np.linspace(0.0, 10.0, tau_steps)
+        for big_r, s, phi in _optimum_draws(seed, size):
+            cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi,
+                                 tau_steps=tau_steps)
+            init = InitialState.from_separability(s, phi)
+            opt = find_optimum("transient", cfg)
+            assert opt.value >= _transient_loop_max(big_r, init, tau) - 1e-12
+            res, coup = resonant_system(big_r, opt.params["r1"])
+            at = concurrence_closed(amplitudes_at(res, coup, init, opt.params["tau"]))
+            assert abs(opt.value - at) <= 1e-12
+            assert 0.0 <= opt.params["r1"] <= 1.0 and 0.0 <= opt.params["tau"] <= 10.0
+
+    def test_transient_tie_goes_to_smallest_r1(self):
+        # s = 0, phi = 0 starts at C = 1 for every r1, the grid maximum:
+        # every row ties at tau = 0
+        cfg = ScenarioConfig(scenario="time-evolution", big_r=0.1, s=(0.0,), phi=0.0)
+        opt = find_optimum("transient", cfg)
+        assert opt.params["r1"] == 0.0 and opt.params["tau"] == 0.0
 
 
 def _format_cell(v) -> str:

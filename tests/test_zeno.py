@@ -292,3 +292,42 @@ class TestStroboscopic:
         assert series.tau[0] == 0.0
         assert series.tau[-1] == pytest.approx(2.0, rel=1e-12)
         assert float(np.min(np.diff(series.tau))) > 0.0
+
+    @pytest.mark.parametrize("samples", [2.5, "8", True, np.float64(8.0)])
+    def test_rejects_samples_that_are_not_an_integer(self, samples):
+        res, coup, init = balanced_system()
+        sched = MeasurementSchedule(interval=0.5, count=4)
+        with pytest.raises(ValueError, match="samples_per_interval must be an integer"):
+            simulate_stroboscopic(res, coup, init, sched, samples_per_interval=samples)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_samples_below_one(self, samples):
+        res, coup, init = balanced_system()
+        sched = MeasurementSchedule(interval=0.5, count=4)
+        with pytest.raises(ValueError, match="samples_per_interval must be >= 1"):
+            simulate_stroboscopic(res, coup, init, sched, samples_per_interval=samples)
+
+    def test_numpy_integer_samples_stored_as_int(self):
+        res, coup, init = balanced_system()
+        sched = MeasurementSchedule(interval=0.5, count=4)
+        series = simulate_stroboscopic(res, coup, init, sched, samples_per_interval=np.int64(8))
+        plain = simulate_stroboscopic(res, coup, init, sched, samples_per_interval=8)
+        assert type(series.meta["samples_per_interval"]) is int
+        assert series.meta["samples_per_interval"] == 8
+        assert np.array_equal(series.tau, plain.tau)
+        assert np.array_equal(series.c1, plain.c1) and np.array_equal(series.c2, plain.c2)
+
+    def test_sample_grid_matches_per_interval_concatenation(self):
+        # oracle: one linspace per interval, concatenated, then the last
+        # measurement time
+        res, coup, init = balanced_system()
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            t_int = float(rng.uniform(1e-3, 2.0))
+            n = int(rng.integers(1, 41))
+            samples = int(rng.integers(1, 65))
+            series = simulate_stroboscopic(res, coup, init,
+                                           MeasurementSchedule(t_int, n), samples)
+            local = np.linspace(0.0, t_int, samples + 1)[:-1]
+            oracle = np.concatenate([kk * t_int + local for kk in range(n)] + [[n * t_int]])
+            assert np.array_equal(series.tau, oracle)
