@@ -104,6 +104,13 @@ class ReservoirSpec:
         return out if out.ndim else float(out)
 
 
+def _relative_weights(alpha1: float, alpha2: float) -> tuple[float, float]:
+    """``(r1, r2) = (alpha1, alpha2) / hypot(alpha1, alpha2)``; the one place
+    the relative weights of a coupling pair are computed."""
+    alpha_t = math.hypot(alpha1, alpha2)
+    return alpha1 / alpha_t, alpha2 / alpha_t
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Coupling strengths of the two qubits to the common reservoir.
@@ -141,11 +148,11 @@ class CouplingSpec:
 
     @property
     def r1(self) -> float:
-        return self.alpha1 / self.alpha_t
+        return _relative_weights(self.alpha1, self.alpha2)[0]
 
     @property
     def r2(self) -> float:
-        return self.alpha2 / self.alpha_t
+        return _relative_weights(self.alpha1, self.alpha2)[1]
 
     def psi_plus(self) -> "InitialState":
         """The super-radiant single-excitation state, fully reservoir-coupled."""
@@ -167,11 +174,21 @@ class RegimeParams:
 
     @classmethod
     def from_specs(cls, res: ReservoirSpec, coup: CouplingSpec) -> "RegimeParams":
+        """Refuses a coupling whose ``4 rabi**2`` overflows a double: there
+        ``omega_sq`` is ``-inf`` and ``E(t)`` would come out NaN."""
         rabi = coup.alpha_t * res.w
+        try:
+            four_rabi_sq = 4.0 * rabi**2
+        except OverflowError:
+            four_rabi_sq = math.inf
+        if four_rabi_sq == math.inf:
+            raise ValueError(
+                f"coupling too strong: 4*rabi**2 overflows a double at rabi = {rabi!r} "
+                f"(big_r = rabi/lam = {rabi / res.lam!r}); E(t) needs rabi below about 6.7e153")
         return cls(
             rabi=rabi,
             big_r=rabi / res.lam,
-            omega_sq=res.lam**2 - 4.0 * rabi**2,
+            omega_sq=res.lam**2 - four_rabi_sq,
             markov_rate=2.0 * rabi**2 / res.lam,
         )
 
@@ -353,6 +370,14 @@ def resonant_system(big_r: float, r1: float, lam: float = 1.0):
 
 
 def _checked_times(t):
+    """``t`` as a Python float (a ``float`` or ``np.float64`` in) or an array."""
+    if isinstance(t, float):
+        # math-only check: the array check below costs most of a scalar E(t)
+        if not math.isfinite(t):
+            raise ValueError("t must be finite")
+        if t < 0.0:
+            raise ValueError("t must be non-negative")
+        return float(t)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
@@ -374,6 +399,9 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     The boundary branch is taken inside a window ``|lam**2 - 4 rabi**2| <
     1e-12 * lam**2`` where the generic formulas lose precision.  Accepts a
     scalar or an array of times; ``t`` is in the same units as ``1/lam``.
+    A ``float`` time is checked with ``math`` alone and gives a ``float``;
+    both kinds go through the same numpy ufuncs, so a scalar equals the
+    matching array entry bit for bit.
     """
     t = _checked_times(t)
     lam = res.lam

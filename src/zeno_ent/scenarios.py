@@ -28,9 +28,8 @@ from .model import (
     BellBasis,
     CouplingSpec,
     InitialState,
-    amplitudes_at,
+    _relative_weights,
     closed_form_series,
-    concurrence_closed,
     resonant_system,
     stationary_concurrence,
     survival_amplitude,
@@ -277,12 +276,13 @@ def _stationary_grid(r1_axis, inits) -> np.ndarray:
     """:func:`stationary_concurrence` at every (r1, init) pair, shape
     ``(len(r1_axis), len(inits))``, bit for bit.
 
-    One broadcast that rounds as the scalar call does: weights from
-    ``CouplingSpec``, ``np.hypot`` of the parts of ``beta_minus``, Python's
-    ``** 2``.
+    One broadcast that rounds as the scalar call does: the weights of the
+    unit coupling ``(r1, sqrt(1 - r1**2))`` through the arithmetic that
+    :attr:`CouplingSpec.r1` and ``r2`` use, ``np.hypot`` of the parts of
+    ``beta_minus``, Python's ``** 2``.
     """
-    coups = [CouplingSpec.from_relative(1.0, r1) for r1 in r1_axis]
-    r1, r2 = (np.array([[getattr(c, name)] for c in coups]) for name in ("r1", "r2"))
+    weights = [_relative_weights(r1, math.sqrt(1.0 - r1 * r1)) for r1 in r1_axis]
+    r1, r2 = np.array(weights).T[:, :, None]
     c01, c02 = (np.array([getattr(i, name) for i in inits]) for name in ("c01", "c02"))
     bm = np.hypot(r2 * c01.real - r1 * c02.real, r2 * c01.imag - r1 * c02.imag)
     return np.reshape([b ** 2 for b in bm.ravel().tolist()], bm.shape) * (2.0 * r1 * r2)
@@ -491,9 +491,12 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
     coarse peak lies within 1e-12 of the best count as tied, and the
     smallest r1 among them wins; that row alone is evaluated through
     :meth:`BellBasis.amplitudes`, which gives tau (the first argmax) and the
-    coarse value.
+    coarse value.  The refinement's objective is ``2 |c1 conj(c2)|`` from
+    :meth:`BellBasis.amplitudes` at the scalar :func:`survival_amplitude`,
+    with the one reservoir of the scan and a fresh coupling per r1.
     Both do a coarse grid scan followed by golden-section refinement to
-    1e-4; the refined point is kept only if it beats the coarse one.
+    1e-4; the refined point is kept only if it beats the coarse one.  Every
+    param and the value are Python floats.
     """
     s = cfg.s_axis()[0]
     init = _init_state(cfg, s)
@@ -505,7 +508,8 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
         xs = np.linspace(0.0, 1.0, 201)
         values = _stationary_grid(xs.tolist(), [init])[:, 0]
         r1_best, value = grid_refine_max(f, xs, values)
-        return OptimumResult(params={"r1": r1_best, "s": s, "phi": cfg.phi}, value=value)
+        return OptimumResult(params={"r1": r1_best, "s": s, "phi": float(cfg.phi)},
+                             value=value)
 
     if objective == "transient":
         res, ref_coup = resonant_system(cfg.big_r, 0.5)
@@ -524,18 +528,22 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
         best = (float(curve[j]), float(r1_axis[i]), float(tau[j]))
 
         def f(r1: float, t: float) -> float:
-            res2, coup = resonant_system(cfg.big_r, r1)
-            return concurrence_closed(amplitudes_at(res2, coup, init, t))
+            # the reservoir is the same at every r1, so res serves each call
+            coup = CouplingSpec.from_relative(cfg.big_r, r1)
+            c1, c2 = BellBasis.from_state(coup, init).amplitudes(
+                coup, survival_amplitude(res, coup, t))
+            return 2.0 * abs(c1 * c2.conjugate())
 
-        dr = r1_axis[1] - r1_axis[0]
-        dtau = tau[1] - tau[0]
+        # Python floats, so the golden-section points and the result are too
+        dr = float(r1_axis[1] - r1_axis[0])
+        dtau = float(tau[1] - tau[0])
         r1_best, tau_best, value = coordinate_refine_max(
-            f, best[1], best[2], dr, dtau, (0.0, 1.0), (0.0, cfg.tau_max))
+            f, best[1], best[2], dr, dtau, (0.0, 1.0), (0.0, float(cfg.tau_max)))
         if best[0] > value:
             r1_best, tau_best, value = best[1], best[2], best[0]
         return OptimumResult(
-            params={"r1": r1_best, "tau": tau_best, "s": s, "phi": cfg.phi,
-                    "big_r": cfg.big_r},
+            params={"r1": r1_best, "tau": tau_best, "s": s, "phi": float(cfg.phi),
+                    "big_r": float(cfg.big_r)},
             value=value)
 
     raise ValueError(f"unknown objective {objective!r}; pick 'stationary' or 'transient'")

@@ -33,7 +33,7 @@ from zeno_ent import (
     stroboscopic_amplitudes,
     write_result,
 )
-from zeno_ent import scenarios
+from zeno_ent import scenarios, search
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
 from zeno_ent.search import grid_refine_max
@@ -413,6 +413,42 @@ class TestOptimumGrids:
             assert abs(opt.value - at) <= 1e-12
             assert 0.0 <= opt.params["r1"] <= 1.0 and 0.0 <= opt.params["tau"] <= 10.0
 
+    def test_transient_refine_equals_amplitudes_at_objective(self, monkeypatch):
+        # oracle: the refinement fed the objective it had before, a fresh
+        # system, a validated Amplitudes and concurrence_closed per call,
+        # from the same start point, brackets and bounds
+        calls = []
+
+        def spy(f, *args, **kwargs):
+            out = search.coordinate_refine_max(f, *args, **kwargs)
+            calls.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(scenarios, "coordinate_refine_max", spy)
+        for big_r, s, phi in _optimum_draws(45, 12):
+            cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi)
+            init = InitialState.from_separability(s, phi)
+
+            def oracle(r1, t):
+                res, coup = resonant_system(big_r, r1)
+                return concurrence_closed(amplitudes_at(res, coup, init, t))
+
+            calls.clear()
+            opt = find_optimum("transient", cfg)
+            (args, kwargs, out), = calls
+            assert out == search.coordinate_refine_max(oracle, *args, **kwargs)
+            # the result is the refined point, or the coarse start where that wins
+            if (opt.params["r1"], opt.params["tau"]) != args[:2]:
+                assert (opt.params["r1"], opt.params["tau"], opt.value) == out
+
+    @pytest.mark.parametrize("objective", ["stationary", "transient"])
+    def test_optimum_params_are_python_floats(self, objective):
+        for big_r, s, phi in _optimum_draws(46, 12):
+            cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi)
+            opt = find_optimum(objective, cfg)
+            assert type(opt.value) is float
+            assert all(type(v) is float for v in opt.params.values()), opt.params
+
     def test_transient_tie_goes_to_smallest_r1(self):
         # s = 0, phi = 0 starts at C = 1 for every r1, the grid maximum:
         # every row ties at tau = 0
@@ -522,6 +558,30 @@ class TestCliMain:
         main(["time-evolution", "--config", str(cfg), "--r1", "1.0"])
         overridden = capsys.readouterr().out
         assert "C[r1=1.0;s=0.0]" in overridden
+
+    @pytest.mark.parametrize("argv", [
+        # 4 rabi**2 overflows: E(t) came out NaN with exit 0 at 1e154, and an
+        # OverflowError traceback (exit 1) from about 1.34e154
+        ["time-evolution", "--big-r", "1e154", "--r1", "0.5", "--s", "0"],
+        ["time-evolution", "--big-r", "1.3e154", "--r1", "0.5", "--s", "0"],
+        ["time-evolution", "--big-r", "1e200", "--r1", "0.5", "--s", "0"],
+        ["zeno-compare", "--big-r", "1e154"],
+        ["zeno-compare", "--big-r", "1e200"],
+    ], ids=["evolution-1e154", "evolution-1.3e154", "evolution-1e200",
+            "zeno-1e154", "zeno-1e200"])
+    def test_coupling_too_strong_exits_2(self, capsys, argv):
+        assert main(argv + ["--tau-steps", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "big_r" in err and "rabi" in err
+
+    def test_stationary_surface_at_huge_coupling(self, capsys):
+        # big_r drops out of the stationary concurrence
+        assert main(["stationary-surface", "--r1", "0.3,0.9", "--s", "-0.5,0.2"]) == 0
+        base = capsys.readouterr().out
+        for big_r in ("1e154", "1e200"):
+            assert main(["stationary-surface", "--r1", "0.3,0.9", "--s", "-0.5,0.2",
+                         "--big-r", big_r]) == 0
+            assert capsys.readouterr().out == base
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         assert main(["time-evolution", "--big-r", "-1"]) == 2

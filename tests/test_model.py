@@ -184,12 +184,56 @@ class TestSurvivalAmplitude:
         assert np.isfinite(value)
         assert 0.0 <= value <= 1.0
 
-    def test_vectorized_matches_scalar(self):
-        res, coup = resonant_system(0.8, 0.3)
-        tau = np.linspace(0.0, 6.0, 7)
+    # overdamped, critically damped, underdamped with and without revivals;
+    # a float time takes the math-only check, an array the numpy one
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 0.8, 10.0])
+    def test_vectorized_matches_scalar(self, big_r, kind):
+        res, coup = resonant_system(big_r, 0.3)
+        tau = np.linspace(0.0, 6.0, 61)
         vec = survival_amplitude(res, coup, tau)
         for i, t in enumerate(tau):
-            assert vec[i] == survival_amplitude(res, coup, float(t))
+            scalar = survival_amplitude(res, coup, kind(t))
+            assert type(scalar) is float
+            assert vec[i] == scalar
+
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "t must be finite"),
+        (math.inf, "t must be finite"),
+        (-math.inf, "t must be finite"),
+        (-1e-300, "t must be non-negative"),
+        (-2.0, "t must be non-negative"),
+    ], ids=["nan", "inf", "-inf", "tiny-negative", "negative"])
+    def test_scalar_time_refusals(self, t, message, kind):
+        res, coup = resonant_system(0.8, 0.3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            survival_amplitude(res, coup, kind(t))
+        # the array check refuses the same time with the same message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            survival_amplitude(res, coup, np.array([0.0, t]))
+
+    def test_negative_zero_time_is_the_start(self):
+        for big_r in (0.1, 0.5, 0.8, 10.0):
+            res, coup = resonant_system(big_r, 0.3)
+            assert survival_amplitude(res, coup, -0.0) == 1.0
+            assert survival_amplitude(res, coup, np.float64(-0.0)) == 1.0
+
+    # 4 rabi**2 passes the largest double from rabi ~ 6.7e153; below 1.34e154
+    # the old code returned NaN, above it raised OverflowError
+    @pytest.mark.parametrize("big_r", [1e154, 1.3e154, 1e200])
+    def test_refuses_coupling_whose_rate_overflows(self, big_r):
+        res, coup = resonant_system(big_r, 0.5)
+        with pytest.raises(ValueError, match="big_r"):
+            RegimeParams.from_specs(res, coup)
+        for t in (0.0, 1e-160, np.linspace(0.0, 1.0, 3)):
+            with pytest.raises(ValueError, match="rabi"):
+                survival_amplitude(res, coup, t)
+
+    def test_strongest_coupling_below_overflow_is_finite(self):
+        res, coup = resonant_system(6e153, 0.5)
+        e = survival_amplitude(res, coup, np.linspace(0.0, 1e-150, 5))
+        assert np.all(np.isfinite(e)) and e[0] == 1.0
 
 
 class TestAmplitudes:
