@@ -41,7 +41,6 @@ from .solvers import (
     METHOD_VOLTERRA,
     SolverConfig,
     bath_propagator,
-    comb_recurrence_time,
     solve_aux_ode,
     solve_volterra,
     step_limit,
@@ -71,6 +70,10 @@ SOLVERS = ("closed", "volterra", "ode", "bath")
 # max |amplitude| deviation from the closed form at the reference steps below
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
+# most solver steps one time-evolution curve may take: a million steps keep
+# a numeric curve's arrays near 40 MB and its run within seconds
+MAX_SOLVER_STEPS = 1_000_000
+
 _SQRT_HALF = math.sqrt(0.5)
 
 # tau points per block of the transient coarse-grid product
@@ -98,8 +101,10 @@ class ScenarioConfig:
     at ``big_r >= 25`` is rejected as under-resolved.  A bath run whose
     ``tau_max`` passes the comb's recurrence time
     ``2*pi/dω = pi * n_modes / (freq_window * max(1, big_r))`` is refused
-    before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  Refusals
-    exit 2 on the command line.
+    before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A
+    ``time-evolution`` curve whose refined step would take more than
+    :data:`MAX_SOLVER_STEPS` steps is refused too, e.g. the ``ode`` solver
+    at ``big_r = 1e12``.  Refusals exit 2 on the command line.
     """
 
     scenario: str
@@ -253,20 +258,13 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
     """``init -> TimeSeries`` of a numeric solver at one coupling, to ``tau_max``.
 
     Volterra and the pseudomode ODE run once per initial state; the bath
-    steps its comb here, once, and serves every initial state from that run.
+    runs its comb here, once, and serves every initial state from that run.
     """
     scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
                         freq_window=cfg.freq_window)
     # solvers are read from the module globals per call, so a solver
     # patched in for a count or a trace is the one that runs
     if solver == "bath":
-        recurrence = comb_recurrence_time(res, coup, scfg.n_modes, scfg.freq_window)
-        if scfg.t_max > recurrence:
-            raise ValueError(
-                f"tau_max = {scfg.t_max!r} runs past the bath comb's recurrence time "
-                f"{recurrence:.6g} (2*pi/d_omega for {scfg.n_modes} modes at "
-                f"big_r = {cfg.big_r!r}), where the comb sends the emitted excitation "
-                "back; raise n_modes or shorten tau_max")
         return bath_propagator(res, coup, scfg)
     solve = {"volterra": solve_volterra, "ode": solve_aux_ode}[solver]
     return lambda init: solve(res, coup, init, scfg)
@@ -306,22 +304,43 @@ def run_stationary_surface(cfg: ScenarioConfig) -> ScenarioResult:
                           meta=meta, config=cfg)
 
 
+def _substeps(dtau: float, base: float, limit: float) -> int:
+    """Solver steps per output interval ``dtau``: the fewest ``k`` whose step
+    ``dtau / k`` is no longer than ``base`` and passes the resolution check
+    ``dtau / k < limit``.
+
+    ``floor(dtau / limit) + 1`` is that count up to the rounding of the two
+    quotients, which moves it by at most one either way.  Counts above
+    :data:`MAX_SOLVER_STEPS` are capped just past it, since they are refused.
+    """
+    cap = MAX_SOLVER_STEPS + 1
+    least = max(1, math.ceil(min(dtau / base - 1e-9, cap)))
+    k = max(least, math.floor(min(dtau / limit, cap)) + 1 if limit > 0.0 else cap)
+    if k >= cap:
+        return k
+    if dtau / k >= limit:
+        return k + 1
+    if k > least and dtau / (k - 1) < limit:
+        return k - 1
+    return k
+
+
 def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray):
     """``init ->`` concurrence of the selected solver at one coupling,
     sampled exactly on ``tau``."""
     res, coup = resonant_system(cfg.big_r, r1)
     if solver == "closed":
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
-    # pick a step that divides the output spacing so no interpolation is
-    # needed: the coarsest one no longer than the configured step that also
-    # passes the solver's own resolution check
+    # a step that divides the output spacing, so no interpolation is needed
     dtau = tau[1] - tau[0]
-    base = _solver_dt(cfg, solver)
-    k = max(1, int(math.ceil(dtau / base - 1e-9)))
     limit = step_limit(res, coup, _METHODS[solver], cfg.freq_window)
-    k = max(k, int(dtau / limit))
-    while dtau / k >= limit:
-        k += 1
+    k = _substeps(float(dtau), _solver_dt(cfg, solver), limit)
+    steps = k * (tau.size - 1)
+    if steps > MAX_SOLVER_STEPS:
+        raise ValueError(
+            f"the {solver} solver needs at least {steps} steps at big_r = {cfg.big_r!r} "
+            f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
+            "time-evolution run may take; lower big_r or shorten tau_max")
     run = _propagator(cfg, solver, res, coup, dtau / k)
     return lambda init: run(init).concurrence()[::k]
 

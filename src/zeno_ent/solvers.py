@@ -15,7 +15,7 @@ the couplings, the initial amplitudes and a :class:`SolverConfig`.
   three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
 * ``solve_discretized_bath`` -- brute force: the Lorentzian reservoir is
   sampled on a uniform frequency comb and the full (2 + n_modes)-amplitude
-  Schroedinger system is integrated with RK4.  Slowest, fewest assumptions.
+  Schroedinger system is integrated with RK4.  Fewest assumptions.
   :func:`bath_propagator` makes the comb run once per coupling and serves
   any number of initial states from it.
 
@@ -24,15 +24,15 @@ of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
 how they are evaluated.  The Volterra step and the pseudomode RK4 step act
 on three amplitudes; ``M - 1`` is read off the scalar step's increment and
 the powers of ``M`` are applied blockwise (:func:`_amplitude_rows`).
-The comb generator is a diagonal plus a rank-1 coupling ``g a^T``, so its
-RK4 polynomial ``sum_{k<=4} (hA)^k / k!`` is a diagonal plus a rank-5
-update, built once per run.  The pair enters the modes only through
-``u = a.x`` and moves only along ``a``, so one run driven by ``u = 1`` from
-empty modes gives every initial state's amplitudes and total norm.  The
-qubits sit on resonance of a symmetric Lorentzian, so the comb is mirrored
-about their frequency and that run never leaves the mirror-symmetric
-sector: only the upper half of the comb is stepped, and the pair reads it
-through five real scalars.
+The pair enters the comb only through ``u = a.x`` and moves only along
+``a``, so one run driven by ``u = 1`` from empty modes gives every initial
+state's amplitudes and total norm.  The comb's RK4 step is the polynomial
+``P(-i dt H)`` of a real symmetric arrowhead ``H``, so ``k`` steps are
+``P(-i dt lam_j)^k`` on its eigenvectors: the run is read off the spectrum,
+found from a secular equation over the upper half of the mirrored comb,
+with no loop over the steps.  Its cost grows as modes^2 + modes * steps in
+array operations, not as modes * steps in Python-level steps, and it is
+still the RK4 map, rounding aside.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -63,6 +63,11 @@ METHOD_VOLTERRA = "trapezoid-volterra"
 METHOD_AUX_ODE = "aux-ode-rk4"
 METHOD_BATH = "bath-rk4"
 METHODS = (METHOD_VOLTERRA, METHOD_AUX_ODE, METHOD_BATH)
+
+# the bath's spectral run: elements per work array (512 kB of floats) and
+# the cap on root iterations
+_CHUNK = 1 << 16
+_ITERATIONS = 12
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,7 @@ def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: Initial
 
 
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
-    """Step the comb once for this coupling; returns ``init -> TimeSeries``.
+    """Run the comb once for this coupling; returns ``init -> TimeSeries``.
 
     Works in the frame rotating at each mode's detuning, which leaves the
     qubit amplitudes untouched and makes the right-hand side autonomous.
@@ -303,126 +308,76 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     frequency instead of cutting the spectrum off near the splitting at
     ``+-rabi``.  The band edge enters the step check like any other rate,
     so with ``dt = 1e-3`` and ``freq_window = 20`` the check rejects
-    ``R = rabi/lam >= 25`` (:func:`step_limit` gives the bound).
+    ``R = rabi/lam >= 25`` (:func:`step_limit` gives the bound).  A horizon
+    past the comb's recurrence time ``2*pi/dω`` is refused too: there the
+    discrete spectrum sends the emitted excitation back to the qubits.  So
+    is a coupling too weak to represent, ``R`` below about ``1e-151``
+    for the default comb, where the squared mode couplings underflow.
 
-    Each step is the RK4 polynomial of the constant generator, applied as
-    a diagonal plus a rank-5 update built once per run.  The generator
-    reads the pair ``x`` only through ``u = a.x`` and moves it only along
-    the coupling vector ``a = (alpha1, alpha2)``.  The modes start empty
-    and the step is linear, so the modes and the summed pair increment
-    ``sigma`` of a run from ``u0 = a.x0`` are ``u0`` times those of one run
-    driven by ``u0 = 1``: ``x = x0 + a u0 sigma`` and the total norm is
-    ``|x|^2 + |u0|^2 nu`` with ``nu = |m|^2`` of that run.  That run is made
-    here, and every initial state is read off it.
+    The generator reads the pair ``x`` only through ``u = a.x`` and moves
+    it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
+    start empty and the RK4 step is linear, so the modes and the summed
+    pair increment ``sigma`` of a run from ``u0 = a.x0`` are ``u0`` times
+    those of one run driven by ``u0 = 1``: ``x = x0 + a u0 sigma`` and the
+    total norm is ``|x|^2 + |u0|^2 nu`` with ``nu = |m|^2`` of that run.
+    That run is made here, and every initial state is read off it.
 
-    Precondition: both qubits sit on resonance of a symmetric spectral
-    density, so the comb is mirrored about the qubit frequency (offsets
-    ``-d`` and ``d`` with equal couplings).  The generator is then real
-    symmetric up to the factor ``-i``, and a run from a real drive and
-    empty modes keeps ``u`` real and mode ``-k`` equal to ``-conj`` of mode
-    ``k``.  Only the upper half of the comb is stepped: one mode of each
-    mirror pair scaled by ``sqrt(2)``, plus an odd comb's centre mode with
-    weight 1, so ``nu`` is the squared norm of the kept modes.  The pair
-    reads the modes through the real five-vector ``z = (u, r_0..r_3)``
-    and the RK4 step is evaluated on that half (see the comments below).
+    The run is still the RK4 map, evaluated from its spectrum instead of
+    step by step.  With ``v = u/|a|`` the generator is ``-i H`` on
+    ``(v, m)``, ``H = [[0, c^T], [c, diag(offsets)]]`` with ``c = |a| g``,
+    a real symmetric arrowhead.  One RK4 step is the polynomial
+    ``P(-i dt H)``, ``P(z) = sum_{k<=4} z^k / k!``, so ``k`` steps are
+    ``sum_j P(-i dt lam_j)^k`` times the projector on eigenvector ``j``.
+    The unit drive starts on the pair, so only the weights ``w_j``, the
+    squared pair components of the eigenvectors, enter.  The qubits sit
+    on resonance of a symmetric spectral density, so the comb is mirrored
+    about their frequency: the spectrum is ``+-lam_j``, plus ``0`` for an
+    even comb, and :func:`_folded_spectrum` finds it from the upper half
+    of the comb.  The sums over the spectrum (:func:`_spectral_sums`) cost
+    O(modes * (modes + steps)), not O(modes * steps) Python-level steps.
 
-    Metadata carries the full mode count, the discrete recurrence time
-    ``2*pi/dω`` (a warning flag is set when the horizon exceeds it; the
-    scenarios refuse such runs) and the total-excitation norm per step for
-    conservation checks.
+    Metadata carries the full mode count, the recurrence time and the
+    total-excitation norm per step for conservation checks.
     """
+    recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
+    if cfg.t_max > recurrence:
+        raise ValueError(
+            f"tau_max = {cfg.t_max!r} runs past the bath comb's recurrence time "
+            f"{recurrence:.6g} (2*pi/d_omega for {cfg.n_modes} modes at "
+            f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
+            "emitted excitation back; raise n_modes or shorten tau_max")
     _check_resolution(cfg.dt, step_limit(res, coup, METHOD_BATH, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
     n, tau = _grid(cfg)
 
     offsets, g = _comb(res, cfg.n_modes, window)
-    recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
-
-    # Fold: keep modes [lower:], the upper half (the first kept mode of an
-    # odd comb is its centre, at offset 0).  With mult the multiplicity of
-    # a kept mode (2 for a mirror pair, 1 for the centre), m~ = sqrt(mult) m and
-    # g~ = sqrt(mult) g, the mirror symmetry gives g.m = i g~.Im(m~) over
-    # the full comb, and the generator of y' = A y on (u, m~) is
-    #   u' = |a|^2 g~.Im(m~),   m~' = i delta m~ - i u g~,
-    # real-linear in m~.  One classic RK4 step is sum_{k<=4} (hA)^k / k!.
-    # With E = i h delta and g_h = h g~, every (hA)^k y is linear in
-    # E^k m~ and in the five reals z = (u, Im(g_h.E^j m~) for j = 0..3),
-    # so the step is
-    #   m~' = m~ + ((Phi - 1) m~ + W z),   x' = x + a (ell.z),
-    # with Phi = sum_{k<=4} E^k / k!.  Writing (hA)^k y as
-    # (u_k = c_k.z, m_k = E^k m~ + V_k z), the recursion
-    #   Im(g_h.m_k) = p_k.z,  p_k = e_{1+k} + Im(V_k)^T g_h,
-    #   V_{k+1} = E V_k - i g_h c_k^T,  c_{k+1} = |a|^2 p_k,
-    # gives W = sum V_k / k! and ell = sum p_{k-1} / k!, both built here.
-    # Below, rot is E with delta = -offsets, gh is g_h, reading holds the
-    # rows that map the float view of m~ to z[1:] (Im(v.m) = Re(v).Im(m) +
-    # Im(v).Re(m), so each row is the float view of i conj(g_h E^j)), drive
-    # is the float view of W^T (z is real, so z @ drive is the float view of
-    # W z) and diag is Phi - 1, summed without forming Phi.  Since
-    # x' = x + a (ell.z), the drive of the unit-drive run is
-    # z[0] = a.x = 1 + |a|^2 sigma.
+    # the upper half of the comb: a mirror pair counts twice in c^T c, an
+    # odd comb's centre mode (the first kept one, at offset 0) once
     lower = cfg.n_modes // 2
-    weight = np.full(cfg.n_modes - lower, math.sqrt(2.0))
-    weight[: cfg.n_modes % 2] = 1.0
-    dt = cfg.dt
+    mult = np.full(cfg.n_modes - lower, 2.0)
+    mult[: cfg.n_modes % 2] = 1.0
     asq = a1 * a1 + a2 * a2
-    rot = -1j * dt * offsets[lower:]
-    gh = dt * weight * g[lower:]
-    moments = np.empty((4, rot.size), dtype=complex)
-    moments[0] = gh
-    for j in range(1, 4):
-        moments[j] = moments[j - 1] * rot
-    reading = (1j * moments.conj()).view(float)
-    unit = np.eye(5)
-    coef_u = unit[0]
-    tail_t = np.zeros((5, rot.size), dtype=complex)
-    drive_t = np.zeros((5, rot.size), dtype=complex)
-    ell = np.zeros(5)
-    fact = 1.0
-    for k in range(4):
-        p = unit[1 + k] + tail_t.imag @ gh
-        tail_t = tail_t * rot - 1j * np.outer(coef_u, gh)
-        coef_u = asq * p
-        fact *= k + 1
-        drive_t += tail_t / fact
-        ell += p / fact
-    drive = drive_t.view(float)
-    diag = rot * (1.0 + rot / 2.0 * (1.0 + rot / 3.0 * (1.0 + rot / 4.0)))
-
-    # the unit-drive run: sigma is the summed pair increment, nu = |m~|^2
-    l0, l1, l2, l3, l4 = ell.tolist()
-    acc = 0.0
-    sigma = [acc]
-    nu = [acc]
-    modes = np.zeros(rot.size, dtype=complex)
-    flat = modes.view(float)
-    inc = np.empty_like(modes)
-    spread = np.empty_like(modes)
-    spread_flat = spread.view(float)
-    z = np.empty(5)
-    for _ in range(n):
-        u = 1.0 + asq * acc
-        z[0] = u
-        np.matmul(reading, flat, out=z[1:])
-        np.multiply(diag, modes, out=inc)
-        np.matmul(z, drive, out=spread_flat)
-        inc += spread
-        modes += inc
-        _, r0, r1, r2, r3 = z.tolist()
-        acc += l0 * u + l1 * r0 + l2 * r1 + l3 * r2 + l4 * r3
-        sigma.append(acc)
-        nu.append(np.dot(flat, flat))
-    sigma = np.array(sigma)
-    nu = np.array(nu)
+    b = asq * mult * g[lower:] ** 2
+    if not np.min(b) >= np.finfo(float).tiny:
+        raise ValueError(
+            f"big_r = {coup.alpha_t * res.w / res.lam!r} is too weak a coupling for the "
+            f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and underflow; "
+            "the pair does not move at double precision there, so use the closed form")
+    lam, weight = _folded_spectrum(offsets[lower:], b)
+    re, ab = _spectral_sums(cfg.dt * lam, weight, n)
+    # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(p_j^k - 1); the norm of (v, m)
+    # is 1/|a|^2 + 2 sum_j w_j (|p_j|^(2k) - 1) / |a|^2, less |v|^2 = |u|^2/|a|^2
+    scale = 2.0 / asq
+    sigma = scale * re
+    nu = scale * ab - sigma * (2.0 + asq * sigma)
 
     meta = {
         "solver": METHOD_BATH,
-        "dt": dt,
+        "dt": cfg.dt,
         "n_modes": cfg.n_modes,
         "freq_window": cfg.freq_window,
         "recurrence_time": recurrence,
-        "recurrence_warning": bool(cfg.t_max > recurrence),
     }
 
     def series(init: InitialState) -> TimeSeries:
@@ -434,3 +389,168 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
         return TimeSeries(tau=tau, c1=c1, c2=c2, meta={**meta, "norm_total": norm})
 
     return series
+
+
+def _folded_spectrum(o, b):
+    """Spectrum of the mirrored arrowhead from the upper half of its comb.
+
+    ``o`` are the kept offsets, ascending and ``>= 0`` (an odd comb's
+    centre first, at 0), ``b`` their couplings ``c_k^2`` times the
+    multiplicity (2 for a mirror pair, 1 for the centre); the spacing need
+    not be uniform.  The nonzero eigenvalues are ``+-lam_j`` with
+    ``mu_j = lam_j^2`` the roots of ``1 = sum_k b_k / (mu - o_k^2)``, one in
+    each gap ``(o_j^2, o_{j+1}^2)`` and the last within ``sum b`` above
+    ``o^2`` of the top mode.  Returns ``(lam, w)`` with the pair weight
+    ``w_j = 1 / (2 mu_j sum_k b_k / (mu_j - o_k^2)^2)`` of each of
+    ``+-lam_j``.  An even comb also has the eigenvalue 0, which the run
+    never sees, with weight ``w0 = 1 / (1 + sum_k b_k / o_k^2)``, and
+    ``w0 + 2 sum w = 1``.
+
+    Each root is found as its offset ``delta`` from the nearer pole, so
+    that a root hugging a pole keeps its digits, with the pole gaps formed
+    as ``(o_k - o_r)(o_k + o_r)``.  The iteration matches the sums over
+    the poles left and right of the root, in value and slope, by one pole
+    each, and takes the root of that two-pole model in the gap (as in
+    LAPACK's ``dlaed4``).  It works on about 64 roots at a time, so no
+    work array exceeds ``_CHUNK`` elements.
+    """
+    m = o.size
+    osq = o * o
+    total = float(np.sum(b))
+    lam = np.empty(m)
+    weight = np.empty(m)
+    rows = max(1, _CHUNK // m)
+    eps = np.finfo(float).eps
+    for j0 in range(0, m, rows):
+        j1 = min(j0 + rows, m)
+        nr = j1 - j0
+        r = np.arange(nr)
+        j = np.arange(j0, j1)
+        top = j == m - 1
+        right = np.minimum(j + 1, m - 1)
+        # F = 1 + sum_k b_k / (o_k^2 - mu) at mid-gap rises through the gap,
+        # so F(mid) >= 0 puts the root in the left half, nearer the left
+        # pole; the two end poles give +-b/half, the others keep enough
+        # digits in plain squares
+        b_right = np.where(top, 0.0, b[right])
+        half = 0.5 * np.where(top, total, (o[right] - o[j]) * (o[right] + o[j]))
+        den = osq - (osq[j] + half)[:, None]
+        den[r, j] = den[r, right] = np.inf
+        rest = 1.0 + (b / den).sum(axis=1)
+        flip = (rest + (b_right - b[j]) / half < 0.0) & ~top
+        pole = np.where(flip, right, j)
+        origin = o[pole]
+        gap = (o - origin[:, None]) * (o + origin[:, None])
+        left_pole = gap[r, j]
+        right_pole = np.where(top, total, gap[r, right])
+        # start from the two-pole model with the other poles frozen at mid-gap
+        delta = _model_root(rest, b[j], b_right, left_pole, right_pole)
+        # the origin pole's term is carried exactly: in the model it adds
+        # b_p to the slope weight of its side and cancels from the rest
+        b_pole = b[pole]
+        on_left = np.where(flip, 0.0, b_pole)
+        on_right = np.where(flip, b_pole, 0.0)
+        band_left = np.where(np.tri(nr, dtype=bool), b[j0:j1], 0.0)
+        band_right = b[j0:j1] - band_left
+        rest_slope = np.empty(nr)
+        live = r
+        for it in range(_ITERATIONS):
+            inv = (gap if live.size == nr else gap[live]) - delta[live, None]
+            inv[np.arange(live.size), pole[live]] = np.inf
+            np.reciprocal(inv, out=inv)
+            sq = inv * inv
+            bl, br = band_left[live], band_right[live]
+            psi = inv[:, :j0] @ b[:j0] + np.sum(inv[:, j0:j1] * bl, axis=1)
+            phi = inv[:, j1:] @ b[j1:] + np.sum(inv[:, j0:j1] * br, axis=1)
+            dpsi = sq[:, :j0] @ b[:j0] + np.sum(sq[:, j0:j1] * bl, axis=1)
+            dphi = sq[:, j1:] @ b[j1:] + np.sum(sq[:, j0:j1] * br, axis=1)
+            at = delta[live]
+            rest_slope[live] = dpsi + dphi
+            to_left = left_pole[live] - at
+            to_right = right_pole[live] - at
+            step = _model_root(1.0 + psi - dpsi * to_left + phi - dphi * to_right,
+                               dpsi * to_left * to_left + on_left[live],
+                               dphi * to_right * to_right + on_right[live],
+                               left_pole[live], right_pole[live])
+            # settled once the step is within the rounding of F over its
+            # slope, both scaled by delta^2 to keep the pole term finite
+            sq_at = at * at
+            noise = (sq_at * (1.0 + phi - psi) + b_pole[live] * np.abs(at)) / (
+                sq_at * (dpsi + dphi) + b_pole[live])
+            moving = np.abs(step - at) > 8.0 * eps * (np.abs(step) + noise)
+            if it == _ITERATIONS - 1 or not moving.any():
+                break
+            live = live[moving]
+            delta[live] = step[moving]
+        mu = origin * origin + delta
+        lam[j0:j1] = np.sqrt(mu)
+        # 1 / (2 mu (b_p / delta^2 + rest)), free of 0/0 when the pole is 0
+        weight[j0:j1] = 0.5 * (delta / mu) * (delta / (b_pole + delta * delta * rest_slope))
+    return lam, weight
+
+
+def _model_root(c, s, t, left, right):
+    """Root in ``(left, right)`` of ``c + s/(left - x) + t/(right - x)``,
+    ``s > 0``, ``t >= 0``, with ``left <= 0 <= right`` and a pole at ``0``.
+
+    The root solves ``c x^2 - q x + p = 0`` with ``q = c (left + right) +
+    s + t`` and ``p = c left right + s right + t left``; ``2 p / (q +
+    sqrt(q^2 - 4 c p))`` is the root inside the interval for either sign
+    of ``c`` and cancels no digits.  With ``t = 0``, ``right`` only caps
+    the root.  The root scales with the interval, which is taken to unit
+    width first, so that products of tiny weights and gaps cannot underflow.
+    """
+    width = right - left
+    left, right, s, t = left / width, right / width, s / width, t / width
+    q = c * (left + right) + s + t
+    p = c * left * right + s * right + t * left
+    return width * (2.0 * p / (q + np.sqrt(np.maximum(q * q - 4.0 * c * p, 0.0))))
+
+
+def _spectral_sums(theta, weight, n: int):
+    """``sum_j w_j Re(p_j^k - 1)`` and ``sum_j w_j (|p_j|^(2k) - 1)`` for
+    ``k = 0..n``, with ``p_j = P(-i theta_j)`` the RK4 polynomial.
+
+    ``p - 1`` is summed in nested form without forming ``p``, and
+    ``|p|^2 - 1 = theta^8/576 - theta^6/72`` exactly.  As in
+    :func:`_amplitude_rows`, with ``K = isqrt(n + 1)`` the powers
+    ``B_i = p^i - 1`` (``i < K``) and ``A_j = p^(jK) - 1`` are accumulated
+    as ``q += d + d q`` (:func:`_power_rows`), and ``p^(jK+i) - 1 = A_j +
+    B_i + A_j B_i`` combines them: each sum is one ``(J, K)`` product over
+    the modes.  The modes are taken in chunks, so no work array exceeds
+    ``_CHUNK`` elements.
+    """
+    z = -1j * theta
+    step = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    sq = theta * theta
+    step_abs = sq * sq * sq * (sq / 576.0 - 1.0 / 72.0)
+    block = math.isqrt(n + 1)
+    count = -(-(n + 1) // block)
+    re = np.zeros((count, block))
+    ab = np.zeros((count, block))
+    width = max(1, _CHUNK // count)
+    for lo in range(0, theta.size, width):
+        w = weight[lo:lo + width]
+        # conj(B), so that Re(A B) is a real product of the float views
+        heads, big = _power_rows(step[lo:lo + width].conj(), block)
+        tails, _ = _power_rows(big.conj(), count)
+        tails *= w
+        re += tails.view(float) @ heads.view(float).T
+        re += tails.real.sum(axis=1)[:, None] + heads.real @ w
+        heads, big = _power_rows(step_abs[lo:lo + width], block)
+        tails, _ = _power_rows(big, count)
+        tails *= w
+        ab += tails @ heads.T
+        ab += tails.sum(axis=1)[:, None] + heads @ w
+    return re.reshape(-1)[:n + 1], ab.reshape(-1)[:n + 1]
+
+
+def _power_rows(d, count: int):
+    """Rows ``p^i - 1`` for ``i < count`` and ``p^count - 1``, from
+    ``d = p - 1``, elementwise."""
+    rows = np.empty((count, d.size), dtype=d.dtype)
+    q = np.zeros_like(d)
+    for i in range(count):
+        rows[i] = q
+        q += d + d * q
+    return rows, q

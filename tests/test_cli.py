@@ -37,6 +37,7 @@ from zeno_ent import scenarios, search
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
 from zeno_ent.search import grid_refine_max
+from zeno_ent.solvers import step_limit
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -189,6 +190,38 @@ class TestTimeEvolution:
                                  tau).concurrence()
         assert tau.size == 2001
         assert float(np.max(np.abs(conc - ref))) < 3e-3
+
+    @staticmethod
+    def search_substeps(dtau, base, limit):
+        """The search that picked the step count before the closed form."""
+        k = max(1, int(math.ceil(dtau / base - 1e-9)))
+        k = max(k, int(dtau / limit))
+        while dtau / k >= limit:
+            k += 1
+        return k
+
+    def test_substeps_equal_the_search(self):
+        cases = []
+        for tau_steps in (2, 3, 11, 101, 2001, 20001):
+            dtau = float(np.linspace(0.0, 10.0, tau_steps)[1])
+            for big_r in np.geomspace(1e-3, 1e5, 97).tolist() + [24.0, 25.0, 40.0]:
+                res, coup = resonant_system(big_r, 0.5)
+                for solver, base in (("volterra", 1e-4), ("ode", 1e-3), ("bath", 1e-3)):
+                    limit = step_limit(res, coup, scenarios._METHODS[solver], 20.0)
+                    cases.append((dtau, base, limit))
+            # quotients within a few ulps of an integer, where rounding decides
+            for n in np.unique(np.geomspace(1, 10**6, 200).astype(int)).tolist():
+                steps = np.arange(-3, 4)
+                for limit in (dtau / n + steps * math.ulp(dtau / n)).tolist():
+                    cases.append((dtau, 1e-3, limit))
+                for base in (dtau / n, np.nextafter(dtau / n, 0.0)):
+                    cases.append((dtau, float(base), 1.0))
+        ceiling = scenarios.MAX_SOLVER_STEPS
+        for dtau, base, limit in cases:
+            k = scenarios._substeps(dtau, base, limit)
+            found = self.search_substeps(dtau, base, limit)
+            # past the ceiling the count is capped, and refused either way
+            assert k == found or min(k, found) > ceiling, (dtau, base, limit)
 
     def test_bath_past_recurrence_at_r40_refused(self, capsys):
         # the finer step would run, but the comb widened to +-800 linewidths
@@ -573,6 +606,16 @@ class TestCliMain:
         assert main(argv + ["--tau-steps", "3"]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "big_r" in err and "rabi" in err
+
+    @pytest.mark.parametrize("big_r", ["1e160", "1e12"])
+    def test_numeric_curve_past_step_ceiling_exits_2(self, capsys, big_r):
+        # refining the step to the coupling once spun forever at 1e160 (the
+        # step count passed 2**53) and asked numpy for 146 TiB at 1e12 (exit 1)
+        assert main(["time-evolution", "--solver", "ode", "--big-r", big_r, "--r1", "0.5",
+                     "--s", "0", "--tau-steps", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"big_r = {float(big_r)!r}" in err
+        assert f"more than the {scenarios.MAX_SOLVER_STEPS} " in err
 
     def test_stationary_surface_at_huge_coupling(self, capsys):
         # big_r drops out of the stationary concurrence

@@ -20,7 +20,7 @@ from zeno_ent import (
     solve_discretized_bath,
     solve_volterra,
 )
-from zeno_ent import scenarios
+from zeno_ent import scenarios, solvers
 from zeno_ent.solvers import comb_recurrence_time, step_limit
 
 
@@ -54,16 +54,20 @@ def rk4_bath_reference(res, coup, init, cfg):
     n = int(round(cfg.t_max / dt))
     y = np.zeros(cfg.n_modes + 2, dtype=complex)
     y[0], y[1] = init.c01, init.c02
-    states = [y]
-    for _ in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(y)
-    states = np.array(states)
-    return states[:, 0], states[:, 1], np.sum(np.abs(states) ** 2, axis=1)
+    # the pair and the norm of every state, not the states: a production
+    # comb over 10k steps would hold 320 MB
+    pair = np.empty((n + 1, 2), dtype=complex)
+    norm = np.empty(n + 1)
+    for i in range(n + 1):
+        if i:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pair[i] = y[:2]
+        norm[i] = np.sum(np.abs(y) ** 2)
+    return pair[:, 0], pair[:, 1], norm
 
 
 def volterra_reference(res, coup, init, dt, n):
@@ -169,9 +173,10 @@ class TestSolverConfig:
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.3, 0.7)
         for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
-            plain = solve(res, coup, init, SolverConfig(dt=1e-3, t_max=2.0, n_modes=50))
+            # 100 modes keep the comb's recurrence (3.14) past the horizon
+            plain = solve(res, coup, init, SolverConfig(dt=1e-3, t_max=2.0, n_modes=100))
             wide = solve(res, coup, init,
-                         SolverConfig(dt=np.float64(1e-3), t_max=2.0, n_modes=50))
+                         SolverConfig(dt=np.float64(1e-3), t_max=2.0, n_modes=100))
             assert np.array_equal(plain.c1, wide.c1)
             assert np.array_equal(plain.c2, wide.c2)
 
@@ -350,9 +355,11 @@ class TestDiscretizedBath:
         # one propagator run serves every initial state, including the
         # sub-radiant one that the comb never sees (a.x0 = 0); the folded
         # comb is checked on an even comb, an odd one with its centre mode
-        # and the strong-coupling band edge
+        # and the strong-coupling band edge; the horizon stops at the comb's
+        # recurrence (1.57 for 50 modes at R = 10), past which runs are refused
         res, coup = resonant_system(big_r, 0.87)
-        cfg = bath_cfg(1e-3, 3.0, n_modes=n_modes)
+        t_max = min(3.0, comb_recurrence_time(res, coup, n_modes, 20.0))
+        cfg = bath_cfg(1e-3, t_max, n_modes=n_modes)
         propagate = bath_propagator(res, coup, cfg)
         inits = [InitialState(1.0, 0.0), InitialState(0.0, 1.0), coup.psi_minus(),
                  InitialState.from_separability(0.3, 0.7)]
@@ -398,18 +405,117 @@ class TestDiscretizedBath:
         norms = series.meta["norm_total"]
         assert float(np.max(np.abs(norms - norms[0]))) < 1e-8
 
-    def test_recurrence_warning(self):
+    def test_refuses_horizon_past_recurrence(self):
         res, coup = resonant_system(0.1, 0.5)
         init = InitialState.from_separability(0.0)
         # 100 modes over [-20, 20]: recurrence at 2 pi / 0.4 ~ 15.7
         short = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 10.0,
                                                                  n_modes=100))
-        long = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 20.0,
-                                                                n_modes=100))
-        assert short.meta["recurrence_warning"] is False
-        assert long.meta["recurrence_warning"] is True
-        assert long.meta["recurrence_time"] == pytest.approx(2.0 * math.pi / 0.4,
-                                                             rel=1e-12)
+        assert short.meta["recurrence_time"] == pytest.approx(2.0 * math.pi / 0.4,
+                                                              rel=1e-12)
+        assert "recurrence_warning" not in short.meta
+        with pytest.raises(ValueError, match=r"recurrence time 15\.708 .*"
+                                             "raise n_modes or shorten tau_max"):
+            bath_propagator(res, coup, bath_cfg(1e-3, 20.0, n_modes=100))
+
+
+class TestBathSpectrum:
+    """The comb run evaluated from the arrowhead's spectrum, against a dense
+    eigensolver and against the comb stepped one RK4 step at a time."""
+
+    @staticmethod
+    def folded(big_r, n_modes, r1=0.87):
+        res, coup = resonant_system(big_r, r1)
+        window = 20.0 * max(1.0, big_r)
+        omegas, g = sample_lorentzian_modes(res, n_modes, window)
+        offsets = omegas - res.omega0
+        c = coup.alpha_t * g
+        lower = n_modes // 2
+        mult = np.where(np.arange(lower, n_modes) == (n_modes - 1) / 2.0, 1.0, 2.0)
+        return offsets, c, offsets[lower:], mult * c[lower:] ** 2
+
+    @staticmethod
+    def zero_weight(o, b):
+        """Pair weight of the zero eigenvalue: 0 for an odd comb, else the
+        squared first component of ``(1, -c/offsets)`` normalised."""
+        return 0.0 if o[0] == 0.0 else 1.0 / (1.0 + math.fsum(b / (o * o)))
+
+    @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200])
+    def test_roots_and_weights_match_dense_eigensolver(self, big_r, n_modes):
+        offsets, c, o, b = self.folded(big_r, n_modes)
+        lam, w = solvers._folded_spectrum(o, b)
+        w0 = self.zero_weight(o, b)
+        h = np.diag(np.concatenate(([0.0], offsets)))
+        h[0, 1:] = h[1:, 0] = c
+        evals, evecs = np.linalg.eigh(h)
+        weights = evecs[0] ** 2
+        # +-lam_j, and 0 for an even comb, with the pair's weight on each
+        m = lam.size
+        scale = float(np.max(np.abs(evals)))
+        # eigh is backward stable, so its eigenvalues sit within a few ulps
+        # of the norm; its weights lose digits as norm / gap for close roots
+        np.testing.assert_allclose(evals[-m:], lam, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(evals[:m], -lam[::-1], rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(weights[-m:], w, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(weights[:m], w[::-1], rtol=1e-10, atol=0)
+        if n_modes % 2:
+            assert w0 == 0.0 and evals.size == 2 * m
+        else:
+            assert abs(evals[m]) < 1e-14 * scale
+            assert w0 == pytest.approx(weights[m], rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200, 2000])
+    def test_weights_complete_and_roots_interlace(self, big_r, n_modes):
+        _, _, o, b = self.folded(big_r, n_modes)
+        lam, w = solvers._folded_spectrum(o, b)
+        w0 = self.zero_weight(o, b)
+        assert abs(w0 + 2.0 * math.fsum(w) - 1.0) <= 1e-14
+        assert np.all(w > 0.0)
+        mu = lam * lam
+        assert np.all(o * o < mu)
+        assert np.all(mu[:-1] < o[1:] * o[1:])
+        # equal for a lone mode, whose root is o^2 + b, up to the rounding of lam^2
+        assert mu[-1] <= (o[-1] ** 2 + float(np.sum(b))) * (1.0 + 4e-16)
+
+    @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
+    @pytest.mark.parametrize("n_modes", [50, 51])
+    def test_weak_coupling_matches_stage_vector_rk4(self, big_r, n_modes):
+        # roots within b ~ big_r^2 of their poles, whose 1/delta^2 overflows
+        # at 1e-100; the exchange c1 ~ big_r^2 keeps its relative digits
+        res, coup = resonant_system(big_r, 0.87)
+        cfg = bath_cfg(1e-3, 2.0, n_modes=n_modes)
+        init = InitialState(0.0, 1.0)
+        series = bath_propagator(res, coup, cfg)(init)
+        c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+        scale = float(np.max(np.abs(c1)))
+        assert scale > 0.0
+        np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
+
+    def test_refuses_coupling_whose_comb_underflows(self):
+        res, coup = resonant_system(1e-160, 0.87)
+        with pytest.raises(ValueError, match="too weak a coupling for the bath comb"):
+            bath_propagator(res, coup, bath_cfg(1e-3, 1.0))
+
+    @pytest.mark.parametrize("big_r", [0.1, 10.0, 24.0])
+    def test_production_comb_matches_stage_vector_rk4(self, big_r):
+        # the default comb, 2000 modes to tau = 10 in 10k steps
+        res, coup = resonant_system(big_r, 0.87)
+        cfg = bath_cfg(1e-3, 10.0)
+        propagate = bath_propagator(res, coup, cfg)
+        init = InitialState.from_separability(0.3, 0.7)
+        series = propagate(init)
+        c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+        np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
+        assert series.c1[0] == init.c01 and series.c2[0] == init.c02
+        sub = propagate(coup.psi_minus())
+        assert np.all(sub.c1 == coup.psi_minus().c01)
+        assert np.all(sub.c2 == coup.psi_minus().c02)
 
 
 class TestCombInputs:
