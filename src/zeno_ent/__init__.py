@@ -39,11 +39,13 @@ from .scenarios import (
 )
 from .solvers import (
     SolverConfig,
+    aux_ode_propagator,
     bath_propagator,
     sample_lorentzian_modes,
     solve_aux_ode,
     solve_discretized_bath,
     solve_volterra,
+    volterra_propagator,
 )
 from .zeno import (
     MeasurementSchedule,
@@ -73,6 +75,7 @@ __all__ = [
     "TimeSeries",
     "ZenoRate",
     "amplitudes_at",
+    "aux_ode_propagator",
     "bath_propagator",
     "closed_form_series",
     "concurrence_closed",
@@ -95,6 +98,7 @@ __all__ = [
     "stroboscopic_amplitudes",
     "survival_amplitude",
     "survival_probability_measured",
+    "volterra_propagator",
     "write_result",
     "zeno_rate",
 ]

@@ -40,10 +40,10 @@ from .solvers import (
     METHOD_BATH,
     METHOD_VOLTERRA,
     SolverConfig,
+    aux_ode_propagator,
     bath_propagator,
-    solve_aux_ode,
-    solve_volterra,
     step_limit,
+    volterra_propagator,
 )
 from .zeno import stroboscopic_amplitudes, zeno_rate
 
@@ -70,8 +70,8 @@ SOLVERS = ("closed", "volterra", "ode", "bath")
 # max |amplitude| deviation from the closed form at the reference steps below
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
-# most solver steps one time-evolution curve may take: a million steps keep
-# a numeric curve's arrays near 40 MB and its run within seconds
+# most steps one numeric solver run may take: a million steps keep a run's
+# arrays near 40 MB and the run within seconds
 MAX_SOLVER_STEPS = 1_000_000
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -101,10 +101,12 @@ class ScenarioConfig:
     at ``big_r >= 25`` is rejected as under-resolved.  A bath run whose
     ``tau_max`` passes the comb's recurrence time
     ``2*pi/dω = pi * n_modes / (freq_window * max(1, big_r))`` is refused
-    before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A
-    ``time-evolution`` curve whose refined step would take more than
-    :data:`MAX_SOLVER_STEPS` steps is refused too, e.g. the ``ode`` solver
-    at ``big_r = 1e12``.  Refusals exit 2 on the command line.
+    before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A numeric
+    solver run of more than :data:`MAX_SOLVER_STEPS` steps is refused too,
+    in either scenario: e.g. the ``ode`` solver of ``time-evolution`` at
+    ``big_r = 1e12``, whose step is refined to the coupling, or
+    ``solver-xcheck`` at ``tau_max = 2000``, where Volterra's ``dt = 1e-4``
+    would take 2e7 steps.  Refusals exit 2 on the command line.
     """
 
     scenario: str
@@ -257,17 +259,26 @@ _METHODS = {"volterra": METHOD_VOLTERRA, "ode": METHOD_AUX_ODE, "bath": METHOD_B
 def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
     """``init -> TimeSeries`` of a numeric solver at one coupling, to ``tau_max``.
 
-    Volterra and the pseudomode ODE run once per initial state; the bath
-    runs its comb here, once, and serves every initial state from that run.
+    Each solver does its work here, once, and serves every initial state
+    from it.  A run of more than :data:`MAX_SOLVER_STEPS` steps is refused
+    before any grid or map is built.
     """
+    steps = cfg.tau_max / dt
+    # the grid rounds the step count to the nearest integer
+    if not steps < MAX_SOLVER_STEPS + 0.5:
+        # time-evolution refines the step to the coupling; xcheck takes it as given
+        hint = "lower big_r" if cfg.scenario == "time-evolution" else f"raise dt_{solver}"
+        raise ValueError(
+            f"the {solver} solver needs {steps:.6g} steps at big_r = {cfg.big_r!r} "
+            f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
+            f"solver run may take; {hint} or shorten tau_max")
     scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
                         freq_window=cfg.freq_window)
-    # solvers are read from the module globals per call, so a solver
-    # patched in for a count or a trace is the one that runs
-    if solver == "bath":
-        return bath_propagator(res, coup, scfg)
-    solve = {"volterra": solve_volterra, "ode": solve_aux_ode}[solver]
-    return lambda init: solve(res, coup, init, scfg)
+    # propagators are read from the module globals per call, so one patched
+    # in for a count or a trace is the one that runs
+    propagate = {"volterra": volterra_propagator, "ode": aux_ode_propagator,
+                 "bath": bath_propagator}[solver]
+    return propagate(res, coup, scfg)
 
 
 def _stationary_grid(r1_axis, inits) -> np.ndarray:
@@ -335,12 +346,6 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
     dtau = tau[1] - tau[0]
     limit = step_limit(res, coup, _METHODS[solver], cfg.freq_window)
     k = _substeps(float(dtau), _solver_dt(cfg, solver), limit)
-    steps = k * (tau.size - 1)
-    if steps > MAX_SOLVER_STEPS:
-        raise ValueError(
-            f"the {solver} solver needs at least {steps} steps at big_r = {cfg.big_r!r} "
-            f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
-            "time-evolution run may take; lower big_r or shorten tau_max")
     run = _propagator(cfg, solver, res, coup, dtau / k)
     return lambda init: run(init).concurrence()[::k]
 
@@ -404,26 +409,33 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     deviation and its budget.  Numeric-vs-numeric pairs are compared on
     shared grid points and budgeted with the sum of the members' closed-form
     tolerances.  ``meta['passed']`` reflects the whole table.
+
+    Each solver runs once per r1 and ``E(t)`` is evaluated once per r1 on
+    each solver's grid; every s is read off those.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
                "tolerance", "passed"]
+    pairs = [("closed", name) for name in solvers]
+    pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
     rows = []
     all_ok = True
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
         runs = {name: _propagator(cfg, name, res, coup, _solver_dt(cfg, name))
                 for name in solvers}
+        curves = {}
         for s in cfg.s_axis():
             init = _init_state(cfg, s)
             series = {name: run(init) for name, run in runs.items()}
-            pairs = [("closed", name) for name in solvers]
-            pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
             for a, b in pairs:
                 if a == "closed":
                     sb = series[b]
-                    ref = closed_form_series(res, coup, init, sb.tau)
-                    err = _max_amplitude_gap(ref, sb)
+                    if b not in curves:
+                        curves[b] = survival_amplitude(res, coup, sb.tau)
+                    # the closed_form_series of init on this grid, bit for bit
+                    c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, curves[b])
+                    err = _max_amplitude_gap(SimpleNamespace(c1=c1, c2=c2), sb)
                     npts = sb.tau.size
                     tol = XCHECK_TOLERANCES[b]
                 else:

@@ -1,29 +1,34 @@
 """Independent numerical routes to the pair dynamics.
 
 Three integrators check the closed form from :mod:`zeno_ent.model` without
-sharing any of its algebra.  All take ``(res, coup, init, cfg)``: the
-Lorentzian reservoir, whose memory kernel is ``f(tau) = w^2 e^{-lam tau}``,
-the couplings, the initial amplitudes and a :class:`SolverConfig`.
+sharing any of its algebra.  Each is a propagator, ``(res, coup, cfg) ->
+(init -> TimeSeries)``, over the Lorentzian reservoir, whose memory kernel
+is ``f(tau) = w^2 e^{-lam tau}``, the couplings and a :class:`SolverConfig`.
+It does its work once per coupling and serves any number of initial states
+from it; ``solve_*(res, coup, init, cfg)`` is one propagator read at one
+initial state.
 
-* ``solve_volterra``     -- the memory-kernel integro-differential equations
+* ``volterra_propagator`` (``solve_volterra``) -- the memory-kernel
+  integro-differential equations
   ``cj' = -int_0^t f(t-s) [alphaj^2 cj(s) + alphaj alphak ck(s)] ds``
   stepped with a trapezoidal quadrature and a Heun predictor-corrector
   (global error O(dt^2)).
-* ``solve_aux_ode``      -- the memory integral
+* ``aux_ode_propagator`` (``solve_aux_ode``) -- the memory integral
   ``z(t) = int_0^t w^2 e^{-lam (t-s)} (alpha1 c1 + alpha2 c2) ds`` obeys
   ``z' = -lam z + w^2 (alpha1 c1 + alpha2 c2)``, turning the system into
   three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
-* ``solve_discretized_bath`` -- brute force: the Lorentzian reservoir is
-  sampled on a uniform frequency comb and the full (2 + n_modes)-amplitude
-  Schroedinger system is integrated with RK4.  Fewest assumptions.
-  :func:`bath_propagator` makes the comb run once per coupling and serves
-  any number of initial states from it.
+* ``bath_propagator`` (``solve_discretized_bath``) -- brute force: the
+  Lorentzian reservoir is sampled on a uniform frequency comb and the full
+  (2 + n_modes)-amplitude Schroedinger system is integrated with RK4.
+  Fewest assumptions.
 
 Each solver refuses a step at or above its :func:`step_limit`.  Every one
 of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
 how they are evaluated.  The Volterra step and the pseudomode RK4 step act
 on three amplitudes; ``M - 1`` is read off the scalar step's increment and
-the powers of ``M`` are applied blockwise (:func:`_amplitude_rows`).
+the powers of ``M`` are built once per coupling and applied blockwise to
+each initial state (:func:`_amplitude_rows`), as the full 3x3 map on the
+pair and the memory variable.
 The pair enters the comb only through ``u = a.x`` and moves only along
 ``a``, so one run driven by ``u = 1`` from empty modes gives every initial
 state's amplitudes and total norm.  The comb's RK4 step is the polynomial
@@ -50,6 +55,7 @@ from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
 
 __all__ = [
     "SolverConfig",
+    "aux_ode_propagator",
     "bath_propagator",
     "comb_recurrence_time",
     "sample_lorentzian_modes",
@@ -57,6 +63,7 @@ __all__ = [
     "solve_discretized_bath",
     "solve_volterra",
     "step_limit",
+    "volterra_propagator",
 ]
 
 METHOD_VOLTERRA = "trapezoid-volterra"
@@ -156,20 +163,23 @@ def _grid(cfg: SolverConfig):
     return n, np.arange(n + 1) * cfg.dt
 
 
-def _amplitude_rows(increment, y0, n: int):
-    """Rows ``x1`` and ``x2`` of ``M**k @ y0`` for ``k = 0..n``.
+def _amplitude_rows(increment, n: int):
+    """``y0 ->`` rows ``x1`` and ``x2`` of ``M**k @ y0`` for ``k = 0..n``.
 
     ``increment(x1, x2, v)`` is ``(M - 1) y`` for one step ``y -> M y`` of
     a linear recurrence on three amplitudes; ``D = M - 1`` is read off as
     its images of the unit vectors.  With ``K = isqrt(n + 1)`` and
     ``J = ceil((n + 1) / K)``, the powers ``M**i = 1 + Q_i`` (``i < K``) and
-    the block states ``y_j = M**(j*K) @ y0`` (``j < J``) give
-    ``M**(j*K + i) @ y0 = y_j + Q_i @ y_j`` for every ``k``, so each row is
-    one ``(J, K)`` product and the loop runs ``K + J ~ 2 sqrt(n)`` times
-    instead of ``n``.  Carrying ``D`` and ``Q_i`` rather than ``M`` and its
-    powers keeps the rounding of the entries near 1 out of the map: each
-    block step adds a small correction to the state, as the scalar step
-    does, instead of applying one rounded matrix ``n`` times.
+    the block powers ``M**(j*K)`` (``j < J``) give the block states
+    ``y_j = M**(j*K) @ y0`` and ``M**(j*K + i) @ y0 = y_j + Q_i @ y_j`` for
+    every ``k``, so each row is one ``(J, K)`` product and the loops run
+    ``K + J ~ 2 sqrt(n)`` times instead of ``n``.  Carrying ``D`` and
+    ``Q_i`` rather than ``M`` and its powers keeps the rounding of the
+    entries near 1 out of the map: each block step adds a small correction,
+    as the scalar step does, instead of applying one rounded matrix ``n``
+    times.  The map is built here, once; each ``y0`` then costs one product
+    with the real ``(J, 3, 3)`` stack of block powers and the two row
+    products.
     """
     gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
     block = math.isqrt(n + 1)
@@ -179,22 +189,46 @@ def _amplitude_rows(increment, y0, n: int):
     for i in range(block):
         heads[:, i] = power[:2]
         power += gen + gen @ power
-    states = np.empty((count, 3), dtype=complex)
-    y = np.array(y0, dtype=complex)
+    blocks = np.empty((count, 3, 3))
+    y = np.eye(3)
     for j in range(count):
-        states[j] = y
-        y = y + power @ y
-    rows = []
-    for row, head in enumerate(heads):
-        out = states @ head.T
-        out += states[:, row:row + 1]
-        rows.append(out.reshape(-1)[:n + 1])
-    return tuple(rows)
+        blocks[j] = y
+        y += power @ y
+
+    def rows(y0):
+        states = blocks @ np.asarray(y0, dtype=complex)
+        out = []
+        for row, head in enumerate(heads):
+            x = states @ head.T
+            x += states[:, row:row + 1]
+            out.append(x.reshape(-1)[:n + 1])
+        return tuple(out)
+
+    return rows
+
+
+def _linear_propagator(rows, tau, meta):
+    """``init -> TimeSeries`` from the map of :func:`_amplitude_rows`, with
+    the memory variable starting at 0."""
+    def series(init: InitialState) -> TimeSeries:
+        c1, c2 = rows((init.c01, init.c02, 0.0))
+        return TimeSeries(tau=tau, c1=c1, c2=c2, meta=dict(meta))
+
+    return series
 
 
 def solve_volterra(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                    cfg: SolverConfig) -> TimeSeries:
     """Integrate the memory-kernel equations with trapezoid + Heun stepping.
+
+    One run of :func:`volterra_propagator`, read at ``init``.
+    """
+    return volterra_propagator(res, coup, cfg)(init)
+
+
+def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
+    """Build the Volterra step map once for this coupling; returns
+    ``init -> TimeSeries``.
 
     The history integral of the kernel ``w^2 e^{-lam tau}`` is carried by
     the O(1) recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which
@@ -224,13 +258,22 @@ def solve_volterra(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
         un = u + a1 * dx1 + a2 * dx2
         return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
 
-    c1, c2 = _amplitude_rows(increment, (init.c01, init.c02, 0.0), n)
-    return TimeSeries(tau=tau, c1=c1, c2=c2, meta={"solver": METHOD_VOLTERRA, "dt": dt})
+    return _linear_propagator(_amplitude_rows(increment, n), tau,
+                              {"solver": METHOD_VOLTERRA, "dt": dt})
 
 
 def solve_aux_ode(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                   cfg: SolverConfig) -> TimeSeries:
     """RK4 on the pseudo-mode reduction of the exponential kernel.
+
+    One run of :func:`aux_ode_propagator`, read at ``init``.
+    """
+    return aux_ode_propagator(res, coup, cfg)(init)
+
+
+def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
+    """Build the pseudomode RK4 step map once for this coupling; returns
+    ``init -> TimeSeries``.
 
     The RK4 step is a constant linear map on ``(c1, c2, z)``, applied
     through :func:`_amplitude_rows`.
@@ -255,10 +298,8 @@ def solve_aux_ode(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
                 (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
                 (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c))
 
-    c1, c2 = _amplitude_rows(increment, (init.c01, init.c02, 0.0), n)
-
-    return TimeSeries(tau=tau, c1=c1, c2=c2,
-                      meta={"solver": METHOD_AUX_ODE, "dt": dt})
+    return _linear_propagator(_amplitude_rows(increment, n), tau,
+                              {"solver": METHOD_AUX_ODE, "dt": dt})
 
 
 def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):

@@ -308,29 +308,51 @@ class TestSolverXcheck:
             else:
                 assert row[5] == ref[5]
 
-    def test_bath_runs_once_per_coupling(self, monkeypatch, tmp_path):
-        # one comb run per r1, whatever the number of initial states
+    @pytest.mark.parametrize("name, solver", [
+        ("volterra_propagator", "volterra"),
+        ("aux_ode_propagator", "ode"),
+        ("bath_propagator", "bath"),
+    ], ids=["volterra", "ode", "bath"])
+    def test_propagators_run_once_per_coupling(self, monkeypatch, tmp_path, name, solver):
+        # one run per solver and r1, whatever the number of initial states
         runs = []
-        real = scenarios.bath_propagator
+        real = getattr(scenarios, name)
 
         def counting(res, coup, cfg):
             runs.append(coup.r1)
             return real(res, coup, cfg)
 
-        monkeypatch.setattr(scenarios, "bath_propagator", counting)
+        monkeypatch.setattr(scenarios, name, counting)
         single = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
                                 s=(0.3,), tau_max=0.5)
         run_solver_xcheck(single)
         assert runs == pytest.approx([0.87])
         runs.clear()
-        run_solver_xcheck(dataclasses.replace(single, r1=(0.0, 0.87), s=()))
+        run_solver_xcheck(dataclasses.replace(single, r1=(0.0, 0.87), s=(0.0, 0.3)))
         assert runs == pytest.approx([0.0, 0.87])
         runs.clear()
-        code = main(["time-evolution", "--solver", "bath", "--big-r", "0.5",
+        code = main(["time-evolution", "--solver", solver, "--big-r", "0.5",
                      "--r1", "0.0,0.87", "--s", "0,0.3", "--tau-max", "0.5",
                      "--tau-steps", "11", "--out", str(tmp_path / "evo.csv")])
         assert code == 0
         assert runs == pytest.approx([0.0, 0.87])
+
+    def test_closed_form_once_per_solver_grid(self, monkeypatch):
+        # E(t) once per r1 on each solver's grid, not once per (s, solver)
+        grids = []
+        real = scenarios.survival_amplitude
+
+        def counting(res, coup, t):
+            grids.append((coup.r1, np.size(t)))
+            return real(res, coup, t)
+
+        monkeypatch.setattr(scenarios, "survival_amplitude", counting)
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.3, 0.87),
+                             s=(-1.0, 0.0, 0.3), tau_max=0.5)
+        assert run_solver_xcheck(cfg).meta["passed"] is True
+        # Volterra's grid (dt = 1e-4), then the ODE's and the bath's (1e-3)
+        assert [size for _, size in grids] == [5001, 501, 501] * 2
+        assert [r1 for r1, _ in grids] == pytest.approx([0.3] * 3 + [0.87] * 3)
 
     def test_incommensurate_steps_rejected(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,
@@ -616,6 +638,21 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"big_r = {float(big_r)!r}" in err
         assert f"more than the {scenarios.MAX_SOLVER_STEPS} " in err
+
+    @pytest.mark.parametrize("tau_max, steps", [(1e7, "1e+11"), (2000, "2e+07")])
+    def test_xcheck_past_step_ceiling_exits_2(self, tmp_path, capsys, tau_max, steps):
+        # xcheck had no ceiling: 1e7 asked numpy for the grid and exited 1
+        # with a traceback, 2000 ran at a 2 GB peak
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"include_bath": False, "tau_max": tau_max}))
+        assert main(["solver-xcheck", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "configuration error: the volterra solver needs " + steps + " steps" in err
+        assert f"big_r = 0.1 over tau_max = {tau_max!r}" in err
+        assert f"more than the {scenarios.MAX_SOLVER_STEPS} " in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_stationary_surface_at_huge_coupling(self, capsys):
         # big_r drops out of the stationary concurrence

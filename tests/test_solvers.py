@@ -11,6 +11,7 @@ from zeno_ent import (
     ReservoirSpec,
     ScenarioConfig,
     SolverConfig,
+    aux_ode_propagator,
     bath_propagator,
     closed_form_series,
     resonant_system,
@@ -19,6 +20,7 @@ from zeno_ent import (
     solve_aux_ode,
     solve_discretized_bath,
     solve_volterra,
+    volterra_propagator,
 )
 from zeno_ent import scenarios, solvers
 from zeno_ent.solvers import comb_recurrence_time, step_limit
@@ -160,6 +162,77 @@ class TestLinearMapEvaluation:
             assert series.c1[0] == init.c01 and series.c2[0] == init.c02
             np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-11)
             np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-11)
+
+
+def amplitude_rows_per_state(increment, y0, n):
+    """The blocked evaluation with one complex state carried through the
+    block loop, ``y_(j+1) = y_j + Q_K y_j``: the form in which the map
+    served a single initial state, kept as the oracle of the shared map."""
+    gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+    block = math.isqrt(n + 1)
+    count = -(-(n + 1) // block)
+    heads = np.empty((2, block, 3))
+    power = np.zeros((3, 3))
+    for i in range(block):
+        heads[:, i] = power[:2]
+        power += gen + gen @ power
+    states = np.empty((count, 3), dtype=complex)
+    y = np.array(y0, dtype=complex)
+    for j in range(count):
+        states[j] = y
+        y = y + power @ y
+    rows = []
+    for row, head in enumerate(heads):
+        out = states @ head.T
+        out += states[:, row:row + 1]
+        rows.append(out.reshape(-1)[:n + 1])
+    return tuple(rows)
+
+
+class TestPropagators:
+    """One Volterra or pseudomode-ODE map per coupling, read at several
+    initial states."""
+
+    INITS = [(-1.0, 0.0), (0.3, 0.7), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 99, 2500])
+    @pytest.mark.parametrize("big_r", [0.1, 10.0])
+    def test_each_state_matches_scalar_stepping(self, big_r, n):
+        res, coup = resonant_system(big_r, 0.87)
+        dt = 1e-3
+        cfg = SolverConfig(dt=dt, t_max=n * dt)
+        for propagator, reference in ((volterra_propagator, volterra_reference),
+                                      (aux_ode_propagator, aux_ode_reference)):
+            run = propagator(res, coup, cfg)
+            for s, phi in self.INITS:
+                init = InitialState.from_separability(s, phi)
+                series = run(init)
+                c1, c2 = reference(res, coup, init, dt, n)
+                assert series.c1.shape == series.tau.shape == (n + 1,)
+                assert series.c1[0] == init.c01 and series.c2[0] == init.c02
+                np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-11)
+                np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("big_r", [1e-3, 0.1, 0.5, 10.0, 24.0])
+    def test_shared_map_matches_per_state_blocks(self, monkeypatch, big_r):
+        maps = []
+        real = solvers._amplitude_rows
+
+        def recording(increment, n):
+            maps.append((increment, n))
+            return real(increment, n)
+
+        monkeypatch.setattr(solvers, "_amplitude_rows", recording)
+        res, coup = resonant_system(big_r, 0.87)
+        for propagator, dt in ((volterra_propagator, 1e-4), (aux_ode_propagator, 1e-3)):
+            run = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
+            increment, n = maps.pop()
+            for s, phi in self.INITS:
+                init = InitialState.from_separability(s, phi)
+                series = run(init)
+                c1, c2 = amplitude_rows_per_state(increment, (init.c01, init.c02, 0.0), n)
+                np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-14)
 
 
 class TestSolverConfig:
