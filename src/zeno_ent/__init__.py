@@ -41,10 +41,6 @@ from .solvers import (
     SolverConfig,
     aux_ode_propagator,
     bath_propagator,
-    sample_lorentzian_modes,
-    solve_aux_ode,
-    solve_discretized_bath,
-    solve_volterra,
     volterra_propagator,
 )
 from .zeno import (
@@ -89,11 +85,7 @@ __all__ = [
     "run_stationary_surface",
     "run_time_evolution",
     "run_zeno_compare",
-    "sample_lorentzian_modes",
     "simulate_stroboscopic",
-    "solve_aux_ode",
-    "solve_discretized_bath",
-    "solve_volterra",
     "stationary_concurrence",
     "stroboscopic_amplitudes",
     "survival_amplitude",

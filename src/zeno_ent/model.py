@@ -154,10 +154,6 @@ class CouplingSpec:
     def r2(self) -> float:
         return _relative_weights(self.alpha1, self.alpha2)[1]
 
-    def psi_plus(self) -> "InitialState":
-        """The super-radiant single-excitation state, fully reservoir-coupled."""
-        return InitialState(complex(self.r1), complex(self.r2))
-
     def psi_minus(self) -> "InitialState":
         """The sub-radiant (decoherence-free) single-excitation state."""
         return InitialState(complex(self.r2), complex(-self.r1))
@@ -349,22 +345,14 @@ class TimeSeries:
     def norm_sq(self) -> np.ndarray:
         return np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2
 
-    def as_table(self) -> np.ndarray:
-        """Plain (t, Re c1, Im c1, Re c2, Im c2) table."""
-        return np.column_stack([
-            self.tau,
-            self.c1.real, self.c1.imag,
-            self.c2.real, self.c2.imag,
-        ])
 
-
-def resonant_system(big_r: float, r1: float, lam: float = 1.0):
-    """Reservoir/coupling pair with linewidth ``lam`` and ratio ``big_r = rabi/lam``.
+def resonant_system(big_r: float, r1: float):
+    """Reservoir/coupling pair with unit linewidth and ratio ``big_r = rabi/lam``.
 
     Convenience constructor for the dimensionless convention used throughout:
-    with the default ``lam = 1`` all times are in units of the memory time.
+    with ``lam = 1`` all times are in units of the memory time.
     """
-    res = ReservoirSpec(w=lam, lam=lam)
+    res = ReservoirSpec(w=1.0, lam=1.0)
     coup = CouplingSpec.from_relative(alpha_t=big_r, r1=r1)
     return res, coup
 

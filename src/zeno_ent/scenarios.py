@@ -36,10 +36,9 @@ from .model import (
 )
 from .search import coordinate_refine_max, grid_refine_max
 from .solvers import (
-    METHOD_AUX_ODE,
-    METHOD_BATH,
-    METHOD_VOLTERRA,
+    SOLVER_NAMES,
     SolverConfig,
+    _check_comb,
     aux_ode_propagator,
     bath_propagator,
     step_limit,
@@ -65,7 +64,7 @@ __all__ = [
 ]
 
 SCENARIOS = ("stationary-surface", "time-evolution", "zeno-compare", "solver-xcheck")
-SOLVERS = ("closed", "volterra", "ode", "bath")
+SOLVERS = ("closed",) + SOLVER_NAMES
 
 # max |amplitude| deviation from the closed form at the reference steps below
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
@@ -106,7 +105,10 @@ class ScenarioConfig:
     in either scenario: e.g. the ``ode`` solver of ``time-evolution`` at
     ``big_r = 1e12``, whose step is refined to the coupling, or
     ``solver-xcheck`` at ``tau_max = 2000``, where Volterra's ``dt = 1e-4``
-    would take 2e7 steps.  Refusals exit 2 on the command line.
+    would take 2e7 steps.  So is a ``tau_steps`` above
+    ``MAX_SOLVER_STEPS + 1``, which no numeric curve could reach, and a
+    comb of more than :data:`~zeno_ent.solvers.MAX_MODES` modes.  Refusals
+    exit 2 on the command line.
     """
 
     scenario: str
@@ -121,8 +123,8 @@ class ScenarioConfig:
     dt_volterra: float = 1e-4
     dt_ode: float = 1e-3
     dt_bath: float = 1e-3
-    n_modes: int = 2000
-    freq_window: float = 20.0
+    n_modes: int = SolverConfig.n_modes
+    freq_window: float = SolverConfig.freq_window
     include_bath: bool = True
 
     def __post_init__(self):
@@ -158,8 +160,9 @@ class ScenarioConfig:
             raise ValueError("phi must be finite")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0.0):
             raise ValueError(f"tau_max must be positive, got {self.tau_max!r}")
-        if self.tau_steps < 2:
-            raise ValueError(f"tau_steps must be >= 2, got {self.tau_steps!r}")
+        if not 2 <= self.tau_steps <= MAX_SOLVER_STEPS + 1:
+            raise ValueError(f"tau_steps must be between 2 and {MAX_SOLVER_STEPS + 1}, "
+                             f"got {self.tau_steps!r}")
         for v in self.meas_intervals:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"measurement intervals must be positive, got {v!r}")
@@ -167,10 +170,7 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes!r}")
-        if not (math.isfinite(self.freq_window) and self.freq_window > 0.0):
-            raise ValueError(f"freq_window must be positive, got {self.freq_window!r}")
+        _check_comb(self.n_modes, self.freq_window)
 
     def r1_axis(self) -> tuple[float, ...]:
         if self.r1:
@@ -247,13 +247,6 @@ def _grid_tau(cfg: ScenarioConfig) -> np.ndarray:
 
 def _init_state(cfg: ScenarioConfig, s: float) -> InitialState:
     return InitialState.from_separability(s, cfg.phi)
-
-
-def _solver_dt(cfg: ScenarioConfig, solver: str) -> float:
-    return {"volterra": cfg.dt_volterra, "ode": cfg.dt_ode, "bath": cfg.dt_bath}[solver]
-
-
-_METHODS = {"volterra": METHOD_VOLTERRA, "ode": METHOD_AUX_ODE, "bath": METHOD_BATH}
 
 
 def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
@@ -344,8 +337,8 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
     # a step that divides the output spacing, so no interpolation is needed
     dtau = tau[1] - tau[0]
-    limit = step_limit(res, coup, _METHODS[solver], cfg.freq_window)
-    k = _substeps(float(dtau), _solver_dt(cfg, solver), limit)
+    limit = step_limit(res, coup, solver, cfg.freq_window)
+    k = _substeps(float(dtau), getattr(cfg, f"dt_{solver}"), limit)
     run = _propagator(cfg, solver, res, coup, dtau / k)
     return lambda init: run(init).concurrence()[::k]
 
@@ -422,7 +415,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     all_ok = True
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        runs = {name: _propagator(cfg, name, res, coup, _solver_dt(cfg, name))
+        runs = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
                 for name in solvers}
         curves = {}
         for s in cfg.s_axis():

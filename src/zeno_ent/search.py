@@ -10,9 +10,14 @@ __all__ = ["golden_section_max", "grid_refine_max", "coordinate_refine_max"]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# bracket width at which golden-section refinement stops, and the sweeps of
+# the 2-d refinement
+TOL = 1e-4
+SWEEPS = 3
 
-def golden_section_max(f, a: float, b: float, tol: float = 1e-4):
-    """Maximum of a unimodal ``f`` on [a, b] to within ``tol`` in x.
+
+def golden_section_max(f, a: float, b: float):
+    """Maximum of a unimodal ``f`` on [a, b] to within :data:`TOL` in x.
 
     Returns ``(x, f(x))``. Deterministic iteration count from the interval
     shrink factor.
@@ -20,10 +25,10 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-4):
     if b < a:
         a, b = b, a
     h = b - a
-    if h <= tol:
+    if h <= TOL:
         x = 0.5 * (a + b)
         return x, f(x)
-    n = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
+    n = int(math.ceil(math.log(TOL / h) / math.log(INV_PHI)))
     c = b - INV_PHI * h
     d = a + INV_PHI * h
     fc, fd = f(c), f(d)
@@ -43,7 +48,7 @@ def golden_section_max(f, a: float, b: float, tol: float = 1e-4):
     return d, fd
 
 
-def grid_refine_max(f, xs, values, tol: float = 1e-4):
+def grid_refine_max(f, xs, values):
     """Coarse argmax of ``values``, which holds ``f`` on the grid ``xs``,
     then golden refinement of ``f`` between the neighbouring grid points."""
     xs = np.asarray(xs, dtype=float)
@@ -51,7 +56,7 @@ def grid_refine_max(f, xs, values, tol: float = 1e-4):
     i = int(np.argmax(values))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
-    x, fx = golden_section_max(f, float(lo), float(hi), tol=tol)
+    x, fx = golden_section_max(f, float(lo), float(hi))
     # the refined point can only improve on the grid point
     if values[i] > fx:
         return float(xs[i]), float(values[i])
@@ -59,19 +64,20 @@ def grid_refine_max(f, xs, values, tol: float = 1e-4):
 
 
 def coordinate_refine_max(f, x0: float, y0: float, dx: float, dy: float,
-                          bounds_x, bounds_y, tol: float = 1e-4, sweeps: int = 3):
-    """Alternating golden-section sweeps around ``(x0, y0)`` for a 2-d maximum.
+                          bounds_x, bounds_y):
+    """:data:`SWEEPS` alternating golden-section sweeps around ``(x0, y0)``
+    for a 2-d maximum.
 
     ``dx``/``dy`` set the initial bracket half-widths (one coarse-grid cell);
     each sweep narrows one coordinate with the other held fixed.
     """
     x, y = float(x0), float(y0)
     fxy = f(x, y)
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         lo = max(bounds_x[0], x - dx)
         hi = min(bounds_x[1], x + dx)
-        x, fxy = golden_section_max(lambda u: f(u, y), lo, hi, tol=tol)
+        x, fxy = golden_section_max(lambda u: f(u, y), lo, hi)
         lo = max(bounds_y[0], y - dy)
         hi = min(bounds_y[1], y + dy)
-        y, fxy = golden_section_max(lambda v: f(x, v), lo, hi, tol=tol)
+        y, fxy = golden_section_max(lambda v: f(x, v), lo, hi)
     return x, y, fxy

@@ -4,21 +4,22 @@ Three integrators check the closed form from :mod:`zeno_ent.model` without
 sharing any of its algebra.  Each is a propagator, ``(res, coup, cfg) ->
 (init -> TimeSeries)``, over the Lorentzian reservoir, whose memory kernel
 is ``f(tau) = w^2 e^{-lam tau}``, the couplings and a :class:`SolverConfig`.
-It does its work once per coupling and serves any number of initial states
-from it; ``solve_*(res, coup, init, cfg)`` is one propagator read at one
-initial state.
+The propagator is the one entry point of its solver: it does its work once
+per coupling and serves any number of initial states from it.  Each solver
+has one name, in :data:`SOLVER_NAMES`, which :func:`step_limit` takes and
+``TimeSeries.meta["solver"]`` carries:
 
-* ``volterra_propagator`` (``solve_volterra``) -- the memory-kernel
+* ``"volterra"``, :func:`volterra_propagator` -- the memory-kernel
   integro-differential equations
   ``cj' = -int_0^t f(t-s) [alphaj^2 cj(s) + alphaj alphak ck(s)] ds``
   stepped with a trapezoidal quadrature and a Heun predictor-corrector
   (global error O(dt^2)).
-* ``aux_ode_propagator`` (``solve_aux_ode``) -- the memory integral
+* ``"ode"``, :func:`aux_ode_propagator` -- the memory integral
   ``z(t) = int_0^t w^2 e^{-lam (t-s)} (alpha1 c1 + alpha2 c2) ds`` obeys
   ``z' = -lam z + w^2 (alpha1 c1 + alpha2 c2)``, turning the system into
   three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
-* ``bath_propagator`` (``solve_discretized_bath``) -- brute force: the
-  Lorentzian reservoir is sampled on a uniform frequency comb and the full
+* ``"bath"``, :func:`bath_propagator` -- brute force: the Lorentzian
+  reservoir is sampled on a uniform frequency comb and the full
   (2 + n_modes)-amplitude Schroedinger system is integrated with RK4.
   Fewest assumptions.
 
@@ -54,22 +55,21 @@ import numpy as np
 from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
 
 __all__ = [
+    "MAX_MODES",
+    "SOLVER_NAMES",
     "SolverConfig",
     "aux_ode_propagator",
     "bath_propagator",
     "comb_recurrence_time",
-    "sample_lorentzian_modes",
-    "solve_aux_ode",
-    "solve_discretized_bath",
-    "solve_volterra",
     "step_limit",
     "volterra_propagator",
 ]
 
-METHOD_VOLTERRA = "trapezoid-volterra"
-METHOD_AUX_ODE = "aux-ode-rk4"
-METHOD_BATH = "bath-rk4"
-METHODS = (METHOD_VOLTERRA, METHOD_AUX_ODE, METHOD_BATH)
+SOLVER_NAMES = ("volterra", "ode", "bath")
+
+# most modes a bath comb may hold: a 10k-step run at the ceiling takes about
+# 1.6 s on a 2-core x86 host (2000 modes take 0.05 s)
+MAX_MODES = 20_000
 
 # the bath's spectral run: elements per work array (512 kB of floats) and
 # the cap on root iterations
@@ -85,15 +85,19 @@ class SolverConfig:
     the comb covers ``omega0 +- K*max(lam, rabi)`` with ``K = freq_window``,
     i.e. K units of the fastest rate, so it always reaches past the
     vacuum-Rabi splitting.  For ``rabi <= lam`` that is ``omega0 +- K*lam``.
+    The defaults, 2000 modes over ``K = 20``, are the comb every scenario
+    runs; at ``dt = 1e-3`` a run to ``t_max = 10`` stays within the
+    cross-check's bath budget (1e-3) up to ``R = 24``.  A comb of more than
+    :data:`MAX_MODES` (20000) modes is refused before anything is allocated.
     ``dt``, ``t_max`` and ``freq_window`` are stored as Python floats, so
-    numpy scalars passed in neither slow the scalar stepping loops nor leak
-    into messages.
+    numpy scalars passed in neither change the arithmetic nor leak into
+    messages.
     """
 
     dt: float
     t_max: float
-    n_modes: int = 200
-    freq_window: float = 10.0
+    n_modes: int = 2000
+    freq_window: float = 20.0
 
     def __post_init__(self):
         for name in ("dt", "t_max", "freq_window"):
@@ -108,12 +112,12 @@ class SolverConfig:
 
 
 def _check_comb(n_modes, freq_window) -> int:
-    """Refuse a comb that is not a positive integer count of modes over a
+    """Refuse a comb that is not 1 to :data:`MAX_MODES` modes over a
     positive, finite window; returns the count as an ``int``."""
     if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral):
         raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes!r}")
+    if not 1 <= n_modes <= MAX_MODES:
+        raise ValueError(f"n_modes must be between 1 and {MAX_MODES}, got {n_modes!r}")
     if not (math.isfinite(freq_window) and freq_window > 0.0):
         raise ValueError(f"freq_window must be positive and finite, got {freq_window!r}")
     return int(n_modes)
@@ -143,23 +147,22 @@ def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
     return 2.0 * math.pi / dw
 
 
-def step_limit(res: ReservoirSpec, coup: CouplingSpec, method: str,
+def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str,
                freq_window: float) -> float:
-    """Steps strictly below ``1 / (2 * fastest rate)`` pass ``method``'s
+    """Steps strictly below ``1 / (2 * fastest rate)`` pass ``solver``'s
     resolution check.  The rates are the memory decay ``lam`` and the
     vacuum-Rabi frequency; only the bath, whose band edge counts as a rate,
-    reads ``freq_window``.  ``method`` is one of :data:`METHODS`."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")
+    reads ``freq_window``.  ``solver`` is one of :data:`SOLVER_NAMES`."""
+    if solver not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {solver!r}; pick one of {', '.join(SOLVER_NAMES)}")
     rates = [res.lam, coup.alpha_t * res.w]
-    if method == METHOD_BATH:
+    if solver == "bath":
         rates.append(_comb_window(res, coup, freq_window) * res.lam)
     return 1.0 / (2.0 * max(rates))
 
 
 def _grid(cfg: SolverConfig):
-    n = int(round(cfg.t_max / cfg.dt))
-    n = max(n, 1)
+    n = max(int(round(cfg.t_max / cfg.dt)), 1)
     return n, np.arange(n + 1) * cfg.dt
 
 
@@ -207,23 +210,22 @@ def _amplitude_rows(increment, n: int):
     return rows
 
 
-def _linear_propagator(rows, tau, meta):
-    """``init -> TimeSeries`` from the map of :func:`_amplitude_rows`, with
-    the memory variable starting at 0."""
+def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
+                       cfg: SolverConfig, increment):
+    """``init -> TimeSeries`` of a three-amplitude solver whose step is
+    ``y -> y + increment(y)``: checks the step against :func:`step_limit`,
+    builds the map of :func:`_amplitude_rows` on the grid of ``cfg`` and
+    reads each initial state off it, with the memory variable at 0."""
+    _check_resolution(cfg.dt, step_limit(res, coup, solver, cfg.freq_window))
+    n, tau = _grid(cfg)
+    rows = _amplitude_rows(increment, n)
+    meta = {"solver": solver, "dt": cfg.dt}
+
     def series(init: InitialState) -> TimeSeries:
         c1, c2 = rows((init.c01, init.c02, 0.0))
         return TimeSeries(tau=tau, c1=c1, c2=c2, meta=dict(meta))
 
     return series
-
-
-def solve_volterra(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
-                   cfg: SolverConfig) -> TimeSeries:
-    """Integrate the memory-kernel equations with trapezoid + Heun stepping.
-
-    One run of :func:`volterra_propagator`, read at ``init``.
-    """
-    return volterra_propagator(res, coup, cfg)(init)
 
 
 def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -233,13 +235,10 @@ def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfi
     The history integral of the kernel ``w^2 e^{-lam tau}`` is carried by
     the O(1) recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which
     reproduces the composite trapezoid sum over the whole history exactly,
-    so the step is a constant linear map on ``(c1, c2, m)`` and is applied
-    through :func:`_amplitude_rows`.  Global error is O(dt^2).
+    so the step is a constant linear map on ``(c1, c2, m)``, stepped with
+    trapezoid + Heun.  Global error is O(dt^2).
     """
-    _check_resolution(cfg.dt, step_limit(res, coup, METHOD_VOLTERRA, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
-    n, tau = _grid(cfg)
-
     dt = cfg.dt
     decay_m1 = math.expm1(-res.lam * dt)
     decay = 1.0 + decay_m1
@@ -258,32 +257,19 @@ def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfi
         un = u + a1 * dx1 + a2 * dx2
         return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
 
-    return _linear_propagator(_amplitude_rows(increment, n), tau,
-                              {"solver": METHOD_VOLTERRA, "dt": dt})
-
-
-def solve_aux_ode(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
-                  cfg: SolverConfig) -> TimeSeries:
-    """RK4 on the pseudo-mode reduction of the exponential kernel.
-
-    One run of :func:`aux_ode_propagator`, read at ``init``.
-    """
-    return aux_ode_propagator(res, coup, cfg)(init)
+    return _linear_propagator("volterra", res, coup, cfg, increment)
 
 
 def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     """Build the pseudomode RK4 step map once for this coupling; returns
     ``init -> TimeSeries``.
 
-    The RK4 step is a constant linear map on ``(c1, c2, z)``, applied
-    through :func:`_amplitude_rows`.
+    The RK4 step on the pseudo-mode reduction of the exponential kernel is
+    a constant linear map on ``(c1, c2, z)``.
     """
-    _check_resolution(cfg.dt, step_limit(res, coup, METHOD_AUX_ODE, cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
     lam = res.lam
     wsq = res.w**2
-    n, tau = _grid(cfg)
-
     dt = cfg.dt
 
     def increment(x1, x2, z):
@@ -298,44 +284,25 @@ def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig
                 (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
                 (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c))
 
-    return _linear_propagator(_amplitude_rows(increment, n), tau,
-                              {"solver": METHOD_AUX_ODE, "dt": dt})
+    return _linear_propagator("ode", res, coup, cfg, increment)
 
 
 def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
-    """Offsets from ``omega0`` and couplings of the comb; see
-    :func:`sample_lorentzian_modes`.  The offsets are exactly antisymmetric,
-    ``offsets == -offsets[::-1]``, and the couplings exactly symmetric."""
+    """Uniform midpoint comb over ``[omega0 - K lam, omega0 + K lam]``.
+
+    Returns the mode offsets from ``omega0`` and the couplings ``g`` as
+    arrays, with ``g_k**2 = J(omega0 + offset_k) * dω``.  The offsets are
+    built in detuning coordinates and are exactly antisymmetric,
+    ``offsets == -offsets[::-1]``, and the couplings exactly symmetric.  An
+    even comb has no mode at omega0; an odd comb puts its centre mode
+    exactly there (``n_modes = 3`` gives offsets ``-2/3, 0, 2/3`` in units
+    of ``K lam``), and :func:`bath_propagator` carries it with weight 1
+    beside the mirror pairs.
+    """
     n_modes = _check_comb(n_modes, freq_window)
     dw = 2.0 * (freq_window * res.lam) / n_modes
     offsets = (np.arange(n_modes) - (n_modes - 1) / 2.0) * dw
     return offsets, np.sqrt(res.detuned_density(offsets) * dw)
-
-
-def sample_lorentzian_modes(res: ReservoirSpec, n_modes: int, freq_window: float):
-    """Uniform midpoint comb over ``[omega0 - K lam, omega0 + K lam]``.
-
-    Returns the mode frequencies and couplings ``(omegas, g)`` as arrays.
-    Couplings follow ``g_k**2 = J(omega_k) * dω``.  The comb is mirrored
-    exactly about resonance: its offsets from omega0 are built in detuning
-    coordinates, so mode ``-k`` sits at minus the offset of mode ``k`` and
-    has the same coupling.  An even comb has no mode at omega0; an odd comb
-    puts its centre mode exactly there (``n_modes = 3`` gives offsets
-    ``-2/3, 0, 2/3`` in units of ``K lam``), and :func:`bath_propagator`
-    carries it with weight 1 beside the mirror pairs.
-    """
-    offsets, g = _comb(res, n_modes, freq_window)
-    return res.omega0 + offsets, g
-
-
-def solve_discretized_bath(res: ReservoirSpec, coup: CouplingSpec, init: InitialState,
-                           cfg: SolverConfig) -> TimeSeries:
-    """RK4 on the full qubit-pair + sampled-reservoir amplitude system.
-
-    One run of :func:`bath_propagator`, read at ``init``; see there for the
-    comb, the step and the metadata.
-    """
-    return bath_propagator(res, coup, cfg)(init)
 
 
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -387,7 +354,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"{recurrence:.6g} (2*pi/d_omega for {cfg.n_modes} modes at "
             f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
-    _check_resolution(cfg.dt, step_limit(res, coup, METHOD_BATH, cfg.freq_window))
+    _check_resolution(cfg.dt, step_limit(res, coup, "bath", cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
     n, tau = _grid(cfg)
@@ -414,7 +381,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     nu = scale * ab - sigma * (2.0 + asq * sigma)
 
     meta = {
-        "solver": METHOD_BATH,
+        "solver": "bath",
         "dt": cfg.dt,
         "n_modes": cfg.n_modes,
         "freq_window": cfg.freq_window,

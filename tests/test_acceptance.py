@@ -23,6 +23,8 @@ from zeno_ent import (
     ScenarioConfig,
     SolverConfig,
     amplitudes_at,
+    aux_ode_propagator,
+    bath_propagator,
     concurrence_closed,
     concurrence_measured,
     concurrence_wootters,
@@ -32,11 +34,9 @@ from zeno_ent import (
     resonant_system,
     run_solver_xcheck,
     run_time_evolution,
-    solve_aux_ode,
-    solve_discretized_bath,
-    solve_volterra,
     stationary_concurrence,
     survival_amplitude,
+    volterra_propagator,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -134,14 +134,14 @@ def test_criterion_04_revival_count():
         ok = ok and n_max >= 3 and math.isfinite(ref)
         details.append(f"r1={r1:g}: {n_max} maxima (>=3), first revival {ref:.4f}")
         numeric = {
-            "volterra": solve_volterra(res, coup, init,
-                                       SolverConfig(dt=1e-4, t_max=2.0)),
-            "ode": solve_aux_ode(res, coup, init,
-                                 SolverConfig(dt=1e-3, t_max=2.0)),
-            "bath": solve_discretized_bath(res, coup, init,
-                                           SolverConfig(dt=1e-3, t_max=2.0,
-                                                        n_modes=2000,
-                                                        freq_window=20.0)),
+            "volterra": volterra_propagator(res, coup,
+                                            SolverConfig(dt=1e-4, t_max=2.0))(init),
+            "ode": aux_ode_propagator(res, coup,
+                                      SolverConfig(dt=1e-3, t_max=2.0))(init),
+            "bath": bath_propagator(res, coup,
+                                    SolverConfig(dt=1e-3, t_max=2.0,
+                                                 n_modes=2000,
+                                                 freq_window=20.0))(init),
         }
         for name, series in numeric.items():
             got = _first_revival(series.concurrence())
@@ -206,7 +206,7 @@ def test_criterion_05_weak_coupling_monotonicity():
 def test_criterion_06_markov_decay_rate():
     res, coup = resonant_system(0.05, 1.0)
     init = InitialState.from_separability(-1.0)
-    series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-2, t_max=60.0))
+    series = aux_ode_propagator(res, coup, SolverConfig(dt=1e-2, t_max=60.0))(init)
     window = series.tau >= 10.0
     e_sq = np.abs(series.c1[window]) ** 2
     slope = np.polyfit(series.tau[window], np.log(e_sq), 1)[0]
@@ -340,7 +340,7 @@ def test_criterion_10_invariant_suite():
     closed = closed_form_series(res, coup, dark, tau)
     drift = max(float(np.max(np.abs(closed.c1 - closed.c1[0]))),
                 float(np.max(np.abs(closed.c2 - closed.c2[0]))))
-    numeric = solve_volterra(res, coup, dark, SolverConfig(dt=1e-3, t_max=5.0))
+    numeric = volterra_propagator(res, coup, SolverConfig(dt=1e-3, t_max=5.0))(dark)
     drift = max(drift,
                 float(np.max(np.abs(numeric.c1 - numeric.c1[0]))),
                 float(np.max(np.abs(numeric.c2 - numeric.c2[0]))))

@@ -19,6 +19,7 @@ from zeno_ent import (
     ScenarioResult,
     SolverConfig,
     amplitudes_at,
+    aux_ode_propagator,
     closed_form_series,
     concurrence_closed,
     find_optimum,
@@ -27,10 +28,9 @@ from zeno_ent import (
     run_stationary_surface,
     run_time_evolution,
     run_zeno_compare,
-    solve_aux_ode,
-    solve_volterra,
     stationary_concurrence,
     stroboscopic_amplitudes,
+    volterra_propagator,
     write_result,
 )
 from zeno_ent import scenarios, search
@@ -207,7 +207,7 @@ class TestTimeEvolution:
             for big_r in np.geomspace(1e-3, 1e5, 97).tolist() + [24.0, 25.0, 40.0]:
                 res, coup = resonant_system(big_r, 0.5)
                 for solver, base in (("volterra", 1e-4), ("ode", 1e-3), ("bath", 1e-3)):
-                    limit = step_limit(res, coup, scenarios._METHODS[solver], 20.0)
+                    limit = step_limit(res, coup, solver, 20.0)
                     cases.append((dtau, base, limit))
             # quotients within a few ulps of an integer, where rounding decides
             for n in np.unique(np.geomspace(1, 10**6, 200).astype(int)).tolist():
@@ -374,8 +374,8 @@ class TestSolverXcheck:
                    if r[2:4] == ["volterra", "ode"])
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(0.0)
-        sv = solve_volterra(res, coup, init, SolverConfig(dt=1e-4, t_max=10.0))
-        so = solve_aux_ode(res, coup, init, SolverConfig(dt=7e-4, t_max=10.0))
+        sv = volterra_propagator(res, coup, SolverConfig(dt=1e-4, t_max=10.0))(init)
+        so = aux_ode_propagator(res, coup, SolverConfig(dt=7e-4, t_max=10.0))(init)
         assert so.tau.size == 14287
         n = 14286
         gap = max(float(np.max(np.abs(sv.c1[::7][:n] - so.c1[:n]))),
@@ -652,6 +652,31 @@ class TestCliMain:
         assert "configuration error: the volterra solver needs " + steps + " steps" in err
         assert f"big_r = 0.1 over tau_max = {tau_max!r}" in err
         assert f"more than the {scenarios.MAX_SOLVER_STEPS} " in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("scenario", ["time-evolution", "zeno-compare"])
+    def test_tau_steps_past_ceiling_exits_2(self, capsys, scenario):
+        # numpy was asked for the grid and exited 1 with an ArrayMemoryError
+        assert main([scenario, "--tau-steps", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("configuration error: tau_steps must be between 2 and "
+                f"{scenarios.MAX_SOLVER_STEPS + 1}, got 1000000000000") in err
+        ScenarioConfig(scenario=scenario, tau_steps=scenarios.MAX_SOLVER_STEPS + 1)
+        with pytest.raises(ValueError, match="tau_steps must be between"):
+            find_optimum("transient", ScenarioConfig(
+                scenario=scenario, tau_steps=scenarios.MAX_SOLVER_STEPS + 2))
+
+    def test_comb_past_mode_ceiling_exits_2(self, tmp_path, capsys):
+        # numpy was asked for the comb and exited 1 with an ArrayMemoryError
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_modes": 1000000000000}))
+        assert main(["solver-xcheck", "--big-r", "0.5", "--r1", "0.5", "--s", "0",
+                     "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("configuration error: n_modes must be between 1 and 20000, "
+                "got 1000000000000") in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_stationary_surface_at_huge_coupling(self, capsys):

@@ -16,14 +16,11 @@ from zeno_ent import (
     closed_form_series,
     resonant_system,
     run_solver_xcheck,
-    sample_lorentzian_modes,
-    solve_aux_ode,
-    solve_discretized_bath,
-    solve_volterra,
     volterra_propagator,
 )
 from zeno_ent import scenarios, solvers
-from zeno_ent.solvers import comb_recurrence_time, step_limit
+from zeno_ent.cli import build_parser
+from zeno_ent.solvers import SOLVER_NAMES, comb_recurrence_time, step_limit
 
 
 def max_gap(series, res, coup, init):
@@ -39,9 +36,8 @@ def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
 def rk4_bath_reference(res, coup, init, cfg):
     """Stage-vector RK4 (k1..k4) on the comb, the textbook form of the bath step."""
     rabi = coup.alpha_t * res.w
-    omegas, g = sample_lorentzian_modes(res, cfg.n_modes,
-                                        cfg.freq_window * max(1.0, rabi / res.lam))
-    idelta = 1j * (res.omega0 - omegas)
+    offsets, g = solvers._comb(res, cfg.n_modes, cfg.freq_window * max(1.0, rabi / res.lam))
+    idelta = -1j * offsets
     a1, a2 = coup.alpha1, coup.alpha2
 
     def rhs(y):
@@ -154,9 +150,9 @@ class TestLinearMapEvaluation:
         res, coup = resonant_system(big_r, r1)
         init = InitialState.from_separability(0.3, 0.7)
         dt = 1e-3
-        for solve, reference in ((solve_volterra, volterra_reference),
-                                 (solve_aux_ode, aux_ode_reference)):
-            series = solve(res, coup, init, SolverConfig(dt=dt, t_max=n * dt))
+        for propagator, reference in ((volterra_propagator, volterra_reference),
+                                      (aux_ode_propagator, aux_ode_reference)):
+            series = propagator(res, coup, SolverConfig(dt=dt, t_max=n * dt))(init)
             c1, c2 = reference(res, coup, init, dt, n)
             assert series.c1.shape == series.tau.shape == (n + 1,)
             assert series.c1[0] == init.c01 and series.c2[0] == init.c02
@@ -245,11 +241,11 @@ class TestSolverConfig:
     def test_float64_step_gives_identical_output(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.3, 0.7)
-        for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
-            # 100 modes keep the comb's recurrence (3.14) past the horizon
-            plain = solve(res, coup, init, SolverConfig(dt=1e-3, t_max=2.0, n_modes=100))
-            wide = solve(res, coup, init,
-                         SolverConfig(dt=np.float64(1e-3), t_max=2.0, n_modes=100))
+        for propagator in (volterra_propagator, aux_ode_propagator, bath_propagator):
+            # 200 modes keep the comb's recurrence (3.14) past the horizon
+            plain = propagator(res, coup, SolverConfig(dt=1e-3, t_max=2.0, n_modes=200))(init)
+            wide = propagator(res, coup,
+                              SolverConfig(dt=np.float64(1e-3), t_max=2.0, n_modes=200))(init)
             assert np.array_equal(plain.c1, wide.c1)
             assert np.array_equal(plain.c2, wide.c2)
 
@@ -257,7 +253,7 @@ class TestSolverConfig:
         res, coup = resonant_system(25.0, 0.87)
         init = InitialState.from_separability(0.0)
         with pytest.raises(ValueError, match=r"^dt = 0\.001 under-resolves"):
-            solve_discretized_bath(res, coup, init, bath_cfg(np.float64(1e-3), 1.0))
+            bath_propagator(res, coup, bath_cfg(np.float64(1e-3), 1.0))(init)
 
     @pytest.mark.parametrize("n_modes", [2.5, True, "50", 50.0])
     def test_rejects_non_integer_mode_count(self, n_modes):
@@ -266,6 +262,26 @@ class TestSolverConfig:
 
     def test_numpy_mode_count_stored_as_int(self):
         assert type(SolverConfig(dt=1e-3, t_max=1.0, n_modes=np.int64(50)).n_modes) is int
+
+    def test_rejects_comb_past_mode_ceiling(self):
+        assert SolverConfig(dt=1e-3, t_max=1.0, n_modes=solvers.MAX_MODES).n_modes == 20000
+        for n_modes in (solvers.MAX_MODES + 1, 10**12):
+            with pytest.raises(ValueError, match=r"n_modes must be between 1 and 20000, "
+                                                 f"got {n_modes}$"):
+                SolverConfig(dt=1e-3, t_max=1.0, n_modes=n_modes)
+
+    def test_default_comb_within_bath_budget(self):
+        # the bare defaults are the scenarios' comb, which reaches tau = 10
+        # at R = 10 before it recurs
+        cfg = SolverConfig(dt=1e-3, t_max=10.0)
+        assert (cfg.n_modes, cfg.freq_window) == (2000, 20.0)
+        config = ScenarioConfig(scenario="solver-xcheck")
+        assert (config.n_modes, config.freq_window) == (cfg.n_modes, cfg.freq_window)
+        for big_r in (0.5, 10.0):
+            res, coup = resonant_system(big_r, 0.87)
+            init = InitialState.from_separability(0.0)
+            series = bath_propagator(res, coup, cfg)(init)
+            assert max_gap(series, res, coup, init) <= scenarios.XCHECK_TOLERANCES["bath"]
 
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
@@ -277,29 +293,29 @@ class TestSolverConfig:
         # dt = 0.5 cannot resolve a decade-fast coupling
         res, coup = resonant_system(10.0, 0.5)
         init = InitialState.from_separability(0.0)
-        for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
+        for propagator in (volterra_propagator, aux_ode_propagator, bath_propagator):
             with pytest.raises(ValueError, match="under-resolves"):
-                solve(res, coup, init, bath_cfg(0.5, 5.0))
+                propagator(res, coup, bath_cfg(0.5, 5.0))(init)
 
 
 class TestVolterra:
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(1.0)
-        series = solve_volterra(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
+        series = volterra_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0))(init)
         assert max_gap(series, res, coup, init) < 1e-5
 
     def test_reference_accuracy_strong_coupling(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_volterra(res, coup, init, SolverConfig(dt=1e-4, t_max=10.0))
+        series = volterra_propagator(res, coup, SolverConfig(dt=1e-4, t_max=10.0))(init)
         assert max_gap(series, res, coup, init) < 1e-5
 
     def test_second_order_convergence(self):
         # halving dt divides the error by ~4
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        gaps = [max_gap(solve_volterra(res, coup, init, SolverConfig(dt=dt, t_max=2.0)),
+        gaps = [max_gap(volterra_propagator(res, coup, SolverConfig(dt=dt, t_max=2.0))(init),
                         res, coup, init)
                 for dt in (1.6e-2, 8e-3, 4e-3)]
         assert 3.6 < gaps[0] / gaps[1] < 4.4
@@ -308,7 +324,7 @@ class TestVolterra:
     def test_subradiant_state_exactly_constant(self):
         res, coup = resonant_system(2.0, 0.7)
         init = coup.psi_minus()
-        series = solve_volterra(res, coup, init, SolverConfig(dt=1e-3, t_max=5.0))
+        series = volterra_propagator(res, coup, SolverConfig(dt=1e-3, t_max=5.0))(init)
         np.testing.assert_allclose(series.c1, init.c01, atol=1e-12)
         np.testing.assert_allclose(series.c2, init.c02, atol=1e-12)
 
@@ -319,7 +335,7 @@ class TestVolterra:
         init = InitialState.from_separability(-0.5, 1.0)
         dt, t_max = 1e-3, 2.0
         n = int(round(t_max / dt))
-        fast = solve_volterra(res, coup, init, SolverConfig(dt=dt, t_max=t_max))
+        fast = volterra_propagator(res, coup, SolverConfig(dt=dt, t_max=t_max))(init)
         c1, c2 = volterra_full_history(res.memory_kernel(np.arange(n + 1) * dt),
                                        coup, init, dt, n)
         np.testing.assert_allclose(c1, fast.c1, atol=1e-10)
@@ -330,19 +346,19 @@ class TestAuxOde:
     def test_reference_accuracy(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(1.0)
-        series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
+        series = aux_ode_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0))(init)
         assert max_gap(series, res, coup, init) < 1e-6
 
     def test_reference_accuracy_strong_coupling(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
+        series = aux_ode_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0))(init)
         assert max_gap(series, res, coup, init) < 1e-6
 
     def test_fourth_order_convergence(self):
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        gaps = [max_gap(solve_aux_ode(res, coup, init, SolverConfig(dt=dt, t_max=2.0)),
+        gaps = [max_gap(aux_ode_propagator(res, coup, SolverConfig(dt=dt, t_max=2.0))(init),
                         res, coup, init)
                 for dt in (1.6e-2, 8e-3, 4e-3)]
         assert 14.0 < gaps[0] / gaps[1] < 18.0
@@ -351,8 +367,8 @@ class TestAuxOde:
     def test_agreement_with_volterra_at_shared_step(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(1.0)
-        sv = solve_volterra(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
-        sa = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-3, t_max=10.0))
+        sv = volterra_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0))(init)
+        sa = aux_ode_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0))(init)
         gap = max(float(np.max(np.abs(sv.c1 - sa.c1))),
                   float(np.max(np.abs(sv.c2 - sa.c2))))
         assert gap < 1e-4
@@ -361,7 +377,8 @@ class TestAuxOde:
 class TestDiscretizedBath:
     def test_mode_comb_weights_match_spectral_density(self):
         res = resonant_system(0.5, 0.5)[0]
-        omegas, g = sample_lorentzian_modes(res, n_modes=200, freq_window=10.0)
+        offsets, g = solvers._comb(res, n_modes=200, freq_window=10.0)
+        omegas = res.omega0 + offsets
         assert omegas.shape == g.shape == (200,)
         d_omega = 2.0 * 10.0 * res.lam / 200
         for k in (0, 57, -1):
@@ -377,14 +394,14 @@ class TestDiscretizedBath:
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 10.0))
+        series = bath_propagator(res, coup, bath_cfg(1e-3, 10.0))(init)
         assert max_gap(series, res, coup, init) < 1e-3
 
     def test_reference_accuracy_strong_coupling(self):
         # the comb reaches 20 Rabi frequencies either side, well past the splitting
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 10.0))
+        series = bath_propagator(res, coup, bath_cfg(1e-3, 10.0))(init)
         assert max_gap(series, res, coup, init) < 1e-3
 
     def test_error_settles_with_mode_count(self):
@@ -392,8 +409,8 @@ class TestDiscretizedBath:
         # pinned by the frozen frequency window, not the mode count
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(0.0)
-        gaps = {n: max_gap(solve_discretized_bath(res, coup, init,
-                                                  bath_cfg(1e-3, 10.0, n_modes=n)),
+        gaps = {n: max_gap(bath_propagator(res, coup,
+                                           bath_cfg(1e-3, 10.0, n_modes=n))(init),
                            res, coup, init)
                 for n in (100, 250, 500, 1000, 2000)}
         assert gaps[250] < gaps[100] / 10.0
@@ -407,10 +424,10 @@ class TestDiscretizedBath:
         res, coup = resonant_system(10.0, 0.87)
         init = InitialState(1.0, 0.0)
         cfg = bath_cfg(1e-3, 2.0)
-        base = solve_discretized_bath(res, coup, init, cfg)
+        base = bath_propagator(res, coup, cfg)(init)
         for omega0 in (1e9, 1e16):
-            shifted = solve_discretized_bath(ReservoirSpec(w=res.w, lam=res.lam, omega0=omega0),
-                                             coup, init, cfg)
+            shifted = bath_propagator(ReservoirSpec(w=res.w, lam=res.lam, omega0=omega0),
+                                      coup, cfg)(init)
             assert np.array_equal(shifted.c1, base.c1)
             assert np.array_equal(shifted.c2, base.c2)
             assert np.array_equal(shifted.meta["norm_total"], base.meta["norm_total"])
@@ -418,8 +435,7 @@ class TestDiscretizedBath:
     def test_subradiant_state_exactly_constant(self):
         res, coup = resonant_system(0.5, 0.7)
         init = coup.psi_minus()
-        series = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 3.0,
-                                                                  n_modes=400))
+        series = bath_propagator(res, coup, bath_cfg(1e-3, 3.0, n_modes=400))(init)
         np.testing.assert_allclose(series.c1, init.c01, atol=1e-12)
         np.testing.assert_allclose(series.c2, init.c02, atol=1e-12)
 
@@ -442,7 +458,7 @@ class TestDiscretizedBath:
             np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
             np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
             np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
-        direct = solve_discretized_bath(res, coup, inits[-1], cfg)
+        direct = bath_propagator(res, coup, cfg)(inits[-1])
         assert np.array_equal(direct.c1, series.c1)
         assert np.array_equal(direct.meta["norm_total"], series.meta["norm_total"])
 
@@ -474,7 +490,7 @@ class TestDiscretizedBath:
     def test_total_excitation_conserved(self):
         res, coup = resonant_system(0.5, 0.87)
         init = InitialState.from_separability(0.0)
-        series = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 10.0))
+        series = bath_propagator(res, coup, bath_cfg(1e-3, 10.0))(init)
         norms = series.meta["norm_total"]
         assert float(np.max(np.abs(norms - norms[0]))) < 1e-8
 
@@ -482,8 +498,7 @@ class TestDiscretizedBath:
         res, coup = resonant_system(0.1, 0.5)
         init = InitialState.from_separability(0.0)
         # 100 modes over [-20, 20]: recurrence at 2 pi / 0.4 ~ 15.7
-        short = solve_discretized_bath(res, coup, init, bath_cfg(1e-3, 10.0,
-                                                                 n_modes=100))
+        short = bath_propagator(res, coup, bath_cfg(1e-3, 10.0, n_modes=100))(init)
         assert short.meta["recurrence_time"] == pytest.approx(2.0 * math.pi / 0.4,
                                                               rel=1e-12)
         assert "recurrence_warning" not in short.meta
@@ -500,8 +515,7 @@ class TestBathSpectrum:
     def folded(big_r, n_modes, r1=0.87):
         res, coup = resonant_system(big_r, r1)
         window = 20.0 * max(1.0, big_r)
-        omegas, g = sample_lorentzian_modes(res, n_modes, window)
-        offsets = omegas - res.omega0
+        offsets, g = solvers._comb(res, n_modes, window)
         c = coup.alpha_t * g
         lower = n_modes // 2
         mult = np.where(np.arange(lower, n_modes) == (n_modes - 1) / 2.0, 1.0, 2.0)
@@ -593,10 +607,10 @@ class TestBathSpectrum:
 
 class TestCombInputs:
     @pytest.mark.parametrize("call", [
-        lambda res, coup: sample_lorentzian_modes(res, 2.5, 10.0),
-        lambda res, coup: sample_lorentzian_modes(res, True, 10.0),
-        lambda res, coup: sample_lorentzian_modes(res, 10.0, 10.0),
-        lambda res, coup: sample_lorentzian_modes(res, "10", 10.0),
+        lambda res, coup: solvers._comb(res, 2.5, 10.0),
+        lambda res, coup: solvers._comb(res, True, 10.0),
+        lambda res, coup: solvers._comb(res, 10.0, 10.0),
+        lambda res, coup: solvers._comb(res, "10", 10.0),
         lambda res, coup: comb_recurrence_time(res, coup, 0, 20.0),
         lambda res, coup: comb_recurrence_time(res, coup, -100, 20.0),
         lambda res, coup: comb_recurrence_time(res, coup, 2.5, 20.0),
@@ -615,29 +629,41 @@ class TestCombInputs:
 
     def test_step_limit_rejects_unknown_method(self):
         res, coup = resonant_system(0.5, 0.87)
-        with pytest.raises(ValueError, match="trapezoid-volterra, aux-ode-rk4, bath-rk4"):
+        with pytest.raises(ValueError, match="volterra, ode, bath"):
             step_limit(res, coup, "bogus", 20.0)
+
+
+class TestSolverNames:
+    def test_one_name_per_solver(self):
+        # the name step_limit takes, the series carries, the config's step
+        # key and the cross-check budget use, and the CLI offers
+        res, coup = resonant_system(0.5, 0.87)
+        cfg = ScenarioConfig(scenario="solver-xcheck", tau_max=0.1, n_modes=50)
+        init = InitialState.from_separability(0.0)
+        for name in SOLVER_NAMES:
+            assert step_limit(res, coup, name, cfg.freq_window) > 0.0
+            dt = getattr(cfg, f"dt_{name}")
+            series = scenarios._propagator(cfg, name, res, coup, dt)(init)
+            assert series.meta["solver"] == name
+        assert set(scenarios.XCHECK_TOLERANCES) == set(SOLVER_NAMES)
+        solver = next(a for a in build_parser()._actions if a.dest == "solver")
+        assert tuple(solver.choices) == ("closed",) + SOLVER_NAMES
+        assert SOLVER_NAMES == ("volterra", "ode", "bath")
 
 
 class TestTimeSeries:
     def test_grid_and_table_shape(self):
         res, coup = resonant_system(0.5, 0.5)
         init = InitialState.from_separability(0.0)
-        series = solve_aux_ode(res, coup, init, SolverConfig(dt=1e-2, t_max=1.0))
+        series = aux_ode_propagator(res, coup, SolverConfig(dt=1e-2, t_max=1.0))(init)
         assert series.tau.size == 101
         assert series.tau[0] == 0.0
         assert series.tau[-1] == pytest.approx(1.0, abs=1e-12)
-        table = series.as_table()
-        assert table.shape == (101, 5)
-        np.testing.assert_allclose(table[:, 1] + 1j * table[:, 2], series.c1,
-                                   atol=1e-15)
-        np.testing.assert_allclose(table[:, 3] + 1j * table[:, 4], series.c2,
-                                   atol=1e-15)
 
     def test_initial_point_is_exact(self):
         res, coup = resonant_system(0.5, 0.5)
         init = InitialState.from_separability(0.3, 0.8)
-        for solve in (solve_volterra, solve_aux_ode, solve_discretized_bath):
-            series = solve(res, coup, init, SolverConfig(dt=1e-2, t_max=0.5, n_modes=50))
+        for propagator in (volterra_propagator, aux_ode_propagator, bath_propagator):
+            series = propagator(res, coup, SolverConfig(dt=1e-2, t_max=0.5, n_modes=50))(init)
             assert series.c1[0] == init.c01
             assert series.c2[0] == init.c02
