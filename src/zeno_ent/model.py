@@ -67,7 +67,8 @@ class ReservoirSpec:
     ``w**2``), ``lam`` is the spectral half-width alias memory decay rate,
     and ``omega0`` is the resonance frequency, kept for bookkeeping only:
     both qubits sit exactly on resonance, so nothing downstream depends on
-    its absolute value.
+    its absolute value.  A ``w`` whose square overflows a double (above
+    about 1.34e154) is refused.
     """
 
     w: float
@@ -79,6 +80,9 @@ class ReservoirSpec:
             _require_finite(name, getattr(self, name))
         if self.w <= 0.0:
             raise ValueError(f"w must be positive, got {self.w!r}")
+        if not math.isfinite(self.w * self.w):
+            raise ValueError(f"w = {self.w!r} is too large: the kernel weight w**2 "
+                             "overflows a double")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be positive, got {self.lam!r}")
 

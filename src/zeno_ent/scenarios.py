@@ -107,8 +107,11 @@ class ScenarioConfig:
     ``solver-xcheck`` at ``tau_max = 2000``, where Volterra's ``dt = 1e-4``
     would take 2e7 steps.  So is a ``tau_steps`` above
     ``MAX_SOLVER_STEPS + 1``, which no numeric curve could reach, and a
-    comb of more than :data:`~zeno_ent.solvers.MAX_MODES` modes.  Refusals
-    exit 2 on the command line.
+    comb of more than :data:`~zeno_ent.solvers.MAX_MODES` modes.  Only
+    ``time-evolution`` reads ``solver``: ``solver-xcheck`` runs every
+    solver, and ``stationary-surface`` and ``zeno-compare`` are closed
+    form, so they refuse any other than ``"closed"``.  Refusals exit 2 on
+    the command line.
     """
 
     scenario: str
@@ -132,6 +135,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; pick one of {SOLVERS}")
+        if self.solver != "closed" and self.scenario != "time-evolution":
+            raise ValueError(f"{self.scenario} does not take a solver, got solver "
+                             f"{self.solver!r}; only time-evolution runs the one it is given")
         for name in _REAL_KEYS:
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")

@@ -679,6 +679,31 @@ class TestCliMain:
                 "got 1000000000000") in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("scenario, solver", [
+        ("zeno-compare", "bath"), ("zeno-compare", "volterra"),
+        ("stationary-surface", "bath"), ("stationary-surface", "ode"),
+        ("solver-xcheck", "ode"), ("solver-xcheck", "bath")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_solver_outside_time_evolution_exits_2(self, tmp_path, capsys, scenario,
+                                                   solver, source):
+        # the scenario used to ignore the solver and exit 0 with its own table
+        argv = [scenario, "--r1", "0.5", "--s", "0", "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            argv += ["--solver", solver]
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"solver": solver}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"configuration error: {scenario} does not take a solver, "
+                f"got solver {solver!r}") in err
+        assert not (tmp_path / "x.csv").exists()
+        # the default, named or not, still runs
+        assert main([scenario, "--r1", "0.5", "--s", "0", "--tau-max", "0.5",
+                     "--solver", "closed", "--out", str(tmp_path / "x.csv")]) == 0
+
     def test_stationary_surface_at_huge_coupling(self, capsys):
         # big_r drops out of the stationary concurrence
         assert main(["stationary-surface", "--r1", "0.3,0.9", "--s", "-0.5,0.2"]) == 0

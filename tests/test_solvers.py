@@ -1,6 +1,7 @@
 """Numeric integrators against the closed form and against each other."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,18 @@ class TestPropagators:
                 c1, c2 = amplitude_rows_per_state(increment, (init.c01, init.c02, 0.0), n)
                 np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("propagator", [volterra_propagator, aux_ode_propagator,
+                                            bath_propagator])
+    def test_reservoir_whose_kernel_weight_overflows_is_refused(self, propagator):
+        # each propagator raised a bare OverflowError from res.w**2
+        coup = CouplingSpec(1e-200, 1e-200)
+        cfg = SolverConfig(dt=1e-3, t_max=1.0)
+        for w in (1.35e154, 1e200, 1.7e308):
+            with pytest.raises(ValueError, match=f"^w = {re.escape(repr(w))} is too large: "
+                                                 r"the kernel weight w\*\*2 overflows a double$"):
+                propagator(ReservoirSpec(w=w, lam=1.0), coup, cfg)
+        assert ReservoirSpec(w=1.34e154, lam=1.0).w ** 2 < math.inf
 
 
 class TestSolverConfig:
@@ -507,6 +520,76 @@ class TestDiscretizedBath:
             bath_propagator(res, coup, bath_cfg(1e-3, 20.0, n_modes=100))
 
 
+def folded_spectrum_all_poles(o, b, chunk=1 << 16, iterations=12):
+    """The secular solve with every root iterated against every pole, in
+    chunks of about ``chunk / len(o)`` roots: the form the solver had before
+    it split the poles into near and far ones, kept as the oracle of that
+    split.  Shares only :func:`solvers._model_root` with the solver."""
+    m = o.size
+    osq = o * o
+    total = float(np.sum(b))
+    lam = np.empty(m)
+    weight = np.empty(m)
+    rows = max(1, chunk // m)
+    eps = np.finfo(float).eps
+    for j0 in range(0, m, rows):
+        j1 = min(j0 + rows, m)
+        nr = j1 - j0
+        r = np.arange(nr)
+        j = np.arange(j0, j1)
+        top = j == m - 1
+        right = np.minimum(j + 1, m - 1)
+        b_right = np.where(top, 0.0, b[right])
+        half = 0.5 * np.where(top, total, (o[right] - o[j]) * (o[right] + o[j]))
+        den = osq - (osq[j] + half)[:, None]
+        den[r, j] = den[r, right] = np.inf
+        rest = 1.0 + (b / den).sum(axis=1)
+        flip = (rest + (b_right - b[j]) / half < 0.0) & ~top
+        pole = np.where(flip, right, j)
+        origin = o[pole]
+        gap = (o - origin[:, None]) * (o + origin[:, None])
+        left_pole = gap[r, j]
+        right_pole = np.where(top, total, gap[r, right])
+        delta = solvers._model_root(rest, b[j], b_right, left_pole, right_pole)
+        b_pole = b[pole]
+        on_left = np.where(flip, 0.0, b_pole)
+        on_right = np.where(flip, b_pole, 0.0)
+        band_left = np.where(np.tri(nr, dtype=bool), b[j0:j1], 0.0)
+        band_right = b[j0:j1] - band_left
+        rest_slope = np.empty(nr)
+        live = r
+        for it in range(iterations):
+            inv = (gap if live.size == nr else gap[live]) - delta[live, None]
+            inv[np.arange(live.size), pole[live]] = np.inf
+            np.reciprocal(inv, out=inv)
+            sq = inv * inv
+            bl, br = band_left[live], band_right[live]
+            psi = inv[:, :j0] @ b[:j0] + np.sum(inv[:, j0:j1] * bl, axis=1)
+            phi = inv[:, j1:] @ b[j1:] + np.sum(inv[:, j0:j1] * br, axis=1)
+            dpsi = sq[:, :j0] @ b[:j0] + np.sum(sq[:, j0:j1] * bl, axis=1)
+            dphi = sq[:, j1:] @ b[j1:] + np.sum(sq[:, j0:j1] * br, axis=1)
+            at = delta[live]
+            rest_slope[live] = dpsi + dphi
+            to_left = left_pole[live] - at
+            to_right = right_pole[live] - at
+            step = solvers._model_root(1.0 + psi - dpsi * to_left + phi - dphi * to_right,
+                                       dpsi * to_left * to_left + on_left[live],
+                                       dphi * to_right * to_right + on_right[live],
+                                       left_pole[live], right_pole[live])
+            sq_at = at * at
+            noise = (sq_at * (1.0 + phi - psi) + b_pole[live] * np.abs(at)) / (
+                sq_at * (dpsi + dphi) + b_pole[live])
+            moving = np.abs(step - at) > 8.0 * eps * (np.abs(step) + noise)
+            if it == iterations - 1 or not moving.any():
+                break
+            live = live[moving]
+            delta[live] = step[moving]
+        mu = origin * origin + delta
+        lam[j0:j1] = np.sqrt(mu)
+        weight[j0:j1] = 0.5 * (delta / mu) * (delta / (b_pole + delta * delta * rest_slope))
+    return lam, weight
+
+
 class TestBathSpectrum:
     """The comb run evaluated from the arrowhead's spectrum, against a dense
     eigensolver and against the comb stepped one RK4 step at a time."""
@@ -527,8 +610,10 @@ class TestBathSpectrum:
         squared first component of ``(1, -c/offsets)`` normalised."""
         return 0.0 if o[0] == 0.0 else 1.0 / (1.0 + math.fsum(b / (o * o)))
 
+    # from 1000 modes the roots come in several blocks, some with far poles on
+    # both sides
     @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200, 1000, 1001])
     def test_roots_and_weights_match_dense_eigensolver(self, big_r, n_modes):
         offsets, c, o, b = self.folded(big_r, n_modes)
         lam, w = solvers._folded_spectrum(o, b)
@@ -565,6 +650,52 @@ class TestBathSpectrum:
         assert np.all(mu[:-1] < o[1:] * o[1:])
         # equal for a lone mode, whose root is o^2 + b, up to the rounding of lam^2
         assert mu[-1] <= (o[-1] ** 2 + float(np.sum(b))) * (1.0 + 4e-16)
+
+    @pytest.mark.parametrize("big_r", [0.01, 0.1, 0.5, 1.0, 10.0, 24.0])
+    @pytest.mark.parametrize("n_modes", [2000, 2001, 20000])
+    def test_far_field_matches_all_pole_solve(self, big_r, n_modes):
+        self.check_against_all_poles(big_r, n_modes)
+
+    def check_against_all_poles(self, big_r, n_modes):
+        # the far poles' sums interpolated per block against every pole summed
+        # per root; both are rounded, so they may part by an ulp or two
+        _, _, o, b = self.folded(big_r, n_modes)
+        lam, w = solvers._folded_spectrum(o, b)
+        ref_lam, ref_w = folded_spectrum_all_poles(o, b)
+        assert np.all(np.abs(lam - ref_lam) <= 2.0 * np.spacing(ref_lam))
+        np.testing.assert_allclose(w, ref_w, rtol=5e-14, atol=0)
+
+    @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
+    @pytest.mark.parametrize("n_modes", [2000, 2001])
+    def test_far_field_at_block_edge_matches_all_pole_solve(self, monkeypatch, big_r,
+                                                            n_modes):
+        # a root hugging the pole at its block's upper edge reads the far
+        # field exactly on the last Chebyshev node
+        hits = []
+        real = solvers._far_sums
+
+        def recording(t, nodes, samples):
+            hits.append(int(np.sum(t[:, None] == nodes)))
+            return real(t, nodes, samples)
+
+        monkeypatch.setattr(solvers, "_far_sums", recording)
+        self.check_against_all_poles(big_r, n_modes)
+        assert sum(hits) > 0
+
+    def test_far_field_interpolant(self):
+        # a cubic is read back to rounding between the nodes, and a point on a
+        # node takes that node's sample exactly
+        nodes = 1.5 * (1.0 + solvers._CHEB_X)
+        cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.25])
+        samples = np.column_stack([cubic(nodes), 2.0 * cubic(nodes), cubic(nodes) ** 2,
+                                   -cubic(nodes), np.ones(nodes.size)])
+        t = np.array([nodes[0], 0.1234, 1.5, nodes[7], 2.999, nodes[-1]])
+        out = solvers._far_sums(t, nodes, samples)
+        for i in (1, 2, 4):
+            v = cubic(t[i])
+            np.testing.assert_allclose(out[i], [v, 2.0 * v, v * v, -v], rtol=1e-14, atol=1e-15)
+        for i, node in ((0, 0), (3, 7), (5, -1)):
+            assert np.array_equal(out[i], samples[node, :4])
 
     @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
     @pytest.mark.parametrize("n_modes", [50, 51])
