@@ -67,8 +67,8 @@ class ReservoirSpec:
     ``w**2``), ``lam`` is the spectral half-width alias memory decay rate,
     and ``omega0`` is the resonance frequency, kept for bookkeeping only:
     both qubits sit exactly on resonance, so nothing downstream depends on
-    its absolute value.  A ``w`` whose square overflows a double (above
-    about 1.34e154) is refused.
+    its absolute value.  A ``w`` or ``lam`` whose square overflows a double
+    (above about 1.34e154) is refused.
     """
 
     w: float
@@ -85,6 +85,9 @@ class ReservoirSpec:
                              "overflows a double")
         if self.lam <= 0.0:
             raise ValueError(f"lam must be positive, got {self.lam!r}")
+        if not math.isfinite(self.lam * self.lam):
+            raise ValueError(f"lam = {self.lam!r} is too large: the squared linewidth "
+                             "lam**2 overflows a double")
 
     def spectral_density(self, omega):
         """J(omega), a Lorentzian of half-width ``lam`` centred at ``omega0``."""

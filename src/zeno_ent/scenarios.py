@@ -69,8 +69,10 @@ SOLVERS = ("closed",) + SOLVER_NAMES
 # max |amplitude| deviation from the closed form at the reference steps below
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
-# most steps one numeric solver run may take: a million steps keep a run's
-# arrays near 40 MB and the run within seconds
+# most steps one numeric solver run may take: a million steps keep a
+# solver-xcheck run's arrays near 40 MB and the run within seconds; a
+# time-evolution run holds only its tau_steps output points, whatever its
+# step count
 MAX_SOLVER_STEPS = 1_000_000
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -255,12 +257,13 @@ def _init_state(cfg: ScenarioConfig, s: float) -> InitialState:
     return InitialState.from_separability(s, cfg.phi)
 
 
-def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
-    """``init -> TimeSeries`` of a numeric solver at one coupling, to ``tau_max``.
+def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: int = 1):
+    """``init -> TimeSeries`` of a numeric solver at one coupling, to ``tau_max``,
+    on every ``stride``-th step.
 
     Each solver does its work here, once, and serves every initial state
     from it.  A run of more than :data:`MAX_SOLVER_STEPS` steps is refused
-    before any grid or map is built.
+    before any grid or map is built, whatever the stride.
     """
     steps = cfg.tau_max / dt
     # the grid rounds the step count to the nearest integer
@@ -272,7 +275,7 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
             f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
             f"solver run may take; {hint} or shorten tau_max")
     scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
-                        freq_window=cfg.freq_window)
+                        freq_window=cfg.freq_window, stride=stride)
     # propagators are read from the module globals per call, so one patched
     # in for a count or a trace is the one that runs
     propagate = {"volterra": volterra_propagator, "ode": aux_ode_propagator,
@@ -337,7 +340,8 @@ def _substeps(dtau: float, base: float, limit: float) -> int:
 
 def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray):
     """``init ->`` concurrence of the selected solver at one coupling,
-    sampled exactly on ``tau``."""
+    sampled exactly on ``tau``: a numeric solver steps ``k`` times per
+    output interval and is evaluated only on every ``k``-th step."""
     res, coup = resonant_system(cfg.big_r, r1)
     if solver == "closed":
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
@@ -345,8 +349,8 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
     dtau = tau[1] - tau[0]
     limit = step_limit(res, coup, solver, cfg.freq_window)
     k = _substeps(float(dtau), getattr(cfg, f"dt_{solver}"), limit)
-    run = _propagator(cfg, solver, res, coup, dtau / k)
-    return lambda init: run(init).concurrence()[::k]
+    run = _propagator(cfg, solver, res, coup, dtau / k, stride=k)
+    return lambda init: run(init).concurrence()
 
 
 def run_time_evolution(cfg: ScenarioConfig) -> ScenarioResult:

@@ -25,11 +25,14 @@ has one name, in :data:`SOLVER_NAMES`, which :func:`step_limit` takes and
 
 Each solver refuses a step at or above its :func:`step_limit`.  Every one
 of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
-how they are evaluated.  The Volterra step and the pseudomode RK4 step act
-on three amplitudes; ``M - 1`` is read off the scalar step's increment and
-the powers of ``M`` are built once per coupling and applied blockwise to
-each initial state (:func:`_amplitude_rows`), as the full 3x3 map on the
-pair and the memory variable.
+how they are evaluated.  So a run read off on every ``k``-th step only
+(``SolverConfig.stride``) takes the map ``M**k`` as its step, formed in
+about ``2 log2(k)`` products (:func:`_power_minus_one`), and never
+evaluates the steps in between.  The Volterra step and the pseudomode RK4
+step act on three amplitudes; ``M - 1`` is read off the scalar step's
+increment and the powers of ``M`` are built once per coupling and applied
+blockwise to each initial state (:func:`_amplitude_rows`), as the full
+3x3 map on the pair and the memory variable.
 The pair enters the comb only through ``u = a.x`` and moves only along
 ``a``, so one run driven by ``u = 1`` from empty modes gives every initial
 state's amplitudes and total norm.  The comb's RK4 step is the polynomial
@@ -40,8 +43,9 @@ with no loop over the steps.  Each root sums its about 256 nearest poles
 exactly and reads the others off an interpolant that its block of 128
 roots samples once, so the roots cost about modes^2 / 16 array operations
 plus 128 * modes per iteration, and the sums over the spectrum
-modes * steps / 2, where stepping cost modes * steps in Python-level
-steps.  The run is still the RK4 map, rounding aside.
+modes * (steps / stride) / 2 plus log2(stride) elementwise products,
+where stepping cost modes * steps in Python-level steps.  The run is
+still the RK4 map, rounding aside.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -102,12 +106,19 @@ class SolverConfig:
     ``dt``, ``t_max`` and ``freq_window`` are stored as Python floats, so
     numpy scalars passed in neither change the arithmetic nor leak into
     messages.
+
+    ``stride``, a positive integer, thins the output: a propagator returns
+    its series at steps ``0, stride, 2 stride, ...`` of the ``dt`` grid, the
+    stride-1 series ``[::stride]`` up to rounding, without evaluating the
+    steps in between.  The steps themselves, and so the step check and the
+    accuracy, do not change; a stride past the step count leaves ``t = 0``.
     """
 
     dt: float
     t_max: float
     n_modes: int = 2000
     freq_window: float = 20.0
+    stride: int = 1
 
     def __post_init__(self):
         for name in ("dt", "t_max", "freq_window"):
@@ -119,6 +130,11 @@ class SolverConfig:
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step long")
         object.__setattr__(self, "n_modes", _check_comb(self.n_modes, self.freq_window))
+        if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral):
+            raise ValueError(f"stride must be an integer, got {self.stride!r}")
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride!r}")
+        object.__setattr__(self, "stride", int(self.stride))
 
 
 def _check_comb(n_modes, freq_window) -> int:
@@ -172,8 +188,31 @@ def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str,
 
 
 def _grid(cfg: SolverConfig):
+    """The last output index, the output times and the stride: every
+    ``stride``-th point of the ``dt`` grid.  A stride past the last step
+    keeps only ``t = 0``, so it is cut to one step past it."""
     n = max(int(round(cfg.t_max / cfg.dt)), 1)
-    return n, np.arange(n + 1) * cfg.dt
+    stride = min(cfg.stride, n + 1)
+    return n // stride, np.arange(0, n + 1, stride) * cfg.dt, stride
+
+
+def _power_minus_one(d, k: int, mul):
+    """``M**k - 1`` from ``d = M - 1``, by squaring in the minus-one form.
+
+    ``mul`` is the product, ``np.matmul`` for a matrix or ``np.multiply``
+    elementwise.  ``(1 + a)(1 + b) - 1 = a + b + a b`` combines two powers
+    and ``2 q + q q`` squares one, so the small corrections are carried and
+    not rounded against the 1, as in :func:`_amplitude_rows`; it takes about
+    ``2 log2(k)`` products.  ``k = 1`` returns ``d`` itself.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = d if out is None else out + d + mul(out, d)
+        k >>= 1
+        if not k:
+            return out
+        d = 2.0 * d + mul(d, d)
 
 
 def _amplitude_rows(increment, n: int):
@@ -225,9 +264,18 @@ def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     """``init -> TimeSeries`` of a three-amplitude solver whose step is
     ``y -> y + increment(y)``: checks the step against :func:`step_limit`,
     builds the map of :func:`_amplitude_rows` on the grid of ``cfg`` and
-    reads each initial state off it, with the memory variable at 0."""
+    reads each initial state off it, with the memory variable at 0.  With
+    a stride ``k > 1`` the map is stepped ``k`` steps at a time, its
+    increment ``M**k - 1`` formed once from ``D = M - 1``."""
     _check_resolution(cfg.dt, step_limit(res, coup, solver, cfg.freq_window))
-    n, tau = _grid(cfg)
+    n, tau, stride = _grid(cfg)
+    if stride > 1:
+        gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+        gen = _power_minus_one(gen, stride, np.matmul)
+
+        def increment(*y):
+            return gen @ y
+
     rows = _amplitude_rows(increment, n)
     meta = {"solver": solver, "dt": cfg.dt}
 
@@ -353,11 +401,12 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     even comb, and :func:`_folded_spectrum` finds it from the upper half
     of the comb.  The roots cost about ``modes^2 / 16`` array operations for
     the far poles plus ``128 * modes`` per iteration for the near ones, and
-    the sums over the spectrum (:func:`_spectral_sums`) ``modes * steps /
-    2``, not ``modes * steps`` Python-level steps.
+    the sums over the spectrum (:func:`_spectral_sums`) ``modes * (steps /
+    stride) / 2`` plus ``log2(stride)`` elementwise products, not ``modes *
+    steps`` Python-level steps.
 
     Metadata carries the full mode count, the recurrence time and the
-    total-excitation norm per step for conservation checks.
+    total-excitation norm at each output step for conservation checks.
     """
     recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
     if cfg.t_max > recurrence:
@@ -369,7 +418,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     _check_resolution(cfg.dt, step_limit(res, coup, "bath", cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
-    n, tau = _grid(cfg)
+    n, tau, stride = _grid(cfg)
 
     offsets, g = _comb(res, cfg.n_modes, window)
     # the upper half of the comb: a mirror pair counts twice in c^T c, an
@@ -385,7 +434,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and underflow; "
             "the pair does not move at double precision there, so use the closed form")
     lam, weight = _folded_spectrum(offsets[lower:], b)
-    re, ab = _spectral_sums(cfg.dt * lam, weight, n)
+    re, ab = _spectral_sums(cfg.dt * lam, weight, n, stride)
     # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(p_j^k - 1); the norm of (v, m)
     # is 1/|a|^2 + 2 sum_j w_j (|p_j|^(2k) - 1) / |a|^2, less |v|^2 = |u|^2/|a|^2
     scale = 2.0 / asq
@@ -632,12 +681,17 @@ def _model_root(c, s, t, left, right):
     return width * (2.0 * p / (q + np.sqrt(np.maximum(q * q - 4.0 * c * p, 0.0))))
 
 
-def _spectral_sums(theta, weight, n: int):
+def _spectral_sums(theta, weight, n: int, stride: int):
     """``sum_j w_j Re(p_j^k - 1)`` and ``sum_j w_j (|p_j|^(2k) - 1)`` for
-    ``k = 0..n``, with ``p_j = P(-i theta_j)`` the RK4 polynomial.
+    ``k = 0, stride, ..., n * stride``, with ``p_j = P(-i theta_j)`` the RK4
+    polynomial.
 
     ``p - 1`` is summed in nested form without forming ``p``, and
-    ``|p|^2 - 1 = theta^8/576 - theta^6/72`` exactly.  As in
+    ``|p|^2 - 1 = theta^8/576 - theta^6/72`` exactly.  A stride raises
+    both to the power ``stride`` first (:func:`_power_minus_one`, about
+    ``log2(stride)`` elementwise products), so the sums cost about
+    ``theta.size * n`` for the ``n + 1`` output points, whatever the
+    stride.  As in
     :func:`_amplitude_rows`, with ``K = isqrt(n + 1)`` the powers
     ``B_i = p^i - 1`` (``i < K``) and ``A_j = p^(jK) - 1`` are accumulated
     as ``q += d + d q`` (:func:`_power_rows`), and ``p^(jK+i) - 1 = A_j +
@@ -649,6 +703,8 @@ def _spectral_sums(theta, weight, n: int):
     step = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
     sq = theta * theta
     step_abs = sq * sq * sq * (sq / 576.0 - 1.0 / 72.0)
+    step = _power_minus_one(step, stride, np.multiply)
+    step_abs = _power_minus_one(step_abs, stride, np.multiply)
     block = math.isqrt(n + 1)
     count = -(-(n + 1) // block)
     re = np.zeros((count, block))

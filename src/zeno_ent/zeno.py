@@ -144,8 +144,11 @@ def stroboscopic_amplitudes(res: ReservoirSpec, coup: CouplingSpec, init: Initia
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or not np.all(np.isfinite(tau)):
         raise ValueError("tau must be finite and non-negative")
-    # k stays a float: an integer cast wraps once tau/interval passes 2**63
-    k = np.floor(tau / interval)
+    # k stays a float: an integer cast wraps once tau/interval passes 2**63.
+    # Past the largest double (a subnormal interval) the count is inf, and
+    # the local time below is then 0, which it is to within the interval
+    with np.errstate(over="ignore"):
+        k = np.floor(tau / interval)
     # rounding can put tau a hair below k*interval; the local time is then 0
     local = np.maximum(tau - k * interval, 0.0)
     e = survival_amplitude(res, coup, local)

@@ -223,6 +223,30 @@ class TestTimeEvolution:
             # past the ceiling the count is capped, and refused either way
             assert k == found or min(k, found) > ceiling, (dtau, base, limit)
 
+    def test_long_interval_read_off_in_one_strided_step(self, tmp_path):
+        # 990000 Volterra steps in the one output interval: the curve is
+        # evaluated on the output grid only, and matches the endpoint of the
+        # stride-1 run
+        out = tmp_path / "long.csv"
+        code = main(["time-evolution", "--solver", "volterra", "--tau-steps", "2",
+                     "--tau-max", "99", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        header = lines[0].split(",")
+        end = [float(v) for v in lines[2].split(",")]
+        assert end[0] == 99.0
+        cfg = ScenarioConfig(scenario="time-evolution", solver="volterra", tau_max=99.0,
+                             tau_steps=2)
+        for r1 in cfg.r1_axis():
+            res, coup = resonant_system(cfg.big_r, r1)
+            run = scenarios._propagator(cfg, "volterra", res, coup, 99.0 / 990000)
+            for s in cfg.s_axis():
+                ref = run(InitialState.from_separability(s, cfg.phi))
+                assert ref.tau.size == 990001
+                got = end[header.index(f"C[r1={r1!r};s={s!r}]")]
+                assert got == pytest.approx(ref.concurrence()[-1], abs=1e-13)
+
     def test_bath_past_recurrence_at_r40_refused(self, capsys):
         # the finer step would run, but the comb widened to +-800 linewidths
         # recurs at 7.85, before the default horizon of 10
@@ -269,6 +293,20 @@ class TestZenoCompare:
         np.testing.assert_allclose(frozen, init.initial_concurrence, rtol=0, atol=1e-12)
         np.testing.assert_allclose(2.0 * np.abs(c1 * np.conj(c2)),
                                    init.initial_concurrence, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("interval", ["1e-320", "5e-324"])
+    def test_subnormal_interval_freezes_the_state_without_warning(self, tmp_path, interval):
+        # tau / T overflows a double there; numpy warned of it, and the
+        # suite turns any warning into an error
+        out = tmp_path / "zeno.csv"
+        code = main(["zeno-compare", "--big-r", "10", "--r1", "0.87", "--s", "0",
+                     "--meas-interval", interval, "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"tau,C[unmeasured],C[T={float(interval)!r}]"
+        init = InitialState.from_separability(0.0)
+        frozen = [float(line.split(",")[2]) for line in lines[1:]]
+        np.testing.assert_allclose(frozen, init.initial_concurrence, rtol=0, atol=1e-12)
 
 
 class TestSolverXcheck:

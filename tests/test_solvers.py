@@ -17,7 +17,9 @@ from zeno_ent import (
     closed_form_series,
     resonant_system,
     run_solver_xcheck,
+    survival_amplitude,
     volterra_propagator,
+    zeno_rate,
 )
 from zeno_ent import scenarios, solvers
 from zeno_ent.cli import build_parser
@@ -243,8 +245,73 @@ class TestPropagators:
                 propagator(ReservoirSpec(w=w, lam=1.0), coup, cfg)
         assert ReservoirSpec(w=1.34e154, lam=1.0).w ** 2 < math.inf
 
+    def test_reservoir_whose_squared_linewidth_overflows_is_refused(self):
+        # lam**2 overflowed in detuned_density and in E(t): a bare OverflowError
+        coup = CouplingSpec(1.0, 1.0)
+        cfg = SolverConfig(dt=1e-3, t_max=1.0)
+        calls = [lambda res, run=run: run(res, coup, cfg)
+                 for run in (volterra_propagator, aux_ode_propagator, bath_propagator)]
+        calls += [lambda res, f=f: f(res, coup, 1.0) for f in (survival_amplitude, zeno_rate)]
+        for lam in (1.35e154, 1e200, 1.7e308):
+            message = (f"^lam = {re.escape(repr(lam))} is too large: "
+                       r"the squared linewidth lam\*\*2 overflows a double$")
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call(ReservoirSpec(w=1.0, lam=lam))
+        assert ReservoirSpec(w=1.0, lam=1.34e154).lam ** 2 < math.inf
+
+
+class TestStride:
+    """Every propagator read off on every ``stride``-th step against the
+    stride-1 series, thinned."""
+
+    RUNS = ((volterra_propagator, 1e-4), (aux_ode_propagator, 1e-3), (bath_propagator, 1e-3))
+
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 1.0, 10.0, 20.0])
+    def test_strided_series_is_the_thinned_series(self, big_r):
+        res, coup = resonant_system(big_r, 0.87)
+        inits = [InitialState.from_separability(s, phi) for s, phi in ((0.0, 0.0), (0.3, 0.7))]
+        for propagator, dt in self.RUNS:
+            full = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
+            n = round(10.0 / dt)
+            # 7 does not divide the step count; n + 3 and 10**30 pass it,
+            # leaving t = 0
+            for stride in (5, 50, 7, n + 3, 10**30):
+                thin = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0, stride=stride))
+                for init in inits:
+                    ref, got = full(init), thin(init)
+                    assert np.array_equal(got.tau, ref.tau[::stride])
+                    assert got.tau.dtype == float and got.c1.shape == (n // stride + 1,)
+                    assert got.c1[0] == init.c01 and got.c2[0] == init.c02
+                    np.testing.assert_allclose(got.c1, ref.c1[::stride], rtol=0, atol=1e-13)
+                    np.testing.assert_allclose(got.c2, ref.c2[::stride], rtol=0, atol=1e-13)
+                    if "norm_total" in ref.meta:
+                        np.testing.assert_allclose(got.meta["norm_total"],
+                                                   ref.meta["norm_total"][::stride],
+                                                   rtol=0, atol=1e-13)
+
+    def test_power_minus_one_matches_repeated_steps(self):
+        gen = np.array([[-1e-3, 2e-4, 0.0], [3e-4, -2e-3, 1e-4], [5e-4, 0.0, -1e-3]])
+        for k in (1, 2, 3, 5, 50, 64, 1000):
+            power = np.zeros((3, 3))
+            for _ in range(k):
+                power += gen + gen @ power
+            np.testing.assert_allclose(solvers._power_minus_one(gen, k, np.matmul), power,
+                                       rtol=1e-13, atol=0)
+        assert solvers._power_minus_one(gen, 1, np.matmul) is gen
+
 
 class TestSolverConfig:
+    @pytest.mark.parametrize("stride", [0, -1, True, 1.5])
+    def test_rejects_bad_stride(self, stride):
+        with pytest.raises(ValueError, match="stride must be"):
+            SolverConfig(dt=1e-3, t_max=1.0, stride=stride)
+
+    def test_numpy_stride_stored_as_int(self):
+        cfg = SolverConfig(dt=1e-3, t_max=1.0, stride=np.int64(5))
+        assert type(cfg.stride) is int and cfg.stride == 5
+        assert SolverConfig(dt=1e-3, t_max=1.0).stride == 1
+
     def test_numpy_scalars_stored_as_floats(self):
         cfg = SolverConfig(dt=np.float64(1e-3), t_max=np.float64(2.0),
                            freq_window=np.float64(20.0))

@@ -223,6 +223,15 @@ class TestStroboscopic:
             assert c1[i] == amps.c1
             assert c2[i] == amps.c2
 
+    @pytest.mark.parametrize("interval", [1e-320, 5e-324])
+    def test_subnormal_interval_keeps_the_initial_amplitudes(self, interval):
+        # tau / interval overflows a double: the count is inf and the local
+        # time 0, with no numpy overflow warning
+        res, coup, init = balanced_system()
+        c1, c2 = stroboscopic_amplitudes(res, coup, init, interval, [0.0, 0.005, 1.0, 10.0])
+        np.testing.assert_allclose(c1, init.c01, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c2, init.c02, rtol=0, atol=1e-15)
+
     def test_matches_closed_form_when_survival_positive(self):
         res, coup, init = balanced_system()
         for t_int, n in ((0.01, 200), (0.005, 400)):
