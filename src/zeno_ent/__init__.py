@@ -38,6 +38,7 @@ from .scenarios import (
     write_result,
 )
 from .solvers import (
+    PairMap,
     SolverConfig,
     aux_ode_propagator,
     bath_propagator,
@@ -63,6 +64,7 @@ __all__ = [
     "InitialState",
     "MeasurementSchedule",
     "OptimumResult",
+    "PairMap",
     "RegimeParams",
     "ReservoirSpec",
     "ScenarioConfig",

@@ -258,8 +258,8 @@ def _init_state(cfg: ScenarioConfig, s: float) -> InitialState:
 
 
 def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: int = 1):
-    """``init -> TimeSeries`` of a numeric solver at one coupling, to ``tau_max``,
-    on every ``stride``-th step.
+    """The :class:`~zeno_ent.solvers.PairMap` of a numeric solver at one
+    coupling, to ``tau_max``, on every ``stride``-th step.
 
     Each solver does its work here, once, and serves every initial state
     from it.  A run of more than :data:`MAX_SOLVER_STEPS` steps is refused
@@ -268,12 +268,7 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: 
     steps = cfg.tau_max / dt
     # the grid rounds the step count to the nearest integer
     if not steps < MAX_SOLVER_STEPS + 0.5:
-        # time-evolution refines the step to the coupling; xcheck takes it as given
-        hint = "lower big_r" if cfg.scenario == "time-evolution" else f"raise dt_{solver}"
-        raise ValueError(
-            f"the {solver} solver needs {steps:.6g} steps at big_r = {cfg.big_r!r} "
-            f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
-            f"solver run may take; {hint} or shorten tau_max")
+        raise _too_many_steps(cfg, solver, steps)
     scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
                         freq_window=cfg.freq_window, stride=stride)
     # propagators are read from the module globals per call, so one patched
@@ -281,6 +276,17 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: 
     propagate = {"volterra": volterra_propagator, "ode": aux_ode_propagator,
                  "bath": bath_propagator}[solver]
     return propagate(res, coup, scfg)
+
+
+def _too_many_steps(cfg: ScenarioConfig, solver: str, steps: float) -> ValueError:
+    """The refusal of a ``solver`` run of ``steps`` steps, more than
+    :data:`MAX_SOLVER_STEPS`."""
+    # time-evolution refines the step to the coupling; xcheck takes it as given
+    hint = "lower big_r" if cfg.scenario == "time-evolution" else f"raise dt_{solver}"
+    return ValueError(
+        f"the {solver} solver needs {steps:.6g} steps at big_r = {cfg.big_r!r} "
+        f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
+        f"solver run may take; {hint} or shorten tau_max")
 
 
 def _stationary_grid(r1_axis, inits) -> np.ndarray:
@@ -346,9 +352,14 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
     if solver == "closed":
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
     # a step that divides the output spacing, so no interpolation is needed
-    dtau = tau[1] - tau[0]
+    dtau = float(tau[1] - tau[0])
+    base = getattr(cfg, f"dt_{solver}")
     limit = step_limit(res, coup, solver, cfg.freq_window)
-    k = _substeps(float(dtau), getattr(cfg, f"dt_{solver}"), limit)
+    k = _substeps(dtau, base, limit)
+    if k > MAX_SOLVER_STEPS:
+        # the count is capped there; the message gives the one the curve needs
+        need = max(k, dtau / base, dtau / limit if limit > 0.0 else math.inf)
+        raise _too_many_steps(cfg, solver, (tau.size - 1) * need)
     run = _propagator(cfg, solver, res, coup, dtau / k, stride=k)
     return lambda init: run(init).concurrence()
 
@@ -413,52 +424,74 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     shared grid points and budgeted with the sum of the members' closed-form
     tolerances.  ``meta['passed']`` reflects the whole table.
 
-    Each solver runs once per r1 and ``E(t)`` is evaluated once per r1 on
-    each solver's grid; every s is read off those.
+    Each solver runs once per r1 and returns its real pair map ``P``
+    (:class:`~zeno_ent.solvers.PairMap`).  The closed form's map is ``(E -
+    1) r r^T`` with ``r = (r1, r2)``, and ``E(t)`` is evaluated once per r1
+    on each solver's grid.  A pair of solvers is one difference map ``D =
+    P_a - P_b`` on the points both hold, and the row of each s is ``max |D
+    x|`` over those points and both amplitudes, where ``x`` is that
+    state's pair at ``t = 0``: every s is read off the maps, with no
+    per-state series.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
                "tolerance", "passed"]
     pairs = [("closed", name) for name in solvers]
     pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
+    s_axis = cfg.s_axis()
+    states = [_init_state(cfg, s) for s in s_axis]
     rows = []
     all_ok = True
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        runs = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
+        maps = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
                 for name in solvers}
-        curves = {}
-        for s in cfg.s_axis():
-            init = _init_state(cfg, s)
-            series = {name: run(init) for name, run in runs.items()}
-            for a, b in pairs:
-                if a == "closed":
-                    sb = series[b]
-                    if b not in curves:
-                        curves[b] = survival_amplitude(res, coup, sb.tau)
-                    # the closed_form_series of init on this grid, bit for bit
-                    c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, curves[b])
-                    err = _max_amplitude_gap(SimpleNamespace(c1=c1, c2=c2), sb)
-                    npts = sb.tau.size
-                    tol = XCHECK_TOLERANCES[b]
-                else:
-                    sa, sb = series[a], series[b]
-                    ia, ib = _shared_points(sa, sb)
-                    err = _max_amplitude_gap(sa, sb, ia, ib)
-                    npts = sa.tau[ia].size
-                    tol = XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b]
-                ok = err <= tol
+        rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
+        cells = []
+        for a, b in pairs:
+            mb = maps[b]
+            if a == "closed":
+                e = survival_amplitude(res, coup, mb.tau)
+                e -= 1.0
+                gap = np.multiply.outer(-rr, e)
+                gap += mb.p
+                npts = mb.tau.size
+                tol = XCHECK_TOLERANCES[b]
+            else:
+                ma = maps[a]
+                ia, ib = _shared_points(ma, mb)
+                gap = ma.p[:, :, ia] - mb.p[:, :, ib]
+                npts = ma.tau[ia].size
+                tol = XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b]
+            cells.append((a, b, npts, [_max_pair_gap(gap, x) for x in states], tol))
+        for i, s in enumerate(s_axis):
+            for a, b, npts, errs, tol in cells:
+                ok = errs[i] <= tol
                 all_ok = all_ok and ok
-                rows.append([r1, s, a, b, npts, err, tol, int(ok)])
+                rows.append([r1, s, a, b, npts, errs[i], tol, int(ok)])
     return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
                           meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
 
 
-def _max_amplitude_gap(sa, sb, ia=slice(None), ib=slice(None)) -> float:
-    """Largest amplitude gap between ``sa[ia]`` and ``sb[ib]``."""
-    return max(float(np.max(np.abs(sa.c1[ia] - sb.c1[ib]))),
-               float(np.max(np.abs(sa.c2[ia] - sb.c2[ib]))))
+def _max_pair_gap(gap, init: InitialState) -> float:
+    """``max |gap x|`` over the points and both amplitudes, for a real
+    ``(2, 2, n)`` map ``gap`` and the pair ``x`` of ``init``: the real
+    part, and the imaginary one only where the state has one.  A row at a
+    time, so that the work arrays hold ``n`` points."""
+    x1, x2 = init.c01, init.c02
+    worst = 0.0
+    for row in gap:
+        y = row[0] * x1.real
+        y += row[1] * x2.real
+        if x1.imag or x2.imag:
+            z = row[0] * x1.imag
+            z += row[1] * x2.imag
+            np.hypot(y, z, out=y)
+        else:
+            np.abs(y, out=y)
+        worst = max(worst, float(np.max(y)))
+    return worst
 
 
 def _shared_points(sa, sb):

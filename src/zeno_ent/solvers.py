@@ -2,11 +2,14 @@
 
 Three integrators check the closed form from :mod:`zeno_ent.model` without
 sharing any of its algebra.  Each is a propagator, ``(res, coup, cfg) ->
-(init -> TimeSeries)``, over the Lorentzian reservoir, whose memory kernel
-is ``f(tau) = w^2 e^{-lam tau}``, the couplings and a :class:`SolverConfig`.
-The propagator is the one entry point of its solver: it does its work once
-per coupling and serves any number of initial states from it.  Each solver
-has one name, in :data:`SOLVER_NAMES`, which :func:`step_limit` takes and
+PairMap``, over the Lorentzian reservoir, whose memory kernel is ``f(tau) =
+w^2 e^{-lam tau}``, the couplings and a :class:`SolverConfig`.  The
+propagator is the one entry point of its solver: it does its work once per
+coupling and returns the real map ``P(t) = M(t) - 1`` that takes the pair
+``x = (c1, c2)`` from empty memory or modes to ``x + P x`` at each output
+time (:class:`PairMap`).  The map serves any number of initial states:
+called on one, it gives its ``TimeSeries``.  Each solver has one name, in
+:data:`SOLVER_NAMES`, which :func:`step_limit` takes and
 ``TimeSeries.meta["solver"]`` carries:
 
 * ``"volterra"``, :func:`volterra_propagator` -- the memory-kernel
@@ -28,16 +31,18 @@ of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
 how they are evaluated.  So a run read off on every ``k``-th step only
 (``SolverConfig.stride``) takes the map ``M**k`` as its step, formed in
 about ``2 log2(k)`` products (:func:`_power_minus_one`), and never
-evaluates the steps in between.  The Volterra step and the pseudomode RK4
-step act on three amplitudes; ``M - 1`` is read off the scalar step's
-increment and the powers of ``M`` are built once per coupling and applied
-blockwise to each initial state (:func:`_amplitude_rows`), as the full
-3x3 map on the pair and the memory variable.
+evaluates the steps in between.  Stacked powers ``M**i - 1`` are built by
+doubling (:func:`_power_table`), about ``log2`` of their count in
+products.  The Volterra step and the pseudomode RK4 step act on three
+amplitudes; ``M - 1`` is read off the scalar step's increment, and ``P``
+is the pair block of its blocked powers (:func:`_amplitude_rows`), taken
+from the full 3x3 map on the pair and the memory variable.
 The pair enters the comb only through ``u = a.x`` and moves only along
-``a``, so one run driven by ``u = 1`` from empty modes gives every initial
-state's amplitudes and total norm.  The comb's RK4 step is the polynomial
-``P(-i dt H)`` of a real symmetric arrowhead ``H``, so ``k`` steps are
-``P(-i dt lam_j)^k`` on its eigenvectors: the run is read off the spectrum,
+``a``, so one run driven by ``u = 1`` from empty modes gives its map
+``a a^T sigma`` and every initial state's total norm.  The comb's RK4
+step is the RK4 polynomial of ``-i dt H`` for a real symmetric arrowhead
+``H``, so ``k`` steps are its ``k``-th power at ``-i dt lam_j`` on the
+eigenvectors of ``H``: the run is read off the spectrum,
 found from a secular equation over the upper half of the mirrored comb,
 with no loop over the steps.  Each root sums its about 256 nearest poles
 exactly and reads the others off an interpolant that its block of 128
@@ -64,6 +69,7 @@ from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
 __all__ = [
     "MAX_MODES",
     "SOLVER_NAMES",
+    "PairMap",
     "SolverConfig",
     "aux_ode_propagator",
     "bath_propagator",
@@ -135,6 +141,49 @@ class SolverConfig:
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride!r}")
         object.__setattr__(self, "stride", int(self.stride))
+
+
+@dataclass(frozen=True, eq=False)
+class PairMap:
+    """A solver's run at one coupling, as the map of the pair amplitudes.
+
+    ``p``, shape ``(2, 2, len(tau))``, is ``P(t) = M(t) - 1``: the pair
+    ``x = (c1, c2)`` at ``t = 0``, with empty memory or modes, is
+    ``x + P(t) x`` at ``t``.  It is real, since the qubits sit on resonance
+    of a symmetric Lorentzian.  Called on an
+    :class:`~zeno_ent.model.InitialState`, the map gives that state's
+    :class:`~zeno_ent.model.TimeSeries`, with ``meta`` in its ``meta``.
+
+    The bath's map is ``P = a a^T sigma`` with ``drive = a``, the coupling
+    vector: the comb reads the pair only through ``u = a.x``, so a state
+    is read that way, ``x + a (u sigma)``, and one that the comb never
+    sees (``u = 0``) stays put exactly.  Its modes then hold ``|u|^2
+    nu``, and the series carries the total excitation ``norm_total =
+    |c|^2 + |u|^2 nu`` at each output step.
+    """
+
+    tau: np.ndarray
+    p: np.ndarray
+    meta: dict
+    drive: tuple[float, float] | None = None
+    sigma: np.ndarray | None = None
+    nu: np.ndarray | None = None
+
+    def __call__(self, init: InitialState) -> TimeSeries:
+        x1, x2 = init.c01, init.c02
+        meta = dict(self.meta)
+        if self.drive is None:
+            p = self.p
+            c1 = x1 + (p[0, 0] * x1 + p[0, 1] * x2)
+            c2 = x2 + (p[1, 0] * x1 + p[1, 1] * x2)
+        else:
+            a1, a2 = self.drive
+            u0 = a1 * x1 + a2 * x2
+            drift = u0 * self.sigma
+            c1 = x1 + a1 * drift
+            c2 = x2 + a2 * drift
+            meta["norm_total"] = np.abs(c1) ** 2 + np.abs(c2) ** 2 + abs(u0) ** 2 * self.nu
+        return TimeSeries(tau=self.tau, c1=c1, c2=c2, meta=meta)
 
 
 def _check_comb(n_modes, freq_window) -> int:
@@ -215,58 +264,71 @@ def _power_minus_one(d, k: int, mul):
         d = 2.0 * d + mul(d, d)
 
 
+def _power_table(d, count: int, mul):
+    """``Q_i = M**i - 1`` for ``i = 0..count``, stacked on a new first axis,
+    from ``d = M - 1``.
+
+    ``mul`` is the product, ``np.matmul`` for a matrix or ``np.multiply``
+    elementwise, as in :func:`_power_minus_one`.  The table is built by
+    doubling: with ``Q_0 .. Q_h`` in hand, ``Q_(h+i) = Q_i + Q_h + Q_i Q_h``
+    gives the next ``h`` rows in one product, so it takes about
+    ``log2(count)`` products where stepping ``q += d + d q`` took ``count``.
+    Each row is a small correction formed without rounding it against
+    the 1.
+    """
+    table = np.empty((count + 1,) + d.shape, dtype=d.dtype)
+    table[0] = 0.0
+    if count:
+        table[1] = d
+    h = 1
+    while h < count:
+        m = min(h, count - h)
+        rows, top, out = table[1:m + 1], table[h], table[h + 1:h + m + 1]
+        mul(rows, top, out=out)
+        out += rows
+        out += top
+        h += m
+    return table
+
+
 def _amplitude_rows(increment, n: int):
-    """``y0 ->`` rows ``x1`` and ``x2`` of ``M**k @ y0`` for ``k = 0..n``.
+    """The pair block of ``M**k - 1`` for ``k = 0..n``, shape ``(2, 2, n + 1)``.
 
     ``increment(x1, x2, v)`` is ``(M - 1) y`` for one step ``y -> M y`` of
     a linear recurrence on three amplitudes; ``D = M - 1`` is read off as
-    its images of the unit vectors.  With ``K = isqrt(n + 1)`` and
-    ``J = ceil((n + 1) / K)``, the powers ``M**i = 1 + Q_i`` (``i < K``) and
-    the block powers ``M**(j*K)`` (``j < J``) give the block states
-    ``y_j = M**(j*K) @ y0`` and ``M**(j*K + i) @ y0 = y_j + Q_i @ y_j`` for
-    every ``k``, so each row is one ``(J, K)`` product and the loops run
-    ``K + J ~ 2 sqrt(n)`` times instead of ``n``.  Carrying ``D`` and
-    ``Q_i`` rather than ``M`` and its powers keeps the rounding of the
-    entries near 1 out of the map: each block step adds a small correction,
-    as the scalar step does, instead of applying one rounded matrix ``n``
-    times.  The map is built here, once; each ``y0`` then costs one product
-    with the real ``(J, 3, 3)`` stack of block powers and the two row
-    products.
+    its images of the unit vectors.  The memory variable starts at 0, so
+    only the pair's two columns are kept, and only its two rows are read.
+    With ``K = isqrt(n + 1)`` and ``J = ceil((n + 1) / K)``, the powers
+    ``Q_i = M**i - 1`` (``i < K``) and the block powers ``A_j = M**(j*K) -
+    1`` (``j < J``), each a :func:`_power_table`, give ``M**(j*K + i) - 1 =
+    A_j + Q_i + Q_i A_j``, so each entry is one ``(J, 3) @ (3, K)`` product
+    and two broadcasts.  Carrying ``D``, ``Q_i`` and ``A_j`` rather than
+    ``M`` and its powers keeps the rounding of the entries near 1 out of
+    the map.
     """
     gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
     block = math.isqrt(n + 1)
     count = -(-(n + 1) // block)
-    heads = np.empty((2, block, 3))
-    power = np.zeros((3, 3))
-    for i in range(block):
-        heads[:, i] = power[:2]
-        power += gen + gen @ power
-    blocks = np.empty((count, 3, 3))
-    y = np.eye(3)
-    for j in range(count):
-        blocks[j] = y
-        y += power @ y
-
-    def rows(y0):
-        states = blocks @ np.asarray(y0, dtype=complex)
-        out = []
-        for row, head in enumerate(heads):
-            x = states @ head.T
-            x += states[:, row:row + 1]
-            out.append(x.reshape(-1)[:n + 1])
-        return tuple(out)
-
-    return rows
+    heads = _power_table(gen, block, np.matmul)
+    tails = _power_table(heads[block], count - 1, np.matmul)
+    heads = heads[:block]
+    out = np.empty((2, 2, count, block))
+    for r in range(2):
+        for c in range(2):
+            np.matmul(tails[:, :, c], heads[:, r].T, out=out[r, c])
+            out[r, c] += tails[:, r, c, None]
+            out[r, c] += heads[:, r, c]
+    return out.reshape(2, 2, -1)[:, :, :n + 1]
 
 
 def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
-                       cfg: SolverConfig, increment):
-    """``init -> TimeSeries`` of a three-amplitude solver whose step is
-    ``y -> y + increment(y)``: checks the step against :func:`step_limit`,
-    builds the map of :func:`_amplitude_rows` on the grid of ``cfg`` and
-    reads each initial state off it, with the memory variable at 0.  With
-    a stride ``k > 1`` the map is stepped ``k`` steps at a time, its
-    increment ``M**k - 1`` formed once from ``D = M - 1``."""
+                       cfg: SolverConfig, increment) -> PairMap:
+    """The :class:`PairMap` of a three-amplitude solver whose step is ``y ->
+    y + increment(y)``: checks the step against :func:`step_limit` and
+    builds the map of :func:`_amplitude_rows` on the grid of ``cfg``, with
+    the memory variable at 0.  With a stride ``k > 1`` the map is stepped
+    ``k`` steps at a time, its increment ``M**k - 1`` formed once from ``D
+    = M - 1``."""
     _check_resolution(cfg.dt, step_limit(res, coup, solver, cfg.freq_window))
     n, tau, stride = _grid(cfg)
     if stride > 1:
@@ -276,19 +338,13 @@ def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
         def increment(*y):
             return gen @ y
 
-    rows = _amplitude_rows(increment, n)
-    meta = {"solver": solver, "dt": cfg.dt}
-
-    def series(init: InitialState) -> TimeSeries:
-        c1, c2 = rows((init.c01, init.c02, 0.0))
-        return TimeSeries(tau=tau, c1=c1, c2=c2, meta=dict(meta))
-
-    return series
+    return PairMap(tau=tau, p=_amplitude_rows(increment, n),
+                   meta={"solver": solver, "dt": cfg.dt})
 
 
 def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
-    """Build the Volterra step map once for this coupling; returns
-    ``init -> TimeSeries``.
+    """Build the Volterra step map once for this coupling; returns its
+    :class:`PairMap`.
 
     The history integral of the kernel ``w^2 e^{-lam tau}`` is carried by
     the O(1) recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which
@@ -320,7 +376,7 @@ def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfi
 
 def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     """Build the pseudomode RK4 step map once for this coupling; returns
-    ``init -> TimeSeries``.
+    its :class:`PairMap`.
 
     The RK4 step on the pseudo-mode reduction of the exponential kernel is
     a constant linear map on ``(c1, c2, z)``.
@@ -364,7 +420,7 @@ def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
 
 
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
-    """Run the comb once for this coupling; returns ``init -> TimeSeries``.
+    """Run the comb once for this coupling; returns its :class:`PairMap`.
 
     Works in the frame rotating at each mode's detuning, which leaves the
     qubit amplitudes untouched and makes the right-hand side autonomous.
@@ -384,9 +440,10 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
     start empty and the RK4 step is linear, so the modes and the summed
     pair increment ``sigma`` of a run from ``u0 = a.x0`` are ``u0`` times
-    those of one run driven by ``u0 = 1``: ``x = x0 + a u0 sigma`` and the
-    total norm is ``|x|^2 + |u0|^2 nu`` with ``nu = |m|^2`` of that run.
-    That run is made here, and every initial state is read off it.
+    those of one run driven by ``u0 = 1``: the map is ``P = a a^T sigma``,
+    ``x = x0 + a u0 sigma``, and the total norm is ``|x|^2 + |u0|^2 nu``
+    with ``nu = |m|^2`` of that run.  That run is made here, and every
+    initial state is read off it.
 
     The run is still the RK4 map, evaluated from its spectrum instead of
     step by step.  With ``v = u/|a|`` the generator is ``-i H`` on
@@ -405,8 +462,9 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     stride) / 2`` plus ``log2(stride)`` elementwise products, not ``modes *
     steps`` Python-level steps.
 
-    Metadata carries the full mode count, the recurrence time and the
-    total-excitation norm at each output step for conservation checks.
+    Metadata carries the full mode count and the recurrence time, and each
+    series the total-excitation norm at each output step for conservation
+    checks.
     """
     recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
     if cfg.t_max > recurrence:
@@ -448,16 +506,8 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
         "freq_window": cfg.freq_window,
         "recurrence_time": recurrence,
     }
-
-    def series(init: InitialState) -> TimeSeries:
-        u0 = a1 * init.c01 + a2 * init.c02
-        drift = u0 * sigma
-        c1 = init.c01 + a1 * drift
-        c2 = init.c02 + a2 * drift
-        norm = np.abs(c1) ** 2 + np.abs(c2) ** 2 + abs(u0) ** 2 * nu
-        return TimeSeries(tau=tau, c1=c1, c2=c2, meta={**meta, "norm_total": norm})
-
-    return series
+    p = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])[:, :, None] * sigma
+    return PairMap(tau=tau, p=p, meta=meta, drive=(a1, a2), sigma=sigma, nu=nu)
 
 
 def _folded_spectrum(o, b):
@@ -693,10 +743,10 @@ def _spectral_sums(theta, weight, n: int, stride: int):
     ``theta.size * n`` for the ``n + 1`` output points, whatever the
     stride.  As in
     :func:`_amplitude_rows`, with ``K = isqrt(n + 1)`` the powers
-    ``B_i = p^i - 1`` (``i < K``) and ``A_j = p^(jK) - 1`` are accumulated
-    as ``q += d + d q`` (:func:`_power_rows`), and ``p^(jK+i) - 1 = A_j +
-    B_i + A_j B_i`` combines them: each sum is one ``(J, K)`` product over
-    the modes.  The modes are taken in chunks, so no work array exceeds
+    ``B_i = p^i - 1`` (``i < K``) and ``A_j = p^(jK) - 1`` are built by
+    doubling (:func:`_power_table`), and ``p^(jK+i) - 1 = A_j + B_i + A_j
+    B_i`` combines them: each sum is one ``(J, K)`` product over the
+    modes.  The modes are taken in chunks, so no work array exceeds
     ``_CHUNK`` elements.
     """
     z = -1j * theta
@@ -713,25 +763,17 @@ def _spectral_sums(theta, weight, n: int, stride: int):
     for lo in range(0, theta.size, width):
         w = weight[lo:lo + width]
         # conj(B), so that Re(A B) is a real product of the float views
-        heads, big = _power_rows(step[lo:lo + width].conj(), block)
-        tails, _ = _power_rows(big.conj(), count)
+        heads = _power_table(step[lo:lo + width].conj(), block, np.multiply)
+        tails = _power_table(heads[block].conj(), count - 1, np.multiply)
+        heads = heads[:block]
         tails *= w
         re += tails.view(float) @ heads.view(float).T
         re += tails.real.sum(axis=1)[:, None] + heads.real @ w
-        heads, big = _power_rows(step_abs[lo:lo + width], block)
-        tails, _ = _power_rows(big, count)
+        heads = _power_table(step_abs[lo:lo + width], block, np.multiply)
+        tails = _power_table(heads[block], count - 1, np.multiply)
+        heads = heads[:block]
         tails *= w
         ab += tails @ heads.T
         ab += tails.sum(axis=1)[:, None] + heads @ w
     return re.reshape(-1)[:n + 1], ab.reshape(-1)[:n + 1]
 
-
-def _power_rows(d, count: int):
-    """Rows ``p^i - 1`` for ``i < count`` and ``p^count - 1``, from
-    ``d = p - 1``, elementwise."""
-    rows = np.empty((count, d.size), dtype=d.dtype)
-    q = np.zeros_like(d)
-    for i in range(count):
-        rows[i] = q
-        q += d + d * q
-    return rows, q

@@ -392,6 +392,48 @@ class TestSolverXcheck:
         assert [size for _, size in grids] == [5001, 501, 501] * 2
         assert [r1 for r1, _ in grids] == pytest.approx([0.3] * 3 + [0.87] * 3)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
+    def test_rows_match_per_state_reference(self, big_r, phi):
+        # each row formed from the series of its state: the map called on
+        # the state, the closed form on the solver grid, and the largest
+        # amplitude gap over the shared points
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=big_r, phi=phi)
+        for include_bath in (True, False):
+            table = run_solver_xcheck(dataclasses.replace(cfg, include_bath=include_bath))
+            names = ["volterra", "ode"] + (["bath"] if include_bath else [])
+            pairs = [("closed", b) for b in names]
+            pairs += [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+            rows = iter(table.rows)
+            for r1 in cfg.r1_axis():
+                res, coup = resonant_system(big_r, r1)
+                maps = {name: scenarios._propagator(cfg, name, res, coup,
+                                                    getattr(cfg, f"dt_{name}"))
+                        for name in names}
+                for s in cfg.s_axis():
+                    init = InitialState.from_separability(s, phi)
+                    series = {name: m(init) for name, m in maps.items()}
+                    for a, b in pairs:
+                        sb = series[b]
+                        if a == "closed":
+                            sa = closed_form_series(res, coup, init, sb.tau)
+                            ia = ib = slice(None)
+                            tol = scenarios.XCHECK_TOLERANCES[b]
+                        else:
+                            sa = series[a]
+                            ia, ib = scenarios._shared_points(sa, sb)
+                            tol = (scenarios.XCHECK_TOLERANCES[a]
+                                   + scenarios.XCHECK_TOLERANCES[b])
+                        err = max(float(np.max(np.abs(sa.c1[ia] - sb.c1[ib]))),
+                                  float(np.max(np.abs(sa.c2[ia] - sb.c2[ib]))))
+                        row = next(rows)
+                        assert row[:4] == [r1, s, a, b]
+                        assert row[4] == sb.tau[ib].size
+                        assert row[6] == tol
+                        assert row[7] == int(err <= tol)
+                        assert row[5] == pytest.approx(err, rel=0, abs=1e-15)
+            assert next(rows, None) is None
+
     def test_incommensurate_steps_rejected(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,
                              r1=(0.5,), s=(0.0,), tau_max=1.0,
@@ -419,7 +461,8 @@ class TestSolverXcheck:
         gap = max(float(np.max(np.abs(sv.c1[::7][:n] - so.c1[:n]))),
                   float(np.max(np.abs(sv.c2[::7][:n] - so.c2[:n]))))
         assert row[4] == n
-        assert row[5] == gap
+        # the table reads the gap off the two maps, not off the two series
+        assert row[5] == pytest.approx(gap, rel=0, abs=1e-15)
 
 
 class TestFindOptimum:
@@ -676,6 +719,19 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"big_r = {float(big_r)!r}" in err
         assert f"more than the {scenarios.MAX_SOLVER_STEPS} " in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--solver", "volterra", "--tau-steps", "2", "--tau-max", "101"],
+         "the volterra solver needs 1.01e+06 steps at big_r = 0.1 over tau_max = 101.0"),
+        (["--solver", "ode", "--big-r", "1e12"],
+         "the ode solver needs 2e+13 steps at big_r = 1000000000000.0 over tau_max = 10.0"),
+    ], ids=["volterra-long-interval", "ode-strong-coupling"])
+    def test_step_ceiling_message_gives_uncapped_count(self, capsys, argv, message):
+        # the refusal printed the substep count capped just past the
+        # ceiling: 1e+06 for both
+        assert main(["time-evolution"] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}, more than the 1000000 a solver run" in err
 
     @pytest.mark.parametrize("tau_max, steps", [(1e7, "1e+11"), (2000, "2e+07")])
     def test_xcheck_past_step_ceiling_exits_2(self, tmp_path, capsys, tau_max, steps):

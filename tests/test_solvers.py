@@ -166,17 +166,22 @@ class TestLinearMapEvaluation:
 def amplitude_rows_per_state(increment, y0, n):
     """The blocked evaluation with one complex state carried through the
     block loop, ``y_(j+1) = y_j + Q_K y_j``: the form in which the map
-    served a single initial state, kept as the oracle of the shared map."""
+    served a single initial state, kept as the oracle of the shared map.
+    The step's ``D = M - 1`` is the solver's own, in doubles; its powers
+    are carried in ``np.longdouble`` (80-bit on x86-64), so that at strong
+    coupling the oracle's own rounding (3e-14 in doubles at R = 24) stays
+    below the bound it is held to."""
     gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+    gen = gen.astype(np.longdouble)
     block = math.isqrt(n + 1)
     count = -(-(n + 1) // block)
-    heads = np.empty((2, block, 3))
-    power = np.zeros((3, 3))
+    heads = np.empty((2, block, 3), dtype=np.longdouble)
+    power = np.zeros((3, 3), dtype=np.longdouble)
     for i in range(block):
         heads[:, i] = power[:2]
         power += gen + gen @ power
-    states = np.empty((count, 3), dtype=complex)
-    y = np.array(y0, dtype=complex)
+    states = np.empty((count, 3), dtype=np.clongdouble)
+    y = np.array(y0, dtype=np.clongdouble)
     for j in range(count):
         states[j] = y
         y = y + power @ y
@@ -184,7 +189,7 @@ def amplitude_rows_per_state(increment, y0, n):
     for row, head in enumerate(heads):
         out = states @ head.T
         out += states[:, row:row + 1]
-        rows.append(out.reshape(-1)[:n + 1])
+        rows.append(out.reshape(-1)[:n + 1].astype(complex))
     return tuple(rows)
 
 
@@ -299,6 +304,105 @@ class TestStride:
             np.testing.assert_allclose(solvers._power_minus_one(gen, k, np.matmul), power,
                                        rtol=1e-13, atol=0)
         assert solvers._power_minus_one(gen, 1, np.matmul) is gen
+
+
+class TestPowerTable:
+    """The stacked powers ``M**i - 1`` built by doubling, against the same
+    powers stepped one at a time and raised directly in ``np.longdouble``.
+    Each power rounds about once per factor, so the bounds grow with the
+    count."""
+
+    COUNTS = (1, 2, 3, 44, 100, 317)
+
+    @staticmethod
+    def sequential(d, count, mul):
+        rows = [np.zeros_like(d)]
+        for _ in range(count):
+            rows.append(rows[-1] + d + mul(d, rows[-1]))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_matrix_table(self, count):
+        gen = np.array([[-1e-3, 2e-4, 0.0], [3e-4, -2e-3, 1e-4], [5e-4, 0.0, -1e-3]])
+        table = solvers._power_table(gen, count, np.matmul)
+        assert table.shape == (count + 1, 3, 3)
+        assert np.all(table[0] == 0.0) and np.array_equal(table[1], gen)
+        np.testing.assert_allclose(table, self.sequential(gen, count, np.matmul),
+                                   rtol=0, atol=1e-15)
+        one = np.eye(3, dtype=np.longdouble)
+        direct = [np.linalg.matrix_power(one + gen, i) - one for i in range(count + 1)]
+        np.testing.assert_allclose(table, np.array(direct, dtype=float), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_elementwise_table(self, count):
+        # RK4 factors minus one, as the bath's spectral sums raise them
+        theta = np.array([1e-6, 3e-3, 0.05, 0.4, 1.0])
+        z = -1j * theta
+        d = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        table = solvers._power_table(d, count, np.multiply)
+        assert table.shape == (count + 1, d.size) and table.dtype == complex
+        assert np.all(table[0] == 0.0) and np.array_equal(table[1], d)
+        bound = 2e-16 * (count + 1)
+        np.testing.assert_allclose(table, self.sequential(d, count, np.multiply),
+                                   rtol=0, atol=bound)
+        direct = np.power(1.0 + d.astype(np.clongdouble), np.arange(count + 1)[:, None]) - 1.0
+        np.testing.assert_allclose(table, direct.astype(complex), rtol=0, atol=bound)
+
+    def test_zero_count(self):
+        table = solvers._power_table(np.array([0.5 + 0.1j]), 0, np.multiply)
+        assert table.shape == (1, 1) and table[0, 0] == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 99])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_spectral_sums_match_direct_powers(self, n, stride):
+        theta = np.array([0.0, 2e-3, 0.07, 0.3, 0.9])
+        weight = np.array([0.05, 0.1, 0.2, 0.1, 0.05])
+        re, ab = solvers._spectral_sums(theta, weight, n, stride)
+        z = -1j * theta.astype(np.longdouble)
+        p = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        k = stride * np.arange(n + 1)[:, None]
+        bound = 2e-16 * (stride * n + 1)
+        np.testing.assert_allclose(re, (weight * (np.power(p, k) - 1.0).real).sum(axis=1)
+                                   .astype(float), rtol=0, atol=bound)
+        np.testing.assert_allclose(ab, (weight * (np.abs(p) ** (2 * k) - 1.0)).sum(axis=1)
+                                   .astype(float), rtol=0, atol=bound)
+
+
+class TestPairMap:
+    """The propagators' pair maps: what a state reads off them, and their
+    strided forms."""
+
+    RUNS = ((volterra_propagator, 1e-4), (aux_ode_propagator, 1e-3), (bath_propagator, 1e-3))
+
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0, 20.0])
+    def test_strided_map_is_the_thinned_map(self, big_r):
+        res, coup = resonant_system(big_r, 0.87)
+        for propagator, dt in self.RUNS:
+            full = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
+            assert full.p.shape == (2, 2, full.tau.size) and full.p.dtype == float
+            for stride in (5, 7, 50):
+                thin = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0, stride=stride))
+                assert np.array_equal(thin.tau, full.tau[::stride])
+                # as the strided series, up to the rounding of the powers
+                np.testing.assert_allclose(thin.p, full.p[..., ::stride], rtol=0, atol=2e-14)
+
+    @pytest.mark.parametrize("big_r", [0.5, 10.0])
+    def test_state_reads_x_plus_p_x(self, big_r):
+        res, coup = resonant_system(big_r, 0.87)
+        init = InitialState.from_separability(0.3, 0.7)
+        x = np.array([init.c01, init.c02])
+        for propagator, dt in self.RUNS:
+            pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=2.0, n_modes=400))
+            series = pair_map(init)
+            c = x[:, None] + np.einsum("ijt,j->it", pair_map.p, x)
+            assert series.tau is pair_map.tau
+            assert series.meta["solver"] == pair_map.meta["solver"]
+            np.testing.assert_allclose(series.c1, c[0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(series.c2, c[1], rtol=0, atol=1e-15)
+        # the comb's map is a a^T sigma, its drive the coupling vector
+        a = np.array([coup.alpha1, coup.alpha2])
+        np.testing.assert_array_equal(pair_map.p, np.multiply.outer(np.outer(a, a),
+                                                                    pair_map.sigma))
 
 
 class TestSolverConfig:
@@ -543,28 +647,28 @@ class TestDiscretizedBath:
         assert np.array_equal(direct.meta["norm_total"], series.meta["norm_total"])
 
     def test_xcheck_bath_series_carry_norm_total(self, monkeypatch):
-        # every s of a multi-s cross-check is read off one comb run, and
-        # each series still carries the norm of a direct run on its state
-        served = []
+        # a multi-s cross-check makes one comb run per coupling, and its map
+        # gives each state the amplitudes and the norm of a direct run
+        maps = []
         real = scenarios.bath_propagator
 
         def recording(res, coup, cfg):
-            propagate = real(res, coup, cfg)
-
-            def series(init):
-                out = propagate(init)
-                served.append((res, coup, cfg, init, out))
-                return out
-            return series
+            out = real(res, coup, cfg)
+            maps.append((res, coup, cfg, out))
+            return out
 
         monkeypatch.setattr(scenarios, "bath_propagator", recording)
-        run_solver_xcheck(ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
-                                         s=(-1.0, 0.0, 0.3), phi=0.7, tau_max=2.0,
-                                         n_modes=50))
-        assert len(served) == 3
-        for res, coup, cfg, init, out in served:
-            c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.87,),
+                             s=(-1.0, 0.0, 0.3), phi=0.7, tau_max=2.0, n_modes=50)
+        run_solver_xcheck(cfg)
+        assert len(maps) == 1
+        res, coup, scfg, pair_map = maps[0]
+        for s in cfg.s:
+            init = InitialState.from_separability(s, cfg.phi)
+            out = pair_map(init)
+            c1, c2, norm = rk4_bath_reference(res, coup, init, scfg)
             np.testing.assert_allclose(out.c1, c1, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(out.c2, c2, rtol=0, atol=1e-13)
             np.testing.assert_allclose(out.meta["norm_total"], norm, rtol=0, atol=1e-13)
 
     def test_total_excitation_conserved(self):
