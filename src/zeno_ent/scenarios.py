@@ -265,10 +265,16 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: 
     from it.  A run of more than :data:`MAX_SOLVER_STEPS` steps is refused
     before any grid or map is built, whatever the stride.
     """
-    steps = cfg.tau_max / dt
+    # a step of zero comes from a step count that overflows a double
+    steps = cfg.tau_max / dt if dt > 0.0 else math.inf
     # the grid rounds the step count to the nearest integer
     if not steps < MAX_SOLVER_STEPS + 0.5:
-        raise _too_many_steps(cfg, solver, steps)
+        # time-evolution refines the step to the coupling; xcheck takes it as given
+        hint = "lower big_r" if cfg.scenario == "time-evolution" else f"raise dt_{solver}"
+        raise ValueError(
+            f"the {solver} solver needs {steps:.6g} steps at big_r = {cfg.big_r!r} "
+            f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
+            f"solver run may take; {hint} or shorten tau_max")
     scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
                         freq_window=cfg.freq_window, stride=stride)
     # propagators are read from the module globals per call, so one patched
@@ -276,17 +282,6 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: 
     propagate = {"volterra": volterra_propagator, "ode": aux_ode_propagator,
                  "bath": bath_propagator}[solver]
     return propagate(res, coup, scfg)
-
-
-def _too_many_steps(cfg: ScenarioConfig, solver: str, steps: float) -> ValueError:
-    """The refusal of a ``solver`` run of ``steps`` steps, more than
-    :data:`MAX_SOLVER_STEPS`."""
-    # time-evolution refines the step to the coupling; xcheck takes it as given
-    hint = "lower big_r" if cfg.scenario == "time-evolution" else f"raise dt_{solver}"
-    return ValueError(
-        f"the {solver} solver needs {steps:.6g} steps at big_r = {cfg.big_r!r} "
-        f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
-        f"solver run may take; {hint} or shorten tau_max")
 
 
 def _stationary_grid(r1_axis, inits) -> np.ndarray:
@@ -323,20 +318,21 @@ def run_stationary_surface(cfg: ScenarioConfig) -> ScenarioResult:
                           meta=meta, config=cfg)
 
 
-def _substeps(dtau: float, base: float, limit: float) -> int:
+def _substeps(dtau: float, base: float, limit: float) -> int | float:
     """Solver steps per output interval ``dtau``: the fewest ``k`` whose step
     ``dtau / k`` is no longer than ``base`` and passes the resolution check
     ``dtau / k < limit``.
 
     ``floor(dtau / limit) + 1`` is that count up to the rounding of the two
-    quotients, which moves it by at most one either way.  Counts above
-    :data:`MAX_SOLVER_STEPS` are capped just past it, since they are refused.
+    quotients, which moves it by at most one either way.  A count above
+    :data:`MAX_SOLVER_STEPS` is refused, so it is not refined: it is the
+    larger quotient, a float that may be ``inf``, for the refusal to print.
     """
     cap = MAX_SOLVER_STEPS + 1
     least = max(1, math.ceil(min(dtau / base - 1e-9, cap)))
     k = max(least, math.floor(min(dtau / limit, cap)) + 1 if limit > 0.0 else cap)
     if k >= cap:
-        return k
+        return max(k, dtau / base, dtau / limit if limit > 0.0 else math.inf)
     if dtau / k >= limit:
         return k + 1
     if k > least and dtau / (k - 1) < limit:
@@ -352,14 +348,9 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
     if solver == "closed":
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
     # a step that divides the output spacing, so no interpolation is needed
-    dtau = float(tau[1] - tau[0])
-    base = getattr(cfg, f"dt_{solver}")
+    dtau = tau[1] - tau[0]
     limit = step_limit(res, coup, solver, cfg.freq_window)
-    k = _substeps(dtau, base, limit)
-    if k > MAX_SOLVER_STEPS:
-        # the count is capped there; the message gives the one the curve needs
-        need = max(k, dtau / base, dtau / limit if limit > 0.0 else math.inf)
-        raise _too_many_steps(cfg, solver, (tau.size - 1) * need)
+    k = _substeps(float(dtau), getattr(cfg, f"dt_{solver}"), limit)
     run = _propagator(cfg, solver, res, coup, dtau / k, stride=k)
     return lambda init: run(init).concurrence()
 

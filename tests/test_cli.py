@@ -454,15 +454,23 @@ class TestSolverXcheck:
                    if r[2:4] == ["volterra", "ode"])
         res, coup = resonant_system(0.1, 0.87)
         init = InitialState.from_separability(0.0)
-        sv = volterra_propagator(res, coup, SolverConfig(dt=1e-4, t_max=10.0))(init)
-        so = aux_ode_propagator(res, coup, SolverConfig(dt=7e-4, t_max=10.0))(init)
-        assert so.tau.size == 14287
+        mv = volterra_propagator(res, coup, SolverConfig(dt=1e-4, t_max=10.0))
+        mo = aux_ode_propagator(res, coup, SolverConfig(dt=7e-4, t_max=10.0))
+        assert mo.tau.size == 14287
         n = 14286
-        gap = max(float(np.max(np.abs(sv.c1[::7][:n] - so.c1[:n]))),
-                  float(np.max(np.abs(sv.c2[::7][:n] - so.c2[:n]))))
+        # the table reads the gap off the two maps on the shared points: |D x|
+        # for the real pair x of the state, bit for bit
+        d = mv.p[..., ::7][..., :n] - mo.p[..., :n]
+        x1, x2 = init.c01.real, init.c02.real
+        assert init.c01.imag == init.c02.imag == 0.0
+        gap = max(float(np.max(np.abs(d[i, 0] * x1 + d[i, 1] * x2))) for i in range(2))
         assert row[4] == n
-        # the table reads the gap off the two maps, not off the two series
-        assert row[5] == pytest.approx(gap, rel=0, abs=1e-15)
+        assert row[5] == gap
+        # and it is the gap of the two series, up to their rounding
+        sv, so = mv(init), mo(init)
+        series_gap = max(float(np.max(np.abs(sv.c1[::7][:n] - so.c1[:n]))),
+                         float(np.max(np.abs(sv.c2[::7][:n] - so.c2[:n]))))
+        assert row[5] == pytest.approx(series_gap, rel=0, abs=1e-15)
 
 
 class TestFindOptimum:
@@ -725,11 +733,16 @@ class TestCliMain:
          "the volterra solver needs 1.01e+06 steps at big_r = 0.1 over tau_max = 101.0"),
         (["--solver", "ode", "--big-r", "1e12"],
          "the ode solver needs 2e+13 steps at big_r = 1000000000000.0 over tau_max = 10.0"),
-    ], ids=["volterra-long-interval", "ode-strong-coupling"])
+        (["--solver", "ode", "--big-r", "1e150", "--tau-max", "1e300", "--tau-steps", "2"],
+         "the ode solver needs inf steps at big_r = 1e+150 over tau_max = 1e+300"),
+    ], ids=["volterra-long-interval", "ode-strong-coupling", "count-past-any-float"])
     def test_step_ceiling_message_gives_uncapped_count(self, capsys, argv, message):
         # the refusal printed the substep count capped just past the
-        # ceiling: 1e+06 for both
-        assert main(["time-evolution"] + argv) == 2
+        # ceiling: 1e+06 for all three; a count that overflows a double is
+        # refused with no numpy division warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["time-evolution"] + argv) == 2
         err = capsys.readouterr().err
         assert f"configuration error: {message}, more than the 1000000 a solver run" in err
 

@@ -1,5 +1,6 @@
 """Numeric integrators against the closed form and against each other."""
 
+import decimal
 import math
 import re
 
@@ -163,33 +164,55 @@ class TestLinearMapEvaluation:
             np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-11)
 
 
+# the working precision of the decimal references: 40 digits, with no
+# dependence on the platform's float types
+DECIMALS = decimal.Context(prec=40)
+
+
+def decimal_matmul(a, b):
+    """``a @ b`` for nested lists of decimals, rounded in the current context."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def decimal_mul(a, b):
+    """The product of two complex numbers held as ``(re, im)`` decimals."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def amplitude_rows_per_state(increment, y0, n):
     """The blocked evaluation with one complex state carried through the
     block loop, ``y_(j+1) = y_j + Q_K y_j``: the form in which the map
     served a single initial state, kept as the oracle of the shared map.
-    The step's ``D = M - 1`` is the solver's own, in doubles; its powers
-    are carried in ``np.longdouble`` (80-bit on x86-64), so that at strong
-    coupling the oracle's own rounding (3e-14 in doubles at R = 24) stays
-    below the bound it is held to."""
-    gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
-    gen = gen.astype(np.longdouble)
+    The step's ``D = M - 1`` is the solver's own, in doubles.  The two
+    block loops run in 40-digit decimals and are rounded to doubles once,
+    so the oracle's own rounding (3e-14 at R = 24 with the loops in
+    doubles) stays far below the bound it is held to."""
+    gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T.tolist()
     block = math.isqrt(n + 1)
     count = -(-(n + 1) // block)
-    heads = np.empty((2, block, 3), dtype=np.longdouble)
-    power = np.zeros((3, 3), dtype=np.longdouble)
-    for i in range(block):
-        heads[:, i] = power[:2]
-        power += gen + gen @ power
-    states = np.empty((count, 3), dtype=np.clongdouble)
-    y = np.array(y0, dtype=np.clongdouble)
-    for j in range(count):
-        states[j] = y
-        y = y + power @ y
+    with decimal.localcontext(DECIMALS):
+        gen = [[decimal.Decimal(v) for v in row] for row in gen]
+        heads = []
+        power = [[decimal.Decimal(0)] * 3 for _ in range(3)]
+        for _ in range(block):
+            heads.append(power[:2])
+            step = decimal_matmul(gen, power)
+            power = [[a + b + c for a, b, c in zip(*rows)] for rows in zip(power, gen, step)]
+        # the state as a 3x2 matrix: its real and imaginary parts
+        y = [[decimal.Decimal(v.real), decimal.Decimal(v.imag)] for v in map(complex, y0)]
+        states = []
+        for _ in range(count):
+            states.append(y)
+            step = decimal_matmul(power, y)
+            y = [[a + b for a, b in zip(*rows)] for rows in zip(y, step)]
+        heads = np.array(heads, dtype=float).transpose(1, 0, 2)
+        states = np.array(states, dtype=float)
+    states = states[..., 0] + 1j * states[..., 1]
     rows = []
     for row, head in enumerate(heads):
         out = states @ head.T
         out += states[:, row:row + 1]
-        rows.append(out.reshape(-1)[:n + 1].astype(complex))
+        rows.append(out.reshape(-1)[:n + 1])
     return tuple(rows)
 
 
@@ -308,7 +331,7 @@ class TestStride:
 
 class TestPowerTable:
     """The stacked powers ``M**i - 1`` built by doubling, against the same
-    powers stepped one at a time and raised directly in ``np.longdouble``.
+    powers stepped one at a time and raised directly in 40-digit decimals.
     Each power rounds about once per factor, so the bounds grow with the
     count."""
 
@@ -329,9 +352,16 @@ class TestPowerTable:
         assert np.all(table[0] == 0.0) and np.array_equal(table[1], gen)
         np.testing.assert_allclose(table, self.sequential(gen, count, np.matmul),
                                    rtol=0, atol=1e-15)
-        one = np.eye(3, dtype=np.longdouble)
-        direct = [np.linalg.matrix_power(one + gen, i) - one for i in range(count + 1)]
-        np.testing.assert_allclose(table, np.array(direct, dtype=float), rtol=0, atol=1e-15)
+        with decimal.localcontext(DECIMALS):
+            one = [[decimal.Decimal(int(r == c)) for c in range(3)] for r in range(3)]
+            m = [[decimal.Decimal(v) + u for v, u in zip(*rows)]
+                 for rows in zip(gen.tolist(), one)]
+            power, direct = one, []
+            for _ in range(count + 1):
+                direct.append([[a - b for a, b in zip(*rows)] for rows in zip(power, one)])
+                power = decimal_matmul(power, m)
+            direct = np.array(direct, dtype=float)
+        np.testing.assert_allclose(table, direct, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_elementwise_table(self, count):
@@ -345,8 +375,16 @@ class TestPowerTable:
         bound = 2e-16 * (count + 1)
         np.testing.assert_allclose(table, self.sequential(d, count, np.multiply),
                                    rtol=0, atol=bound)
-        direct = np.power(1.0 + d.astype(np.clongdouble), np.arange(count + 1)[:, None]) - 1.0
-        np.testing.assert_allclose(table, direct.astype(complex), rtol=0, atol=bound)
+        with decimal.localcontext(DECIMALS):
+            direct = []
+            for v in d.tolist():
+                base = (1 + decimal.Decimal(v.real), decimal.Decimal(v.imag))
+                power, column = (decimal.Decimal(1), decimal.Decimal(0)), []
+                for _ in range(count + 1):
+                    column.append(complex(float(power[0] - 1), float(power[1])))
+                    power = decimal_mul(power, base)
+                direct.append(column)
+        np.testing.assert_allclose(table, np.array(direct).T, rtol=0, atol=bound)
 
     def test_zero_count(self):
         table = solvers._power_table(np.array([0.5 + 0.1j]), 0, np.multiply)
@@ -358,14 +396,26 @@ class TestPowerTable:
         theta = np.array([0.0, 2e-3, 0.07, 0.3, 0.9])
         weight = np.array([0.05, 0.1, 0.2, 0.1, 0.05])
         re, ab = solvers._spectral_sums(theta, weight, n, stride)
-        z = -1j * theta.astype(np.longdouble)
-        p = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-        k = stride * np.arange(n + 1)[:, None]
+        with decimal.localcontext(DECIMALS):
+            re_ref = [decimal.Decimal(0)] * (n + 1)
+            ab_ref = [decimal.Decimal(0)] * (n + 1)
+            for t, w in zip(theta.tolist(), weight.tolist()):
+                t, w = decimal.Decimal(t), decimal.Decimal(w)
+                # the RK4 polynomial of -i t: 1 - t^2/2 + t^4/24 - i (t - t^3/6)
+                p = (1 - t**2 / 2 + t**4 / 24, t**3 / 6 - t)
+                step = (decimal.Decimal(1), decimal.Decimal(0))
+                for _ in range(stride):
+                    step = decimal_mul(step, p)
+                power = (decimal.Decimal(1), decimal.Decimal(0))
+                for m in range(n + 1):
+                    re_ref[m] += w * (power[0] - 1)
+                    ab_ref[m] += w * (power[0] ** 2 + power[1] ** 2 - 1)
+                    power = decimal_mul(power, step)
+            re_ref = np.array(re_ref, dtype=float)
+            ab_ref = np.array(ab_ref, dtype=float)
         bound = 2e-16 * (stride * n + 1)
-        np.testing.assert_allclose(re, (weight * (np.power(p, k) - 1.0).real).sum(axis=1)
-                                   .astype(float), rtol=0, atol=bound)
-        np.testing.assert_allclose(ab, (weight * (np.abs(p) ** (2 * k) - 1.0)).sum(axis=1)
-                                   .astype(float), rtol=0, atol=bound)
+        np.testing.assert_allclose(re, re_ref, rtol=0, atol=bound)
+        np.testing.assert_allclose(ab, ab_ref, rtol=0, atol=bound)
 
 
 class TestPairMap:
