@@ -3,7 +3,9 @@
 ``zeno-ent SCENARIO [options]`` runs one scenario and writes a CSV or JSON
 table to stdout or to ``--out``.  Options override config-file values,
 which override built-in defaults.  Identical inputs produce byte-identical
-output files.
+output files from run to run on the same numpy and BLAS build at the same
+thread count; a numeric solver's products may round differently under
+another build or thread count.
 
 Exit codes: 0 success, 2 bad usage or bad configuration, 3 solver
 cross-check exceeded its error budget, 4 output could not be written.

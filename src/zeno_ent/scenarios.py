@@ -84,6 +84,11 @@ _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "fr
 _INT_KEYS = ("tau_steps", "n_modes")
 
 
+def _is_real(v) -> bool:
+    """A real number, and not a ``bool``: a JSON ``true`` is no number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat bag of knobs shared by all scenarios.
@@ -141,7 +146,7 @@ class ScenarioConfig:
             raise ValueError(f"{self.scenario} does not take a solver, got solver "
                              f"{self.solver!r}; only time-evolution runs the one it is given")
         for name in _REAL_KEYS:
-            if not isinstance(getattr(self, name), numbers.Real):
+            if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in _INT_KEYS:
             v = getattr(self, name)
@@ -151,11 +156,13 @@ class ScenarioConfig:
             raise ValueError(f"include_bath must be true or false, got {self.include_bath!r}")
         for name in ("r1", "s", "meas_intervals"):
             try:
-                values = tuple(float(v) for v in getattr(self, name))
+                values = tuple(getattr(self, name))
             except TypeError:
+                values = None
+            if values is None or not all(map(_is_real, values)):
                 raise ValueError(f"{name} must be a list of numbers, "
-                                 f"got {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, values)
+                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
         if not (math.isfinite(self.big_r) and self.big_r > 0.0):
             raise ValueError(f"big_r must be positive, got {self.big_r!r}")
         for v in self.r1:

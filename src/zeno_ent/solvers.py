@@ -28,29 +28,27 @@ called on one, it gives its ``TimeSeries``.  Each solver has one name, in
 
 Each solver refuses a step at or above its :func:`step_limit`.  Every one
 of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
-how they are evaluated.  So a run read off on every ``k``-th step only
-(``SolverConfig.stride``) takes the map ``M**k`` as its step, formed in
-about ``2 log2(k)`` products (:func:`_power_minus_one`), and never
-evaluates the steps in between.  Stacked powers ``M**i - 1`` are built by
-doubling (:func:`_power_table`), about ``log2`` of their count in
-products.  The Volterra step and the pseudomode RK4 step act on three
-amplitudes; ``M - 1`` is read off the scalar step's increment, and ``P``
-is the pair block of its blocked powers (:func:`_amplitude_rows`), taken
-from the full 3x3 map on the pair and the memory variable.
+how they are evaluated.  A run read off on every ``k``-th step
+(``SolverConfig.stride``, 1 by default) needs the powers ``M**(k i) - 1``
+at its ``n + 1`` output points, and :func:`_blocked_powers` is the one
+place that lays them out: the step raised to the stride by squaring
+(:func:`_power_minus_one`), then heads and tails on a ``J x K`` grid,
+``K = isqrt(n + 1)``, each built by doubling (:func:`_power_table`).  The
+steps in between are never evaluated.  The Volterra step and the
+pseudomode RK4 step act on three amplitudes; ``M - 1`` is read off the
+scalar step's increment, and ``P`` is the pair block of its blocked
+powers (:func:`_amplitude_rows`), taken from the full 3x3 map on the pair
+and the memory variable.
 The pair enters the comb only through ``u = a.x`` and moves only along
 ``a``, so one run driven by ``u = 1`` from empty modes gives its map
 ``a a^T sigma`` and every initial state's total norm.  The comb's RK4
 step is the RK4 polynomial of ``-i dt H`` for a real symmetric arrowhead
 ``H``, so ``k`` steps are its ``k``-th power at ``-i dt lam_j`` on the
-eigenvectors of ``H``: the run is read off the spectrum,
-found from a secular equation over the upper half of the mirrored comb,
-with no loop over the steps.  Each root sums its about 256 nearest poles
-exactly and reads the others off an interpolant that its block of 128
-roots samples once, so the roots cost about modes^2 / 16 array operations
-plus 128 * modes per iteration, and the sums over the spectrum
-modes * (steps / stride) / 2 plus log2(stride) elementwise products,
-where stepping cost modes * steps in Python-level steps.  The run is
-still the RK4 map, rounding aside.
+eigenvectors of ``H``: the run is read off the spectrum, found from a
+secular equation over the upper half of the mirrored comb
+(:func:`_folded_spectrum`), and summed over it with the same blocked
+powers taken elementwise (:func:`_spectral_sums`), with no loop over the
+steps.  The run is still the RK4 map, rounding aside.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -198,12 +196,6 @@ def _check_comb(n_modes, freq_window) -> int:
     return int(n_modes)
 
 
-def _check_resolution(dt: float, bound: float):
-    """Reject steps that cannot resolve the fastest timescale."""
-    if dt >= bound:
-        raise ValueError(f"dt = {dt!r} under-resolves the dynamics; need dt < {bound!r}")
-
-
 def _comb_window(res: ReservoirSpec, coup: CouplingSpec, freq_window: float) -> float:
     """Half-width of the bath comb in linewidths, ``K * max(1, rabi/lam)``.
 
@@ -236,10 +228,14 @@ def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str,
     return 1.0 / (2.0 * max(rates))
 
 
-def _grid(cfg: SolverConfig):
+def _grid(cfg: SolverConfig, limit: float):
     """The last output index, the output times and the stride: every
     ``stride``-th point of the ``dt`` grid.  A stride past the last step
-    keeps only ``t = 0``, so it is cut to one step past it."""
+    keeps only ``t = 0``, so it is cut to one step past it.  A step at or
+    above ``limit``, the solver's :func:`step_limit`, cannot resolve the
+    fastest timescale and is refused."""
+    if cfg.dt >= limit:
+        raise ValueError(f"dt = {cfg.dt!r} under-resolves the dynamics; need dt < {limit!r}")
     n = max(int(round(cfg.t_max / cfg.dt)), 1)
     stride = min(cfg.stride, n + 1)
     return n // stride, np.arange(0, n + 1, stride) * cfg.dt, stride
@@ -251,7 +247,7 @@ def _power_minus_one(d, k: int, mul):
     ``mul`` is the product, ``np.matmul`` for a matrix or ``np.multiply``
     elementwise.  ``(1 + a)(1 + b) - 1 = a + b + a b`` combines two powers
     and ``2 q + q q`` squares one, so the small corrections are carried and
-    not rounded against the 1, as in :func:`_amplitude_rows`; it takes about
+    not rounded against the 1, as in :func:`_blocked_powers`; it takes about
     ``2 log2(k)`` products.  ``k = 1`` returns ``d`` itself.
     """
     out = None
@@ -291,28 +287,35 @@ def _power_table(d, count: int, mul):
     return table
 
 
-def _amplitude_rows(increment, n: int):
-    """The pair block of ``M**k - 1`` for ``k = 0..n``, shape ``(2, 2, n + 1)``.
+def _blocked_powers(d, n: int, stride: int, mul):
+    """The powers ``M**(stride k) - 1`` for ``k = 0..n``, from ``d = M - 1``,
+    as the heads ``Q_i`` and tails ``A_j`` that combine them.
 
-    ``increment(x1, x2, v)`` is ``(M - 1) y`` for one step ``y -> M y`` of
-    a linear recurrence on three amplitudes; ``D = M - 1`` is read off as
-    its images of the unit vectors.  The memory variable starts at 0, so
-    only the pair's two columns are kept, and only its two rows are read.
-    With ``K = isqrt(n + 1)`` and ``J = ceil((n + 1) / K)``, the powers
-    ``Q_i = M**i - 1`` (``i < K``) and the block powers ``A_j = M**(j*K) -
-    1`` (``j < J``), each a :func:`_power_table`, give ``M**(j*K + i) - 1 =
-    A_j + Q_i + Q_i A_j``, so each entry is one ``(J, 3) @ (3, K)`` product
-    and two broadcasts.  Carrying ``D``, ``Q_i`` and ``A_j`` rather than
-    ``M`` and its powers keeps the rounding of the entries near 1 out of
-    the map.
+    ``mul`` is the product, as in :func:`_power_minus_one`, which first
+    raises the step to the stride.  With ``K = isqrt(n + 1)`` and ``J =
+    ceil((n + 1) / K)``, ``Q_i = S**i - 1`` (``i < K``) and ``A_j =
+    S**(j*K) - 1`` (``j < J``) for the step ``S = M**stride``, each a
+    :func:`_power_table` stacked on the first axis, give ``S**(j*K + i) -
+    1 = A_j + Q_i + Q_i A_j``: the ``n + 1`` powers are read off the
+    ``J x K`` grid in row order, in one product over ``J`` and ``K``.
+    Carrying ``D``, ``Q_i`` and ``A_j`` rather than ``M`` and its powers
+    keeps the rounding of the entries near 1 out of the powers.
     """
-    gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+    d = _power_minus_one(d, stride, mul)
     block = math.isqrt(n + 1)
-    count = -(-(n + 1) // block)
-    heads = _power_table(gen, block, np.matmul)
-    tails = _power_table(heads[block], count - 1, np.matmul)
-    heads = heads[:block]
-    out = np.empty((2, 2, count, block))
+    heads = _power_table(d, block, mul)
+    return heads[:block], _power_table(heads[block], n // block, mul)
+
+
+def _amplitude_rows(d, n: int, stride: int):
+    """The pair block of ``M**(stride k) - 1`` for ``k = 0..n``, shape ``(2,
+    2, n + 1)``, from the 3x3 ``d = M - 1`` of a linear recurrence on three
+    amplitudes.  The memory variable starts at 0, so only the pair's two
+    columns are kept, and only its two rows are read: each entry is one
+    ``(J, 3) @ (3, K)`` product of the :func:`_blocked_powers` and two
+    broadcasts."""
+    heads, tails = _blocked_powers(d, n, stride, np.matmul)
+    out = np.empty((2, 2, len(tails), len(heads)))
     for r in range(2):
         for c in range(2):
             np.matmul(tails[:, :, c], heads[:, r].T, out=out[r, c])
@@ -324,21 +327,12 @@ def _amplitude_rows(increment, n: int):
 def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
                        cfg: SolverConfig, increment) -> PairMap:
     """The :class:`PairMap` of a three-amplitude solver whose step is ``y ->
-    y + increment(y)``: checks the step against :func:`step_limit` and
-    builds the map of :func:`_amplitude_rows` on the grid of ``cfg``, with
-    the memory variable at 0.  With a stride ``k > 1`` the map is stepped
-    ``k`` steps at a time, its increment ``M**k - 1`` formed once from ``D
-    = M - 1``."""
-    _check_resolution(cfg.dt, step_limit(res, coup, solver, cfg.freq_window))
-    n, tau, stride = _grid(cfg)
-    if stride > 1:
-        gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
-        gen = _power_minus_one(gen, stride, np.matmul)
-
-        def increment(*y):
-            return gen @ y
-
-    return PairMap(tau=tau, p=_amplitude_rows(increment, n),
+    y + increment(y)``: reads ``D = M - 1`` off the increment as its images
+    of the unit vectors and builds the map of :func:`_amplitude_rows` on
+    the grid of ``cfg``, with the memory variable at 0."""
+    n, tau, stride = _grid(cfg, step_limit(res, coup, solver, cfg.freq_window))
+    d = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+    return PairMap(tau=tau, p=_amplitude_rows(d, n, stride),
                    meta={"solver": solver, "dt": cfg.dt})
 
 
@@ -459,8 +453,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     of the comb.  The roots cost about ``modes^2 / 16`` array operations for
     the far poles plus ``128 * modes`` per iteration for the near ones, and
     the sums over the spectrum (:func:`_spectral_sums`) ``modes * (steps /
-    stride) / 2`` plus ``log2(stride)`` elementwise products, not ``modes *
-    steps`` Python-level steps.
+    stride) / 2``.
 
     Metadata carries the full mode count and the recurrence time, and each
     series the total-excitation norm at each output step for conservation
@@ -473,10 +466,9 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"{recurrence:.6g} (2*pi/d_omega for {cfg.n_modes} modes at "
             f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
-    _check_resolution(cfg.dt, step_limit(res, coup, "bath", cfg.freq_window))
+    n, tau, stride = _grid(cfg, step_limit(res, coup, "bath", cfg.freq_window))
     a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
-    n, tau, stride = _grid(cfg)
 
     offsets, g = _comb(res, cfg.n_modes, window)
     # the upper half of the comb: a mirror pair counts twice in c^T c, an
@@ -737,43 +729,30 @@ def _spectral_sums(theta, weight, n: int, stride: int):
     polynomial.
 
     ``p - 1`` is summed in nested form without forming ``p``, and
-    ``|p|^2 - 1 = theta^8/576 - theta^6/72`` exactly.  A stride raises
-    both to the power ``stride`` first (:func:`_power_minus_one`, about
-    ``log2(stride)`` elementwise products), so the sums cost about
-    ``theta.size * n`` for the ``n + 1`` output points, whatever the
-    stride.  As in
-    :func:`_amplitude_rows`, with ``K = isqrt(n + 1)`` the powers
-    ``B_i = p^i - 1`` (``i < K``) and ``A_j = p^(jK) - 1`` are built by
-    doubling (:func:`_power_table`), and ``p^(jK+i) - 1 = A_j + B_i + A_j
-    B_i`` combines them: each sum is one ``(J, K)`` product over the
-    modes.  The modes are taken in chunks, so no work array exceeds
-    ``_CHUNK`` elements.
+    ``|p|^2 - 1 = theta^8/576 - theta^6/72`` exactly.  Both are raised
+    elementwise by :func:`_blocked_powers`, so with the heads conjugated,
+    ``Re(A_j Q_i)`` is a real product of the float views, and each sum is
+    one ``(J, K)`` product over the modes.  The modes are taken in chunks,
+    so that the tails, the tallest work array, hold at most ``_CHUNK``
+    elements.
     """
     z = -1j * theta
     step = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
     sq = theta * theta
     step_abs = sq * sq * sq * (sq / 576.0 - 1.0 / 72.0)
-    step = _power_minus_one(step, stride, np.multiply)
-    step_abs = _power_minus_one(step_abs, stride, np.multiply)
-    block = math.isqrt(n + 1)
-    count = -(-(n + 1) // block)
-    re = np.zeros((count, block))
-    ab = np.zeros((count, block))
-    width = max(1, _CHUNK // count)
+    # the J x K layout of the sums, read off the powers of no modes
+    heads, tails = _blocked_powers(theta[:0], n, 1, np.multiply)
+    re = np.zeros((len(tails), len(heads)))
+    ab = np.zeros((len(tails), len(heads)))
+    width = max(1, _CHUNK // len(tails))
     for lo in range(0, theta.size, width):
         w = weight[lo:lo + width]
-        # conj(B), so that Re(A B) is a real product of the float views
-        heads = _power_table(step[lo:lo + width].conj(), block, np.multiply)
-        tails = _power_table(heads[block].conj(), count - 1, np.multiply)
-        heads = heads[:block]
-        tails *= w
-        re += tails.view(float) @ heads.view(float).T
-        re += tails.real.sum(axis=1)[:, None] + heads.real @ w
-        heads = _power_table(step_abs[lo:lo + width], block, np.multiply)
-        tails = _power_table(heads[block], count - 1, np.multiply)
-        heads = heads[:block]
-        tails *= w
-        ab += tails @ heads.T
-        ab += tails.sum(axis=1)[:, None] + heads @ w
+        for d, out in ((step, re), (step_abs, ab)):
+            heads, tails = _blocked_powers(d[lo:lo + width], n, stride, np.multiply)
+            np.conjugate(heads, out=heads)
+            tails *= w
+            out += tails.view(float) @ heads.view(float).T
+            out += tails.real.sum(axis=1)[:, None] + heads.real @ w
+            # freed before the next powers are built
+            del heads, tails
     return re.reshape(-1)[:n + 1], ab.reshape(-1)[:n + 1]
-

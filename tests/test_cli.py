@@ -835,12 +835,20 @@ class TestCliMain:
         pytest.param({"tau_steps": "2001"}, id="tau_steps-string"),
         pytest.param({"n_modes": 2.5}, id="n_modes-fraction"),
         pytest.param({"include_bath": "no"}, id="include_bath-string"),
+        # JSON booleans and strings ran as 1 and 0.5
+        pytest.param({"big_r": True}, id="big_r-bool"),
+        pytest.param({"phi": True}, id="phi-bool"),
+        pytest.param({"s": ["0.5"]}, id="s-string-entry"),
+        pytest.param({"r1": [True]}, id="r1-bool-entry"),
+        pytest.param({"meas_intervals": "0.5"}, id="meas_intervals-string"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, entry):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(entry))
         assert main(["time-evolution", "--config", str(cfg), "--tau-max", "0.1"]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"{next(iter(entry))} must be" in err
 
     def test_negative_list_is_a_value(self, tmp_path):
         # argparse took "-0.5,0.2" for an option and exited 2
@@ -903,13 +911,17 @@ class TestCliMain:
         assert payload["columns"] == ["r1", "s", "c_s", "is_argmax"]
 
     def test_repeated_runs_byte_identical(self, tmp_path):
-        args = ["time-evolution", "--big-r", "10", "--r1", "0.87,1", "--s", "0,1",
-                "--tau-max", "1", "--tau-steps", "101"]
+        # the closed form, each numeric solver and the cross-check
+        curves = ["time-evolution", "--big-r", "10", "--r1", "0.87,1", "--s", "0,1",
+                  "--tau-max", "1", "--tau-steps", "101"]
+        runs = [curves + ["--solver", solver] for solver in ("closed", "volterra", "ode", "bath")]
+        runs.append(["solver-xcheck", "--big-r", "10", "--tau-max", "1"])
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for args in runs:
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes(), args
 
     def test_installed_entry_point(self, tmp_path):
         # one end-to-end check through the console script, importing the

@@ -179,15 +179,15 @@ def decimal_mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def amplitude_rows_per_state(increment, y0, n):
+def amplitude_rows_per_state(d, y0, n):
     """The blocked evaluation with one complex state carried through the
     block loop, ``y_(j+1) = y_j + Q_K y_j``: the form in which the map
     served a single initial state, kept as the oracle of the shared map.
-    The step's ``D = M - 1`` is the solver's own, in doubles.  The two
-    block loops run in 40-digit decimals and are rounded to doubles once,
-    so the oracle's own rounding (3e-14 at R = 24 with the loops in
+    The step's ``D = M - 1``, ``d``, is the solver's own, in doubles.  The
+    two block loops run in 40-digit decimals and are rounded to doubles
+    once, so the oracle's own rounding (3e-14 at R = 24 with the loops in
     doubles) stays far below the bound it is held to."""
-    gen = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T.tolist()
+    gen = d.tolist()
     block = math.isqrt(n + 1)
     count = -(-(n + 1) // block)
     with decimal.localcontext(DECIMALS):
@@ -245,19 +245,20 @@ class TestPropagators:
         maps = []
         real = solvers._amplitude_rows
 
-        def recording(increment, n):
-            maps.append((increment, n))
-            return real(increment, n)
+        def recording(d, n, stride):
+            maps.append((d, n, stride))
+            return real(d, n, stride)
 
         monkeypatch.setattr(solvers, "_amplitude_rows", recording)
         res, coup = resonant_system(big_r, 0.87)
         for propagator, dt in ((volterra_propagator, 1e-4), (aux_ode_propagator, 1e-3)):
             run = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
-            increment, n = maps.pop()
+            d, n, stride = maps.pop()
+            assert stride == 1
             for s, phi in self.INITS:
                 init = InitialState.from_separability(s, phi)
                 series = run(init)
-                c1, c2 = amplitude_rows_per_state(increment, (init.c01, init.c02, 0.0), n)
+                c1, c2 = amplitude_rows_per_state(d, (init.c01, init.c02, 0.0), n)
                 np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-14)
 
@@ -392,10 +393,9 @@ class TestPowerTable:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 99])
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_spectral_sums_match_direct_powers(self, n, stride):
+    def test_spectral_sums_match_direct_powers(self, monkeypatch, n, stride):
         theta = np.array([0.0, 2e-3, 0.07, 0.3, 0.9])
         weight = np.array([0.05, 0.1, 0.2, 0.1, 0.05])
-        re, ab = solvers._spectral_sums(theta, weight, n, stride)
         with decimal.localcontext(DECIMALS):
             re_ref = [decimal.Decimal(0)] * (n + 1)
             ab_ref = [decimal.Decimal(0)] * (n + 1)
@@ -414,8 +414,13 @@ class TestPowerTable:
             re_ref = np.array(re_ref, dtype=float)
             ab_ref = np.array(ab_ref, dtype=float)
         bound = 2e-16 * (stride * n + 1)
-        np.testing.assert_allclose(re, re_ref, rtol=0, atol=bound)
-        np.testing.assert_allclose(ab, ab_ref, rtol=0, atol=bound)
+        # the five modes fit in one chunk of the default size; chunks of one
+        # or two elements split them
+        for chunk in (1, 2, solvers._CHUNK):
+            monkeypatch.setattr(solvers, "_CHUNK", chunk)
+            re, ab = solvers._spectral_sums(theta, weight, n, stride)
+            np.testing.assert_allclose(re, re_ref, rtol=0, atol=bound, err_msg=f"chunk {chunk}")
+            np.testing.assert_allclose(ab, ab_ref, rtol=0, atol=bound, err_msg=f"chunk {chunk}")
 
 
 class TestPairMap:
