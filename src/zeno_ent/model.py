@@ -54,8 +54,18 @@ _NORM_TOL = 1e-12
 _AMPLITUDE_NORM_SLACK = 1e-10
 
 
+def _to_float(name, value) -> float:
+    """``float(value)``, with an integer too large for a double, where
+    ``float`` and ``math`` raise ``OverflowError``, refused by ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large "
+                         "for a double") from None
+
+
 def _require_finite(name, value):
-    if not math.isfinite(value):
+    if not math.isfinite(_to_float(name, value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -29,12 +29,13 @@ from .model import (
     CouplingSpec,
     InitialState,
     _relative_weights,
+    _to_float,
     closed_form_series,
     resonant_system,
     stationary_concurrence,
     survival_amplitude,
 )
-from .search import coordinate_refine_max, grid_refine_max
+from .search import coordinate_refine_max
 from .solvers import (
     SOLVER_NAMES,
     SolverConfig,
@@ -148,6 +149,7 @@ class ScenarioConfig:
         for name in _REAL_KEYS:
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            _to_float(name, getattr(self, name))     # refuses an int past a double
         for name in _INT_KEYS:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -162,7 +164,7 @@ class ScenarioConfig:
             if values is None or not all(map(_is_real, values)):
                 raise ValueError(f"{name} must be a list of numbers, "
                                  f"got {getattr(self, name)!r}")
-            object.__setattr__(self, name, tuple(map(float, values)))
+            object.__setattr__(self, name, tuple(_to_float(name, v) for v in values))
         if not (math.isfinite(self.big_r) and self.big_r > 0.0):
             raise ValueError(f"big_r must be positive, got {self.big_r!r}")
         for v in self.r1:
@@ -545,9 +547,15 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
     """Best initial condition per the requested objective.
 
     ``stationary``: maximise the long-time concurrence over r1 at the first
-    ``s`` of the config (coupling ratio only; the reservoir drops out).  The
-    201-point r1 grid is the broadcast of :func:`_stationary_grid`, equal
-    to the scalar :func:`stationary_concurrence` at each point.
+    ``s`` of the config (the reservoir drops out), in closed form.  At
+    ``r1 = sin(x/2)`` and ``c = Re(c01 conj(c02))`` it is
+    ``C_s = sin x (1/2 - (s/2) cos x - c sin x)``, stationary where
+    ``-(1+s) t**4 + 8c t**3 + 6s t**2 - 8c t + (1-s) = 0`` at ``t = tan(x/2)``.
+    The candidates r1 = 0, r1 = 1 and ``t / hypot(1, t)`` at
+    ``t = max(Re t_k, 0)`` for every root go through the scalar
+    :func:`stationary_concurrence`.  Those within 1e-12 of the best tie and
+    the smallest r1 wins: at s = 0, phi = 0 the maxima at sin 15° and
+    sin 75° tie.
     ``transient``: maximise the closed-form concurrence over (r1, tau) on
     [0, 1] x [0, tau_max].  ``|c1 conj(c2)|**2`` is a real quartic in the
     survival amplitude ``E(tau)`` with coefficients that depend on r1 only,
@@ -556,23 +564,23 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
     coarse peak lies within 1e-12 of the best count as tied, and the
     smallest r1 among them wins; that row alone is evaluated through
     :meth:`BellBasis.amplitudes`, which gives tau (the first argmax) and the
-    coarse value.  The refinement's objective is ``2 |c1 conj(c2)|`` from
-    :meth:`BellBasis.amplitudes` at the scalar :func:`survival_amplitude`,
-    with the one reservoir of the scan and a fresh coupling per r1.
-    Both do a coarse grid scan followed by golden-section refinement to
-    1e-4; the refined point is kept only if it beats the coarse one.  Every
-    param and the value are Python floats.
+    coarse value.  Golden-section sweeps refine it to 1e-4, and the refined
+    point is kept only if it beats the coarse one.  The refinement's
+    objective is ``2 |c1 conj(c2)|`` from :meth:`BellBasis.amplitudes` at
+    the scalar :func:`survival_amplitude`, with the one reservoir of the
+    scan and a fresh coupling per r1.  Every param and the value are Python
+    floats.
     """
     s = cfg.s_axis()[0]
     init = _init_state(cfg, s)
 
     if objective == "stationary":
-        def f(r1: float) -> float:
-            return stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
-
-        xs = np.linspace(0.0, 1.0, 201)
-        values = _stationary_grid(xs.tolist(), [init])[:, 0]
-        r1_best, value = grid_refine_max(f, xs, values)
+        c = (init.c01 * init.c02.conjugate()).real
+        roots = np.roots([-(1.0 + s), 8.0 * c, 6.0 * s, -8.0 * c, 1.0 - s])
+        r1s = [0.0, 1.0] + [t / math.hypot(1.0, t) for t in np.maximum(roots.real, 0.0).tolist()]
+        cs = [stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init) for r1 in r1s]
+        top = max(cs)
+        r1_best, value = min((r1, v) for r1, v in zip(r1s, cs) if v >= top - 1e-12)
         return OptimumResult(params={"r1": r1_best, "s": s, "phi": float(cfg.phi)},
                              value=value)
 

@@ -1,12 +1,11 @@
-"""Grid scan plus golden-section refinement for smooth 1-d/2-d maxima."""
+"""Golden-section refinement of a smooth 2-d maximum: the transient optimum
+over (r1, tau), which has no closed form in r1."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = ["golden_section_max", "grid_refine_max", "coordinate_refine_max"]
+__all__ = ["golden_section_max", "coordinate_refine_max"]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,21 +45,6 @@ def golden_section_max(f, a: float, b: float):
     if fc > fd:
         return c, fc
     return d, fd
-
-
-def grid_refine_max(f, xs, values):
-    """Coarse argmax of ``values``, which holds ``f`` on the grid ``xs``,
-    then golden refinement of ``f`` between the neighbouring grid points."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    i = int(np.argmax(values))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
-    x, fx = golden_section_max(f, float(lo), float(hi))
-    # the refined point can only improve on the grid point
-    if values[i] > fx:
-        return float(xs[i]), float(values[i])
-    return x, fx
 
 
 def coordinate_refine_max(f, x0: float, y0: float, dx: float, dy: float,

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries
+from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries, _to_float
 
 __all__ = [
     "MAX_MODES",
@@ -126,7 +126,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("dt", "t_max", "freq_window"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _to_float(name, getattr(self, name)))
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):

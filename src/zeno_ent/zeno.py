@@ -32,6 +32,7 @@ from .model import (
     InitialState,
     ReservoirSpec,
     TimeSeries,
+    _to_float,
     survival_amplitude,
 )
 
@@ -50,10 +51,29 @@ __all__ = [
 # so the log of anything smaller is rounding artifact, not physics.
 _SURVIVAL_FLOOR = 1e-14
 
+# max(lam, rabi) * T below which the rate is read off the Taylor series of
+# E(T) - 1: E(T) itself lies within about (rabi T)**2 of 1 there, so its log
+# keeps few of the rate's digits, or none once that falls under an ulp
+_SERIES_BOUND = 1e-3
+
 
 def _check_interval(interval):
-    if not (math.isfinite(interval) and interval > 0.0):
+    if not (math.isfinite(_to_float("interval", interval)) and interval > 0.0):
         raise ValueError(f"interval must be positive and finite, got {interval!r}")
+
+
+def _survival_deficit(lam_t: float, rabi_t: float) -> float:
+    """``E(T) - 1`` from the Taylor series of ``E'' + lam E' + rabi**2 E = 0``
+    (``E(0) = 1``, ``E'(0) = 0``), given ``lam T`` and ``rabi T`` below
+    :data:`_SERIES_BOUND`.  The terms ``a_k = e_k T**k`` follow
+    ``a_{k+2} = -(lam T (k+1) a_{k+1} + (rabi T)**2 a_k) / ((k+2)(k+1))``
+    and fall by about ``max(lam, rabi) T`` each, so eight of them carry
+    every digit; scaled by ``T``, no coefficient overflows."""
+    a0, a1, total = 1.0, 0.0, 0.0
+    for k in range(8):
+        a0, a1 = a1, -(lam_t * (k + 1) * a1 + rabi_t * rabi_t * a0) / ((k + 2) * (k + 1))
+        total += a1
+    return total
 
 
 @dataclass(frozen=True)
@@ -89,10 +109,15 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     """Effective rate ``-log(E(T)**2) / T`` for measurement interval ``T``.
 
     Always non-negative; shrinks linearly with ``T`` for short intervals, so
-    frequent measurements suppress the decay.  Raises if the interval lands
-    exactly on a zero of the survival amplitude, where the rate diverges.
-    ``oscillatory`` is set when ``E(T) < 0``, where the super-radiant share
-    changes sign at every measurement (see module docstring).
+    frequent measurements suppress the decay.  Where
+    ``max(lam, rabi) T < 1e-3`` (the Zeno regime) the rate is
+    ``-2 log1p(E(T) - 1) / T`` with ``E(T) - 1`` summed from its Taylor
+    series, about ``rabi**2 T (1 - lam T / 3)``, since ``E(T)`` rounds to
+    1 there; ``interval_survival`` is ``E(T)`` either way.  Raises if the
+    interval lands exactly on a zero of the survival amplitude, where the
+    rate diverges.  ``oscillatory`` is set when ``E(T) < 0``, where the
+    super-radiant share changes sign at every measurement (see module
+    docstring).
     """
     _check_interval(interval)
     e = survival_amplitude(res, coup, interval)
@@ -100,9 +125,16 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
         raise ValueError(
             f"measurement interval {float(interval)!r} lands on a zero of the "
             "survival amplitude; the effective rate diverges")
+    # max(lam, rabi) T < _SERIES_BOUND with rabi = alpha_t w; lam T is tested
+    # first, so a long interval costs one product
+    lam_t = res.lam * interval
+    if lam_t < _SERIES_BOUND and (rabi_t := coup.alpha_t * res.w * interval) < _SERIES_BOUND:
+        log_e2 = 2.0 * math.log1p(_survival_deficit(lam_t, rabi_t))
+    else:
+        log_e2 = math.log(e * e)
     # rounding can push E a hair above 1, clamp the rate at zero; max keeps
     # the first of equal values, so 0.0 goes first and -0.0 never comes out
-    rate = max(0.0, -math.log(e * e) / interval)
+    rate = max(0.0, -log_e2 / interval)
     return ZenoRate(rate=rate, interval_survival=float(e), oscillatory=bool(e < 0.0))
 
 

@@ -36,7 +36,6 @@ from zeno_ent import (
 from zeno_ent import scenarios, search
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
-from zeno_ent.search import grid_refine_max
 from zeno_ent.solvers import step_limit
 
 SQRT_HALF = math.sqrt(0.5)
@@ -477,8 +476,20 @@ class TestFindOptimum:
     def test_stationary_matches_analytic_argmax(self):
         cfg = ScenarioConfig(scenario="stationary-surface", s=(1.0,))
         opt = find_optimum("stationary", cfg)
-        assert opt.params["r1"] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-3)
-        assert opt.value == pytest.approx(3.0 * math.sqrt(3.0) / 8.0, abs=1e-6)
+        assert opt.params["r1"] == pytest.approx(math.sqrt(3.0) / 2.0, rel=0, abs=1e-12)
+        assert opt.value == pytest.approx(3.0 * math.sqrt(3.0) / 8.0, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("s, phi, r1, value", [
+        (-1.0, 0.0, 0.5, 3.0 * math.sqrt(3.0) / 8.0),
+        # two equal maxima, at sin 15° and sin 75°: the smaller r1 wins
+        (0.0, 0.0, math.sin(math.radians(15.0)), 0.125),
+        (0.0, math.pi, SQRT_HALF, 1.0),
+    ], ids=["s=-1", "tie", "phi=pi"])
+    def test_stationary_optimum_analytic_cases(self, s, phi, r1, value):
+        cfg = ScenarioConfig(scenario="stationary-surface", s=(s,), phi=phi)
+        opt = find_optimum("stationary", cfg)
+        assert opt.params["r1"] == pytest.approx(r1, rel=0, abs=1e-12)
+        assert opt.value == pytest.approx(value, rel=0, abs=1e-12)
 
     def test_transient_optimum_strong_coupling(self):
         cfg = ScenarioConfig(scenario="time-evolution", big_r=10.0, s=(1.0,),
@@ -524,20 +535,71 @@ class TestOptimumGrids:
                       for r1 in xs]
             assert scenarios._stationary_grid(xs.tolist(), [init])[:, 0].tolist() == scalar
 
-    def test_stationary_optimum_equals_per_point_scan(self):
-        # oracle: the grid filled by one scalar call per point, as the
-        # search did before it took the broadcast values
+    @staticmethod
+    def grid_search_stationary(init):
+        """The 201-point grid and golden-section refinement that found the
+        stationary optimum before the closed form."""
         xs = np.linspace(0.0, 1.0, 201)
-        for big_r, s, phi in _optimum_draws(42, 12):
-            cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi)
+
+        def f(r1):
+            return stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
+
+        values = scenarios._stationary_grid(xs.tolist(), [init])[:, 0]
+        i = int(np.argmax(values))
+        x, fx = search.golden_section_max(f, float(xs[max(i - 1, 0)]),
+                                          float(xs[min(i + 1, xs.size - 1)]))
+        return (float(xs[i]), float(values[i])) if values[i] > fx else (x, fx)
+
+    @staticmethod
+    def mp_stationary_max(s, phi):
+        """Maximum of ``2 r1 r2 |r2 c01 - r1 c02|**2`` in 30 digits: each
+        local maximum of a 201-point grid in ``x = 2 asin(r1)`` (in floats),
+        refined by golden sections to a bracket of 1e-9 in x."""
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(30):
+            c01 = mp.sqrt((1 - mp.mpf(s)) / 2)
+            c02 = mp.sqrt((1 + mp.mpf(s)) / 2) * mp.expj(mp.mpf(phi))
+
+            def c(x):
+                r1, r2 = mp.sin(x / 2), mp.cos(x / 2)
+                return 2 * r1 * r2 * abs(r2 * c01 - r1 * c02) ** 2
+
+            xs = np.linspace(0.0, math.pi, 201)
+            r1, r2 = np.sin(xs / 2), np.cos(xs / 2)
             init = InitialState.from_separability(s, phi)
+            vs = 2 * r1 * r2 * np.abs(r2 * init.c01 - r1 * init.c02) ** 2
+            inv_phi = (mp.sqrt(5) - 1) / 2
+            best = mp.mpf(0)
+            for k in range(1, 200):
+                if vs[k] >= vs[k - 1] and vs[k] >= vs[k + 1]:
+                    a, b = mp.mpf(xs[k - 1]), mp.mpf(xs[k + 1])
+                    u, v = b - inv_phi * (b - a), a + inv_phi * (b - a)
+                    cu, cv = c(u), c(v)
+                    while b - a > 1e-9:
+                        if cu > cv:
+                            b, v, cv = v, u, cu
+                            u = b - inv_phi * (b - a)
+                            cu = c(u)
+                        else:
+                            a, u, cu = u, v, cv
+                            v = a + inv_phi * (b - a)
+                            cv = c(v)
+                    best = max(best, cu, cv)
+            return float(best)
 
-            def f(r1):
-                return stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
-
-            r1_best, value = grid_refine_max(f, xs, [f(x) for x in xs])
+    def test_stationary_optimum_against_grid_search_and_mpmath(self):
+        rng = np.random.default_rng(47)
+        draws = [(s, phi) for seed in range(41, 47) for _, s, phi in _optimum_draws(seed, 12)]
+        draws += [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2 * math.pi)))
+                  for _ in range(300)]
+        for s, phi in draws:
+            cfg = ScenarioConfig(scenario="time-evolution", s=(s,), phi=phi)
             opt = find_optimum("stationary", cfg)
-            assert opt.params["r1"] == r1_best and opt.value == value
+            init = InitialState.from_separability(s, phi)
+            assert opt.value >= self.grid_search_stationary(init)[1], (s, phi)
+            assert abs(opt.value - self.mp_stationary_max(s, phi)) <= 1e-12, (s, phi)
+            r1 = opt.params["r1"]
+            assert opt.value == stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
 
     @pytest.mark.parametrize("seed, size, tau_steps", [
         (43, 10, 2001),
@@ -841,6 +903,12 @@ class TestCliMain:
         pytest.param({"s": ["0.5"]}, id="s-string-entry"),
         pytest.param({"r1": [True]}, id="r1-bool-entry"),
         pytest.param({"meas_intervals": "0.5"}, id="meas_intervals-string"),
+        # integers too large for a double raised OverflowError (exit 1)
+        pytest.param({"big_r": 10**400}, id="big_r-huge-int"),
+        pytest.param({"phi": -10**400}, id="phi-huge-int"),
+        pytest.param({"dt_ode": 10**400}, id="dt_ode-huge-int"),
+        pytest.param({"r1": [10**400]}, id="r1-huge-int-entry"),
+        pytest.param({"meas_intervals": 10**400}, id="meas_intervals-huge-int"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, entry):
         cfg = tmp_path / "c.json"

@@ -71,6 +71,19 @@ class TestReservoirSpec:
         with pytest.raises(ValueError):
             ReservoirSpec(w=1.0, lam=-2.0)
 
+    # float() and math.isfinite raised OverflowError on these
+    @pytest.mark.parametrize("call, name", [
+        (lambda: ReservoirSpec(w=10**400, lam=1.0), "w"),
+        (lambda: ReservoirSpec(w=1.0, lam=1.0, omega0=-10**400), "omega0"),
+        (lambda: CouplingSpec(10**400, 1.0), "alpha1"),
+        (lambda: resonant_system(10**400, 0.5), "alpha_t"),
+        (lambda: InitialState.from_separability(10**400), "s"),
+        (lambda: InitialState.from_separability(0.0, 10**400), "phi"),
+    ], ids=["w", "omega0", "alpha1", "big_r", "s", "phi"])
+    def test_rejects_integer_too_large_for_a_double(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large"):
+            call()
+
 
 class TestCouplingSpec:
     def test_relative_weights_recovered(self):

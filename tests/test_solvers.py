@@ -528,6 +528,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_max=-1.0)
 
+    @pytest.mark.parametrize("name", ["dt", "t_max", "freq_window"])
+    def test_rejects_integer_too_large_for_a_double(self, name):
+        # float() raised OverflowError on these
+        kwargs = {"dt": 1e-3, "t_max": 1.0, name: 10**400}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SolverConfig(**kwargs)
+
     def test_rejects_step_too_coarse_for_dynamics(self):
         # dt = 0.5 cannot resolve a decade-fast coupling
         res, coup = resonant_system(10.0, 0.5)

@@ -1,0 +1,50 @@
+"""The span tracer of perfbench's ``--trace 1`` runs, on the optimum search.
+
+The tracer wraps every public function of every package module, and takes
+the first argument of each public ``search`` function for the objective.
+A change that breaks either shows here, not only in a traced perfbench run.
+"""
+
+import importlib.util
+from pathlib import Path
+from time import perf_counter
+
+import pytest
+
+import zeno_ent
+from zeno_ent import ScenarioConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("objective", ["stationary", "transient"])
+def test_traced_optimum_equals_untraced(objective):
+    tracing = _load_tracing()
+    cfg = ScenarioConfig(scenario="time-evolution", big_r=3.0, s=(0.4,), phi=1.0)
+    untraced = zeno_ent.find_optimum(objective, cfg)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.job_span(0):
+            t0 = perf_counter()
+            # looked up on the package, where the tracer put its wrapper
+            traced = zeno_ent.find_optimum(objective, cfg)
+            wall = perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    metrics = tracing.layer_metrics(tracer, wall)
+    assert metrics["scenarios.self_s"] > 0.0
+    if objective == "stationary":
+        # the closed form calls nothing in search
+        assert metrics["search.evals"] == 0 and metrics["search.self_s"] == 0.0
+        assert metrics["model.stationary_concurrence.calls"] > 0
+    else:
+        assert metrics["search.evals"] > 0

@@ -67,6 +67,9 @@ class TestMeasurementSchedule:
             MeasurementSchedule(interval=0.0, count=5)
         with pytest.raises(ValueError):
             MeasurementSchedule(interval=1.0, count=0)
+        # an integer too large for a double raised OverflowError
+        with pytest.raises(ValueError, match="^interval must be finite"):
+            MeasurementSchedule(interval=10**400, count=2)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(2.0), "3"])
     def test_rejects_count_that_is_not_an_integer(self, count):
@@ -121,10 +124,55 @@ class TestZenoRate:
             assert zr.rate >= 0.0
 
     def test_rate_is_positive_zero_when_survival_rounds_to_one(self):
+        # in the Zeno regime E(T) rounds to 1, and the rate comes from the
+        # Taylor series of E(T) - 1: rabi**2 T (1 - lam T / 3) at R = 10
         res, coup = resonant_system(10.0, 0.87)
         zr = zeno_rate(res, coup, 1e-10)
         assert zr.interval_survival == 1.0
+        assert zr.rate == pytest.approx(100.0 * 1e-10 * (1.0 - 1e-10 / 3.0), rel=1e-12)
+        # where the plain form serves, max(lam, rabi) T >= 1e-3, an E(T) that
+        # rounds to 1 gives +0.0, not -0.0
+        res, coup = resonant_system(1e-9, 0.87)
+        zr = zeno_rate(res, coup, 0.1)
+        assert zr.interval_survival == 1.0
         assert zr.rate == 0.0 and math.copysign(1.0, zr.rate) == 1.0
+
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 1.0, 10.0, 1000.0])
+    def test_zeno_regime_rate_against_mpmath(self, big_r):
+        # the plain form read 2.3% low at R = 10, T = 1e-8, 0.0 from 1e-10
+        # to 1e-14 and 0.222 at 1e-15
+        mp = pytest.importorskip("mpmath").mp
+        res, coup = resonant_system(big_r, 0.87)
+        with mp.workdps(60):
+            lam, rabi = mp.mpf(res.lam), mp.mpf(coup.alpha_t) * mp.mpf(res.w)
+            root = mp.sqrt(mp.mpc(lam * lam - 4 * rabi * rabi))
+            for t in [9.99e-4 / max(1.0, big_r)] + [10.0 ** -k for k in range(4, 16)]:
+                if max(1.0, big_r) * t >= 1e-3:
+                    continue
+                half = root * t / 2
+                sinhc = mp.sinh(half) / half if half else 1
+                e = mp.exp(-lam * t / 2) * (mp.cosh(half) + lam * t / 2 * sinhc)
+                ref = float(-2 * mp.log(abs(e)) / t)
+                assert zeno_rate(res, coup, t).rate == pytest.approx(ref, rel=1e-14), t
+
+    def test_plain_form_kept_outside_the_zeno_regime(self):
+        # at and above max(lam, rabi) T = 1e-3 the rate is -log(E(T)**2) / T
+        # to the bit, as criterion 7's intervals and the zeno-compare tables have it
+        rng = np.random.default_rng(12)
+        cases = [(10.0, t) for t in (1e-4, 1e-3, 0.01, 0.1, 1.0, 5.0)]
+        cases += [(0.1, t) for t in (1e-3, 0.1, 1.0, 5.0)]
+        for _ in range(200):
+            big_r = float(np.exp(rng.uniform(math.log(0.01), math.log(100.0))))
+            cases.append((big_r, float(np.exp(rng.uniform(math.log(1e-3), math.log(10.0))))
+                          / max(1.0, big_r)))
+        for big_r, t in cases:
+            res, coup = resonant_system(big_r, 0.87)
+            if max(res.lam, coup.alpha_t * res.w) * t < 1e-3:
+                continue
+            e = survival_amplitude(res, coup, t)
+            if abs(e) < 1e-14:
+                continue
+            assert zeno_rate(res, coup, t).rate == max(0.0, -math.log(e * e) / t), (big_r, t)
 
     def test_oscillatory_flag_for_negative_survival(self):
         res, coup, _ = balanced_system()
