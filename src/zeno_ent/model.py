@@ -54,11 +54,12 @@ _NORM_TOL = 1e-12
 _AMPLITUDE_NORM_SLACK = 1e-10
 
 
-def _to_float(name, value) -> float:
-    """``float(value)``, with an integer too large for a double, where
-    ``float`` and ``math`` raise ``OverflowError``, refused by ``name``."""
+def _to_float(name, value, kind=float):
+    """``kind(value)``, ``float`` by default, with an integer too large for a
+    double, where ``float``, ``complex``, numpy and ``math`` raise
+    ``OverflowError``, refused by ``name``."""
     try:
-        return float(value)
+        return kind(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer too large "
                          "for a double") from None
@@ -221,7 +222,7 @@ class InitialState:
 
     def __post_init__(self):
         for name in ("c01", "c02"):
-            v = complex(getattr(self, name))
+            v = _to_float(name, getattr(self, name), complex)
             object.__setattr__(self, name, v)
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
@@ -374,20 +375,21 @@ def resonant_system(big_r: float, r1: float):
     return res, coup
 
 
-def _checked_times(t):
-    """``t`` as a Python float (a ``float`` or ``np.float64`` in) or an array."""
+def _checked_times(t, name="t"):
+    """``t`` as a Python float (a ``float`` or ``np.float64`` in) or an array;
+    ``name`` is the argument that refusals name."""
     if isinstance(t, float):
         # math-only check: the array check below costs most of a scalar E(t)
         if not math.isfinite(t):
-            raise ValueError("t must be finite")
+            raise ValueError(f"{name} must be finite")
         if t < 0.0:
-            raise ValueError("t must be non-negative")
+            raise ValueError(f"{name} must be non-negative")
         return float(t)
-    t = np.asarray(t, dtype=float)
+    t = _to_float(name, t, lambda v: np.asarray(v, dtype=float))
     if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
+        raise ValueError(f"{name} must be finite")
     if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
+        raise ValueError(f"{name} must be non-negative")
     return t
 
 
@@ -440,7 +442,7 @@ def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t:
 
 def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, tau) -> TimeSeries:
     """Vectorised ``amplitudes_at`` over a time grid."""
-    tau = _checked_times(np.atleast_1d(tau))
+    tau = _checked_times(np.atleast_1d(tau), "tau")
     e = survival_amplitude(res, coup, tau)
     c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
     return TimeSeries(tau=tau, c1=np.asarray(c1, complex), c2=np.asarray(c2, complex),

@@ -102,10 +102,10 @@ class ScenarioConfig:
     ``n_modes`` and ``freq_window`` set the bath comb: ``n_modes`` modes
     over ``+-freq_window * max(1, big_r)`` linewidths around resonance, so
     the comb widens with the coupling and always covers the vacuum-Rabi
-    splitting.  The band edge limits the step: ``time-evolution`` refines
-    each solver's step until it passes that solver's resolution check,
-    while ``solver-xcheck`` keeps ``dt_bath`` as given, so there a bath run
-    at ``big_r >= 25`` is rejected as under-resolved.  A bath run whose
+    splitting.  ``time-evolution`` refines each solver's step until it
+    passes that solver's resolution check, while ``solver-xcheck`` keeps
+    the steps as given.  The bath evolves its comb exactly, so no step is
+    refused for it and ``dt_bath`` only spaces its output.  A bath run whose
     ``tau_max`` passes the comb's recurrence time
     ``2*pi/dω = pi * n_modes / (freq_window * max(1, big_r))`` is refused
     before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A numeric
@@ -358,7 +358,7 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
     # a step that divides the output spacing, so no interpolation is needed
     dtau = tau[1] - tau[0]
-    limit = step_limit(res, coup, solver, cfg.freq_window)
+    limit = step_limit(res, coup, solver)
     k = _substeps(float(dtau), getattr(cfg, f"dt_{solver}"), limit)
     run = _propagator(cfg, solver, res, coup, dtau / k, stride=k)
     return lambda init: run(init).concurrence()

@@ -23,8 +23,8 @@ called on one, it gives its ``TimeSeries``.  Each solver has one name, in
   three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
 * ``"bath"``, :func:`bath_propagator` -- brute force: the Lorentzian
   reservoir is sampled on a uniform frequency comb and the full
-  (2 + n_modes)-amplitude Schroedinger system is integrated with RK4.
-  Fewest assumptions.
+  (2 + n_modes)-amplitude Schroedinger system of that comb is evolved
+  exactly.  Fewest assumptions.
 
 Each solver refuses a step at or above its :func:`step_limit`.  Every one
 of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
@@ -41,14 +41,14 @@ powers (:func:`_amplitude_rows`), taken from the full 3x3 map on the pair
 and the memory variable.
 The pair enters the comb only through ``u = a.x`` and moves only along
 ``a``, so one run driven by ``u = 1`` from empty modes gives its map
-``a a^T sigma`` and every initial state's total norm.  The comb's RK4
-step is the RK4 polynomial of ``-i dt H`` for a real symmetric arrowhead
-``H``, so ``k`` steps are its ``k``-th power at ``-i dt lam_j`` on the
-eigenvectors of ``H``: the run is read off the spectrum, found from a
+``a a^T sigma``.  The comb's step is ``e^{-i dt H}`` for a real symmetric
+arrowhead ``H``, so ``k`` steps are the phases ``e^{-i k dt lam_j}`` on
+the eigenvectors of ``H``: the run is read off the spectrum, found from a
 secular equation over the upper half of the mirrored comb
 (:func:`_folded_spectrum`), and summed over it with the same blocked
 powers taken elementwise (:func:`_spectral_sums`), with no loop over the
-steps.  The run is still the RK4 map, rounding aside.
+steps.  The run is the comb's exact evolution, rounding aside, so its
+error is the comb's frequency sampling alone.
 
 All three conserve the sub-radiant share and reduce to single-qubit decay
 when one coupling vanishes; the tests drive them against the closed form.
@@ -82,7 +82,7 @@ SOLVER_NAMES = ("volterra", "ode", "bath")
 # 0.22 s on a 2-core x86 host (2000 modes take 0.02 s)
 MAX_MODES = 20_000
 
-# the bath's spectral sums: elements per work array (512 kB of floats)
+# the bath's phase sums: most elements of their tallest work array (1 MB)
 _CHUNK = 1 << 16
 # the secular solve: the cap on root iterations, roots per block and the
 # Chebyshev points (second kind, on [-1, 1]) at which a block samples its
@@ -104,9 +104,10 @@ class SolverConfig:
     i.e. K units of the fastest rate, so it always reaches past the
     vacuum-Rabi splitting.  For ``rabi <= lam`` that is ``omega0 +- K*lam``.
     The defaults, 2000 modes over ``K = 20``, are the comb every scenario
-    runs; at ``dt = 1e-3`` a run to ``t_max = 10`` stays within the
-    cross-check's bath budget (1e-3) up to ``R = 24``.  A comb of more than
-    :data:`MAX_MODES` (20000) modes is refused before anything is allocated.
+    runs; to ``t_max = 10`` it stays within the cross-check's bath budget
+    (1e-3) up to ``R = 26`` (worst error 7.4e-4, and 1.5e-3 at ``R = 28``).
+    A comb of more than :data:`MAX_MODES` (20000) modes is refused before
+    anything is allocated.
     ``dt``, ``t_max`` and ``freq_window`` are stored as Python floats, so
     numpy scalars passed in neither change the arithmetic nor leak into
     messages.
@@ -155,9 +156,10 @@ class PairMap:
     The bath's map is ``P = a a^T sigma`` with ``drive = a``, the coupling
     vector: the comb reads the pair only through ``u = a.x``, so a state
     is read that way, ``x + a (u sigma)``, and one that the comb never
-    sees (``u = 0``) stays put exactly.  Its modes then hold ``|u|^2
-    nu``, and the series carries the total excitation ``norm_total =
-    |c|^2 + |u|^2 nu`` at each output step.
+    sees (``u = 0``) stays put exactly.  The evolution is unitary, so the
+    modes hold what the pair lost, and the series carries the total
+    excitation ``norm_total = |c|^2 - |u|^2 sigma (2 + |a|^2 sigma)``,
+    ``|x|^2`` but for rounding, at each output step.
     """
 
     tau: np.ndarray
@@ -165,7 +167,6 @@ class PairMap:
     meta: dict
     drive: tuple[float, float] | None = None
     sigma: np.ndarray | None = None
-    nu: np.ndarray | None = None
 
     def __call__(self, init: InitialState) -> TimeSeries:
         x1, x2 = init.c01, init.c02
@@ -180,7 +181,8 @@ class PairMap:
             drift = u0 * self.sigma
             c1 = x1 + a1 * drift
             c2 = x2 + a2 * drift
-            meta["norm_total"] = np.abs(c1) ** 2 + np.abs(c2) ** 2 + abs(u0) ** 2 * self.nu
+            modes = abs(u0) ** 2 * self.sigma * (2.0 + (a1 * a1 + a2 * a2) * self.sigma)
+            meta["norm_total"] = np.abs(c1) ** 2 + np.abs(c2) ** 2 - modes
         return TimeSeries(tau=self.tau, c1=c1, c2=c2, meta=meta)
 
 
@@ -214,18 +216,14 @@ def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
     return 2.0 * math.pi / dw
 
 
-def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str,
-               freq_window: float) -> float:
+def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str) -> float:
     """Steps strictly below ``1 / (2 * fastest rate)`` pass ``solver``'s
     resolution check.  The rates are the memory decay ``lam`` and the
-    vacuum-Rabi frequency; only the bath, whose band edge counts as a rate,
-    reads ``freq_window``.  ``solver`` is one of :data:`SOLVER_NAMES`."""
+    vacuum-Rabi frequency.  The bath's limit is ``inf``: its step is exact
+    and resolves any rate.  ``solver`` is one of :data:`SOLVER_NAMES`."""
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; pick one of {', '.join(SOLVER_NAMES)}")
-    rates = [res.lam, coup.alpha_t * res.w]
-    if solver == "bath":
-        rates.append(_comb_window(res, coup, freq_window) * res.lam)
-    return 1.0 / (2.0 * max(rates))
+    return math.inf if solver == "bath" else 1.0 / (2.0 * max(res.lam, coup.alpha_t * res.w))
 
 
 def _grid(cfg: SolverConfig, limit: float):
@@ -330,7 +328,7 @@ def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     y + increment(y)``: reads ``D = M - 1`` off the increment as its images
     of the unit vectors and builds the map of :func:`_amplitude_rows` on
     the grid of ``cfg``, with the memory variable at 0."""
-    n, tau, stride = _grid(cfg, step_limit(res, coup, solver, cfg.freq_window))
+    n, tau, stride = _grid(cfg, step_limit(res, coup, solver))
     d = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
     return PairMap(tau=tau, p=_amplitude_rows(d, n, stride),
                    meta={"solver": solver, "dt": cfg.dt})
@@ -422,37 +420,35 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     ``omega0 +- band_edge`` with ``band_edge = cfg.freq_window *
     max(lam, rabi)``: at strong coupling it scales with the vacuum-Rabi
     frequency instead of cutting the spectrum off near the splitting at
-    ``+-rabi``.  The band edge enters the step check like any other rate,
-    so with ``dt = 1e-3`` and ``freq_window = 20`` the check rejects
-    ``R = rabi/lam >= 25`` (:func:`step_limit` gives the bound).  A horizon
-    past the comb's recurrence time ``2*pi/dω`` is refused too: there the
-    discrete spectrum sends the emitted excitation back to the qubits.  So
-    is a coupling too weak to represent, ``R`` below about ``1e-151``
-    for the default comb, where the squared mode couplings underflow.
+    ``+-rabi``.  The comb is evolved exactly, so no step is refused and
+    ``dt`` only spaces the output: the comb's frequency sampling alone sets
+    the error.  A horizon past the comb's recurrence time
+    ``2*pi/dω`` is refused: there the discrete spectrum sends the emitted
+    excitation back to the qubits.  So is a coupling too weak to
+    represent, ``R`` below about ``1e-151`` for the default comb, where
+    the squared mode couplings underflow.
 
     The generator reads the pair ``x`` only through ``u = a.x`` and moves
     it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
-    start empty and the RK4 step is linear, so the modes and the summed
+    start empty and the evolution is linear, so the modes and the summed
     pair increment ``sigma`` of a run from ``u0 = a.x0`` are ``u0`` times
-    those of one run driven by ``u0 = 1``: the map is ``P = a a^T sigma``,
-    ``x = x0 + a u0 sigma``, and the total norm is ``|x|^2 + |u0|^2 nu``
-    with ``nu = |m|^2`` of that run.  That run is made here, and every
-    initial state is read off it.
+    those of one run driven by ``u0 = 1``: the map is ``P = a a^T sigma``
+    and ``x = x0 + a u0 sigma``.  That run is made here, and every initial
+    state is read off it.
 
-    The run is still the RK4 map, evaluated from its spectrum instead of
-    step by step.  With ``v = u/|a|`` the generator is ``-i H`` on
-    ``(v, m)``, ``H = [[0, c^T], [c, diag(offsets)]]`` with ``c = |a| g``,
-    a real symmetric arrowhead.  One RK4 step is the polynomial
-    ``P(-i dt H)``, ``P(z) = sum_{k<=4} z^k / k!``, so ``k`` steps are
-    ``sum_j P(-i dt lam_j)^k`` times the projector on eigenvector ``j``.
-    The unit drive starts on the pair, so only the weights ``w_j``, the
-    squared pair components of the eigenvectors, enter.  The qubits sit
-    on resonance of a symmetric spectral density, so the comb is mirrored
-    about their frequency: the spectrum is ``+-lam_j``, plus ``0`` for an
-    even comb, and :func:`_folded_spectrum` finds it from the upper half
-    of the comb.  The roots cost about ``modes^2 / 16`` array operations for
-    the far poles plus ``128 * modes`` per iteration for the near ones, and
-    the sums over the spectrum (:func:`_spectral_sums`) ``modes * (steps /
+    The run is evaluated from the comb's spectrum, with no loop over the
+    steps.  With ``v = u/|a|`` the generator is ``-i H`` on ``(v, m)``,
+    ``H = [[0, c^T], [c, diag(offsets)]]`` with ``c = |a| g``, a real
+    symmetric arrowhead, so the evolution to ``t`` is ``sum_j e^{-i lam_j
+    t}`` times the projector on eigenvector ``j``.  The unit drive starts
+    on the pair, so only the weights ``w_j``, the squared pair components
+    of the eigenvectors, enter.  The qubits sit on resonance of a
+    symmetric spectral density, so the comb is mirrored about their
+    frequency: the spectrum is ``+-lam_j``, plus ``0`` for an even comb,
+    and :func:`_folded_spectrum` finds it from the upper half of the comb.
+    The roots cost about ``modes^2 / 16`` array operations for the far
+    poles plus ``128 * modes`` per iteration for the near ones, and the
+    sums over the spectrum (:func:`_spectral_sums`) ``modes * (steps /
     stride) / 2``.
 
     Metadata carries the full mode count and the recurrence time, and each
@@ -466,7 +462,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"{recurrence:.6g} (2*pi/d_omega for {cfg.n_modes} modes at "
             f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
-    n, tau, stride = _grid(cfg, step_limit(res, coup, "bath", cfg.freq_window))
+    n, tau, stride = _grid(cfg, step_limit(res, coup, "bath"))
     a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
 
@@ -484,12 +480,8 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and underflow; "
             "the pair does not move at double precision there, so use the closed form")
     lam, weight = _folded_spectrum(offsets[lower:], b)
-    re, ab = _spectral_sums(cfg.dt * lam, weight, n, stride)
-    # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(p_j^k - 1); the norm of (v, m)
-    # is 1/|a|^2 + 2 sum_j w_j (|p_j|^(2k) - 1) / |a|^2, less |v|^2 = |u|^2/|a|^2
-    scale = 2.0 / asq
-    sigma = scale * re
-    nu = scale * ab - sigma * (2.0 + asq * sigma)
+    # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(e^{-i lam_j t} - 1)
+    sigma = (2.0 / asq) * _spectral_sums(cfg.dt * lam, weight, n, stride)
 
     meta = {
         "solver": "bath",
@@ -499,7 +491,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
         "recurrence_time": recurrence,
     }
     p = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])[:, :, None] * sigma
-    return PairMap(tau=tau, p=p, meta=meta, drive=(a1, a2), sigma=sigma, nu=nu)
+    return PairMap(tau=tau, p=p, meta=meta, drive=(a1, a2), sigma=sigma)
 
 
 def _folded_spectrum(o, b):
@@ -724,35 +716,29 @@ def _model_root(c, s, t, left, right):
 
 
 def _spectral_sums(theta, weight, n: int, stride: int):
-    """``sum_j w_j Re(p_j^k - 1)`` and ``sum_j w_j (|p_j|^(2k) - 1)`` for
-    ``k = 0, stride, ..., n * stride``, with ``p_j = P(-i theta_j)`` the RK4
-    polynomial.
+    """``sum_j w_j Re(e^{-i theta_j k} - 1)`` for ``k = 0, stride, ...,
+    n * stride``.
 
-    ``p - 1`` is summed in nested form without forming ``p``, and
-    ``|p|^2 - 1 = theta^8/576 - theta^6/72`` exactly.  Both are raised
-    elementwise by :func:`_blocked_powers`, so with the heads conjugated,
-    ``Re(A_j Q_i)`` is a real product of the float views, and each sum is
-    one ``(J, K)`` product over the modes.  The modes are taken in chunks,
-    so that the tails, the tallest work array, hold at most ``_CHUNK``
-    elements.
+    The step ``e^{-i theta} - 1 = -2 sin^2(theta/2) - i sin(theta)`` is
+    formed without rounding it against the 1 and raised elementwise by
+    :func:`_blocked_powers`, so with the heads conjugated, ``Re(A_j Q_i)``
+    is a real product of the float views, and the sum is one ``(J, K)``
+    product over the modes.  The modes are taken in chunks, so that the
+    tails, the tallest work array, hold at most ``_CHUNK`` elements.
     """
-    z = -1j * theta
-    step = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-    sq = theta * theta
-    step_abs = sq * sq * sq * (sq / 576.0 - 1.0 / 72.0)
+    half = np.sin(0.5 * theta)
+    step = -2.0 * half * half - 1j * np.sin(theta)
     # the J x K layout of the sums, read off the powers of no modes
     heads, tails = _blocked_powers(theta[:0], n, 1, np.multiply)
-    re = np.zeros((len(tails), len(heads)))
-    ab = np.zeros((len(tails), len(heads)))
+    out = np.zeros((len(tails), len(heads)))
     width = max(1, _CHUNK // len(tails))
     for lo in range(0, theta.size, width):
         w = weight[lo:lo + width]
-        for d, out in ((step, re), (step_abs, ab)):
-            heads, tails = _blocked_powers(d[lo:lo + width], n, stride, np.multiply)
-            np.conjugate(heads, out=heads)
-            tails *= w
-            out += tails.view(float) @ heads.view(float).T
-            out += tails.real.sum(axis=1)[:, None] + heads.real @ w
-            # freed before the next powers are built
-            del heads, tails
-    return re.reshape(-1)[:n + 1], ab.reshape(-1)[:n + 1]
+        heads, tails = _blocked_powers(step[lo:lo + width], n, stride, np.multiply)
+        np.conjugate(heads, out=heads)
+        tails *= w
+        out += tails.view(float) @ heads.view(float).T
+        out += tails.real.sum(axis=1)[:, None] + heads.real @ w
+        # freed before the next powers are built
+        del heads, tails
+    return out.reshape(-1)[:n + 1]

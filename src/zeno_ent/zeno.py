@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +129,19 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     # max(lam, rabi) T < _SERIES_BOUND with rabi = alpha_t w; lam T is tested
     # first, so a long interval costs one product
     lam_t = res.lam * interval
-    if lam_t < _SERIES_BOUND and (rabi_t := coup.alpha_t * res.w * interval) < _SERIES_BOUND:
-        log_e2 = 2.0 * math.log1p(_survival_deficit(lam_t, rabi_t))
+    if lam_t >= _SERIES_BOUND or (rabi_t := coup.alpha_t * res.w * interval) >= _SERIES_BOUND:
+        rate = -math.log(e * e) / interval
+    elif rabi_t * rabi_t >= sys.float_info.min:
+        rate = -2.0 * math.log1p(_survival_deficit(lam_t, rabi_t)) / interval
     else:
-        log_e2 = math.log(e * e)
+        # (rabi T)**2 underflows: E - 1 is (rabi T)**2 D(r) / r**2, D the
+        # deficit at any r whose square is normal and negligible, here
+        # 2**-300, and log1p(E - 1) is E - 1 itself
+        deficit = _survival_deficit(lam_t, 2.0**-300) * 2.0**600
+        rate = -2.0 * rabi_t * (rabi_t / interval) * deficit
     # rounding can push E a hair above 1, clamp the rate at zero; max keeps
     # the first of equal values, so 0.0 goes first and -0.0 never comes out
-    rate = max(0.0, -log_e2 / interval)
+    rate = max(0.0, rate)
     return ZenoRate(rate=rate, interval_survival=float(e), oscillatory=bool(e < 0.0))
 
 

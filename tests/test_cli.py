@@ -175,8 +175,9 @@ class TestTimeEvolution:
         assert not out.exists()
 
     def test_bath_step_refined_to_band_edge(self, tmp_path, capsys):
-        # at R = 25 the band edge needs dt < 1e-3, so the configured
-        # dt_bath = 1e-3 is refined to 5e-3 / 6 instead of being refused
+        # at R = 25 the bath, which evolves its comb exactly, takes the
+        # configured dt_bath = 1e-3: it divides the output spacing 5e-3, and
+        # no step is refused for the bath
         out = tmp_path / "strong.csv"
         code = main(["time-evolution", "--solver", "bath", "--big-r", "25",
                      "--r1", "0.87", "--s", "0", "--out", str(out)])
@@ -206,7 +207,8 @@ class TestTimeEvolution:
             for big_r in np.geomspace(1e-3, 1e5, 97).tolist() + [24.0, 25.0, 40.0]:
                 res, coup = resonant_system(big_r, 0.5)
                 for solver, base in (("volterra", 1e-4), ("ode", 1e-3), ("bath", 1e-3)):
-                    limit = step_limit(res, coup, solver, 20.0)
+                    # the bath's limit is inf: it keeps the least count
+                    limit = step_limit(res, coup, solver)
                     cases.append((dtau, base, limit))
             # quotients within a few ulps of an integer, where rounding decides
             for n in np.unique(np.geomspace(1, 10**6, 200).astype(int)).tolist():
@@ -322,6 +324,17 @@ class TestSolverXcheck:
         for row in result.rows:
             assert row[5] <= row[6]
             assert row[7] == 1
+
+    def test_cli_strong_coupling_r25_passes(self, tmp_path, capsys):
+        # the exact comb takes dt_bath = 1e-3 at R = 25, and every row is
+        # within its budget (the worst bath row is 4.8e-4 of 1e-3)
+        out = tmp_path / "xcheck.csv"
+        assert main(["solver-xcheck", "--big-r", "25", "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5 * 3 * 6
+        assert all(row[-1] == "1" for row in rows)
+        assert max(float(row[5]) for row in rows if "bath" in row[2:4]) < 1e-3
 
     def test_bath_can_be_excluded(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,

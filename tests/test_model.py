@@ -79,7 +79,15 @@ class TestReservoirSpec:
         (lambda: resonant_system(10**400, 0.5), "alpha_t"),
         (lambda: InitialState.from_separability(10**400), "s"),
         (lambda: InitialState.from_separability(0.0, 10**400), "phi"),
-    ], ids=["w", "omega0", "alpha1", "big_r", "s", "phi"])
+        # complex() and np.asarray raised it on these
+        (lambda: InitialState(10**400, 0), "c01"),
+        (lambda: InitialState(0, -10**400), "c02"),
+        (lambda: survival_amplitude(*resonant_system(1.0, 0.5), 10**400), "t"),
+        (lambda: survival_amplitude(*resonant_system(1.0, 0.5), [0.0, 10**400]), "t"),
+        (lambda: closed_form_series(*resonant_system(1.0, 0.5), InitialState(1.0, 0.0),
+                                    [10**400]), "tau"),
+    ], ids=["w", "omega0", "alpha1", "big_r", "s", "phi", "c01", "c02", "t", "t-list",
+            "tau"])
     def test_rejects_integer_too_large_for_a_double(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large"):
             call()

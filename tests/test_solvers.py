@@ -37,39 +37,26 @@ def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
     return SolverConfig(dt=dt, t_max=t_max, n_modes=n_modes, freq_window=freq_window)
 
 
-def rk4_bath_reference(res, coup, init, cfg):
-    """Stage-vector RK4 (k1..k4) on the comb, the textbook form of the bath step."""
+def exact_bath_reference(res, coup, init, cfg):
+    """The comb evolved exactly: the dense ``eigh`` of its full generator on
+    ``(c1, c2, modes)``, with the phases ``e^{-i lam_j t}`` at every step.
+
+    ``eigh``'s eigenvalues are off by up to ``eps * |H|``, which over ``t =
+    3`` at R = 20 tilts the phase of the sub-radiant state by 1e-13; the
+    Rayleigh quotients of its eigenvectors are off by the square of their
+    error, so they serve as ``lam_j``."""
     rabi = coup.alpha_t * res.w
     offsets, g = solvers._comb(res, cfg.n_modes, cfg.freq_window * max(1.0, rabi / res.lam))
-    idelta = -1j * offsets
-    a1, a2 = coup.alpha1, coup.alpha2
-
-    def rhs(y):
-        out = np.empty_like(y)
-        s = g @ y[2:]
-        out[0] = -1j * a1 * s
-        out[1] = -1j * a2 * s
-        out[2:] = idelta * y[2:] - (1j * (a1 * y[0] + a2 * y[1])) * g
-        return out
-
-    dt = cfg.dt
-    n = int(round(cfg.t_max / dt))
-    y = np.zeros(cfg.n_modes + 2, dtype=complex)
-    y[0], y[1] = init.c01, init.c02
-    # the pair and the norm of every state, not the states: a production
-    # comb over 10k steps would hold 320 MB
-    pair = np.empty((n + 1, 2), dtype=complex)
-    norm = np.empty(n + 1)
-    for i in range(n + 1):
-        if i:
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pair[i] = y[:2]
-        norm[i] = np.sum(np.abs(y) ** 2)
-    return pair[:, 0], pair[:, 1], norm
+    h = np.diag(np.concatenate(([0.0, 0.0], offsets)))
+    h[0, 2:] = h[2:, 0] = coup.alpha1 * g
+    h[1, 2:] = h[2:, 1] = coup.alpha2 * g
+    evecs = np.linalg.eigh(h)[1]
+    evals = np.einsum("ij,ij->j", evecs, h @ evecs)
+    y0 = np.zeros(cfg.n_modes + 2, dtype=complex)
+    y0[0], y0[1] = init.c01, init.c02
+    tau = np.arange(int(round(cfg.t_max / cfg.dt)) + 1) * cfg.dt
+    y = evecs @ (np.exp(-1j * np.multiply.outer(evals, tau)) * (evecs.T @ y0)[:, None])
+    return y[0], y[1], np.sum(np.abs(y) ** 2, axis=0)
 
 
 def volterra_reference(res, coup, init, dt, n):
@@ -366,10 +353,9 @@ class TestPowerTable:
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_elementwise_table(self, count):
-        # RK4 factors minus one, as the bath's spectral sums raise them
+        # exact phase steps e^{-i theta} - 1, as the bath's spectral sums raise them
         theta = np.array([1e-6, 3e-3, 0.05, 0.4, 1.0])
-        z = -1j * theta
-        d = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        d = -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
         table = solvers._power_table(d, count, np.multiply)
         assert table.shape == (count + 1, d.size) and table.dtype == complex
         assert np.all(table[0] == 0.0) and np.array_equal(table[1], d)
@@ -398,29 +384,27 @@ class TestPowerTable:
         weight = np.array([0.05, 0.1, 0.2, 0.1, 0.05])
         with decimal.localcontext(DECIMALS):
             re_ref = [decimal.Decimal(0)] * (n + 1)
-            ab_ref = [decimal.Decimal(0)] * (n + 1)
             for t, w in zip(theta.tolist(), weight.tolist()):
-                t, w = decimal.Decimal(t), decimal.Decimal(w)
-                # the RK4 polynomial of -i t: 1 - t^2/2 + t^4/24 - i (t - t^3/6)
-                p = (1 - t**2 / 2 + t**4 / 24, t**3 / 6 - t)
+                w = decimal.Decimal(w)
+                # e^{-i t} - 1 = -2 sin^2(t/2) - i sin(t), rounded to doubles,
+                # then raised exactly
+                p = (1 - 2 * decimal.Decimal(math.sin(0.5 * t)) ** 2,
+                     -decimal.Decimal(math.sin(t)))
                 step = (decimal.Decimal(1), decimal.Decimal(0))
                 for _ in range(stride):
                     step = decimal_mul(step, p)
                 power = (decimal.Decimal(1), decimal.Decimal(0))
                 for m in range(n + 1):
                     re_ref[m] += w * (power[0] - 1)
-                    ab_ref[m] += w * (power[0] ** 2 + power[1] ** 2 - 1)
                     power = decimal_mul(power, step)
             re_ref = np.array(re_ref, dtype=float)
-            ab_ref = np.array(ab_ref, dtype=float)
         bound = 2e-16 * (stride * n + 1)
         # the five modes fit in one chunk of the default size; chunks of one
         # or two elements split them
         for chunk in (1, 2, solvers._CHUNK):
             monkeypatch.setattr(solvers, "_CHUNK", chunk)
-            re, ab = solvers._spectral_sums(theta, weight, n, stride)
+            re = solvers._spectral_sums(theta, weight, n, stride)
             np.testing.assert_allclose(re, re_ref, rtol=0, atol=bound, err_msg=f"chunk {chunk}")
-            np.testing.assert_allclose(ab, ab_ref, rtol=0, atol=bound, err_msg=f"chunk {chunk}")
 
 
 class TestPairMap:
@@ -489,10 +473,12 @@ class TestSolverConfig:
             assert np.array_equal(plain.c2, wide.c2)
 
     def test_refusal_message_prints_plain_step(self):
+        # Volterra and the ODE need dt < 1 / (2 * 25) = 0.02 at R = 25
         res, coup = resonant_system(25.0, 0.87)
-        init = InitialState.from_separability(0.0)
-        with pytest.raises(ValueError, match=r"^dt = 0\.001 under-resolves"):
-            bath_propagator(res, coup, bath_cfg(np.float64(1e-3), 1.0))(init)
+        cfg = SolverConfig(dt=np.float64(0.05), t_max=1.0)
+        for propagator in (volterra_propagator, aux_ode_propagator):
+            with pytest.raises(ValueError, match=r"^dt = 0\.05 under-resolves"):
+                propagator(res, coup, cfg)
 
     @pytest.mark.parametrize("n_modes", [2.5, True, "50", 50.0])
     def test_rejects_non_integer_mode_count(self, n_modes):
@@ -539,7 +525,7 @@ class TestSolverConfig:
         # dt = 0.5 cannot resolve a decade-fast coupling
         res, coup = resonant_system(10.0, 0.5)
         init = InitialState.from_separability(0.0)
-        for propagator in (volterra_propagator, aux_ode_propagator, bath_propagator):
+        for propagator in (volterra_propagator, aux_ode_propagator):
             with pytest.raises(ValueError, match="under-resolves"):
                 propagator(res, coup, bath_cfg(0.5, 5.0))(init)
 
@@ -687,11 +673,12 @@ class TestDiscretizedBath:
 
     @pytest.mark.parametrize("big_r, n_modes", [(0.5, 50), (10.0, 50), (0.5, 51), (20.0, 400)])
     def test_nested_step_matches_stage_vector_rk4(self, big_r, n_modes):
+        # against the dense eigensolver of the full comb with exact phases;
         # one propagator run serves every initial state, including the
         # sub-radiant one that the comb never sees (a.x0 = 0); the folded
         # comb is checked on an even comb, an odd one with its centre mode
-        # and the strong-coupling band edge; the horizon stops at the comb's
-        # recurrence (1.57 for 50 modes at R = 10), past which runs are refused
+        # and a strong coupling; the horizon stops at the comb's recurrence
+        # (0.785 for 50 modes at R = 10), past which runs are refused
         res, coup = resonant_system(big_r, 0.87)
         t_max = min(3.0, comb_recurrence_time(res, coup, n_modes, 20.0))
         cfg = bath_cfg(1e-3, t_max, n_modes=n_modes)
@@ -700,7 +687,7 @@ class TestDiscretizedBath:
                  InitialState.from_separability(0.3, 0.7)]
         for init in inits:
             series = propagate(init)
-            c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+            c1, c2, norm = exact_bath_reference(res, coup, init, cfg)
             np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
             np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
             np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
@@ -728,7 +715,7 @@ class TestDiscretizedBath:
         for s in cfg.s:
             init = InitialState.from_separability(s, cfg.phi)
             out = pair_map(init)
-            c1, c2, norm = rk4_bath_reference(res, coup, init, scfg)
+            c1, c2, norm = exact_bath_reference(res, coup, init, scfg)
             np.testing.assert_allclose(out.c1, c1, rtol=0, atol=1e-13)
             np.testing.assert_allclose(out.c2, c2, rtol=0, atol=1e-13)
             np.testing.assert_allclose(out.meta["norm_total"], norm, rtol=0, atol=1e-13)
@@ -738,7 +725,24 @@ class TestDiscretizedBath:
         init = InitialState.from_separability(0.0)
         series = bath_propagator(res, coup, bath_cfg(1e-3, 10.0))(init)
         norms = series.meta["norm_total"]
-        assert float(np.max(np.abs(norms - norms[0]))) < 1e-8
+        assert float(np.max(np.abs(norms - norms[0]))) < 1e-14
+
+    @pytest.mark.parametrize("big_r", [0.1, 10.0, 24.0])
+    def test_bath_map_independent_of_step(self, big_r):
+        # the comb is evolved exactly, so the step only spaces the output:
+        # every 5th step of 1e-3 is a step of 5e-3.  A step of 0.5, which
+        # Volterra and the ODE refuse from R = 1, is taken too; its phases
+        # dt * lam_j round apart from the fine ones by up to an ulp of
+        # lam_j t ~ 4800 at R = 24, weighted down by w_j
+        res, coup = resonant_system(big_r, 0.87)
+        assert step_limit(res, coup, "bath") == math.inf
+        fine = bath_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0, stride=5))
+        coarse = bath_propagator(res, coup, SolverConfig(dt=5e-3, t_max=10.0))
+        assert np.array_equal(coarse.tau, fine.tau)
+        np.testing.assert_allclose(coarse.p, fine.p, rtol=0, atol=1e-14)
+        coarsest = bath_propagator(res, coup, SolverConfig(dt=0.5, t_max=10.0))
+        np.testing.assert_allclose(coarsest.tau, fine.tau[::100], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(coarsest.p, fine.p[..., ::100], rtol=0, atol=2e-14)
 
     def test_refuses_horizon_past_recurrence(self):
         res, coup = resonant_system(0.1, 0.5)
@@ -825,7 +829,7 @@ def folded_spectrum_all_poles(o, b, chunk=1 << 16, iterations=12):
 
 class TestBathSpectrum:
     """The comb run evaluated from the arrowhead's spectrum, against a dense
-    eigensolver and against the comb stepped one RK4 step at a time."""
+    eigensolver and against the phases summed directly."""
 
     @staticmethod
     def folded(big_r, n_modes, r1=0.87):
@@ -934,17 +938,28 @@ class TestBathSpectrum:
     @pytest.mark.parametrize("n_modes", [50, 51])
     def test_weak_coupling_matches_stage_vector_rk4(self, big_r, n_modes):
         # roots within b ~ big_r^2 of their poles, whose 1/delta^2 overflows
-        # at 1e-100; the exchange c1 ~ big_r^2 keeps its relative digits
+        # at 1e-100; the exchange c1 ~ big_r^2 keeps its relative digits.
+        # The oracle is second-order perturbation theory, whose next term is
+        # smaller by about big_r^2: sigma = -sum_k g_k^2 (1 - cos w_k t) / w_k^2,
+        # with t^2 / 2 for a centre mode at w = 0
         res, coup = resonant_system(big_r, 0.87)
         cfg = bath_cfg(1e-3, 2.0, n_modes=n_modes)
         init = InitialState(0.0, 1.0)
         series = bath_propagator(res, coup, cfg)(init)
-        c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
+        offsets, g = solvers._comb(res, n_modes, 20.0)
+        tau = np.arange(2001) * 1e-3
+        wt = np.multiply.outer(tau, offsets)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(offsets == 0.0, 0.5 * tau[:, None] ** 2,
+                             (1.0 - np.cos(wt)) / offsets ** 2)
+        sigma = -(terms @ g ** 2)
+        a1, a2 = coup.alpha1, coup.alpha2
+        c1, c2 = a1 * a2 * sigma, 1.0 + a2 * a2 * sigma
         scale = float(np.max(np.abs(c1)))
         assert scale > 0.0
         np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.meta["norm_total"], 1.0, rtol=0, atol=1e-13)
 
     def test_refuses_coupling_whose_comb_underflows(self):
         res, coup = resonant_system(1e-160, 0.87)
@@ -953,16 +968,26 @@ class TestBathSpectrum:
 
     @pytest.mark.parametrize("big_r", [0.1, 10.0, 24.0])
     def test_production_comb_matches_stage_vector_rk4(self, big_r):
-        # the default comb, 2000 modes to tau = 10 in 10k steps
+        # the default comb, 2000 modes to tau = 10 in 10k steps, against the
+        # phases summed directly on the folded spectrum, u - 1 = |a|^2 sigma =
+        # 2 sum_j w_j (cos(lam_j t) - 1); the roots and weights have their own
+        # eigensolver and all-pole tests, and a dense eigh of this comb is
+        # off by its own phase error, 1.3e-13 at R = 24
         res, coup = resonant_system(big_r, 0.87)
         cfg = bath_cfg(1e-3, 10.0)
         propagate = bath_propagator(res, coup, cfg)
         init = InitialState.from_separability(0.3, 0.7)
         series = propagate(init)
-        c1, c2, norm = rk4_bath_reference(res, coup, init, cfg)
-        np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(series.meta["norm_total"], norm, rtol=0, atol=1e-13)
+        _, _, o, b = self.folded(big_r, 2000)
+        lam, w = solvers._folded_spectrum(o, b)
+        tau = np.arange(10001) * 1e-3
+        re = np.concatenate([(np.cos(np.multiply.outer(t, lam)) - 1.0) @ w
+                             for t in np.array_split(tau, 20)])
+        a1, a2 = coup.alpha1, coup.alpha2
+        drift = (a1 * init.c01 + a2 * init.c02) * (2.0 / coup.alpha_t ** 2) * re
+        np.testing.assert_allclose(series.c1, init.c01 + a1 * drift, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.c2, init.c02 + a2 * drift, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.meta["norm_total"], 1.0, rtol=0, atol=1e-13)
         assert series.c1[0] == init.c01 and series.c2[0] == init.c02
         sub = propagate(coup.psi_minus())
         assert np.all(sub.c1 == coup.psi_minus().c01)
@@ -994,7 +1019,7 @@ class TestCombInputs:
     def test_step_limit_rejects_unknown_method(self):
         res, coup = resonant_system(0.5, 0.87)
         with pytest.raises(ValueError, match="volterra, ode, bath"):
-            step_limit(res, coup, "bogus", 20.0)
+            step_limit(res, coup, "bogus")
 
 
 class TestSolverNames:
@@ -1005,7 +1030,7 @@ class TestSolverNames:
         cfg = ScenarioConfig(scenario="solver-xcheck", tau_max=0.1, n_modes=50)
         init = InitialState.from_separability(0.0)
         for name in SOLVER_NAMES:
-            assert step_limit(res, coup, name, cfg.freq_window) > 0.0
+            assert step_limit(res, coup, name) > 0.0
             dt = getattr(cfg, f"dt_{name}")
             series = scenarios._propagator(cfg, name, res, coup, dt)(init)
             assert series.meta["solver"] == name

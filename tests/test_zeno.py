@@ -138,6 +138,19 @@ class TestZenoRate:
         assert zr.rate == 0.0 and math.copysign(1.0, zr.rate) == 1.0
 
     @pytest.mark.parametrize("big_r", [0.1, 0.5, 1.0, 10.0, 1000.0])
+    def test_rate_where_the_square_underflows(self, big_r):
+        # (rabi T)**2 is subnormal or 0 from rabi T ~ 1.5e-154: the series
+        # read 0.0 at R = 1, T = 1e-200; the rate is rabi**2 T (1 - lam T / 3)
+        # to a few ulps, and lam T / 3 is below an ulp of 1 here
+        res, coup = resonant_system(big_r, 0.5)
+        rabi = coup.alpha_t * res.w
+        for t in (1e-150, 1e-154, 1.5e-154 / rabi, 1e-160, 1e-200, 1e-250, 1e-300):
+            ref = rabi * rabi * t
+            assert zeno_rate(res, coup, t).rate == pytest.approx(ref, rel=1e-15, abs=0), t
+        assert zeno_rate(*resonant_system(1.0, 0.5), 1e-200).rate == pytest.approx(
+            1e-200, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("big_r", [0.1, 0.5, 1.0, 10.0, 1000.0])
     def test_zeno_regime_rate_against_mpmath(self, big_r):
         # the plain form read 2.3% low at R = 10, T = 1e-8, 0.0 from 1e-10
         # to 1e-14 and 0.222 at 1e-15
