@@ -8,7 +8,8 @@ thread count; a numeric solver's products may round differently under
 another build or thread count.
 
 Exit codes: 0 success, 2 bad usage or bad configuration, 3 solver
-cross-check exceeded its error budget, 4 output could not be written.
+cross-check exceeded its error budget (each failing row is named on
+stderr), 4 output could not be written.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ underscores (for example {"big_r": 10.0, "r1": [0.87], "tau_max": 2.0,
 "meas_intervals": [0.01, 0.1]}).
 
 exit codes: 0 success; 2 bad usage or configuration; 3 a solver cross-check
-row exceeded its tolerance (the table is still written); 4 the output path
-could not be written.
+row exceeded its tolerance (the table is still written, and each such row is
+named on stderr); 4 the output path could not be written.
 """
 
 
@@ -147,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"zeno-ent: skipped measurement interval {key}: {why}", file=sys.stderr)
     if cfg.scenario == "solver-xcheck" and not result.meta.get("passed", True):
         bad = [row for row in result.rows if not row[-1]]
+        for r1, s, solver_a, solver_b, _, err, tol, _ in bad:
+            print(f"zeno-ent: {solver_a} vs {solver_b} at r1 = {r1!r}, s = {s!r}: "
+                  f"max_abs_err {err!r} exceeds tolerance {tol!r}", file=sys.stderr)
         print(f"zeno-ent: {len(bad)} solver cross-check row(s) exceeded tolerance",
               file=sys.stderr)
         return 3

@@ -393,12 +393,32 @@ def _checked_times(t, name="t"):
     return t
 
 
+def _overdamped_terms(lam: float, rabi: float, omega_sq: float):
+    """``(xp, xm, ap, am)`` of the overdamped ``E(t) = ap exp(xp t) + am
+    exp(xm t)``.  At weak coupling, ``4 rabi**2 < 9e-3 lam**2``, the slow
+    rate ``(om - lam)/2`` and its weight ``(1 - lam/om)/2`` cancel, so they
+    are formed as ``-2 rabi**2 / (lam + om)`` and ``xp / om``.  Above that
+    bound the cancellation costs under 1e-13 relative, and the plain form
+    is kept, so every ``R`` from 0.05 up keeps its bits."""
+    om = math.sqrt(omega_sq)
+    if 4.0 * rabi * rabi < 9e-3 * lam * lam:
+        xp = -2.0 * rabi * rabi / (lam + om)
+        am = xp / om
+    else:
+        xp = 0.5 * (om - lam)
+        am = 0.5 * (1.0 - lam / om)
+    return xp, -0.5 * (om + lam), 0.5 * (1.0 + lam / om), am
+
+
 def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     """Survival amplitude E(t) of the super-radiant superposition.
 
     Solves ``E'' + lam*E' + rabi**2*E = 0`` with ``E(0) = 1``, ``E'(0) = 0``:
 
     * overdamped  (lam**2 > 4*rabi**2):   sum of two decaying exponentials,
+      whose slow rate is formed without cancellation at weak coupling
+      (``4 rabi**2 < 9e-3 lam**2``), so E keeps a few ulps down to
+      ``rabi = 1e-6 lam``,
     * underdamped (lam**2 < 4*rabi**2):   ``exp(-lam*t/2) * (cos(w*t/2) + (lam/w) sin(w*t/2))``
       with ``w = sqrt(4*rabi**2 - lam**2)``,
     * critically damped boundary:         ``exp(-lam*t/2) * (1 + lam*t/2)``.
@@ -417,11 +437,7 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     if reg.omega_sq >= eps:
         # Two-exponential form: both rates are negative, so no overflow for
         # large t, unlike the cosh/sinh form.
-        om = math.sqrt(reg.omega_sq)
-        xp = 0.5 * (om - lam)
-        xm = -0.5 * (om + lam)
-        ap = 0.5 * (1.0 + lam / om)
-        am = 0.5 * (1.0 - lam / om)
+        xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
         e = ap * np.exp(xp * t) + am * np.exp(xm * t)
     elif reg.omega_sq <= -eps:
         w = math.sqrt(-reg.omega_sq)
@@ -430,6 +446,25 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     else:
         e = np.exp(-0.5 * lam * t) * (1.0 + 0.5 * lam * t)
     return e if e.ndim else float(e)
+
+
+def _survival_split(res: ReservoirSpec, coup: CouplingSpec, t: float) -> tuple[float, float]:
+    """``(x, f)`` with ``E(t) = exp(x) * f`` at a checked time ``t``, in the
+    regimes of :func:`survival_amplitude`: ``exp(x)`` is the slowest decay
+    and ``f`` a factor of order one, so ``log|E| = x + log|f|`` holds where
+    ``E`` underflows.  Only the underdamped factor ``cos(w t/2) + (lam/w)
+    sin(w t/2)`` has zeros, which are those of ``E``."""
+    lam = res.lam
+    reg = RegimeParams.from_specs(res, coup)
+    eps = _DEGENERATE_EPS * lam * lam
+    if reg.omega_sq >= eps:
+        xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
+        return xp * t, ap + am * math.exp((xm - xp) * t)
+    if reg.omega_sq <= -eps:
+        w = math.sqrt(-reg.omega_sq)
+        half = 0.5 * w * t
+        return -0.5 * lam * t, math.cos(half) + (lam / w) * math.sin(half)
+    return -0.5 * lam * t, 1.0 + 0.5 * lam * t
 
 
 def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t: float) -> Amplitudes:

@@ -426,8 +426,9 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
 
     Each solver runs once per r1 and returns its real pair map ``P``
     (:class:`~zeno_ent.solvers.PairMap`).  The closed form's map is ``(E -
-    1) r r^T`` with ``r = (r1, r2)``, and ``E(t)`` is evaluated once per r1
-    on each solver's grid.  A pair of solvers is one difference map ``D =
+    1) r r^T`` with ``r = (r1, r2)``, and ``E(t) - 1`` is evaluated once per
+    r1 on each distinct solver grid (at the defaults the ODE and bath grids
+    are the same).  A pair of solvers is one difference map ``D =
     P_a - P_b`` on the points both hold, and the row of each s is ``max |D
     x|`` over those points and both amplitudes, where ``x`` is that
     state's pair at ``t = 0``: every s is read off the maps, with no
@@ -448,11 +449,14 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                 for name in solvers}
         rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
         cells = []
+        deficits = []       # (grid, E - 1 on it) at this r1
         for a, b in pairs:
             mb = maps[b]
             if a == "closed":
-                e = survival_amplitude(res, coup, mb.tau)
-                e -= 1.0
+                e = next((e for tau, e in deficits if np.array_equal(tau, mb.tau)), None)
+                if e is None:
+                    e = survival_amplitude(res, coup, mb.tau) - 1.0
+                    deficits.append((mb.tau, e))
                 gap = np.multiply.outer(-rr, e)
                 gap += mb.p
                 npts = mb.tau.size
@@ -634,16 +638,44 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return _RUNNERS[cfg.scenario](cfg)
 
 
+def _repeated_cells(col: np.ndarray, cell) -> list | None:
+    """``cell`` of every entry of a float column with at most half its cells
+    distinct, formatting each distinct value once; ``None`` for any other
+    column.  Values differ by their bits, so ``0.0`` and ``-0.0`` stay apart."""
+    if col.dtype != np.float64:
+        return None
+    bits = col.view(np.int64)
+    # one sort: np.unique hashes int64 keys, 4.3 ms against 0.2 ms on 20001 values
+    ordered = np.sort(bits)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    if 2 * distinct.size > bits.size:
+        return None
+    strings = np.array([cell(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return strings[np.searchsorted(distinct, bits)].tolist()
+
+
 def render_csv(result: ScenarioResult) -> str:
-    cols = [np.asarray(c) for c in result.data]
-    tmpl = ",".join({"f": "%.17g", "i": "%d", "U": "%s"}[c.dtype.kind] for c in cols)
+    """One ``%``-row template over the columns: ``%.17g`` for a float cell,
+    and ``%s`` for a float column that repeats, whose distinct values are
+    formatted once (:func:`_repeated_cells`)."""
+    fmts, cells = [], []
+    for col in map(np.asarray, result.data):
+        fmt = {"f": "%.17g", "i": "%d", "U": "%s"}[col.dtype.kind]
+        shared = _repeated_cells(col, fmt.__mod__)
+        fmts.append(fmt if shared is None else "%s")
+        cells.append(col.tolist() if shared is None else shared)
+    tmpl = ",".join(fmts)
     lines = [",".join(result.columns)]
-    lines += [tmpl % row for row in zip(*(c.tolist() for c in cols))]
+    lines += [tmpl % row for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
 def _json_cells(col: np.ndarray) -> list:
-    """``%s`` cells: a float prints its repr; strings and nan/inf go via ``json.dumps``."""
+    """``%s`` cells: a float prints its repr; strings and nan/inf go via
+    ``json.dumps``; a float column that repeats via :func:`_repeated_cells`."""
+    cells = _repeated_cells(col, lambda v: repr(v) if math.isfinite(v) else json.dumps(v))
+    if cells is not None:
+        return cells
     cells = col.tolist()
     odd = np.ones(col.shape, bool) if col.dtype.kind == "U" else ~np.isfinite(col)
     for i in np.flatnonzero(odd).tolist():
@@ -668,7 +700,8 @@ def _json_safe(obj):
 
 
 def render_json(result: ScenarioResult) -> str:
-    """``json.dumps(..., indent=1)``; the rows block comes from one row template."""
+    """``json.dumps(..., indent=1)``; the rows block comes from one row
+    template over the ``%s`` cells of :func:`_json_cells`."""
     payload = {
         "config": _json_safe(dataclasses.asdict(result.config)) if result.config else None,
         "columns": list(result.columns),

@@ -33,6 +33,7 @@ from .model import (
     InitialState,
     ReservoirSpec,
     TimeSeries,
+    _survival_split,
     _to_float,
     survival_amplitude,
 )
@@ -49,7 +50,8 @@ __all__ = [
 
 # |E(T)| below this is indistinguishable from an exact zero in double
 # precision: near its zeros the closed form carries ~1e-16 absolute noise,
-# so the log of anything smaller is rounding artifact, not physics.
+# so the log of anything smaller is rounding artifact, not physics.  It is
+# a zero only where the oscillating factor of E, not its decay, is below it.
 _SURVIVAL_FLOOR = 1e-14
 
 # max(lam, rabi) * T below which the rate is read off the Taylor series of
@@ -115,17 +117,27 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     ``-2 log1p(E(T) - 1) / T`` with ``E(T) - 1`` summed from its Taylor
     series, about ``rabi**2 T (1 - lam T / 3)``, since ``E(T)`` rounds to
     1 there; ``interval_survival`` is ``E(T)`` either way.  Raises if the
-    interval lands exactly on a zero of the survival amplitude, where the
-    rate diverges.  ``oscillatory`` is set when ``E(T) < 0``, where the
-    super-radiant share changes sign at every measurement (see module
-    docstring).
+    interval lands on a zero of the survival amplitude, where the
+    underdamped factor ``cos(w T/2) + (lam/w) sin(w T/2)`` is below 1e-14
+    and the rate diverges.  An interval over which ``E`` merely decayed
+    below 1e-14 has the rate ``-2 log|E(T)| / T``, with ``log|E(T)|`` taken
+    as the decay exponent plus the log of that factor where ``E(T)``
+    underflows, e.g. ``lam`` at ``R = 1``, ``T = 1e300``.  ``oscillatory``
+    is set when ``E(T) < 0`` (or its factor, where ``E(T)`` underflows),
+    where the super-radiant share changes sign at every measurement (see
+    module docstring).
     """
     _check_interval(interval)
     e = survival_amplitude(res, coup, interval)
     if abs(e) < _SURVIVAL_FLOOR:
-        raise ValueError(
-            f"measurement interval {float(interval)!r} lands on a zero of the "
-            "survival amplitude; the effective rate diverges")
+        x, f = _survival_split(res, coup, float(interval))
+        if abs(f) < _SURVIVAL_FLOOR:
+            raise ValueError(
+                f"measurement interval {float(interval)!r} lands on a zero of the "
+                "survival amplitude; the effective rate diverges")
+        log_e = math.log(abs(e)) if abs(e) >= sys.float_info.min else x + math.log(abs(f))
+        return ZenoRate(rate=-2.0 * log_e / interval, interval_survival=float(e),
+                        oscillatory=bool(f < 0.0))
     # max(lam, rabi) T < _SERIES_BOUND with rabi = alpha_t w; lam T is tested
     # first, so a long interval costs one product
     lam_t = res.lam * interval

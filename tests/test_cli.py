@@ -388,7 +388,8 @@ class TestSolverXcheck:
         assert runs == pytest.approx([0.0, 0.87])
 
     def test_closed_form_once_per_solver_grid(self, monkeypatch):
-        # E(t) once per r1 on each solver's grid, not once per (s, solver)
+        # E(t) once per r1 on each distinct solver grid, not once per (s,
+        # solver): the ODE and the bath share theirs
         grids = []
         real = scenarios.survival_amplitude
 
@@ -400,9 +401,19 @@ class TestSolverXcheck:
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.3, 0.87),
                              s=(-1.0, 0.0, 0.3), tau_max=0.5)
         assert run_solver_xcheck(cfg).meta["passed"] is True
-        # Volterra's grid (dt = 1e-4), then the ODE's and the bath's (1e-3)
+        # Volterra's grid (dt = 1e-4), then the one of the ODE and the bath (1e-3)
+        assert [size for _, size in grids] == [5001, 501] * 2
+        assert [r1 for r1, _ in grids] == pytest.approx([0.3] * 2 + [0.87] * 2)
+        # a bath on a grid of its own gets an evaluation of its own
+        grids.clear()
+        run_solver_xcheck(dataclasses.replace(cfg, r1=(0.3,), dt_bath=2e-3))
+        assert [size for _, size in grids] == [5001, 501, 251]
+        # the shared evaluation gives the rows of one per solver grid
+        shared = run_solver_xcheck(cfg).rows
+        monkeypatch.setattr(np, "array_equal", lambda a, b: False)
+        grids.clear()
+        assert run_solver_xcheck(cfg).rows == shared
         assert [size for _, size in grids] == [5001, 501, 501] * 2
-        assert [r1 for r1, _ in grids] == pytest.approx([0.3] * 3 + [0.87] * 3)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
@@ -706,22 +717,57 @@ def _oracle_json(result):
     return json.dumps(payload, indent=1) + "\n"
 
 
+def _repeating_columns():
+    """Float columns of 24 cells whose values repeat, so that each renders
+    from its distinct values: surface-style axes, signed zeros, NaN of both
+    signs, infinities, subnormals, and a column at exactly half its cells
+    distinct beside one with a distinct value more."""
+    neg_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+    half = np.repeat(np.arange(12) / 7.0, 2)
+    return {
+        "r1": np.repeat([0.0, 0.25, 1.0 / 3.0, 1.0], 6),
+        "s": np.tile([-1.0, -0.0, 0.1, 0.2, 0.30000000000000004, 1.0], 4),
+        "zeros": np.tile([0.0, -0.0], 12),
+        "odd": np.tile([math.nan, math.inf, -math.inf, neg_nan, 1e308], 5)[:24],
+        "tiny": np.tile([5e-324, 2.2250738585072e-308, 1e-310, -5e-324], 6),
+        "const": np.full(24, 0.1),
+        "half": half,
+        "past_half": np.r_[half[:-1], 99.5],
+    }
+
+
 class TestSerialization:
     def test_templates_match_cellwise_oracles(self):
         special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
                    1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
         n = len(special)
+        cfg = ScenarioConfig(scenario="solver-xcheck", r1=(0.5,), s=(-1.0,))
+        meta = {"phi": 0.7, "passed": True, "tolerances": {"ode": 1e-6}}
         result = ScenarioResult(
             columns=["x", "n", "name", "y"],
             data=[np.array(special), np.arange(-3, n - 3) * 10 ** 12,
                   ["closed", "bath", 'quo"te', "caf\u00e9", "a\\b", "", "ode",
                    "volterra", "x y", "1e5", "NaN", "tab\t"],
                   np.array(special[::-1])],
-            meta={"phi": 0.7, "passed": True, "tolerances": {"ode": 1e-6}},
-            config=ScenarioConfig(scenario="solver-xcheck", r1=(0.5,), s=(-1.0,)))
+            meta=meta, config=cfg)
         assert render_csv(result) == _oracle_csv(result)
         assert render_json(result) == _oracle_json(result)
         assert json.loads(render_json(result))["rows"][5][2] == ""
+        # float columns that repeat format each distinct value once; the
+        # bytes are still those of the cell-by-cell oracles
+        floats = _repeating_columns()
+        distinct = {k: len(set(v.view(np.int64).tolist())) for k, v in floats.items()}
+        assert distinct["half"] == 12 and distinct["past_half"] == 13
+        assert distinct["zeros"] == 2 and distinct["odd"] == 5
+        result = ScenarioResult(
+            columns=list(floats) + ["n", "name"],
+            data=list(floats.values()) + [np.arange(24) % 3, ["bath", "ode"] * 12],
+            meta=meta, config=cfg)
+        assert render_csv(result) == _oracle_csv(result)
+        assert render_json(result) == _oracle_json(result)
+        # every float column but the last takes the repeated-value path
+        taken = {k: scenarios._repeated_cells(v, repr) is not None for k, v in floats.items()}
+        assert taken == {k: k != "past_half" for k in floats}
 
     def tiny_result(self):
         cfg = ScenarioConfig(scenario="stationary-surface", r1=(0.5,), s=(1.0,))
@@ -958,10 +1004,23 @@ class TestCliMain:
                      "--r1", "0.7071067811865476", "--s", "0", "--tau-max", "2",
                      "--out", str(out)])
         assert code == 3
-        assert "exceeded tolerance" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
         text = out.read_text()
         assert text.count("\n") >= 7
         assert ",0\n" in text or text.endswith(",0")
+        # stderr names every failing row, and only those, with its solver
+        # pair, r1, s, error and tolerance as the table holds them
+        failing = [line.split(",") for line in text.splitlines()[1:] if line.endswith(",0")]
+        named = [f"zeno-ent: {a} vs {b} at r1 = {float(r1)!r}, s = {float(s)!r}: "
+                 f"max_abs_err {float(e)!r} exceeds tolerance {float(tol)!r}"
+                 for r1, s, a, b, _, e, tol, _ in failing]
+        assert failing and all(row[3] == "bath" for row in failing)
+        assert err == named + [f"zeno-ent: {len(failing)} solver cross-check row(s) "
+                               "exceeded tolerance"]
+        # the table is the one the scenario renders, whatever stderr says
+        cfg_obj = ScenarioConfig(scenario="solver-xcheck", freq_window=1.0, big_r=10.0,
+                                 r1=(SQRT_HALF,), s=(0.0,), tau_max=2.0)
+        assert text == render_csv(run_solver_xcheck(cfg_obj))
 
     def test_zeno_compare_defaults_write_table(self, tmp_path):
         # grid times a rounding step below a measurement boundary used to
@@ -971,6 +1030,15 @@ class TestCliMain:
         lines = out.read_text().splitlines()
         assert lines[0] == "tau,C[unmeasured],C[T=0.1],C[T=1.0],C[T=5.0]"
         assert len(lines) == 2002
+
+    def test_decayed_interval_keeps_its_column(self, tmp_path, capsys):
+        # E(5000) = 1.2e-22 at R = 0.1 has decayed, not hit a zero; the
+        # column used to be dropped with a "zero of the survival amplitude"
+        out = tmp_path / "zeno.csv"
+        assert main(["zeno-compare", "--meas-interval", "5000", "--tau-steps", "11",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[0] == "tau,C[unmeasured],C[T=5000.0]"
 
     def test_skipped_schedule_reported_on_stderr(self, capsys):
         om = math.sqrt(399.0)

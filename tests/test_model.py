@@ -1,5 +1,6 @@
 """Closed-form layer: survival amplitude, amplitudes, concurrence measures."""
 
+import decimal
 import math
 
 import numpy as np
@@ -198,6 +199,36 @@ class TestSurvivalAmplitude:
         om = math.sqrt(399.0)
         tau_zero = (2.0 / om) * (math.pi - math.atan(om))
         assert abs(survival_amplitude(res, coup, tau_zero)) < 1e-14
+
+    @pytest.mark.parametrize("big_r", [1e-2, 1e-4, 1e-6])
+    def test_weak_coupling_against_decimal_reference(self, big_r):
+        # the slow rate (om - lam)/2 used to cancel: 1.4e-13 relative at
+        # R = 1e-2, 1.4e-9 at 1e-4 and 8.4e-5 at 1e-6, worst of these times
+        res, coup = resonant_system(big_r, 0.87)
+        gamma = 2.0 * big_r**2
+        times = [1.0, 1.0 / gamma, 5.0 / gamma]
+        with decimal.localcontext(decimal.Context(prec=40)):
+            lam, rabi = decimal.Decimal(res.lam), decimal.Decimal(coup.alpha_t * res.w)
+            om = (lam * lam - 4 * rabi * rabi).sqrt()
+            ref = [float(((1 + lam / om) * ((om - lam) / 2 * decimal.Decimal(t)).exp()
+                          + (1 - lam / om) * (-(om + lam) / 2 * decimal.Decimal(t)).exp()) / 2)
+                   for t in times]
+        for t, e in zip(times, ref):
+            assert survival_amplitude(res, coup, t) == pytest.approx(e, rel=1e-15, abs=0), t
+        np.testing.assert_allclose(survival_amplitude(res, coup, np.array(times)), ref,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("big_r", [0.05, 0.1, 0.3, 0.49])
+    def test_plain_overdamped_form_kept_from_r_0_05(self, big_r):
+        # the cancellation-free form starts below 4 rabi**2 = 9e-3 lam**2, so
+        # every R the goldens and the benchmark use keeps its bits
+        res, coup = resonant_system(big_r, 0.87)
+        lam, rabi = res.lam, coup.alpha_t * res.w
+        om = math.sqrt(lam**2 - 4.0 * rabi**2)
+        tau = np.linspace(0.0, 50.0, 501)
+        plain = (0.5 * (1.0 + lam / om) * np.exp(0.5 * (om - lam) * tau)
+                 + 0.5 * (1.0 - lam / om) * np.exp(-0.5 * (om + lam) * tau))
+        assert np.array_equal(survival_amplitude(res, coup, tau), plain)
 
     def test_overdamped_no_overflow_at_long_times(self):
         res, coup = resonant_system(1e-3, 0.5)

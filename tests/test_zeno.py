@@ -194,6 +194,35 @@ class TestZenoRate:
         assert zr.rate > 0.0
         assert zeno_rate(res, coup, 0.01).oscillatory is False
 
+    @pytest.mark.parametrize("big_r, t", [(0.1, 5000.0), (10.0, 100.0), (0.1, 1e300),
+                                          (1.0, 1e300)])
+    def test_decayed_interval_has_finite_rate(self, big_r, t):
+        # |E(T)| is 1.2e-22, 1.8e-22, 0.0 and -0.0 here, below the 1e-14
+        # floor by decay alone; these were refused as zeros of E
+        mp = pytest.importorskip("mpmath").mp
+        res, coup = resonant_system(big_r, 0.87)
+        e = survival_amplitude(res, coup, t)
+        assert abs(e) < 1e-14
+        with mp.workdps(60):
+            # log|E| at 60 digits with the decay exponent kept apart, so it
+            # holds where E underflows
+            lam, rabi = mp.mpf(res.lam), mp.mpf(coup.alpha_t) * mp.mpf(res.w)
+            disc = lam * lam - 4 * rabi * rabi
+            if disc > 0:
+                om = mp.sqrt(disc)
+                log_e = (om - lam) / 2 * t + mp.log((1 + lam / om) / 2
+                                                    + (1 - lam / om) / 2 * mp.exp(-om * t))
+            else:
+                w = mp.sqrt(-disc)
+                factor = mp.cos(w * t / 2) + lam / w * mp.sin(w * t / 2)
+                log_e = -lam * t / 2 + mp.log(abs(factor))
+            ref = float(-2 * log_e / t)
+        zr = zeno_rate(res, coup, t)
+        assert zr.rate == pytest.approx(ref, rel=1e-14, abs=0)
+        assert zr.interval_survival == e
+        # the sign of E, or of its underdamped factor where E underflows
+        assert zr.oscillatory is (math.copysign(1.0, e) < 0.0)
+
     def test_interval_on_survival_zero_rejected(self):
         res, coup, _ = balanced_system()
         om = math.sqrt(399.0)
