@@ -49,6 +49,10 @@ __all__ = [
 
 # Relative width of the critically damped window around lam**2 = 4*rabi**2.
 _DEGENERATE_EPS = 1e-12
+# Top of the near-critical overdamped range, in omega_sq / lam**2, where E is
+# formed without the cancelling 1/om weights: below it they cost up to 1e-10
+# relative against 50 digits (1.1e-14 in [1e-4, 2e-4), 7.7e-15 above it)
+_NEAR_CRITICAL = 2e-4
 
 _NORM_TOL = 1e-12
 _AMPLITUDE_NORM_SLACK = 1e-10
@@ -410,6 +414,15 @@ def _overdamped_terms(lam: float, rabi: float, omega_sq: float):
     return xp, -0.5 * (om + lam), 0.5 * (1.0 + lam / om), am
 
 
+def _near_critical_terms(lam: float, omega_sq: float):
+    """``(xp, om, lam / (2 om))`` of the overdamped ``E(t) = exp(xp t) (1/2
+    (1 + exp(-om t)) - lam / (2 om) expm1(-om t))``, the two-exponential form
+    with its weights ``(1 +- lam/om)/2``, which grow as ``1/om`` and cancel,
+    gathered over ``expm1``."""
+    om = math.sqrt(omega_sq)
+    return 0.5 * (om - lam), om, lam / (2.0 * om)
+
+
 def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     """Survival amplitude E(t) of the super-radiant superposition.
 
@@ -418,7 +431,10 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     * overdamped  (lam**2 > 4*rabi**2):   sum of two decaying exponentials,
       whose slow rate is formed without cancellation at weak coupling
       (``4 rabi**2 < 9e-3 lam**2``), so E keeps a few ulps down to
-      ``rabi = 1e-6 lam``,
+      ``rabi = 1e-6 lam``; near critical damping (``omega_sq = lam**2 - 4
+      rabi**2`` below ``2e-4 lam**2``) the two weights ``(1 +- lam/om)/2``
+      grow as ``1/om`` and cancel, so there it is ``exp(xp t) (1/2 (1 +
+      exp(-om t)) - lam/(2 om) expm1(-om t))``, within a few ulps,
     * underdamped (lam**2 < 4*rabi**2):   ``exp(-lam*t/2) * (cos(w*t/2) + (lam/w) sin(w*t/2))``
       with ``w = sqrt(4*rabi**2 - lam**2)``,
     * critically damped boundary:         ``exp(-lam*t/2) * (1 + lam*t/2)``.
@@ -434,11 +450,14 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     lam = res.lam
     reg = RegimeParams.from_specs(res, coup)
     eps = _DEGENERATE_EPS * lam * lam
-    if reg.omega_sq >= eps:
+    if reg.omega_sq >= _NEAR_CRITICAL * lam * lam:
         # Two-exponential form: both rates are negative, so no overflow for
         # large t, unlike the cosh/sinh form.
         xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
         e = ap * np.exp(xp * t) + am * np.exp(xm * t)
+    elif reg.omega_sq >= eps:
+        xp, om, ratio = _near_critical_terms(lam, reg.omega_sq)
+        e = np.exp(xp * t) * (0.5 * (1.0 + np.exp(-om * t)) - ratio * np.expm1(-om * t))
     elif reg.omega_sq <= -eps:
         w = math.sqrt(-reg.omega_sq)
         half = 0.5 * w * t
@@ -457,9 +476,12 @@ def _survival_split(res: ReservoirSpec, coup: CouplingSpec, t: float) -> tuple[f
     lam = res.lam
     reg = RegimeParams.from_specs(res, coup)
     eps = _DEGENERATE_EPS * lam * lam
-    if reg.omega_sq >= eps:
+    if reg.omega_sq >= _NEAR_CRITICAL * lam * lam:
         xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
         return xp * t, ap + am * math.exp((xm - xp) * t)
+    if reg.omega_sq >= eps:
+        xp, om, ratio = _near_critical_terms(lam, reg.omega_sq)
+        return xp * t, 0.5 * (1.0 + math.exp(-om * t)) - ratio * math.expm1(-om * t)
     if reg.omega_sq <= -eps:
         w = math.sqrt(-reg.omega_sq)
         half = 0.5 * w * t

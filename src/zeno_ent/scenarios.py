@@ -70,16 +70,20 @@ SOLVERS = ("closed",) + SOLVER_NAMES
 # max |amplitude| deviation from the closed form at the reference steps below
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
-# most steps one numeric solver run may take: a million steps keep a
-# solver-xcheck run's arrays near 40 MB and the run within seconds; a
-# time-evolution run holds only its tau_steps output points, whatever its
-# step count
+# most steps one numeric solver run may take: at a million Volterra steps
+# a solver-xcheck run at one r1 without the bath has a traced peak of 18 MB,
+# 8 MB of it the grid's times, and runs within a second; a time-evolution
+# run holds only its tau_steps output points, whatever its step count
 MAX_SOLVER_STEPS = 1_000_000
 
 _SQRT_HALF = math.sqrt(0.5)
 
 # tau points per block of the transient coarse-grid product
 _TAU_BLOCK = 4096
+# points per block of the finest solver grid in solver-xcheck: at R = 10 one
+# r1 runs as fast in blocks of 2**14 as of 2**15 points, with a traced peak
+# of 4.3 MB rather than 6.7 MB (10.5 MB for the whole map)
+_XCHECK_BLOCK = 1 << 14
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
 _INT_KEYS = ("tau_steps", "n_modes")
@@ -426,13 +430,20 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
 
     Each solver runs once per r1 and returns its real pair map ``P``
     (:class:`~zeno_ent.solvers.PairMap`).  The closed form's map is ``(E -
-    1) r r^T`` with ``r = (r1, r2)``, and ``E(t) - 1`` is evaluated once per
-    r1 on each distinct solver grid (at the defaults the ODE and bath grids
-    are the same).  A pair of solvers is one difference map ``D =
-    P_a - P_b`` on the points both hold, and the row of each s is ``max |D
-    x|`` over those points and both amplitudes, where ``x`` is that
-    state's pair at ``t = 0``: every s is read off the maps, with no
+    1) r r^T`` with ``r = (r1, r2)``.  A pair of solvers is one difference
+    map ``D = P_a - P_b`` on the points both hold, and the row of each s
+    is ``max |D x|`` over those points and both amplitudes, where ``x`` is
+    that state's pair at ``t = 0``: every s is read off the maps, with no
     per-state series.
+
+    The finest grid is walked in blocks of whole tail rows of its map
+    (:meth:`~zeno_ent.solvers.PairMap.rows`), about ``_XCHECK_BLOCK``
+    points each, built into work arrays made once per run; each block
+    serves every pair of that map, so no array but the grid's times spans
+    it.  ``E`` reads the coupling only through ``alpha_t``, so ``E - 1`` is
+    evaluated on a block once per distinct ``alpha_t`` and serves every r1
+    that has it.  The pairs of the coarser grids are then formed whole,
+    with ``E - 1`` once per ``alpha_t`` and grid.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
@@ -440,62 +451,124 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     pairs = [("closed", name) for name in solvers]
     pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
     s_axis = cfg.s_axis()
-    states = [_init_state(cfg, s) for s in s_axis]
-    rows = []
-    all_ok = True
+    x = np.array([[init.c01, init.c02] for init in (_init_state(cfg, s) for s in s_axis)])
+    runs = []
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
         maps = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
                 for name in solvers}
+        if runs:
+            # a solver's grid is the same at every r1: its times are held once
+            maps = {name: dataclasses.replace(m, tau=runs[0][3][name].tau)
+                    for name, m in maps.items()}
         rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
-        cells = []
-        deficits = []       # (grid, E - 1 on it) at this r1
-        for a, b in pairs:
+        runs.append((res, coup, -rr, maps))
+    grids = runs[0][3]
+    # the smallest step gives the most points, and the fine side of each pair
+    big = min(solvers, key=lambda name: getattr(cfg, f"dt_{name}"))
+    shared = {(a, b): _shared_points(grids[a], grids[b]) for a, b in pairs if a != "closed"}
+    npts = [grids[b].tau.size if a == "closed" else grids[a].tau[shared[a, b][0]].size
+            for a, b in pairs]
+    # per r1 and pair, each state's largest gap on each amplitude
+    worst = np.full((len(runs), len(pairs), 2, len(x)), -np.inf)
+    groups = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(run[1].alpha_t, []).append(i)
+
+    tau = grids[big].tau
+    row = len(grids[big].powers[0]) if grids[big].powers else 1
+    width = max(_XCHECK_BLOCK // row, 2) * row
+    block, gap = np.empty((2, 2, 2, width))
+    work = np.empty((3, len(x), width))
+    for lo in range(0, tau.size, width):
+        hi = min(lo + width, tau.size)
+        for members in groups.values():
+            e = None
+            for i in members:
+                res, coup, neg_rr, maps = runs[i]
+                on_big = maps[big].rows(lo, hi, out=block)
+                for k, (a, b) in enumerate(pairs):
+                    if b == big and a == "closed":
+                        if e is None:
+                            e = survival_amplitude(res, coup, tau[lo:hi]) - 1.0
+                        g = np.multiply.outer(neg_rr, e, out=gap[:, :, :hi - lo])
+                        g += on_big
+                    elif big in (a, b) and a != "closed":
+                        # the shared point m is m * step on the big grid, m on the other
+                        points = shared[a, b][a != big]
+                        step = points.step or 1
+                        m0, m1 = -(-lo // step), -(-min(hi, points.stop) // step)
+                        if m0 >= m1:
+                            continue
+                        fine = on_big[:, :, m0 * step - lo:m1 * step - lo:step]
+                        coarse = maps[b if a == big else a].p[:, :, m0:m1]
+                        g = np.subtract(*((fine, coarse) if a == big else (coarse, fine)),
+                                        out=gap[:, :, :m1 - m0])
+                    else:
+                        continue
+                    _fold_maxima(worst[i, k], g, x, work)
+
+    deficits = {}       # alpha_t -> [(grid, E - 1 on it)]
+    rows = []
+    all_ok = True
+    for i, r1 in enumerate(cfg.r1_axis()):
+        res, coup, neg_rr, maps = runs[i]
+        runs[i] = None      # this r1's maps go once its rows are formed
+        for k, (a, b) in enumerate(pairs):
+            if big in (a, b):
+                continue
             mb = maps[b]
             if a == "closed":
-                e = next((e for tau, e in deficits if np.array_equal(tau, mb.tau)), None)
+                known = deficits.setdefault(coup.alpha_t, [])
+                e = next((e for grid, e in known if np.array_equal(grid, mb.tau)), None)
                 if e is None:
                     e = survival_amplitude(res, coup, mb.tau) - 1.0
-                    deficits.append((mb.tau, e))
-                gap = np.multiply.outer(-rr, e)
-                gap += mb.p
-                npts = mb.tau.size
-                tol = XCHECK_TOLERANCES[b]
+                    known.append((mb.tau, e))
+                g = np.multiply.outer(neg_rr, e)
+                g += mb.p
             else:
-                ma = maps[a]
-                ia, ib = _shared_points(ma, mb)
-                gap = ma.p[:, :, ia] - mb.p[:, :, ib]
-                npts = ma.tau[ia].size
-                tol = XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b]
-            cells.append((a, b, npts, [_max_pair_gap(gap, x) for x in states], tol))
-        for i, s in enumerate(s_axis):
-            for a, b, npts, errs, tol in cells:
-                ok = errs[i] <= tol
+                ia, ib = shared[a, b]
+                g = maps[a].p[:, :, ia] - mb.p[:, :, ib]
+            _fold_maxima(worst[i, k], g, x, work)
+        for j, s in enumerate(s_axis):
+            for k, (a, b) in enumerate(pairs):
+                # from 0.0, as state by state: a NaN row max is dropped
+                err = max(0.0, *worst[i, k, :, j].tolist())
+                tol = XCHECK_TOLERANCES[b] if a == "closed" else (
+                    XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b])
+                ok = err <= tol
                 all_ok = all_ok and ok
-                rows.append([r1, s, a, b, npts, errs[i], tol, int(ok)])
+                rows.append([r1, s, a, b, npts[k], err, tol, int(ok)])
     return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
                           meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
 
 
-def _max_pair_gap(gap, init: InitialState) -> float:
-    """``max |gap x|`` over the points and both amplitudes, for a real
-    ``(2, 2, n)`` map ``gap`` and the pair ``x`` of ``init``: the real
-    part, and the imaginary one only where the state has one.  A row at a
-    time, so that the work arrays hold ``n`` points."""
-    x1, x2 = init.c01, init.c02
-    worst = 0.0
-    for row in gap:
-        y = row[0] * x1.real
-        y += row[1] * x2.real
-        if x1.imag or x2.imag:
-            z = row[0] * x1.imag
-            z += row[1] * x2.imag
-            np.hypot(y, z, out=y)
-        else:
+def _fold_maxima(worst, gap, x, work):
+    """Fold each state's largest ``|gap x|`` into ``worst``, shape ``(2,
+    states)``, one row per amplitude, for a real ``(2, 2, m)`` map ``gap``
+    and the states' pairs ``x`` at ``t = 0``, shape ``(states, 2)``.
+
+    Each row is one ``(states, points)`` broadcast, rounded as ``x1 row0 +
+    x2 row1``: its ``abs`` for a real state, its ``hypot`` with the
+    imaginary part for a complex one.  It is formed in ``work``, ``(3,
+    states, width)``, ``width`` points at a time.  ``np.maximum`` keeps a
+    NaN, as one ``np.max`` over all the points would.
+    """
+    complex_rows = x.imag.any(axis=1)[:, None]
+    for lo in range(0, gap.shape[2], work.shape[2]):
+        part = gap[:, :, lo:lo + work.shape[2]]
+        y, z, tmp = work[:, :, :part.shape[2]]
+        for r, (p1, p2) in enumerate(part):
+            np.multiply.outer(x[:, 0].real, p1, out=y)
+            y += np.multiply.outer(x[:, 1].real, p2, out=tmp)
+            if complex_rows.any():
+                np.multiply.outer(x[:, 0].imag, p1, out=z)
+                z += np.multiply.outer(x[:, 1].imag, p2, out=tmp)
+                np.hypot(y, z, out=z)
             np.abs(y, out=y)
-        worst = max(worst, float(np.max(y)))
-    return worst
+            np.copyto(y, z, where=complex_rows)
+            np.maximum(worst[r], y.max(axis=1), out=worst[r])
 
 
 def _shared_points(sa, sb):

@@ -56,6 +56,7 @@ when one coupling vanishes; the tests drive them against the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -153,6 +154,12 @@ class PairMap:
     :class:`~zeno_ent.model.InitialState`, the map gives that state's
     :class:`~zeno_ent.model.TimeSeries`, with ``meta`` in its ``meta``.
 
+    ``p`` is built on first read and then kept: a three-amplitude map's
+    from the ``powers`` of :func:`_amplitude_rows` it holds, the bath's
+    from ``sigma``.  Before that, :meth:`rows` builds ``P`` on a range of
+    points alone, for a three-amplitude map from the tail rows that cover
+    it.
+
     The bath's map is ``P = a a^T sigma`` with ``drive = a``, the coupling
     vector: the comb reads the pair only through ``u = a.x``, so a state
     is read that way, ``x + a (u sigma)``, and one that the comb never
@@ -163,10 +170,47 @@ class PairMap:
     """
 
     tau: np.ndarray
-    p: np.ndarray
     meta: dict
     drive: tuple[float, float] | None = None
     sigma: np.ndarray | None = None
+    powers: tuple[np.ndarray, np.ndarray] | None = None
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return self.rows(0, self.tau.size)
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``P`` on the points ``[lo, hi)``: ``p[:, :, lo:hi]`` once ``p`` is
+        read, and the bath's is ``a a^T`` times that slice of ``sigma``.
+
+        A three-amplitude map builds the tail rows that cover the range,
+        into ``out`` if given, a C-contiguous ``(2, 2, m)`` work array with
+        ``m`` at least their points, of which the result is a view.  Their
+        ``(rows, 3) @ (3, K)`` products are BLAS's, which rounds by the
+        product's shape, so an entry may differ in its last bit from ``p``,
+        one product over all rows."""
+        if "p" in self.__dict__:
+            return self.p[:, :, lo:hi]
+        if self.powers is None:
+            a1, a2 = self.drive
+            aa = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])
+            return aa[:, :, None] * self.sigma[lo:hi]
+        heads, tails = self.powers
+        k = len(heads)
+        j0, j1 = lo // k, -(-hi // k)
+        if j1 - j0 == 1 < len(tails):
+            # numpy sends a one-row product to BLAS's gemv, which rounds
+            # otherwise than the product over several rows
+            j0, j1 = (j0, j1 + 1) if j1 < len(tails) else (j0 - 1, j1)
+        m = (j1 - j0) * k
+        out = np.empty((2, 2, m)) if out is None else out
+        for r in range(2):
+            for c in range(2):
+                dst = out[r, c, :m].reshape(j1 - j0, k)
+                np.matmul(tails[j0:j1, :, c], heads[:, r].T, out=dst)
+                dst += tails[j0:j1, r, c, None]
+                dst += heads[:, r, c]
+        return out[:, :, lo - j0 * k:hi - j0 * k]
 
     def __call__(self, init: InitialState) -> TimeSeries:
         x1, x2 = init.c01, init.c02
@@ -306,20 +350,15 @@ def _blocked_powers(d, n: int, stride: int, mul):
 
 
 def _amplitude_rows(d, n: int, stride: int):
-    """The pair block of ``M**(stride k) - 1`` for ``k = 0..n``, shape ``(2,
-    2, n + 1)``, from the 3x3 ``d = M - 1`` of a linear recurrence on three
-    amplitudes.  The memory variable starts at 0, so only the pair's two
-    columns are kept, and only its two rows are read: each entry is one
-    ``(J, 3) @ (3, K)`` product of the :func:`_blocked_powers` and two
-    broadcasts."""
+    """The pair block of ``M**(stride k) - 1`` for ``k = 0..n``, as the
+    :func:`_blocked_powers` of the 3x3 ``d = M - 1`` of a linear recurrence
+    on three amplitudes: the heads' pair rows and the tails' pair columns.
+    The memory variable starts at 0, so only the pair's two columns are
+    kept, and only its two rows are read: entry ``(r, c)`` of the tail row
+    ``j`` is one ``(3,) @ (3, K)`` product and two broadcasts
+    (:meth:`PairMap.rows`)."""
     heads, tails = _blocked_powers(d, n, stride, np.matmul)
-    out = np.empty((2, 2, len(tails), len(heads)))
-    for r in range(2):
-        for c in range(2):
-            np.matmul(tails[:, :, c], heads[:, r].T, out=out[r, c])
-            out[r, c] += tails[:, r, c, None]
-            out[r, c] += heads[:, r, c]
-    return out.reshape(2, 2, -1)[:, :, :n + 1]
+    return heads[:, :2], tails[:, :, :2]
 
 
 def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
@@ -330,8 +369,8 @@ def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     the grid of ``cfg``, with the memory variable at 0."""
     n, tau, stride = _grid(cfg, step_limit(res, coup, solver))
     d = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
-    return PairMap(tau=tau, p=_amplitude_rows(d, n, stride),
-                   meta={"solver": solver, "dt": cfg.dt})
+    return PairMap(tau=tau, meta={"solver": solver, "dt": cfg.dt},
+                   powers=_amplitude_rows(d, n, stride))
 
 
 def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -490,8 +529,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
         "freq_window": cfg.freq_window,
         "recurrence_time": recurrence,
     }
-    p = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])[:, :, None] * sigma
-    return PairMap(tau=tau, p=p, meta=meta, drive=(a1, a2), sigma=sigma)
+    return PairMap(tau=tau, meta=meta, drive=(a1, a2), sigma=sigma)
 
 
 def _folded_spectrum(o, b):

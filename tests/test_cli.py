@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -388,32 +389,77 @@ class TestSolverXcheck:
         assert runs == pytest.approx([0.0, 0.87])
 
     def test_closed_form_once_per_solver_grid(self, monkeypatch):
-        # E(t) once per r1 on each distinct solver grid, not once per (s,
-        # solver): the ODE and the bath share theirs
-        grids = []
+        # E(t) once per alpha_t, the one float of the coupling it reads, on
+        # each distinct solver grid, not once per (r1, s, solver): the ODE
+        # and the bath share their grid, the r1 of one alpha_t share E, and
+        # the Volterra grid is evaluated block by block, each point once
+        calls = []
         real = scenarios.survival_amplitude
 
         def counting(res, coup, t):
-            grids.append((coup.r1, np.size(t)))
+            calls.append((coup.alpha_t, np.array(t)))
             return real(res, coup, t)
 
         monkeypatch.setattr(scenarios, "survival_amplitude", counting)
+
+        def evaluations(cfg):
+            """Each alpha_t's evaluated times, per grid in the order first
+            reached; the Volterra grid's blocks are concatenated."""
+            calls.clear()
+            assert run_solver_xcheck(cfg).meta["passed"] is True
+            grids = {}
+            for alpha_t, t in calls:
+                times = grids.setdefault(alpha_t, [[]])
+                # a block that starts at 0 opens a grid
+                if times[-1] and t[0] == 0.0:
+                    times.append([])
+                times[-1].append(t)
+            return {alpha_t: [np.concatenate(g) for g in times]
+                    for alpha_t, times in grids.items()}, len(calls)
+
+        def grid(dt, tau_max):
+            return SolverConfig(dt=dt, t_max=tau_max).dt * np.arange(
+                round(tau_max / dt) + 1)
+
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.3, 0.87),
                              s=(-1.0, 0.0, 0.3), tau_max=0.5)
-        assert run_solver_xcheck(cfg).meta["passed"] is True
-        # Volterra's grid (dt = 1e-4), then the one of the ODE and the bath (1e-3)
-        assert [size for _, size in grids] == [5001, 501] * 2
-        assert [r1 for r1, _ in grids] == pytest.approx([0.3] * 2 + [0.87] * 2)
+        alpha_t = {resonant_system(0.5, r1)[1].alpha_t for r1 in cfg.r1}
+        assert len(alpha_t) == 1
+        # Volterra's grid (dt = 1e-4) first, then the one of the ODE and the
+        # bath (1e-3), once for both r1
+        got, count = evaluations(cfg)
+        assert count == 2 and got.keys() == alpha_t
+        for times in got.values():
+            assert [t.tolist() for t in times] == [grid(1e-4, 0.5).tolist(),
+                                                   grid(1e-3, 0.5).tolist()]
         # a bath on a grid of its own gets an evaluation of its own
-        grids.clear()
-        run_solver_xcheck(dataclasses.replace(cfg, r1=(0.3,), dt_bath=2e-3))
-        assert [size for _, size in grids] == [5001, 501, 251]
-        # the shared evaluation gives the rows of one per solver grid
+        got, count = evaluations(dataclasses.replace(cfg, r1=(0.3,), dt_bath=2e-3))
+        assert count == 3
+        assert [t.size for t in got.popitem()[1]] == [5001, 501, 251]
+        # a Volterra grid of several blocks: each point once, in blocks of
+        # whole tail rows of the map
+        got, count = evaluations(dataclasses.replace(cfg, tau_max=3.7))
+        assert count > 2
+        for times in got.values():
+            assert [t.tolist() for t in times] == [grid(1e-4, 3.7).tolist(),
+                                                   grid(1e-3, 3.7).tolist()]
+        assert all(t.size <= scenarios._XCHECK_BLOCK for _, t in calls)
+        # at R = 7, r1 = 1/sqrt(2) has an alpha_t of its own, and gets E of
+        # its own on each grid; the other four r1 share one
+        seven = ScenarioConfig(scenario="solver-xcheck", big_r=7.0, tau_max=2.0)
+        got, _ = evaluations(seven)
+        assert sorted(got) == sorted({resonant_system(7.0, r1)[1].alpha_t
+                                      for r1 in seven.r1_axis()})
+        assert len(got) == 2
+        for times in got.values():
+            assert [t.tolist() for t in times] == [grid(1e-4, 2.0).tolist(),
+                                                   grid(1e-3, 2.0).tolist()]
+        # the shared evaluation gives the rows of one per r1 and smaller grid
         shared = run_solver_xcheck(cfg).rows
         monkeypatch.setattr(np, "array_equal", lambda a, b: False)
-        grids.clear()
+        _, count = evaluations(cfg)
         assert run_solver_xcheck(cfg).rows == shared
-        assert [size for _, size in grids] == [5001, 501, 501] * 2
+        assert count == 1 + 2 * 2
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
@@ -456,6 +502,95 @@ class TestSolverXcheck:
                         assert row[7] == int(err <= tol)
                         assert row[5] == pytest.approx(err, rel=0, abs=1e-15)
             assert next(rows, None) is None
+
+    @staticmethod
+    def whole_map_rows(cfg):
+        """The rows formed on whole maps, one r1 at a time: ``E - 1`` on each
+        solver grid, the gap ``np.multiply.outer(-r r^T, E - 1) + P`` or the
+        difference of two maps on their shared points, and each state's
+        largest ``|gap x|`` row by row, with the real part alone for a real
+        state and ``hypot`` with the imaginary part for a complex one."""
+
+        def max_pair_gap(gap, init):
+            x1, x2 = init.c01, init.c02
+            worst = 0.0
+            for row in gap:
+                y = row[0] * x1.real
+                y += row[1] * x2.real
+                if x1.imag or x2.imag:
+                    z = row[0] * x1.imag
+                    z += row[1] * x2.imag
+                    np.hypot(y, z, out=y)
+                else:
+                    np.abs(y, out=y)
+                worst = max(worst, float(np.max(y)))
+            return worst
+
+        names = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
+        pairs = [("closed", b) for b in names]
+        pairs += [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        states = [InitialState.from_separability(s, cfg.phi) for s in cfg.s_axis()]
+        rows = []
+        for r1 in cfg.r1_axis():
+            res, coup = resonant_system(cfg.big_r, r1)
+            maps = {name: scenarios._propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
+                    for name in names}
+            rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
+            cells = []
+            for a, b in pairs:
+                mb = maps[b]
+                if a == "closed":
+                    gap = np.multiply.outer(-rr, scenarios.survival_amplitude(res, coup, mb.tau)
+                                            - 1.0)
+                    gap += mb.p
+                    npts, tol = mb.tau.size, scenarios.XCHECK_TOLERANCES[b]
+                else:
+                    ia, ib = scenarios._shared_points(maps[a], mb)
+                    gap = maps[a].p[:, :, ia] - mb.p[:, :, ib]
+                    npts = maps[a].tau[ia].size
+                    tol = scenarios.XCHECK_TOLERANCES[a] + scenarios.XCHECK_TOLERANCES[b]
+                cells.append((a, b, npts, [max_pair_gap(gap, x) for x in states], tol))
+            for i, s in enumerate(cfg.s_axis()):
+                for a, b, npts, errs, tol in cells:
+                    rows.append([r1, s, a, b, npts, errs[i], tol, int(errs[i] <= tol)])
+        return rows
+
+    @pytest.mark.parametrize("case", [
+        # several blocks of the Volterra grid, the last one partial, and
+        # complex states beside the real one at s = -1
+        dict(big_r=10.0, r1=(0.0, 0.6, SQRT_HALF), phi=0.7),
+        dict(big_r=0.5, r1=(0.3, 0.87, 1.0), s=(-1.0, -0.2, 0.3, 1.0), phi=2.0),
+        dict(big_r=24.0, r1=(0.87,), tau_max=3.7),
+        # the ODE grid finer than Volterra's, so the walk is over the ODE's
+        dict(big_r=10.0, r1=(0.6,), dt_ode=5e-5),
+        # grids that end apart (10 / 7e-4 rounds up), without the bath
+        dict(big_r=10.0, r1=(0.87, 0.3), dt_ode=7e-4, include_bath=False),
+        # a bath grid finer than Volterra's, so the walk reads the comb's map
+        dict(big_r=0.5, r1=(0.3,), dt_volterra=1e-3, dt_ode=1e-4, dt_bath=5e-5, tau_max=2.0),
+    ], ids=["blocks-complex", "complex-phi2", "partial-grid", "ode-finest",
+            "ends-apart", "bath-finest"])
+    def test_rows_match_whole_maps_bit_for_bit(self, case):
+        cfg = ScenarioConfig(scenario="solver-xcheck", **case)
+        got = run_solver_xcheck(cfg).rows
+        want = self.whole_map_rows(cfg)
+        hexed = [[v.hex() if isinstance(v, float) else v for v in row] for row in want]
+        assert [[v.hex() if isinstance(v, float) else v for v in row] for row in got] == hexed
+
+    @pytest.mark.parametrize("tau_max, include_bath, bound_mb", [
+        (10.0, True, 5.5), (100.0, False, 24.0)])
+    def test_traced_peak_does_not_grow_with_the_steps(self, tau_max, include_bath, bound_mb):
+        # one r1 at R = 10: the walk holds blocks of the Volterra grid, not
+        # its whole map; what is left is its times and the smaller grids
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=(0.6,),
+                             tau_max=tau_max, include_bath=include_bath)
+        run_solver_xcheck(cfg)
+        tracemalloc.start()
+        try:
+            run_solver_xcheck(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
     def test_incommensurate_steps_rejected(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,

@@ -23,6 +23,7 @@ from zeno_ent import (
     stationary_concurrence,
     survival_amplitude,
 )
+from zeno_ent import model
 
 TWO_OVER_E = 0.7357588823428847
 SQRT_HALF = math.sqrt(0.5)
@@ -218,10 +219,33 @@ class TestSurvivalAmplitude:
         np.testing.assert_allclose(survival_amplitude(res, coup, np.array(times)), ref,
                                    rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("big_r", [0.05, 0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6, 4e-5])
+    def test_near_critical_against_decimal_reference(self, delta):
+        # at R = 0.5 (1 - delta), omega_sq is about 4 delta lam**2, and the
+        # weights (1 +- lam/om)/2 of the two exponentials cancel: the plain
+        # form was 2.6e-11 relative off at delta = 1e-12 and 8.3e-13 at 1e-9
+        big_r = 0.5 * (1.0 - delta)
+        res, coup = resonant_system(big_r, 0.87)
+        times = [0.3, 1.0, 5.0, 20.0]
+        with decimal.localcontext(decimal.Context(prec=50)):
+            lam, rabi = decimal.Decimal(res.lam), decimal.Decimal(coup.alpha_t * res.w)
+            om = (lam * lam - 4 * rabi * rabi).sqrt()
+            ref = [float(((1 + lam / om) * ((om - lam) / 2 * decimal.Decimal(t)).exp()
+                          + (1 - lam / om) * (-(om + lam) / 2 * decimal.Decimal(t)).exp()) / 2)
+                   for t in times]
+        vec = survival_amplitude(res, coup, np.array(times))
+        np.testing.assert_allclose(vec, ref, rtol=3e-15, atol=0)
+        for t, e, v in zip(times, ref, vec):
+            assert survival_amplitude(res, coup, t) == v
+            x, f = model._survival_split(res, coup, t)
+            assert math.exp(x) * f == pytest.approx(e, rel=3e-15, abs=0), t
+
+    @pytest.mark.parametrize("big_r", [0.05, 0.1, 0.3, 0.49, 0.4999])
     def test_plain_overdamped_form_kept_from_r_0_05(self, big_r):
-        # the cancellation-free form starts below 4 rabi**2 = 9e-3 lam**2, so
-        # every R the goldens and the benchmark use keeps its bits
+        # the cancellation-free forms start below 4 rabi**2 = 9e-3 lam**2
+        # and above omega_sq = 2e-4 lam**2 short of critical damping, so
+        # every R the goldens and the benchmark use keeps its bits: 0.4999,
+        # the nearest below 0.5 to four digits, has omega_sq = 4e-4 lam**2
         res, coup = resonant_system(big_r, 0.87)
         lam, rabi = res.lam, coup.alpha_t * res.w
         om = math.sqrt(lam**2 - 4.0 * rabi**2)

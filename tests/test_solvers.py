@@ -444,6 +444,42 @@ class TestPairMap:
                                                                     pair_map.sigma))
 
 
+    @pytest.mark.parametrize("big_r", [0.5, 10.0, 24.0])
+    def test_range_reads_make_the_map(self, big_r):
+        # PairMap.rows on ranges that start and end inside tail rows,
+        # concatenated, give p, and build only the rows they cover.  The
+        # comb's map is a slice of sigma, and any map whose p is read is
+        # sliced, both bit for bit.  A three-amplitude read is its own
+        # (rows, 3) @ (3, K) product, whose bits BLAS picks by the product's
+        # shape: within the rounding of its three terms of p's
+        res, coup = resonant_system(big_r, 0.87)
+        rng = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        for propagator, dt in self.RUNS:
+            for stride in (1, 7):
+                pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0, stride=stride))
+                n = pair_map.tau.size
+                k = len(pair_map.powers[0]) if pair_map.powers else 1
+                cuts = np.unique(np.concatenate(
+                    ([0, 1, k + 3, 3 * k - 2, n - k // 2, n], rng.integers(1, n, 12))))
+                out = np.empty((2, 2, n + 2 * k))
+                reads = [pair_map.rows(lo, hi, out=out).copy() for lo, hi in zip(cuts, cuts[1:])]
+                assert "p" not in pair_map.__dict__
+                assert [r.shape for r in reads] == [(2, 2, hi - lo)
+                                                    for lo, hi in zip(cuts, cuts[1:])]
+                joined = np.concatenate(reads, axis=2)
+                if pair_map.powers is None:
+                    assert np.array_equal(joined, pair_map.p)
+                else:
+                    heads, tails = pair_map.powers
+                    scale = np.einsum("jkc,irk->rcji", np.abs(tails), np.abs(heads))
+                    scale = scale.reshape(2, 2, -1)[:, :, :n] + np.abs(pair_map.p)
+                    assert np.all(np.abs(joined - pair_map.p) <= 8.0 * eps * scale)
+                # once p is read, every range is its slice
+                for lo, hi in zip(cuts, cuts[1:]):
+                    assert np.array_equal(pair_map.rows(lo, hi), pair_map.p[:, :, lo:hi])
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("stride", [0, -1, True, 1.5])
     def test_rejects_bad_stride(self, stride):
