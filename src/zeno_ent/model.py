@@ -59,9 +59,12 @@ _AMPLITUDE_NORM_SLACK = 1e-10
 
 
 def _to_float(name, value, kind=float):
-    """``kind(value)``, ``float`` by default, with an integer too large for a
-    double, where ``float``, ``complex``, numpy and ``math`` raise
-    ``OverflowError``, refused by ``name``."""
+    """``kind(value)``, ``float`` by default, with a ``bool``, which is no
+    number, and an integer too large for a double, where ``float``,
+    ``complex``, numpy and ``math`` raise ``OverflowError``, refused by
+    ``name``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return kind(value)
     except OverflowError:
@@ -106,21 +109,22 @@ class ReservoirSpec:
 
     def spectral_density(self, omega):
         """J(omega), a Lorentzian of half-width ``lam`` centred at ``omega0``."""
-        return self.detuned_density(np.asarray(omega, dtype=float) - self.omega0)
+        omega = _to_float("omega", omega, lambda v: np.asarray(v, dtype=float))
+        return self.detuned_density(omega - self.omega0)
 
     def detuned_density(self, detuning):
         """J at ``omega = omega0 + detuning``; the Lorentzian is written here only.
 
         Read from the detuning, it loses no digits to a large ``omega0``.
         """
-        detuning = np.asarray(detuning, dtype=float)
+        detuning = _to_float("detuning", detuning, lambda v: np.asarray(v, dtype=float))
         out = (self.w**2 / math.pi) * self.lam / (detuning**2 + self.lam**2)
         return out if out.ndim else float(out)
 
     def memory_kernel(self, tau):
         """Reservoir correlation function ``w**2 * exp(-lam * tau)`` for tau >= 0."""
-        tau = np.asarray(tau, dtype=float)
-        if np.any(tau < 0.0):
+        tau = _to_float("tau", tau, lambda v: np.asarray(v, dtype=float))
+        if not np.all(tau >= 0.0):
             raise ValueError("memory kernel is defined for tau >= 0")
         out = self.w**2 * np.exp(-self.lam * tau)
         return out if out.ndim else float(out)

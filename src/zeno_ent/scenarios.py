@@ -71,7 +71,7 @@ SOLVERS = ("closed",) + SOLVER_NAMES
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
 # most steps one numeric solver run may take: at a million Volterra steps
-# a solver-xcheck run at one r1 without the bath has a traced peak of 18 MB,
+# a solver-xcheck run at one r1 without the bath has a traced peak of 16 MB,
 # 8 MB of it the grid's times, and runs within a second; a time-evolution
 # run holds only its tau_steps output points, whatever its step count
 MAX_SOLVER_STEPS = 1_000_000
@@ -80,9 +80,10 @@ _SQRT_HALF = math.sqrt(0.5)
 
 # tau points per block of the transient coarse-grid product
 _TAU_BLOCK = 4096
-# points per block of the finest solver grid in solver-xcheck: at R = 10 one
-# r1 runs as fast in blocks of 2**14 as of 2**15 points, with a traced peak
-# of 4.3 MB rather than 6.7 MB (10.5 MB for the whole map)
+# points per block of each solver grid in solver-xcheck: at R = 10 one r1
+# runs as fast in blocks of 2**14 as of 2**15 points, with a traced peak of
+# 4.7 MB rather than 8.3 MB (10.5 MB for whole maps), the default five r1
+# 5.5 MB rather than 8.8 MB
 _XCHECK_BLOCK = 1 << 14
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
@@ -436,14 +437,16 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     that state's pair at ``t = 0``: every s is read off the maps, with no
     per-state series.
 
-    The finest grid is walked in blocks of whole tail rows of its map
+    Each pair is formed on the grid of its fine side: the numeric solver
+    of a closed pair, the solver with the smaller step of a numeric one,
+    or the first of two with equal steps.  Each grid, one per step and in
+    solver order, is walked once in blocks of whole tail rows of its maps
     (:meth:`~zeno_ent.solvers.PairMap.rows`), about ``_XCHECK_BLOCK``
-    points each, built into work arrays made once per run; each block
-    serves every pair of that map, so no array but the grid's times spans
-    it.  ``E`` reads the coupling only through ``alpha_t``, so ``E - 1`` is
-    evaluated on a block once per distinct ``alpha_t`` and serves every r1
-    that has it.  The pairs of the coarser grids are then formed whole,
-    with ``E - 1`` once per ``alpha_t`` and grid.
+    points each, read into work arrays made once per run; a numeric pair's
+    coarse side is read on the shared points inside the block.  No map is
+    built whole.  ``E`` reads the coupling only through ``alpha_t``, so
+    ``E - 1`` is evaluated on a block once per distinct ``alpha_t`` and
+    serves every r1 that has it.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
@@ -452,11 +455,11 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
     s_axis = cfg.s_axis()
     x = np.array([[init.c01, init.c02] for init in (_init_state(cfg, s) for s in s_axis)])
+    dt = {name: getattr(cfg, f"dt_{name}") for name in solvers}
     runs = []
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        maps = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
-                for name in solvers}
+        maps = {name: _propagator(cfg, name, res, coup, dt[name]) for name in solvers}
         if runs:
             # a solver's grid is the same at every r1: its times are held once
             maps = {name: dataclasses.replace(m, tau=runs[0][3][name].tau)
@@ -464,72 +467,59 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
         rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
         runs.append((res, coup, -rr, maps))
     grids = runs[0][3]
-    # the smallest step gives the most points, and the fine side of each pair
-    big = min(solvers, key=lambda name: getattr(cfg, f"dt_{name}"))
     shared = {(a, b): _shared_points(grids[a], grids[b]) for a, b in pairs if a != "closed"}
     npts = [grids[b].tau.size if a == "closed" else grids[a].tau[shared[a, b][0]].size
             for a, b in pairs]
+    fine = [b if a == "closed" or dt[b] < dt[a] else a for a, b in pairs]
+    # a grid is fixed by its step and tau_max: solvers of one step share a walk
+    walks = {}
+    for name in solvers:
+        walks.setdefault(dt[name], []).append(name)
+    widths = {}
+    for step, names in walks.items():
+        row = math.isqrt(grids[names[0]].tau.size)
+        widths[step] = max(_XCHECK_BLOCK // row, 2) * row
     # per r1 and pair, each state's largest gap on each amplitude
     worst = np.full((len(runs), len(pairs), 2, len(x)), -np.inf)
     groups = {}
     for i, run in enumerate(runs):
         groups.setdefault(run[1].alpha_t, []).append(i)
 
-    tau = grids[big].tau
-    row = len(grids[big].powers[0]) if grids[big].powers else 1
-    width = max(_XCHECK_BLOCK // row, 2) * row
-    block, gap = np.empty((2, 2, 2, width))
-    work = np.empty((3, len(x), width))
-    for lo in range(0, tau.size, width):
-        hi = min(lo + width, tau.size)
-        for members in groups.values():
-            e = None
-            for i in members:
-                res, coup, neg_rr, maps = runs[i]
-                on_big = maps[big].rows(lo, hi, out=block)
-                for k, (a, b) in enumerate(pairs):
-                    if b == big and a == "closed":
-                        if e is None:
-                            e = survival_amplitude(res, coup, tau[lo:hi]) - 1.0
-                        g = np.multiply.outer(neg_rr, e, out=gap[:, :, :hi - lo])
-                        g += on_big
-                    elif big in (a, b) and a != "closed":
-                        # the shared point m is m * step on the big grid, m on the other
-                        points = shared[a, b][a != big]
-                        step = points.step or 1
-                        m0, m1 = -(-lo // step), -(-min(hi, points.stop) // step)
-                        if m0 >= m1:
-                            continue
-                        fine = on_big[:, :, m0 * step - lo:m1 * step - lo:step]
-                        coarse = maps[b if a == big else a].p[:, :, m0:m1]
-                        g = np.subtract(*((fine, coarse) if a == big else (coarse, fine)),
-                                        out=gap[:, :, :m1 - m0])
-                    else:
-                        continue
-                    _fold_maxima(worst[i, k], g, x, work)
+    *blocks, gap = np.empty((max(map(len, walks.values())) + 1, 2, 2, max(widths.values())))
+    work = np.empty((3, len(x), gap.shape[2]))
+    for step, names in walks.items():
+        tau = grids[names[0]].tau
+        here = [k for k, name in enumerate(fine) if name in names]
+        for lo in range(0, tau.size, widths[step]):
+            hi = min(lo + widths[step], tau.size)
+            for members in groups.values():
+                e = survival_amplitude(*runs[members[0]][:2], tau[lo:hi]) - 1.0
+                for i in members:
+                    neg_rr, maps = runs[i][2:]
+                    on = {name: maps[name].rows(lo, hi, out=out)
+                          for name, out in zip(names, blocks)}
+                    for k in here:
+                        a, b = pairs[k]
+                        if a == "closed":
+                            g = np.multiply.outer(neg_rr, e, out=gap[:, :, :hi - lo])
+                            g += on[b]
+                        else:
+                            # the shared point m is m * stride on the fine
+                            # grid, m on the coarse one
+                            points = shared[a, b][fine[k] == b]
+                            stride = points.step or 1
+                            m0, m1 = -(-lo // stride), -(-min(hi, points.stop) // stride)
+                            if m0 >= m1:
+                                continue
+                            near = on[fine[k]][:, :, m0 * stride - lo:m1 * stride - lo:stride]
+                            far = maps[a if fine[k] == b else b].rows(m0, m1)
+                            # |D x| rounds alike for D and -D
+                            g = np.subtract(near, far, out=gap[:, :, :m1 - m0])
+                        _fold_maxima(worst[i, k], g, x, work)
 
-    deficits = {}       # alpha_t -> [(grid, E - 1 on it)]
     rows = []
     all_ok = True
     for i, r1 in enumerate(cfg.r1_axis()):
-        res, coup, neg_rr, maps = runs[i]
-        runs[i] = None      # this r1's maps go once its rows are formed
-        for k, (a, b) in enumerate(pairs):
-            if big in (a, b):
-                continue
-            mb = maps[b]
-            if a == "closed":
-                known = deficits.setdefault(coup.alpha_t, [])
-                e = next((e for grid, e in known if np.array_equal(grid, mb.tau)), None)
-                if e is None:
-                    e = survival_amplitude(res, coup, mb.tau) - 1.0
-                    known.append((mb.tau, e))
-                g = np.multiply.outer(neg_rr, e)
-                g += mb.p
-            else:
-                ia, ib = shared[a, b]
-                g = maps[a].p[:, :, ia] - mb.p[:, :, ib]
-            _fold_maxima(worst[i, k], g, x, work)
         for j, s in enumerate(s_axis):
             for k, (a, b) in enumerate(pairs):
                 # from 0.0, as state by state: a NaN row max is dropped
@@ -549,26 +539,24 @@ def _fold_maxima(worst, gap, x, work):
     states)``, one row per amplitude, for a real ``(2, 2, m)`` map ``gap``
     and the states' pairs ``x`` at ``t = 0``, shape ``(states, 2)``.
 
-    Each row is one ``(states, points)`` broadcast, rounded as ``x1 row0 +
-    x2 row1``: its ``abs`` for a real state, its ``hypot`` with the
-    imaginary part for a complex one.  It is formed in ``work``, ``(3,
-    states, width)``, ``width`` points at a time.  ``np.maximum`` keeps a
-    NaN, as one ``np.max`` over all the points would.
+    Each row is one ``(states, m)`` broadcast, rounded as ``x1 row0 + x2
+    row1``: its ``abs`` for a real state, its ``hypot`` with the imaginary
+    part for a complex one.  It is formed in ``work``, ``(3, states,
+    width)`` with ``width`` at least ``m``.  ``np.maximum`` keeps a NaN, as
+    one ``np.max`` over all the points would.
     """
     complex_rows = x.imag.any(axis=1)[:, None]
-    for lo in range(0, gap.shape[2], work.shape[2]):
-        part = gap[:, :, lo:lo + work.shape[2]]
-        y, z, tmp = work[:, :, :part.shape[2]]
-        for r, (p1, p2) in enumerate(part):
-            np.multiply.outer(x[:, 0].real, p1, out=y)
-            y += np.multiply.outer(x[:, 1].real, p2, out=tmp)
-            if complex_rows.any():
-                np.multiply.outer(x[:, 0].imag, p1, out=z)
-                z += np.multiply.outer(x[:, 1].imag, p2, out=tmp)
-                np.hypot(y, z, out=z)
-            np.abs(y, out=y)
-            np.copyto(y, z, where=complex_rows)
-            np.maximum(worst[r], y.max(axis=1), out=worst[r])
+    y, z, tmp = work[:, :, :gap.shape[2]]
+    for r, (p1, p2) in enumerate(gap):
+        np.multiply.outer(x[:, 0].real, p1, out=y)
+        y += np.multiply.outer(x[:, 1].real, p2, out=tmp)
+        if complex_rows.any():
+            np.multiply.outer(x[:, 0].imag, p1, out=z)
+            z += np.multiply.outer(x[:, 1].imag, p2, out=tmp)
+            np.hypot(y, z, out=z)
+        np.abs(y, out=y)
+        np.copyto(y, z, where=complex_rows)
+        np.maximum(worst[r], y.max(axis=1), out=worst[r])
 
 
 def _shared_points(sa, sb):

@@ -154,11 +154,11 @@ class PairMap:
     :class:`~zeno_ent.model.InitialState`, the map gives that state's
     :class:`~zeno_ent.model.TimeSeries`, with ``meta`` in its ``meta``.
 
-    ``p`` is built on first read and then kept: a three-amplitude map's
-    from the ``powers`` of :func:`_amplitude_rows` it holds, the bath's
-    from ``sigma``.  Before that, :meth:`rows` builds ``P`` on a range of
-    points alone, for a three-amplitude map from the tail rows that cover
-    it.
+    ``p`` is built on first read, for a state's series, and then kept: a
+    three-amplitude map's from the ``powers`` of :func:`_amplitude_rows`
+    it holds, the bath's from ``sigma``.  :meth:`rows` builds ``P`` on a
+    range of points alone, for a three-amplitude map from the tail rows
+    that cover it, and never reads ``p``.
 
     The bath's map is ``P = a a^T sigma`` with ``drive = a``, the coupling
     vector: the comb reads the pair only through ``u = a.x``, so a state
@@ -180,8 +180,8 @@ class PairMap:
         return self.rows(0, self.tau.size)
 
     def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``P`` on the points ``[lo, hi)``: ``p[:, :, lo:hi]`` once ``p`` is
-        read, and the bath's is ``a a^T`` times that slice of ``sigma``.
+        """``P`` on the points ``[lo, hi)``; the bath's is ``a a^T`` times
+        that slice of ``sigma``.
 
         A three-amplitude map builds the tail rows that cover the range,
         into ``out`` if given, a C-contiguous ``(2, 2, m)`` work array with
@@ -189,8 +189,6 @@ class PairMap:
         ``(rows, 3) @ (3, K)`` products are BLAS's, which rounds by the
         product's shape, so an entry may differ in its last bit from ``p``,
         one product over all rows."""
-        if "p" in self.__dict__:
-            return self.p[:, :, lo:hi]
         if self.powers is None:
             a1, a2 = self.drive
             aa = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])
@@ -237,7 +235,7 @@ def _check_comb(n_modes, freq_window) -> int:
         raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
     if not 1 <= n_modes <= MAX_MODES:
         raise ValueError(f"n_modes must be between 1 and {MAX_MODES}, got {n_modes!r}")
-    if not (math.isfinite(freq_window) and freq_window > 0.0):
+    if not (math.isfinite(_to_float("freq_window", freq_window)) and freq_window > 0.0):
         raise ValueError(f"freq_window must be positive and finite, got {freq_window!r}")
     return int(n_modes)
 

@@ -33,6 +33,7 @@ from .model import (
     InitialState,
     ReservoirSpec,
     TimeSeries,
+    _checked_times,
     _survival_split,
     _to_float,
     survival_amplitude,
@@ -192,9 +193,7 @@ def stroboscopic_amplitudes(res: ReservoirSpec, coup: CouplingSpec, init: Initia
     Returns ``(c1, c2)`` arrays matching ``tau``.
     """
     _check_interval(interval)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0) or not np.all(np.isfinite(tau)):
-        raise ValueError("tau must be finite and non-negative")
+    tau = np.asarray(_checked_times(tau, "tau"))
     # k stays a float: an integer cast wraps once tau/interval passes 2**63.
     # Past the largest double (a subnormal interval) the count is inf, and
     # the local time below is then 0, which it is to within the interval

@@ -454,12 +454,8 @@ class TestSolverXcheck:
         for times in got.values():
             assert [t.tolist() for t in times] == [grid(1e-4, 2.0).tolist(),
                                                    grid(1e-3, 2.0).tolist()]
-        # the shared evaluation gives the rows of one per r1 and smaller grid
-        shared = run_solver_xcheck(cfg).rows
-        monkeypatch.setattr(np, "array_equal", lambda a, b: False)
-        _, count = evaluations(cfg)
-        assert run_solver_xcheck(cfg).rows == shared
-        assert count == 1 + 2 * 2
+        # the shared evaluation gives the rows of one per r1 and grid
+        assert run_solver_xcheck(cfg).rows == self.whole_map_rows(cfg)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
@@ -567,8 +563,12 @@ class TestSolverXcheck:
         dict(big_r=10.0, r1=(0.87, 0.3), dt_ode=7e-4, include_bath=False),
         # a bath grid finer than Volterra's, so the walk reads the comb's map
         dict(big_r=0.5, r1=(0.3,), dt_volterra=1e-3, dt_ode=1e-4, dt_bath=5e-5, tau_max=2.0),
+        # the ODE's grid of 30001 points walked in two blocks of its own
+        dict(big_r=10.0, r1=(0.6,), tau_max=30.0, include_bath=False),
+        # Volterra and the ODE share a step, and one walk; two r1 of one alpha_t
+        dict(big_r=10.0, r1=(0.3, 0.87), dt_ode=1e-4),
     ], ids=["blocks-complex", "complex-phi2", "partial-grid", "ode-finest",
-            "ends-apart", "bath-finest"])
+            "ends-apart", "bath-finest", "coarse-blocks", "shared-step"])
     def test_rows_match_whole_maps_bit_for_bit(self, case):
         cfg = ScenarioConfig(scenario="solver-xcheck", **case)
         got = run_solver_xcheck(cfg).rows
@@ -576,12 +576,14 @@ class TestSolverXcheck:
         hexed = [[v.hex() if isinstance(v, float) else v for v in row] for row in want]
         assert [[v.hex() if isinstance(v, float) else v for v in row] for row in got] == hexed
 
-    @pytest.mark.parametrize("tau_max, include_bath, bound_mb", [
-        (10.0, True, 5.5), (100.0, False, 24.0)])
-    def test_traced_peak_does_not_grow_with_the_steps(self, tau_max, include_bath, bound_mb):
-        # one r1 at R = 10: the walk holds blocks of the Volterra grid, not
-        # its whole map; what is left is its times and the smaller grids
-        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=(0.6,),
+    @pytest.mark.parametrize("r1, tau_max, include_bath, bound_mb", [
+        ((0.6,), 10.0, True, 5.5), ((0.6,), 100.0, False, 24.0), ((), 10.0, True, 6.5)],
+        ids=["10.0-True-5.5", "100.0-False-24.0", "five-r1"])
+    def test_traced_peak_does_not_grow_with_the_steps(self, r1, tau_max, include_bath,
+                                                      bound_mb):
+        # at R = 10 the walks hold blocks of each grid, not any whole map;
+        # what is left is the grids' times and the maps' powers and sums
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=r1,
                              tau_max=tau_max, include_bath=include_bath)
         run_solver_xcheck(cfg)
         tracemalloc.start()

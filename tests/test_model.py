@@ -13,7 +13,9 @@ from zeno_ent import (
     DensityMatrix4,
     InitialState,
     RegimeParams,
+    MeasurementSchedule,
     ReservoirSpec,
+    SolverConfig,
     amplitudes_at,
     closed_form_series,
     concurrence_closed,
@@ -22,6 +24,7 @@ from zeno_ent import (
     resonant_system,
     stationary_concurrence,
     survival_amplitude,
+    zeno_rate,
 )
 from zeno_ent import model
 
@@ -67,6 +70,12 @@ class TestReservoirSpec:
         np.testing.assert_allclose(res.memory_kernel(tau), 9.0 * np.exp(-0.5 * tau),
                                    rtol=1e-15)
 
+    @pytest.mark.parametrize("tau", [math.nan, [0.0, math.nan]], ids=["scalar", "array"])
+    def test_memory_kernel_refuses_nan(self, tau):
+        # tau < 0 is false for NaN, which came back as the kernel
+        with pytest.raises(ValueError, match="defined for tau >= 0"):
+            ReservoirSpec(w=1.0, lam=1.0).memory_kernel(tau)
+
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             ReservoirSpec(w=0.0, lam=1.0)
@@ -88,10 +97,26 @@ class TestReservoirSpec:
         (lambda: survival_amplitude(*resonant_system(1.0, 0.5), [0.0, 10**400]), "t"),
         (lambda: closed_form_series(*resonant_system(1.0, 0.5), InitialState(1.0, 0.0),
                                     [10**400]), "tau"),
+        (lambda: ReservoirSpec(w=1.0, lam=1.0).memory_kernel(10**400), "tau"),
+        (lambda: ReservoirSpec(w=1.0, lam=1.0).spectral_density(10**400), "omega"),
+        (lambda: ReservoirSpec(w=1.0, lam=1.0).detuned_density(10**400), "detuning"),
     ], ids=["w", "omega0", "alpha1", "big_r", "s", "phi", "c01", "c02", "t", "t-list",
-            "tau"])
+            "tau", "kernel-tau", "density-omega", "density-detuning"])
     def test_rejects_integer_too_large_for_a_double(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large"):
+            call()
+
+    # a bool is an int to Python, and each of these took True for 1
+    @pytest.mark.parametrize("call, name", [
+        (lambda: MeasurementSchedule(True, 1), "interval"),
+        (lambda: zeno_rate(*resonant_system(1.0, 0.5), True), "interval"),
+        (lambda: ReservoirSpec(True, 1.0), "w"),
+        (lambda: CouplingSpec(True, 0.0), "alpha1"),
+        (lambda: resonant_system(True, 0.5), "alpha_t"),
+        (lambda: SolverConfig(dt=True, t_max=1.0), "dt"),
+    ], ids=["interval", "zeno-rate", "w", "alpha1", "big_r", "dt"])
+    def test_rejects_bool_for_a_real(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got True"):
             call()
 
 

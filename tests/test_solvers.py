@@ -448,10 +448,10 @@ class TestPairMap:
     def test_range_reads_make_the_map(self, big_r):
         # PairMap.rows on ranges that start and end inside tail rows,
         # concatenated, give p, and build only the rows they cover.  The
-        # comb's map is a slice of sigma, and any map whose p is read is
-        # sliced, both bit for bit.  A three-amplitude read is its own
-        # (rows, 3) @ (3, K) product, whose bits BLAS picks by the product's
-        # shape: within the rounding of its three terms of p's
+        # comb's map is a slice of sigma, bit for bit.  A three-amplitude
+        # read is its own (rows, 3) @ (3, K) product, whose bits BLAS picks
+        # by the product's shape: within the rounding of its three terms of
+        # p's
         res, coup = resonant_system(big_r, 0.87)
         rng = np.random.default_rng(7)
         eps = np.finfo(float).eps
@@ -475,9 +475,6 @@ class TestPairMap:
                     scale = np.einsum("jkc,irk->rcji", np.abs(tails), np.abs(heads))
                     scale = scale.reshape(2, 2, -1)[:, :, :n] + np.abs(pair_map.p)
                     assert np.all(np.abs(joined - pair_map.p) <= 8.0 * eps * scale)
-                # once p is read, every range is its slice
-                for lo, hi in zip(cuts, cuts[1:]):
-                    assert np.array_equal(pair_map.rows(lo, hi), pair_map.p[:, :, lo:hi])
 
 
 class TestSolverConfig:
@@ -1044,9 +1041,12 @@ class TestCombInputs:
         lambda res, coup: comb_recurrence_time(res, coup, 100, 0.0),
         lambda res, coup: comb_recurrence_time(res, coup, 100, math.inf),
         lambda res, coup: comb_recurrence_time(res, coup, 100, math.nan),
+        lambda res, coup: comb_recurrence_time(res, coup, 100, True),
+        lambda res, coup: comb_recurrence_time(res, coup, 100, 10**400),
     ], ids=["sample-2.5", "sample-True", "sample-10.0", "sample-str",
             "recur-0", "recur-neg", "recur-2.5", "recur-True",
-            "recur-window-neg", "recur-window-0", "recur-window-inf", "recur-window-nan"])
+            "recur-window-neg", "recur-window-0", "recur-window-inf", "recur-window-nan",
+            "recur-window-True", "recur-window-huge"])
     def test_rejects_bad_comb(self, call):
         res, coup = resonant_system(0.5, 0.87)
         with pytest.raises(ValueError, match="n_modes must be|freq_window must be"):

@@ -1,8 +1,11 @@
-"""The span tracer of perfbench's ``--trace 1`` runs, on the optimum search.
+"""The span tracer of perfbench's ``--trace 1`` runs, on the optimum search
+and on the solver cross-check.
 
 The tracer wraps every public function of every package module, and takes
 the first argument of each public ``search`` function for the objective.
-A change that breaks either shows here, not only in a traced perfbench run.
+Its work counters, such as the points of ``E(t)``, are read by the
+benchmark's per-layer metrics.  A change that breaks any of these shows
+here, not only in a traced perfbench run.
 """
 
 import importlib.util
@@ -48,3 +51,23 @@ def test_traced_optimum_equals_untraced(objective):
         assert metrics["model.stationary_concurrence.calls"] > 0
     else:
         assert metrics["search.evals"] > 0
+
+
+@pytest.mark.parametrize("r1", [(0.6,), ()], ids=["one-r1", "five-r1"])
+def test_traced_xcheck_equals_untraced(r1):
+    # the walks evaluate E on each distinct grid point once: 100001 Volterra
+    # points and 10001 shared by the ODE and the bath, for every r1 at R = 10
+    tracing = _load_tracing()
+    cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=r1)
+    untraced = zeno_ent.run_solver_xcheck(cfg).rows
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.job_span(0):
+            t0 = perf_counter()
+            traced = zeno_ent.run_solver_xcheck(cfg).rows
+            wall = perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracing.layer_metrics(tracer, wall)["model.survival_amplitude.points"] == 110002

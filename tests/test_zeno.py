@@ -322,6 +322,12 @@ class TestStroboscopic:
         np.testing.assert_allclose(c1, init.c01, rtol=0, atol=1e-15)
         np.testing.assert_allclose(c2, init.c02, rtol=0, atol=1e-15)
 
+    def test_rejects_time_too_large_for_a_double(self):
+        # np.asarray raised OverflowError; closed_form_series refuses it so
+        res, coup, init = balanced_system()
+        with pytest.raises(ValueError, match="^tau must be finite, got an integer too large"):
+            stroboscopic_amplitudes(res, coup, init, 0.1, [10**400])
+
     def test_matches_closed_form_when_survival_positive(self):
         res, coup, init = balanced_system()
         for t_int, n in ((0.01, 200), (0.005, 400)):
