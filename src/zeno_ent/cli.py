@@ -4,8 +4,8 @@
 table to stdout or to ``--out``.  Options override config-file values,
 which override built-in defaults.  Identical inputs produce byte-identical
 output files from run to run on the same numpy and BLAS build at the same
-thread count; a numeric solver's products may round differently under
-another build or thread count.
+thread count; another build may round a numeric solver's products
+differently, and so may another thread count the bath's spectral sums.
 
 Exit codes: 0 success, 2 bad usage or bad configuration, 3 solver
 cross-check exceeded its error budget (each failing row is named on

@@ -72,6 +72,15 @@ def _to_float(name, value, kind=float):
                          "for a double") from None
 
 
+def _to_amplitude(name, value) -> complex:
+    """``value`` as a finite ``complex``, refused by ``name`` as
+    :func:`_to_float` refuses a real."""
+    v = _to_float(name, value, complex)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def _require_finite(name, value):
     if not math.isfinite(_to_float(name, value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -230,10 +239,7 @@ class InitialState:
 
     def __post_init__(self):
         for name in ("c01", "c02"):
-            v = _to_float(name, getattr(self, name), complex)
-            object.__setattr__(self, name, v)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, _to_amplitude(name, getattr(self, name)))
         norm = abs(self.c01) ** 2 + abs(self.c02) ** 2
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"|c01|^2 + |c02|^2 must be 1 within {_NORM_TOL}, got {norm!r}")
@@ -306,12 +312,8 @@ class Amplitudes:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", complex(self.c1))
-        object.__setattr__(self, "c2", complex(self.c2))
         for name in ("c1", "c2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, _to_amplitude(name, getattr(self, name)))
         _require_finite("t", self.t)
         if self.t < 0.0:
             raise ValueError(f"t must be non-negative, got {self.t!r}")

@@ -39,6 +39,7 @@ from .search import coordinate_refine_max
 from .solvers import (
     SOLVER_NAMES,
     SolverConfig,
+    _bright_weight,
     _check_comb,
     aux_ode_propagator,
     bath_propagator,
@@ -71,19 +72,20 @@ SOLVERS = ("closed",) + SOLVER_NAMES
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
 # most steps one numeric solver run may take: at a million Volterra steps
-# a solver-xcheck run at one r1 without the bath has a traced peak of 16 MB,
-# 8 MB of it the grid's times, and runs within a second; a time-evolution
-# run holds only its tau_steps output points, whatever its step count
+# a solver-xcheck run at one r1 without the bath has a traced peak of 10.4
+# MB, 8 MB of it the grid's times, and runs in about 0.06 s; a
+# time-evolution run holds only its tau_steps output points, whatever its
+# step count
 MAX_SOLVER_STEPS = 1_000_000
 
 _SQRT_HALF = math.sqrt(0.5)
 
 # tau points per block of the transient coarse-grid product
 _TAU_BLOCK = 4096
-# points per block of each solver grid in solver-xcheck: at R = 10 one r1
-# runs as fast in blocks of 2**14 as of 2**15 points, with a traced peak of
-# 4.7 MB rather than 8.3 MB (10.5 MB for whole maps), the default five r1
-# 5.5 MB rather than 8.8 MB
+# points per block of each solver grid in solver-xcheck: at R = 10 the
+# traced peak, 3.5 MB for one r1 and 3.7 MB for the default five, is the
+# bath's run up to blocks of 2**15 points; at 10**6 Volterra steps without
+# the bath it is 10.4 MB in blocks of 2**14, 12.0 MB of 2**15, 15.2 MB of 2**16
 _XCHECK_BLOCK = 1 << 14
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
@@ -429,24 +431,26 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     shared grid points and budgeted with the sum of the members' closed-form
     tolerances.  ``meta['passed']`` reflects the whole table.
 
-    Each solver runs once per r1 and returns its real pair map ``P``
-    (:class:`~zeno_ent.solvers.PairMap`).  The closed form's map is ``(E -
-    1) r r^T`` with ``r = (r1, r2)``.  A pair of solvers is one difference
-    map ``D = P_a - P_b`` on the points both hold, and the row of each s
-    is ``max |D x|`` over those points and both amplitudes, where ``x`` is
-    that state's pair at ``t = 0``: every s is read off the maps, with no
-    per-state series.
+    Each solver's map is ``a a^T sigma`` (:class:`~zeno_ent.solvers.PairMap`)
+    and the closed form's is ``r r^T (E - 1)``, with ``a = alpha_t r`` and
+    ``r = (r1, r2)``.  So a pair's difference is ``r r^T Delta`` for the
+    scalar series ``Delta = |a|^2 (sigma_a - sigma_b)``, or ``|a|^2 sigma -
+    (E - 1)``, and the row of a state whose pair at ``t = 0`` is ``x`` is
+    ``max(|r1|, |r2|) |r.x| max_t |Delta|``: one maximum per (r1, pair)
+    serves every s.
 
-    Each pair is formed on the grid of its fine side: the numeric solver
-    of a closed pair, the solver with the smaller step of a numeric one,
-    or the first of two with equal steps.  Each grid, one per step and in
-    solver order, is walked once in blocks of whole tail rows of its maps
-    (:meth:`~zeno_ent.solvers.PairMap.rows`), about ``_XCHECK_BLOCK``
-    points each, read into work arrays made once per run; a numeric pair's
-    coarse side is read on the shared points inside the block.  No map is
-    built whole.  ``E`` reads the coupling only through ``alpha_t``, so
-    ``E - 1`` is evaluated on a block once per distinct ``alpha_t`` and
-    serves every r1 that has it.
+    A solver runs once per distinct ``(|a|^2, alpha_t)``, the floats of
+    the coupling its arithmetic, step check and comb read, and every r1
+    of that key shares the run and its maxima.  Each pair is formed on the
+    grid of its coarse side: the numeric solver of a closed pair, the
+    solver with the larger step of a numeric one.  Each grid, one per step
+    and in solver order, is walked once in blocks of whole tail rows of its
+    solvers' series (:meth:`~zeno_ent.solvers.PairMap.rows`), about
+    ``_XCHECK_BLOCK`` points each; a numeric pair's fine side is read on
+    the shared points of the block alone, once for every pair that needs
+    it.  No series is built whole.  ``E`` reads the coupling only through
+    ``alpha_t``, so ``E - 1`` is evaluated on a block once per distinct
+    ``alpha_t`` and serves every key that has it.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
@@ -456,74 +460,79 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     s_axis = cfg.s_axis()
     x = np.array([[init.c01, init.c02] for init in (_init_state(cfg, s) for s in s_axis)])
     dt = {name: getattr(cfg, f"dt_{name}") for name in solvers}
-    runs = []
+    couplings, runs, grids = [], {}, None
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        maps = {name: _propagator(cfg, name, res, coup, dt[name]) for name in solvers}
-        if runs:
-            # a solver's grid is the same at every r1: its times are held once
-            maps = {name: dataclasses.replace(m, tau=runs[0][3][name].tau)
-                    for name, m in maps.items()}
-        rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
-        runs.append((res, coup, -rr, maps))
-    grids = runs[0][3]
+        key = (_bright_weight(coup), coup.alpha_t)
+        couplings.append((coup, key))
+        if key not in runs:
+            maps = {}
+            for name in solvers:
+                maps[name] = _propagator(cfg, name, res, coup, dt[name])
+                if grids:
+                    # a solver's grid is the same for every key: its times
+                    # are held once
+                    maps[name] = dataclasses.replace(maps[name], tau=grids[name].tau)
+            runs[key] = (res, coup, maps)
+            grids = grids or maps
     shared = {(a, b): _shared_points(grids[a], grids[b]) for a, b in pairs if a != "closed"}
     npts = [grids[b].tau.size if a == "closed" else grids[a].tau[shared[a, b][0]].size
             for a, b in pairs]
-    fine = [b if a == "closed" or dt[b] < dt[a] else a for a, b in pairs]
+    home = [b if a == "closed" or dt[b] >= dt[a] else a for a, b in pairs]
     # a grid is fixed by its step and tau_max: solvers of one step share a walk
     walks = {}
     for name in solvers:
         walks.setdefault(dt[name], []).append(name)
-    widths = {}
-    for step, names in walks.items():
-        row = math.isqrt(grids[names[0]].tau.size)
-        widths[step] = max(_XCHECK_BLOCK // row, 2) * row
-    # per r1 and pair, each state's largest gap on each amplitude
-    worst = np.full((len(runs), len(pairs), 2, len(x)), -np.inf)
+    # per key and pair, max_t |Delta|; np.maximum keeps a NaN
+    peaks = {key: np.zeros(len(pairs)) for key in runs}
     groups = {}
-    for i, run in enumerate(runs):
-        groups.setdefault(run[1].alpha_t, []).append(i)
+    for key in runs:
+        groups.setdefault(key[1], []).append(key)
 
-    *blocks, gap = np.empty((max(map(len, walks.values())) + 1, 2, 2, max(widths.values())))
-    work = np.empty((3, len(x), gap.shape[2]))
-    for step, names in walks.items():
+    for names in walks.values():
         tau = grids[names[0]].tau
-        here = [k for k, name in enumerate(fine) if name in names]
-        for lo in range(0, tau.size, widths[step]):
-            hi = min(lo + widths[step], tau.size)
+        row = math.isqrt(tau.size)
+        width = max(_XCHECK_BLOCK // row, 2) * row
+        here = [k for k, name in enumerate(home) if name in names]
+        for lo in range(0, tau.size, width):
+            hi = min(lo + width, tau.size)
             for members in groups.values():
                 e = survival_amplitude(*runs[members[0]][:2], tau[lo:hi]) - 1.0
-                for i in members:
-                    neg_rr, maps = runs[i][2:]
-                    on = {name: maps[name].rows(lo, hi, out=out)
-                          for name, out in zip(names, blocks)}
+                for key in members:
+                    asq, maps, peak = key[0], runs[key][2], peaks[key]
+                    # each series read on this block, by name and stride
+                    on = {(name, 1): maps[name].rows(lo, hi) for name in names}
                     for k in here:
                         a, b = pairs[k]
                         if a == "closed":
-                            g = np.multiply.outer(neg_rr, e, out=gap[:, :, :hi - lo])
-                            g += on[b]
+                            delta = asq * on[b, 1]
+                            delta -= e
+                            scale = 1.0
                         else:
                             # the shared point m is m * stride on the fine
                             # grid, m on the coarse one
-                            points = shared[a, b][fine[k] == b]
+                            fine = a if home[k] == b else b
+                            points = shared[a, b][fine == b]
                             stride = points.step or 1
-                            m0, m1 = -(-lo // stride), -(-min(hi, points.stop) // stride)
-                            if m0 >= m1:
+                            m = min(hi * stride, points.stop) // stride - lo
+                            if m <= 0:
                                 continue
-                            near = on[fine[k]][:, :, m0 * stride - lo:m1 * stride - lo:stride]
-                            far = maps[a if fine[k] == b else b].rows(m0, m1)
-                            # |D x| rounds alike for D and -D
-                            g = np.subtract(near, far, out=gap[:, :, :m1 - m0])
-                        _fold_maxima(worst[i, k], g, x, work)
+                            if (fine, stride) not in on:
+                                on[fine, stride] = maps[fine].rows(
+                                    lo * stride, min(hi * stride, grids[fine].tau.size), stride)
+                            delta = on[home[k], 1][:m] - on[fine, stride][:m]
+                            scale = asq
+                        np.abs(delta, out=delta)
+                        peak[k] = np.maximum(peak[k], scale * delta.max())
 
     rows = []
     all_ok = True
-    for i, r1 in enumerate(cfg.r1_axis()):
+    for r1, (coup, key) in zip(cfg.r1_axis(), couplings):
+        reach = max(abs(coup.r1), abs(coup.r2)) * np.abs(coup.r1 * x[:, 0] + coup.r2 * x[:, 1])
         for j, s in enumerate(s_axis):
             for k, (a, b) in enumerate(pairs):
                 # from 0.0, as state by state: a NaN row max is dropped
-                err = max(0.0, *worst[i, k, :, j].tolist())
+                err = max(0.0, float(reach[j] * peaks[key][k]))
                 tol = XCHECK_TOLERANCES[b] if a == "closed" else (
                     XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b])
                 ok = err <= tol
@@ -532,31 +541,6 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
                           meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
-
-
-def _fold_maxima(worst, gap, x, work):
-    """Fold each state's largest ``|gap x|`` into ``worst``, shape ``(2,
-    states)``, one row per amplitude, for a real ``(2, 2, m)`` map ``gap``
-    and the states' pairs ``x`` at ``t = 0``, shape ``(states, 2)``.
-
-    Each row is one ``(states, m)`` broadcast, rounded as ``x1 row0 + x2
-    row1``: its ``abs`` for a real state, its ``hypot`` with the imaginary
-    part for a complex one.  It is formed in ``work``, ``(3, states,
-    width)`` with ``width`` at least ``m``.  ``np.maximum`` keeps a NaN, as
-    one ``np.max`` over all the points would.
-    """
-    complex_rows = x.imag.any(axis=1)[:, None]
-    y, z, tmp = work[:, :, :gap.shape[2]]
-    for r, (p1, p2) in enumerate(gap):
-        np.multiply.outer(x[:, 0].real, p1, out=y)
-        y += np.multiply.outer(x[:, 1].real, p2, out=tmp)
-        if complex_rows.any():
-            np.multiply.outer(x[:, 0].imag, p1, out=z)
-            z += np.multiply.outer(x[:, 1].imag, p2, out=tmp)
-            np.hypot(y, z, out=z)
-        np.abs(y, out=y)
-        np.copyto(y, z, where=complex_rows)
-        np.maximum(worst[r], y.max(axis=1), out=worst[r])
 
 
 def _shared_points(sa, sb):

@@ -7,7 +7,7 @@ w^2 e^{-lam tau}``, the couplings and a :class:`SolverConfig`.  The
 propagator is the one entry point of its solver: it does its work once per
 coupling and returns the real map ``P(t) = M(t) - 1`` that takes the pair
 ``x = (c1, c2)`` from empty memory or modes to ``x + P x`` at each output
-time (:class:`PairMap`).  The map serves any number of initial states:
+time (:class:`PairMap`), held as one scalar series.  The map serves any number of initial states:
 called on one, it gives its ``TimeSeries``.  Each solver has one name, in
 :data:`SOLVER_NAMES`, which :func:`step_limit` takes and
 ``TimeSeries.meta["solver"]`` carries:
@@ -20,7 +20,7 @@ called on one, it gives its ``TimeSeries``.  Each solver has one name, in
 * ``"ode"``, :func:`aux_ode_propagator` -- the memory integral
   ``z(t) = int_0^t w^2 e^{-lam (t-s)} (alpha1 c1 + alpha2 c2) ds`` obeys
   ``z' = -lam z + w^2 (alpha1 c1 + alpha2 c2)``, turning the system into
-  three coupled ODEs, integrated with classical RK4 (global error O(dt^4)).
+  ODEs without memory, integrated with classical RK4 (global error O(dt^4)).
 * ``"bath"``, :func:`bath_propagator` -- brute force: the Lorentzian
   reservoir is sampled on a uniform frequency comb and the full
   (2 + n_modes)-amplitude Schroedinger system of that comb is evolved
@@ -34,14 +34,15 @@ at its ``n + 1`` output points, and :func:`_blocked_powers` is the one
 place that lays them out: the step raised to the stride by squaring
 (:func:`_power_minus_one`), then heads and tails on a ``J x K`` grid,
 ``K = isqrt(n + 1)``, each built by doubling (:func:`_power_table`).  The
-steps in between are never evaluated.  The Volterra step and the
-pseudomode RK4 step act on three amplitudes; ``M - 1`` is read off the
-scalar step's increment, and ``P`` is the pair block of its blocked
-powers (:func:`_amplitude_rows`), taken from the full 3x3 map on the pair
-and the memory variable.
-The pair enters the comb only through ``u = a.x`` and moves only along
-``a``, so one run driven by ``u = 1`` from empty modes gives its map
-``a a^T sigma``.  The comb's step is ``e^{-i dt H}`` for a real symmetric
+steps in between are never evaluated.  Only the super-radiant amplitude
+``u = a.x``, with ``a = (alpha1, alpha2)``, couples to the reservoir, and
+the pair moves only along ``a``, so every map is ``P = a a^T sigma`` for
+one real series ``sigma`` (:class:`PairMap`).  The Volterra and the
+pseudomode RK4 steps are recurrences on ``u`` and the memory variable,
+which read the coupling only through ``|a|^2``, and ``sigma`` is an entry
+of their blocked powers (:func:`_bright_propagator`).  The comb is
+driven by ``u = 1`` from empty modes, and its run is ``sigma`` itself.
+The comb's step is ``e^{-i dt H}`` for a real symmetric
 arrowhead ``H``, so ``k`` steps are the phases ``e^{-i k dt lam_j}`` on
 the eigenvectors of ``H``: the run is read off the spectrum, found from a
 secular equation over the upper half of the mirrored comb
@@ -147,85 +148,79 @@ class SolverConfig:
 class PairMap:
     """A solver's run at one coupling, as the map of the pair amplitudes.
 
-    ``p``, shape ``(2, 2, len(tau))``, is ``P(t) = M(t) - 1``: the pair
-    ``x = (c1, c2)`` at ``t = 0``, with empty memory or modes, is
-    ``x + P(t) x`` at ``t``.  It is real, since the qubits sit on resonance
-    of a symmetric Lorentzian.  Called on an
-    :class:`~zeno_ent.model.InitialState`, the map gives that state's
-    :class:`~zeno_ent.model.TimeSeries`, with ``meta`` in its ``meta``.
+    The map is ``P(t) = M(t) - 1 = a a^T sigma(t)`` with ``a = drive``, the
+    coupling vector: the pair ``x = (c1, c2)`` at ``t = 0``, with empty
+    memory or modes, is ``x + a (u sigma)`` at ``t``, ``u = a.x``, and a
+    state that the reservoir never sees (``u = 0``) stays put exactly.  It
+    is real, since the qubits sit on resonance of a symmetric Lorentzian.
+    Called on an :class:`~zeno_ent.model.InitialState`, the map gives that
+    state's :class:`~zeno_ent.model.TimeSeries`, with ``meta`` in its
+    ``meta``; ``p``, shape ``(2, 2, len(tau))``, is ``a a^T sigma``.
 
-    ``p`` is built on first read, for a state's series, and then kept: a
-    three-amplitude map's from the ``powers`` of :func:`_amplitude_rows`
-    it holds, the bath's from ``sigma``.  :meth:`rows` builds ``P`` on a
-    range of points alone, for a three-amplitude map from the tail rows
-    that cover it, and never reads ``p``.
+    The bath holds ``sigma`` whole.  A numeric solver holds the head and
+    tail vectors of its blocked powers (``factors``, see
+    :func:`_bright_propagator`), and :meth:`rows` builds ``sigma`` on the
+    points it is asked for alone.
 
-    The bath's map is ``P = a a^T sigma`` with ``drive = a``, the coupling
-    vector: the comb reads the pair only through ``u = a.x``, so a state
-    is read that way, ``x + a (u sigma)``, and one that the comb never
-    sees (``u = 0``) stays put exactly.  The evolution is unitary, so the
-    modes hold what the pair lost, and the series carries the total
-    excitation ``norm_total = |c|^2 - |u|^2 sigma (2 + |a|^2 sigma)``,
-    ``|x|^2`` but for rounding, at each output step.
+    The comb's evolution is unitary, so its modes hold what the pair lost,
+    and the bath's series carries the total excitation ``norm_total =
+    |c|^2 - |u|^2 sigma (2 + |a|^2 sigma)``, ``|x|^2`` but for rounding, at
+    each output step.
     """
 
     tau: np.ndarray
     meta: dict
-    drive: tuple[float, float] | None = None
+    drive: tuple[float, float]
     sigma: np.ndarray | None = None
-    powers: tuple[np.ndarray, np.ndarray] | None = None
+    factors: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
 
     @functools.cached_property
     def p(self) -> np.ndarray:
-        return self.rows(0, self.tau.size)
+        a1, a2 = self.drive
+        aa = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])
+        return aa[:, :, None] * self.rows(0, self.tau.size)
 
-    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``P`` on the points ``[lo, hi)``; the bath's is ``a a^T`` times
-        that slice of ``sigma``.
+    def rows(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
+        """``sigma`` at the points ``lo, lo + step, ...`` below ``hi``.
 
-        A three-amplitude map builds the tail rows that cover the range,
-        into ``out`` if given, a C-contiguous ``(2, 2, m)`` work array with
-        ``m`` at least their points, of which the result is a view.  Their
-        ``(rows, 3) @ (3, K)`` products are BLAS's, which rounds by the
-        product's shape, so an entry may differ in its last bit from ``p``,
-        one product over all rows."""
-        if self.powers is None:
-            a1, a2 = self.drive
-            aa = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])
-            return aa[:, :, None] * self.sigma[lo:hi]
-        heads, tails = self.powers
-        k = len(heads)
-        j0, j1 = lo // k, -(-hi // k)
-        if j1 - j0 == 1 < len(tails):
-            # numpy sends a one-row product to BLAS's gemv, which rounds
-            # otherwise than the product over several rows
-            j0, j1 = (j0, j1 + 1) if j1 < len(tails) else (j0 - 1, j1)
-        m = (j1 - j0) * k
-        out = np.empty((2, 2, m)) if out is None else out
-        for r in range(2):
-            for c in range(2):
-                dst = out[r, c, :m].reshape(j1 - j0, k)
-                np.matmul(tails[j0:j1, :, c], heads[:, r].T, out=dst)
-                dst += tails[j0:j1, r, c, None]
-                dst += heads[:, r, c]
-        return out[:, :, lo - j0 * k:hi - j0 * k]
+        From ``factors``, the point ``j K + i`` is ``t0_j + h0_i + t0_j h1_i
+        + t1_j h2_i``: broadcast over the tail rows that cover a contiguous
+        range, or on the gathered entries of a strided one.  Each point is
+        rounded alike either way, so every read is bit for bit its slice of
+        the whole series."""
+        if self.factors is None:
+            return self.sigma[lo:hi:step]
+        (t0, t1), heads = self.factors
+        k = heads[0].size
+        if step == 1:
+            j0 = lo // k
+            rows = slice(j0, -(-hi // k))
+            t0, t1, cut = t0[rows, None], t1[rows, None], slice(lo - j0 * k, hi - j0 * k)
+        else:
+            j, i = np.divmod(np.arange(lo, hi, step), k)
+            t0, t1, heads, cut = t0[j], t1[j], [h[i] for h in heads], slice(None)
+        h0, h1, h2 = heads
+        return (t0 + h0 + t0 * h1 + t1 * h2).reshape(-1)[cut]
 
     def __call__(self, init: InitialState) -> TimeSeries:
         x1, x2 = init.c01, init.c02
+        a1, a2 = self.drive
+        sigma = self.rows(0, self.tau.size)
+        u0 = a1 * x1 + a2 * x2
+        drift = u0 * sigma
+        c1 = x1 + a1 * drift
+        c2 = x2 + a2 * drift
         meta = dict(self.meta)
-        if self.drive is None:
-            p = self.p
-            c1 = x1 + (p[0, 0] * x1 + p[0, 1] * x2)
-            c2 = x2 + (p[1, 0] * x1 + p[1, 1] * x2)
-        else:
-            a1, a2 = self.drive
-            u0 = a1 * x1 + a2 * x2
-            drift = u0 * self.sigma
-            c1 = x1 + a1 * drift
-            c2 = x2 + a2 * drift
-            modes = abs(u0) ** 2 * self.sigma * (2.0 + (a1 * a1 + a2 * a2) * self.sigma)
+        if meta["solver"] == "bath":
+            modes = abs(u0) ** 2 * sigma * (2.0 + (a1 * a1 + a2 * a2) * sigma)
             meta["norm_total"] = np.abs(c1) ** 2 + np.abs(c2) ** 2 - modes
         return TimeSeries(tau=self.tau, c1=c1, c2=c2, meta=meta)
+
+
+def _bright_weight(coup: CouplingSpec) -> float:
+    """``|a|^2 = alpha1^2 + alpha2^2``, the one float of the coupling that a
+    solver's arithmetic reads; its step check and comb read ``alpha_t``."""
+    return coup.alpha1 * coup.alpha1 + coup.alpha2 * coup.alpha2
 
 
 def _check_comb(n_modes, freq_window) -> int:
@@ -278,17 +273,21 @@ def _grid(cfg: SolverConfig, limit: float):
         raise ValueError(f"dt = {cfg.dt!r} under-resolves the dynamics; need dt < {limit!r}")
     n = max(int(round(cfg.t_max / cfg.dt)), 1)
     stride = min(cfg.stride, n + 1)
-    return n // stride, np.arange(0, n + 1, stride) * cfg.dt, stride
+    # the step counts as floats, exact below 2**53, scaled in place
+    tau = np.arange(0, n + 1, stride, dtype=float)
+    tau *= cfg.dt
+    return n // stride, tau, stride
 
 
 def _power_minus_one(d, k: int, mul):
     """``M**k - 1`` from ``d = M - 1``, by squaring in the minus-one form.
 
-    ``mul`` is the product, ``np.matmul`` for a matrix or ``np.multiply``
-    elementwise.  ``(1 + a)(1 + b) - 1 = a + b + a b`` combines two powers
-    and ``2 q + q q`` squares one, so the small corrections are carried and
-    not rounded against the 1, as in :func:`_blocked_powers`; it takes about
-    ``2 log2(k)`` products.  ``k = 1`` returns ``d`` itself.
+    ``mul`` is the product: a matrix product such as ``np.matmul``, or
+    ``np.multiply`` elementwise.  ``(1 + a)(1 + b) - 1 = a + b + a b``
+    combines two powers and ``2 q + q q`` squares one, so the small
+    corrections are carried and not rounded against the 1, as in
+    :func:`_blocked_powers`; it takes about ``2 log2(k)`` products.  ``k =
+    1`` returns ``d`` itself.
     """
     out = None
     while True:
@@ -304,10 +303,9 @@ def _power_table(d, count: int, mul):
     """``Q_i = M**i - 1`` for ``i = 0..count``, stacked on a new first axis,
     from ``d = M - 1``.
 
-    ``mul`` is the product, ``np.matmul`` for a matrix or ``np.multiply``
-    elementwise, as in :func:`_power_minus_one`.  The table is built by
-    doubling: with ``Q_0 .. Q_h`` in hand, ``Q_(h+i) = Q_i + Q_h + Q_i Q_h``
-    gives the next ``h`` rows in one product, so it takes about
+    ``mul`` is the product, as in :func:`_power_minus_one`.  The table is
+    built by doubling: with ``Q_0 .. Q_h`` in hand, ``Q_(h+i) = Q_i + Q_h +
+    Q_i Q_h`` gives the next ``h`` rows in one product, so it takes about
     ``log2(count)`` products where stepping ``q += d + d q`` took ``count``.
     Each row is a small correction formed without rounding it against
     the 1.
@@ -347,28 +345,32 @@ def _blocked_powers(d, n: int, stride: int, mul):
     return heads[:block], _power_table(heads[block], n // block, mul)
 
 
-def _amplitude_rows(d, n: int, stride: int):
-    """The pair block of ``M**(stride k) - 1`` for ``k = 0..n``, as the
-    :func:`_blocked_powers` of the 3x3 ``d = M - 1`` of a linear recurrence
-    on three amplitudes: the heads' pair rows and the tails' pair columns.
-    The memory variable starts at 0, so only the pair's two columns are
-    kept, and only its two rows are read: entry ``(r, c)`` of the tail row
-    ``j`` is one ``(3,) @ (3, K)`` product and two broadcasts
-    (:meth:`PairMap.rows`)."""
-    heads, tails = _blocked_powers(d, n, stride, np.matmul)
-    return heads[:, :2], tails[:, :, :2]
-
-
-def _linear_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
+def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
                        cfg: SolverConfig, increment) -> PairMap:
-    """The :class:`PairMap` of a three-amplitude solver whose step is ``y ->
-    y + increment(y)``: reads ``D = M - 1`` off the increment as its images
-    of the unit vectors and builds the map of :func:`_amplitude_rows` on
-    the grid of ``cfg``, with the memory variable at 0."""
+    """The :class:`PairMap` of a numeric solver: ``increment(u, m)`` gives
+    the step's ``(ds, dm)`` from ``u = a.x`` and the memory variable, where
+    the pair moves by ``a ds`` and ``u`` by ``|a|^2 ds``.
+
+    ``D`` is read off it with ``u``'s row over ``|a|^2``, ``D~ = diag(1 /
+    |a|^2, 1) D``; sums keep that form and ``(X Y)~ = X~ G Y~`` with ``G =
+    diag(|a|^2, 1)``, so :func:`_blocked_powers` builds the powers in it,
+    and ``sigma``, the run from ``u = 1``, ``m = 0``, is entry ``(0, 0)`` of
+    ``(A_j + Q_i + Q_i A_j)~``: ``A~_j[0,0] + Q~_i[0,0] + A~_j[0,0] |a|^2
+    Q~_i[0,0] + A~_j[1,0] Q~_i[0,1]``, with no division by ``|a|^2``, which
+    may underflow.  The map keeps these two tail and three head vectors."""
     n, tau, stride = _grid(cfg, step_limit(res, coup, solver))
-    d = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+    asq = _bright_weight(coup)
+    d = np.array([increment(1.0, 0.0), increment(0.0, 1.0)]).T
+    g = np.array([[asq], [1.0]])
+
+    def mul(x, y, out=None):
+        return np.matmul(x, g * y, out=out)
+
+    heads, tails = _blocked_powers(d, n, stride, mul)
+    h0 = heads[:, 0, 0]
+    factors = (tails[:, 0, 0], tails[:, 1, 0]), (h0, asq * h0, heads[:, 0, 1])
     return PairMap(tau=tau, meta={"solver": solver, "dt": cfg.dt},
-                   powers=_amplitude_rows(d, n, stride))
+                   drive=(coup.alpha1, coup.alpha2), factors=factors)
 
 
 def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -378,56 +380,52 @@ def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfi
     The history integral of the kernel ``w^2 e^{-lam tau}`` is carried by
     the O(1) recursion ``m(t+dt) = e^{-lam dt} m(t) + panel``, which
     reproduces the composite trapezoid sum over the whole history exactly,
-    so the step is a constant linear map on ``(c1, c2, m)``, stepped with
+    so the step is a constant linear map on ``(u, m)``, stepped with
     trapezoid + Heun.  Global error is O(dt^2).
     """
-    a1, a2 = coup.alpha1, coup.alpha2
+    asq = _bright_weight(coup)
     dt = cfg.dt
     decay_m1 = math.expm1(-res.lam * dt)
     decay = 1.0 + decay_m1
     half = 0.5 * dt
     panel = half * res.w**2
 
-    def increment(x1, x2, m):
-        u = a1 * x1 + a2 * x2
-        d1 = -a1 * m
-        d2 = -a2 * m
+    def increment(u, m):
         # predictor (explicit Euler), then one trapezoidal correction
-        up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
+        up = u - dt * asq * m
         mp = decay * m + panel * (decay * u + up)
-        dx1 = half * (d1 - a1 * mp)
-        dx2 = half * (d2 - a2 * mp)
-        un = u + a1 * dx1 + a2 * dx2
-        return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
+        ds = -half * (m + mp)
+        un = u + asq * ds
+        return ds, decay_m1 * m + panel * (decay * u + un)
 
-    return _linear_propagator("volterra", res, coup, cfg, increment)
+    return _bright_propagator("volterra", res, coup, cfg, increment)
 
 
 def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     """Build the pseudomode RK4 step map once for this coupling; returns
     its :class:`PairMap`.
 
-    The RK4 step on the pseudo-mode reduction of the exponential kernel is
-    a constant linear map on ``(c1, c2, z)``.
+    The RK4 step on the pseudo-mode reduction of the exponential kernel,
+    ``s' = -z`` for the pair's move ``a s`` and ``z' = -lam z + w^2 u``,
+    is a constant linear map on ``(u, z)``.
     """
-    a1, a2 = coup.alpha1, coup.alpha2
+    asq = _bright_weight(coup)
     lam = res.lam
     wsq = res.w**2
     dt = cfg.dt
 
-    def increment(x1, x2, z):
-        k1a, k1b, k1c = -a1 * z, -a2 * z, -lam * z + wsq * (a1 * x1 + a2 * x2)
-        y1, y2, yz = x1 + 0.5 * dt * k1a, x2 + 0.5 * dt * k1b, z + 0.5 * dt * k1c
-        k2a, k2b, k2c = -a1 * yz, -a2 * yz, -lam * yz + wsq * (a1 * y1 + a2 * y2)
-        y1, y2, yz = x1 + 0.5 * dt * k2a, x2 + 0.5 * dt * k2b, z + 0.5 * dt * k2c
-        k3a, k3b, k3c = -a1 * yz, -a2 * yz, -lam * yz + wsq * (a1 * y1 + a2 * y2)
-        y1, y2, yz = x1 + dt * k3a, x2 + dt * k3b, z + dt * k3c
-        k4a, k4b, k4c = -a1 * yz, -a2 * yz, -lam * yz + wsq * (a1 * y1 + a2 * y2)
-        return ((dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-                (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
-                (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c))
+    def rates(u, z):
+        return -z, -lam * z + wsq * u
 
-    return _linear_propagator("ode", res, coup, cfg, increment)
+    def increment(u, z):
+        k1s, k1z = rates(u, z)
+        k2s, k2z = rates(u + 0.5 * dt * asq * k1s, z + 0.5 * dt * k1z)
+        k3s, k3z = rates(u + 0.5 * dt * asq * k2s, z + 0.5 * dt * k2z)
+        k4s, k4z = rates(u + dt * asq * k3s, z + dt * k3z)
+        return ((dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+                (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
+
+    return _bright_propagator("ode", res, coup, cfg, increment)
 
 
 def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
@@ -500,7 +498,6 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
     n, tau, stride = _grid(cfg, step_limit(res, coup, "bath"))
-    a1, a2 = coup.alpha1, coup.alpha2
     window = _comb_window(res, coup, cfg.freq_window)
 
     offsets, g = _comb(res, cfg.n_modes, window)
@@ -509,7 +506,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     lower = cfg.n_modes // 2
     mult = np.full(cfg.n_modes - lower, 2.0)
     mult[: cfg.n_modes % 2] = 1.0
-    asq = a1 * a1 + a2 * a2
+    asq = _bright_weight(coup)
     b = asq * mult * g[lower:] ** 2
     if not np.min(b) >= np.finfo(float).tiny:
         raise ValueError(
@@ -527,7 +524,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
         "freq_window": cfg.freq_window,
         "recurrence_time": recurrence,
     }
-    return PairMap(tau=tau, meta=meta, drive=(a1, a2), sigma=sigma)
+    return PairMap(tau=tau, meta=meta, drive=(coup.alpha1, coup.alpha2), sigma=sigma)
 
 
 def _folded_spectrum(o, b):

@@ -94,6 +94,10 @@ class MeasurementSchedule:
         object.__setattr__(self, "count", int(self.count))
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
+        count = _to_float("count", self.count)
+        if not math.isfinite(count * self.interval):
+            raise ValueError(f"count * interval = {count!r} * {self.interval!r} "
+                             "overflows a double")
 
     @property
     def total_time(self) -> float:

@@ -37,7 +37,7 @@ from zeno_ent import (
 from zeno_ent import scenarios, search
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
-from zeno_ent.solvers import step_limit
+from zeno_ent.solvers import _bright_weight, step_limit
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -365,7 +365,8 @@ class TestSolverXcheck:
         ("bath_propagator", "bath"),
     ], ids=["volterra", "ode", "bath"])
     def test_propagators_run_once_per_coupling(self, monkeypatch, tmp_path, name, solver):
-        # one run per solver and r1, whatever the number of initial states
+        # xcheck: one run per solver and distinct (|a|^2, alpha_t), whatever
+        # the number of initial states; time-evolution: one per r1
         runs = []
         real = getattr(scenarios, name)
 
@@ -379,8 +380,12 @@ class TestSolverXcheck:
         run_solver_xcheck(single)
         assert runs == pytest.approx([0.87])
         runs.clear()
-        run_solver_xcheck(dataclasses.replace(single, r1=(0.0, 0.87), s=(0.0, 0.3)))
-        assert runs == pytest.approx([0.0, 0.87])
+        # at R = 0.5, r1 = 0 and 0.87 have one key and r1 = 0.5 one of its own
+        keys = [(_bright_weight(coup), coup.alpha_t)
+                for coup in (resonant_system(0.5, r1)[1] for r1 in (0.0, 0.5, 0.87))]
+        assert keys[0] == keys[2] != keys[1]
+        run_solver_xcheck(dataclasses.replace(single, r1=(0.0, 0.5, 0.87), s=(0.0, 0.3)))
+        assert runs == pytest.approx([0.0, 0.5])
         runs.clear()
         code = main(["time-evolution", "--solver", solver, "--big-r", "0.5",
                      "--r1", "0.0,0.87", "--s", "0,0.3", "--tau-max", "0.5",
@@ -401,12 +406,25 @@ class TestSolverXcheck:
             return real(res, coup, t)
 
         monkeypatch.setattr(scenarios, "survival_amplitude", counting)
+        runs = []
+        real_volterra = scenarios.volterra_propagator
+
+        def counting_runs(res, coup, cfg):
+            runs.append((_bright_weight(coup), coup.alpha_t))
+            return real_volterra(res, coup, cfg)
+
+        monkeypatch.setattr(scenarios, "volterra_propagator", counting_runs)
 
         def evaluations(cfg):
             """Each alpha_t's evaluated times, per grid in the order first
             reached; the Volterra grid's blocks are concatenated."""
             calls.clear()
+            runs.clear()
             assert run_solver_xcheck(cfg).meta["passed"] is True
+            # one solver run per distinct (|a|^2, alpha_t) of the r1 axis
+            keys = {(_bright_weight(coup), coup.alpha_t)
+                    for coup in (resonant_system(cfg.big_r, r1)[1] for r1 in cfg.r1_axis())}
+            assert sorted(runs) == sorted(keys)
             grids = {}
             for alpha_t, t in calls:
                 times = grids.setdefault(alpha_t, [[]])
@@ -455,7 +473,7 @@ class TestSolverXcheck:
             assert [t.tolist() for t in times] == [grid(1e-4, 2.0).tolist(),
                                                    grid(1e-3, 2.0).tolist()]
         # the shared evaluation gives the rows of one per r1 and grid
-        assert run_solver_xcheck(cfg).rows == self.whole_map_rows(cfg)
+        self.assert_rows_match(run_solver_xcheck(cfg).rows, self.whole_map_rows(cfg))
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
@@ -498,6 +516,15 @@ class TestSolverXcheck:
                         assert row[7] == int(err <= tol)
                         assert row[5] == pytest.approx(err, rel=0, abs=1e-15)
             assert next(rows, None) is None
+
+    @staticmethod
+    def assert_rows_match(got, want):
+        """Every column equal, and each ``max_abs_err`` within 1e-14: the
+        table forms each row as ``max(|r1|, |r2|) |r.x| max_t |Delta|``,
+        in another order than the whole maps' ``|gap x|``."""
+        assert [row[:5] + row[6:] for row in got] == [row[:5] + row[6:] for row in want]
+        np.testing.assert_allclose([row[5] for row in got], [row[5] for row in want],
+                                   rtol=0, atol=1e-14)
 
     @staticmethod
     def whole_map_rows(cfg):
@@ -570,11 +597,40 @@ class TestSolverXcheck:
     ], ids=["blocks-complex", "complex-phi2", "partial-grid", "ode-finest",
             "ends-apart", "bath-finest", "coarse-blocks", "shared-step"])
     def test_rows_match_whole_maps_bit_for_bit(self, case):
+        # the rows of the whole maps, each state's |gap x| folded point by
+        # point, held to 1e-14 (they matched bit for bit while the table
+        # folded the same 2x2 maps)
         cfg = ScenarioConfig(scenario="solver-xcheck", **case)
-        got = run_solver_xcheck(cfg).rows
-        want = self.whole_map_rows(cfg)
-        hexed = [[v.hex() if isinstance(v, float) else v for v in row] for row in want]
-        assert [[v.hex() if isinstance(v, float) else v for v in row] for row in got] == hexed
+        self.assert_rows_match(run_solver_xcheck(cfg).rows, self.whole_map_rows(cfg))
+
+    @pytest.mark.parametrize("solver", ["volterra", "ode"])
+    def test_every_shared_point_is_compared(self, monkeypatch, solver):
+        # one series flat at 0 but for a spike at one shared point, at either
+        # end of a block of the ODE walk, where the pair is formed (30001
+        # points in blocks of 16262): the row reads the spike wherever it is
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=(0.6,), s=(0.0,),
+                             tau_max=30.0, include_bath=False)
+        real = scenarios._propagator
+        spike = []
+
+        def flat(cfg, name, res, coup, dt, stride=1):
+            pair_map = real(cfg, name, res, coup, dt, stride)
+            sigma = np.zeros(pair_map.tau.size)
+            if name == solver:
+                sigma[spike[0] * (10 if name == "volterra" else 1)] = 1.0
+            return dataclasses.replace(pair_map, sigma=sigma, factors=None)
+
+        monkeypatch.setattr(scenarios, "_propagator", flat)
+        coup = resonant_system(10.0, 0.6)[1]
+        init = InitialState.from_separability(0.0)
+        want = (max(coup.r1, coup.r2) * abs(coup.r1 * init.c01 + coup.r2 * init.c02)
+                * _bright_weight(coup))
+        for point in (0, 1, 16261, 16262, 29999, 30000):
+            spike[:] = [point]
+            row = next(row for row in run_solver_xcheck(cfg).rows
+                       if row[2:4] == ["volterra", "ode"])
+            assert row[4] == 30001
+            assert row[5] == want, point
 
     @pytest.mark.parametrize("r1, tau_max, include_bath, bound_mb", [
         ((0.6,), 10.0, True, 5.5), ((0.6,), 100.0, False, 24.0), ((), 10.0, True, 6.5)],
@@ -618,14 +674,19 @@ class TestSolverXcheck:
         mo = aux_ode_propagator(res, coup, SolverConfig(dt=7e-4, t_max=10.0))
         assert mo.tau.size == 14287
         n = 14286
-        # the table reads the gap off the two maps on the shared points: |D x|
-        # for the real pair x of the state, bit for bit
-        d = mv.p[..., ::7][..., :n] - mo.p[..., :n]
+        # the table reads the gap off the two series on the shared points:
+        # max(r1, r2) |r.x| |a|^2 max |sigma_v - sigma_o| for the real pair x
+        # of the state, bit for bit
         x1, x2 = init.c01.real, init.c02.real
         assert init.c01.imag == init.c02.imag == 0.0
-        gap = max(float(np.max(np.abs(d[i, 0] * x1 + d[i, 1] * x2))) for i in range(2))
+        delta = np.abs(mo.rows(0, n) - mv.rows(0, 7 * n, 7))
+        peak = _bright_weight(coup) * delta.max()
         assert row[4] == n
-        assert row[5] == gap
+        assert row[5] == max(coup.r1, coup.r2) * abs(coup.r1 * x1 + coup.r2 * x2) * peak
+        # and it is |D x| of the two maps, up to rounding
+        d = mv.p[..., ::7][..., :n] - mo.p[..., :n]
+        gap = max(float(np.max(np.abs(d[i, 0] * x1 + d[i, 1] * x2))) for i in range(2))
+        assert row[5] == pytest.approx(gap, rel=0, abs=1e-15)
         # and it is the gap of the two series, up to their rounding
         sv, so = mv(init), mo(init)
         series_gap = max(float(np.max(np.abs(sv.c1[::7][:n] - so.c1[:n]))),
@@ -1221,6 +1282,31 @@ class TestCliMain:
             env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.startswith("r1,s,c_s,is_argmax")
+
+    def test_numeric_tables_independent_of_blas_threads(self, tmp_path):
+        # the Volterra and ODE series, and the cross-check without the bath,
+        # are built from 2x2 products and elementwise broadcasts: the same
+        # bytes at one BLAS thread and at two.  Only the children's
+        # environment changes.  The bath's spectral sums are one large BLAS
+        # product, so it is left out
+        root = os.path.dirname(os.path.dirname(scenarios.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        config = tmp_path / "no-bath.json"
+        config.write_text(json.dumps({"include_bath": False}))
+        runs = {solver: ["time-evolution", "--solver", solver, "--big-r", "10"]
+                for solver in ("volterra", "ode")}
+        runs["xcheck"] = ["solver-xcheck", "--big-r", "10", "--config", str(config)]
+        for name, args in runs.items():
+            tables = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-{threads}.csv"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "zeno_ent.cli", *args, "--out", str(out)],
+                    capture_output=True, text=True, timeout=300,
+                    env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+                assert proc.returncode == 0, proc.stderr
+                tables.append(out.read_bytes())
+            assert tables[0] == tables[1], name
 
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,

@@ -100,8 +100,11 @@ class TestReservoirSpec:
         (lambda: ReservoirSpec(w=1.0, lam=1.0).memory_kernel(10**400), "tau"),
         (lambda: ReservoirSpec(w=1.0, lam=1.0).spectral_density(10**400), "omega"),
         (lambda: ReservoirSpec(w=1.0, lam=1.0).detuned_density(10**400), "detuning"),
+        (lambda: Amplitudes(10**400, 0, 0.0), "c1"),
+        (lambda: Amplitudes(0, -10**400, 0.0), "c2"),
     ], ids=["w", "omega0", "alpha1", "big_r", "s", "phi", "c01", "c02", "t", "t-list",
-            "tau", "kernel-tau", "density-omega", "density-detuning"])
+            "tau", "kernel-tau", "density-omega", "density-detuning", "amplitudes-c1",
+            "amplitudes-c2"])
     def test_rejects_integer_too_large_for_a_double(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large"):
             call()
@@ -114,7 +117,10 @@ class TestReservoirSpec:
         (lambda: CouplingSpec(True, 0.0), "alpha1"),
         (lambda: resonant_system(True, 0.5), "alpha_t"),
         (lambda: SolverConfig(dt=True, t_max=1.0), "dt"),
-    ], ids=["interval", "zeno-rate", "w", "alpha1", "big_r", "dt"])
+        (lambda: Amplitudes(True, 0, 0.0), "c1"),
+        (lambda: Amplitudes(0, True, 0.0), "c2"),
+    ], ids=["interval", "zeno-rate", "w", "alpha1", "big_r", "dt", "amplitudes-c1",
+            "amplitudes-c2"])
     def test_rejects_bool_for_a_real(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be a number, got True"):
             call()

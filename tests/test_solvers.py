@@ -229,25 +229,36 @@ class TestPropagators:
 
     @pytest.mark.parametrize("big_r", [1e-3, 0.1, 0.5, 10.0, 24.0])
     def test_shared_map_matches_per_state_blocks(self, monkeypatch, big_r):
-        maps = []
-        real = solvers._amplitude_rows
+        # one run, of the bright recurrence, serves every state; the oracle
+        # carries the state's (s, u, m) through the decimal block loop, with
+        # the pair's move a s and u's move |a|^2 s read off the run's D~
+        steps = []
+        real = solvers._blocked_powers
 
-        def recording(d, n, stride):
-            maps.append((d, n, stride))
-            return real(d, n, stride)
+        def recording(d, n, stride, mul):
+            steps.append((d, n, stride))
+            return real(d, n, stride, mul)
 
-        monkeypatch.setattr(solvers, "_amplitude_rows", recording)
+        monkeypatch.setattr(solvers, "_blocked_powers", recording)
         res, coup = resonant_system(big_r, 0.87)
+        a = np.array([coup.alpha1, coup.alpha2])
+        asq = solvers._bright_weight(coup)
         for propagator, dt in ((volterra_propagator, 1e-4), (aux_ode_propagator, 1e-3)):
             run = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
-            d, n, stride = maps.pop()
-            assert stride == 1
+            (d, n, stride), = steps
+            steps.clear()
+            assert d.shape == (2, 2) and stride == 1
+            lifted = np.zeros((3, 3))
+            lifted[0, 1:] = d[0]
+            lifted[1, 1:] = asq * d[0]
+            lifted[2, 1:] = d[1]
             for s, phi in self.INITS:
                 init = InitialState.from_separability(s, phi)
                 series = run(init)
-                c1, c2 = amplitude_rows_per_state(d, (init.c01, init.c02, 0.0), n)
-                np.testing.assert_allclose(series.c1, c1, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(series.c2, c2, rtol=0, atol=1e-14)
+                move, _ = amplitude_rows_per_state(lifted, (0.0, a @ [init.c01, init.c02], 0.0),
+                                                   n)
+                np.testing.assert_allclose(series.c1, init.c01 + a[0] * move, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(series.c2, init.c02 + a[1] * move, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("propagator", [volterra_propagator, aux_ode_propagator,
                                             bath_propagator])
@@ -445,36 +456,104 @@ class TestPairMap:
 
 
     @pytest.mark.parametrize("big_r", [0.5, 10.0, 24.0])
-    def test_range_reads_make_the_map(self, big_r):
-        # PairMap.rows on ranges that start and end inside tail rows,
-        # concatenated, give p, and build only the rows they cover.  The
-        # comb's map is a slice of sigma, bit for bit.  A three-amplitude
-        # read is its own (rows, 3) @ (3, K) product, whose bits BLAS picks
-        # by the product's shape: within the rounding of its three terms of
-        # p's
+    def test_range_reads_are_slices_of_the_series(self, big_r):
+        # PairMap.rows on ranges that start and end inside tail rows, and on
+        # strided ranges, is bit for bit that slice of the whole series, and
+        # builds no whole map
         res, coup = resonant_system(big_r, 0.87)
         rng = np.random.default_rng(7)
-        eps = np.finfo(float).eps
+        a = np.array([coup.alpha1, coup.alpha2])
         for propagator, dt in self.RUNS:
             for stride in (1, 7):
                 pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0, stride=stride))
                 n = pair_map.tau.size
-                k = len(pair_map.powers[0]) if pair_map.powers else 1
+                k = pair_map.factors[1][0].size if pair_map.factors else 1
                 cuts = np.unique(np.concatenate(
                     ([0, 1, k + 3, 3 * k - 2, n - k // 2, n], rng.integers(1, n, 12))))
-                out = np.empty((2, 2, n + 2 * k))
-                reads = [pair_map.rows(lo, hi, out=out).copy() for lo, hi in zip(cuts, cuts[1:])]
+                whole = pair_map.rows(0, n)
+                assert whole.shape == (n,) and whole.dtype == float
+                for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()):
+                    assert np.array_equal(pair_map.rows(lo, hi), whole[lo:hi])
+                    for step in (2, 7, k + 1):
+                        assert np.array_equal(pair_map.rows(lo, hi, step), whole[lo:hi:step])
                 assert "p" not in pair_map.__dict__
-                assert [r.shape for r in reads] == [(2, 2, hi - lo)
-                                                    for lo, hi in zip(cuts, cuts[1:])]
-                joined = np.concatenate(reads, axis=2)
-                if pair_map.powers is None:
-                    assert np.array_equal(joined, pair_map.p)
-                else:
-                    heads, tails = pair_map.powers
-                    scale = np.einsum("jkc,irk->rcji", np.abs(tails), np.abs(heads))
-                    scale = scale.reshape(2, 2, -1)[:, :, :n] + np.abs(pair_map.p)
-                    assert np.all(np.abs(joined - pair_map.p) <= 8.0 * eps * scale)
+                assert np.array_equal(pair_map.p, np.multiply.outer(np.outer(a, a), whole))
+
+
+def volterra_increment(res, coup, dt):
+    """The Volterra step's increment on the three amplitudes ``(c1, c2, m)``."""
+    a1, a2 = coup.alpha1, coup.alpha2
+    decay_m1 = math.expm1(-res.lam * dt)
+    decay = 1.0 + decay_m1
+    half = 0.5 * dt
+    panel = half * res.w**2
+
+    def increment(x1, x2, m):
+        u = a1 * x1 + a2 * x2
+        d1 = -a1 * m
+        d2 = -a2 * m
+        up = a1 * (x1 + dt * d1) + a2 * (x2 + dt * d2)
+        mp = decay * m + panel * (decay * u + up)
+        dx1 = half * (d1 - a1 * mp)
+        dx2 = half * (d2 - a2 * mp)
+        un = u + a1 * dx1 + a2 * dx2
+        return dx1, dx2, decay_m1 * m + panel * (decay * u + un)
+
+    return increment
+
+
+def aux_ode_increment(res, coup, dt):
+    """The pseudomode RK4 step's increment on ``(c1, c2, z)``."""
+    a1, a2, lam, wsq = coup.alpha1, coup.alpha2, res.lam, res.w**2
+
+    def rhs(x1, x2, z):
+        return -a1 * z, -a2 * z, -lam * z + wsq * (a1 * x1 + a2 * x2)
+
+    def increment(*y):
+        k1 = rhs(*y)
+        k2 = rhs(*(v + 0.5 * dt * k for v, k in zip(y, k1)))
+        k3 = rhs(*(v + 0.5 * dt * k for v, k in zip(y, k2)))
+        k4 = rhs(*(v + dt * k for v, k in zip(y, k3)))
+        return tuple((dt / 6.0) * (p + 2.0 * q + 2.0 * r + w)
+                     for p, q, r, w in zip(k1, k2, k3, k4))
+
+    return increment
+
+
+class TestBrightReduction:
+    """The two-variable bright recurrences against the full three-amplitude
+    maps, ``(c1, c2, m)`` or ``(c1, c2, z)``, evaluated by the same blocked
+    powers: the pair moves only along ``a``, by ``a a^T sigma``."""
+
+    @staticmethod
+    def full_map(increment, n):
+        """``P = M**k - 1`` on the pair, shape ``(n + 1, 2, 2)``, from the
+        3x3 step read off ``increment`` and its blocked powers."""
+        d = np.array([increment(*unit) for unit in np.eye(3).tolist()]).T
+        heads, tails = solvers._blocked_powers(d, n, 1, np.matmul)
+        grid = tails[:, None] + heads[None] + heads[None] @ tails[:, None]
+        return grid.reshape(-1, 3, 3)[:n + 1, :2, :2]
+
+    @pytest.mark.parametrize("r1", [0.0, 0.87])
+    @pytest.mark.parametrize("big_r", [0.1, 10.0, 24.0])
+    def test_sigma_matches_the_full_map(self, big_r, r1):
+        res, coup = resonant_system(big_r, r1)
+        a = np.array([coup.alpha1, coup.alpha2])
+        asq = solvers._bright_weight(coup)
+        dark = np.array([-a[1], a[0]]) / math.sqrt(asq)
+        for propagator, increment, dt in ((volterra_propagator, volterra_increment, 1e-4),
+                                          (aux_ode_propagator, aux_ode_increment, 1e-3)):
+            n = round(10.0 / dt)
+            full = self.full_map(increment(res, coup, dt), n)
+            sigma = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0)).rows(0, n + 1)
+            # both within the rounding of the blocked powers, which reaches
+            # 21 eps of max |P| in the full map's leak at R = 24
+            bound = 64.0 * np.finfo(float).eps * float(np.max(np.abs(full)))
+            # a^T P a / |a|^4, the full map's bright entry, is sigma
+            bright = np.einsum("i,tij,j->t", a, full, a) / (asq * asq)
+            assert asq * float(np.max(np.abs(sigma - bright))) <= bound
+            # and the full map leaks nothing out of the dark direction
+            assert float(np.max(np.abs(full @ dark))) <= bound
 
 
 class TestSolverConfig:

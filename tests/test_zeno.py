@@ -70,6 +70,14 @@ class TestMeasurementSchedule:
         # an integer too large for a double raised OverflowError
         with pytest.raises(ValueError, match="^interval must be finite"):
             MeasurementSchedule(interval=10**400, count=2)
+        # ... and one in count built, then raised it from total_time
+        with pytest.raises(ValueError, match="^count must be finite, got an integer too large"):
+            MeasurementSchedule(interval=0.1, count=10**400)
+        # a total time past the largest double came out inf
+        message = r"^count \* interval = 1e\+308 \* 10\.0 overflows a double$"
+        with pytest.raises(ValueError, match=message):
+            MeasurementSchedule(interval=10.0, count=int(1e308))
+        assert MeasurementSchedule(interval=1.0, count=int(1e308)).total_time == 1e308
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(2.0), "3"])
     def test_rejects_count_that_is_not_an_integer(self, count):
