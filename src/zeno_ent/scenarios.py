@@ -72,10 +72,9 @@ SOLVERS = ("closed",) + SOLVER_NAMES
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
 
 # most steps one numeric solver run may take: at a million Volterra steps
-# a solver-xcheck run at one r1 without the bath has a traced peak of 10.4
-# MB, 8 MB of it the grid's times, and runs in about 0.06 s; a
-# time-evolution run holds only its tau_steps output points, whatever its
-# step count
+# a solver-xcheck run at one r1 without the bath has a traced peak of 1.9
+# MB and runs in about 0.06 s; a time-evolution curve holds only its
+# output points, whatever its step count (0.17 MB at 990000 steps)
 MAX_SOLVER_STEPS = 1_000_000
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -83,9 +82,9 @@ _SQRT_HALF = math.sqrt(0.5)
 # tau points per block of the transient coarse-grid product
 _TAU_BLOCK = 4096
 # points per block of each solver grid in solver-xcheck: at R = 10 the
-# traced peak, 3.5 MB for one r1 and 3.7 MB for the default five, is the
+# traced peak, 2.5 MB for one r1 and 2.6 MB for the default five, is the
 # bath's run up to blocks of 2**15 points; at 10**6 Volterra steps without
-# the bath it is 10.4 MB in blocks of 2**14, 12.0 MB of 2**15, 15.2 MB of 2**16
+# the bath it is 1.9 MB in blocks of 2**14, 3.8 MB of 2**15, 6.9 MB of 2**16
 _XCHECK_BLOCK = 1 << 14
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
@@ -109,13 +108,14 @@ class ScenarioConfig:
     ``n_modes`` and ``freq_window`` set the bath comb: ``n_modes`` modes
     over ``+-freq_window * max(1, big_r)`` linewidths around resonance, so
     the comb widens with the coupling and always covers the vacuum-Rabi
-    splitting.  ``time-evolution`` refines each solver's step until it
-    passes that solver's resolution check, while ``solver-xcheck`` keeps
+    splitting.  ``time-evolution`` refines the Volterra and ODE steps until
+    they pass their solver's resolution check, while ``solver-xcheck`` keeps
     the steps as given.  The bath evolves its comb exactly, so no step is
-    refused for it and ``dt_bath`` only spaces its output.  A bath run whose
-    ``tau_max`` passes the comb's recurrence time
-    ``2*pi/dω = pi * n_modes / (freq_window * max(1, big_r))`` is refused
-    before it starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A numeric
+    refused for it and its step only spaces its output: ``time-evolution``
+    takes the output spacing, and only ``solver-xcheck`` reads ``dt_bath``.
+    A bath run whose ``tau_max`` passes the comb's recurrence time ``2*pi/dω
+    = pi * n_modes / (freq_window * max(1, big_r))`` is refused before it
+    starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A numeric
     solver run of more than :data:`MAX_SOLVER_STEPS` steps is refused too,
     in either scenario: e.g. the ``ode`` solver of ``time-evolution`` at
     ``big_r = 1e12``, whose step is refined to the coupling, or
@@ -273,13 +273,13 @@ def _init_state(cfg: ScenarioConfig, s: float) -> InitialState:
     return InitialState.from_separability(s, cfg.phi)
 
 
-def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: int = 1):
+def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float):
     """The :class:`~zeno_ent.solvers.PairMap` of a numeric solver at one
-    coupling, to ``tau_max``, on every ``stride``-th step.
+    coupling, on every step of ``dt`` to ``tau_max``.
 
     Each solver does its work here, once, and serves every initial state
-    from it.  A run of more than :data:`MAX_SOLVER_STEPS` steps is refused
-    before any grid or map is built, whatever the stride.
+    and every read of its caller from it.  A run of more than
+    :data:`MAX_SOLVER_STEPS` steps is refused before any map is built.
     """
     # a step of zero comes from a step count that overflows a double
     steps = cfg.tau_max / dt if dt > 0.0 else math.inf
@@ -292,7 +292,7 @@ def _propagator(cfg: ScenarioConfig, solver: str, res, coup, dt: float, stride: 
             f"over tau_max = {cfg.tau_max!r}, more than the {MAX_SOLVER_STEPS} a "
             f"solver run may take; {hint} or shorten tau_max")
     scfg = SolverConfig(dt=dt, t_max=cfg.tau_max, n_modes=cfg.n_modes,
-                        freq_window=cfg.freq_window, stride=stride)
+                        freq_window=cfg.freq_window)
     # propagators are read from the module globals per call, so one patched
     # in for a count or a trace is the one that runs
     propagate = {"volterra": volterra_propagator, "ode": aux_ode_propagator,
@@ -358,17 +358,18 @@ def _substeps(dtau: float, base: float, limit: float) -> int | float:
 
 def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray):
     """``init ->`` concurrence of the selected solver at one coupling,
-    sampled exactly on ``tau``: a numeric solver steps ``k`` times per
-    output interval and is evaluated only on every ``k``-th step."""
+    sampled exactly on ``tau``: Volterra and the ODE step ``k`` times per
+    output interval and are read on every ``k``-th step.  The bath's step
+    only spaces its output, so it is built on the output grid itself."""
     res, coup = resonant_system(cfg.big_r, r1)
     if solver == "closed":
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
     # a step that divides the output spacing, so no interpolation is needed
     dtau = tau[1] - tau[0]
-    limit = step_limit(res, coup, solver)
-    k = _substeps(float(dtau), getattr(cfg, f"dt_{solver}"), limit)
-    run = _propagator(cfg, solver, res, coup, dtau / k, stride=k)
-    return lambda init: run(init).concurrence()
+    k = 1 if solver == "bath" else _substeps(
+        float(dtau), getattr(cfg, f"dt_{solver}"), step_limit(res, coup, solver))
+    run = _propagator(cfg, solver, res, coup, dtau / k)
+    return lambda init: run(init, k).concurrence()
 
 
 def run_time_evolution(cfg: ScenarioConfig) -> ScenarioResult:
@@ -429,7 +430,8 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     Emits one row per (r1, s, solver pair) with the max absolute amplitude
     deviation and its budget.  Numeric-vs-numeric pairs are compared on
     shared grid points and budgeted with the sum of the members' closed-form
-    tolerances.  ``meta['passed']`` reflects the whole table.
+    tolerances.  ``meta['passed']`` reflects the whole table; a NaN in any
+    series gives its rows a NaN ``max_abs_err``, which fails.
 
     Each solver's map is ``a a^T sigma`` (:class:`~zeno_ent.solvers.PairMap`)
     and the closed form's is ``r r^T (E - 1)``, with ``a = alpha_t r`` and
@@ -448,9 +450,10 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     solvers' series (:meth:`~zeno_ent.solvers.PairMap.rows`), about
     ``_XCHECK_BLOCK`` points each; a numeric pair's fine side is read on
     the shared points of the block alone, once for every pair that needs
-    it.  No series is built whole.  ``E`` reads the coupling only through
-    ``alpha_t``, so ``E - 1`` is evaluated on a block once per distinct
-    ``alpha_t`` and serves every key that has it.
+    it.  No series or grid of times is built whole: a block's times come
+    from :meth:`~zeno_ent.solvers.PairMap.times`.  ``E`` reads the coupling
+    only through ``alpha_t``, so ``E - 1`` is evaluated on a block once per
+    distinct ``alpha_t`` and serves every key that has it.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
@@ -460,23 +463,19 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     s_axis = cfg.s_axis()
     x = np.array([[init.c01, init.c02] for init in (_init_state(cfg, s) for s in s_axis)])
     dt = {name: getattr(cfg, f"dt_{name}") for name in solvers}
-    couplings, runs, grids = [], {}, None
+    couplings, runs = [], {}
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
         key = (_bright_weight(coup), coup.alpha_t)
         couplings.append((coup, key))
         if key not in runs:
-            maps = {}
-            for name in solvers:
-                maps[name] = _propagator(cfg, name, res, coup, dt[name])
-                if grids:
-                    # a solver's grid is the same for every key: its times
-                    # are held once
-                    maps[name] = dataclasses.replace(maps[name], tau=grids[name].tau)
+            maps = {name: _propagator(cfg, name, res, coup, dt[name]) for name in solvers}
             runs[key] = (res, coup, maps)
-            grids = grids or maps
-    shared = {(a, b): _shared_points(grids[a], grids[b]) for a, b in pairs if a != "closed"}
-    npts = [grids[b].tau.size if a == "closed" else grids[a].tau[shared[a, b][0]].size
+    # a solver's grid is the same for every key
+    grids = next(iter(runs.values()))[2]
+    shared = {(a, b): _shared_points(grids[a].dt, grids[a].size, grids[b].dt, grids[b].size)
+              for a, b in pairs if a != "closed"}
+    npts = [grids[b].size if a == "closed" else len(range(grids[a].size)[shared[a, b][0]])
             for a, b in pairs]
     home = [b if a == "closed" or dt[b] >= dt[a] else a for a, b in pairs]
     # a grid is fixed by its step and tau_max: solvers of one step share a walk
@@ -490,14 +489,15 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
         groups.setdefault(key[1], []).append(key)
 
     for names in walks.values():
-        tau = grids[names[0]].tau
-        row = math.isqrt(tau.size)
+        grid = grids[names[0]]
+        row = math.isqrt(grid.size)
         width = max(_XCHECK_BLOCK // row, 2) * row
         here = [k for k, name in enumerate(home) if name in names]
-        for lo in range(0, tau.size, width):
-            hi = min(lo + width, tau.size)
+        for lo in range(0, grid.size, width):
+            hi = min(lo + width, grid.size)
+            tau = grid.times(lo, hi)
             for members in groups.values():
-                e = survival_amplitude(*runs[members[0]][:2], tau[lo:hi]) - 1.0
+                e = survival_amplitude(*runs[members[0]][:2], tau) - 1.0
                 for key in members:
                     asq, maps, peak = key[0], runs[key][2], peaks[key]
                     # each series read on this block, by name and stride
@@ -519,7 +519,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                                 continue
                             if (fine, stride) not in on:
                                 on[fine, stride] = maps[fine].rows(
-                                    lo * stride, min(hi * stride, grids[fine].tau.size), stride)
+                                    lo * stride, min(hi * stride, grids[fine].size), stride)
                             delta = on[home[k], 1][:m] - on[fine, stride][:m]
                             scale = asq
                         np.abs(delta, out=delta)
@@ -531,8 +531,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
         reach = max(abs(coup.r1), abs(coup.r2)) * np.abs(coup.r1 * x[:, 0] + coup.r2 * x[:, 1])
         for j, s in enumerate(s_axis):
             for k, (a, b) in enumerate(pairs):
-                # from 0.0, as state by state: a NaN row max is dropped
-                err = max(0.0, float(reach[j] * peaks[key][k]))
+                err = float(reach[j] * peaks[key][k])
                 tol = XCHECK_TOLERANCES[b] if a == "closed" else (
                     XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b])
                 ok = err <= tol
@@ -543,23 +542,22 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                           config=cfg)
 
 
-def _shared_points(sa, sb):
-    """Slices of two uniform grids from 0 onto the points both hold.
+def _shared_points(dta: float, na: int, dtb: float, nb: int):
+    """Slices of two uniform grids from 0, of steps ``dta`` and ``dtb`` and
+    ``na`` and ``nb`` points, onto the points both hold.
 
     Each grid ends at the multiple of its step nearest ``tau_max``, so the
     two may end on either side of it; the shared points stop where the
     shorter grid does.
     """
-    dta = sa.tau[1] - sa.tau[0]
-    dtb = sb.tau[1] - sb.tau[0]
     if dta > dtb:
-        return _shared_points(sb, sa)[::-1]
+        return _shared_points(dtb, nb, dta, na)[::-1]
     ratio = dtb / dta
     k = int(round(ratio))
     if abs(ratio - k) > 1e-9:
         raise ValueError("solver steps do not share grid points; "
                          "pick commensurate dt values")
-    n = min(-(-sa.tau.size // k), sb.tau.size)
+    n = min(-(-na // k), nb)
     return slice(0, n * k, k), slice(0, n)
 
 

@@ -28,20 +28,20 @@ called on one, it gives its ``TimeSeries``.  Each solver has one name, in
 
 Each solver refuses a step at or above its :func:`step_limit`.  Every one
 of these steps is a constant linear map ``y[n+1] = M y[n]``, and that is
-how they are evaluated.  A run read off on every ``k``-th step
-(``SolverConfig.stride``, 1 by default) needs the powers ``M**(k i) - 1``
-at its ``n + 1`` output points, and :func:`_blocked_powers` is the one
-place that lays them out: the step raised to the stride by squaring
-(:func:`_power_minus_one`), then heads and tails on a ``J x K`` grid,
-``K = isqrt(n + 1)``, each built by doubling (:func:`_power_table`).  The
-steps in between are never evaluated.  Only the super-radiant amplitude
-``u = a.x``, with ``a = (alpha1, alpha2)``, couples to the reservoir, and
-the pair moves only along ``a``, so every map is ``P = a a^T sigma`` for
-one real series ``sigma`` (:class:`PairMap`).  The Volterra and the
-pseudomode RK4 steps are recurrences on ``u`` and the memory variable,
-which read the coupling only through ``|a|^2``, and ``sigma`` is an entry
-of their blocked powers (:func:`_bright_propagator`).  The comb is
-driven by ``u = 1`` from empty modes, and its run is ``sigma`` itself.
+how they are evaluated.  A run needs the powers ``M**i - 1`` at the ``n +
+1`` points of its ``dt`` grid, and :func:`_blocked_powers` is the one
+place that lays them out: heads and tails on a ``J x K`` grid, ``K =
+isqrt(n + 1)``, each built by doubling (:func:`_power_table`), in
+``O(sqrt n)`` work and memory.  No map holds its grid's times, and a
+caller reads the points it needs off the map (:meth:`PairMap.rows`,
+:meth:`PairMap.times`).  Only the super-radiant amplitude ``u = a.x``,
+with ``a = (alpha1, alpha2)``, couples to the reservoir, and the pair
+moves only along ``a``, so every map is ``P = a a^T sigma`` for one real
+series ``sigma`` (:class:`PairMap`).  The Volterra and the pseudomode RK4
+steps are recurrences on ``u`` and the memory variable, which read the
+coupling only through ``|a|^2``, and ``sigma`` is an entry of their
+blocked powers (:func:`_bright_propagator`).  The comb is driven by ``u =
+1`` from empty modes, and its run is ``sigma`` itself.
 The comb's step is ``e^{-i dt H}`` for a real symmetric
 arrowhead ``H``, so ``k`` steps are the phases ``e^{-i k dt lam_j}`` on
 the eigenvectors of ``H``: the run is read off the spectrum, found from a
@@ -113,19 +113,12 @@ class SolverConfig:
     ``dt``, ``t_max`` and ``freq_window`` are stored as Python floats, so
     numpy scalars passed in neither change the arithmetic nor leak into
     messages.
-
-    ``stride``, a positive integer, thins the output: a propagator returns
-    its series at steps ``0, stride, 2 stride, ...`` of the ``dt`` grid, the
-    stride-1 series ``[::stride]`` up to rounding, without evaluating the
-    steps in between.  The steps themselves, and so the step check and the
-    accuracy, do not change; a stride past the step count leaves ``t = 0``.
     """
 
     dt: float
     t_max: float
     n_modes: int = 2000
     freq_window: float = 20.0
-    stride: int = 1
 
     def __post_init__(self):
         for name in ("dt", "t_max", "freq_window"):
@@ -137,11 +130,6 @@ class SolverConfig:
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step long")
         object.__setattr__(self, "n_modes", _check_comb(self.n_modes, self.freq_window))
-        if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral):
-            raise ValueError(f"stride must be an integer, got {self.stride!r}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be at least 1, got {self.stride!r}")
-        object.__setattr__(self, "stride", int(self.stride))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +142,14 @@ class PairMap:
     state that the reservoir never sees (``u = 0``) stays put exactly.  It
     is real, since the qubits sit on resonance of a symmetric Lorentzian.
     Called on an :class:`~zeno_ent.model.InitialState`, the map gives that
-    state's :class:`~zeno_ent.model.TimeSeries`, with ``meta`` in its
-    ``meta``; ``p``, shape ``(2, 2, len(tau))``, is ``a a^T sigma``.
+    state's :class:`~zeno_ent.model.TimeSeries` on every ``step``-th point
+    of its grid, with ``meta`` in its ``meta``; ``p``, shape ``(2, 2,
+    size)``, is ``a a^T sigma``.
 
-    The bath holds ``sigma`` whole.  A numeric solver holds the head and
-    tail vectors of its blocked powers (``factors``, see
+    The grid is the ``size`` points ``i dt`` from 0, held as those two
+    numbers: :meth:`times` forms the times asked for, and ``tau`` all of
+    them.  The bath holds ``sigma`` whole.  A numeric solver holds the
+    head and tail vectors of its blocked powers (``factors``, see
     :func:`_bright_propagator`), and :meth:`rows` builds ``sigma`` on the
     points it is asked for alone.
 
@@ -168,17 +159,30 @@ class PairMap:
     each output step.
     """
 
-    tau: np.ndarray
+    dt: float
+    size: int
     meta: dict
     drive: tuple[float, float]
     sigma: np.ndarray | None = None
     factors: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
 
+    @property
+    def tau(self) -> np.ndarray:
+        return self.times(0, self.size)
+
     @functools.cached_property
     def p(self) -> np.ndarray:
         a1, a2 = self.drive
         aa = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])
-        return aa[:, :, None] * self.rows(0, self.tau.size)
+        return aa[:, :, None] * self.rows(0, self.size)
+
+    def times(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
+        """The grid's times at the points ``lo, lo + step, ...`` below
+        ``hi``: the point counts as floats, exact below ``2**53``, scaled in
+        place, so each is bit for bit its entry of ``arange(size) * dt``."""
+        t = np.arange(lo, hi, step, dtype=float)
+        t *= self.dt
+        return t
 
     def rows(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
         """``sigma`` at the points ``lo, lo + step, ...`` below ``hi``.
@@ -202,10 +206,10 @@ class PairMap:
         h0, h1, h2 = heads
         return (t0 + h0 + t0 * h1 + t1 * h2).reshape(-1)[cut]
 
-    def __call__(self, init: InitialState) -> TimeSeries:
+    def __call__(self, init: InitialState, step: int = 1) -> TimeSeries:
         x1, x2 = init.c01, init.c02
         a1, a2 = self.drive
-        sigma = self.rows(0, self.tau.size)
+        sigma = self.rows(0, self.size, step)
         u0 = a1 * x1 + a2 * x2
         drift = u0 * sigma
         c1 = x1 + a1 * drift
@@ -214,7 +218,7 @@ class PairMap:
         if meta["solver"] == "bath":
             modes = abs(u0) ** 2 * sigma * (2.0 + (a1 * a1 + a2 * a2) * sigma)
             meta["norm_total"] = np.abs(c1) ** 2 + np.abs(c2) ** 2 - modes
-        return TimeSeries(tau=self.tau, c1=c1, c2=c2, meta=meta)
+        return TimeSeries(tau=self.times(0, self.size, step), c1=c1, c2=c2, meta=meta)
 
 
 def _bright_weight(coup: CouplingSpec) -> float:
@@ -263,52 +267,25 @@ def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str) -> float:
     return math.inf if solver == "bath" else 1.0 / (2.0 * max(res.lam, coup.alpha_t * res.w))
 
 
-def _grid(cfg: SolverConfig, limit: float):
-    """The last output index, the output times and the stride: every
-    ``stride``-th point of the ``dt`` grid.  A stride past the last step
-    keeps only ``t = 0``, so it is cut to one step past it.  A step at or
+def _grid(cfg: SolverConfig, limit: float) -> int:
+    """The step count, the last index of the ``dt`` grid.  A step at or
     above ``limit``, the solver's :func:`step_limit`, cannot resolve the
     fastest timescale and is refused."""
     if cfg.dt >= limit:
         raise ValueError(f"dt = {cfg.dt!r} under-resolves the dynamics; need dt < {limit!r}")
-    n = max(int(round(cfg.t_max / cfg.dt)), 1)
-    stride = min(cfg.stride, n + 1)
-    # the step counts as floats, exact below 2**53, scaled in place
-    tau = np.arange(0, n + 1, stride, dtype=float)
-    tau *= cfg.dt
-    return n // stride, tau, stride
-
-
-def _power_minus_one(d, k: int, mul):
-    """``M**k - 1`` from ``d = M - 1``, by squaring in the minus-one form.
-
-    ``mul`` is the product: a matrix product such as ``np.matmul``, or
-    ``np.multiply`` elementwise.  ``(1 + a)(1 + b) - 1 = a + b + a b``
-    combines two powers and ``2 q + q q`` squares one, so the small
-    corrections are carried and not rounded against the 1, as in
-    :func:`_blocked_powers`; it takes about ``2 log2(k)`` products.  ``k =
-    1`` returns ``d`` itself.
-    """
-    out = None
-    while True:
-        if k & 1:
-            out = d if out is None else out + d + mul(out, d)
-        k >>= 1
-        if not k:
-            return out
-        d = 2.0 * d + mul(d, d)
+    return max(int(round(cfg.t_max / cfg.dt)), 1)
 
 
 def _power_table(d, count: int, mul):
     """``Q_i = M**i - 1`` for ``i = 0..count``, stacked on a new first axis,
     from ``d = M - 1``.
 
-    ``mul`` is the product, as in :func:`_power_minus_one`.  The table is
-    built by doubling: with ``Q_0 .. Q_h`` in hand, ``Q_(h+i) = Q_i + Q_h +
+    ``mul`` is the product: a matrix product such as ``np.matmul``, or
+    ``np.multiply`` elementwise.  The table is built by doubling: with ``Q_0 .. Q_h`` in hand, ``Q_(h+i) = Q_i + Q_h +
     Q_i Q_h`` gives the next ``h`` rows in one product, so it takes about
     ``log2(count)`` products where stepping ``q += d + d q`` took ``count``.
-    Each row is a small correction formed without rounding it against
-    the 1.
+    ``(1 + a)(1 + b) - 1 = a + b + a b`` combines two powers, so each row
+    is a small correction formed without rounding it against the 1.
     """
     table = np.empty((count + 1,) + d.shape, dtype=d.dtype)
     table[0] = 0.0
@@ -325,21 +302,20 @@ def _power_table(d, count: int, mul):
     return table
 
 
-def _blocked_powers(d, n: int, stride: int, mul):
-    """The powers ``M**(stride k) - 1`` for ``k = 0..n``, from ``d = M - 1``,
-    as the heads ``Q_i`` and tails ``A_j`` that combine them.
+def _blocked_powers(d, n: int, mul):
+    """The powers ``M**k - 1`` for ``k = 0..n``, from ``d = M - 1``, as the
+    heads ``Q_i`` and tails ``A_j`` that combine them.
 
-    ``mul`` is the product, as in :func:`_power_minus_one`, which first
-    raises the step to the stride.  With ``K = isqrt(n + 1)`` and ``J =
-    ceil((n + 1) / K)``, ``Q_i = S**i - 1`` (``i < K``) and ``A_j =
-    S**(j*K) - 1`` (``j < J``) for the step ``S = M**stride``, each a
-    :func:`_power_table` stacked on the first axis, give ``S**(j*K + i) -
-    1 = A_j + Q_i + Q_i A_j``: the ``n + 1`` powers are read off the
-    ``J x K`` grid in row order, in one product over ``J`` and ``K``.
-    Carrying ``D``, ``Q_i`` and ``A_j`` rather than ``M`` and its powers
-    keeps the rounding of the entries near 1 out of the powers.
+    ``mul`` is the product, as in :func:`_power_table`.  With ``K =
+    isqrt(n + 1)`` and ``J = ceil((n + 1) / K)``, ``Q_i = M**i - 1`` (``i <
+    K``) and ``A_j = M**(j*K) - 1`` (``j < J``), each a
+    :func:`_power_table` stacked on the first axis, give ``M**(j*K + i) - 1
+    = A_j + Q_i + Q_i A_j``: the ``n + 1`` powers are read off the ``J x
+    K`` grid in row order, in one product over ``J`` and ``K``, from
+    ``O(sqrt n)`` heads and tails.  Carrying ``D``, ``Q_i`` and ``A_j``
+    rather than ``M`` and its powers keeps the rounding of the entries near
+    1 out of the powers.
     """
-    d = _power_minus_one(d, stride, mul)
     block = math.isqrt(n + 1)
     heads = _power_table(d, block, mul)
     return heads[:block], _power_table(heads[block], n // block, mul)
@@ -358,7 +334,7 @@ def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     ``(A_j + Q_i + Q_i A_j)~``: ``A~_j[0,0] + Q~_i[0,0] + A~_j[0,0] |a|^2
     Q~_i[0,0] + A~_j[1,0] Q~_i[0,1]``, with no division by ``|a|^2``, which
     may underflow.  The map keeps these two tail and three head vectors."""
-    n, tau, stride = _grid(cfg, step_limit(res, coup, solver))
+    n = _grid(cfg, step_limit(res, coup, solver))
     asq = _bright_weight(coup)
     d = np.array([increment(1.0, 0.0), increment(0.0, 1.0)]).T
     g = np.array([[asq], [1.0]])
@@ -366,10 +342,10 @@ def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     def mul(x, y, out=None):
         return np.matmul(x, g * y, out=out)
 
-    heads, tails = _blocked_powers(d, n, stride, mul)
+    heads, tails = _blocked_powers(d, n, mul)
     h0 = heads[:, 0, 0]
     factors = (tails[:, 0, 0], tails[:, 1, 0]), (h0, asq * h0, heads[:, 0, 1])
-    return PairMap(tau=tau, meta={"solver": solver, "dt": cfg.dt},
+    return PairMap(dt=cfg.dt, size=n + 1, meta={"solver": solver, "dt": cfg.dt},
                    drive=(coup.alpha1, coup.alpha2), factors=factors)
 
 
@@ -483,8 +459,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     and :func:`_folded_spectrum` finds it from the upper half of the comb.
     The roots cost about ``modes^2 / 16`` array operations for the far
     poles plus ``128 * modes`` per iteration for the near ones, and the
-    sums over the spectrum (:func:`_spectral_sums`) ``modes * (steps /
-    stride) / 2``.
+    sums over the spectrum (:func:`_spectral_sums`) ``modes * steps / 2``.
 
     Metadata carries the full mode count and the recurrence time, and each
     series the total-excitation norm at each output step for conservation
@@ -497,7 +472,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"{recurrence:.6g} (2*pi/d_omega for {cfg.n_modes} modes at "
             f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
-    n, tau, stride = _grid(cfg, step_limit(res, coup, "bath"))
+    n = _grid(cfg, step_limit(res, coup, "bath"))
     window = _comb_window(res, coup, cfg.freq_window)
 
     offsets, g = _comb(res, cfg.n_modes, window)
@@ -515,7 +490,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             "the pair does not move at double precision there, so use the closed form")
     lam, weight = _folded_spectrum(offsets[lower:], b)
     # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(e^{-i lam_j t} - 1)
-    sigma = (2.0 / asq) * _spectral_sums(cfg.dt * lam, weight, n, stride)
+    sigma = (2.0 / asq) * _spectral_sums(cfg.dt * lam, weight, n)
 
     meta = {
         "solver": "bath",
@@ -524,7 +499,8 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
         "freq_window": cfg.freq_window,
         "recurrence_time": recurrence,
     }
-    return PairMap(tau=tau, meta=meta, drive=(coup.alpha1, coup.alpha2), sigma=sigma)
+    return PairMap(dt=cfg.dt, size=n + 1, meta=meta, drive=(coup.alpha1, coup.alpha2),
+                   sigma=sigma)
 
 
 def _folded_spectrum(o, b):
@@ -748,9 +724,8 @@ def _model_root(c, s, t, left, right):
     return width * (2.0 * p / (q + np.sqrt(np.maximum(q * q - 4.0 * c * p, 0.0))))
 
 
-def _spectral_sums(theta, weight, n: int, stride: int):
-    """``sum_j w_j Re(e^{-i theta_j k} - 1)`` for ``k = 0, stride, ...,
-    n * stride``.
+def _spectral_sums(theta, weight, n: int):
+    """``sum_j w_j Re(e^{-i theta_j k} - 1)`` for ``k = 0..n``.
 
     The step ``e^{-i theta} - 1 = -2 sin^2(theta/2) - i sin(theta)`` is
     formed without rounding it against the 1 and raised elementwise by
@@ -762,12 +737,12 @@ def _spectral_sums(theta, weight, n: int, stride: int):
     half = np.sin(0.5 * theta)
     step = -2.0 * half * half - 1j * np.sin(theta)
     # the J x K layout of the sums, read off the powers of no modes
-    heads, tails = _blocked_powers(theta[:0], n, 1, np.multiply)
+    heads, tails = _blocked_powers(theta[:0], n, np.multiply)
     out = np.zeros((len(tails), len(heads)))
     width = max(1, _CHUNK // len(tails))
     for lo in range(0, theta.size, width):
         w = weight[lo:lo + width]
-        heads, tails = _blocked_powers(step[lo:lo + width], n, stride, np.multiply)
+        heads, tails = _blocked_powers(step[lo:lo + width], n, np.multiply)
         np.conjugate(heads, out=heads)
         tails *= w
         out += tails.view(float) @ heads.view(float).T

@@ -19,8 +19,10 @@ from zeno_ent import (
     ScenarioConfig,
     ScenarioResult,
     SolverConfig,
+    TimeSeries,
     amplitudes_at,
     aux_ode_propagator,
+    bath_propagator,
     closed_form_series,
     concurrence_closed,
     find_optimum,
@@ -227,12 +229,18 @@ class TestTimeEvolution:
 
     def test_long_interval_read_off_in_one_strided_step(self, tmp_path):
         # 990000 Volterra steps in the one output interval: the curve is
-        # evaluated on the output grid only, and matches the endpoint of the
-        # stride-1 run
+        # read on the output grid only, within 1 MB traced where the grid's
+        # times alone would be 8 MB, and is the endpoint of the whole run
         out = tmp_path / "long.csv"
-        code = main(["time-evolution", "--solver", "volterra", "--tau-steps", "2",
-                     "--tau-max", "99", "--out", str(out)])
+        tracemalloc.start()
+        try:
+            code = main(["time-evolution", "--solver", "volterra", "--tau-steps", "2",
+                         "--tau-max", "99", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 0
+        assert peak < 1e6
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
@@ -247,7 +255,41 @@ class TestTimeEvolution:
                 ref = run(InitialState.from_separability(s, cfg.phi))
                 assert ref.tau.size == 990001
                 got = end[header.index(f"C[r1={r1!r};s={s!r}]")]
-                assert got == pytest.approx(ref.concurrence()[-1], abs=1e-13)
+                assert got == ref.concurrence()[-1]
+
+    @pytest.mark.parametrize("solver", ["volterra", "ode", "bath"])
+    @pytest.mark.parametrize("big_r", [0.5, 10.0])
+    def test_curve_is_the_map_read_at_the_output_points(self, solver, big_r):
+        # Volterra and the ODE: the every-step map of k steps per output
+        # interval, read on every k-th point; the bath, whose step only
+        # spaces its output: its map at the output spacing.  Bit for bit
+        cfg = ScenarioConfig(scenario="time-evolution", solver=solver, big_r=big_r,
+                             r1=(0.87, 0.3), s=(1.0, 0.0, -0.4), phi=0.7)
+        table = run_time_evolution(cfg)
+        tau = table.data[0]
+        dtau = tau[1] - tau[0]
+        columns = iter(table.data[1:])
+        for r1 in cfg.r1_axis():
+            res, coup = resonant_system(big_r, r1)
+            if solver == "bath":
+                k = 1
+                pair_map = bath_propagator(res, coup, SolverConfig(dt=dtau, t_max=cfg.tau_max))
+            else:
+                k = scenarios._substeps(float(dtau), getattr(cfg, f"dt_{solver}"),
+                                        step_limit(res, coup, solver))
+                assert k > 1
+                pair_map = scenarios._propagator(cfg, solver, res, coup, dtau / k)
+            assert pair_map.size == k * (tau.size - 1) + 1
+            for s in cfg.s_axis():
+                full = pair_map(InitialState.from_separability(s, cfg.phi))
+                # the every-step amplitudes at the output points, bit for
+                # bit.  numpy forms c1 * conj(c2) as conj(c2) * c1 in place
+                # once the temporary reaches 256 KiB, and its complex product
+                # does not commute bit for bit, so the concurrence is formed
+                # on arrays of the curve's length
+                thin = TimeSeries(tau=tau, c1=full.c1[::k].copy(), c2=full.c2[::k].copy())
+                assert np.array_equal(next(columns), thin.concurrence())
+        assert next(columns, None) is None
 
     def test_bath_past_recurrence_at_r40_refused(self, capsys):
         # the finer step would run, but the comb widened to +-800 linewidths
@@ -504,7 +546,8 @@ class TestSolverXcheck:
                             tol = scenarios.XCHECK_TOLERANCES[b]
                         else:
                             sa = series[a]
-                            ia, ib = scenarios._shared_points(sa, sb)
+                            ia, ib = scenarios._shared_points(
+                                maps[a].dt, maps[a].size, maps[b].dt, maps[b].size)
                             tol = (scenarios.XCHECK_TOLERANCES[a]
                                    + scenarios.XCHECK_TOLERANCES[b])
                         err = max(float(np.max(np.abs(sa.c1[ia] - sb.c1[ib]))),
@@ -568,7 +611,7 @@ class TestSolverXcheck:
                     gap += mb.p
                     npts, tol = mb.tau.size, scenarios.XCHECK_TOLERANCES[b]
                 else:
-                    ia, ib = scenarios._shared_points(maps[a], mb)
+                    ia, ib = scenarios._shared_points(maps[a].dt, maps[a].size, mb.dt, mb.size)
                     gap = maps[a].p[:, :, ia] - mb.p[:, :, ib]
                     npts = maps[a].tau[ia].size
                     tol = scenarios.XCHECK_TOLERANCES[a] + scenarios.XCHECK_TOLERANCES[b]
@@ -613,9 +656,9 @@ class TestSolverXcheck:
         real = scenarios._propagator
         spike = []
 
-        def flat(cfg, name, res, coup, dt, stride=1):
-            pair_map = real(cfg, name, res, coup, dt, stride)
-            sigma = np.zeros(pair_map.tau.size)
+        def flat(cfg, name, res, coup, dt):
+            pair_map = real(cfg, name, res, coup, dt)
+            sigma = np.zeros(pair_map.size)
             if name == solver:
                 sigma[spike[0] * (10 if name == "volterra" else 1)] = 1.0
             return dataclasses.replace(pair_map, sigma=sigma, factors=None)
@@ -633,12 +676,13 @@ class TestSolverXcheck:
             assert row[5] == want, point
 
     @pytest.mark.parametrize("r1, tau_max, include_bath, bound_mb", [
-        ((0.6,), 10.0, True, 5.5), ((0.6,), 100.0, False, 24.0), ((), 10.0, True, 6.5)],
-        ids=["10.0-True-5.5", "100.0-False-24.0", "five-r1"])
+        ((0.6,), 10.0, True, 5.5), ((0.6,), 100.0, False, 4.0), ((), 10.0, True, 6.5)],
+        ids=["10.0-True-5.5", "100.0-False-4.0", "five-r1"])
     def test_traced_peak_does_not_grow_with_the_steps(self, r1, tau_max, include_bath,
                                                       bound_mb):
-        # at R = 10 the walks hold blocks of each grid, not any whole map;
-        # what is left is the grids' times and the maps' powers and sums
+        # at R = 10 the walks hold blocks of each grid, not any whole map or
+        # grid of times; what is left is the maps' powers and the bath's
+        # sums: at 10**6 Volterra steps a grid held whole would be 8 MB
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=r1,
                              tau_max=tau_max, include_bath=include_bath)
         run_solver_xcheck(cfg)
@@ -649,6 +693,33 @@ class TestSolverXcheck:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6
+
+    def test_nan_in_a_series_fails_its_rows(self, monkeypatch, capsys):
+        # one NaN in the ODE's series: every row that reads the ODE is NaN and
+        # fails, the others pass, and the command line exits 3 naming them
+        real = scenarios._propagator
+
+        def poisoned(cfg, name, res, coup, dt):
+            pair_map = real(cfg, name, res, coup, dt)
+            if name != "ode":
+                return pair_map
+            sigma = pair_map.rows(0, pair_map.size)
+            sigma[1234] = np.nan
+            return dataclasses.replace(pair_map, sigma=sigma, factors=None)
+
+        monkeypatch.setattr(scenarios, "_propagator", poisoned)
+        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=(0.6,), s=(0.0, 1.0))
+        result = run_solver_xcheck(cfg)
+        assert result.meta["passed"] is False
+        for row in result.rows:
+            if "ode" in row[2:4]:
+                assert math.isnan(row[5]) and row[7] == 0, row
+            else:
+                assert math.isfinite(row[5]) and row[7] == 1, row
+        assert main(["solver-xcheck", "--big-r", "10", "--r1", "0.6", "--s", "0,1"]) == 3
+        err = capsys.readouterr().err
+        assert "closed vs ode at r1 = 0.6, s = 0.0: max_abs_err nan exceeds tolerance" in err
+        assert "6 solver cross-check row(s) exceeded tolerance" in err
 
     def test_incommensurate_steps_rejected(self):
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5,
@@ -1331,3 +1402,31 @@ class TestGoldens:
         out = tmp_path / f"{kind}.{fmt}"
         assert main(self.TABLES[kind] + ["--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden
+
+
+class TestXcheckDigests:
+    """``solver-xcheck`` CSV bytes at three couplings, pinned by sha256.
+
+    Each table is written by a child at one BLAS thread: the bath's sums
+    are one large BLAS product, whose rounding may change with the thread
+    count (at R = 0.5 it does, on a 2-core host).  A change to how any
+    solver is built or read that moves one bit of a cell shows here."""
+
+    DIGESTS = {
+        "0.1": "fc818afd7c94bd96ee4681e7ac1c2727eab27d43c56f10856a50834e69012695",
+        "0.5": "ef3b935fd71d6834fa8140ceebb63daf8b9107382d85bb3c0ee3780c0a481e5f",
+        "10": "9d70394cd5210cce550ae1691b070bba60578de2b9dfe662b67ffe33f14f8523",
+    }
+
+    @pytest.mark.parametrize("big_r", sorted(DIGESTS))
+    def test_csv_matches_digest(self, tmp_path, big_r):
+        root = os.path.dirname(os.path.dirname(scenarios.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "xcheck.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "zeno_ent.cli", "solver-xcheck", "--big-r", big_r,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[big_r]
