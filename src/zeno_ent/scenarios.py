@@ -83,8 +83,9 @@ _SQRT_HALF = math.sqrt(0.5)
 _TAU_BLOCK = 4096
 # points per block of each solver grid in solver-xcheck: at R = 10 the
 # traced peak, 2.5 MB for one r1 and 2.6 MB for the default five, is the
-# bath's run up to blocks of 2**15 points; at 10**6 Volterra steps without
-# the bath it is 1.9 MB in blocks of 2**14, 3.8 MB of 2**15, 6.9 MB of 2**16
+# bath's run up to blocks of 2**15 points (2.7 and 3.0 MB in blocks of
+# 2**16); at 10**6 Volterra steps without the bath it is 1.9 MB in blocks
+# of 2**14, 3.8 MB of 2**15, 6.9 MB of 2**16
 _XCHECK_BLOCK = 1 << 14
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
@@ -172,8 +173,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a list of numbers, "
                                  f"got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(_to_float(name, v) for v in values))
-        if not (math.isfinite(self.big_r) and self.big_r > 0.0):
-            raise ValueError(f"big_r must be positive, got {self.big_r!r}")
+        for name in ("big_r", "tau_max", "dt_volterra", "dt_ode", "dt_bath"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be positive, got {v!r}")
         for v in self.r1:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"r1 values must lie in [0, 1], got {v!r}")
@@ -182,18 +185,12 @@ class ScenarioConfig:
                 raise ValueError(f"s values must lie in [-1, 1], got {v!r}")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        if not (math.isfinite(self.tau_max) and self.tau_max > 0.0):
-            raise ValueError(f"tau_max must be positive, got {self.tau_max!r}")
         if not 2 <= self.tau_steps <= MAX_SOLVER_STEPS + 1:
             raise ValueError(f"tau_steps must be between 2 and {MAX_SOLVER_STEPS + 1}, "
                              f"got {self.tau_steps!r}")
         for v in self.meas_intervals:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"measurement intervals must be positive, got {v!r}")
-        for name in ("dt_volterra", "dt_ode", "dt_bath"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive, got {v!r}")
         _check_comb(self.n_modes, self.freq_window)
 
     def r1_axis(self) -> tuple[float, ...]:
@@ -444,22 +441,20 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     A solver runs once per distinct ``(|a|^2, alpha_t)``, the floats of
     the coupling its arithmetic, step check and comb read, and every r1
     of that key shares the run and its maxima.  Each pair is formed on the
-    grid of its coarse side: the numeric solver of a closed pair, the
-    solver with the larger step of a numeric one.  Each grid, one per step
-    and in solver order, is walked once in blocks of whole tail rows of its
-    solvers' series (:meth:`~zeno_ent.solvers.PairMap.rows`), about
-    ``_XCHECK_BLOCK`` points each; a numeric pair's fine side is read on
-    the shared points of the block alone, once for every pair that needs
-    it.  No series or grid of times is built whole: a block's times come
-    from :meth:`~zeno_ent.solvers.PairMap.times`.  ``E`` reads the coupling
-    only through ``alpha_t``, so ``E - 1`` is evaluated on a block once per
-    distinct ``alpha_t`` and serves every key that has it.
+    grid of its coarse side, its home: the numeric solver of a closed
+    pair, the solver with the larger step of a numeric one.  Each grid, one
+    per step and in solver order, is walked once in blocks of whole tail
+    rows of its solvers' series, about ``_XCHECK_BLOCK`` points each, and
+    on each block every pair at home there reads both its sides straight
+    off :meth:`~zeno_ent.solvers.PairMap.rows`, on the block's shared
+    points alone.  No series or grid of times is built whole: a block's
+    times come from :meth:`~zeno_ent.solvers.PairMap.times`.  ``E`` reads
+    the coupling only through ``alpha_t``, so ``E - 1`` is evaluated on a
+    block once per distinct ``alpha_t`` and serves every key that has it.
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
                "tolerance", "passed"]
-    pairs = [("closed", name) for name in solvers]
-    pairs += [(a, b) for i, a in enumerate(solvers) for b in solvers[i + 1:]]
     s_axis = cfg.s_axis()
     x = np.array([[init.c01, init.c02] for init in (_init_state(cfg, s) for s in s_axis)])
     dt = {name: getattr(cfg, f"dt_{name}") for name in solvers}
@@ -473,26 +468,31 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
             runs[key] = (res, coup, maps)
     # a solver's grid is the same for every key
     grids = next(iter(runs.values()))[2]
-    shared = {(a, b): _shared_points(grids[a].dt, grids[a].size, grids[b].dt, grids[b].size)
-              for a, b in pairs if a != "closed"}
-    npts = [grids[b].size if a == "closed" else len(range(grids[a].size)[shared[a, b][0]])
-            for a, b in pairs]
-    home = [b if a == "closed" or dt[b] >= dt[a] else a for a, b in pairs]
-    # a grid is fixed by its step and tau_max: solvers of one step share a walk
-    walks = {}
-    for name in solvers:
-        walks.setdefault(dt[name], []).append(name)
+    # per pair: its sides, the solver whose grid it is walked on, the other
+    # numeric side (None for the closed form) and the stride onto its grid,
+    # the shared-point count and the tolerance
+    table = []
+    for i, a in enumerate(["closed"] + solvers):
+        for b in solvers[i:]:
+            if a == "closed":
+                table.append((a, b, b, None, 1, grids[b].size, XCHECK_TOLERANCES[b]))
+                continue
+            home, fine = (b, a) if dt[b] >= dt[a] else (a, b)
+            on_home, on_fine = _shared_points(grids[home].dt, grids[home].size,
+                                              grids[fine].dt, grids[fine].size)
+            table.append((a, b, home, fine, on_fine.step or 1, on_home.stop,
+                          XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b]))
     # per key and pair, max_t |Delta|; np.maximum keeps a NaN
-    peaks = {key: np.zeros(len(pairs)) for key in runs}
+    peaks = {key: np.zeros(len(table)) for key in runs}
     groups = {}
     for key in runs:
         groups.setdefault(key[1], []).append(key)
 
-    for names in walks.values():
-        grid = grids[names[0]]
+    # a grid is fixed by its step and tau_max: solvers of one step share a walk
+    for step in dict.fromkeys(dt.values()):
+        grid = grids[next(name for name in solvers if dt[name] == step)]
         row = math.isqrt(grid.size)
         width = max(_XCHECK_BLOCK // row, 2) * row
-        here = [k for k, name in enumerate(home) if name in names]
         for lo in range(0, grid.size, width):
             hi = min(lo + width, grid.size)
             tau = grid.times(lo, hi)
@@ -500,45 +500,33 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                 e = survival_amplitude(*runs[members[0]][:2], tau) - 1.0
                 for key in members:
                     asq, maps, peak = key[0], runs[key][2], peaks[key]
-                    # each series read on this block, by name and stride
-                    on = {(name, 1): maps[name].rows(lo, hi) for name in names}
-                    for k in here:
-                        a, b = pairs[k]
-                        if a == "closed":
-                            delta = asq * on[b, 1]
+                    for k, (_, _, home, fine, stride, n, _) in enumerate(table):
+                        # the shared points of the block: m on the home
+                        # grid is m * stride on the fine one
+                        end = min(hi, n)
+                        if dt[home] != step or end <= lo:
+                            continue
+                        if fine is None:
+                            delta = asq * maps[home].rows(lo, end)
                             delta -= e
                             scale = 1.0
                         else:
-                            # the shared point m is m * stride on the fine
-                            # grid, m on the coarse one
-                            fine = a if home[k] == b else b
-                            points = shared[a, b][fine == b]
-                            stride = points.step or 1
-                            m = min(hi * stride, points.stop) // stride - lo
-                            if m <= 0:
-                                continue
-                            if (fine, stride) not in on:
-                                on[fine, stride] = maps[fine].rows(
-                                    lo * stride, min(hi * stride, grids[fine].size), stride)
-                            delta = on[home[k], 1][:m] - on[fine, stride][:m]
+                            delta = maps[home].rows(lo, end) - maps[fine].rows(
+                                lo * stride, end * stride, stride)
                             scale = asq
                         np.abs(delta, out=delta)
                         peak[k] = np.maximum(peak[k], scale * delta.max())
 
     rows = []
-    all_ok = True
     for r1, (coup, key) in zip(cfg.r1_axis(), couplings):
         reach = max(abs(coup.r1), abs(coup.r2)) * np.abs(coup.r1 * x[:, 0] + coup.r2 * x[:, 1])
         for j, s in enumerate(s_axis):
-            for k, (a, b) in enumerate(pairs):
-                err = float(reach[j] * peaks[key][k])
-                tol = XCHECK_TOLERANCES[b] if a == "closed" else (
-                    XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b])
-                ok = err <= tol
-                all_ok = all_ok and ok
-                rows.append([r1, s, a, b, npts[k], err, tol, int(ok)])
+            for (a, b, _, _, _, n, tol), top in zip(table, peaks[key]):
+                err = float(reach[j] * top)
+                rows.append([r1, s, a, b, n, err, tol, int(err <= tol)])
     return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
-                          meta={"passed": all_ok, "tolerances": dict(XCHECK_TOLERANCES)},
+                          meta={"passed": all(row[-1] for row in rows),
+                                "tolerances": dict(XCHECK_TOLERANCES)},
                           config=cfg)
 
 

@@ -57,7 +57,6 @@ when one coupling vanishes; the tests drive them against the closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -143,15 +142,13 @@ class PairMap:
     is real, since the qubits sit on resonance of a symmetric Lorentzian.
     Called on an :class:`~zeno_ent.model.InitialState`, the map gives that
     state's :class:`~zeno_ent.model.TimeSeries` on every ``step``-th point
-    of its grid, with ``meta`` in its ``meta``; ``p``, shape ``(2, 2,
-    size)``, is ``a a^T sigma``.
+    of its grid, with ``meta`` in its ``meta``.
 
     The grid is the ``size`` points ``i dt`` from 0, held as those two
-    numbers: :meth:`times` forms the times asked for, and ``tau`` all of
-    them.  The bath holds ``sigma`` whole.  A numeric solver holds the
-    head and tail vectors of its blocked powers (``factors``, see
-    :func:`_bright_propagator`), and :meth:`rows` builds ``sigma`` on the
-    points it is asked for alone.
+    numbers: :meth:`times` forms the times asked for.  The bath holds
+    ``sigma`` whole.  A numeric solver holds the head and tail vectors of
+    its blocked powers (``factors``, see :func:`_bright_propagator`), and
+    :meth:`rows` builds ``sigma`` on the points it is asked for alone.
 
     The comb's evolution is unitary, so its modes hold what the pair lost,
     and the bath's series carries the total excitation ``norm_total =
@@ -165,16 +162,6 @@ class PairMap:
     drive: tuple[float, float]
     sigma: np.ndarray | None = None
     factors: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.times(0, self.size)
-
-    @functools.cached_property
-    def p(self) -> np.ndarray:
-        a1, a2 = self.drive
-        aa = np.array([[a1 * a1, a1 * a2], [a2 * a1, a2 * a2]])
-        return aa[:, :, None] * self.rows(0, self.size)
 
     def times(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
         """The grid's times at the points ``lo, lo + step, ...`` below
@@ -251,9 +238,14 @@ def _comb_window(res: ReservoirSpec, coup: CouplingSpec, freq_window: float) -> 
 def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
                          freq_window: float) -> float:
     """Recurrence time ``2*pi/dω`` of the bath comb; past it the comb's
-    discrete spectrum sends the emitted excitation back to the qubits."""
+    discrete spectrum sends the emitted excitation back to the qubits.  A
+    window whose spacing ``dω`` rounds to 0 or overflows is refused."""
     n_modes = _check_comb(n_modes, freq_window)
     dw = 2.0 * _comb_window(res, coup, freq_window) * res.lam / n_modes
+    if not (math.isfinite(dw) and dw > 0.0):
+        raise ValueError(f"freq_window = {freq_window!r} gives the bath comb a mode spacing "
+                         f"of {dw!r} at double precision; pick a window near the default "
+                         f"{SolverConfig.freq_window!r}")
     return 2.0 * math.pi / dw
 
 
@@ -437,7 +429,8 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     ``2*pi/dω`` is refused: there the discrete spectrum sends the emitted
     excitation back to the qubits.  So is a coupling too weak to
     represent, ``R`` below about ``1e-151`` for the default comb, where
-    the squared mode couplings underflow.
+    the squared mode couplings underflow, and a comb too narrow for double
+    precision, ``freq_window = 1e-80`` say, whose secular solve overflows.
 
     The generator reads the pair ``x`` only through ``u = a.x`` and moves
     it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
@@ -488,7 +481,15 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"big_r = {coup.alpha_t * res.w / res.lam!r} is too weak a coupling for the "
             f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and underflow; "
             "the pair does not move at double precision there, so use the closed form")
-    lam, weight = _folded_spectrum(offsets[lower:], b)
+    # a comb too narrow for double precision overflows its secular solve
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lam, weight = _folded_spectrum(offsets[lower:], b)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"freq_window = {cfg.freq_window!r} is too narrow a bath comb for double "
+            f"precision: its spectrum does not resolve ({exc}); pick a window near "
+            f"the default {SolverConfig.freq_window!r}") from None
     # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(e^{-i lam_j t} - 1)
     sigma = (2.0 / asq) * _spectral_sums(cfg.dt * lam, weight, n)
 

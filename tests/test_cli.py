@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -39,9 +40,29 @@ from zeno_ent import (
 from zeno_ent import scenarios, search
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
-from zeno_ent.solvers import _bright_weight, step_limit
+from zeno_ent.solvers import SOLVER_NAMES, _bright_weight, step_limit
 
 SQRT_HALF = math.sqrt(0.5)
+
+# solver-xcheck configs that take the walk off its default path
+WALK_CASES = {
+    # several blocks of the Volterra grid, the last one partial, and
+    # complex states beside the real one at s = -1
+    "blocks-complex": dict(big_r=10.0, r1=(0.0, 0.6, SQRT_HALF), phi=0.7),
+    "complex-phi2": dict(big_r=0.5, r1=(0.3, 0.87, 1.0), s=(-1.0, -0.2, 0.3, 1.0), phi=2.0),
+    "partial-grid": dict(big_r=24.0, r1=(0.87,), tau_max=3.7),
+    # the ODE grid finer than Volterra's, so the walk is over the ODE's
+    "ode-finest": dict(big_r=10.0, r1=(0.6,), dt_ode=5e-5),
+    # grids that end apart (10 / 7e-4 rounds up), without the bath
+    "ends-apart": dict(big_r=10.0, r1=(0.87, 0.3), dt_ode=7e-4, include_bath=False),
+    # a bath grid finer than Volterra's, so the walk reads the comb's map
+    "bath-finest": dict(big_r=0.5, r1=(0.3,), dt_volterra=1e-3, dt_ode=1e-4, dt_bath=5e-5,
+                        tau_max=2.0),
+    # the ODE's grid of 30001 points walked in two blocks of its own
+    "coarse-blocks": dict(big_r=10.0, r1=(0.6,), tau_max=30.0, include_bath=False),
+    # Volterra and the ODE share a step, and one walk; two r1 of one alpha_t
+    "shared-step": dict(big_r=10.0, r1=(0.3, 0.87), dt_ode=1e-4),
+}
 
 
 class TestScenarioConfig:
@@ -601,19 +622,23 @@ class TestSolverXcheck:
             res, coup = resonant_system(cfg.big_r, r1)
             maps = {name: scenarios._propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
                     for name in names}
+            # each whole map P = a a^T sigma, shape (2, 2, size)
+            p = {name: np.multiply.outer(np.outer(m.drive, m.drive), m.rows(0, m.size))
+                 for name, m in maps.items()}
             rr = np.outer([coup.r1, coup.r2], [coup.r1, coup.r2])
             cells = []
             for a, b in pairs:
                 mb = maps[b]
                 if a == "closed":
-                    gap = np.multiply.outer(-rr, scenarios.survival_amplitude(res, coup, mb.tau)
+                    tau = mb.times(0, mb.size)
+                    gap = np.multiply.outer(-rr, scenarios.survival_amplitude(res, coup, tau)
                                             - 1.0)
-                    gap += mb.p
-                    npts, tol = mb.tau.size, scenarios.XCHECK_TOLERANCES[b]
+                    gap += p[b]
+                    npts, tol = tau.size, scenarios.XCHECK_TOLERANCES[b]
                 else:
                     ia, ib = scenarios._shared_points(maps[a].dt, maps[a].size, mb.dt, mb.size)
-                    gap = maps[a].p[:, :, ia] - mb.p[:, :, ib]
-                    npts = maps[a].tau[ia].size
+                    gap = p[a][:, :, ia] - p[b][:, :, ib]
+                    npts = gap.shape[2]
                     tol = scenarios.XCHECK_TOLERANCES[a] + scenarios.XCHECK_TOLERANCES[b]
                 cells.append((a, b, npts, [max_pair_gap(gap, x) for x in states], tol))
             for i, s in enumerate(cfg.s_axis()):
@@ -621,24 +646,7 @@ class TestSolverXcheck:
                     rows.append([r1, s, a, b, npts, errs[i], tol, int(errs[i] <= tol)])
         return rows
 
-    @pytest.mark.parametrize("case", [
-        # several blocks of the Volterra grid, the last one partial, and
-        # complex states beside the real one at s = -1
-        dict(big_r=10.0, r1=(0.0, 0.6, SQRT_HALF), phi=0.7),
-        dict(big_r=0.5, r1=(0.3, 0.87, 1.0), s=(-1.0, -0.2, 0.3, 1.0), phi=2.0),
-        dict(big_r=24.0, r1=(0.87,), tau_max=3.7),
-        # the ODE grid finer than Volterra's, so the walk is over the ODE's
-        dict(big_r=10.0, r1=(0.6,), dt_ode=5e-5),
-        # grids that end apart (10 / 7e-4 rounds up), without the bath
-        dict(big_r=10.0, r1=(0.87, 0.3), dt_ode=7e-4, include_bath=False),
-        # a bath grid finer than Volterra's, so the walk reads the comb's map
-        dict(big_r=0.5, r1=(0.3,), dt_volterra=1e-3, dt_ode=1e-4, dt_bath=5e-5, tau_max=2.0),
-        # the ODE's grid of 30001 points walked in two blocks of its own
-        dict(big_r=10.0, r1=(0.6,), tau_max=30.0, include_bath=False),
-        # Volterra and the ODE share a step, and one walk; two r1 of one alpha_t
-        dict(big_r=10.0, r1=(0.3, 0.87), dt_ode=1e-4),
-    ], ids=["blocks-complex", "complex-phi2", "partial-grid", "ode-finest",
-            "ends-apart", "bath-finest", "coarse-blocks", "shared-step"])
+    @pytest.mark.parametrize("case", list(WALK_CASES.values()), ids=list(WALK_CASES))
     def test_rows_match_whole_maps_bit_for_bit(self, case):
         # the rows of the whole maps, each state's |gap x| folded point by
         # point, held to 1e-14 (they matched bit for bit while the table
@@ -743,7 +751,7 @@ class TestSolverXcheck:
         init = InitialState.from_separability(0.0)
         mv = volterra_propagator(res, coup, SolverConfig(dt=1e-4, t_max=10.0))
         mo = aux_ode_propagator(res, coup, SolverConfig(dt=7e-4, t_max=10.0))
-        assert mo.tau.size == 14287
+        assert mo.size == 14287
         n = 14286
         # the table reads the gap off the two series on the shared points:
         # max(r1, r2) |r.x| |a|^2 max |sigma_v - sigma_o| for the real pair x
@@ -755,7 +763,9 @@ class TestSolverXcheck:
         assert row[4] == n
         assert row[5] == max(coup.r1, coup.r2) * abs(coup.r1 * x1 + coup.r2 * x2) * peak
         # and it is |D x| of the two maps, up to rounding
-        d = mv.p[..., ::7][..., :n] - mo.p[..., :n]
+        aa = np.outer(mv.drive, mv.drive)
+        d = np.multiply.outer(aa, mv.rows(0, mv.size))[..., ::7][..., :n]
+        d -= np.multiply.outer(aa, mo.rows(0, n))
         gap = max(float(np.max(np.abs(d[i, 0] * x1 + d[i, 1] * x2))) for i in range(2))
         assert row[5] == pytest.approx(gap, rel=0, abs=1e-15)
         # and it is the gap of the two series, up to their rounding
@@ -1216,6 +1226,20 @@ class TestCliMain:
         missing = tmp_path / "ghost.json"
         assert main(["time-evolution", "--config", str(missing)]) == 2
 
+    @pytest.mark.parametrize("window", [5e-324, 1e-80, 1e-300])
+    @pytest.mark.parametrize("scenario", [["time-evolution", "--solver", "bath"],
+                                          ["solver-xcheck"]], ids=["evolve-bath", "xcheck"])
+    def test_comb_window_past_double_precision_exits_2(self, tmp_path, capsys, scenario,
+                                                       window):
+        # 5e-324 raised ZeroDivisionError; 1e-80 and 1e-300 wrote nan tables
+        # with numpy overflow warnings, time-evolution with exit 0
+        cfg, out = tmp_path / "c.json", tmp_path / "t.csv"
+        cfg.write_text(json.dumps({"freq_window": window}))
+        assert main(scenario + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"freq_window = {window!r} " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", [
         pytest.param({"big_r": "abc"}, id="big_r-string"),
         pytest.param({"phi": None}, id="phi-null"),
@@ -1384,6 +1408,43 @@ GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "perfbench", "goldens.json")
 
 
+class TestConfigRobustness:
+    """Every scenario driven through ``main`` on tiny grids, one real key
+    at an extreme or edge value at a time."""
+
+    BASE = {"r1": [0.87], "s": [0.0], "tau_max": 0.01, "tau_steps": 3, "n_modes": 16,
+            "meas_intervals": [0.005]}
+    RUNS = {"surface": ["stationary-surface"], "evolution": ["time-evolution"],
+            **{f"evolution-{name}": ["time-evolution", "--solver", name]
+               for name in SOLVER_NAMES},
+            "zeno": ["zeno-compare"], "xcheck": ["solver-xcheck"]}
+    # the smallest subnormal, the largest double and 0 are the edges of
+    # every positive key; phi, r1 and s have edges of their own
+    EXTREMES = (5e-324, 1e-300, 1e300, sys.float_info.max, 0.0)
+    EDGES = {"phi": (-sys.float_info.max,), "r1": (0.0, 1.0), "s": (-1.0, 1.0)}
+    LIST_KEYS = ("r1", "s", "meas_intervals")
+
+    def test_extreme_values_exit_cleanly(self, tmp_path, capsys):
+        # each run exits 0, 2 or 3, a refusal names a configuration error,
+        # nothing escapes (a numpy warning is an error here) and no written
+        # table holds a NaN
+        config, out = tmp_path / "c.json", tmp_path / "t.csv"
+        start = time.perf_counter()
+        for name, argv in self.RUNS.items():
+            for key in scenarios._REAL_KEYS + self.LIST_KEYS:
+                for v in self.EXTREMES + self.EDGES.get(key, ()):
+                    config.write_text(json.dumps(
+                        dict(self.BASE, **{key: [v] if key in self.LIST_KEYS else v})))
+                    out.unlink(missing_ok=True)
+                    code = main(argv + ["--config", str(config), "--out", str(out)])
+                    err = capsys.readouterr().err
+                    case = (name, key, v, code, err)
+                    assert code in (0, 2, 3), case
+                    assert code != 2 or "configuration error" in err, case
+                    assert not out.exists() or "nan" not in out.read_text(), case
+        assert time.perf_counter() - start < 5.0
+
+
 class TestGoldens:
     """Closed-form tables against the sha256 digests kept with the benchmark."""
 
@@ -1405,7 +1466,9 @@ class TestGoldens:
 
 
 class TestXcheckDigests:
-    """``solver-xcheck`` CSV bytes at three couplings, pinned by sha256.
+    """``solver-xcheck`` CSV bytes, pinned by sha256: at three couplings,
+    and on every config of :data:`WALK_CASES` and at ``R = 7``, whose
+    default r1 have two ``alpha_t``.
 
     Each table is written by a child at one BLAS thread: the bath's sums
     are one large BLAS product, whose rounding may change with the thread
@@ -1417,16 +1480,37 @@ class TestXcheckDigests:
         "0.5": "ef3b935fd71d6834fa8140ceebb63daf8b9107382d85bb3c0ee3780c0a481e5f",
         "10": "9d70394cd5210cce550ae1691b070bba60578de2b9dfe662b67ffe33f14f8523",
     }
+    CONFIG_DIGESTS = {
+        "blocks-complex": "e2e77cf8c71799b1302cce897937223b09aa1663b6e908076ec069087e49a600",
+        "complex-phi2": "0025994f21e2a59385b990c26f38ecb91d925f1b4fd7b7a3d53712e0af59d26c",
+        "partial-grid": "bdf1e942cab440b278cb6d854e3f8a6d45c6e229262d5d69c1ad47abc7415db0",
+        "ode-finest": "b0c0731de98fd529385c4fe981fa29b4644d7c9aa30b1b0165c6f87ac8fd116e",
+        "ends-apart": "0deb00250cec6d885b0187e54c1c58f49c4fcaee2a75cb91d732813597bffe62",
+        "bath-finest": "fdfc617c44a1312f5866810eb6b249bd4b80edd0bcc28f8f92d40587ae7c3b26",
+        "coarse-blocks": "8efafbc297acd78b52f8e50edc9e05719e469aaf60b0bf04e338029e9c4289be",
+        "shared-step": "b8d271e33055748d24e6e4f4b0a7ee0937821690d49f92c5e07f10554c905fd4",
+        "seven": "22e63d2ae7aabd0c1f7dceb235ad59863b7d818f180fe3e9cb23a4cee05281d5",
+    }
 
-    @pytest.mark.parametrize("big_r", sorted(DIGESTS))
-    def test_csv_matches_digest(self, tmp_path, big_r):
+    @staticmethod
+    def digest(tmp_path, args):
+        """sha256 of the CSV that a child writes for ``solver-xcheck args``."""
         root = os.path.dirname(os.path.dirname(scenarios.__file__))
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "xcheck.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "zeno_ent.cli", "solver-xcheck", "--big-r", big_r,
-             "--out", str(out)],
+            [sys.executable, "-m", "zeno_ent.cli", "solver-xcheck", *args, "--out", str(out)],
             capture_output=True, text=True, timeout=300,
             env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
         assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[big_r]
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("big_r", sorted(DIGESTS))
+    def test_csv_matches_digest(self, tmp_path, big_r):
+        assert self.digest(tmp_path, ["--big-r", big_r]) == self.DIGESTS[big_r]
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_DIGESTS))
+    def test_config_csv_matches_digest(self, tmp_path, case):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(WALK_CASES.get(case, {"big_r": 7.0})))
+        assert self.digest(tmp_path, ["--config", str(config)]) == self.CONFIG_DIGESTS[case]

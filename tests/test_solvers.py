@@ -33,6 +33,13 @@ def max_gap(series, res, coup, init):
                float(np.max(np.abs(series.c2 - ref.c2))))
 
 
+def whole_map(pair_map):
+    """The map ``P = a a^T sigma`` on every point of its grid, shape ``(2,
+    2, size)``, from the whole series ``rows(0, size)``."""
+    a = np.array(pair_map.drive)
+    return np.multiply.outer(np.outer(a, a), pair_map.rows(0, pair_map.size))
+
+
 def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
     return SolverConfig(dt=dt, t_max=t_max, n_modes=n_modes, freq_window=freq_window)
 
@@ -419,11 +426,14 @@ class TestPairMap:
         for propagator, dt in self.RUNS:
             full = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
             assert full.size == round(10.0 / dt) + 1
-            assert full.p.shape == (2, 2, full.size) and full.p.dtype == float
+            assert tuple(full.drive) == tuple(a)
+            p = whole_map(full)
+            assert p.shape == (2, 2, full.size) and p.dtype == float
             for stride in (5, 7, 50):
-                assert np.array_equal(full.times(0, full.size, stride), full.tau[::stride])
+                assert np.array_equal(full.times(0, full.size, stride),
+                                      full.times(0, full.size)[::stride])
                 thin = np.multiply.outer(np.outer(a, a), full.rows(0, full.size, stride))
-                assert np.array_equal(thin, full.p[..., ::stride])
+                assert np.array_equal(thin, p[..., ::stride])
 
     @pytest.mark.parametrize("big_r", [0.5, 10.0])
     def test_state_reads_x_plus_p_x(self, big_r):
@@ -433,25 +443,23 @@ class TestPairMap:
         for propagator, dt in self.RUNS:
             pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=2.0, n_modes=400))
             series = pair_map(init)
-            c = x[:, None] + np.einsum("ijt,j->it", pair_map.p, x)
-            assert np.array_equal(series.tau, pair_map.tau)
+            c = x[:, None] + np.einsum("ijt,j->it", whole_map(pair_map), x)
+            assert np.array_equal(series.tau, pair_map.times(0, pair_map.size))
             assert series.meta["solver"] == pair_map.meta["solver"]
             np.testing.assert_allclose(series.c1, c[0], rtol=0, atol=1e-15)
             np.testing.assert_allclose(series.c2, c[1], rtol=0, atol=1e-15)
         # the comb's map is a a^T sigma, its drive the coupling vector
-        a = np.array([coup.alpha1, coup.alpha2])
-        np.testing.assert_array_equal(pair_map.p, np.multiply.outer(np.outer(a, a),
-                                                                    pair_map.sigma))
+        assert pair_map.drive == (coup.alpha1, coup.alpha2)
+        np.testing.assert_array_equal(pair_map.rows(0, pair_map.size), pair_map.sigma)
 
 
     @pytest.mark.parametrize("big_r", [0.5, 10.0, 24.0])
     def test_range_reads_are_slices_of_the_series(self, big_r):
         # PairMap.rows and PairMap.times on ranges that start and end inside
         # tail rows, and on strided ranges, are bit for bit those slices of
-        # the whole series and grid, and build no whole map
+        # the whole series and grid
         res, coup = resonant_system(big_r, 0.87)
         rng = np.random.default_rng(7)
-        a = np.array([coup.alpha1, coup.alpha2])
         for propagator, dt in self.RUNS:
             pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
             n = pair_map.size
@@ -461,15 +469,13 @@ class TestPairMap:
             whole = pair_map.rows(0, n)
             tau = np.arange(n) * dt
             assert whole.shape == (n,) and whole.dtype == float
-            assert np.array_equal(pair_map.tau, tau)
+            assert np.array_equal(pair_map.times(0, n), tau)
             for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()):
                 assert np.array_equal(pair_map.rows(lo, hi), whole[lo:hi])
                 assert np.array_equal(pair_map.times(lo, hi), tau[lo:hi])
                 for step in (2, 7, k + 1):
                     assert np.array_equal(pair_map.rows(lo, hi, step), whole[lo:hi:step])
                     assert np.array_equal(pair_map.times(lo, hi, step), tau[lo:hi:step])
-            assert "p" not in pair_map.__dict__
-            assert np.array_equal(pair_map.p, np.multiply.outer(np.outer(a, a), whole))
 
 
 def volterra_increment(res, coup, dt):
@@ -833,12 +839,14 @@ class TestDiscretizedBath:
         assert step_limit(res, coup, "bath") == math.inf
         fine = bath_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0))
         coarse = bath_propagator(res, coup, SolverConfig(dt=5e-3, t_max=10.0))
-        assert np.array_equal(coarse.tau, fine.times(0, fine.size, 5))
-        np.testing.assert_allclose(coarse.p, fine.p[..., ::5], rtol=0, atol=2e-14)
+        assert np.array_equal(coarse.times(0, coarse.size), fine.times(0, fine.size, 5))
+        np.testing.assert_allclose(whole_map(coarse), whole_map(fine)[..., ::5],
+                                   rtol=0, atol=2e-14)
         coarsest = bath_propagator(res, coup, SolverConfig(dt=0.5, t_max=10.0))
-        np.testing.assert_allclose(coarsest.tau, fine.times(0, fine.size, 500),
-                                   rtol=1e-15, atol=0)
-        np.testing.assert_allclose(coarsest.p, fine.p[..., ::500], rtol=0, atol=2e-14)
+        np.testing.assert_allclose(coarsest.times(0, coarsest.size),
+                                   fine.times(0, fine.size, 500), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(whole_map(coarsest), whole_map(fine)[..., ::500],
+                                   rtol=0, atol=2e-14)
 
     def test_refuses_horizon_past_recurrence(self):
         res, coup = resonant_system(0.1, 0.5)
@@ -1114,6 +1122,22 @@ class TestCombInputs:
         res, coup = resonant_system(0.5, 0.87)
         with pytest.raises(ValueError, match="n_modes must be|freq_window must be"):
             call(res, coup)
+
+    @pytest.mark.parametrize("window", [5e-324, 1e-300, 1e-80])
+    def test_rejects_window_past_double_precision(self, window):
+        # 5e-324 spaced the modes by 0 and raised ZeroDivisionError; the
+        # narrower windows that still space them overflowed the secular
+        # solve and returned nan with numpy warnings, which fail here
+        res, coup = resonant_system(0.1, 0.87)
+        cfg = SolverConfig(dt=1e-3, t_max=10.0, freq_window=window)
+        with pytest.raises(ValueError, match=f"freq_window = {window!r} "):
+            bath_propagator(res, coup, cfg)
+
+    def test_narrow_window_that_resolves_still_runs(self):
+        res, coup = resonant_system(0.1, 0.87)
+        pair_map = bath_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0,
+                                                           freq_window=1e-60))
+        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
 
     def test_step_limit_rejects_unknown_method(self):
         res, coup = resonant_system(0.5, 0.87)
