@@ -8,10 +8,8 @@ nonselective measurements that freeze the decay (quantum Zeno regime).
 """
 
 from .model import (
-    Amplitudes,
     BellBasis,
     CouplingSpec,
-    DensityMatrix4,
     InitialState,
     RegimeParams,
     ReservoirSpec,
@@ -57,10 +55,8 @@ from .zeno import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amplitudes",
     "BellBasis",
     "CouplingSpec",
-    "DensityMatrix4",
     "InitialState",
     "MeasurementSchedule",
     "OptimumResult",

@@ -19,6 +19,7 @@ import re
 import sys
 
 from .scenarios import (
+    CONFIG_KEYS,
     SCENARIOS,
     SOLVERS,
     ScenarioConfig,
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau-steps", type=int, metavar="N",
                         help="output time samples including endpoints (default: 2001)")
     parser.add_argument("--meas-interval", type=_float_list, metavar="LIST",
-                        dest="meas_interval",
+                        dest="meas_intervals",
                         help="comma list of measurement intervals for zeno-compare")
     return parser
 
@@ -110,20 +111,9 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
             merged = load_config_file(args.config)
         except OSError as exc:
             raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
-    merged["scenario"] = args.scenario
-    overrides = {
-        "solver": args.solver,
-        "big_r": args.big_r,
-        "r1": args.r1,
-        "s": args.s,
-        "phi": args.phi,
-        "tau_max": args.tau_max,
-        "tau_steps": args.tau_steps,
-        "meas_intervals": args.meas_interval,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+    # every option with a config key's dest, the scenario included, overrides it
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in CONFIG_KEYS and value is not None)
     return ScenarioConfig(**merged)
 
 

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Amplitudes",
     "BellBasis",
     "CouplingSpec",
-    "DensityMatrix4",
     "InitialState",
     "RegimeParams",
     "ReservoirSpec",
@@ -303,64 +302,11 @@ class BellBasis:
         return r2 * bm + r1 * e * bp, -r1 * bm + r2 * e * bp
 
 
-@dataclass(frozen=True)
-class Amplitudes:
-    """Qubit-pair amplitudes at one instant; norm may only shrink below 1."""
-
-    c1: complex
-    c2: complex
-    t: float
-
-    def __post_init__(self):
-        for name in ("c1", "c2"):
-            object.__setattr__(self, name, _to_amplitude(name, getattr(self, name)))
-        _require_finite("t", self.t)
-        if self.t < 0.0:
-            raise ValueError(f"t must be non-negative, got {self.t!r}")
-        if self.norm_sq > 1.0 + _AMPLITUDE_NORM_SLACK:
-            raise ValueError(f"|c1|^2 + |c2|^2 = {self.norm_sq!r} exceeds 1")
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix4:
-    """Two-qubit density matrix in the product basis |11>, |10>, |01>, |00>.
-
-    Valid instances carry at most one excitation: the |11> row and column
-    vanish, as do the coherences between the one-excitation block and |00>.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("matrix must be Hermitian within 1e-12")
-        tr = m.trace().real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1 within 1e-10, got {tr!r}")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("matrix must be positive semidefinite within 1e-10")
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1:3, 1:3] = True
-        mask[3, 3] = True
-        if np.max(np.abs(m[~mask])) > 1e-12:
-            raise ValueError("entries outside the one-excitation block and the "
-                             "ground population must vanish")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
 @dataclass(eq=False)
 class TimeSeries:
-    """Uniformly sampled pair amplitudes with optional solver metadata."""
+    """Pair amplitudes ``c1``, ``c2`` at the times ``tau``, with optional
+    solver metadata: arrays over a uniform grid, or scalars at one time
+    (:func:`amplitudes_at`)."""
 
     tau: np.ndarray
     c1: np.ndarray
@@ -466,41 +412,61 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
         e = np.exp(xp * t) * (0.5 * (1.0 + np.exp(-om * t)) - ratio * np.expm1(-om * t))
     elif reg.omega_sq <= -eps:
         w = math.sqrt(-reg.omega_sq)
-        half = 0.5 * w * t
+        half = 0.5 * w * _capped_time(t, 0.5 * w)
         e = np.exp(-0.5 * lam * t) * (np.cos(half) + (lam / w) * np.sin(half))
     else:
+        t = _capped_time(t, 0.5 * lam)
         e = np.exp(-0.5 * lam * t) * (1.0 + 0.5 * lam * t)
     return e if e.ndim else float(e)
 
 
+def _capped_time(t, rate: float):
+    """``t`` capped at the largest double whose product with ``rate > 0``
+    is finite.  A product that was finite keeps its bits.  One that would
+    overflow lies far past the time where the decay envelope of ``E``
+    underflows, and stays finite, so the factor it feeds is no NaN and
+    ``E`` is 0 there."""
+    if isinstance(t, float) and rate * t < math.inf:
+        return t
+    cap = sys.float_info.max / rate
+    while rate * cap == math.inf:
+        cap = math.nextafter(cap, 0.0)
+    while rate * math.nextafter(cap, math.inf) < math.inf:
+        cap = math.nextafter(cap, math.inf)
+    return np.minimum(t, cap)
+
+
 def _survival_split(res: ReservoirSpec, coup: CouplingSpec, t: float) -> tuple[float, float]:
-    """``(x, f)`` with ``E(t) = exp(x) * f`` at a checked time ``t``, in the
-    regimes of :func:`survival_amplitude`: ``exp(x)`` is the slowest decay
-    and ``f`` a factor of order one, so ``log|E| = x + log|f|`` holds where
-    ``E`` underflows.  Only the underdamped factor ``cos(w t/2) + (lam/w)
-    sin(w t/2)`` has zeros, which are those of ``E``."""
+    """``(k, f)`` with ``E(t) = exp(k t) * f`` at a checked time ``t``, in
+    the regimes of :func:`survival_amplitude`: ``k`` is the slowest decay
+    rate and ``f`` a factor that grows at most linearly, so ``log|E| / t =
+    k + log|f| / t`` holds where ``E`` underflows and where ``k t``
+    overflows.  Only the underdamped factor ``cos(w t/2) + (lam/w) sin(w
+    t/2)`` has zeros, which are those of ``E``; ``f`` is read at the time
+    that ``E`` reads it."""
     lam = res.lam
     reg = RegimeParams.from_specs(res, coup)
     eps = _DEGENERATE_EPS * lam * lam
     if reg.omega_sq >= _NEAR_CRITICAL * lam * lam:
         xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
-        return xp * t, ap + am * math.exp((xm - xp) * t)
+        return xp, ap + am * math.exp((xm - xp) * t)
     if reg.omega_sq >= eps:
         xp, om, ratio = _near_critical_terms(lam, reg.omega_sq)
-        return xp * t, 0.5 * (1.0 + math.exp(-om * t)) - ratio * math.expm1(-om * t)
+        return xp, 0.5 * (1.0 + math.exp(-om * t)) - ratio * math.expm1(-om * t)
     if reg.omega_sq <= -eps:
         w = math.sqrt(-reg.omega_sq)
-        half = 0.5 * w * t
-        return -0.5 * lam * t, math.cos(half) + (lam / w) * math.sin(half)
-    return -0.5 * lam * t, 1.0 + 0.5 * lam * t
+        half = 0.5 * w * _capped_time(t, 0.5 * w)
+        return -0.5 * lam, math.cos(half) + (lam / w) * math.sin(half)
+    return -0.5 * lam, 1.0 + 0.5 * lam * _capped_time(t, 0.5 * lam)
 
 
-def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t: float) -> Amplitudes:
-    """Pair amplitudes at time ``t``: the sub-radiant share is frozen, the
+def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t: float) -> TimeSeries:
+    """Pair amplitudes at time ``t``, a :class:`TimeSeries` with a scalar
+    ``tau``, ``c1`` and ``c2``: the sub-radiant share is frozen, the
     super-radiant one carries the survival amplitude."""
     e = survival_amplitude(res, coup, t)
     c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
-    return Amplitudes(c1=c1, c2=c2, t=float(t))
+    return TimeSeries(tau=float(t), c1=c1, c2=c2)
 
 
 def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, tau) -> TimeSeries:
@@ -512,60 +478,95 @@ def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialStat
                       meta={"solver": "closed"})
 
 
-def density_matrix(amps: Amplitudes) -> DensityMatrix4:
-    """Density matrix of the pair after tracing out the reservoir.
+def _to_amplitudes(name, value) -> np.ndarray:
+    """``value`` as a complex array of finite amplitudes, refused by
+    ``name`` as :func:`_to_amplitude` refuses one."""
+    v = _to_float(name, value, lambda x: np.asarray(x, dtype=complex))
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {complex(v[~finite][0])!r}")
+    return v
 
-    Populations |c1|^2 and |c2|^2 with their mutual coherence, the leaked
-    excitation in |00>, and nothing in |11>.
+
+def density_matrix(amps) -> np.ndarray:
+    """Density matrix of the pair after tracing out the reservoir, complex
+    of shape ``(..., 4, 4)`` over the shape of ``amps.c1`` and ``amps.c2``,
+    in the product basis |11>, |10>, |01>, |00>.
+
+    With ``v = (0, c1, c2, 0)`` it is ``v v^dag`` plus the leaked
+    excitation ``1 - |c1|^2 - |c2|^2`` in |00>.  An amplitude that is a
+    ``bool``, an integer too large for a double or not finite is refused
+    by name, and so is a norm above 1 + 1e-10.
     """
-    p1 = abs(amps.c1) ** 2
-    p2 = abs(amps.c2) ** 2
-    if p1 + p2 > 1.0 + _AMPLITUDE_NORM_SLACK:
-        raise ValueError("amplitude norm exceeds 1; not a physical state")
-    coh = amps.c1 * amps.c2.conjugate()
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = p1
-    m[1, 2] = coh
-    m[2, 1] = coh.conjugate()
-    m[2, 2] = p2
-    m[3, 3] = 1.0 - p1 - p2
-    return DensityMatrix4(m)
+    c1 = _to_amplitudes("c1", amps.c1)
+    c2 = _to_amplitudes("c2", amps.c2)
+    norm_sq = np.abs(c1) ** 2 + np.abs(c2) ** 2
+    if (norm_sq > 1.0 + _AMPLITUDE_NORM_SLACK).any():
+        raise ValueError(f"|c1|^2 + |c2|^2 = {float(norm_sq.max())!r} exceeds 1")
+    v = np.zeros(norm_sq.shape + (4,), complex)
+    v[..., 1] = c1
+    v[..., 2] = c2
+    m = v[..., :, None] * v[..., None, :].conj()
+    m[..., 3, 3] = 1.0 - norm_sq
+    return m
 
 
-def concurrence_closed(amps: Amplitudes) -> float:
+def concurrence_closed(amps: TimeSeries) -> float:
     """Concurrence of the pair state, ``2 |c1 * conj(c2)|``."""
     return 2.0 * abs(amps.c1 * amps.c2.conjugate())
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# the entries that vanish with at most one excitation: the |11> row and
+# column, and the coherences between the one-excitation block and |00>
+_OUTSIDE_SECTOR = np.ones((4, 4), dtype=bool)
+_OUTSIDE_SECTOR[1:3, 1:3] = _OUTSIDE_SECTOR[3, 3] = False
 
 
 # States in this family are rank-deficient; eigenvalues of rho below this
-# floor are rounding residue and are dropped before the square root, which
+# floor are rounding residue and are set to 0 before the square root, which
 # would otherwise amplify 1e-16 noise into 1e-8 errors in the lambdas.
 _EIG_CLIP = 1e-12
 
 
-def concurrence_wootters(rho: DensityMatrix4) -> float:
-    """Concurrence from the spin-flipped spectrum; independent of the
-    closed-form shortcut, kept as a cross-check of ``concurrence_closed``.
+def concurrence_wootters(rho):
+    """Concurrence from the spin-flipped spectrum (Wootters, PRL 80, 2245
+    (1998)), a cross-check of ``concurrence_closed``: a float for one 4x4
+    matrix of :func:`density_matrix`, an array for a ``(..., 4, 4)`` stack.
+    Each matrix must be finite, Hermitian within 1e-12, of trace 1 within
+    1e-10, positive semidefinite within 1e-10 and 0 within 1e-12 outside
+    the one-excitation block and the ground population.
 
     The lambdas are the decreasing square roots of the eigenvalues of
     ``rho (sy x sy) rho* (sy x sy)`` and the result is
     ``max(0, l1 - l2 - l3 - l4)``.  They are evaluated as the singular
     values of ``F.T (sy x sy) F`` for any factorization ``rho = F F^dag``,
     which has the same spectrum but keeps near-zero lambdas at machine
-    precision instead of sqrt(machine precision).
+    precision instead of sqrt(machine precision); ``F`` comes from the
+    eigendecomposition that the positivity check reads.
     """
-    w, v = np.linalg.eigh(rho.entries)
-    keep = w > _EIG_CLIP
-    factor = v[:, keep] * np.sqrt(w[keep])
-    cross = factor.T @ _SIGMA_YY @ factor
-    sing = np.linalg.svd(cross, compute_uv=False)
-    lams = np.zeros(4)
-    lams[: sing.size] = np.sort(sing)[::-1]
-    return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+    m = np.asarray(rho, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    if (np.abs(m - np.swapaxes(m, -1, -2).conj()) > 1e-12).any():
+        raise ValueError("matrix must be Hermitian within 1e-12")
+    tr = m.diagonal(0, -2, -1).sum(-1).real
+    off = np.abs(tr - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"trace must be 1 within 1e-10, got {tr[off][0]!r}")
+    w, v = np.linalg.eigh(m)
+    if (w < -1e-10).any():
+        raise ValueError("matrix must be positive semidefinite within 1e-10")
+    if (np.abs(m[..., _OUTSIDE_SECTOR]) > 1e-12).any():
+        raise ValueError("entries outside the one-excitation block and the "
+                         "ground population must vanish")
+    factor = v * np.sqrt(w * (w > _EIG_CLIP))[..., None, :]
+    lams = np.linalg.svd(np.swapaxes(factor, -1, -2) @ _SIGMA_YY @ factor, compute_uv=False)
+    c = np.maximum(0.0, 2.0 * lams[..., 0] - lams.sum(-1))    # l1 - l2 - l3 - l4
+    return c if c.ndim else float(c)
 
 
 def stationary_concurrence(coup: CouplingSpec, init: InitialState) -> float:

@@ -194,26 +194,19 @@ class ScenarioConfig:
         _check_comb(self.n_modes, self.freq_window)
 
     def r1_axis(self) -> tuple[float, ...]:
-        if self.r1:
-            return self.r1
-        if self.scenario == "stationary-surface":
-            return tuple(np.linspace(0.0, 1.0, 201))
-        if self.scenario == "time-evolution":
-            return (0.87, _SQRT_HALF, 0.0, 1.0)
-        if self.scenario == "zeno-compare":
-            return (_SQRT_HALF,)
-        return (0.0, 0.5, _SQRT_HALF, 0.87, 1.0)
+        return self.r1 or _DEFAULT_AXES[self.scenario][0]
 
     def s_axis(self) -> tuple[float, ...]:
-        if self.s:
-            return self.s
-        if self.scenario == "stationary-surface":
-            return tuple(np.linspace(-1.0, 1.0, 201))
-        if self.scenario == "time-evolution":
-            return (1.0, 0.0)
-        if self.scenario == "zeno-compare":
-            return (0.0,)
-        return (-1.0, 0.0, 1.0)
+        return self.s or _DEFAULT_AXES[self.scenario][1]
+
+
+# per scenario, the r1 and s axes that an empty r1 or s picks
+_DEFAULT_AXES = {
+    "stationary-surface": (tuple(np.linspace(0.0, 1.0, 201)), tuple(np.linspace(-1.0, 1.0, 201))),
+    "time-evolution": ((0.87, _SQRT_HALF, 0.0, 1.0), (1.0, 0.0)),
+    "zeno-compare": ((_SQRT_HALF,), (0.0,)),
+    "solver-xcheck": ((0.0, 0.5, _SQRT_HALF, 0.87, 1.0), (-1.0, 0.0, 1.0)),
+}
 
 
 @dataclass(eq=False)
@@ -512,7 +505,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                             scale = 1.0
                         else:
                             delta = maps[home].rows(lo, end) - maps[fine].rows(
-                                lo * stride, end * stride, stride)
+                                lo * stride, (end - 1) * stride + 1, stride)
                             scale = asq
                         np.abs(delta, out=delta)
                         peak[k] = np.maximum(peak[k], scale * delta.max())

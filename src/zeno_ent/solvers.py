@@ -163,10 +163,21 @@ class PairMap:
     sigma: np.ndarray | None = None
     factors: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
 
+    def _checked_read(self, lo, hi, step) -> tuple[int, int, int]:
+        """The points ``lo, lo + step, ...`` below ``hi`` as ints, refused
+        by name unless they are integers with ``step >= 1`` and ``0 <= lo <=
+        hi <= size``; a step past the range reads ``lo`` alone."""
+        for name, v, least, most in (("step", step, 1, math.inf), ("hi", hi, 0, self.size),
+                                     ("lo", lo, 0, hi)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not least <= v <= most:
+                raise ValueError(f"{name} must be an integer in [{least}, {most}], got {v!r}")
+        return int(lo), int(hi), int(min(step, max(hi - lo, 1)))
+
     def times(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
         """The grid's times at the points ``lo, lo + step, ...`` below
         ``hi``: the point counts as floats, exact below ``2**53``, scaled in
         place, so each is bit for bit its entry of ``arange(size) * dt``."""
+        lo, hi, step = self._checked_read(lo, hi, step)
         t = np.arange(lo, hi, step, dtype=float)
         t *= self.dt
         return t
@@ -179,6 +190,7 @@ class PairMap:
         range, or on the gathered entries of a strided one.  Each point is
         rounded alike either way, so every read is bit for bit its slice of
         the whole series."""
+        lo, hi, step = self._checked_read(lo, hi, step)
         if self.factors is None:
             return self.sigma[lo:hi:step]
         (t0, t1), heads = self.factors

@@ -125,9 +125,9 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     interval lands on a zero of the survival amplitude, where the
     underdamped factor ``cos(w T/2) + (lam/w) sin(w T/2)`` is below 1e-14
     and the rate diverges.  An interval over which ``E`` merely decayed
-    below 1e-14 has the rate ``-2 log|E(T)| / T``, with ``log|E(T)|`` taken
-    as the decay exponent plus the log of that factor where ``E(T)``
-    underflows, e.g. ``lam`` at ``R = 1``, ``T = 1e300``.  ``oscillatory``
+    below 1e-14 has the rate ``-2 log|E(T)| / T``, with ``log|E(T)| / T``
+    taken as the decay rate plus the log of that factor over ``T`` where
+    ``E(T)`` underflows, e.g. ``lam`` at ``R = 1``, ``T = 1e300``.  ``oscillatory``
     is set when ``E(T) < 0`` (or its factor, where ``E(T)`` underflows),
     where the super-radiant share changes sign at every measurement (see
     module docstring).
@@ -135,14 +135,16 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     _check_interval(interval)
     e = survival_amplitude(res, coup, interval)
     if abs(e) < _SURVIVAL_FLOOR:
-        x, f = _survival_split(res, coup, float(interval))
+        k, f = _survival_split(res, coup, float(interval))
         if abs(f) < _SURVIVAL_FLOOR:
             raise ValueError(
                 f"measurement interval {float(interval)!r} lands on a zero of the "
                 "survival amplitude; the effective rate diverges")
-        log_e = math.log(abs(e)) if abs(e) >= sys.float_info.min else x + math.log(abs(f))
-        return ZenoRate(rate=-2.0 * log_e / interval, interval_survival=float(e),
-                        oscillatory=bool(f < 0.0))
+        if abs(e) >= sys.float_info.min:
+            rate = -2.0 * math.log(abs(e)) / interval
+        else:
+            rate = -2.0 * (k + math.log(abs(f)) / interval)
+        return ZenoRate(rate=rate, interval_survival=float(e), oscillatory=bool(f < 0.0))
     # max(lam, rabi) T < _SERIES_BOUND with rabi = alpha_t w; lam T is tested
     # first, so a long interval costs one product
     lam_t = res.lam * interval

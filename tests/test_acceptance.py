@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from zeno_ent import (
-    Amplitudes,
     BellBasis,
     CouplingSpec,
     InitialState,
@@ -22,6 +21,7 @@ from zeno_ent import (
     RegimeParams,
     ScenarioConfig,
     SolverConfig,
+    TimeSeries,
     amplitudes_at,
     aux_ode_propagator,
     bath_propagator,
@@ -267,17 +267,19 @@ def test_criterion_08_solver_equivalence():
 
 def test_criterion_09_concurrence_identity():
     rng = np.random.default_rng(20260816)
-    worst = 0.0
+    pairs = []
     for _ in range(1000):
         parts = rng.standard_normal(4)
         c1 = complex(parts[0], parts[1])
         c2 = complex(parts[2], parts[3])
         norm = abs(c1) ** 2 + abs(c2) ** 2
         scale = math.sqrt(rng.uniform(0.0, 1.0) / norm)
-        amps = Amplitudes(c1 * scale, c2 * scale, t=1.0)
-        gap = abs(concurrence_wootters(density_matrix(amps))
-                  - concurrence_closed(amps))
-        worst = max(worst, gap)
+        pairs.append((c1 * scale, c2 * scale))
+    c1, c2 = np.array(pairs).T
+    amps = TimeSeries(tau=np.ones(1000), c1=c1, c2=c2)
+    rho = density_matrix(amps)
+    assert rho.shape == (1000, 4, 4)
+    worst = float(np.max(np.abs(concurrence_wootters(rho) - concurrence_closed(amps))))
     ok = worst < 1e-10
     line = _verdict(9, "concurrence identity", ok,
                     f"1000 random pairs, worst |wootters - closed| = "

@@ -758,7 +758,7 @@ class TestSolverXcheck:
         # of the state, bit for bit
         x1, x2 = init.c01.real, init.c02.real
         assert init.c01.imag == init.c02.imag == 0.0
-        delta = np.abs(mo.rows(0, n) - mv.rows(0, 7 * n, 7))
+        delta = np.abs(mo.rows(0, n) - mv.rows(0, 7 * (n - 1) + 1, 7))
         peak = _bright_weight(coup) * delta.max()
         assert row[4] == n
         assert row[5] == max(coup.r1, coup.r2) * abs(coup.r1 * x1 + coup.r2 * x2) * peak
@@ -924,7 +924,7 @@ class TestOptimumGrids:
 
     def test_transient_refine_equals_amplitudes_at_objective(self, monkeypatch):
         # oracle: the refinement fed the objective it had before, a fresh
-        # system, a validated Amplitudes and concurrence_closed per call,
+        # system, amplitudes_at and concurrence_closed per call,
         # from the same start point, brackets and bounds
         calls = []
 
@@ -1083,6 +1083,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             write_result(self.tiny_result(), None, "yaml")
 
+
+    def test_interval_whose_phase_overflows_decays_at_lam(self, tmp_path):
+        # E(T) was NaN at T = 1e308 and the schedule wrote a Zeno rate of 0
+        out = tmp_path / "zeno.json"
+        code = main(["zeno-compare", "--big-r", "10", "--meas-interval", "1e308",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert "NaN" not in text
+        schedule = json.loads(text)["meta"]["schedules"]["1e+308"]
+        assert schedule["zeno_rate"] == 1.0 and schedule["interval_survival"] == 0.0
 
 class TestCliMain:
     def test_success_writes_csv_to_stdout(self, capsys):

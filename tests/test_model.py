@@ -2,20 +2,22 @@
 
 import decimal
 import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from zeno_ent import (
-    Amplitudes,
     BellBasis,
     CouplingSpec,
-    DensityMatrix4,
     InitialState,
     RegimeParams,
     MeasurementSchedule,
     ReservoirSpec,
     SolverConfig,
+    TimeSeries,
     amplitudes_at,
     closed_form_series,
     concurrence_closed,
@@ -30,6 +32,11 @@ from zeno_ent import model
 
 TWO_OVER_E = 0.7357588823428847
 SQRT_HALF = math.sqrt(0.5)
+
+
+def pair(c1, c2):
+    """Pair amplitudes at one time, as :func:`amplitudes_at` returns them."""
+    return TimeSeries(tau=0.0, c1=c1, c2=c2)
 
 
 def rk4_survival(big_r, lam, t, n=200000):
@@ -100,8 +107,8 @@ class TestReservoirSpec:
         (lambda: ReservoirSpec(w=1.0, lam=1.0).memory_kernel(10**400), "tau"),
         (lambda: ReservoirSpec(w=1.0, lam=1.0).spectral_density(10**400), "omega"),
         (lambda: ReservoirSpec(w=1.0, lam=1.0).detuned_density(10**400), "detuning"),
-        (lambda: Amplitudes(10**400, 0, 0.0), "c1"),
-        (lambda: Amplitudes(0, -10**400, 0.0), "c2"),
+        (lambda: density_matrix(pair(10**400, 0)), "c1"),
+        (lambda: density_matrix(pair(0, -10**400)), "c2"),
     ], ids=["w", "omega0", "alpha1", "big_r", "s", "phi", "c01", "c02", "t", "t-list",
             "tau", "kernel-tau", "density-omega", "density-detuning", "amplitudes-c1",
             "amplitudes-c2"])
@@ -117,8 +124,8 @@ class TestReservoirSpec:
         (lambda: CouplingSpec(True, 0.0), "alpha1"),
         (lambda: resonant_system(True, 0.5), "alpha_t"),
         (lambda: SolverConfig(dt=True, t_max=1.0), "dt"),
-        (lambda: Amplitudes(True, 0, 0.0), "c1"),
-        (lambda: Amplitudes(0, True, 0.0), "c2"),
+        (lambda: density_matrix(pair(True, 0)), "c1"),
+        (lambda: density_matrix(pair(0, True)), "c2"),
     ], ids=["interval", "zeno-rate", "w", "alpha1", "big_r", "dt", "amplitudes-c1",
             "amplitudes-c2"])
     def test_rejects_bool_for_a_real(self, call, name):
@@ -268,8 +275,8 @@ class TestSurvivalAmplitude:
         np.testing.assert_allclose(vec, ref, rtol=3e-15, atol=0)
         for t, e, v in zip(times, ref, vec):
             assert survival_amplitude(res, coup, t) == v
-            x, f = model._survival_split(res, coup, t)
-            assert math.exp(x) * f == pytest.approx(e, rel=3e-15, abs=0), t
+            k, f = model._survival_split(res, coup, t)
+            assert math.exp(k * t) * f == pytest.approx(e, rel=3e-15, abs=0), t
 
     @pytest.mark.parametrize("big_r", [0.05, 0.1, 0.3, 0.49, 0.4999])
     def test_plain_overdamped_form_kept_from_r_0_05(self, big_r):
@@ -337,6 +344,35 @@ class TestSurvivalAmplitude:
             with pytest.raises(ValueError, match="rabi"):
                 survival_amplitude(res, coup, t)
 
+    # 0.5 w t overflowed to inf past about 1e308 / w, and cos(inf) gave NaN
+    # (R = 10 from t = 2e307); at critical damping 1 + lam t / 2 overflowed
+    # and exp(-lam t / 2) * inf gave NaN
+    @pytest.mark.parametrize("system, t", [
+        (resonant_system(10.0, 0.87), 2e307),
+        (resonant_system(10.0, 0.87), 1e308),
+        (resonant_system(1e6, 0.87), 1e303),
+        ((ReservoirSpec(w=2.0, lam=4.0), CouplingSpec.from_relative(1.0, 0.5)), 1e308),
+    ], ids=["R10-2e307", "R10-1e308", "R1e6-1e303", "critical-1e308"])
+    def test_zero_where_the_phase_overflows(self, system, t):
+        res, coup = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert survival_amplitude(res, coup, t) == 0.0
+            assert survival_amplitude(res, coup, [t]) == 0.0
+        assert survival_amplitude(res, coup, np.array([0.0, t]))[0] == 1.0
+
+    def test_phase_cap_keeps_every_finite_bit(self):
+        # every time whose phase was finite gives the bits of the plain
+        # formula, the sign of a zero included
+        res, coup = resonant_system(10.0, 0.87)
+        w = math.sqrt(-RegimeParams.from_specs(res, coup).omega_sq)
+        tau = np.array([0.0, 1.3, 900.0, 1600.0, 1e5, 1e300, 1e306, 1e307,
+                        sys.float_info.max / (0.5 * w)])
+        plain = np.exp(-0.5 * tau) * (np.cos(0.5 * w * tau) + (1.0 / w) * np.sin(0.5 * w * tau))
+        assert np.all(np.isfinite(plain))
+        assert survival_amplitude(res, coup, tau).tobytes() == plain.tobytes()
+        assert np.signbit(plain).any() and not np.signbit(plain).all()
+
     def test_strongest_coupling_below_overflow_is_finite(self):
         res, coup = resonant_system(6e153, 0.5)
         e = survival_amplitude(res, coup, np.linspace(0.0, 1e-150, 5))
@@ -382,8 +418,8 @@ class TestAmplitudes:
             amps = amplitudes_at(res, coup, init, t)
             e = survival_amplitude(res, coup, t)
             expected = abs(basis.beta_minus) ** 2 + abs(basis.beta_plus) ** 2 * e * e
-            assert amps.norm_sq == pytest.approx(expected, abs=1e-12)
-            assert amps.norm_sq <= 1.0 + 1e-10
+            assert amps.norm_sq() == pytest.approx(expected, abs=1e-12)
+            assert amps.norm_sq() <= 1.0 + 1e-10
 
     def test_superradiant_start_decays_as_e_squared(self):
         res, coup = resonant_system(0.1, SQRT_HALF)
@@ -403,17 +439,27 @@ class TestAmplitudes:
             assert series.c1[i] == amps.c1
             assert series.c2[i] == amps.c2
 
+    def test_amplitudes_at_one_time_are_scalars(self):
+        res, coup = resonant_system(3.0, 0.25)
+        init = InitialState.from_separability(0.5, 2.0)
+        amps = amplitudes_at(res, coup, init, 1)
+        assert isinstance(amps, TimeSeries)
+        assert type(amps.tau) is float and amps.tau == 1.0
+        assert type(amps.c1) is complex and type(amps.c2) is complex
+        c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, survival_amplitude(res, coup, 1.0))
+        assert (amps.c1, amps.c2) == (c1, c2)
+
     def test_amplitudes_reject_norm_violation(self):
-        with pytest.raises(ValueError):
-            Amplitudes(c1=0.9, c2=0.9, t=0.0)
+        with pytest.raises(ValueError, match=r"^\|c1\|\^2 \+ \|c2\|\^2 = 1.62.* exceeds 1"):
+            density_matrix(pair(0.9, 0.9))
 
 
 class TestDensityMatrix:
     def test_structure_and_trace(self):
         res, coup = resonant_system(0.5, 0.7)
         init = InitialState.from_separability(0.2, 0.4)
-        rho = density_matrix(amplitudes_at(res, coup, init, 1.3)).entries
-        assert rho.shape == (4, 4)
+        rho = density_matrix(amplitudes_at(res, coup, init, 1.3))
+        assert rho.shape == (4, 4) and rho.dtype == complex
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         # double-excitation row and column stay empty
         assert np.all(rho[0, :] == 0.0)
@@ -423,21 +469,44 @@ class TestDensityMatrix:
         assert rho[1, 1] == pytest.approx(abs(amps.c1) ** 2, abs=1e-15)
         assert rho[1, 2] == pytest.approx(amps.c1 * np.conj(amps.c2), abs=1e-15)
 
+    def test_stack_over_the_amplitude_shape(self):
+        res, coup = resonant_system(2.0, 0.6)
+        init = InitialState.from_separability(-0.3, 0.4)
+        series = closed_form_series(res, coup, init, np.linspace(0.0, 3.0, 6).reshape(2, 3))
+        rho = density_matrix(series)
+        assert rho.shape == (2, 3, 4, 4)
+        for i, j in np.ndindex(2, 3):
+            one = density_matrix(amplitudes_at(res, coup, init, float(series.tau[i, j])))
+            assert np.array_equal(rho[i, j], one)
+
+    @pytest.mark.parametrize("c1, c2, message", [
+        (math.nan, 0.0, "c1 must be finite, got (nan+0j)"),
+        (0.5, complex(0.0, math.inf), "c2 must be finite, got infj"),
+        (np.array([0.1, math.nan]), np.zeros(2), "c1 must be finite, got (nan+0j)"),
+    ])
+    def test_rejects_amplitude_that_is_not_finite(self, c1, c2, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            density_matrix(pair(c1, c2))
+
+    def test_rejects_norm_violation_in_a_stack(self):
+        with pytest.raises(ValueError, match="exceeds 1$"):
+            density_matrix(pair(np.array([0.1, 0.9]), np.array([0.1, 0.9])))
+
     def test_rejects_non_hermitian(self):
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1] = 0.5
         m[3, 3] = 0.5
         m[1, 2] = 0.3
         m[2, 1] = 0.1
-        with pytest.raises(ValueError):
-            DensityMatrix4(m)
+        with pytest.raises(ValueError, match="^matrix must be Hermitian within 1e-12$"):
+            concurrence_wootters(m)
 
     def test_rejects_population_outside_single_excitation_sector(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 0.5
         m[3, 3] = 0.5
-        with pytest.raises(ValueError):
-            DensityMatrix4(m)
+        with pytest.raises(ValueError, match="^entries outside the one-excitation block"):
+            concurrence_wootters(m)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.zeros((4, 4), dtype=complex)
@@ -445,22 +514,22 @@ class TestDensityMatrix:
         m[2, 2] = 0.1
         m[1, 2] = m[2, 1] = 0.4
         m[3, 3] = 0.4
-        with pytest.raises(ValueError):
-            DensityMatrix4(m)
+        with pytest.raises(ValueError, match="^matrix must be positive semidefinite within 1e-10$"):
+            concurrence_wootters(m)
 
 
 class TestConcurrence:
     def test_closed_form_examples(self):
-        assert concurrence_closed(Amplitudes(SQRT_HALF, SQRT_HALF, 0.0)) == \
+        assert concurrence_closed(pair(SQRT_HALF, SQRT_HALF)) == \
             pytest.approx(1.0, rel=1e-15)
         # the long-time amplitudes of the r1 = sqrt(3)/2 product start
-        assert concurrence_closed(Amplitudes(-math.sqrt(3.0) / 4.0, 0.25, 0.0)) == \
+        assert concurrence_closed(pair(-math.sqrt(3.0) / 4.0, 0.25)) == \
             pytest.approx(math.sqrt(3.0) / 8.0, rel=1e-15)
 
     def test_initial_concurrence_follows_separability(self):
         for s in (-0.9, 0.0, 0.6):
             init = InitialState.from_separability(s, 0.7)
-            amps = Amplitudes(init.c01, init.c02, 0.0)
+            amps = pair(init.c01, init.c02)
             assert concurrence_closed(amps) == pytest.approx(math.sqrt(1 - s * s),
                                                              abs=1e-12)
 
@@ -469,12 +538,41 @@ class TestConcurrence:
         m[1, 1] = 0.25
         m[2, 2] = 0.25
         m[3, 3] = 0.5
-        assert concurrence_wootters(DensityMatrix4(m)) == pytest.approx(0.0,
+        assert concurrence_wootters(m) == pytest.approx(0.0,
                                                                         abs=1e-12)
 
     def test_wootters_on_maximally_entangled_state_is_one(self):
-        rho = density_matrix(Amplitudes(SQRT_HALF, SQRT_HALF * 1j, 0.0))
+        rho = density_matrix(pair(SQRT_HALF, SQRT_HALF * 1j))
         assert concurrence_wootters(rho) == pytest.approx(1.0, abs=1e-12)
+
+    def test_wootters_stack_equals_each_matrix(self):
+        res, coup = resonant_system(10.0, 0.87)
+        init = InitialState.from_separability(0.2, 1.1)
+        series = closed_form_series(res, coup, init, np.linspace(0.0, 2.0, 41))
+        stack = concurrence_wootters(density_matrix(series))
+        assert stack.shape == (41,)
+        ones = [concurrence_wootters(m) for m in density_matrix(series)]
+        assert all(type(c) is float for c in ones)
+        np.testing.assert_allclose(stack, ones, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stack, series.concurrence(), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.eye(3) / 3.0, "expected a 4x4 matrix, got shape (3, 3)"),
+        (np.zeros(4), "expected a 4x4 matrix, got shape (4,)"),
+        (np.full((4, 4), math.nan), "matrix entries must be finite"),
+        (np.diag([0.0, 0.5, 0.0, 0.0]), "trace must be 1 within 1e-10, got "),
+    ], ids=["shape", "vector", "finite", "trace"])
+    def test_wootters_refuses_what_is_no_pair_state(self, bad, message):
+        # the trace is named as numpy writes a float64: np.float64(0.5) or 0.5
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            concurrence_wootters(bad)
+
+    def test_wootters_refuses_a_stack_with_one_bad_matrix(self):
+        stack = np.zeros((3, 4, 4), complex)
+        stack[:, 3, 3] = 1.0
+        stack[1, 3, 3] = 0.7
+        with pytest.raises(ValueError, match=r"got (np\.float64\()?0\.7\)?$"):
+            concurrence_wootters(stack)
 
     def test_wootters_matches_closed_form_on_random_pairs(self):
         rng = np.random.default_rng(987)

@@ -477,6 +477,47 @@ class TestPairMap:
                     assert np.array_equal(pair_map.rows(lo, hi, step), whole[lo:hi:step])
                     assert np.array_equal(pair_map.times(lo, hi, step), tau[lo:hi:step])
 
+    # a step of -1 read nothing, True read every point, 0, 2.5 and 10**30
+    # raised ZeroDivisionError, IndexError or TypeError, which differed
+    # between the solvers, and rows(0, 5000) on 1001 points read 1023
+    # values off the ODE's blocked powers and 1001 off the bath
+    @pytest.mark.parametrize("call, name", [
+        (lambda m: m.rows(0, m.size, -1), "step"),
+        (lambda m: m.rows(0, m.size, 0), "step"),
+        (lambda m: m.rows(0, m.size, True), "step"),
+        (lambda m: m.rows(0, m.size, 2.5), "step"),
+        (lambda m: m.times(0, m.size, 0), "step"),
+        (lambda m: m(InitialState.from_separability(0.0), 0), "step"),
+        (lambda m: m(InitialState.from_separability(0.0), -1), "step"),
+        (lambda m: m.rows(0, 5 * m.size), "hi"),
+        (lambda m: m.times(0, m.size + 1), "hi"),
+        (lambda m: m.rows(0, -1), "hi"),
+        (lambda m: m.rows(-1, 3), "lo"),
+        (lambda m: m.times(5, 3), "lo"),
+        (lambda m: m.rows(0.0, 3), "lo"),
+    ], ids=["rows-step-negative", "rows-step-0", "rows-step-bool", "rows-step-float",
+            "times-step-0", "call-step-0", "call-step-negative", "rows-hi-past-size",
+            "times-hi-past-size", "rows-hi-negative", "rows-lo-negative", "times-lo-past-hi",
+            "rows-lo-float"])
+    def test_refuses_a_bad_read(self, call, name):
+        res, coup = resonant_system(10.0, 0.87)
+        for propagator, dt in self.RUNS:
+            pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=1.0, n_modes=400))
+            with pytest.raises(ValueError, match=f"^{name} must "):
+                call(pair_map)
+
+    def test_step_past_the_range_reads_its_first_point(self):
+        res, coup = resonant_system(10.0, 0.87)
+        for propagator, dt in self.RUNS:
+            pair_map = propagator(res, coup, SolverConfig(dt=dt, t_max=1.0, n_modes=400))
+            whole = pair_map.rows(0, pair_map.size)
+            for lo in (0, 3, pair_map.size - 1):
+                assert np.array_equal(pair_map.rows(lo, pair_map.size, 10**30), whole[lo:lo + 1])
+                assert np.array_equal(pair_map.times(lo, pair_map.size, 10**30), [lo * dt])
+            assert pair_map.rows(4, 4, 10**30).size == 0
+            series = pair_map(InitialState.from_separability(0.0), 10**30)
+            assert series.tau.tolist() == [0.0] and series.c1.size == 1
+
 
 def volterra_increment(res, coup, dt):
     """The Volterra step's increment on the three amplitudes ``(c1, c2, m)``."""

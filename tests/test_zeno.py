@@ -9,6 +9,7 @@ from zeno_ent import (
     CouplingSpec,
     InitialState,
     MeasurementSchedule,
+    ReservoirSpec,
     amplitudes_at,
     concurrence_closed,
     concurrence_measured,
@@ -230,6 +231,21 @@ class TestZenoRate:
         assert zr.interval_survival == e
         # the sign of E, or of its underdamped factor where E underflows
         assert zr.oscillatory is (math.copysign(1.0, e) < 0.0)
+
+    # E(T) was NaN where its phase, or the critical 1 + lam T / 2,
+    # overflowed, and max(0.0, nan) made that a rate of 0: perfect
+    # protection where the share decays at lam
+    @pytest.mark.parametrize("system, t, rate", [
+        (resonant_system(10.0, 0.87), 1e308, 1.0),
+        (resonant_system(10.0, 0.87), 2e307, 1.0),
+        ((ReservoirSpec(w=2.0, lam=4.0), CouplingSpec.from_relative(1.0, 0.5)), 1e308, 4.0),
+    ], ids=["R10-1e308", "R10-2e307", "critical-1e308"])
+    def test_rate_where_the_phase_overflows(self, system, t, rate):
+        zr = zeno_rate(*system, t)
+        assert zr.interval_survival == 0.0
+        assert zr.rate == pytest.approx(rate, rel=1e-15)
+        # the sign of E(T), a signed zero here, is the oscillatory flag
+        assert zr.oscillatory is (math.copysign(1.0, zr.interval_survival) < 0.0)
 
     def test_interval_on_survival_zero_rejected(self):
         res, coup, _ = balanced_system()
