@@ -164,6 +164,22 @@ class CouplingSpec:
             raise ValueError("couplings must be non-negative")
         if self.alpha1 == 0.0 and self.alpha2 == 0.0:
             raise ValueError("at least one coupling must be nonzero")
+        self._derive_weights()
+
+    def _derive_weights(self):
+        """Set ``alpha_t``, ``r1`` and ``r2`` once, as attributes outside the
+        fields: ``==``, ``hash``, ``repr`` and ``asdict`` see the couplings
+        alone, and the pickled state is the fields'."""
+        d = self.__dict__
+        d["alpha_t"] = math.hypot(self.alpha1, self.alpha2)
+        d["r1"], d["r2"] = _relative_weights(self.alpha1, self.alpha2)
+
+    def __getstate__(self):
+        return {"alpha1": self.alpha1, "alpha2": self.alpha2}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._derive_weights()
 
     @classmethod
     def from_relative(cls, alpha_t: float, r1: float) -> "CouplingSpec":
@@ -175,18 +191,6 @@ class CouplingSpec:
         if not 0.0 <= r1 <= 1.0:
             raise ValueError(f"r1 must lie in [0, 1], got {r1!r}")
         return cls(alpha_t * r1, alpha_t * math.sqrt(1.0 - r1 * r1))
-
-    @property
-    def alpha_t(self) -> float:
-        return math.hypot(self.alpha1, self.alpha2)
-
-    @property
-    def r1(self) -> float:
-        return _relative_weights(self.alpha1, self.alpha2)[0]
-
-    @property
-    def r2(self) -> float:
-        return _relative_weights(self.alpha1, self.alpha2)[1]
 
     def psi_minus(self) -> "InitialState":
         """The sub-radiant (decoherence-free) single-excitation state."""
@@ -206,21 +210,28 @@ class RegimeParams:
     def from_specs(cls, res: ReservoirSpec, coup: CouplingSpec) -> "RegimeParams":
         """Refuses a coupling whose ``4 rabi**2`` overflows a double: there
         ``omega_sq`` is ``-inf`` and ``E(t)`` would come out NaN."""
-        rabi = coup.alpha_t * res.w
-        try:
-            four_rabi_sq = 4.0 * rabi**2
-        except OverflowError:
-            four_rabi_sq = math.inf
-        if four_rabi_sq == math.inf:
-            raise ValueError(
-                f"coupling too strong: 4*rabi**2 overflows a double at rabi = {rabi!r} "
-                f"(big_r = rabi/lam = {rabi / res.lam!r}); E(t) needs rabi below about 6.7e153")
+        rabi, omega_sq = _rabi_omega_sq(res, coup)
         return cls(
             rabi=rabi,
             big_r=rabi / res.lam,
-            omega_sq=res.lam**2 - four_rabi_sq,
+            omega_sq=omega_sq,
             markov_rate=2.0 * rabi**2 / res.lam,
         )
+
+
+def _rabi_omega_sq(res: ReservoirSpec, coup: CouplingSpec) -> tuple[float, float]:
+    """``(rabi, lam**2 - 4 rabi**2)``, the two floats of the regime that
+    ``E(t)`` reads; a coupling whose ``4 rabi**2`` overflows is refused."""
+    rabi = coup.alpha_t * res.w
+    try:
+        four_rabi_sq = 4.0 * rabi**2
+    except OverflowError:
+        four_rabi_sq = math.inf
+    if four_rabi_sq == math.inf:
+        raise ValueError(
+            f"coupling too strong: 4*rabi**2 overflows a double at rabi = {rabi!r} "
+            f"(big_r = rabi/lam = {rabi / res.lam!r}); E(t) needs rabi below about 6.7e153")
+    return rabi, res.lam**2 - four_rabi_sq
 
 
 @dataclass(frozen=True)
@@ -320,15 +331,16 @@ class TimeSeries:
         return np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2
 
 
+_UNIT_RESERVOIR = ReservoirSpec(w=1.0, lam=1.0)
+
+
 def resonant_system(big_r: float, r1: float):
     """Reservoir/coupling pair with unit linewidth and ratio ``big_r = rabi/lam``.
 
     Convenience constructor for the dimensionless convention used throughout:
     with ``lam = 1`` all times are in units of the memory time.
     """
-    res = ReservoirSpec(w=1.0, lam=1.0)
-    coup = CouplingSpec.from_relative(alpha_t=big_r, r1=r1)
-    return res, coup
+    return _UNIT_RESERVOIR, CouplingSpec.from_relative(alpha_t=big_r, r1=r1)
 
 
 def _checked_times(t, name="t"):
@@ -399,25 +411,33 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     matching array entry bit for bit.
     """
     t = _checked_times(t)
-    lam = res.lam
-    reg = RegimeParams.from_specs(res, coup)
+    rabi, omega_sq = _rabi_omega_sq(res, coup)
+    if isinstance(t, float):
+        return float(_survival(res.lam, rabi, omega_sq, t))
+    # a decay exponent past the largest double is -inf and its exp the right
+    # 0, which a float time's product gives silently
+    with np.errstate(over="ignore"):
+        e = _survival(res.lam, rabi, omega_sq, t)
+    return e if e.ndim else float(e)
+
+
+def _survival(lam: float, rabi: float, omega_sq: float, t):
+    """The regimes of :func:`survival_amplitude` at checked times ``t``."""
     eps = _DEGENERATE_EPS * lam * lam
-    if reg.omega_sq >= _NEAR_CRITICAL * lam * lam:
+    if omega_sq >= _NEAR_CRITICAL * lam * lam:
         # Two-exponential form: both rates are negative, so no overflow for
         # large t, unlike the cosh/sinh form.
-        xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
-        e = ap * np.exp(xp * t) + am * np.exp(xm * t)
-    elif reg.omega_sq >= eps:
-        xp, om, ratio = _near_critical_terms(lam, reg.omega_sq)
-        e = np.exp(xp * t) * (0.5 * (1.0 + np.exp(-om * t)) - ratio * np.expm1(-om * t))
-    elif reg.omega_sq <= -eps:
-        w = math.sqrt(-reg.omega_sq)
+        xp, xm, ap, am = _overdamped_terms(lam, rabi, omega_sq)
+        return ap * np.exp(xp * t) + am * np.exp(xm * t)
+    if omega_sq >= eps:
+        xp, om, ratio = _near_critical_terms(lam, omega_sq)
+        return np.exp(xp * t) * (0.5 * (1.0 + np.exp(-om * t)) - ratio * np.expm1(-om * t))
+    if omega_sq <= -eps:
+        w = math.sqrt(-omega_sq)
         half = 0.5 * w * _capped_time(t, 0.5 * w)
-        e = np.exp(-0.5 * lam * t) * (np.cos(half) + (lam / w) * np.sin(half))
-    else:
-        t = _capped_time(t, 0.5 * lam)
-        e = np.exp(-0.5 * lam * t) * (1.0 + 0.5 * lam * t)
-    return e if e.ndim else float(e)
+        return np.exp(-0.5 * lam * t) * (np.cos(half) + (lam / w) * np.sin(half))
+    t = _capped_time(t, 0.5 * lam)
+    return np.exp(-0.5 * lam * t) * (1.0 + 0.5 * lam * t)
 
 
 def _capped_time(t, rate: float):
@@ -445,16 +465,16 @@ def _survival_split(res: ReservoirSpec, coup: CouplingSpec, t: float) -> tuple[f
     t/2)`` has zeros, which are those of ``E``; ``f`` is read at the time
     that ``E`` reads it."""
     lam = res.lam
-    reg = RegimeParams.from_specs(res, coup)
+    rabi, omega_sq = _rabi_omega_sq(res, coup)
     eps = _DEGENERATE_EPS * lam * lam
-    if reg.omega_sq >= _NEAR_CRITICAL * lam * lam:
-        xp, xm, ap, am = _overdamped_terms(lam, reg.rabi, reg.omega_sq)
+    if omega_sq >= _NEAR_CRITICAL * lam * lam:
+        xp, xm, ap, am = _overdamped_terms(lam, rabi, omega_sq)
         return xp, ap + am * math.exp((xm - xp) * t)
-    if reg.omega_sq >= eps:
-        xp, om, ratio = _near_critical_terms(lam, reg.omega_sq)
+    if omega_sq >= eps:
+        xp, om, ratio = _near_critical_terms(lam, omega_sq)
         return xp, 0.5 * (1.0 + math.exp(-om * t)) - ratio * math.expm1(-om * t)
-    if reg.omega_sq <= -eps:
-        w = math.sqrt(-reg.omega_sq)
+    if omega_sq <= -eps:
+        w = math.sqrt(-omega_sq)
         half = 0.5 * w * _capped_time(t, 0.5 * w)
         return -0.5 * lam, math.cos(half) + (lam / w) * math.sin(half)
     return -0.5 * lam, 1.0 + 0.5 * lam * _capped_time(t, 0.5 * lam)

@@ -349,8 +349,9 @@ def _substeps(dtau: float, base: float, limit: float) -> int | float:
 def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray):
     """``init ->`` concurrence of the selected solver at one coupling,
     sampled exactly on ``tau``: Volterra and the ODE step ``k`` times per
-    output interval and are read on every ``k``-th step.  The bath's step
-    only spaces its output, so it is built on the output grid itself."""
+    output interval, and their ``sigma`` is read once, on every ``k``-th
+    step, for all states.  The bath's step only spaces its output, so it
+    is built on the output grid itself."""
     res, coup = resonant_system(cfg.big_r, r1)
     if solver == "closed":
         return lambda init: closed_form_series(res, coup, init, tau).concurrence()
@@ -359,7 +360,11 @@ def _aligned_series(cfg: ScenarioConfig, solver: str, r1: float, tau: np.ndarray
     k = 1 if solver == "bath" else _substeps(
         float(dtau), getattr(cfg, f"dt_{solver}"), step_limit(res, coup, solver))
     run = _propagator(cfg, solver, res, coup, dtau / k)
-    return lambda init: run(init, k).concurrence()
+    # sigma read once at every k-th step is a map on the output grid, like
+    # the bath's, and serves every state
+    on_grid = dataclasses.replace(run, dt=dtau, size=tau.size, sigma=run.rows(0, run.size, k),
+                                  factors=None)
+    return lambda init: on_grid(init).concurrence()
 
 
 def run_time_evolution(cfg: ScenarioConfig) -> ScenarioResult:

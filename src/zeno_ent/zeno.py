@@ -220,7 +220,8 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
     """Piecewise evolution under the schedule, sampled inside every interval.
 
     ``samples_per_interval``, a positive integer, evenly spaced points start
-    each interval, and the series ends on the last measurement.  Ground
+    each interval, and the series ends on the last measurement: interval
+    ``k`` holds ``E(T)**k E(offset)``, the last point ``E(T)**N``.  Ground
     truth for the measured dynamics in all regimes, including intervals
     where the survival amplitude has gone negative.  Metadata reports the
     per-interval survival ``E(T)``, the oscillatory flag, and the population
@@ -238,10 +239,12 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
     n = sched.count
     local = np.linspace(0.0, t_int, samples_per_interval + 1)[:-1]
     tau = np.append((np.arange(n)[:, None] * t_int + local).ravel(), n * t_int)
-    c1, c2 = stroboscopic_amplitudes(res, coup, init, t_int, tau)
-
     e_t = survival_amplitude(res, coup, t_int)
-    g1, g2 = BellBasis.from_state(coup, init).amplitudes(coup, e_t ** np.arange(1, n + 1))
+    powers = e_t ** np.arange(n + 1)
+    e = np.append((powers[:-1, None] * survival_amplitude(res, coup, local)).ravel(), powers[-1])
+    basis = BellBasis.from_state(coup, init)
+    c1, c2 = basis.amplitudes(coup, e)
+    g1, g2 = basis.amplitudes(coup, powers[1:])
     ground = 1.0 - (np.abs(g1) ** 2 + np.abs(g2) ** 2)
 
     return TimeSeries(

@@ -37,7 +37,7 @@ from zeno_ent import (
     volterra_propagator,
     write_result,
 )
-from zeno_ent import scenarios, search
+from zeno_ent import scenarios, search, solvers
 from zeno_ent.cli import main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
 from zeno_ent.solvers import SOLVER_NAMES, _bright_weight, step_limit
@@ -184,6 +184,43 @@ class TestTimeEvolution:
             assert row_v[0] == pytest.approx(row_c[0], abs=1e-12)
             assert row_v[1] == pytest.approx(row_c[1], abs=1e-8)
             assert row_o[1] == pytest.approx(row_c[1], abs=1e-9)
+
+    @pytest.mark.parametrize("solver", ["volterra", "ode", "bath"])
+    def test_each_map_read_once_for_every_state(self, monkeypatch, solver):
+        # sigma is read off each r1's map once and serves every s; each
+        # column is the bits of that map called on its state
+        maps, reads = [], []
+        real_propagator, real_rows = scenarios._propagator, solvers.PairMap.rows
+
+        def propagating(*args):
+            maps.append(real_propagator(*args))
+            return maps[-1]
+
+        def counting(pair_map, lo, hi, step=1):
+            if any(pair_map is m for m in maps):
+                reads.append((pair_map, lo, hi, step))
+            return real_rows(pair_map, lo, hi, step)
+
+        monkeypatch.setattr(scenarios, "_propagator", propagating)
+        monkeypatch.setattr(solvers.PairMap, "rows", counting)
+        cfg = ScenarioConfig(scenario="time-evolution", solver=solver, big_r=10.0,
+                             r1=(0.87, 0.5), s=(-0.5, 0.0, 0.5), phi=0.7)
+        result = run_time_evolution(cfg)
+        monkeypatch.undo()
+        assert [read[0] for read in reads] == maps and len(maps) == 2
+        tau = result.data[0]
+        columns = iter(result.data[1:])
+        for (run, lo, hi, k), r1 in zip(reads, cfg.r1):
+            res, coup = resonant_system(cfg.big_r, r1)
+            if solver == "bath":
+                assert k == 1
+            else:
+                assert k == scenarios._substeps(float(tau[1] - tau[0]), getattr(cfg, f"dt_{solver}"),
+                                                step_limit(res, coup, solver))
+            assert (lo, hi) == (0, run.size) and hi == (tau.size - 1) * k + 1
+            for s in cfg.s:
+                expected = run(InitialState.from_separability(s, cfg.phi), k).concurrence()
+                assert next(columns).tobytes() == expected.tobytes()
 
     def test_bath_refused_past_comb_recurrence(self, tmp_path, capsys):
         # 2000 modes over +-200 linewidths at R = 10: dω = 0.2, so the comb

@@ -1,7 +1,10 @@
 """Closed-form layer: survival amplitude, amplitudes, concurrence measures."""
 
+import copy
+import dataclasses
 import decimal
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -147,6 +150,42 @@ class TestCouplingSpec:
     def test_single_qubit_edges_allowed(self):
         assert CouplingSpec.from_relative(1.0, 0.0).r2 == pytest.approx(1.0)
         assert CouplingSpec.from_relative(1.0, 1.0).r1 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("alpha1, alpha2", [
+        (0.3, 0.4), (1e-300, 2.5), (7.0, 0.0), (0.0, 5e-324), (1e150, 3e153),
+        (10.0 * 0.87, 10.0 * math.sqrt(1.0 - 0.87 ** 2)),
+    ])
+    def test_weights_derived_once_bit_for_bit(self, alpha1, alpha2):
+        # set at construction from the calls that the properties made on
+        # every read: math.hypot and _relative_weights
+        coup = CouplingSpec(alpha1, alpha2)
+        weights = (coup.alpha_t, coup.r1, coup.r2)
+        expected = (math.hypot(alpha1, alpha2), *model._relative_weights(alpha1, alpha2))
+        assert [w.hex() for w in weights] == [e.hex() for e in expected]
+
+    def test_derived_weights_are_no_fields(self):
+        coup = CouplingSpec(0.3, 0.4)
+        assert [f.name for f in dataclasses.fields(coup)] == ["alpha1", "alpha2"]
+        assert repr(coup) == "CouplingSpec(alpha1=0.3, alpha2=0.4)"
+        assert dataclasses.asdict(coup) == {"alpha1": 0.3, "alpha2": 0.4}
+        assert coup == CouplingSpec(0.3, 0.4) != CouplingSpec(0.4, 0.3)
+        assert hash(coup) == hash((0.3, 0.4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coup.r1 = 0.5
+        moved = dataclasses.replace(coup, alpha2=0.0)
+        assert (moved.alpha_t, moved.r1, moved.r2) == (0.3, 1.0, 0.0)
+        # the pickled state is the two fields, as before the weights were
+        # derived, so such a state loads and derives them
+        assert coup.__reduce_ex__(2)[2] == {"alpha1": 0.3, "alpha2": 0.4}
+        for other in (pickle.loads(pickle.dumps(coup)), copy.copy(coup), copy.deepcopy(coup)):
+            assert other == coup
+            assert (other.alpha_t, other.r1, other.r2) == (coup.alpha_t, coup.r1, coup.r2)
+
+    def test_unit_reservoir_is_shared(self):
+        res, coup = resonant_system(10.0, 0.87)
+        assert res is resonant_system(0.1, 0.3)[0]
+        assert res == ReservoirSpec(w=1.0, lam=1.0)
+        assert coup == CouplingSpec.from_relative(10.0, 0.87)
 
 
 class TestRegimeParams:
@@ -343,6 +382,38 @@ class TestSurvivalAmplitude:
         for t in (0.0, 1e-160, np.linspace(0.0, 1.0, 3)):
             with pytest.raises(ValueError, match="rabi"):
                 survival_amplitude(res, coup, t)
+
+    def test_overflow_refusal_names_the_coupling_from_every_reader(self):
+        res, coup = resonant_system(1e200, 1.0)
+        message = ("coupling too strong: 4*rabi**2 overflows a double at rabi = 1e+200 "
+                   "(big_r = rabi/lam = 1e+200); E(t) needs rabi below about 6.7e153")
+        for read in (lambda: RegimeParams.from_specs(res, coup),
+                     lambda: survival_amplitude(res, coup, 0.5),
+                     lambda: survival_amplitude(res, coup, np.array([0.5, 1.0])),
+                     lambda: model._survival_split(res, coup, 0.5)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == message
+
+    # an envelope exponent (x+ t and x- t overdamped, x+ t and -om t near
+    # critical damping, -lam t / 2 underdamped) passes the largest double at
+    # lam = 4, t = 1e308: the float call was silent and right, the array
+    # call warned "overflow encountered in multiply"
+    @pytest.mark.parametrize("coup", [
+        CouplingSpec(0.1, 0.1), CouplingSpec(1.9999, 0.0), CouplingSpec(2.0, 0.0),
+        CouplingSpec(10.0, 0.0),
+    ], ids=["overdamped", "near-critical", "critical", "underdamped"])
+    @pytest.mark.parametrize("t", [[1e308], [0.5, 1.7e308]], ids=["1e308", "0.5-1.7e308"])
+    def test_no_warning_where_an_envelope_exponent_overflows(self, coup, t):
+        res = ReservoirSpec(w=1.0, lam=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floats = np.array([survival_amplitude(res, coup, x) for x in t])
+            arr = survival_amplitude(res, coup, np.array(t))
+        assert arr.tobytes() == floats.tobytes()
+        assert arr[-1] == 0.0
+        if coup.alpha1 == 10.0:
+            assert np.signbit(arr[-1])
 
     # 0.5 w t overflowed to inf past about 1e308 / w, and cos(inf) gave NaN
     # (R = 10 from t = 2e307); at critical damping 1 + lam t / 2 overflowed
