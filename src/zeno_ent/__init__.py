@@ -11,7 +11,6 @@ from .model import (
     BellBasis,
     CouplingSpec,
     InitialState,
-    RegimeParams,
     ReservoirSpec,
     TimeSeries,
     amplitudes_at,
@@ -61,7 +60,6 @@ __all__ = [
     "MeasurementSchedule",
     "OptimumResult",
     "PairMap",
-    "RegimeParams",
     "ReservoirSpec",
     "ScenarioConfig",
     "ScenarioResult",

@@ -2,11 +2,11 @@
 
 Two two-level emitters couple with strengths ``alpha1`` and ``alpha2`` to a
 common zero-temperature bosonic reservoir whose spectral density is a
-Lorentzian of half-width ``lam`` and integrated weight ``w**2`` centred at
-``omega0``.  With one excitation shared between the pair and the reservoir,
-the pair state is ``c1(t)|10> + c2(t)|01>`` plus a reservoir branch, and the
-whole evolution is carried by a single scalar function: the survival
-amplitude ``E(t)`` of the super-radiant superposition
+Lorentzian of half-width ``lam`` and integrated weight ``w**2`` centred on
+their shared resonance.  With one excitation shared between the pair and
+the reservoir, the pair state is ``c1(t)|10> + c2(t)|01>`` plus a reservoir
+branch, and the whole evolution is carried by a single scalar function: the
+survival amplitude ``E(t)`` of the super-radiant superposition
 ``r1|10> + r2|01>`` (``rj = alphaj / alpha_t``).  The orthogonal sub-radiant
 combination ``r2|10> - r1|01>`` is decoupled from the reservoir and keeps its
 share of the excitation indefinitely.
@@ -33,7 +33,6 @@ __all__ = [
     "BellBasis",
     "CouplingSpec",
     "InitialState",
-    "RegimeParams",
     "ReservoirSpec",
     "TimeSeries",
     "amplitudes_at",
@@ -89,20 +88,18 @@ def _require_finite(name, value):
 class ReservoirSpec:
     """Lorentzian reservoir parameters.
 
-    ``w`` sets the integrated coupling weight (the memory kernel starts at
-    ``w**2``), ``lam`` is the spectral half-width alias memory decay rate,
-    and ``omega0`` is the resonance frequency, kept for bookkeeping only:
-    both qubits sit exactly on resonance, so nothing downstream depends on
-    its absolute value.  A ``w`` or ``lam`` whose square overflows a double
+    ``w`` sets the integrated coupling weight ``w**2`` of the spectral
+    density and ``lam`` is its half-width alias the memory decay rate.
+    Both qubits sit exactly on resonance, so frequencies are read as
+    detunings from it.  A ``w`` or ``lam`` whose square overflows a double
     (above about 1.34e154) is refused.
     """
 
     w: float
     lam: float
-    omega0: float = 0.0
 
     def __post_init__(self):
-        for name in ("w", "lam", "omega0"):
+        for name in ("w", "lam"):
             _require_finite(name, getattr(self, name))
         if self.w <= 0.0:
             raise ValueError(f"w must be positive, got {self.w!r}")
@@ -115,26 +112,11 @@ class ReservoirSpec:
             raise ValueError(f"lam = {self.lam!r} is too large: the squared linewidth "
                              "lam**2 overflows a double")
 
-    def spectral_density(self, omega):
-        """J(omega), a Lorentzian of half-width ``lam`` centred at ``omega0``."""
-        omega = _to_float("omega", omega, lambda v: np.asarray(v, dtype=float))
-        return self.detuned_density(omega - self.omega0)
-
     def detuned_density(self, detuning):
-        """J at ``omega = omega0 + detuning``; the Lorentzian is written here only.
-
-        Read from the detuning, it loses no digits to a large ``omega0``.
-        """
+        """Spectral density J at ``detuning`` from resonance, a Lorentzian
+        of half-width ``lam`` and weight ``w**2``; the one place it is written."""
         detuning = _to_float("detuning", detuning, lambda v: np.asarray(v, dtype=float))
         out = (self.w**2 / math.pi) * self.lam / (detuning**2 + self.lam**2)
-        return out if out.ndim else float(out)
-
-    def memory_kernel(self, tau):
-        """Reservoir correlation function ``w**2 * exp(-lam * tau)`` for tau >= 0."""
-        tau = _to_float("tau", tau, lambda v: np.asarray(v, dtype=float))
-        if not np.all(tau >= 0.0):
-            raise ValueError("memory kernel is defined for tau >= 0")
-        out = self.w**2 * np.exp(-self.lam * tau)
         return out if out.ndim else float(out)
 
 
@@ -197,28 +179,6 @@ class CouplingSpec:
         return InitialState(complex(self.r2), complex(-self.r1))
 
 
-@dataclass(frozen=True)
-class RegimeParams:
-    """Derived dynamical parameters of a reservoir/coupling pair."""
-
-    rabi: float
-    big_r: float
-    omega_sq: float
-    markov_rate: float
-
-    @classmethod
-    def from_specs(cls, res: ReservoirSpec, coup: CouplingSpec) -> "RegimeParams":
-        """Refuses a coupling whose ``4 rabi**2`` overflows a double: there
-        ``omega_sq`` is ``-inf`` and ``E(t)`` would come out NaN."""
-        rabi, omega_sq = _rabi_omega_sq(res, coup)
-        return cls(
-            rabi=rabi,
-            big_r=rabi / res.lam,
-            omega_sq=omega_sq,
-            markov_rate=2.0 * rabi**2 / res.lam,
-        )
-
-
 def _rabi_omega_sq(res: ReservoirSpec, coup: CouplingSpec) -> tuple[float, float]:
     """``(rabi, lam**2 - 4 rabi**2)``, the two floats of the regime that
     ``E(t)`` reads; a coupling whose ``4 rabi**2`` overflows is refused."""
@@ -263,22 +223,6 @@ class InitialState:
         c01 = math.sqrt((1.0 - s) / 2.0)
         c02 = math.sqrt((1.0 + s) / 2.0) * cmath.exp(1j * phi)
         return cls(complex(c01), c02)
-
-    @property
-    def s(self) -> float:
-        """Population imbalance; equals the separability parameter of the family."""
-        return abs(self.c02) ** 2 - abs(self.c01) ** 2
-
-    @property
-    def phi(self) -> float:
-        """Relative phase of c02 against c01, folded into [0, 2*pi)."""
-        if self.c01 == 0 or self.c02 == 0:
-            return 0.0
-        return (cmath.phase(self.c02) - cmath.phase(self.c01)) % (2.0 * math.pi)
-
-    @property
-    def initial_concurrence(self) -> float:
-        return 2.0 * abs(self.c01) * abs(self.c02)
 
 
 @dataclass(frozen=True)
@@ -327,9 +271,6 @@ class TimeSeries:
     def concurrence(self) -> np.ndarray:
         return 2.0 * np.abs(self.c1 * np.conj(self.c2))
 
-    def norm_sq(self) -> np.ndarray:
-        return np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2
-
 
 _UNIT_RESERVOIR = ReservoirSpec(w=1.0, lam=1.0)
 
@@ -361,32 +302,6 @@ def _checked_times(t, name="t"):
     return t
 
 
-def _overdamped_terms(lam: float, rabi: float, omega_sq: float):
-    """``(xp, xm, ap, am)`` of the overdamped ``E(t) = ap exp(xp t) + am
-    exp(xm t)``.  At weak coupling, ``4 rabi**2 < 9e-3 lam**2``, the slow
-    rate ``(om - lam)/2`` and its weight ``(1 - lam/om)/2`` cancel, so they
-    are formed as ``-2 rabi**2 / (lam + om)`` and ``xp / om``.  Above that
-    bound the cancellation costs under 1e-13 relative, and the plain form
-    is kept, so every ``R`` from 0.05 up keeps its bits."""
-    om = math.sqrt(omega_sq)
-    if 4.0 * rabi * rabi < 9e-3 * lam * lam:
-        xp = -2.0 * rabi * rabi / (lam + om)
-        am = xp / om
-    else:
-        xp = 0.5 * (om - lam)
-        am = 0.5 * (1.0 - lam / om)
-    return xp, -0.5 * (om + lam), 0.5 * (1.0 + lam / om), am
-
-
-def _near_critical_terms(lam: float, omega_sq: float):
-    """``(xp, om, lam / (2 om))`` of the overdamped ``E(t) = exp(xp t) (1/2
-    (1 + exp(-om t)) - lam / (2 om) expm1(-om t))``, the two-exponential form
-    with its weights ``(1 +- lam/om)/2``, which grow as ``1/om`` and cancel,
-    gathered over ``expm1``."""
-    om = math.sqrt(omega_sq)
-    return 0.5 * (om - lam), om, lam / (2.0 * om)
-
-
 def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     """Survival amplitude E(t) of the super-radiant superposition.
 
@@ -411,33 +326,58 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     matching array entry bit for bit.
     """
     t = _checked_times(t)
-    rabi, omega_sq = _rabi_omega_sq(res, coup)
     if isinstance(t, float):
-        return float(_survival(res.lam, rabi, omega_sq, t))
+        return float(_survival(res, coup, t)[0])
     # a decay exponent past the largest double is -inf and its exp the right
     # 0, which a float time's product gives silently
     with np.errstate(over="ignore"):
-        e = _survival(res.lam, rabi, omega_sq, t)
+        e = _survival(res, coup, t)[0]
     return e if e.ndim else float(e)
 
 
-def _survival(lam: float, rabi: float, omega_sq: float, t):
-    """The regimes of :func:`survival_amplitude` at checked times ``t``."""
-    eps = _DEGENERATE_EPS * lam * lam
+def _survival(res: ReservoirSpec, coup: CouplingSpec, t):
+    """``(E, k, f)`` at checked times ``t``, in the regimes of
+    :func:`survival_amplitude`: ``E(t) = exp(k t) * f`` with ``k`` the
+    slowest decay rate and ``f`` a factor that grows at most linearly, so
+    ``log|E| / t = k + log|f| / t`` holds where ``E`` underflows and where
+    ``k t`` overflows.  The overdamped ``E`` is its two-exponential sum;
+    the other regimes form it from ``(k, f)``.  Only the underdamped factor
+    ``cos(w t/2) + (lam/w) sin(w t/2)`` has zeros, which are those of
+    ``E``."""
+    lam = res.lam
+    rabi, omega_sq = _rabi_omega_sq(res, coup)
     if omega_sq >= _NEAR_CRITICAL * lam * lam:
-        # Two-exponential form: both rates are negative, so no overflow for
-        # large t, unlike the cosh/sinh form.
-        xp, xm, ap, am = _overdamped_terms(lam, rabi, omega_sq)
-        return ap * np.exp(xp * t) + am * np.exp(xm * t)
+        # E = ap exp(xp t) + am exp(xm t): both rates are negative, so no
+        # overflow for large t, unlike the cosh/sinh form.  At weak coupling,
+        # 4 rabi**2 < 9e-3 lam**2, the slow rate (om - lam)/2 and its weight
+        # (1 - lam/om)/2 cancel, so they are formed as -2 rabi**2 / (lam +
+        # om) and xp / om; above that bound the cancellation costs under
+        # 1e-13 relative, and the plain form keeps the bits of every R from
+        # 0.05 up
+        om = math.sqrt(omega_sq)
+        if 4.0 * rabi * rabi < 9e-3 * lam * lam:
+            xp = -2.0 * rabi * rabi / (lam + om)
+            am = xp / om
+        else:
+            xp = 0.5 * (om - lam)
+            am = 0.5 * (1.0 - lam / om)
+        xm, ap = -0.5 * (om + lam), 0.5 * (1.0 + lam / om)
+        e = ap * np.exp(xp * t) + am * np.exp(xm * t)
+        return e, xp, ap + am * np.exp((xm - xp) * t)
+    eps = _DEGENERATE_EPS * lam * lam
     if omega_sq >= eps:
-        xp, om, ratio = _near_critical_terms(lam, omega_sq)
-        return np.exp(xp * t) * (0.5 * (1.0 + np.exp(-om * t)) - ratio * np.expm1(-om * t))
-    if omega_sq <= -eps:
+        # the weights (1 +- lam/om)/2 of the two exponentials grow as 1/om
+        # and cancel; gathered over expm1 they do not
+        om = math.sqrt(omega_sq)
+        k = 0.5 * (om - lam)
+        f = 0.5 * (1.0 + np.exp(-om * t)) - lam / (2.0 * om) * np.expm1(-om * t)
+    elif omega_sq <= -eps:
         w = math.sqrt(-omega_sq)
         half = 0.5 * w * _capped_time(t, 0.5 * w)
-        return np.exp(-0.5 * lam * t) * (np.cos(half) + (lam / w) * np.sin(half))
-    t = _capped_time(t, 0.5 * lam)
-    return np.exp(-0.5 * lam * t) * (1.0 + 0.5 * lam * t)
+        k, f = -0.5 * lam, np.cos(half) + (lam / w) * np.sin(half)
+    else:
+        k, f = -0.5 * lam, 1.0 + 0.5 * lam * _capped_time(t, 0.5 * lam)
+    return np.exp(k * t) * f, k, f
 
 
 def _capped_time(t, rate: float):
@@ -454,30 +394,6 @@ def _capped_time(t, rate: float):
     while rate * math.nextafter(cap, math.inf) < math.inf:
         cap = math.nextafter(cap, math.inf)
     return np.minimum(t, cap)
-
-
-def _survival_split(res: ReservoirSpec, coup: CouplingSpec, t: float) -> tuple[float, float]:
-    """``(k, f)`` with ``E(t) = exp(k t) * f`` at a checked time ``t``, in
-    the regimes of :func:`survival_amplitude`: ``k`` is the slowest decay
-    rate and ``f`` a factor that grows at most linearly, so ``log|E| / t =
-    k + log|f| / t`` holds where ``E`` underflows and where ``k t``
-    overflows.  Only the underdamped factor ``cos(w t/2) + (lam/w) sin(w
-    t/2)`` has zeros, which are those of ``E``; ``f`` is read at the time
-    that ``E`` reads it."""
-    lam = res.lam
-    rabi, omega_sq = _rabi_omega_sq(res, coup)
-    eps = _DEGENERATE_EPS * lam * lam
-    if omega_sq >= _NEAR_CRITICAL * lam * lam:
-        xp, xm, ap, am = _overdamped_terms(lam, rabi, omega_sq)
-        return xp, ap + am * math.exp((xm - xp) * t)
-    if omega_sq >= eps:
-        xp, om, ratio = _near_critical_terms(lam, omega_sq)
-        return xp, 0.5 * (1.0 + math.exp(-om * t)) - ratio * math.expm1(-om * t)
-    if omega_sq <= -eps:
-        w = math.sqrt(-omega_sq)
-        half = 0.5 * w * _capped_time(t, 0.5 * w)
-        return -0.5 * lam, math.cos(half) + (lam / w) * math.sin(half)
-    return -0.5 * lam, 1.0 + 0.5 * lam * _capped_time(t, 0.5 * lam)
 
 
 def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t: float) -> TimeSeries:

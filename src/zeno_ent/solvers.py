@@ -101,9 +101,9 @@ class SolverConfig:
     """Grid parameters shared by the integrators.
 
     ``n_modes`` and ``freq_window`` only matter for the discretized bath:
-    the comb covers ``omega0 +- K*max(lam, rabi)`` with ``K = freq_window``,
+    the comb covers resonance ``+- K*max(lam, rabi)`` with ``K = freq_window``,
     i.e. K units of the fastest rate, so it always reaches past the
-    vacuum-Rabi splitting.  For ``rabi <= lam`` that is ``omega0 +- K*lam``.
+    vacuum-Rabi splitting.  For ``rabi <= lam`` that is resonance ``+- K*lam``.
     The defaults, 2000 modes over ``K = 20``, are the comb every scenario
     runs; to ``t_max = 10`` it stays within the cross-check's bath budget
     (1e-3) up to ``R = 26`` (worst error 7.4e-4, and 1.5e-3 at ``R = 28``).
@@ -409,13 +409,13 @@ def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig
 
 
 def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
-    """Uniform midpoint comb over ``[omega0 - K lam, omega0 + K lam]``.
+    """Uniform midpoint comb over resonance ``+- K lam``.
 
-    Returns the mode offsets from ``omega0`` and the couplings ``g`` as
-    arrays, with ``g_k**2 = J(omega0 + offset_k) * dω``.  The offsets are
+    Returns the mode offsets from resonance and the couplings ``g`` as
+    arrays, with ``g_k**2 = J(offset_k) * dω``.  The offsets are
     built in detuning coordinates and are exactly antisymmetric,
     ``offsets == -offsets[::-1]``, and the couplings exactly symmetric.  An
-    even comb has no mode at omega0; an odd comb puts its centre mode
+    even comb has no mode at resonance; an odd comb puts its centre mode
     exactly there (``n_modes = 3`` gives offsets ``-2/3, 0, 2/3`` in units
     of ``K lam``), and :func:`bath_propagator` carries it with weight 1
     beside the mirror pairs.
@@ -432,7 +432,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     Works in the frame rotating at each mode's detuning, which leaves the
     qubit amplitudes untouched and makes the right-hand side autonomous.
     The comb is a uniform midpoint grid of ``cfg.n_modes`` modes over
-    ``omega0 +- band_edge`` with ``band_edge = cfg.freq_window *
+    resonance ``+- band_edge`` with ``band_edge = cfg.freq_window *
     max(lam, rabi)``: at strong coupling it scales with the vacuum-Rabi
     frequency instead of cutting the spectrum off near the splitting at
     ``+-rabi``.  The comb is evolved exactly, so no step is refused and

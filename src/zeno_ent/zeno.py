@@ -34,7 +34,7 @@ from .model import (
     ReservoirSpec,
     TimeSeries,
     _checked_times,
-    _survival_split,
+    _survival,
     _to_float,
     survival_amplitude,
 )
@@ -135,7 +135,7 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     _check_interval(interval)
     e = survival_amplitude(res, coup, interval)
     if abs(e) < _SURVIVAL_FLOOR:
-        k, f = _survival_split(res, coup, float(interval))
+        _, k, f = _survival(res, coup, float(interval))
         if abs(f) < _SURVIVAL_FLOOR:
             raise ValueError(
                 f"measurement interval {float(interval)!r} lands on a zero of the "
@@ -180,10 +180,10 @@ def concurrence_measured(res: ReservoirSpec, coup: CouplingSpec,
     :meth:`BellBasis.amplitudes` at ``e = E(T)**N``, the signed interval
     survival raised to the measurement count.  This is the piecewise
     evolution at its last measurement in every regime, including intervals
-    with ``E(T) < 0``.
+    with ``E(T) < 0`` and intervals on a zero of ``E``, which only the rate
+    refuses.
     """
-    zr = zeno_rate(res, coup, sched.interval)
-    g = zr.interval_survival ** sched.count
+    g = survival_amplitude(res, coup, sched.interval) ** sched.count
     c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, g)
     return 2.0 * abs(c1 * c2.conjugate())
 

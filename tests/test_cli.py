@@ -392,9 +392,9 @@ class TestZenoCompare:
             init = InitialState.from_separability(0.0)
             c1, c2 = stroboscopic_amplitudes(res, coup, init, 1e-30, [0.5, 1.0, 2.0])
         frozen = [row[result.columns.index("C[T=1e-30]")] for row in result.rows]
-        np.testing.assert_allclose(frozen, init.initial_concurrence, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frozen, 2.0 * abs(init.c01 * init.c02), rtol=0, atol=1e-12)
         np.testing.assert_allclose(2.0 * np.abs(c1 * np.conj(c2)),
-                                   init.initial_concurrence, rtol=0, atol=1e-12)
+                                   2.0 * abs(init.c01 * init.c02), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("interval", ["1e-320", "5e-324"])
     def test_subnormal_interval_freezes_the_state_without_warning(self, tmp_path, interval):
@@ -408,7 +408,7 @@ class TestZenoCompare:
         assert lines[0] == f"tau,C[unmeasured],C[T={float(interval)!r}]"
         init = InitialState.from_separability(0.0)
         frozen = [float(line.split(",")[2]) for line in lines[1:]]
-        np.testing.assert_allclose(frozen, init.initial_concurrence, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frozen, 2.0 * abs(init.c01 * init.c02), rtol=0, atol=1e-12)
 
 
 class TestSolverXcheck:

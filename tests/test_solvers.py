@@ -709,8 +709,8 @@ class TestVolterra:
         dt, t_max = 1e-3, 2.0
         n = int(round(t_max / dt))
         fast = volterra_propagator(res, coup, SolverConfig(dt=dt, t_max=t_max))(init)
-        c1, c2 = volterra_full_history(res.memory_kernel(np.arange(n + 1) * dt),
-                                       coup, init, dt, n)
+        kernel = res.w**2 * np.exp(-res.lam * (np.arange(n + 1) * dt))
+        c1, c2 = volterra_full_history(kernel, coup, init, dt, n)
         np.testing.assert_allclose(c1, fast.c1, atol=1e-10)
         np.testing.assert_allclose(c2, fast.c2, atol=1e-10)
 
@@ -751,16 +751,13 @@ class TestDiscretizedBath:
     def test_mode_comb_weights_match_spectral_density(self):
         res = resonant_system(0.5, 0.5)[0]
         offsets, g = solvers._comb(res, n_modes=200, freq_window=10.0)
-        omegas = res.omega0 + offsets
-        assert omegas.shape == g.shape == (200,)
+        assert offsets.shape == g.shape == (200,)
         d_omega = 2.0 * 10.0 * res.lam / 200
         for k in (0, 57, -1):
-            assert g[k] ** 2 == pytest.approx(res.spectral_density(omegas[k]) * d_omega,
+            assert g[k] ** 2 == pytest.approx(res.detuned_density(offsets[k]) * d_omega,
                                               rel=1e-12)
-        # comb is symmetric around resonance
-        assert omegas[0] - res.omega0 == pytest.approx(res.omega0 - omegas[-1], abs=1e-12)
-        # ... exactly: offsets mirror and couplings match bit for bit
-        offsets = omegas - res.omega0
+        # comb is symmetric around resonance, exactly: offsets mirror and
+        # couplings match bit for bit
         assert np.array_equal(offsets, -offsets[::-1])
         assert np.array_equal(g, g[::-1])
 
@@ -790,20 +787,6 @@ class TestDiscretizedBath:
         for n in (250, 500, 1000):
             assert gaps[2000] == pytest.approx(gaps[n], rel=0.01)
         assert gaps[2000] < 1e-3
-
-    def test_series_independent_of_omega0(self):
-        # the comb is built in detuning coordinates, so a large resonance
-        # frequency cancels no digits
-        res, coup = resonant_system(10.0, 0.87)
-        init = InitialState(1.0, 0.0)
-        cfg = bath_cfg(1e-3, 2.0)
-        base = bath_propagator(res, coup, cfg)(init)
-        for omega0 in (1e9, 1e16):
-            shifted = bath_propagator(ReservoirSpec(w=res.w, lam=res.lam, omega0=omega0),
-                                      coup, cfg)(init)
-            assert np.array_equal(shifted.c1, base.c1)
-            assert np.array_equal(shifted.c2, base.c2)
-            assert np.array_equal(shifted.meta["norm_total"], base.meta["norm_total"])
 
     def test_subradiant_state_exactly_constant(self):
         res, coup = resonant_system(0.5, 0.7)

@@ -1,6 +1,6 @@
 """perfbench's jobs run through each job's own check: blocks 0-2 of the
-``scan`` workload, the public API, and block 0 of ``evolve`` and
-``xcheck``, which run the CLI.
+``scan`` workload, the public API, and block 0 of ``evolve``, ``xcheck``
+and ``tables``, which run the CLI.
 
 The module is loaded from its file as ``test_tracing.py`` loads the tracer.
 An API change that breaks a benchmark job fails here, not only in a
@@ -47,7 +47,7 @@ def test_scan_block_passes_its_checks(workloads, seed, tmp_path):
     assert _failing(workloads, "scan", seed, range(3), tmp_path) == (60, [])
 
 
-@pytest.mark.parametrize("workload, jobs", [("evolve", 6), ("xcheck", 3)])
+@pytest.mark.parametrize("workload, jobs", [("evolve", 6), ("xcheck", 3), ("tables", 8)])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cli_block_passes_its_checks(workloads, workload, jobs, seed, tmp_path):
     assert _failing(workloads, workload, seed, [0], tmp_path) == (jobs, [])

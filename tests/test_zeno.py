@@ -16,6 +16,7 @@ from zeno_ent import (
     concurrence_measured,
     resonant_system,
     simulate_stroboscopic,
+    stationary_concurrence,
     stroboscopic_amplitudes,
     survival_amplitude,
     survival_probability_measured,
@@ -320,6 +321,25 @@ class TestConcurrenceMeasured:
         single = MeasurementSchedule(interval=0.3, count=1)
         assert concurrence_measured(res, coup, init, single) == \
             pytest.approx(0.28545, abs=1e-5)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_interval_on_a_zero_of_survival_is_read(self, count):
+        # E(T) = 1.3e-17 here, below the floor at which zeno_rate refuses
+        # the interval: read through the rate, this valid schedule raised
+        res, coup = resonant_system(10.0, 0.87)
+        init = InitialState.from_separability(0.0)
+        interval = 0.16228470118019392
+        assert abs(survival_amplitude(res, coup, interval)) < 1e-14
+        sched = MeasurementSchedule(interval=interval, count=count)
+        measured = concurrence_measured(res, coup, init, sched)
+        sampled = simulate_stroboscopic(res, coup, init, sched).concurrence()[-1]
+        c1, c2 = stroboscopic_amplitudes(res, coup, init, interval, [count * interval])
+        assert measured == pytest.approx(sampled, rel=0, abs=1e-12)
+        assert measured == pytest.approx(2.0 * abs(c1[0] * c2[0].conjugate()), rel=0, abs=1e-12)
+        assert measured == pytest.approx(stationary_concurrence(coup, init), rel=0, abs=1e-12)
+        # the rate, and the population it sets, still refuse the interval
+        with pytest.raises(ValueError, match="the effective rate diverges"):
+            survival_probability_measured(res, coup, init, sched)
 
     def test_measurements_beat_free_decay(self):
         res, coup = resonant_system(0.1, SQRT_HALF)
