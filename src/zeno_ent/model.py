@@ -269,7 +269,11 @@ class TimeSeries:
     meta: dict = field(default_factory=dict)
 
     def concurrence(self) -> np.ndarray:
-        return 2.0 * np.abs(self.c1 * np.conj(self.c2))
+        """``2 |c1 conj(c2)|``, its parts formed in real arithmetic, so it
+        rounds alike at any series length, as numpy's complex product does not."""
+        re = self.c1.real * self.c2.real + self.c1.imag * self.c2.imag
+        im = self.c1.imag * self.c2.real - self.c1.real * self.c2.imag
+        return 2.0 * np.abs(re + 1j * im)
 
 
 _UNIT_RESERVOIR = ReservoirSpec(w=1.0, lam=1.0)

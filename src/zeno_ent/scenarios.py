@@ -28,6 +28,7 @@ from .model import (
     BellBasis,
     CouplingSpec,
     InitialState,
+    TimeSeries,
     _relative_weights,
     _to_float,
     closed_form_series,
@@ -82,10 +83,10 @@ _SQRT_HALF = math.sqrt(0.5)
 # tau points per block of the transient coarse-grid product
 _TAU_BLOCK = 4096
 # points per block of each solver grid in solver-xcheck: at R = 10 the
-# traced peak, 2.5 MB for one r1 and 2.6 MB for the default five, is the
-# bath's run up to blocks of 2**15 points (2.7 and 3.0 MB in blocks of
-# 2**16); at 10**6 Volterra steps without the bath it is 1.9 MB in blocks
-# of 2**14, 3.8 MB of 2**15, 6.9 MB of 2**16
+# traced peak, 2.5 MB for one r1 and for the default five, is the bath's
+# run up to blocks of 2**15 points (3.3 MB in blocks of 2**16); at 10**6
+# Volterra steps without the bath it is 1.7 MB in blocks of 2**14, 3.2 MB
+# of 2**15, 5.3 MB of 2**16
 _XCHECK_BLOCK = 1 << 14
 
 _REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
@@ -408,7 +409,7 @@ def run_zeno_compare(cfg: ScenarioConfig) -> ScenarioResult:
             continue
         c1, c2 = stroboscopic_amplitudes(res, coup, init, t_int, tau)
         columns.append(f"C[T={key}]")
-        data.append(2.0 * np.abs(c1 * np.conj(c2)))
+        data.append(TimeSeries(tau, c1, c2).concurrence())
         schedules[key] = {
             "zeno_rate": zr.rate,
             "interval_survival": zr.interval_survival,
@@ -434,92 +435,26 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     scalar series ``Delta = |a|^2 (sigma_a - sigma_b)``, or ``|a|^2 sigma -
     (E - 1)``, and the row of a state whose pair at ``t = 0`` is ``x`` is
     ``max(|r1|, |r2|) |r.x| max_t |Delta|``: one maximum per (r1, pair)
-    serves every s.
-
-    A solver runs once per distinct ``(|a|^2, alpha_t)``, the floats of
-    the coupling its arithmetic, step check and comb read, and every r1
-    of that key shares the run and its maxima.  Each pair is formed on the
-    grid of its coarse side, its home: the numeric solver of a closed
-    pair, the solver with the larger step of a numeric one.  Each grid, one
-    per step and in solver order, is walked once in blocks of whole tail
-    rows of its solvers' series, about ``_XCHECK_BLOCK`` points each, and
-    on each block every pair at home there reads both its sides straight
-    off :meth:`~zeno_ent.solvers.PairMap.rows`, on the block's shared
-    points alone.  No series or grid of times is built whole: a block's
-    times come from :meth:`~zeno_ent.solvers.PairMap.times`.  ``E`` reads
-    the coupling only through ``alpha_t``, so ``E - 1`` is evaluated on a
-    block once per distinct ``alpha_t`` and serves every key that has it.
+    serves every s.  The solvers run once per distinct ``(|a|^2, alpha_t)``,
+    the floats of the coupling that they read, and every r1 of that key
+    shares the maxima of its maps (:func:`_xcheck_peaks`).
     """
     solvers = ["volterra", "ode"] + (["bath"] if cfg.include_bath else [])
+    pairs = [(a, b, XCHECK_TOLERANCES.get(a, 0.0) + XCHECK_TOLERANCES[b])
+             for i, a in enumerate(["closed"] + solvers) for b in solvers[i:]]
     columns = ["r1", "s", "solver_a", "solver_b", "n_shared", "max_abs_err",
                "tolerance", "passed"]
     s_axis = cfg.s_axis()
     x = np.array([[init.c01, init.c02] for init in (_init_state(cfg, s) for s in s_axis)])
-    dt = {name: getattr(cfg, f"dt_{name}") for name in solvers}
-    couplings, runs = [], {}
+    peaks, rows = {}, []
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
         key = (_bright_weight(coup), coup.alpha_t)
-        couplings.append((coup, key))
-        if key not in runs:
-            maps = {name: _propagator(cfg, name, res, coup, dt[name]) for name in solvers}
-            runs[key] = (res, coup, maps)
-    # a solver's grid is the same for every key
-    grids = next(iter(runs.values()))[2]
-    # per pair: its sides, the solver whose grid it is walked on, the other
-    # numeric side (None for the closed form) and the stride onto its grid,
-    # the shared-point count and the tolerance
-    table = []
-    for i, a in enumerate(["closed"] + solvers):
-        for b in solvers[i:]:
-            if a == "closed":
-                table.append((a, b, b, None, 1, grids[b].size, XCHECK_TOLERANCES[b]))
-                continue
-            home, fine = (b, a) if dt[b] >= dt[a] else (a, b)
-            on_home, on_fine = _shared_points(grids[home].dt, grids[home].size,
-                                              grids[fine].dt, grids[fine].size)
-            table.append((a, b, home, fine, on_fine.step or 1, on_home.stop,
-                          XCHECK_TOLERANCES[a] + XCHECK_TOLERANCES[b]))
-    # per key and pair, max_t |Delta|; np.maximum keeps a NaN
-    peaks = {key: np.zeros(len(table)) for key in runs}
-    groups = {}
-    for key in runs:
-        groups.setdefault(key[1], []).append(key)
-
-    # a grid is fixed by its step and tau_max: solvers of one step share a walk
-    for step in dict.fromkeys(dt.values()):
-        grid = grids[next(name for name in solvers if dt[name] == step)]
-        row = math.isqrt(grid.size)
-        width = max(_XCHECK_BLOCK // row, 2) * row
-        for lo in range(0, grid.size, width):
-            hi = min(lo + width, grid.size)
-            tau = grid.times(lo, hi)
-            for members in groups.values():
-                e = survival_amplitude(*runs[members[0]][:2], tau) - 1.0
-                for key in members:
-                    asq, maps, peak = key[0], runs[key][2], peaks[key]
-                    for k, (_, _, home, fine, stride, n, _) in enumerate(table):
-                        # the shared points of the block: m on the home
-                        # grid is m * stride on the fine one
-                        end = min(hi, n)
-                        if dt[home] != step or end <= lo:
-                            continue
-                        if fine is None:
-                            delta = asq * maps[home].rows(lo, end)
-                            delta -= e
-                            scale = 1.0
-                        else:
-                            delta = maps[home].rows(lo, end) - maps[fine].rows(
-                                lo * stride, (end - 1) * stride + 1, stride)
-                            scale = asq
-                        np.abs(delta, out=delta)
-                        peak[k] = np.maximum(peak[k], scale * delta.max())
-
-    rows = []
-    for r1, (coup, key) in zip(cfg.r1_axis(), couplings):
+        if key not in peaks:
+            peaks[key] = _xcheck_peaks(cfg, pairs, res, coup)
         reach = max(abs(coup.r1), abs(coup.r2)) * np.abs(coup.r1 * x[:, 0] + coup.r2 * x[:, 1])
         for j, s in enumerate(s_axis):
-            for (a, b, _, _, _, n, tol), top in zip(table, peaks[key]):
+            for (a, b, tol), (n, top) in zip(pairs, peaks[key]):
                 err = float(reach[j] * top)
                 rows.append([r1, s, a, b, n, err, tol, int(err <= tol)])
     return ScenarioResult(columns=columns, data=[list(col) for col in zip(*rows)],
@@ -528,23 +463,58 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                           config=cfg)
 
 
-def _shared_points(dta: float, na: int, dtb: float, nb: int):
-    """Slices of two uniform grids from 0, of steps ``dta`` and ``dtb`` and
-    ``na`` and ``nb`` points, onto the points both hold.
+def _xcheck_peaks(cfg: ScenarioConfig, pairs, res, coup) -> list:
+    """``(n_shared, max_t |Delta|)`` of each pair at one coupling, from one
+    map per solver, dropped on return.  A pair is walked on its home grid
+    (:func:`_pair_peak`): its numeric side's if the other is the closed
+    form, else its side of the larger step (on a tie the second).  Steps
+    that share no points are refused before any pair is walked."""
+    maps = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
+            for name in dict.fromkeys(b for _, b, _ in pairs)}
+    sides = [(maps[b], None) if a == "closed" else
+             sorted((maps[b], maps[a]), key=lambda m: -m.dt) for a, b, _ in pairs]
+    shared = [_shared_points(*side) for side in sides]
+    asq = _bright_weight(coup)
+    return [(n, _pair_peak(*side, stride, n, asq, (res, coup)))
+            for side, (stride, n) in zip(sides, shared)]
 
-    Each grid ends at the multiple of its step nearest ``tau_max``, so the
-    two may end on either side of it; the shared points stop where the
-    shorter grid does.
-    """
-    if dta > dtb:
-        return _shared_points(dtb, nb, dta, na)[::-1]
-    ratio = dtb / dta
-    k = int(round(ratio))
-    if abs(ratio - k) > 1e-9:
+
+def _shared_points(home, fine) -> tuple[int, int]:
+    """``(stride, n)``: the first ``n`` points of the ``home`` map's grid
+    are those it shares with the finer ``fine`` one, point ``m`` being its
+    point ``m * stride``; ``(1, size)`` without ``fine``.  Each grid ends at
+    the multiple of its step nearest ``tau_max``, so the shared points stop
+    where the shorter grid does."""
+    if fine is None:
+        return 1, home.size
+    ratio = home.dt / fine.dt
+    stride = int(round(ratio))
+    if abs(ratio - stride) > 1e-9:
         raise ValueError("solver steps do not share grid points; "
                          "pick commensurate dt values")
-    n = min(-(-na // k), nb)
-    return slice(0, n * k, k), slice(0, n)
+    return stride, min(-(-fine.size // stride), home.size)
+
+
+def _pair_peak(home, fine, stride: int, n: int, asq: float, system):
+    """``max_t |Delta|`` over the first ``n`` points of ``home``'s grid:
+    ``|a|^2 sigma - (E - 1)`` at ``system = (res, coup)`` without a ``fine``
+    map, else ``|a|^2 (sigma_home - sigma_fine)``.  The grid is walked in
+    blocks of whole tail rows of ``home``, about :data:`_XCHECK_BLOCK`
+    points each, each side read off :meth:`~zeno_ent.solvers.PairMap.rows`
+    on the block alone; ``np.maximum`` keeps a NaN."""
+    row = math.isqrt(home.size)
+    width = max(_XCHECK_BLOCK // row, 2) * row
+    peak, scale = 0.0, 1.0 if fine is None else asq
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        if fine is None:
+            delta = asq * home.rows(lo, hi)
+            delta -= survival_amplitude(*system, home.times(lo, hi)) - 1.0
+        else:
+            delta = home.rows(lo, hi) - fine.rows(lo * stride, (hi - 1) * stride + 1, stride)
+        np.abs(delta, out=delta)
+        peak = np.maximum(peak, scale * delta.max())
+    return peak
 
 
 def _transient_peaks(r1_axis: np.ndarray, init: InitialState, e: np.ndarray) -> np.ndarray:

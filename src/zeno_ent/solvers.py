@@ -149,11 +149,6 @@ class PairMap:
     ``sigma`` whole.  A numeric solver holds the head and tail vectors of
     its blocked powers (``factors``, see :func:`_bright_propagator`), and
     :meth:`rows` builds ``sigma`` on the points it is asked for alone.
-
-    The comb's evolution is unitary, so its modes hold what the pair lost,
-    and the bath's series carries the total excitation ``norm_total =
-    |c|^2 - |u|^2 sigma (2 + |a|^2 sigma)``, ``|x|^2`` but for rounding, at
-    each output step.
     """
 
     dt: float
@@ -208,16 +203,9 @@ class PairMap:
     def __call__(self, init: InitialState, step: int = 1) -> TimeSeries:
         x1, x2 = init.c01, init.c02
         a1, a2 = self.drive
-        sigma = self.rows(0, self.size, step)
-        u0 = a1 * x1 + a2 * x2
-        drift = u0 * sigma
-        c1 = x1 + a1 * drift
-        c2 = x2 + a2 * drift
-        meta = dict(self.meta)
-        if meta["solver"] == "bath":
-            modes = abs(u0) ** 2 * sigma * (2.0 + (a1 * a1 + a2 * a2) * sigma)
-            meta["norm_total"] = np.abs(c1) ** 2 + np.abs(c2) ** 2 - modes
-        return TimeSeries(tau=self.times(0, self.size, step), c1=c1, c2=c2, meta=meta)
+        drift = (a1 * x1 + a2 * x2) * self.rows(0, self.size, step)
+        return TimeSeries(tau=self.times(0, self.size, step), c1=x1 + a1 * drift,
+                          c2=x2 + a2 * drift, meta=dict(self.meta))
 
 
 def _bright_weight(coup: CouplingSpec) -> float:

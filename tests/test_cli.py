@@ -44,25 +44,35 @@ from zeno_ent.solvers import SOLVER_NAMES, _bright_weight, step_limit
 
 SQRT_HALF = math.sqrt(0.5)
 
-# solver-xcheck configs that take the walk off its default path
+# solver-xcheck configs that take the pairs' walks off their default paths
 WALK_CASES = {
     # several blocks of the Volterra grid, the last one partial, and
     # complex states beside the real one at s = -1
     "blocks-complex": dict(big_r=10.0, r1=(0.0, 0.6, SQRT_HALF), phi=0.7),
     "complex-phi2": dict(big_r=0.5, r1=(0.3, 0.87, 1.0), s=(-1.0, -0.2, 0.3, 1.0), phi=2.0),
     "partial-grid": dict(big_r=24.0, r1=(0.87,), tau_max=3.7),
-    # the ODE grid finer than Volterra's, so the walk is over the ODE's
+    # the ODE grid finer than Volterra's, so the pair of the two is walked
+    # on Volterra's
     "ode-finest": dict(big_r=10.0, r1=(0.6,), dt_ode=5e-5),
     # grids that end apart (10 / 7e-4 rounds up), without the bath
     "ends-apart": dict(big_r=10.0, r1=(0.87, 0.3), dt_ode=7e-4, include_bath=False),
-    # a bath grid finer than Volterra's, so the walk reads the comb's map
+    # a bath grid finer than Volterra's, so pairs walk the grids of the others
     "bath-finest": dict(big_r=0.5, r1=(0.3,), dt_volterra=1e-3, dt_ode=1e-4, dt_bath=5e-5,
                         tau_max=2.0),
     # the ODE's grid of 30001 points walked in two blocks of its own
     "coarse-blocks": dict(big_r=10.0, r1=(0.6,), tau_max=30.0, include_bath=False),
-    # Volterra and the ODE share a step, and one walk; two r1 of one alpha_t
+    # Volterra and the ODE share a step; two r1 of one alpha_t
     "shared-step": dict(big_r=10.0, r1=(0.3, 0.87), dt_ode=1e-4),
 }
+
+
+def shared_points(ma, mb):
+    """Indices into the grids of the maps ``ma`` and ``mb`` of the points
+    both hold, in time order: each grid's times counted in the finer step
+    and rounded to integers, then matched."""
+    fine = min(ma.dt, mb.dt)
+    counts = [np.round(m.times(0, m.size) / fine) for m in (ma, mb)]
+    return np.intersect1d(*counts, return_indices=True)[1:]
 
 
 class TestScenarioConfig:
@@ -493,87 +503,47 @@ class TestSolverXcheck:
         assert code == 0
         assert runs == pytest.approx([0.0, 0.87])
 
-    def test_closed_form_once_per_solver_grid(self, monkeypatch):
-        # E(t) once per alpha_t, the one float of the coupling it reads, on
-        # each distinct solver grid, not once per (r1, s, solver): the ODE
-        # and the bath share their grid, the r1 of one alpha_t share E, and
-        # the Volterra grid is evaluated block by block, each point once
+    @pytest.mark.parametrize("case, n_keys, n_blocks", [
+        (dict(big_r=0.5, r1=(0.0, 0.5, 0.87), s=(-1.0, 0.0, 0.3), tau_max=0.5), 2, 6),
+        (dict(big_r=10.0, r1=(0.6,), tau_max=3.7, dt_bath=2e-3), 1, 5),
+        (dict(big_r=7.0, tau_max=2.0), 2, 8),
+    ], ids=["two-keys", "blocks", "seven"])
+    def test_closed_form_once_per_key_on_each_home_grid(self, monkeypatch, case, n_keys,
+                                                        n_blocks):
+        # each closed pair evaluates E(t) once per distinct (|a|^2, alpha_t),
+        # in pair order, at every point of its numeric side's grid, in blocks
+        # of whole tail rows of that map (the last block may be short): at
+        # R = 0.5 r1 = 0.5 has a key of its own, at R = 7 r1 = 1/sqrt(2), and
+        # Volterra's grid takes three blocks to tau = 3.7 and two to tau = 2
         calls = []
         real = scenarios.survival_amplitude
 
         def counting(res, coup, t):
-            calls.append((coup.alpha_t, np.array(t)))
+            calls.append(((_bright_weight(coup), coup.alpha_t), np.array(t)))
             return real(res, coup, t)
 
         monkeypatch.setattr(scenarios, "survival_amplitude", counting)
-        runs = []
-        real_volterra = scenarios.volterra_propagator
-
-        def counting_runs(res, coup, cfg):
-            runs.append((_bright_weight(coup), coup.alpha_t))
-            return real_volterra(res, coup, cfg)
-
-        monkeypatch.setattr(scenarios, "volterra_propagator", counting_runs)
-
-        def evaluations(cfg):
-            """Each alpha_t's evaluated times, per grid in the order first
-            reached; the Volterra grid's blocks are concatenated."""
-            calls.clear()
-            runs.clear()
-            assert run_solver_xcheck(cfg).meta["passed"] is True
-            # one solver run per distinct (|a|^2, alpha_t) of the r1 axis
-            keys = {(_bright_weight(coup), coup.alpha_t)
-                    for coup in (resonant_system(cfg.big_r, r1)[1] for r1 in cfg.r1_axis())}
-            assert sorted(runs) == sorted(keys)
-            grids = {}
-            for alpha_t, t in calls:
-                times = grids.setdefault(alpha_t, [[]])
-                # a block that starts at 0 opens a grid
-                if times[-1] and t[0] == 0.0:
-                    times.append([])
-                times[-1].append(t)
-            return {alpha_t: [np.concatenate(g) for g in times]
-                    for alpha_t, times in grids.items()}, len(calls)
-
-        def grid(dt, tau_max):
-            return SolverConfig(dt=dt, t_max=tau_max).dt * np.arange(
-                round(tau_max / dt) + 1)
-
-        cfg = ScenarioConfig(scenario="solver-xcheck", big_r=0.5, r1=(0.3, 0.87),
-                             s=(-1.0, 0.0, 0.3), tau_max=0.5)
-        alpha_t = {resonant_system(0.5, r1)[1].alpha_t for r1 in cfg.r1}
-        assert len(alpha_t) == 1
-        # Volterra's grid (dt = 1e-4) first, then the one of the ODE and the
-        # bath (1e-3), once for both r1
-        got, count = evaluations(cfg)
-        assert count == 2 and got.keys() == alpha_t
-        for times in got.values():
-            assert [t.tolist() for t in times] == [grid(1e-4, 0.5).tolist(),
-                                                   grid(1e-3, 0.5).tolist()]
-        # a bath on a grid of its own gets an evaluation of its own
-        got, count = evaluations(dataclasses.replace(cfg, r1=(0.3,), dt_bath=2e-3))
-        assert count == 3
-        assert [t.size for t in got.popitem()[1]] == [5001, 501, 251]
-        # a Volterra grid of several blocks: each point once, in blocks of
-        # whole tail rows of the map
-        got, count = evaluations(dataclasses.replace(cfg, tau_max=3.7))
-        assert count > 2
-        for times in got.values():
-            assert [t.tolist() for t in times] == [grid(1e-4, 3.7).tolist(),
-                                                   grid(1e-3, 3.7).tolist()]
-        assert all(t.size <= scenarios._XCHECK_BLOCK for _, t in calls)
-        # at R = 7, r1 = 1/sqrt(2) has an alpha_t of its own, and gets E of
-        # its own on each grid; the other four r1 share one
-        seven = ScenarioConfig(scenario="solver-xcheck", big_r=7.0, tau_max=2.0)
-        got, _ = evaluations(seven)
-        assert sorted(got) == sorted({resonant_system(7.0, r1)[1].alpha_t
-                                      for r1 in seven.r1_axis()})
-        assert len(got) == 2
-        for times in got.values():
-            assert [t.tolist() for t in times] == [grid(1e-4, 2.0).tolist(),
-                                                   grid(1e-3, 2.0).tolist()]
-        # the shared evaluation gives the rows of one per r1 and grid
-        self.assert_rows_match(run_solver_xcheck(cfg).rows, self.whole_map_rows(cfg))
+        cfg = ScenarioConfig(scenario="solver-xcheck", **case)
+        assert run_solver_xcheck(cfg).meta["passed"] is True
+        keys = dict.fromkeys((_bright_weight(coup), coup.alpha_t)
+                             for coup in (resonant_system(cfg.big_r, r1)[1]
+                                          for r1 in cfg.r1_axis()))
+        blocks = iter(calls)
+        for key in keys:
+            for name in SOLVER_NAMES:
+                dt = getattr(cfg, f"dt_{name}")
+                size = round(cfg.tau_max / dt) + 1
+                times = []
+                while sum(t.size for t in times) < size:
+                    got, t = next(blocks)
+                    assert got == key
+                    assert t.size <= scenarios._XCHECK_BLOCK
+                    times.append(t)
+                assert all(t.size % math.isqrt(size) == 0 for t in times[:-1])
+                assert np.array_equal(np.concatenate(times),
+                                      SolverConfig(dt=dt, t_max=cfg.tau_max).dt * np.arange(size))
+        assert next(blocks, None) is None
+        assert (len(keys), len(calls)) == (n_keys, n_blocks)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("big_r", [0.1, 0.5, 10.0])
@@ -604,8 +574,7 @@ class TestSolverXcheck:
                             tol = scenarios.XCHECK_TOLERANCES[b]
                         else:
                             sa = series[a]
-                            ia, ib = scenarios._shared_points(
-                                maps[a].dt, maps[a].size, maps[b].dt, maps[b].size)
+                            ia, ib = shared_points(maps[a], maps[b])
                             tol = (scenarios.XCHECK_TOLERANCES[a]
                                    + scenarios.XCHECK_TOLERANCES[b])
                         err = max(float(np.max(np.abs(sa.c1[ia] - sb.c1[ib]))),
@@ -673,7 +642,7 @@ class TestSolverXcheck:
                     gap += p[b]
                     npts, tol = tau.size, scenarios.XCHECK_TOLERANCES[b]
                 else:
-                    ia, ib = scenarios._shared_points(maps[a].dt, maps[a].size, mb.dt, mb.size)
+                    ia, ib = shared_points(maps[a], mb)
                     gap = p[a][:, :, ia] - p[b][:, :, ib]
                     npts = gap.shape[2]
                     tol = scenarios.XCHECK_TOLERANCES[a] + scenarios.XCHECK_TOLERANCES[b]

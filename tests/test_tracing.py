@@ -53,10 +53,12 @@ def test_traced_optimum_equals_untraced(objective):
         assert metrics["search.evals"] > 0
 
 
-@pytest.mark.parametrize("r1", [(0.6,), ()], ids=["one-r1", "five-r1"])
-def test_traced_xcheck_equals_untraced(r1):
-    # the walks evaluate E on each distinct grid point once: 100001 Volterra
-    # points and 10001 shared by the ODE and the bath, for every r1 at R = 10
+@pytest.mark.parametrize("r1, points", [((0.6,), 120003), ((), 240006)],
+                         ids=["one-r1", "five-r1"])
+def test_traced_xcheck_equals_untraced(r1, points):
+    # each closed pair evaluates E on its solver's grid once per distinct
+    # (|a|^2, alpha_t): 100001 Volterra points and 10001 each for the ODE
+    # and the bath, and the five default r1 at R = 10 have two such keys
     tracing = _load_tracing()
     cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=r1)
     untraced = zeno_ent.run_solver_xcheck(cfg).rows
@@ -70,4 +72,4 @@ def test_traced_xcheck_equals_untraced(r1):
     finally:
         tracer.uninstall()
     assert traced == untraced
-    assert tracing.layer_metrics(tracer, wall)["model.survival_amplitude.points"] == 110002
+    assert tracing.layer_metrics(tracer, wall)["model.survival_amplitude.points"] == points
