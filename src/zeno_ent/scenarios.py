@@ -449,7 +449,7 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     peaks, rows = {}, []
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        key = (_bright_weight(coup), coup.alpha_t)
+        key = (_bright_weight(res, coup), coup.alpha_t)
         if key not in peaks:
             peaks[key] = _xcheck_peaks(cfg, pairs, res, coup)
         reach = max(abs(coup.r1), abs(coup.r2)) * np.abs(coup.r1 * x[:, 0] + coup.r2 * x[:, 1])
@@ -474,7 +474,7 @@ def _xcheck_peaks(cfg: ScenarioConfig, pairs, res, coup) -> list:
     sides = [(maps[b], None) if a == "closed" else
              sorted((maps[b], maps[a]), key=lambda m: -m.dt) for a, b, _ in pairs]
     shared = [_shared_points(*side) for side in sides]
-    asq = _bright_weight(coup)
+    asq = _bright_weight(res, coup)
     return [(n, _pair_peak(*side, stride, n, asq, (res, coup)))
             for side, (stride, n) in zip(sides, shared)]
 

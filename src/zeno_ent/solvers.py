@@ -80,20 +80,18 @@ __all__ = [
 SOLVER_NAMES = ("volterra", "ode", "bath")
 
 # most modes a bath comb may hold: a 10k-step run at the ceiling takes about
-# 0.22 s on a 2-core x86 host (2000 modes take 0.02 s)
+# 0.07 s on a 2-core x86 host (2000 modes take about 0.01 s)
 MAX_MODES = 20_000
 
 # the bath's phase sums: most elements of their tallest work array (1 MB)
 _CHUNK = 1 << 16
-# the secular solve: the cap on root iterations, roots per block and the
-# Chebyshev points (second kind, on [-1, 1]) at which a block samples its
-# far poles' sums, with their barycentric weights
+# the secular solve: the cap on root iterations, the poles from the origin
+# whose sums above are taken term by term, and the Bernoulli terms B_2k/2k
+# and B_2k of the digamma's and trigamma's series, highest power first
 _ITERATIONS = 12
-_BLOCK = 128
-_SAMPLES = 32
-_CHEB_X = np.sin(0.5 * np.pi * np.arange(1 - _SAMPLES, _SAMPLES, 2) / (_SAMPLES - 1))
-_CHEB_W = np.where(np.arange(_SAMPLES) % 2, -1.0, 1.0)
-_CHEB_W[[0, -1]] *= 0.5
+_DIRECT = 4
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510])
+_SERIES = np.column_stack([_BERNOULLI / np.arange(2, 18, 2), _BERNOULLI])[::-1]
 
 
 @dataclass(frozen=True)
@@ -208,10 +206,16 @@ class PairMap:
                           c2=x2 + a2 * drift, meta=dict(self.meta))
 
 
-def _bright_weight(coup: CouplingSpec) -> float:
+def _bright_weight(res: ReservoirSpec, coup: CouplingSpec) -> float:
     """``|a|^2 = alpha1^2 + alpha2^2``, the one float of the coupling that a
-    solver's arithmetic reads; its step check and comb read ``alpha_t``."""
-    return coup.alpha1 * coup.alpha1 + coup.alpha2 * coup.alpha2
+    solver's arithmetic reads; its step check and comb read ``alpha_t``.  A
+    coupling whose ``|a|^2`` overflows is refused, naming its ``big_r``."""
+    asq = coup.alpha1 * coup.alpha1 + coup.alpha2 * coup.alpha2
+    if not math.isfinite(asq):
+        raise ValueError(
+            f"big_r = {coup.alpha_t * res.w / res.lam!r} is too strong a coupling for the "
+            "solvers: |a|^2 = alpha1^2 + alpha2^2 overflows a double")
+    return asq
 
 
 def _check_comb(n_modes, freq_window) -> int:
@@ -327,7 +331,7 @@ def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     Q~_i[0,0] + A~_j[1,0] Q~_i[0,1]``, with no division by ``|a|^2``, which
     may underflow.  The map keeps these two tail and three head vectors."""
     n = _grid(cfg, step_limit(res, coup, solver))
-    asq = _bright_weight(coup)
+    asq = _bright_weight(res, coup)
     d = np.array([increment(1.0, 0.0), increment(0.0, 1.0)]).T
     g = np.array([[asq], [1.0]])
 
@@ -351,7 +355,7 @@ def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfi
     so the step is a constant linear map on ``(u, m)``, stepped with
     trapezoid + Heun.  Global error is O(dt^2).
     """
-    asq = _bright_weight(coup)
+    asq = _bright_weight(res, coup)
     dt = cfg.dt
     decay_m1 = math.expm1(-res.lam * dt)
     decay = 1.0 + decay_m1
@@ -377,7 +381,7 @@ def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig
     ``s' = -z`` for the pair's move ``a s`` and ``z' = -lam z + w^2 u``,
     is a constant linear map on ``(u, z)``.
     """
-    asq = _bright_weight(coup)
+    asq = _bright_weight(res, coup)
     lam = res.lam
     wsq = res.w**2
     dt = cfg.dt
@@ -400,18 +404,18 @@ def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
     """Uniform midpoint comb over resonance ``+- K lam``.
 
     Returns the mode offsets from resonance and the couplings ``g`` as
-    arrays, with ``g_k**2 = J(offset_k) * dω``.  The offsets are
-    built in detuning coordinates and are exactly antisymmetric,
-    ``offsets == -offsets[::-1]``, and the couplings exactly symmetric.  An
-    even comb has no mode at resonance; an odd comb puts its centre mode
-    exactly there (``n_modes = 3`` gives offsets ``-2/3, 0, 2/3`` in units
-    of ``K lam``), and :func:`bath_propagator` carries it with weight 1
-    beside the mirror pairs.
+    arrays, with ``g_k**2 = J(offset_k) * dω``, and the spacing ``dω``.
+    The offsets are built in detuning coordinates and are exactly
+    antisymmetric, ``offsets == -offsets[::-1]``, and the couplings exactly
+    symmetric.  An even comb has no mode at resonance; an odd comb puts its
+    centre mode exactly there (``n_modes = 3`` gives offsets ``-2/3, 0,
+    2/3`` in units of ``K lam``), and :func:`bath_propagator` carries it
+    with weight 1 beside the mirror pairs.
     """
     n_modes = _check_comb(n_modes, freq_window)
     dw = 2.0 * (freq_window * res.lam) / n_modes
     offsets = (np.arange(n_modes) - (n_modes - 1) / 2.0) * dw
-    return offsets, np.sqrt(res.detuned_density(offsets) * dw)
+    return offsets, np.sqrt(res.detuned_density(offsets) * dw), dw
 
 
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -449,15 +453,14 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     of the eigenvectors, enter.  The qubits sit on resonance of a
     symmetric spectral density, so the comb is mirrored about their
     frequency: the spectrum is ``+-lam_j``, plus ``0`` for an even comb,
-    and :func:`_folded_spectrum` finds it from the upper half of the comb.
-    The roots cost about ``modes^2 / 16`` array operations for the far
-    poles plus ``128 * modes`` per iteration for the near ones, and the
-    sums over the spectrum (:func:`_spectral_sums`) ``modes * steps / 2``.
+    and :func:`_folded_spectrum` finds it from the upper half of the comb,
+    iterating every root at once on closed-form sums over the poles: each
+    pass costs ``O(modes)``, and the sums over the spectrum
+    (:func:`_spectral_sums`) ``modes * steps / 2``.
 
-    Metadata carries the full mode count and the recurrence time, and each
-    series the total-excitation norm at each output step for conservation
-    checks.
+    Metadata carries the full mode count and the recurrence time.
     """
+    asq = _bright_weight(res, coup)
     recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
     if cfg.t_max > recurrence:
         raise ValueError(
@@ -468,13 +471,12 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     n = _grid(cfg, step_limit(res, coup, "bath"))
     window = _comb_window(res, coup, cfg.freq_window)
 
-    offsets, g = _comb(res, cfg.n_modes, window)
+    offsets, g, dw = _comb(res, cfg.n_modes, window)
     # the upper half of the comb: a mirror pair counts twice in c^T c, an
     # odd comb's centre mode (the first kept one, at offset 0) once
     lower = cfg.n_modes // 2
     mult = np.full(cfg.n_modes - lower, 2.0)
     mult[: cfg.n_modes % 2] = 1.0
-    asq = _bright_weight(coup)
     b = asq * mult * g[lower:] ** 2
     if not np.min(b) >= np.finfo(float).tiny:
         raise ValueError(
@@ -484,7 +486,8 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     # a comb too narrow for double precision overflows its secular solve
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            lam, weight = _folded_spectrum(offsets[lower:], b)
+            lam, weight = _folded_spectrum(offsets[lower:], b, dw, res.lam, asq,
+                                           res.detuned_density(0.0) * res.lam**2 * dw)
     except FloatingPointError as exc:
         raise ValueError(
             f"freq_window = {cfg.freq_window!r} is too narrow a bath comb for double "
@@ -504,207 +507,203 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
                    sigma=sigma)
 
 
-def _folded_spectrum(o, b):
+def _folded_spectrum(o, b, dw, lam, asq, density):
     """Spectrum of the mirrored arrowhead from the upper half of its comb.
 
-    ``o`` are the kept offsets, ascending and ``>= 0`` (an odd comb's
-    centre first, at 0), ``b`` their couplings ``c_k^2`` times the
-    multiplicity (2 for a mirror pair, 1 for the centre); the spacing need
-    not be uniform.  The nonzero eigenvalues are ``+-lam_j`` with
-    ``mu_j = lam_j^2`` the roots of ``1 = sum_k b_k / (mu - o_k^2)``, one in
-    each gap ``(o_j^2, o_{j+1}^2)`` and the last within ``sum b`` above
-    ``o^2`` of the top mode.  Returns ``(lam, w)`` with the pair weight
-    ``w_j = 1 / (2 mu_j sum_k b_k / (mu_j - o_k^2)^2)`` of each of
-    ``+-lam_j``.  An even comb also has the eigenvalue 0, which the run
-    never sees, with weight ``w0 = 1 / (1 + sum_k b_k / o_k^2)``, and
-    ``w0 + 2 sum w = 1``.
+    ``o`` are the kept offsets ``o_k = (k + h) dw``, ``h`` 0 for an odd comb
+    (its centre first, at 0) and 1/2 for an even one, ``b`` their couplings
+    ``c_k^2`` times the multiplicity (2 for a mirror pair, 1 for the
+    centre), Lorentzian up to rounding: ``b_k = asq density mult_k / (o_k^2
+    + lam^2)``.  The nonzero eigenvalues are ``+-lam_j`` with ``mu_j =
+    lam_j^2`` the roots of ``1 = sum_k b_k / (mu - o_k^2)``, one in each gap
+    ``(o_j^2, o_{j+1}^2)`` and the last within ``sum b`` above ``o^2`` of
+    the top mode.  Returns ``(lam, w)`` with the pair weight ``w_j = 1 / (2
+    mu_j sum_k b_k / (mu_j - o_k^2)^2)`` of each of ``+-lam_j``.  An even
+    comb also has the eigenvalue 0, which the run never sees, with weight
+    ``w0 = 1 / (1 + sum_k b_k / o_k^2)``, and ``w0 + 2 sum w = 1``.
 
-    Each root is found as its offset ``delta`` from the nearer pole, so
-    that a root hugging a pole keeps its digits, with the pole gaps formed
-    as ``(o_k - o_r)(o_k + o_r)``.  The iteration matches the sums over
-    the poles left and right of the root, in value and slope, by one pole
-    each, and takes the root of that two-pole model in the gap (as in
-    LAPACK's ``dlaed4``).
-
-    The roots are taken in blocks of ``_BLOCK`` consecutive ones, counted
-    from the top, so that only the bottom block may be short: the top one
-    keeps a positive width even where ``sum b`` is too small to move ``o^2``
-    of the top mode.  A block's roots lie in ``[lo, hi]``, from its lowest
-    pole to the pole above its highest root (``sqrt(o^2 + sum b)`` of the
-    top mode for the top block).  Only the near poles, within half that
-    width of it, are summed exactly per root.  The far poles sit at least
-    a half-width outside, so their four sums (left and right, value and
-    slope) are smooth in ``lam`` there: each is sampled once per block at
-    ``_SAMPLES`` Chebyshev points of ``[lo, hi]`` and read off by
-    barycentric interpolation (Berrut and Trefethen, SIAM Rev. 46, 501
-    (2004)), whose relative error is about ``(2 + sqrt 3)^-32 ~ 5e-19``.
-    They are sampled in ``lam - lo``, not in ``mu``, in which the far poles
-    at the bottom of the comb come within half a half-width.  For ``m``
-    kept poles the solve then costs about ``m^2 / 4`` far terms plus
-    ``2 _BLOCK`` near terms per root and iteration, where summing every
-    pole cost ``m`` per root and iteration.
+    Each root is found as its offset ``delta`` from the nearer pole ``p``,
+    so that a root hugging a pole keeps its digits, with the pole gaps
+    formed as ``(o_k - o_p)(o_k + o_p)``.  The iteration matches the sums
+    over the poles left and right of the root, in value and slope, by one
+    pole each, and takes the root of that two-pole model in the gap (as in
+    LAPACK's ``dlaed4``); the pole ``p`` is carried exactly, with its own
+    ``b_p``.  Every root is iterated at once on closed-form sums over the
+    other poles (:func:`_pole_sums`), so a pass costs ``O(m)`` for ``m``
+    kept poles, where summing every pole cost ``m^2``.
     """
     m = o.size
-    osq = o * o
+    sums = _pole_sums(o, b, dw, lam, asq, density)
     total = float(np.sum(b))
-    lam = np.empty(m)
-    weight = np.empty(m)
     eps = np.finfo(float).eps
-    ends = np.arange(m, 0, -_BLOCK)[::-1]
-    starts = np.concatenate(([0], ends[:-1]))
-    lows = o[starts]
-    highs = np.append(o[ends[:-1]], math.sqrt(o[-1] * o[-1] + total))
-    reach = 0.5 * (highs - lows)
-    near_lo = np.searchsorted(o, lows - reach, side="left")
-    near_hi = np.searchsorted(o, highs + reach, side="right")
-    # work buffers, shared by every block and iteration
-    rows_max = int(np.max(ends - starts))
-    near_max = int(np.max(near_hi - near_lo))
-    gap_buf = np.empty(rows_max * near_max)
-    inv_buf = np.empty(rows_max * near_max)
-    far_buf = np.empty(_SAMPLES * (m - int(np.min(near_hi - near_lo))))
-    samples = np.ones((_SAMPLES, 5))
-    lower_tri = np.tri(rows_max, dtype=bool)
-    for j0, j1, lo, hi, k0, k1 in zip(starts.tolist(), ends.tolist(), lows.tolist(),
-                                       highs.tolist(), near_lo.tolist(), near_hi.tolist()):
-        nr = j1 - j0
-        nn = k1 - k0
-        r = np.arange(nr)
-        j = np.arange(j0, j1)
-        top = j == m - 1
-        right = np.minimum(j + 1, m - 1)
-        # columns of the root's own pole and the one above it, and where
-        # the block's own band [j0, j1) starts and ends among the near poles
-        own, above = j - k0, right - k0
-        band0, band1 = j0 - k0, j1 - k0
-        far = k0 > 0 or k1 < m
-        if far:
-            nodes = (0.5 * (hi - lo)) * (1.0 + _CHEB_X)
-            _sample_far(o, b, lo, nodes, k0, k1, far_buf, samples)
-        # F = 1 + sum_k b_k / (o_k^2 - mu) at mid-gap rises through the gap,
-        # so F(mid) >= 0 puts the root in the left half, nearer the left
-        # pole; the two end poles give +-b/half, the others keep enough
-        # digits in plain squares
-        b_right = np.where(top, 0.0, b[right])
-        half = 0.5 * np.where(top, total, (o[right] - o[j]) * (o[right] + o[j]))
-        work = inv_buf[:nr * nn].reshape(nr, nn)
-        np.subtract(osq[k0:k1], (osq[j] + half)[:, None], out=work)
-        work[r, own] = work[r, above] = np.inf
-        np.reciprocal(work, out=work)
-        rest = 1.0 + work @ b[k0:k1]
-        if far:
-            mid = np.sqrt(osq[j] + half)
-            sums = _far_sums((o[j] - lo) + half / (mid + o[j]), nodes, samples)
-            rest += sums[:, 0] + sums[:, 1]
-        flip = (rest + (b_right - b[j]) / half < 0.0) & ~top
-        pole = np.where(flip, right, j)
-        origin = o[pole]
-        gap = gap_buf[:nr * nn].reshape(nr, nn)
-        np.subtract(o[k0:k1], origin[:, None], out=gap)
-        np.add(o[k0:k1], origin[:, None], out=work)
-        gap *= work
-        left_pole = gap[r, own]
-        right_pole = np.where(top, total, gap[r, above])
-        # start from the two-pole model with the other poles frozen at mid-gap
-        delta = _model_root(rest, b[j], b_right, left_pole, right_pole)
-        # the origin pole's term is carried exactly: in the model it adds
-        # b_p to the slope weight of its side and cancels from the rest
-        b_pole = b[pole]
-        pole_col = pole - k0
-        on_left = np.where(flip, 0.0, b_pole)
-        on_right = np.where(flip, b_pole, 0.0)
-        band_left = np.where(lower_tri[:nr, :nr], b[j0:j1], 0.0)
-        band_right = b[j0:j1] - band_left
-        b_below, b_above = b[k0:j0], b[j1:k1]
-        rest_slope = np.empty(nr)
-        live = r
-        for it in range(_ITERATIONS):
-            n = live.size
-            at = delta[live]
-            inv = inv_buf[:n * nn].reshape(n, nn)
-            if n == nr:
-                np.subtract(gap, at[:, None], out=inv)
-                bl, br = band_left, band_right
-            else:
-                np.take(gap, live, axis=0, out=inv, mode="clip")
-                inv -= at[:, None]
-                bl, br = band_left[live], band_right[live]
-            inv[np.arange(n), pole_col[live]] = np.inf
-            np.reciprocal(inv, out=inv)
-            band = inv[:, band0:band1]
-            psi = inv[:, :band0] @ b_below + np.einsum("ij,ij->i", band, bl)
-            phi = inv[:, band1:] @ b_above + np.einsum("ij,ij->i", band, br)
-            np.multiply(inv, inv, out=inv)
-            dpsi = inv[:, :band0] @ b_below + np.einsum("ij,ij->i", band, bl)
-            dphi = inv[:, band1:] @ b_above + np.einsum("ij,ij->i", band, br)
-            if far:
-                # lam - lo, with lam - origin formed without rounding lam^2
-                base = origin[live]
-                sums = _far_sums((base - lo) + at / (np.sqrt(base * base + at) + base),
-                                 nodes, samples)
-                psi += sums[:, 0]
-                phi += sums[:, 1]
-                dpsi += sums[:, 2]
-                dphi += sums[:, 3]
-            rest_slope[live] = dpsi + dphi
-            to_left = left_pole[live] - at
-            to_right = right_pole[live] - at
-            step = _model_root(1.0 + psi - dpsi * to_left + phi - dphi * to_right,
-                               dpsi * to_left * to_left + on_left[live],
-                               dphi * to_right * to_right + on_right[live],
-                               left_pole[live], right_pole[live])
-            # settled once the step is within the rounding of F over its
-            # slope, both scaled by delta^2 to keep the pole term finite
-            sq_at = at * at
-            noise = (sq_at * (1.0 + phi - psi) + b_pole[live] * np.abs(at)) / (
-                sq_at * (dpsi + dphi) + b_pole[live])
-            moving = np.abs(step - at) > 8.0 * eps * (np.abs(step) + noise)
-            if it == _ITERATIONS - 1 or not moving.any():
-                break
-            live = live[moving]
-            delta[live] = step[moving]
-        mu = origin * origin + delta
-        lam[j0:j1] = np.sqrt(mu)
-        # 1 / (2 mu (b_p / delta^2 + rest)), free of 0/0 when the pole is 0
-        weight[j0:j1] = 0.5 * (delta / mu) * (delta / (b_pole + delta * delta * rest_slope))
-    return lam, weight
+    j = np.arange(m)
+    top = j == m - 1
+    right = np.minimum(j + 1, m - 1)
+    # F = 1 + sum_k b_k / (o_k^2 - mu) at mid-gap rises through the gap, so
+    # F(mid) >= 0 puts the root in the left half, nearer the left pole
+    b_right = np.where(top, 0.0, b[right])
+    half = 0.5 * np.where(top, total, (o[right] - o) * (o[right] + o))
+    rest = 1.0 + sum(sums(j, right, half)[:2])
+    flip = (rest + (b_right - b) / half < 0.0) & ~top
+    pole = np.where(flip, right, j)
+    origin = o[pole]
+    left_pole = (o - origin) * (o + origin)
+    right_pole = np.where(top, total, (o[right] - origin) * (o[right] + origin))
+    # start from the two-pole model with the other poles frozen at mid-gap
+    delta = _model_root(rest, b, b_right, left_pole, right_pole)
+    # the origin pole's term is carried exactly: in the model it adds b_p
+    # to the slope weight of its side
+    b_pole = b[pole]
+    on_left = np.where(flip, 0.0, b_pole)
+    on_right = np.where(flip, b_pole, 0.0)
+    rest_slope = np.empty(m)
+    live = j
+    for it in range(_ITERATIONS):
+        at = delta[live]
+        psi, phi, dpsi, dphi = sums(pole[live], pole[live], at)
+        rest_slope[live] = dpsi + dphi
+        to_left = left_pole[live] - at
+        to_right = right_pole[live] - at
+        step = _model_root(1.0 + psi - dpsi * to_left + phi - dphi * to_right,
+                           dpsi * to_left * to_left + on_left[live],
+                           dphi * to_right * to_right + on_right[live],
+                           left_pole[live], right_pole[live])
+        # settled once the step is within the rounding of F over its slope,
+        # both scaled by delta^2 to keep the pole term finite
+        sq_at = at * at
+        noise = (sq_at * (1.0 + phi - psi) + b_pole[live] * np.abs(at)) / (
+            sq_at * (dpsi + dphi) + b_pole[live])
+        moving = np.abs(step - at) > 8.0 * eps * (np.abs(step) + noise)
+        if it == _ITERATIONS - 1 or not moving.any():
+            break
+        live = live[moving]
+        delta[live] = step[moving]
+    mu = origin * origin + delta
+    # 1 / (2 mu (b_p / delta^2 + rest)), free of 0/0 when the pole is 0
+    weight = 0.5 * (delta / mu) * (delta / (b_pole + delta * delta * rest_slope))
+    return np.sqrt(mu), weight
 
 
-def _sample_far(o, b, lo, nodes, k0, k1, buf, samples):
-    """Fill columns 0-3 of ``samples`` with the far poles' sums at
-    ``lam = lo + nodes``: ``sum b_k / (o_k^2 - lam^2)`` over the poles below
-    ``k0``, then over those from ``k1``, then the same with squared
-    reciprocals.  ``o_k^2 - lam^2`` is formed as ``(o_k - lo)(o_k + lo) -
-    nodes (2 lo + nodes)``, whose terms do not cancel for a far pole."""
-    shift = (nodes * (2.0 * lo + nodes))[:, None]
-    below, above = o[:k0], o[k1:]
-    nb = below.size
-    far = buf[:nodes.size * (nb + above.size)].reshape(nodes.size, -1)
-    np.subtract((below - lo) * (below + lo), shift, out=far[:, :nb])
-    np.subtract((above - lo) * (above + lo), shift, out=far[:, nb:])
-    np.reciprocal(far, out=far)
-    samples[:, 0] = far[:, :nb] @ b[:k0]
-    samples[:, 1] = far[:, nb:] @ b[k1:]
-    np.multiply(far, far, out=far)
-    samples[:, 2] = far[:, :nb] @ b[:k0]
-    samples[:, 3] = far[:, nb:] @ b[k1:]
+def _pole_sums(o, b, dw, lam, asq, density):
+    """The secular function's sums beside a point, for the comb of
+    :func:`_folded_spectrum`: a function ``(lp, rp, shift) -> (psi, phi,
+    dpsi, dphi)``, elementwise, giving ``sum_k b_k / (o_k^2 - mu)`` over
+    ``k < lp`` and over ``k > rp``, then the same of ``b_k / (o_k^2 -
+    mu)^2``, at ``mu = o_lp^2 + shift`` between ``o_{lp-1}^2`` and
+    ``o_{rp+1}^2``, ``rp`` being ``lp`` or ``lp + 1``.
+
+    Partial fractions split ``b_k / (o_k^2 - mu)`` into ``beta mult_k / (mu
+    + lam^2)``, formed as ``asq (density / (mu + lam^2))`` since ``beta``
+    overflows at strong coupling, times ``1 / (o_k^2 - mu) - 1 / (o_k^2 +
+    lam^2)``.  The second part is a prefix or suffix sum of the comb; over
+    the mirrored comb the first is ``-1/x``, ``x = sqrt(mu)``, times sums of
+    ``1 / (x - w)`` over runs of offsets ``w`` spaced by ``dw``
+    (:func:`_digamma_steps`): the upper and then the mirrored poles below
+    ``lp`` (an odd comb's centre has no mirror), and the upper and the
+    mirrored ones above ``rp``, each measured from its pole, so that ``x -
+    o_lp`` comes from ``shift``.  The runs' offsets are exactly uniform and
+    the comb's rounded, which moves the nearest term most, by up to ``eps o
+    / dw`` of itself, so the poles ``lp - 1`` and ``rp + 1`` are summed as
+    they are; so are the poles above the lowest few roots, where the runs
+    above cancel and, next to an odd comb's centre, ``x`` may be far below
+    ``dw``.
+    """
+    m = o.size
+    odd = int(o[0] == 0.0)
+    lsq = lam * lam
+    v = 2.0 / (o * o + lsq)
+    v[:odd] *= 0.5
+    # sum_k mult_k / (o_k^2 + lam^2) below and above each pole, the above
+    # sums formed from the top down
+    below = np.concatenate(([0.0], _running_sum(v[:-1])))
+    above = np.concatenate((_running_sum(v[:0:-1])[::-1], [0.0]))
+    # the comb padded with a pole at infinity of weight 0 at each end
+    pad_o = np.concatenate(([np.inf], o, [np.inf]))
+    pad_b = np.concatenate(([0.0], b, [0.0]))
+
+    def sums(lp, rp, shift):
+        base = o[lp]
+        # the poles lp - 1 and rp + 1
+        k = np.stack([lp, rp + 2])
+        inv = 1.0 / ((pad_o[k] - base) * (pad_o[k] + base) - shift)
+        terms = pad_b[k] * inv
+        slopes = inv * inv * pad_b[k]
+        # x - o_lp over dw, formed without rounding mu
+        x = np.sqrt(base * base + shift)
+        lt = shift / ((x + base) * dw)
+        rt = lt - (rp - lp)
+        # rows with rp within _DIRECT of the origin sum the poles above it
+        # term by term, below, so they have no runs there
+        direct = rp < _DIRECT
+        count = np.where(direct, 0, m - 1 - rp)
+        left, right = np.minimum(lp, 1), np.minimum(count, 1)
+        # the runs, as the distance from x of their first pole over dw and
+        # their length, past those two poles
+        run, run_slope = _digamma_steps(
+            np.stack([1.0 + lt + left, rt + (2 * rp + 2 - odd) + right,
+                      np.where(count > 0, 2.0 - rt, 1.0)]),
+            np.stack([np.maximum(lp - 1, 0) + np.maximum(lp - odd - 1, 0), count - right,
+                      count - right]))
+        left_run = run[0] / dw
+        right_run = (run[1] - run[2]) / dw
+        mu = x * x
+        scale = asq * (density / (mu + lsq))
+        psi = -scale * (left_run / x + below[lp - left])
+        phi = -scale * (right_run / x + above[rp + right])
+        # their slopes are -sum / (mu + lam^2) plus scale times the slopes
+        # of the comb's own sums, sum mult_k / (o_k^2 - mu)^2, which are the
+        # runs' slopes in x over 2 mu
+        curve = 0.5 / x / x
+        dpsi = scale * ((run_slope[0] / dw / dw + left_run / x) * curve) - psi / (mu + lsq)
+        dphi = scale * (((run_slope[1] + run_slope[2]) / dw / dw + right_run / x) * curve) \
+            - phi / (mu + lsq)
+        out = [psi + terms[0], phi + terms[1], dpsi + slopes[0], dphi + slopes[1]]
+        rows = np.flatnonzero(direct)
+        if rows.size:
+            beyond = np.arange(m) > rp[rows, None]
+            gap = (o - base[rows, None]) * (o + base[rows, None]) - shift[rows, None]
+            inv = 1.0 / np.where(beyond, gap, np.inf)
+            out[1][rows], out[3][rows] = inv @ b, (inv * inv) @ b
+        return out
+
+    return sums
 
 
-def _far_sums(t, nodes, samples):
-    """The four far sums at ``lam = lo + t``: the barycentric interpolant
-    (second form) through ``samples`` at the Chebyshev ``nodes``, whose last
-    column of ones gives the denominator."""
-    diff = t[:, None] - nodes
-    hit = diff == 0.0
-    if hit.any():
-        # a point on a node takes that node's sample
-        diff[hit] = np.inf
-        out = (_CHEB_W / diff) @ samples
-        rows, cols = np.nonzero(hit)
-        out[rows] = samples[cols]
-    else:
-        out = (_CHEB_W / diff) @ samples
-    return out[:, :4] / out[:, 4:]
+def _running_sum(v):
+    """``cumsum(v)`` with each addition's rounding error, by Knuth's two-sum,
+    added back: the plain one drifts by tens of roundings over 10^4 terms."""
+    out = np.cumsum(v)
+    low, high = out[:-1], out[1:]
+    part = high - low
+    out[1:] += np.cumsum((low - (high - part)) + (v[1:] - part))
+    return out
+
+
+def _digamma_steps(a, n):
+    """``psi(a + n) - psi(a)`` and ``psi'(a) - psi'(a + n)``, elementwise for
+    ``a > 0`` and counts ``n >= 0``, the sums of ``1 / (a + k)`` and its
+    square over ``k < n``: below 10 up to ten terms as they are, the rest as
+    the difference, term by term and with ``log1p``, of eight Bernoulli
+    terms of the asymptotic series (the next is below ``1e-17``)."""
+    peel = np.where(a < 10.0, np.minimum(n, 10.0), 0.0)
+    w = np.maximum(a + peel, 10.0)
+    d = n - peel
+    v = w + d
+    r2 = 1.0 / np.stack([w, v]) ** 2
+    series = np.zeros((2,) + r2.shape)
+    for c in _SERIES:
+        series += c.reshape((2,) + (1,) * r2.ndim)
+        series *= r2
+    wv = w * v
+    step = np.log1p(d / w) + 0.5 * d / wv - (series[0, 1] - series[0, 0])
+    slope = d / wv + 0.5 * d * (w + v) / (wv * wv) + (series[1, 0] / w - series[1, 1] / v)
+    low = peel > 0
+    if low.any():
+        k = np.arange(10.0)[:, None]
+        inv = (k < peel[low]) / (a[low] + k)
+        step[low] += inv.sum(axis=0)
+        slope[low] += (inv * inv).sum(axis=0)
+    return step, slope
 
 
 def _model_root(c, s, t, left, right):

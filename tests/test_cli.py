@@ -491,8 +491,8 @@ class TestSolverXcheck:
         assert runs == pytest.approx([0.87])
         runs.clear()
         # at R = 0.5, r1 = 0 and 0.87 have one key and r1 = 0.5 one of its own
-        keys = [(_bright_weight(coup), coup.alpha_t)
-                for coup in (resonant_system(0.5, r1)[1] for r1 in (0.0, 0.5, 0.87))]
+        keys = [(_bright_weight(res, coup), coup.alpha_t)
+                for res, coup in (resonant_system(0.5, r1) for r1 in (0.0, 0.5, 0.87))]
         assert keys[0] == keys[2] != keys[1]
         run_solver_xcheck(dataclasses.replace(single, r1=(0.0, 0.5, 0.87), s=(0.0, 0.3)))
         assert runs == pytest.approx([0.0, 0.5])
@@ -519,15 +519,15 @@ class TestSolverXcheck:
         real = scenarios.survival_amplitude
 
         def counting(res, coup, t):
-            calls.append(((_bright_weight(coup), coup.alpha_t), np.array(t)))
+            calls.append(((_bright_weight(res, coup), coup.alpha_t), np.array(t)))
             return real(res, coup, t)
 
         monkeypatch.setattr(scenarios, "survival_amplitude", counting)
         cfg = ScenarioConfig(scenario="solver-xcheck", **case)
         assert run_solver_xcheck(cfg).meta["passed"] is True
-        keys = dict.fromkeys((_bright_weight(coup), coup.alpha_t)
-                             for coup in (resonant_system(cfg.big_r, r1)[1]
-                                          for r1 in cfg.r1_axis()))
+        keys = dict.fromkeys((_bright_weight(res, coup), coup.alpha_t)
+                             for res, coup in (resonant_system(cfg.big_r, r1)
+                                               for r1 in cfg.r1_axis()))
         blocks = iter(calls)
         for key in keys:
             for name in SOLVER_NAMES:
@@ -678,10 +678,10 @@ class TestSolverXcheck:
             return dataclasses.replace(pair_map, sigma=sigma, factors=None)
 
         monkeypatch.setattr(scenarios, "_propagator", flat)
-        coup = resonant_system(10.0, 0.6)[1]
+        res, coup = resonant_system(10.0, 0.6)
         init = InitialState.from_separability(0.0)
         want = (max(coup.r1, coup.r2) * abs(coup.r1 * init.c01 + coup.r2 * init.c02)
-                * _bright_weight(coup))
+                * _bright_weight(res, coup))
         for point in (0, 1, 16261, 16262, 29999, 30000):
             spike[:] = [point]
             row = next(row for row in run_solver_xcheck(cfg).rows
@@ -765,7 +765,7 @@ class TestSolverXcheck:
         x1, x2 = init.c01.real, init.c02.real
         assert init.c01.imag == init.c02.imag == 0.0
         delta = np.abs(mo.rows(0, n) - mv.rows(0, 7 * (n - 1) + 1, 7))
-        peak = _bright_weight(coup) * delta.max()
+        peak = _bright_weight(res, coup) * delta.max()
         assert row[4] == n
         assert row[5] == max(coup.r1, coup.r2) * abs(coup.r1 * x1 + coup.r2 * x2) * peak
         # and it is |D x| of the two maps, up to rounding
@@ -1494,19 +1494,19 @@ class TestXcheckDigests:
 
     DIGESTS = {
         "0.1": "fc818afd7c94bd96ee4681e7ac1c2727eab27d43c56f10856a50834e69012695",
-        "0.5": "ef3b935fd71d6834fa8140ceebb63daf8b9107382d85bb3c0ee3780c0a481e5f",
-        "10": "9d70394cd5210cce550ae1691b070bba60578de2b9dfe662b67ffe33f14f8523",
+        "0.5": "975f6a2b9adf1006f1826763066ba384e2b6e3ef5e65683c283d599cc48a3ee6",
+        "10": "e45de54812757e213415ad33edaff75c60540822688e81ee4669b54212a36597",
     }
     CONFIG_DIGESTS = {
-        "blocks-complex": "e2e77cf8c71799b1302cce897937223b09aa1663b6e908076ec069087e49a600",
+        "blocks-complex": "a6e9a3420c0e6fdc223e9de58daae130e6b560f430e4480ac38cac753163016f",
         "complex-phi2": "0025994f21e2a59385b990c26f38ecb91d925f1b4fd7b7a3d53712e0af59d26c",
-        "partial-grid": "bdf1e942cab440b278cb6d854e3f8a6d45c6e229262d5d69c1ad47abc7415db0",
-        "ode-finest": "b0c0731de98fd529385c4fe981fa29b4644d7c9aa30b1b0165c6f87ac8fd116e",
+        "partial-grid": "b3ce391546dcfa59eb225e945bd328da00df6fa311e972fe883d8fb376551537",
+        "ode-finest": "d0916eafee110fe4ccb6132d4ff3e630e0463d91967d5ebecfd1b0f2a03b5a50",
         "ends-apart": "0deb00250cec6d885b0187e54c1c58f49c4fcaee2a75cb91d732813597bffe62",
         "bath-finest": "fdfc617c44a1312f5866810eb6b249bd4b80edd0bcc28f8f92d40587ae7c3b26",
         "coarse-blocks": "8efafbc297acd78b52f8e50edc9e05719e469aaf60b0bf04e338029e9c4289be",
-        "shared-step": "b8d271e33055748d24e6e4f4b0a7ee0937821690d49f92c5e07f10554c905fd4",
-        "seven": "22e63d2ae7aabd0c1f7dceb235ad59863b7d818f180fe3e9cb23a4cee05281d5",
+        "shared-step": "edbcd8cc6fda9735d199779e5652facc1dad851839ed87934f9434f4525323c3",
+        "seven": "f3aa2902dd46d5522825778533de2bb61d30916ba74cf2be9f29dccede5203ad",
     }
 
     @staticmethod

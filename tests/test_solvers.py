@@ -53,7 +53,7 @@ def exact_bath_reference(res, coup, init, cfg):
     Rayleigh quotients of its eigenvectors are off by the square of their
     error, so they serve as ``lam_j``."""
     rabi = coup.alpha_t * res.w
-    offsets, g = solvers._comb(res, cfg.n_modes, cfg.freq_window * max(1.0, rabi / res.lam))
+    offsets, g, _ = solvers._comb(res, cfg.n_modes, cfg.freq_window * max(1.0, rabi / res.lam))
     h = np.diag(np.concatenate(([0.0, 0.0], offsets)))
     h[0, 2:] = h[2:, 0] = coup.alpha1 * g
     h[1, 2:] = h[2:, 1] = coup.alpha2 * g
@@ -249,7 +249,7 @@ class TestPropagators:
         monkeypatch.setattr(solvers, "_blocked_powers", recording)
         res, coup = resonant_system(big_r, 0.87)
         a = np.array([coup.alpha1, coup.alpha2])
-        asq = solvers._bright_weight(coup)
+        asq = solvers._bright_weight(res, coup)
         for propagator, dt in ((volterra_propagator, 1e-4), (aux_ode_propagator, 1e-3)):
             run = propagator(res, coup, SolverConfig(dt=dt, t_max=10.0))
             (d, n), = steps
@@ -584,7 +584,7 @@ class TestBrightReduction:
     def test_sigma_matches_the_full_map(self, big_r, r1):
         res, coup = resonant_system(big_r, r1)
         a = np.array([coup.alpha1, coup.alpha2])
-        asq = solvers._bright_weight(coup)
+        asq = solvers._bright_weight(res, coup)
         dark = np.array([-a[1], a[0]]) / math.sqrt(asq)
         for propagator, increment, dt in ((volterra_propagator, volterra_increment, 1e-4),
                                           (aux_ode_propagator, aux_ode_increment, 1e-3)):
@@ -599,6 +599,28 @@ class TestBrightReduction:
             assert asq * float(np.max(np.abs(sigma - bright))) <= bound
             # and the full map leaks nothing out of the dark direction
             assert float(np.max(np.abs(full @ dark))) <= bound
+
+
+class TestCouplingOverflow:
+    """``|a|^2`` of a coupling past about ``1.3e154`` overflows a double:
+    every propagator refuses it by name, where the Volterra and ODE maps
+    were NaN at every point and the bath called it too weak."""
+
+    @pytest.mark.parametrize("propagator", [volterra_propagator, aux_ode_propagator,
+                                            bath_propagator])
+    def test_refuses_coupling_whose_weight_overflows(self, propagator):
+        res, coup = resonant_system(2e154, 0.6)
+        cfg = SolverConfig(dt=1e-4 / 2e154, t_max=1e-2 / 2e154)
+        with pytest.raises(ValueError, match=r"big_r = 2e\+154 is too strong a coupling for "
+                                             r"the solvers: \|a\|\^2 = alpha1\^2 \+ alpha2\^2 "
+                                             "overflows a double"):
+            propagator(res, coup, cfg)
+
+    @pytest.mark.parametrize("propagator", [volterra_propagator, aux_ode_propagator])
+    def test_strong_coupling_that_fits_still_builds(self, propagator):
+        res, coup = resonant_system(1e153, 0.6)
+        pair_map = propagator(res, coup, SolverConfig(dt=1e-4 / 1e153, t_max=1e-2 / 1e153))
+        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
 
 
 class TestSolverConfig:
@@ -756,9 +778,9 @@ class TestAuxOde:
 class TestDiscretizedBath:
     def test_mode_comb_weights_match_spectral_density(self):
         res = resonant_system(0.5, 0.5)[0]
-        offsets, g = solvers._comb(res, n_modes=200, freq_window=10.0)
+        offsets, g, d_omega = solvers._comb(res, n_modes=200, freq_window=10.0)
         assert offsets.shape == g.shape == (200,)
-        d_omega = 2.0 * 10.0 * res.lam / 200
+        assert d_omega == 2.0 * 10.0 * res.lam / 200
         for k in (0, 57, -1):
             assert g[k] ** 2 == pytest.approx(res.detuned_density(offsets[k]) * d_omega,
                                               rel=1e-12)
@@ -884,8 +906,9 @@ class TestDiscretizedBath:
 def folded_spectrum_all_poles(o, b, chunk=1 << 16, iterations=12):
     """The secular solve with every root iterated against every pole, in
     chunks of about ``chunk / len(o)`` roots: the form the solver had before
-    it split the poles into near and far ones, kept as the oracle of that
-    split.  Shares only :func:`solvers._model_root` with the solver."""
+    it split the poles into near and far ones, kept as the oracle of the
+    closed-form sums that took that split's place.  Shares only
+    :func:`solvers._model_root` with the solver."""
     m = o.size
     osq = o * o
     total = float(np.sum(b))
@@ -959,11 +982,13 @@ class TestBathSpectrum:
     def folded(big_r, n_modes, r1=0.87):
         res, coup = resonant_system(big_r, r1)
         window = 20.0 * max(1.0, big_r)
-        offsets, g = solvers._comb(res, n_modes, window)
+        offsets, g, dw = solvers._comb(res, n_modes, window)
         c = coup.alpha_t * g
         lower = n_modes // 2
         mult = np.where(np.arange(lower, n_modes) == (n_modes - 1) / 2.0, 1.0, 2.0)
-        return offsets, c, offsets[lower:], mult * c[lower:] ** 2
+        # the comb's spacing and Lorentzian, b_k = asq density mult_k / (o_k^2 + lam^2)
+        comb = (dw, res.lam, coup.alpha_t ** 2, res.detuned_density(0.0) * res.lam ** 2 * dw)
+        return offsets, c, offsets[lower:], mult * c[lower:] ** 2, comb
 
     @staticmethod
     def zero_weight(o, b):
@@ -976,8 +1001,8 @@ class TestBathSpectrum:
     @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200, 1000, 1001])
     def test_roots_and_weights_match_dense_eigensolver(self, big_r, n_modes):
-        offsets, c, o, b = self.folded(big_r, n_modes)
-        lam, w = solvers._folded_spectrum(o, b)
+        offsets, c, o, b, comb = self.folded(big_r, n_modes)
+        lam, w = solvers._folded_spectrum(o, b, *comb)
         w0 = self.zero_weight(o, b)
         h = np.diag(np.concatenate(([0.0], offsets)))
         h[0, 1:] = h[1:, 0] = c
@@ -1001,8 +1026,8 @@ class TestBathSpectrum:
     @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200, 2000])
     def test_weights_complete_and_roots_interlace(self, big_r, n_modes):
-        _, _, o, b = self.folded(big_r, n_modes)
-        lam, w = solvers._folded_spectrum(o, b)
+        _, _, o, b, comb = self.folded(big_r, n_modes)
+        lam, w = solvers._folded_spectrum(o, b, *comb)
         w0 = self.zero_weight(o, b)
         assert abs(w0 + 2.0 * math.fsum(w) - 1.0) <= 1e-14
         assert np.all(w > 0.0)
@@ -1018,45 +1043,21 @@ class TestBathSpectrum:
         self.check_against_all_poles(big_r, n_modes)
 
     def check_against_all_poles(self, big_r, n_modes):
-        # the far poles' sums interpolated per block against every pole summed
-        # per root; both are rounded, so they may part by an ulp or two
-        _, _, o, b = self.folded(big_r, n_modes)
-        lam, w = solvers._folded_spectrum(o, b)
+        # the far poles' sums in closed form against every pole summed per
+        # root; both are rounded, so they may part by an ulp or two
+        _, _, o, b, comb = self.folded(big_r, n_modes)
+        lam, w = solvers._folded_spectrum(o, b, *comb)
         ref_lam, ref_w = folded_spectrum_all_poles(o, b)
         assert np.all(np.abs(lam - ref_lam) <= 2.0 * np.spacing(ref_lam))
         np.testing.assert_allclose(w, ref_w, rtol=5e-14, atol=0)
 
     @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
     @pytest.mark.parametrize("n_modes", [2000, 2001])
-    def test_far_field_at_block_edge_matches_all_pole_solve(self, monkeypatch, big_r,
-                                                            n_modes):
-        # a root hugging the pole at its block's upper edge reads the far
-        # field exactly on the last Chebyshev node
-        hits = []
-        real = solvers._far_sums
-
-        def recording(t, nodes, samples):
-            hits.append(int(np.sum(t[:, None] == nodes)))
-            return real(t, nodes, samples)
-
-        monkeypatch.setattr(solvers, "_far_sums", recording)
+    def test_far_field_at_block_edge_matches_all_pole_solve(self, big_r, n_modes):
+        # every root hugs its pole, within about big_r^2 of it: the far
+        # field's runs start one spacing from the root, and an odd comb's
+        # centre root sits far below the spacing from its pole
         self.check_against_all_poles(big_r, n_modes)
-        assert sum(hits) > 0
-
-    def test_far_field_interpolant(self):
-        # a cubic is read back to rounding between the nodes, and a point on a
-        # node takes that node's sample exactly
-        nodes = 1.5 * (1.0 + solvers._CHEB_X)
-        cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.25])
-        samples = np.column_stack([cubic(nodes), 2.0 * cubic(nodes), cubic(nodes) ** 2,
-                                   -cubic(nodes), np.ones(nodes.size)])
-        t = np.array([nodes[0], 0.1234, 1.5, nodes[7], 2.999, nodes[-1]])
-        out = solvers._far_sums(t, nodes, samples)
-        for i in (1, 2, 4):
-            v = cubic(t[i])
-            np.testing.assert_allclose(out[i], [v, 2.0 * v, v * v, -v], rtol=1e-14, atol=1e-15)
-        for i, node in ((0, 0), (3, 7), (5, -1)):
-            assert np.array_equal(out[i], samples[node, :4])
 
     @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
     @pytest.mark.parametrize("n_modes", [50, 51])
@@ -1070,7 +1071,7 @@ class TestBathSpectrum:
         cfg = bath_cfg(1e-3, 2.0, n_modes=n_modes)
         init = InitialState(0.0, 1.0)
         series = bath_propagator(res, coup, cfg)(init)
-        offsets, g = solvers._comb(res, n_modes, 20.0)
+        offsets, g, _ = solvers._comb(res, n_modes, 20.0)
         tau = np.arange(2001) * 1e-3
         wt = np.multiply.outer(tau, offsets)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -1101,8 +1102,8 @@ class TestBathSpectrum:
         propagate = bath_propagator(res, coup, cfg)
         init = InitialState.from_separability(0.3, 0.7)
         series = propagate(init)
-        _, _, o, b = self.folded(big_r, 2000)
-        lam, w = solvers._folded_spectrum(o, b)
+        _, _, o, b, comb = self.folded(big_r, 2000)
+        lam, w = solvers._folded_spectrum(o, b, *comb)
         tau = np.arange(10001) * 1e-3
         re = np.concatenate([(np.cos(np.multiply.outer(t, lam)) - 1.0) @ w
                              for t in np.array_split(tau, 20)])
@@ -1114,6 +1115,80 @@ class TestBathSpectrum:
         sub = propagate(coup.psi_minus())
         assert np.all(sub.c1 == coup.psi_minus().c01)
         assert np.all(sub.c2 == coup.psi_minus().c02)
+
+
+class TestPoleSums:
+    """The secular function's sums over the poles on each side of a point,
+    in closed form (:func:`solvers._pole_sums`), against ``math.fsum`` over
+    every pole of the same comb, and the digammas they are made of."""
+
+    @staticmethod
+    def exact(o, b, lp, rp, shift):
+        """The four sums at one point, each by ``fsum`` over every pole with
+        the gaps formed as the solve forms them, ``(o_k - o_lp)(o_k + o_lp) -
+        shift``; and for each its scale for the bound, ``sum |term_k| (1 +
+        c o_k^2 / |o_k^2 - mu|)``, with ``c`` 1 for a sum and 2 for a slope."""
+        gap = (o - o[lp]) * (o + o[lp]) - shift
+        term, slope = b / gap, b / gap / gap
+        drift = o * o / np.abs(gap)
+        out = []
+        for part in (slice(0, lp), slice(rp + 1, None)):
+            out.append((math.fsum(term[part].tolist()),
+                        float(np.sum(np.abs(term[part]) * (1.0 + drift[part])))))
+        for part in (slice(0, lp), slice(rp + 1, None)):
+            out.append((math.fsum(slope[part].tolist()),
+                        float(np.sum(np.abs(slope[part]) * (1.0 + 2.0 * drift[part])))))
+        return out
+
+    # the closed form sums a comb of exactly uniform offsets, the oracle the
+    # comb as rounded, each offset within half an ulp: that moves a term by
+    # up to about 2 eps o_k^2 / |o_k^2 - mu| of itself (twice that for a
+    # squared one), and the sums round by a few eps of their terms
+    @pytest.mark.parametrize("big_r", [1e-100, 1e-8, 0.5, 24.0])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 51, 2000, 2001])
+    def test_matches_fsum_over_every_pole(self, n_modes, big_r):
+        _, _, o, b, comb = TestBathSpectrum.folded(big_r, n_modes)
+        m, dw = o.size, comb[0]
+        total = float(np.sum(b))
+        j = np.arange(m - 1)
+        gap = (o[j + 1] - o[j]) * (o[j + 1] + o[j])
+        # in every gap: within 1e-16 of either pole and halfway, measured
+        # from the left pole and from the right one, so on both sides of a
+        # flip, and from both at once, as the first guess reads it; then
+        # the top gap, whose root lies past the next spacing at R >= 1
+        lp = np.concatenate([j, j, j + 1, j + 1, j, np.full(3, m - 1)])
+        rp = np.concatenate([j, j, j + 1, j + 1, j + 1, np.full(3, m - 1)])
+        shift = np.concatenate([1e-16 * gap, 0.5 * gap, -1e-16 * gap, -0.5 * gap, 0.5 * gap,
+                                np.array([1e-16, 0.5, 1.0]) * total])
+        if big_r >= 1.0 and n_modes >= 2000:
+            assert math.sqrt(o[-1] ** 2 + total) - o[-1] > dw
+        got = solvers._pole_sums(o, b, *comb)(lp, rp, shift)
+        bound = 8.0 * np.finfo(float).eps
+        for i in range(lp.size):
+            for value, (ref, scale) in zip((g[i] for g in got),
+                                           self.exact(o, b, lp[i], rp[i], shift[i])):
+                assert abs(value - ref) <= bound * scale, (i, lp[i], rp[i], shift[i])
+
+    def test_digamma_steps_match_mpmath(self):
+        # psi(a + n) - psi(a) and psi'(a) - psi'(a + n): sums of positive
+        # terms, each formed to a few roundings of its value
+        mp = pytest.importorskip("mpmath").mp
+        a = np.concatenate([np.geomspace(1e-300, 1e6, 151), [0.5, 1.0, 1.5, 2.0, 3.0],
+                            np.nextafter(10.0, [0.0, 20.0]), [10.0]])
+        counts = [0.0, 1.0, 3.0, 9.0, 10.0, 40.0, 1e4]
+        a, n = np.repeat(a, len(counts)), np.tile(counts, a.size)
+        with np.errstate(over="ignore"):
+            step, slope = solvers._digamma_steps(a, n)
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            for x, k, d, t in zip(a.tolist(), n.tolist(), step.tolist(), slope.tolist()):
+                ref_d = mp.digamma(x + k) - mp.digamma(x)
+                ref_t = mp.polygamma(1, x) - mp.polygamma(1, x + k)
+                assert abs(d - ref_d) <= 8.0 * eps * ref_d, (x, k)
+                if ref_t > np.finfo(float).max:
+                    assert t == math.inf, (x, k)
+                else:
+                    assert abs(t - ref_t) <= 8.0 * eps * ref_t, (x, k)
 
 
 class TestCombInputs:
