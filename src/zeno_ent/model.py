@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -57,31 +58,61 @@ _AMPLITUDE_NORM_SLACK = 1e-10
 
 
 def _to_float(name, value, kind=float):
-    """``kind(value)``, ``float`` by default, with a ``bool``, which is no
-    number, and an integer too large for a double, where ``float``,
-    ``complex``, numpy and ``math`` raise ``OverflowError``, refused by
-    ``name``."""
-    if isinstance(value, bool):
+    """``kind(value)``, ``float`` by default, refused by ``name`` for a
+    ``bool``, ``str`` or ``None``, which are no numbers, for a value that
+    ``kind`` cannot take, such as a complex one for a real, and for an
+    integer too large for a double, where ``float``, ``complex``, numpy and
+    ``math`` raise ``OverflowError``."""
+    if value is None or isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return kind(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer too large "
                          "for a double") from None
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
-def _to_amplitude(name, value) -> complex:
-    """``value`` as a finite ``complex``, refused by ``name`` as
-    :func:`_to_float` refuses a real."""
-    v = _to_float(name, value, complex)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise ValueError(f"{name} must be finite, got {v!r}")
+def _real(name, value) -> float:
+    """``value`` as a ``float``, refused by ``name`` unless a real number,
+    which no ``bool``, ``str``, ``None`` or complex is; with :func:`_finite`,
+    :func:`_positive` and :func:`_integer`, every number check of the package."""
+    if type(value) is float:    # the scalar paths pass floats; isinstance costs 0.4 us
+        return value
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return _to_float(name, value)
+
+
+def _finite(name, value, low=-math.inf, high=math.inf) -> float:
+    """:func:`_real`, refused unless finite and within ``[low, high]``."""
+    v = _real(name, value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not low <= v <= high:
+        bound = f"be >= {low:g}" if high == math.inf else f"lie in [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must {bound}, got {value!r}")
     return v
 
 
-def _require_finite(name, value):
-    if not math.isfinite(_to_float(name, value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _positive(name, value) -> float:
+    """:func:`_real`, refused unless positive and finite."""
+    v = _real(name, value)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return v
+
+
+def _integer(name, value, least, most=math.inf) -> int:
+    """``value`` as an ``int``, refused by ``name`` unless it is an integer,
+    and no ``bool``, within ``[least, most]``."""
+    if type(value) is bool or type(value) is not int and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        bound = f">= {least}" if most == math.inf else f"between {least} and {most}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -99,18 +130,12 @@ class ReservoirSpec:
     lam: float
 
     def __post_init__(self):
-        for name in ("w", "lam"):
-            _require_finite(name, getattr(self, name))
-        if self.w <= 0.0:
-            raise ValueError(f"w must be positive, got {self.w!r}")
-        if not math.isfinite(self.w * self.w):
-            raise ValueError(f"w = {self.w!r} is too large: the kernel weight w**2 "
-                             "overflows a double")
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
-        if not math.isfinite(self.lam * self.lam):
-            raise ValueError(f"lam = {self.lam!r} is too large: the squared linewidth "
-                             "lam**2 overflows a double")
+        for name, square in (("w", "the kernel weight w**2"),
+                             ("lam", "the squared linewidth lam**2")):
+            v = _positive(name, getattr(self, name))
+            if not math.isfinite(v * v):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is too large: {square} "
+                                 "overflows a double")
 
     def detuned_density(self, detuning):
         """Spectral density J at ``detuning`` from resonance, a Lorentzian
@@ -140,10 +165,8 @@ class CouplingSpec:
     alpha2: float
 
     def __post_init__(self):
-        _require_finite("alpha1", self.alpha1)
-        _require_finite("alpha2", self.alpha2)
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("couplings must be non-negative")
+        _finite("alpha1", self.alpha1, 0.0)
+        _finite("alpha2", self.alpha2, 0.0)
         if self.alpha1 == 0.0 and self.alpha2 == 0.0:
             raise ValueError("at least one coupling must be nonzero")
         self._derive_weights()
@@ -166,12 +189,8 @@ class CouplingSpec:
     @classmethod
     def from_relative(cls, alpha_t: float, r1: float) -> "CouplingSpec":
         """Build from the total strength and the relative weight of qubit 1."""
-        _require_finite("alpha_t", alpha_t)
-        _require_finite("r1", r1)
-        if alpha_t <= 0.0:
-            raise ValueError(f"alpha_t must be positive, got {alpha_t!r}")
-        if not 0.0 <= r1 <= 1.0:
-            raise ValueError(f"r1 must lie in [0, 1], got {r1!r}")
+        _positive("alpha_t", alpha_t)
+        _finite("r1", r1, 0.0, 1.0)
         return cls(alpha_t * r1, alpha_t * math.sqrt(1.0 - r1 * r1))
 
     def psi_minus(self) -> "InitialState":
@@ -209,17 +228,18 @@ class InitialState:
 
     def __post_init__(self):
         for name in ("c01", "c02"):
-            object.__setattr__(self, name, _to_amplitude(name, getattr(self, name)))
+            v = _to_float(name, getattr(self, name), complex)
+            if not cmath.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
         norm = abs(self.c01) ** 2 + abs(self.c02) ** 2
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"|c01|^2 + |c02|^2 must be 1 within {_NORM_TOL}, got {norm!r}")
 
     @classmethod
     def from_separability(cls, s: float, phi: float = 0.0) -> "InitialState":
-        _require_finite("s", s)
-        _require_finite("phi", phi)
-        if not -1.0 <= s <= 1.0:
-            raise ValueError(f"s must lie in [-1, 1], got {s!r}")
+        _finite("s", s, -1.0, 1.0)
+        _finite("phi", phi)
         c01 = math.sqrt((1.0 - s) / 2.0)
         c02 = math.sqrt((1.0 + s) / 2.0) * cmath.exp(1j * phi)
         return cls(complex(c01), c02)
@@ -411,7 +431,7 @@ def amplitudes_at(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, t:
 
 def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialState, tau) -> TimeSeries:
     """Vectorised ``amplitudes_at`` over a time grid."""
-    tau = _checked_times(np.atleast_1d(tau), "tau")
+    tau = np.atleast_1d(_checked_times(tau, "tau"))
     e = survival_amplitude(res, coup, tau)
     c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
     return TimeSeries(tau=tau, c1=np.asarray(c1, complex), c2=np.asarray(c2, complex),
@@ -420,7 +440,7 @@ def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialStat
 
 def _to_amplitudes(name, value) -> np.ndarray:
     """``value`` as a complex array of finite amplitudes, refused by
-    ``name`` as :func:`_to_amplitude` refuses one."""
+    ``name`` as :class:`InitialState` refuses one."""
     v = _to_float(name, value, lambda x: np.asarray(x, dtype=complex))
     finite = np.isfinite(v)
     if not finite.all():

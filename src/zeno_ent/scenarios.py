@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -29,8 +28,10 @@ from .model import (
     CouplingSpec,
     InitialState,
     TimeSeries,
+    _finite,
+    _integer,
+    _positive,
     _relative_weights,
-    _to_float,
     closed_form_series,
     resonant_system,
     stationary_concurrence,
@@ -89,15 +90,6 @@ _TAU_BLOCK = 4096
 # of 2**15, 5.3 MB of 2**16
 _XCHECK_BLOCK = 1 << 14
 
-_REAL_KEYS = ("big_r", "phi", "tau_max", "dt_volterra", "dt_ode", "dt_bath", "freq_window")
-_INT_KEYS = ("tau_steps", "n_modes")
-
-
-def _is_real(v) -> bool:
-    """A real number, and not a ``bool``: a JSON ``true`` is no number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat bag of knobs shared by all scenarios.
@@ -155,44 +147,22 @@ class ScenarioConfig:
         if self.solver != "closed" and self.scenario != "time-evolution":
             raise ValueError(f"{self.scenario} does not take a solver, got solver "
                              f"{self.solver!r}; only time-evolution runs the one it is given")
-        for name in _REAL_KEYS:
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-            _to_float(name, getattr(self, name))     # refuses an int past a double
-        for name in _INT_KEYS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        # a number is kept as given, for the JSON echo; a list as floats
+        for name in ("big_r", "tau_max", "dt_volterra", "dt_ode", "dt_bath"):
+            _positive(name, getattr(self, name))
+        _finite("phi", self.phi)
+        _integer("tau_steps", self.tau_steps, 2, MAX_SOLVER_STEPS + 1)
+        _check_comb(self.n_modes, self.freq_window)
         if not isinstance(self.include_bath, (bool, np.bool_)):
             raise ValueError(f"include_bath must be true or false, got {self.include_bath!r}")
-        for name in ("r1", "s", "meas_intervals"):
+        for name, check, *bounds in (("r1", _finite, 0.0, 1.0), ("s", _finite, -1.0, 1.0),
+                                     ("meas_intervals", _positive)):
             try:
                 values = tuple(getattr(self, name))
             except TypeError:
-                values = None
-            if values is None or not all(map(_is_real, values)):
                 raise ValueError(f"{name} must be a list of numbers, "
-                                 f"got {getattr(self, name)!r}")
-            object.__setattr__(self, name, tuple(_to_float(name, v) for v in values))
-        for name in ("big_r", "tau_max", "dt_volterra", "dt_ode", "dt_bath"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive, got {v!r}")
-        for v in self.r1:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"r1 values must lie in [0, 1], got {v!r}")
-        for v in self.s:
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"s values must lie in [-1, 1], got {v!r}")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
-        if not 2 <= self.tau_steps <= MAX_SOLVER_STEPS + 1:
-            raise ValueError(f"tau_steps must be between 2 and {MAX_SOLVER_STEPS + 1}, "
-                             f"got {self.tau_steps!r}")
-        for v in self.meas_intervals:
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"measurement intervals must be positive, got {v!r}")
-        _check_comb(self.n_modes, self.freq_window)
+                                 f"got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, tuple(check(name, v, *bounds) for v in values))
 
     def r1_axis(self) -> tuple[float, ...]:
         return self.r1 or _DEFAULT_AXES[self.scenario][0]

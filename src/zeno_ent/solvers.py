@@ -58,12 +58,12 @@ when one coupling vanishes; the tests drive them against the closed form.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingSpec, InitialState, ReservoirSpec, TimeSeries, _to_float
+from .model import (CouplingSpec, InitialState, ReservoirSpec, TimeSeries, _integer,
+                    _positive, _real)
 
 __all__ = [
     "MAX_MODES",
@@ -119,11 +119,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("dt", "t_max", "freq_window"):
-            object.__setattr__(self, name, _to_float(name, getattr(self, name)))
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+            object.__setattr__(self, name, _positive(name, _real(name, getattr(self, name))))
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step long")
         object.__setattr__(self, "n_modes", _check_comb(self.n_modes, self.freq_window))
@@ -160,11 +156,10 @@ class PairMap:
         """The points ``lo, lo + step, ...`` below ``hi`` as ints, refused
         by name unless they are integers with ``step >= 1`` and ``0 <= lo <=
         hi <= size``; a step past the range reads ``lo`` alone."""
-        for name, v, least, most in (("step", step, 1, math.inf), ("hi", hi, 0, self.size),
-                                     ("lo", lo, 0, hi)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not least <= v <= most:
-                raise ValueError(f"{name} must be an integer in [{least}, {most}], got {v!r}")
-        return int(lo), int(hi), int(min(step, max(hi - lo, 1)))
+        step = _integer("step", step, 1)
+        hi = _integer("hi", hi, 0, self.size)
+        lo = _integer("lo", lo, 0, hi)
+        return lo, hi, min(step, max(hi - lo, 1))
 
     def times(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
         """The grid's times at the points ``lo, lo + step, ...`` below
@@ -221,13 +216,9 @@ def _bright_weight(res: ReservoirSpec, coup: CouplingSpec) -> float:
 def _check_comb(n_modes, freq_window) -> int:
     """Refuse a comb that is not 1 to :data:`MAX_MODES` modes over a
     positive, finite window; returns the count as an ``int``."""
-    if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral):
-        raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
-    if not 1 <= n_modes <= MAX_MODES:
-        raise ValueError(f"n_modes must be between 1 and {MAX_MODES}, got {n_modes!r}")
-    if not (math.isfinite(_to_float("freq_window", freq_window)) and freq_window > 0.0):
-        raise ValueError(f"freq_window must be positive and finite, got {freq_window!r}")
-    return int(n_modes)
+    n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
+    _positive("freq_window", freq_window)
+    return n_modes
 
 
 def _comb_window(res: ReservoirSpec, coup: CouplingSpec, freq_window: float) -> float:
@@ -431,10 +422,11 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     ``dt`` only spaces the output: the comb's frequency sampling alone sets
     the error.  A horizon past the comb's recurrence time
     ``2*pi/dω`` is refused: there the discrete spectrum sends the emitted
-    excitation back to the qubits.  So is a coupling too weak to
-    represent, ``R`` below about ``1e-151`` for the default comb, where
-    the squared mode couplings underflow, and a comb too narrow for double
-    precision, ``freq_window = 1e-80`` say, whose secular solve overflows.
+    excitation back to the qubits.  So is a coupling too weak or too strong
+    for the default comb, ``R`` below about ``1e-151``, where the squared
+    mode couplings underflow, or from about ``4e151``, where the secular
+    solve would square their sum past a double, and a comb too narrow for
+    double precision, ``freq_window = 1e-80`` say, whose solve overflows.
 
     The generator reads the pair ``x`` only through ``u = a.x`` and moves
     it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
@@ -471,13 +463,23 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     n = _grid(cfg, step_limit(res, coup, "bath"))
     window = _comb_window(res, coup, cfg.freq_window)
 
-    offsets, g, dw = _comb(res, cfg.n_modes, window)
     # the upper half of the comb: a mirror pair counts twice in c^T c, an
     # odd comb's centre mode (the first kept one, at offset 0) once
     lower = cfg.n_modes // 2
     mult = np.full(cfg.n_modes - lower, 2.0)
     mult[: cfg.n_modes % 2] = 1.0
-    b = asq * mult * g[lower:] ** 2
+    # the secular solve squares the offsets, and distances up to the sum of
+    # the couplings (the top root's reach above the top mode); past a double,
+    # an offset's density is 0 and a coupling inf or nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets, g, dw = _comb(res, cfg.n_modes, window)
+        b = asq * mult * g[lower:] ** 2
+        edge, total = window * res.lam, float(np.sum(b))
+    if not (edge * edge < math.inf and 4.0 * total * total < math.inf):
+        raise ValueError(
+            f"big_r = {coup.alpha_t * res.w / res.lam!r} is too strong a coupling for the "
+            f"bath comb at freq_window = {cfg.freq_window!r}: its secular solve squares its "
+            f"band edge {edge:.3g} and twice its couplings' sum {total:.3g} past a double")
     if not np.min(b) >= np.finfo(float).tiny:
         raise ValueError(
             f"big_r = {coup.alpha_t * res.w / res.lam!r} is too weak a coupling for the "

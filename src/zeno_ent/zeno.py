@@ -21,7 +21,6 @@ Results carry an ``oscillatory`` flag when ``E(T) < 0``.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +33,8 @@ from .model import (
     ReservoirSpec,
     TimeSeries,
     _checked_times,
+    _integer,
+    _positive,
     _survival,
     _to_float,
     survival_amplitude,
@@ -61,11 +62,6 @@ _SURVIVAL_FLOOR = 1e-14
 _SERIES_BOUND = 1e-3
 
 
-def _check_interval(interval):
-    if not (math.isfinite(_to_float("interval", interval)) and interval > 0.0):
-        raise ValueError(f"interval must be positive and finite, got {interval!r}")
-
-
 def _survival_deficit(lam_t: float, rabi_t: float) -> float:
     """``E(T) - 1`` from the Taylor series of ``E'' + lam E' + rabi**2 E = 0``
     (``E(0) = 1``, ``E'(0) = 0``), given ``lam T`` and ``rabi T`` below
@@ -88,12 +84,8 @@ class MeasurementSchedule:
     count: int
 
     def __post_init__(self):
-        _check_interval(self.interval)
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
-            raise ValueError(f"count must be an integer, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count!r}")
+        _positive("interval", self.interval)
+        object.__setattr__(self, "count", _integer("count", self.count, 1))
         count = _to_float("count", self.count)
         if not math.isfinite(count * self.interval):
             raise ValueError(f"count * interval = {count!r} * {self.interval!r} "
@@ -132,7 +124,7 @@ def zeno_rate(res: ReservoirSpec, coup: CouplingSpec, interval: float) -> ZenoRa
     where the super-radiant share changes sign at every measurement (see
     module docstring).
     """
-    _check_interval(interval)
+    _positive("interval", interval)
     e = survival_amplitude(res, coup, interval)
     if abs(e) < _SURVIVAL_FLOOR:
         _, k, f = _survival(res, coup, float(interval))
@@ -198,7 +190,7 @@ def stroboscopic_amplitudes(res: ReservoirSpec, coup: CouplingSpec, init: Initia
     reservoir correlations), so grid points on a boundary are unambiguous.
     Returns ``(c1, c2)`` arrays matching ``tau``.
     """
-    _check_interval(interval)
+    _positive("interval", interval)
     tau = np.asarray(_checked_times(tau, "tau"))
     # k stays a float: an integer cast wraps once tau/interval passes 2**63.
     # Past the largest double (a subnormal interval) the count is inf, and
@@ -228,13 +220,7 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
     already leaked to the ground state just before each measurement
     (informational; no threshold is enforced on it).
     """
-    if (isinstance(samples_per_interval, bool)
-            or not isinstance(samples_per_interval, numbers.Integral)):
-        raise ValueError(f"samples_per_interval must be an integer, "
-                         f"got {samples_per_interval!r}")
-    samples_per_interval = int(samples_per_interval)
-    if samples_per_interval < 1:
-        raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval!r}")
+    samples_per_interval = _integer("samples_per_interval", samples_per_interval, 1)
     t_int = sched.interval
     n = sched.count
     local = np.linspace(0.0, t_int, samples_per_interval + 1)[:-1]

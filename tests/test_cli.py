@@ -75,6 +75,32 @@ def shared_points(ma, mb):
     return np.intersect1d(*counts, return_indices=True)[1:]
 
 
+# the kind of value each ScenarioConfig key takes, read off its annotation:
+# a field of a new annotation fails here until it is given a kind
+CONFIG_KINDS = {f.name: {"float": "real", "int": "integer", "tuple[float, ...]": "list",
+                         "bool": "bool", "str": "name"}[f.type]
+                for f in dataclasses.fields(ScenarioConfig)}
+
+
+def config_keys(kind: str) -> tuple[str, ...]:
+    return tuple(key for key, k in CONFIG_KINDS.items() if k == kind)
+
+
+def wrong_type_entries():
+    """A JSON ``true``, ``null`` and a string at every real, integer, list
+    and bool key of ScenarioConfig and in every list, with a number for the
+    bool key's ``true``, as ``pytest.param`` config entries."""
+    for key, kind in CONFIG_KINDS.items():
+        if kind == "name":
+            continue
+        for label, bad in (("bool", True), ("null", None), ("string", "0.5")):
+            if kind == "bool" and bad is True:
+                label, bad = "number", 1
+            yield pytest.param({key: bad}, id=f"{key}-{label}")
+            if kind == "list":
+                yield pytest.param({key: [bad]}, id=f"{key}-{label}-entry")
+
+
 class TestScenarioConfig:
     def test_rejects_unknown_scenario_and_solver(self):
         with pytest.raises(ValueError):
@@ -1257,21 +1283,25 @@ class TestCliMain:
         assert "configuration error" in err and f"freq_window = {window!r} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("big_r", ["1e152", "1e153"])
+    def test_bath_at_coupling_past_its_comb_exits_2(self, tmp_path, capsys, big_r):
+        # 1e152 blamed freq_window = 20.0 for an overflow in the secular
+        # solve; 1e153 warned of an overflow in the comb's density and then
+        # called the coupling too weak
+        argv = ["time-evolution", "--solver", "bath", "--tau-max", "1e-154", "--tau-steps", "3"]
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--big-r", big_r, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        assert (f"configuration error: big_r = {float(big_r)!r} is too strong a coupling "
+                "for the bath comb at freq_window = 20.0") in err
+        assert main(argv + ["--big-r", "1e151", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("entry", [
-        pytest.param({"big_r": "abc"}, id="big_r-string"),
-        pytest.param({"phi": None}, id="phi-null"),
-        pytest.param({"dt_ode": "1e-3"}, id="dt_ode-string"),
-        pytest.param({"r1": [None]}, id="r1-null"),
-        pytest.param({"tau_steps": 2.5}, id="tau_steps-fraction"),
-        pytest.param({"tau_steps": "2001"}, id="tau_steps-string"),
-        pytest.param({"n_modes": 2.5}, id="n_modes-fraction"),
-        pytest.param({"include_bath": "no"}, id="include_bath-string"),
         # JSON booleans and strings ran as 1 and 0.5
-        pytest.param({"big_r": True}, id="big_r-bool"),
-        pytest.param({"phi": True}, id="phi-bool"),
-        pytest.param({"s": ["0.5"]}, id="s-string-entry"),
-        pytest.param({"r1": [True]}, id="r1-bool-entry"),
-        pytest.param({"meas_intervals": "0.5"}, id="meas_intervals-string"),
+        *wrong_type_entries(),
+        pytest.param({"tau_steps": 2.5}, id="tau_steps-fraction"),
+        pytest.param({"n_modes": 2.5}, id="n_modes-fraction"),
         # integers too large for a double raised OverflowError (exit 1)
         pytest.param({"big_r": 10**400}, id="big_r-huge-int"),
         pytest.param({"phi": -10**400}, id="phi-huge-int"),
@@ -1281,10 +1311,10 @@ class TestCliMain:
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, entry):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(entry))
-        assert main(["time-evolution", "--config", str(cfg), "--tau-max", "0.1"]) == 2
+        cfg.write_text(json.dumps({"tau_max": 0.1, **entry}))
+        assert main(["time-evolution", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err
+        assert "configuration error" in err and "Traceback" not in err
         assert f"{next(iter(entry))} must be" in err
 
     def test_negative_list_is_a_value(self, tmp_path):
@@ -1439,7 +1469,7 @@ class TestConfigRobustness:
     # every positive key; phi, r1 and s have edges of their own
     EXTREMES = (5e-324, 1e-300, 1e300, sys.float_info.max, 0.0)
     EDGES = {"phi": (-sys.float_info.max,), "r1": (0.0, 1.0), "s": (-1.0, 1.0)}
-    LIST_KEYS = ("r1", "s", "meas_intervals")
+    LIST_KEYS = config_keys("list")
 
     def test_extreme_values_exit_cleanly(self, tmp_path, capsys):
         # each run exits 0, 2 or 3, a refusal names a configuration error,
@@ -1448,7 +1478,7 @@ class TestConfigRobustness:
         config, out = tmp_path / "c.json", tmp_path / "t.csv"
         start = time.perf_counter()
         for name, argv in self.RUNS.items():
-            for key in scenarios._REAL_KEYS + self.LIST_KEYS:
+            for key in config_keys("real") + self.LIST_KEYS:
                 for v in self.EXTREMES + self.EDGES.get(key, ()):
                     config.write_text(json.dumps(
                         dict(self.BASE, **{key: [v] if key in self.LIST_KEYS else v})))

@@ -29,6 +29,7 @@ from zeno_ent import (
     density_matrix,
     resonant_system,
     stationary_concurrence,
+    stroboscopic_amplitudes,
     survival_amplitude,
     zeno_rate,
 )
@@ -105,20 +106,62 @@ class TestReservoirSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got an integer too large"):
             call()
 
-    # a bool is an int to Python, and each of these took True for 1
-    @pytest.mark.parametrize("call, name", [
-        (lambda: MeasurementSchedule(True, 1), "interval"),
-        (lambda: zeno_rate(*resonant_system(1.0, 0.5), True), "interval"),
-        (lambda: ReservoirSpec(True, 1.0), "w"),
-        (lambda: CouplingSpec(True, 0.0), "alpha1"),
-        (lambda: resonant_system(True, 0.5), "alpha_t"),
-        (lambda: SolverConfig(dt=True, t_max=1.0), "dt"),
-        (lambda: density_matrix(pair(True, 0)), "c1"),
-        (lambda: density_matrix(pair(0, True)), "c2"),
-    ], ids=["interval", "zeno-rate", "w", "alpha1", "big_r", "dt", "amplitudes-c1",
-            "amplitudes-c2"])
-    def test_rejects_bool_for_a_real(self, call, name):
-        with pytest.raises(ValueError, match=f"^{name} must be a number, got True"):
+    # a bool is an int to Python, and each of these took True for 1; a str,
+    # None or complex failed later as a bare TypeError, or a str was parsed
+    REAL_ARGUMENTS = {
+        "interval": (lambda v: MeasurementSchedule(v, 1), "interval"),
+        "zeno-rate": (lambda v: zeno_rate(*resonant_system(1.0, 0.5), v), "interval"),
+        "stroboscopic": (lambda v: stroboscopic_amplitudes(
+            *resonant_system(1.0, 0.5), InitialState(1.0, 0.0), v, [0.0]), "interval"),
+        "w": (lambda v: ReservoirSpec(v, 1.0), "w"),
+        "lam": (lambda v: ReservoirSpec(1.0, v), "lam"),
+        "alpha1": (lambda v: CouplingSpec(v, 0.0), "alpha1"),
+        "alpha2": (lambda v: CouplingSpec(1.0, v), "alpha2"),
+        "big_r": (lambda v: resonant_system(v, 0.5), "alpha_t"),
+        "r1": (lambda v: resonant_system(1.0, v), "r1"),
+        "s": (lambda v: InitialState.from_separability(v), "s"),
+        "phi": (lambda v: InitialState.from_separability(0.0, v), "phi"),
+        "dt": (lambda v: SolverConfig(dt=v, t_max=1.0), "dt"),
+        "t_max": (lambda v: SolverConfig(dt=1e-3, t_max=v), "t_max"),
+        "freq_window": (lambda v: SolverConfig(dt=1e-3, t_max=1.0, freq_window=v),
+                        "freq_window"),
+        "t": (lambda v: survival_amplitude(*resonant_system(1.0, 0.5), v), "t"),
+        "tau": (lambda v: closed_form_series(*resonant_system(1.0, 0.5), InitialState(1.0, 0.0),
+                                             v), "tau"),
+        "detuning": (lambda v: ReservoirSpec(w=1.0, lam=1.0).detuned_density(v), "detuning"),
+    }
+    AMPLITUDES = {
+        "amplitudes-c1": (lambda v: density_matrix(pair(v, 0)), "c1"),
+        "amplitudes-c2": (lambda v: density_matrix(pair(0, v)), "c2"),
+        "c01": (lambda v: InitialState(v, 1.0), "c01"),
+        "c02": (lambda v: InitialState(1.0, v), "c02"),
+    }
+
+    @pytest.mark.parametrize("call, name, bad", [
+        *(pytest.param(call, name, bad, id=key if kind == "bool" else f"{key}-{kind}")
+          for key, (call, name) in {**REAL_ARGUMENTS, **AMPLITUDES}.items()
+          for kind, bad in (("bool", True), ("str", "1"), ("none", None))),
+        *(pytest.param(call, name, 1j, id=f"{key}-complex")
+          for key, (call, name) in REAL_ARGUMENTS.items()),
+    ])
+    def test_rejects_bool_for_a_real(self, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(repr(bad))}"):
+            call(bad)
+
+    # one wording per rule, naming the argument and its value as given
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CouplingSpec(-1.0, 1.0), "alpha1 must be >= 0, got -1.0"),
+        (lambda: resonant_system(1.0, 1.5), "r1 must lie in [0, 1], got 1.5"),
+        (lambda: InitialState.from_separability(-2), "s must lie in [-1, 1], got -2"),
+        (lambda: InitialState.from_separability(0.0, math.inf), "phi must be finite, got inf"),
+        (lambda: ReservoirSpec(1.0, 0), "lam must be positive and finite, got 0"),
+        (lambda: MeasurementSchedule(0.1, 0), "count must be >= 1, got 0"),
+        (lambda: SolverConfig(dt=1e-3, t_max=1.0, n_modes=0),
+         "n_modes must be between 1 and 20000, got 0"),
+    ], ids=["one-sided", "range", "range-int", "finite", "positive", "integer-one-sided",
+            "integer-range"])
+    def test_refusal_names_argument_and_value(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 

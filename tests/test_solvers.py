@@ -622,6 +622,24 @@ class TestCouplingOverflow:
         pair_map = propagator(res, coup, SolverConfig(dt=1e-4 / 1e153, t_max=1e-2 / 1e153))
         assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
 
+    # the default comb at 1e152 overflowed its secular solve and blamed
+    # freq_window; at 1e153 its density warned of an overflow and the comb
+    # was called too weak; an odd comb, whose centre coupling grows as R**3,
+    # blamed freq_window at 1e60 and overflowed with a warning at 1e120
+    @pytest.mark.parametrize("n_modes, big_r", [(2000, 1e152), (2000, 1e153), (2001, 1e60),
+                                                (3, 1e120)])
+    def test_bath_refuses_coupling_past_its_comb(self, n_modes, big_r):
+        res, coup = resonant_system(big_r, 0.6)
+        cfg = SolverConfig(dt=1e-4 / big_r, t_max=1e-2 / big_r, n_modes=n_modes)
+        with pytest.raises(ValueError, match=f"^big_r = {re.escape(repr(big_r))} is too strong "
+                                             "a coupling for the bath comb at freq_window"):
+            bath_propagator(res, coup, cfg)
+
+    def test_bath_builds_at_1e151(self):
+        res, coup = resonant_system(1e151, 0.6)
+        pair_map = bath_propagator(res, coup, SolverConfig(dt=1e-4 / 1e151, t_max=1e-2 / 1e151))
+        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
+
 
 class TestSolverConfig:
     def test_numpy_scalars_stored_as_floats(self):
