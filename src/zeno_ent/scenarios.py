@@ -32,12 +32,14 @@ from .model import (
     _integer,
     _positive,
     _relative_weights,
+    amplitudes_at,
     closed_form_series,
+    concurrence_closed,
     resonant_system,
     stationary_concurrence,
     survival_amplitude,
 )
-from .search import coordinate_refine_max
+from .search import TIE, refine_max
 from .solvers import (
     SOLVER_NAMES,
     SolverConfig,
@@ -81,7 +83,8 @@ MAX_SOLVER_STEPS = 1_000_000
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# tau points per block of the transient coarse-grid product
+# tau points per block of the transient coarse-grid product, so that its
+# memory does not grow with tau_steps
 _TAU_BLOCK = 4096
 # points per block of each solver grid in solver-xcheck: at R = 10 the
 # traced peak, 2.5 MB for one r1 and for the default five, is the bath's
@@ -487,33 +490,26 @@ def _pair_peak(home, fine, stride: int, n: int, asq: float, system):
     return peak
 
 
-def _transient_peaks(r1_axis: np.ndarray, init: InitialState, e: np.ndarray) -> np.ndarray:
-    """Coarse peak ``max_tau 2 |c1 conj(c2)|`` of every ``r1`` row of the grid.
+def _transient_coefficients(r1: np.ndarray, init: InitialState) -> np.ndarray:
+    """The coefficients ``kappa_k(r1)``, shape ``(len(r1), 5)``, of the real
+    quartic ``|c1 conj(c2)|**2 = sum_k kappa_k E**k`` in the survival
+    amplitude.
 
-    The pair amplitudes are affine in the survival factor, ``c = a + b E``,
-    so ``c1 conj(c2) = p0 + p1 E + p2 E**2`` and its squared modulus is a
-    real quartic ``sum_k kappa_k(r1) E**k``.  The whole grid is then one
-    ``(rows, 5) @ (5, len(e))`` product with the powers of ``E`` followed by
-    a row max.  Longer time grids go in blocks of ``_TAU_BLOCK`` points, so
-    the product's memory does not grow with ``tau_steps``.
+    With the overlaps ``bm``, ``bp`` of :meth:`BellBasis.from_state` and
+    ``x = bm conj(bp)``, the inverse basis change gives ``c1 conj(c2) = p0 +
+    p1 E + p2 E**2``, with ``p0 = -r1 r2 |bm|**2`` and ``p2 = r1 r2
+    |bp|**2`` real and ``p1 = (r2**2 - r1**2) Re x + i Im x``.
     """
     # the basis change reads only the weights r1, r2 of a coupling, so arrays
     # of them carry every row through it at once
-    weights = SimpleNamespace(r1=r1_axis, r2=np.sqrt(1.0 - r1_axis * r1_axis))
-    basis = BellBasis.from_state(weights, init)
-    a1, a2 = basis.amplitudes(weights, 0.0)
-    b1, b2 = BellBasis(0.0, basis.beta_plus).amplitudes(weights, 1.0)
-    p0 = a1 * np.conj(a2)
-    p1 = a1 * np.conj(b2) + b1 * np.conj(a2)
-    p2 = b1 * np.conj(b2)
-    kappa = np.stack([np.abs(p0) ** 2, 2.0 * (p0 * np.conj(p1)).real,
-                      np.abs(p1) ** 2 + 2.0 * (p0 * np.conj(p2)).real,
-                      2.0 * (p1 * np.conj(p2)).real, np.abs(p2) ** 2], axis=1)
-    top = np.full(r1_axis.size, -np.inf)
-    for k in range(0, e.size, _TAU_BLOCK):
-        powers = np.vander(e[k:k + _TAU_BLOCK], 5, increasing=True)
-        top = np.maximum(top, (kappa @ powers.T).max(axis=1))
-    return 2.0 * np.sqrt(np.maximum(top, 0.0))
+    r2 = np.sqrt(1.0 - r1 * r1)
+    basis = BellBasis.from_state(SimpleNamespace(r1=r1, r2=r2), init)
+    x = basis.beta_minus * np.conj(basis.beta_plus)
+    p0 = -r1 * r2 * np.abs(basis.beta_minus) ** 2
+    p2 = r1 * r2 * np.abs(basis.beta_plus) ** 2
+    re = (r2 * r2 - r1 * r1) * x.real
+    return np.stack([p0 * p0, 2.0 * p0 * re, re * re + x.imag * x.imag + 2.0 * p0 * p2,
+                     2.0 * p2 * re, p2 * p2], axis=1)
 
 
 def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
@@ -526,23 +522,21 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
     ``-(1+s) t**4 + 8c t**3 + 6s t**2 - 8c t + (1-s) = 0`` at ``t = tan(x/2)``.
     The candidates r1 = 0, r1 = 1 and ``t / hypot(1, t)`` at
     ``t = max(Re t_k, 0)`` for every root go through the scalar
-    :func:`stationary_concurrence`.  Those within 1e-12 of the best tie and
-    the smallest r1 wins: at s = 0, phi = 0 the maxima at sin 15° and
-    sin 75° tie.
+    :func:`stationary_concurrence`.  Those within
+    :data:`~zeno_ent.search.TIE` of the best tie and the smallest r1 wins:
+    at s = 0, phi = 0 the maxima at sin 15° and sin 75° tie.
     ``transient``: maximise the closed-form concurrence over (r1, tau) on
     [0, 1] x [0, tau_max].  ``|c1 conj(c2)|**2`` is a real quartic in the
-    survival amplitude ``E(tau)`` with coefficients that depend on r1 only,
-    so the 201-row coarse grid is one product of the coefficients with the
-    powers of ``E`` on the tau grid (:func:`_transient_peaks`).  Rows whose
-    coarse peak lies within 1e-12 of the best count as tied, and the
-    smallest r1 among them wins; that row alone is evaluated through
-    :meth:`BellBasis.amplitudes`, which gives tau (the first argmax) and the
-    coarse value.  Golden-section sweeps refine it to 1e-4, and the refined
-    point is kept only if it beats the coarse one.  The refinement's
-    objective is ``2 |c1 conj(c2)|`` from :meth:`BellBasis.amplitudes` at
-    the scalar :func:`survival_amplitude`, with the one reservoir of the
-    scan and a fresh coupling per r1.  Every param and the value are Python
-    floats.
+    survival amplitude ``E(tau)`` with coefficients that depend on r1 only
+    (:func:`_transient_coefficients`), so the 201-row coarse grid is one
+    product of the coefficients with the powers of ``E`` on the tau grid.
+    Rows whose peak of the quartic lies within :data:`~zeno_ent.search.TIE`
+    of the best tie, and the smallest r1 among them wins, at its first peak
+    in tau.
+    :func:`~zeno_ent.search.refine_max` refines that point on grids of the
+    same quartic, from +-1 coarse cell to a thousandth of one.  The value is
+    :func:`concurrence_closed` of :func:`amplitudes_at` at the point found.
+    Every param and the value are Python floats.
     """
     s = cfg.s_axis()[0]
     init = _init_state(cfg, s)
@@ -553,42 +547,39 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
         r1s = [0.0, 1.0] + [t / math.hypot(1.0, t) for t in np.maximum(roots.real, 0.0).tolist()]
         cs = [stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init) for r1 in r1s]
         top = max(cs)
-        r1_best, value = min((r1, v) for r1, v in zip(r1s, cs) if v >= top - 1e-12)
+        r1_best, value = min((r1, v) for r1, v in zip(r1s, cs) if v >= top - TIE)
         return OptimumResult(params={"r1": r1_best, "s": s, "phi": float(cfg.phi)},
                              value=value)
 
     if objective == "transient":
         res, ref_coup = resonant_system(cfg.big_r, 0.5)
+
+        def quartic(r1, tau):
+            # the survival amplitude depends on the couplings only through
+            # big_r, so one evaluation serves every r1 of the grid
+            e = survival_amplitude(res, ref_coup, tau)
+            return _transient_coefficients(r1, init) @ np.vander(e, 5, increasing=True).T
+
         tau = _grid_tau(cfg)
         r1_axis = np.linspace(0.0, 1.0, 201)
-        # the survival amplitude depends on the couplings only through big_r,
-        # so one evaluation serves every r1 on the scan grid
+        kappa = _transient_coefficients(r1_axis, init)
         e = survival_amplitude(res, ref_coup, tau)
-        peaks = _transient_peaks(r1_axis, init, e)
-        i = int(np.argmax(peaks >= peaks.max() - 1e-12))
-
-        coup = CouplingSpec.from_relative(cfg.big_r, r1_axis[i])
-        c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
-        curve = 2.0 * np.abs(c1 * np.conj(c2))
-        j = int(np.argmax(curve))
-        best = (float(curve[j]), float(r1_axis[i]), float(tau[j]))
-
-        def f(r1: float, t: float) -> float:
-            # the reservoir is the same at every r1, so res serves each call
-            coup = CouplingSpec.from_relative(cfg.big_r, r1)
-            c1, c2 = BellBasis.from_state(coup, init).amplitudes(
-                coup, survival_amplitude(res, coup, t))
-            return 2.0 * abs(c1 * c2.conjugate())
-
-        # Python floats, so the golden-section points and the result are too
-        dr = float(r1_axis[1] - r1_axis[0])
-        dtau = float(tau[1] - tau[0])
-        r1_best, tau_best, value = coordinate_refine_max(
-            f, best[1], best[2], dr, dtau, (0.0, 1.0), (0.0, float(cfg.tau_max)))
-        if best[0] > value:
-            r1_best, tau_best, value = best[1], best[2], best[0]
+        rows = np.arange(r1_axis.size)
+        top = np.full(r1_axis.size, -np.inf)
+        where = np.zeros(r1_axis.size, dtype=int)
+        for k in range(0, tau.size, _TAU_BLOCK):
+            block = kappa @ np.vander(e[k:k + _TAU_BLOCK], 5, increasing=True).T
+            arg = block.argmax(axis=1)
+            peak = block[rows, arg]
+            better = peak > top
+            top[better] = peak[better]
+            where[better] = k + arg[better]
+        i = int(np.argmax(top >= top.max() - TIE))
+        r1, t = refine_max(quartic, r1_axis[i], tau[where[i]], r1_axis[1], tau[1],
+                           (0.0, 1.0), (0.0, cfg.tau_max))
+        value = concurrence_closed(amplitudes_at(*resonant_system(cfg.big_r, r1), init, t))
         return OptimumResult(
-            params={"r1": r1_best, "tau": tau_best, "s": s, "phi": float(cfg.phi),
+            params={"r1": r1, "tau": t, "s": s, "phi": float(cfg.phi),
                     "big_r": float(cfg.big_r)},
             value=value)
 

@@ -1,67 +1,40 @@
-"""Golden-section refinement of a smooth 2-d maximum: the transient optimum
+"""Refinement of a smooth 2-d maximum on nested grids: the transient optimum
 over (r1, tau), which has no closed form in r1."""
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-__all__ = ["golden_section_max", "coordinate_refine_max"]
+__all__ = ["refine_max"]
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# values within this of the best tie; a point must beat the centre by more
+TIE = 1e-12
 
-# bracket width at which golden-section refinement stops, and the sweeps of
-# the 2-d refinement
-TOL = 1e-4
-SWEEPS = 3
+# each grid has 2 * _HALF + 1 points a side; the first spans +-1 cell and
+# each of the _ZOOMS after it a tenth of the one before
+_HALF = 10
+_ZOOMS = 3
+_STEPS = np.arange(-_HALF, _HALF + 1) / _HALF
 
 
-def golden_section_max(f, a: float, b: float):
-    """Maximum of a unimodal ``f`` on [a, b] to within :data:`TOL` in x.
+def refine_max(f, x: float, y: float, dx: float, dy: float, bounds_x, bounds_y):
+    """The point where ``f`` is largest near ``(x, y)``, as two Python floats.
 
-    Returns ``(x, f(x))``. Deterministic iteration count from the interval
-    shrink factor.
+    ``f(xs, ys)`` is vectorised, with shape ``(len(xs), len(ys))``.  It is
+    evaluated on ``2 * _HALF + 1`` points a side over ``+-dx`` and ``+-dy``
+    around the centre, clipped to the bounds, and then on windows a tenth
+    as wide, :data:`_ZOOMS` times.  The grid's centre is the current point,
+    which is kept unless a point beats it by more than :data:`TIE`; of the
+    points within :data:`TIE` of the grid's best that do, the one with the
+    smallest ``x``, then ``y``, is taken.
     """
-    if b < a:
-        a, b = b, a
-    h = b - a
-    if h <= TOL:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    n = int(math.ceil(math.log(TOL / h) / math.log(INV_PHI)))
-    c = b - INV_PHI * h
-    d = a + INV_PHI * h
-    fc, fd = f(c), f(d)
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - INV_PHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + INV_PHI * h
-            fd = f(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
-
-
-def coordinate_refine_max(f, x0: float, y0: float, dx: float, dy: float,
-                          bounds_x, bounds_y):
-    """:data:`SWEEPS` alternating golden-section sweeps around ``(x0, y0)``
-    for a 2-d maximum.
-
-    ``dx``/``dy`` set the initial bracket half-widths (one coarse-grid cell);
-    each sweep narrows one coordinate with the other held fixed.
-    """
-    x, y = float(x0), float(y0)
-    fxy = f(x, y)
-    for _ in range(SWEEPS):
-        lo = max(bounds_x[0], x - dx)
-        hi = min(bounds_x[1], x + dx)
-        x, fxy = golden_section_max(lambda u: f(u, y), lo, hi)
-        lo = max(bounds_y[0], y - dy)
-        hi = min(bounds_y[1], y + dy)
-        y, fxy = golden_section_max(lambda v: f(x, v), lo, hi)
-    return x, y, fxy
+    for _ in range(_ZOOMS + 1):
+        xs = np.clip(x + dx * _STEPS, *bounds_x)
+        ys = np.clip(y + dy * _STEPS, *bounds_y)
+        values = f(xs, ys)
+        top, centre = values.max(), values[_HALF, _HALF]
+        if top > centre + TIE:
+            k = int(np.argmax(values >= max(top - TIE, centre + TIE)))
+            x, y = xs[k // ys.size], ys[k % ys.size]
+        dx, dy = dx / 10.0, dy / 10.0
+    return float(x), float(y)

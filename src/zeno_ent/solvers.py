@@ -205,7 +205,9 @@ def _bright_weight(res: ReservoirSpec, coup: CouplingSpec) -> float:
     """``|a|^2 = alpha1^2 + alpha2^2``, the one float of the coupling that a
     solver's arithmetic reads; its step check and comb read ``alpha_t``.  A
     coupling whose ``|a|^2`` overflows is refused, naming its ``big_r``."""
-    asq = coup.alpha1 * coup.alpha1 + coup.alpha2 * coup.alpha2
+    # squared as Python floats, which overflow to inf without a warning
+    a1, a2 = float(coup.alpha1), float(coup.alpha2)
+    asq = a1 * a1 + a2 * a2
     if not math.isfinite(asq):
         raise ValueError(
             f"big_r = {coup.alpha_t * res.w / res.lam!r} is too strong a coupling for the "
@@ -427,6 +429,9 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     mode couplings underflow, or from about ``4e151``, where the secular
     solve would square their sum past a double, and a comb too narrow for
     double precision, ``freq_window = 1e-80`` say, whose solve overflows.
+    So is an odd comb spaced wider than a linewidth whose solve does not
+    resolve: its mode on resonance holds the whole Lorentzian peak, and
+    at 2001 modes, from about ``R = 1e7``, its dressed root leaves the band.
 
     The generator reads the pair ``x`` only through ``u = a.x`` and moves
     it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
@@ -480,17 +485,25 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"big_r = {coup.alpha_t * res.w / res.lam!r} is too strong a coupling for the "
             f"bath comb at freq_window = {cfg.freq_window!r}: its secular solve squares its "
             f"band edge {edge:.3g} and twice its couplings' sum {total:.3g} past a double")
-    if not np.min(b) >= np.finfo(float).tiny:
+    # sigma is read off the spectrum as 2 / |a|^2 times its sums
+    if not (np.min(b) >= np.finfo(float).tiny and 2.0 / asq < math.inf):
         raise ValueError(
             f"big_r = {coup.alpha_t * res.w / res.lam!r} is too weak a coupling for the "
-            f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and underflow; "
-            "the pair does not move at double precision there, so use the closed form")
+            f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and |a|^2 to "
+            f"{asq:.3g}, where they underflow; the pair does not move at double precision "
+            "there, so use the closed form")
     # a comb too narrow for double precision overflows its secular solve
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             lam, weight = _folded_spectrum(offsets[lower:], b, dw, res.lam, asq,
                                            res.detuned_density(0.0) * res.lam**2 * dw)
     except FloatingPointError as exc:
+        if cfg.n_modes % 2 and dw > res.lam:
+            raise ValueError(
+                f"n_modes = {cfg.n_modes} is odd, so one bath mode sits on resonance and "
+                f"holds the Lorentzian peak of a comb spaced {dw / res.lam:.3g} linewidths "
+                f"apart at big_r = {coup.alpha_t * res.w / res.lam!r}: its secular solve "
+                f"does not resolve ({exc}); pick an even n_modes") from None
         raise ValueError(
             f"freq_window = {cfg.freq_window!r} is too narrow a bath comb for double "
             f"precision: its spectrum does not resolve ({exc}); pick a window near "

@@ -861,6 +861,24 @@ def _transient_loop_max(big_r: float, init: InitialState, tau: np.ndarray) -> fl
     return best
 
 
+def _golden_section_max(f, a, b, tol, inv_phi):
+    """The larger ``f`` at the two inner points of a golden-section search
+    for the maximum of a unimodal ``f`` on ``[a, b]``, once the bracket is
+    ``tol`` wide; in floats or in mpmath numbers, ``inv_phi`` in the same."""
+    u, v = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fu, fv = f(u), f(v)
+    while b - a > tol:
+        if fu > fv:
+            b, v, fv = v, u, fu
+            u = b - inv_phi * (b - a)
+            fu = f(u)
+        else:
+            a, u, fu = u, v, fv
+            v = a + inv_phi * (b - a)
+            fv = f(v)
+    return max(fu, fv)
+
+
 class TestOptimumGrids:
     def test_stationary_grid_equals_scalar_calls(self):
         xs = np.linspace(0.0, 1.0, 201)
@@ -872,8 +890,9 @@ class TestOptimumGrids:
 
     @staticmethod
     def grid_search_stationary(init):
-        """The 201-point grid and golden-section refinement that found the
-        stationary optimum before the closed form."""
+        """The 201-point grid and golden-section refinement, to a bracket of
+        1e-4 in r1 around the grid's best point, that found the stationary
+        optimum before the closed form."""
         xs = np.linspace(0.0, 1.0, 201)
 
         def f(r1):
@@ -881,9 +900,10 @@ class TestOptimumGrids:
 
         values = scenarios._stationary_grid(xs.tolist(), [init])[:, 0]
         i = int(np.argmax(values))
-        x, fx = search.golden_section_max(f, float(xs[max(i - 1, 0)]),
-                                          float(xs[min(i + 1, xs.size - 1)]))
-        return (float(xs[i]), float(values[i])) if values[i] > fx else (x, fx)
+        refined = _golden_section_max(f, float(xs[max(i - 1, 0)]),
+                                      float(xs[min(i + 1, xs.size - 1)]), 1e-4,
+                                      (math.sqrt(5.0) - 1.0) / 2.0)
+        return max(float(values[i]), refined)
 
     @staticmethod
     def mp_stationary_max(s, phi):
@@ -907,19 +927,8 @@ class TestOptimumGrids:
             best = mp.mpf(0)
             for k in range(1, 200):
                 if vs[k] >= vs[k - 1] and vs[k] >= vs[k + 1]:
-                    a, b = mp.mpf(xs[k - 1]), mp.mpf(xs[k + 1])
-                    u, v = b - inv_phi * (b - a), a + inv_phi * (b - a)
-                    cu, cv = c(u), c(v)
-                    while b - a > 1e-9:
-                        if cu > cv:
-                            b, v, cv = v, u, cu
-                            u = b - inv_phi * (b - a)
-                            cu = c(u)
-                        else:
-                            a, u, cu = u, v, cv
-                            v = a + inv_phi * (b - a)
-                            cv = c(v)
-                    best = max(best, cu, cv)
+                    best = max(best, _golden_section_max(c, mp.mpf(xs[k - 1]),
+                                                         mp.mpf(xs[k + 1]), 1e-9, inv_phi))
             return float(best)
 
     def test_stationary_optimum_against_grid_search_and_mpmath(self):
@@ -931,7 +940,7 @@ class TestOptimumGrids:
             cfg = ScenarioConfig(scenario="time-evolution", s=(s,), phi=phi)
             opt = find_optimum("stationary", cfg)
             init = InitialState.from_separability(s, phi)
-            assert opt.value >= self.grid_search_stationary(init)[1], (s, phi)
+            assert opt.value >= self.grid_search_stationary(init), (s, phi)
             assert abs(opt.value - self.mp_stationary_max(s, phi)) <= 1e-12, (s, phi)
             r1 = opt.params["r1"]
             assert opt.value == stationary_concurrence(CouplingSpec.from_relative(1.0, r1), init)
@@ -954,33 +963,99 @@ class TestOptimumGrids:
             assert abs(opt.value - at) <= 1e-12
             assert 0.0 <= opt.params["r1"] <= 1.0 and 0.0 <= opt.params["tau"] <= 10.0
 
-    def test_transient_refine_equals_amplitudes_at_objective(self, monkeypatch):
-        # oracle: the refinement fed the objective it had before, a fresh
-        # system, amplitudes_at and concurrence_closed per call,
-        # from the same start point, brackets and bounds
+    @staticmethod
+    def spy_refine(monkeypatch):
+        """Record each refinement's arguments and result, and every grid
+        its objective is evaluated on, as ``(xs, ys, values)``."""
         calls = []
 
-        def spy(f, *args, **kwargs):
-            out = search.coordinate_refine_max(f, *args, **kwargs)
-            calls.append((args, kwargs, out))
+        def spy(f, *args):
+            grids = []
+
+            def objective(xs, ys):
+                values = f(xs, ys)
+                grids.append((xs, ys, values))
+                return values
+
+            out = search.refine_max(objective, *args)
+            calls.append((args, grids, out))
             return out
 
-        monkeypatch.setattr(scenarios, "coordinate_refine_max", spy)
+        monkeypatch.setattr(scenarios, "refine_max", spy)
+        return calls
+
+    def test_transient_refine_equals_amplitudes_at_objective(self, monkeypatch):
+        # oracle: a fresh system, amplitudes_at and concurrence_closed per point
+        calls = self.spy_refine(monkeypatch)
         for big_r, s, phi in _optimum_draws(45, 12):
             cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi)
             init = InitialState.from_separability(s, phi)
-
-            def oracle(r1, t):
-                res, coup = resonant_system(big_r, r1)
-                return concurrence_closed(amplitudes_at(res, coup, init, t))
-
             calls.clear()
             opt = find_optimum("transient", cfg)
-            (args, kwargs, out), = calls
-            assert out == search.coordinate_refine_max(oracle, *args, **kwargs)
-            # the result is the refined point, or the coarse start where that wins
-            if (opt.params["r1"], opt.params["tau"]) != args[:2]:
-                assert (opt.params["r1"], opt.params["tau"], opt.value) == out
+            (_, grids, out), = calls
+            assert len(grids) == 4
+            for xs, ys, values in grids:
+                assert values.shape == (21, 21)
+                for r1, row in zip(xs.tolist(), values):
+                    res, coup = resonant_system(big_r, r1)
+                    want = [(concurrence_closed(amplitudes_at(res, coup, init, t)) / 2.0) ** 2
+                            for t in ys.tolist()]
+                    assert np.max(np.abs(row - want)) <= 1e-12, (big_r, s, phi, r1)
+            # the result is the refined point, with the value of amplitudes_at there
+            assert (opt.params["r1"], opt.params["tau"]) == out
+            res, coup = resonant_system(big_r, opt.params["r1"])
+            assert opt.value == concurrence_closed(
+                amplitudes_at(res, coup, init, opt.params["tau"]))
+
+    def test_transient_refine_never_below_coarse_winner(self, monkeypatch):
+        # the refinement starts at the coarse winner and keeps it unless a
+        # point beats it, so the value is at least the winner's
+        calls = self.spy_refine(monkeypatch)
+        for big_r, s, phi in _optimum_draws(48, 40):
+            cfg = ScenarioConfig(scenario="time-evolution", big_r=big_r, s=(s,), phi=phi)
+            init = InitialState.from_separability(s, phi)
+            calls.clear()
+            opt = find_optimum("transient", cfg)
+            (args, _, _), = calls
+            r1, tau = float(args[0]), float(args[1])
+            assert opt.value >= concurrence_closed(
+                amplitudes_at(*resonant_system(big_r, r1), init, tau)), (big_r, s, phi)
+
+    @pytest.mark.parametrize("cfg, at", [
+        # every r1 starts at C = 1, the grid maximum, and ties at tau = 0
+        (dict(big_r=0.1, s=(0.0,), phi=0.0), dict(r1=0.0, tau=0.0)),
+        # a product state builds entanglement all the way to a short horizon
+        (dict(big_r=1.0, s=(1.0,), phi=0.0, tau_max=0.05), dict(tau=0.05)),
+    ], ids=["r1=0-tau=0", "tau=tau_max"])
+    def test_transient_refine_window_clipped_at_bounds(self, monkeypatch, cfg, at):
+        calls = self.spy_refine(monkeypatch)
+        cfg = ScenarioConfig(scenario="time-evolution", **cfg)
+        opt = find_optimum("transient", cfg)
+        (_, grids, _), = calls
+        for xs, ys, _ in grids:
+            assert 0.0 <= xs.min() and xs.max() <= 1.0
+            assert 0.0 <= ys.min() and ys.max() <= cfg.tau_max
+        assert {k: opt.params[k] for k in at} == at
+
+    @pytest.mark.parametrize("start, peak, want", [
+        ((0.0, 0.5), (-1.0, 0.5), (0.0, 0.5)),
+        ((0.95, 0.5), (2.0, 0.5), (1.0, 0.5)),
+        ((0.5, 0.05), (0.5, -1.0), (0.5, 0.0)),
+        ((0.5, 1.95), (0.5, 5.0), (0.5, 2.0)),
+    ], ids=["r1=0", "r1=1", "tau=0", "tau=tau_max"])
+    def test_refine_max_clips_its_window(self, start, peak, want):
+        # a peak outside the box is found on its edge, and no point of any
+        # grid leaves the box
+        grids = []
+
+        def f(xs, ys):
+            grids.append((xs, ys))
+            return -((xs - peak[0]) ** 2)[:, None] - ((ys - peak[1]) ** 2)[None, :]
+
+        assert search.refine_max(f, *start, 0.1, 0.1, (0.0, 1.0), (0.0, 2.0)) == want
+        for xs, ys in grids:
+            assert xs.min() >= 0.0 and xs.max() <= 1.0
+            assert ys.min() >= 0.0 and ys.max() <= 2.0
 
     @pytest.mark.parametrize("objective", ["stationary", "transient"])
     def test_optimum_params_are_python_floats(self, objective):

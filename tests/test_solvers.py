@@ -635,6 +635,48 @@ class TestCouplingOverflow:
                                              "a coupling for the bath comb at freq_window"):
             bath_propagator(res, coup, cfg)
 
+    @pytest.mark.parametrize("propagator", [volterra_propagator, aux_ode_propagator,
+                                            bath_propagator])
+    def test_refuses_numpy_scalar_coupling_without_warning(self, propagator):
+        # a numpy float64 coupling was squared in numpy, which warned of the
+        # overflow before the refusal; the warning fails here
+        res, coup = resonant_system(np.float64(2e154), 0.6)
+        cfg = SolverConfig(dt=1e-4 / 2e154, t_max=1e-2 / 2e154)
+        with pytest.raises(ValueError, match=r"big_r = 2e\+154 is too strong a coupling for "
+                                             "the solvers"):
+            propagator(res, coup, cfg)
+
+    def test_bath_refuses_coupling_whose_weight_underflows(self):
+        # a lone mode's squared coupling still fits at 1e-154, but 2 / |a|^2
+        # overflowed and met a 0 of the spectral sums with a numpy warning
+        cfg = SolverConfig(dt=0.01, t_max=0.1, n_modes=1, freq_window=20.0)
+        res, coup = resonant_system(1e-154, 0.6)
+        with pytest.raises(ValueError, match=r"^big_r = 1e-154 is too weak a coupling for the "
+                                             r"bath comb: .* \|a\|\^2 to 1e-308"):
+            bath_propagator(res, coup, cfg)
+        pair_map = bath_propagator(*resonant_system(1.2e-154, 0.6), cfg)
+        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
+
+    @pytest.mark.parametrize("n_modes", [3, 51, 2001])
+    def test_bath_refuses_odd_comb_whose_centre_mode_holds_the_peak(self, n_modes):
+        # the mode on resonance takes the Lorentzian of a comb spaced far
+        # wider than a linewidth, and the secular solve divided by zero; it
+        # was refused as too narrow a freq_window.  The even comb runs.
+        res, coup = resonant_system(1e10, 0.6)
+        cfg = SolverConfig(dt=1e-14, t_max=1e-12, n_modes=n_modes)
+        with pytest.raises(ValueError, match=f"^n_modes = {n_modes} is odd, .* at big_r = "
+                                             r"10000000000\.0: .* pick an even n_modes$"):
+            bath_propagator(res, coup, cfg)
+        even = SolverConfig(dt=1e-14, t_max=1e-12, n_modes=n_modes + 1)
+        pair_map = bath_propagator(res, coup, even)
+        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
+
+    def test_bath_refuses_narrow_odd_comb_by_its_window(self):
+        res, coup = resonant_system(0.1, 0.87)
+        cfg = SolverConfig(dt=1e-3, t_max=10.0, n_modes=2001, freq_window=1e-80)
+        with pytest.raises(ValueError, match="^freq_window = 1e-80 is too narrow a bath comb"):
+            bath_propagator(res, coup, cfg)
+
     def test_bath_builds_at_1e151(self):
         res, coup = resonant_system(1e151, 0.6)
         pair_map = bath_propagator(res, coup, SolverConfig(dt=1e-4 / 1e151, t_max=1e-2 / 1e151))
