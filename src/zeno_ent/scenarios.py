@@ -41,6 +41,7 @@ from .model import (
 )
 from .search import TIE, refine_max
 from .solvers import (
+    BATH_TOLERANCE,
     SOLVER_NAMES,
     SolverConfig,
     _bright_weight,
@@ -73,7 +74,7 @@ SCENARIOS = ("stationary-surface", "time-evolution", "zeno-compare", "solver-xch
 SOLVERS = ("closed",) + SOLVER_NAMES
 
 # max |amplitude| deviation from the closed form at the reference steps below
-XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": 1e-3}
+XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": BATH_TOLERANCE}
 
 # most steps one numeric solver run may take: at a million Volterra steps
 # a solver-xcheck run at one r1 without the bath has a traced peak of 1.9
@@ -102,24 +103,29 @@ class ScenarioConfig:
     units of the reservoir memory time (the linewidth is fixed at 1, so
     ``big_r`` is the vacuum Rabi frequency over the linewidth).
 
-    ``n_modes`` and ``freq_window`` set the bath comb: ``n_modes`` modes
-    over ``+-freq_window * max(1, big_r)`` linewidths around resonance, so
-    the comb widens with the coupling and always covers the vacuum-Rabi
-    splitting.  ``time-evolution`` refines the Volterra and ODE steps until
+    ``n_modes`` and ``freq_window`` set the bath comb: ``n_modes`` modes,
+    an even count, over ``+-freq_window * max(1, big_r)`` linewidths
+    around resonance, so the comb widens with the coupling and always
+    covers the vacuum-Rabi splitting.  ``time-evolution`` refines the Volterra and ODE steps until
     they pass their solver's resolution check, while ``solver-xcheck`` keeps
     the steps as given.  The bath evolves its comb exactly, so no step is
     refused for it and its step only spaces its output: ``time-evolution``
     takes the output spacing, and only ``solver-xcheck`` reads ``dt_bath``.
     A bath run whose ``tau_max`` passes the comb's recurrence time ``2*pi/dω
     = pi * n_modes / (freq_window * max(1, big_r))`` is refused before it
-    starts, e.g. ``big_r = 40`` at ``tau_max = 10``.  A numeric
+    starts, e.g. ``big_r = 40`` at ``tau_max = 10``, and so is one on a
+    comb too narrow to sample the reservoir: ``freq_window`` below 2, or a
+    band-edge truncation ``big_r**2 / (freq_window * max(1, big_r))**3``
+    above the bath's budget, e.g. ``freq_window = 1`` at ``big_r = 0.1``.
+    A numeric
     solver run of more than :data:`MAX_SOLVER_STEPS` steps is refused too,
     in either scenario: e.g. the ``ode`` solver of ``time-evolution`` at
     ``big_r = 1e12``, whose step is refined to the coupling, or
     ``solver-xcheck`` at ``tau_max = 2000``, where Volterra's ``dt = 1e-4``
     would take 2e7 steps.  So is a ``tau_steps`` above
-    ``MAX_SOLVER_STEPS + 1``, which no numeric curve could reach, and a
-    comb of more than :data:`~zeno_ent.solvers.MAX_MODES` modes.  Only
+    ``MAX_SOLVER_STEPS + 1``, which no numeric curve could reach, and an
+    ``n_modes`` that is odd, below 2 or above
+    :data:`~zeno_ent.solvers.MAX_MODES`, in any scenario.  Only
     ``time-evolution`` reads ``solver``: ``solver-xcheck`` runs every
     solver, and ``stationary-surface`` and ``zeno-compare`` are closed
     form, so they refuse any other than ``"closed"``.  Refusals exit 2 on

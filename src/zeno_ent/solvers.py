@@ -66,13 +66,13 @@ from .model import (CouplingSpec, InitialState, ReservoirSpec, TimeSeries, _inte
                     _positive, _real)
 
 __all__ = [
+    "BATH_TOLERANCE",
     "MAX_MODES",
     "SOLVER_NAMES",
     "PairMap",
     "SolverConfig",
     "aux_ode_propagator",
     "bath_propagator",
-    "comb_recurrence_time",
     "step_limit",
     "volterra_propagator",
 ]
@@ -82,6 +82,9 @@ SOLVER_NAMES = ("volterra", "ode", "bath")
 # most modes a bath comb may hold: a 10k-step run at the ceiling takes about
 # 0.07 s on a 2-core x86 host (2000 modes take about 0.01 s)
 MAX_MODES = 20_000
+# the most |E_bath - E| the bath may be off: the cross-check's bath budget,
+# and the bound on a comb's band-edge truncation that it must sample within
+BATH_TOLERANCE = 1e-3
 
 # the bath's phase sums: most elements of their tallest work array (1 MB)
 _CHUNK = 1 << 16
@@ -102,11 +105,13 @@ class SolverConfig:
     the comb covers resonance ``+- K*max(lam, rabi)`` with ``K = freq_window``,
     i.e. K units of the fastest rate, so it always reaches past the
     vacuum-Rabi splitting.  For ``rabi <= lam`` that is resonance ``+- K*lam``.
+    The comb is an even count of modes, mirrored about resonance with
+    none on it; a count that is odd, below 2 or above :data:`MAX_MODES`
+    (20000) is refused before anything is allocated.
     The defaults, 2000 modes over ``K = 20``, are the comb every scenario
     runs; to ``t_max = 10`` it stays within the cross-check's bath budget
-    (1e-3) up to ``R = 26`` (worst error 7.4e-4, and 1.5e-3 at ``R = 28``).
-    A comb of more than :data:`MAX_MODES` (20000) modes is refused before
-    anything is allocated.
+    (:data:`BATH_TOLERANCE`) up to ``R = 26`` (worst error 7.4e-4, and
+    1.5e-3 at ``R = 28``).
     ``dt``, ``t_max`` and ``freq_window`` are stored as Python floats, so
     numpy scalars passed in neither change the arithmetic nor leak into
     messages.
@@ -216,34 +221,31 @@ def _bright_weight(res: ReservoirSpec, coup: CouplingSpec) -> float:
 
 
 def _check_comb(n_modes, freq_window) -> int:
-    """Refuse a comb that is not 1 to :data:`MAX_MODES` modes over a
-    positive, finite window; returns the count as an ``int``."""
-    n_modes = _integer("n_modes", n_modes, 1, MAX_MODES)
+    """Refuse a comb that is not an even count of 2 to :data:`MAX_MODES`
+    modes over a positive, finite window; returns the count as an ``int``."""
+    # the type alone: the count's bounds and parity are one refusal below
+    n_modes = _integer("n_modes", n_modes, -math.inf)
+    if n_modes % 2 or not 2 <= n_modes <= MAX_MODES:
+        raise ValueError(f"n_modes must be even and between 2 and {MAX_MODES}, got {n_modes}")
     _positive("freq_window", freq_window)
     return n_modes
 
 
-def _comb_window(res: ReservoirSpec, coup: CouplingSpec, freq_window: float) -> float:
-    """Half-width of the bath comb in linewidths, ``K * max(1, rabi/lam)``.
+def _comb_spacing(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
+    """The bath comb's band edge ``K max(lam, rabi)``, ``K =
+    cfg.freq_window``, and its mode spacing ``dω = 2 edge / n_modes``.
 
     The comb must reach past the vacuum-Rabi splitting at ``+-rabi``, or its
-    truncation floor grows as ``R**2``.
+    truncation floor grows as ``R**2``.  A window whose spacing rounds to 0
+    or overflows is refused.
     """
-    return freq_window * max(1.0, coup.alpha_t * res.w / res.lam)
-
-
-def comb_recurrence_time(res: ReservoirSpec, coup: CouplingSpec, n_modes: int,
-                         freq_window: float) -> float:
-    """Recurrence time ``2*pi/dω`` of the bath comb; past it the comb's
-    discrete spectrum sends the emitted excitation back to the qubits.  A
-    window whose spacing ``dω`` rounds to 0 or overflows is refused."""
-    n_modes = _check_comb(n_modes, freq_window)
-    dw = 2.0 * _comb_window(res, coup, freq_window) * res.lam / n_modes
+    edge = cfg.freq_window * max(1.0, coup.alpha_t * res.w / res.lam) * res.lam
+    dw = 2.0 * edge / cfg.n_modes
     if not (math.isfinite(dw) and dw > 0.0):
-        raise ValueError(f"freq_window = {freq_window!r} gives the bath comb a mode spacing "
-                         f"of {dw!r} at double precision; pick a window near the default "
-                         f"{SolverConfig.freq_window!r}")
-    return 2.0 * math.pi / dw
+        raise ValueError(f"freq_window = {cfg.freq_window!r} gives the bath comb a mode "
+                         f"spacing of {dw!r} at double precision; pick a window near the "
+                         f"default {SolverConfig.freq_window!r}")
+    return edge, dw
 
 
 def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str) -> float:
@@ -393,22 +395,16 @@ def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig
     return _bright_propagator("ode", res, coup, cfg, increment)
 
 
-def _comb(res: ReservoirSpec, n_modes: int, freq_window: float):
-    """Uniform midpoint comb over resonance ``+- K lam``.
-
-    Returns the mode offsets from resonance and the couplings ``g`` as
-    arrays, with ``g_k**2 = J(offset_k) * dω``, and the spacing ``dω``.
-    The offsets are built in detuning coordinates and are exactly
-    antisymmetric, ``offsets == -offsets[::-1]``, and the couplings exactly
-    symmetric.  An even comb has no mode at resonance; an odd comb puts its
-    centre mode exactly there (``n_modes = 3`` gives offsets ``-2/3, 0,
-    2/3`` in units of ``K lam``), and :func:`bath_propagator` carries it
-    with weight 1 beside the mirror pairs.
-    """
-    n_modes = _check_comb(n_modes, freq_window)
-    dw = 2.0 * (freq_window * res.lam) / n_modes
-    offsets = (np.arange(n_modes) - (n_modes - 1) / 2.0) * dw
-    return offsets, np.sqrt(res.detuned_density(offsets) * dw), dw
+def _comb(res: ReservoirSpec, n_modes: int, dw: float):
+    """The upper half of the uniform midpoint comb of ``n_modes`` modes
+    spaced by ``dw`` about resonance: the offsets ``(k + 1/2) dw`` for ``k
+    < n_modes / 2`` and their couplings ``g`` as arrays, with ``g_k**2 =
+    J(offset_k) * dw``.  The whole comb is its exact mirror, the offsets
+    ``-offsets[::-1]`` with the couplings ``g[::-1]`` below these, bit for
+    bit ``(arange(n_modes) - (n_modes - 1) / 2) * dw``; no mode sits on
+    resonance."""
+    offsets = (np.arange(n_modes // 2) + 0.5) * dw
+    return offsets, np.sqrt(res.detuned_density(offsets) * dw)
 
 
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -416,22 +412,23 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
 
     Works in the frame rotating at each mode's detuning, which leaves the
     qubit amplitudes untouched and makes the right-hand side autonomous.
-    The comb is a uniform midpoint grid of ``cfg.n_modes`` modes over
-    resonance ``+- band_edge`` with ``band_edge = cfg.freq_window *
-    max(lam, rabi)``: at strong coupling it scales with the vacuum-Rabi
-    frequency instead of cutting the spectrum off near the splitting at
-    ``+-rabi``.  The comb is evolved exactly, so no step is refused and
-    ``dt`` only spaces the output: the comb's frequency sampling alone sets
-    the error.  A horizon past the comb's recurrence time
-    ``2*pi/dω`` is refused: there the discrete spectrum sends the emitted
-    excitation back to the qubits.  So is a coupling too weak or too strong
-    for the default comb, ``R`` below about ``1e-151``, where the squared
-    mode couplings underflow, or from about ``4e151``, where the secular
-    solve would square their sum past a double, and a comb too narrow for
-    double precision, ``freq_window = 1e-80`` say, whose solve overflows.
-    So is an odd comb spaced wider than a linewidth whose solve does not
-    resolve: its mode on resonance holds the whole Lorentzian peak, and
-    at 2001 modes, from about ``R = 1e7``, its dressed root leaves the band.
+    The comb is ``cfg.n_modes`` modes, an even count, on a uniform
+    midpoint grid over resonance ``+- edge``, ``edge = cfg.freq_window *
+    max(lam, rabi)`` (:func:`_comb_spacing`), which at strong coupling
+    scales with the vacuum-Rabi frequency instead of cutting the spectrum
+    off near the splitting at ``+-rabi``.  The comb is evolved exactly, so
+    no step is refused and ``dt`` only spaces the output: the comb's
+    frequency sampling alone sets the error.  Its weight beyond the band
+    edge moves ``E`` by about ``rabi^2 lam / edge^3``, the second-order
+    shift of the detuned modes, which bounds the error from ``freq_window =
+    2`` on; a narrower comb, or one whose estimate exceeds
+    :data:`BATH_TOLERANCE`, cannot sample the reservoir and is refused.  So
+    is a horizon past the comb's recurrence time ``2*pi/dω``, where the
+    discrete spectrum sends the emitted excitation back to the qubits; a
+    coupling too weak or too strong for the default comb, ``R`` below about
+    ``1e-151``, where the squared mode couplings underflow, or from about
+    ``4e151``, where the secular solve would square their sum past a
+    double; and a comb whose solve overflows at double precision.
 
     The generator reads the pair ``x`` only through ``u = a.x`` and moves
     it only along the coupling vector ``a = (alpha1, alpha2)``.  The modes
@@ -449,61 +446,61 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     on the pair, so only the weights ``w_j``, the squared pair components
     of the eigenvectors, enter.  The qubits sit on resonance of a
     symmetric spectral density, so the comb is mirrored about their
-    frequency: the spectrum is ``+-lam_j``, plus ``0`` for an even comb,
-    and :func:`_folded_spectrum` finds it from the upper half of the comb,
-    iterating every root at once on closed-form sums over the poles: each
-    pass costs ``O(modes)``, and the sums over the spectrum
-    (:func:`_spectral_sums`) ``modes * steps / 2``.
+    frequency: the spectrum is ``+-lam_j`` and ``0``, and only the upper
+    half of the comb is built (:func:`_comb`).  :func:`_folded_spectrum`
+    finds the spectrum from it, iterating every root at once on
+    closed-form sums over the poles: each pass costs ``O(modes)``, and the
+    sums over the spectrum (:func:`_spectral_sums`) ``modes * steps / 2``.
 
     Metadata carries the full mode count and the recurrence time.
     """
     asq = _bright_weight(res, coup)
-    recurrence = comb_recurrence_time(res, coup, cfg.n_modes, cfg.freq_window)
+    big_r = coup.alpha_t * res.w / res.lam
+    edge, dw = _comb_spacing(res, coup, cfg)
+    # multiplied, not squared by **, which raises on overflow
+    reach = coup.alpha_t * res.w / edge
+    estimate = reach * reach * (res.lam / edge)
+    if cfg.freq_window < 2.0 or estimate > BATH_TOLERANCE:
+        raise ValueError(
+            f"freq_window = {cfg.freq_window!r} is too narrow a bath comb to sample the "
+            f"reservoir at big_r = {big_r!r}: it needs freq_window >= 2 and a band-edge "
+            f"truncation rabi^2 lam / edge^3 within the bath's budget {BATH_TOLERANCE:g}, "
+            f"and has {estimate:.3g}")
+    recurrence = 2.0 * math.pi / dw
     if cfg.t_max > recurrence:
         raise ValueError(
             f"tau_max = {cfg.t_max!r} runs past the bath comb's recurrence time "
             f"{recurrence:.6g} (2*pi/d_omega for {cfg.n_modes} modes at "
-            f"big_r = {coup.alpha_t * res.w / res.lam!r}), where the comb sends the "
+            f"big_r = {big_r!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
     n = _grid(cfg, step_limit(res, coup, "bath"))
-    window = _comb_window(res, coup, cfg.freq_window)
 
-    # the upper half of the comb: a mirror pair counts twice in c^T c, an
-    # odd comb's centre mode (the first kept one, at offset 0) once
-    lower = cfg.n_modes // 2
-    mult = np.full(cfg.n_modes - lower, 2.0)
-    mult[: cfg.n_modes % 2] = 1.0
-    # the secular solve squares the offsets, and distances up to the sum of
-    # the couplings (the top root's reach above the top mode); past a double,
-    # an offset's density is 0 and a coupling inf or nan, refused below
+    # the upper half of the comb, each mode counting twice in c^T c for its
+    # mirror; the secular solve squares the offsets, and distances up to the
+    # sum of the couplings (the top root's reach above the top mode); past a
+    # double, an offset's density is 0 and a coupling inf or nan, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets, g, dw = _comb(res, cfg.n_modes, window)
-        b = asq * mult * g[lower:] ** 2
-        edge, total = window * res.lam, float(np.sum(b))
+        offsets, g = _comb(res, cfg.n_modes, dw)
+        b = asq * 2.0 * g ** 2
+        total = float(np.sum(b))
     if not (edge * edge < math.inf and 4.0 * total * total < math.inf):
         raise ValueError(
-            f"big_r = {coup.alpha_t * res.w / res.lam!r} is too strong a coupling for the "
+            f"big_r = {big_r!r} is too strong a coupling for the "
             f"bath comb at freq_window = {cfg.freq_window!r}: its secular solve squares its "
             f"band edge {edge:.3g} and twice its couplings' sum {total:.3g} past a double")
     # sigma is read off the spectrum as 2 / |a|^2 times its sums
     if not (np.min(b) >= np.finfo(float).tiny and 2.0 / asq < math.inf):
         raise ValueError(
-            f"big_r = {coup.alpha_t * res.w / res.lam!r} is too weak a coupling for the "
+            f"big_r = {big_r!r} is too weak a coupling for the "
             f"bath comb: its squared mode couplings fall to {np.min(b):.3g} and |a|^2 to "
             f"{asq:.3g}, where they underflow; the pair does not move at double precision "
             "there, so use the closed form")
     # a comb too narrow for double precision overflows its secular solve
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            lam, weight = _folded_spectrum(offsets[lower:], b, dw, res.lam, asq,
+            lam, weight = _folded_spectrum(offsets, b, dw, res.lam, asq,
                                            res.detuned_density(0.0) * res.lam**2 * dw)
     except FloatingPointError as exc:
-        if cfg.n_modes % 2 and dw > res.lam:
-            raise ValueError(
-                f"n_modes = {cfg.n_modes} is odd, so one bath mode sits on resonance and "
-                f"holds the Lorentzian peak of a comb spaced {dw / res.lam:.3g} linewidths "
-                f"apart at big_r = {coup.alpha_t * res.w / res.lam!r}: its secular solve "
-                f"does not resolve ({exc}); pick an even n_modes") from None
         raise ValueError(
             f"freq_window = {cfg.freq_window!r} is too narrow a bath comb for double "
             f"precision: its spectrum does not resolve ({exc}); pick a window near "
@@ -525,17 +522,16 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
 def _folded_spectrum(o, b, dw, lam, asq, density):
     """Spectrum of the mirrored arrowhead from the upper half of its comb.
 
-    ``o`` are the kept offsets ``o_k = (k + h) dw``, ``h`` 0 for an odd comb
-    (its centre first, at 0) and 1/2 for an even one, ``b`` their couplings
-    ``c_k^2`` times the multiplicity (2 for a mirror pair, 1 for the
-    centre), Lorentzian up to rounding: ``b_k = asq density mult_k / (o_k^2
-    + lam^2)``.  The nonzero eigenvalues are ``+-lam_j`` with ``mu_j =
-    lam_j^2`` the roots of ``1 = sum_k b_k / (mu - o_k^2)``, one in each gap
-    ``(o_j^2, o_{j+1}^2)`` and the last within ``sum b`` above ``o^2`` of
-    the top mode.  Returns ``(lam, w)`` with the pair weight ``w_j = 1 / (2
-    mu_j sum_k b_k / (mu_j - o_k^2)^2)`` of each of ``+-lam_j``.  An even
-    comb also has the eigenvalue 0, which the run never sees, with weight
-    ``w0 = 1 / (1 + sum_k b_k / o_k^2)``, and ``w0 + 2 sum w = 1``.
+    ``o`` are the kept offsets ``o_k = (k + 1/2) dw`` of an even comb,
+    ``b`` their couplings ``c_k^2`` times 2, for the mode and its mirror,
+    Lorentzian up to rounding: ``b_k = 2 asq density / (o_k^2 + lam^2)``.
+    The nonzero eigenvalues are ``+-lam_j`` with ``mu_j = lam_j^2`` the
+    roots of ``1 = sum_k b_k / (mu - o_k^2)``, one in each gap ``(o_j^2,
+    o_{j+1}^2)`` and the last within ``sum b`` above ``o^2`` of the top
+    mode.  Returns ``(lam, w)`` with the pair weight ``w_j = 1 / (2 mu_j
+    sum_k b_k / (mu_j - o_k^2)^2)`` of each of ``+-lam_j``.  The comb also
+    has the eigenvalue 0, which the run never sees, with weight ``w0 = 1 /
+    (1 + sum_k b_k / o_k^2)``, and ``w0 + 2 sum w = 1``.
 
     Each root is found as its offset ``delta`` from the nearer pole ``p``,
     so that a root hugging a pole keeps its digits, with the pole gaps
@@ -607,28 +603,24 @@ def _pole_sums(o, b, dw, lam, asq, density):
     mu)^2``, at ``mu = o_lp^2 + shift`` between ``o_{lp-1}^2`` and
     ``o_{rp+1}^2``, ``rp`` being ``lp`` or ``lp + 1``.
 
-    Partial fractions split ``b_k / (o_k^2 - mu)`` into ``beta mult_k / (mu
-    + lam^2)``, formed as ``asq (density / (mu + lam^2))`` since ``beta``
+    Partial fractions split ``b_k / (o_k^2 - mu)`` into ``2 beta / (mu +
+    lam^2)``, formed as ``asq (density / (mu + lam^2))`` since ``beta``
     overflows at strong coupling, times ``1 / (o_k^2 - mu) - 1 / (o_k^2 +
     lam^2)``.  The second part is a prefix or suffix sum of the comb; over
     the mirrored comb the first is ``-1/x``, ``x = sqrt(mu)``, times sums of
     ``1 / (x - w)`` over runs of offsets ``w`` spaced by ``dw``
     (:func:`_digamma_steps`): the upper and then the mirrored poles below
-    ``lp`` (an odd comb's centre has no mirror), and the upper and the
-    mirrored ones above ``rp``, each measured from its pole, so that ``x -
-    o_lp`` comes from ``shift``.  The runs' offsets are exactly uniform and
-    the comb's rounded, which moves the nearest term most, by up to ``eps o
-    / dw`` of itself, so the poles ``lp - 1`` and ``rp + 1`` are summed as
-    they are; so are the poles above the lowest few roots, where the runs
-    above cancel and, next to an odd comb's centre, ``x`` may be far below
-    ``dw``.
+    ``lp``, and the upper and the mirrored ones above ``rp``, each measured
+    from its pole, so that ``x - o_lp`` comes from ``shift``.  The runs'
+    offsets are exactly uniform and the comb's rounded, which moves the
+    nearest term most, by up to ``eps o / dw`` of itself, so the poles
+    ``lp - 1`` and ``rp + 1`` are summed as they are; so are the poles above
+    the lowest few roots, where the runs above cancel.
     """
     m = o.size
-    odd = int(o[0] == 0.0)
     lsq = lam * lam
     v = 2.0 / (o * o + lsq)
-    v[:odd] *= 0.5
-    # sum_k mult_k / (o_k^2 + lam^2) below and above each pole, the above
+    # sum_k 2 / (o_k^2 + lam^2) below and above each pole, the above
     # sums formed from the top down
     below = np.concatenate(([0.0], _running_sum(v[:-1])))
     above = np.concatenate((_running_sum(v[:0:-1])[::-1], [0.0]))
@@ -655,10 +647,9 @@ def _pole_sums(o, b, dw, lam, asq, density):
         # the runs, as the distance from x of their first pole over dw and
         # their length, past those two poles
         run, run_slope = _digamma_steps(
-            np.stack([1.0 + lt + left, rt + (2 * rp + 2 - odd) + right,
+            np.stack([1.0 + lt + left, rt + (2 * rp + 2) + right,
                       np.where(count > 0, 2.0 - rt, 1.0)]),
-            np.stack([np.maximum(lp - 1, 0) + np.maximum(lp - odd - 1, 0), count - right,
-                      count - right]))
+            np.stack([2 * np.maximum(lp - 1, 0), count - right, count - right]))
         left_run = run[0] / dw
         right_run = (run[1] - run[2]) / dw
         mu = x * x
@@ -666,7 +657,7 @@ def _pole_sums(o, b, dw, lam, asq, density):
         psi = -scale * (left_run / x + below[lp - left])
         phi = -scale * (right_run / x + above[rp + right])
         # their slopes are -sum / (mu + lam^2) plus scale times the slopes
-        # of the comb's own sums, sum mult_k / (o_k^2 - mu)^2, which are the
+        # of the comb's own sums, sum 2 / (o_k^2 - mu)^2, which are the
         # runs' slopes in x over 2 mu
         curve = 0.5 / x / x
         dpsi = scale * ((run_slope[0] / dw / dw + left_run / x) * curve) - psi / (mu + lsq)

@@ -1300,9 +1300,37 @@ class TestCliMain:
                      "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert ("configuration error: n_modes must be between 1 and 20000, "
+        assert ("configuration error: n_modes must be even and between 2 and 20000, "
                 "got 1000000000000") in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("scenario", [["solver-xcheck"], ["stationary-surface"],
+                                          ["time-evolution", "--solver", "bath"]],
+                             ids=["xcheck", "surface", "evolve-bath"])
+    def test_odd_comb_exits_2(self, tmp_path, capsys, scenario):
+        # an odd comb put one mode on resonance; every scenario checks the
+        # comb's keys, whether or not it runs the bath
+        cfg, out = tmp_path / "c.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps({"n_modes": 2001}))
+        assert main(scenario + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("configuration error: n_modes must be even and between 2 and 20000, "
+                "got 2001") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", [1e-60, 1.0])
+    def test_bath_on_comb_too_narrow_to_sample_exits_2(self, tmp_path, capsys, window):
+        # both exited 0, with a concurrence 0.166 and 0.0044 off the closed
+        # form at the default big_r = 0.1
+        cfg, out = tmp_path / "c.json", tmp_path / "t.csv"
+        cfg.write_text(json.dumps({"freq_window": window}))
+        argv = ["time-evolution", "--solver", "bath", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        assert (f"configuration error: freq_window = {window!r} is too narrow a bath comb "
+                "to sample the reservoir at big_r = 0.1: ") in err
 
     @pytest.mark.parametrize("scenario, solver", [
         ("zeno-compare", "bath"), ("zeno-compare", "volterra"),
@@ -1409,11 +1437,11 @@ class TestCliMain:
         assert "cannot write" in capsys.readouterr().err
 
     def test_tolerance_failure_exits_3_and_still_writes(self, tmp_path, capsys):
-        # a comb reaching only one Rabi frequency either side of resonance
-        # cuts the spectrum off at the vacuum-Rabi splitting, so its bath
-        # rows miss the 1e-3 budget by two orders of magnitude
-        cfg = tmp_path / "narrow-comb.json"
-        cfg.write_text(json.dumps({"freq_window": 1.0}))
+        # a Volterra step ten times the default misses Volterra's 1e-5
+        # budget at R = 10 by a factor of four, in its rows against the
+        # closed form and the ODE
+        cfg = tmp_path / "coarse-volterra.json"
+        cfg.write_text(json.dumps({"dt_volterra": 1e-3}))
         out = tmp_path / "xcheck.csv"
         code = main(["solver-xcheck", "--config", str(cfg), "--big-r", "10",
                      "--r1", "0.7071067811865476", "--s", "0", "--tau-max", "2",
@@ -1429,11 +1457,11 @@ class TestCliMain:
         named = [f"zeno-ent: {a} vs {b} at r1 = {float(r1)!r}, s = {float(s)!r}: "
                  f"max_abs_err {float(e)!r} exceeds tolerance {float(tol)!r}"
                  for r1, s, a, b, _, e, tol, _ in failing]
-        assert failing and all(row[3] == "bath" for row in failing)
+        assert failing and all("volterra" in row[2:4] for row in failing)
         assert err == named + [f"zeno-ent: {len(failing)} solver cross-check row(s) "
                                "exceeded tolerance"]
         # the table is the one the scenario renders, whatever stderr says
-        cfg_obj = ScenarioConfig(scenario="solver-xcheck", freq_window=1.0, big_r=10.0,
+        cfg_obj = ScenarioConfig(scenario="solver-xcheck", dt_volterra=1e-3, big_r=10.0,
                                  r1=(SQRT_HALF,), s=(0.0,), tau_max=2.0)
         assert text == render_csv(run_solver_xcheck(cfg_obj))
 
@@ -1590,7 +1618,8 @@ class TestGoldens:
 class TestXcheckDigests:
     """``solver-xcheck`` CSV bytes, pinned by sha256: at three couplings,
     and on every config of :data:`WALK_CASES` and at ``R = 7``, whose
-    default r1 have two ``alpha_t``.
+    default r1 have two ``alpha_t``; and two bath ``time-evolution``
+    tables, the default comb at ``R = 10`` in JSON and a 16-mode comb.
 
     Each table is written by a child at one BLAS thread: the bath's sums
     are one large BLAS product, whose rounding may change with the thread
@@ -1614,14 +1643,21 @@ class TestXcheckDigests:
         "seven": "f3aa2902dd46d5522825778533de2bb61d30916ba74cf2be9f29dccede5203ad",
     }
 
+    BATH_DIGESTS = {
+        "r10-json": (["--big-r", "10", "--format", "json"], {},
+                     "112b74f878b3342de6da251f96d96073f2125642050a8b31b036a0c41a17c332"),
+        "r1-16-modes": (["--big-r", "1", "--tau-max", "0.5"], {"n_modes": 16},
+                        "2508622e921c346d528cf902736695db307d65d3b2103771cf64d856f4072929"),
+    }
+
     @staticmethod
-    def digest(tmp_path, args):
-        """sha256 of the CSV that a child writes for ``solver-xcheck args``."""
+    def digest(tmp_path, scenario, args):
+        """sha256 of the table that a child writes for ``scenario args``."""
         root = os.path.dirname(os.path.dirname(scenarios.__file__))
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        out = tmp_path / "xcheck.csv"
+        out = tmp_path / "table.out"
         proc = subprocess.run(
-            [sys.executable, "-m", "zeno_ent.cli", "solver-xcheck", *args, "--out", str(out)],
+            [sys.executable, "-m", "zeno_ent.cli", scenario, *args, "--out", str(out)],
             capture_output=True, text=True, timeout=300,
             env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
         assert proc.returncode == 0, proc.stderr
@@ -1629,10 +1665,19 @@ class TestXcheckDigests:
 
     @pytest.mark.parametrize("big_r", sorted(DIGESTS))
     def test_csv_matches_digest(self, tmp_path, big_r):
-        assert self.digest(tmp_path, ["--big-r", big_r]) == self.DIGESTS[big_r]
+        assert self.digest(tmp_path, "solver-xcheck", ["--big-r", big_r]) == self.DIGESTS[big_r]
 
     @pytest.mark.parametrize("case", sorted(CONFIG_DIGESTS))
     def test_config_csv_matches_digest(self, tmp_path, case):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(WALK_CASES.get(case, {"big_r": 7.0})))
-        assert self.digest(tmp_path, ["--config", str(config)]) == self.CONFIG_DIGESTS[case]
+        assert (self.digest(tmp_path, "solver-xcheck", ["--config", str(config)])
+                == self.CONFIG_DIGESTS[case])
+
+    @pytest.mark.parametrize("case", sorted(BATH_DIGESTS))
+    def test_bath_table_matches_digest(self, tmp_path, case):
+        args, keys, want = self.BATH_DIGESTS[case]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(keys))
+        argv = ["--solver", "bath", *args, "--config", str(config)]
+        assert self.digest(tmp_path, "time-evolution", argv) == want

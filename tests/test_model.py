@@ -20,6 +20,7 @@ from zeno_ent import (
     InitialState,
     MeasurementSchedule,
     ReservoirSpec,
+    ScenarioConfig,
     SolverConfig,
     TimeSeries,
     amplitudes_at,
@@ -156,8 +157,8 @@ class TestReservoirSpec:
         (lambda: InitialState.from_separability(0.0, math.inf), "phi must be finite, got inf"),
         (lambda: ReservoirSpec(1.0, 0), "lam must be positive and finite, got 0"),
         (lambda: MeasurementSchedule(0.1, 0), "count must be >= 1, got 0"),
-        (lambda: SolverConfig(dt=1e-3, t_max=1.0, n_modes=0),
-         "n_modes must be between 1 and 20000, got 0"),
+        (lambda: ScenarioConfig(scenario="time-evolution", tau_steps=1),
+         "tau_steps must be between 2 and 1000001, got 1"),
     ], ids=["one-sided", "range", "range-int", "finite", "positive", "integer-one-sided",
             "integer-range"])
     def test_refusal_names_argument_and_value(self, call, message):

@@ -24,7 +24,7 @@ from zeno_ent import (
 )
 from zeno_ent import scenarios, solvers
 from zeno_ent.cli import build_parser
-from zeno_ent.solvers import SOLVER_NAMES, comb_recurrence_time, step_limit
+from zeno_ent.solvers import BATH_TOLERANCE, SOLVER_NAMES, step_limit
 
 
 def max_gap(series, res, coup, init):
@@ -44,6 +44,20 @@ def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
     return SolverConfig(dt=dt, t_max=t_max, n_modes=n_modes, freq_window=freq_window)
 
 
+def full_comb(res, coup, cfg):
+    """The whole comb of ``cfg`` at this coupling, offsets and couplings:
+    the upper half that the solver builds and its mirror below."""
+    offsets, g = solvers._comb(res, cfg.n_modes, solvers._comb_spacing(res, coup, cfg)[1])
+    return np.concatenate((-offsets[::-1], offsets)), np.concatenate((g[::-1], g))
+
+
+def recurrence_time(res, coup, n_modes):
+    """``2 pi / dω`` of the default window's comb of ``n_modes`` modes at
+    this coupling."""
+    cfg = bath_cfg(1.0, 1.0, n_modes=n_modes)
+    return 2.0 * math.pi / solvers._comb_spacing(res, coup, cfg)[1]
+
+
 def exact_bath_reference(res, coup, init, cfg):
     """The comb evolved exactly: the dense ``eigh`` of its full generator on
     ``(c1, c2, modes)``, with the phases ``e^{-i lam_j t}`` at every step.
@@ -52,8 +66,7 @@ def exact_bath_reference(res, coup, init, cfg):
     3`` at R = 20 tilts the phase of the sub-radiant state by 1e-13; the
     Rayleigh quotients of its eigenvectors are off by the square of their
     error, so they serve as ``lam_j``."""
-    rabi = coup.alpha_t * res.w
-    offsets, g, _ = solvers._comb(res, cfg.n_modes, cfg.freq_window * max(1.0, rabi / res.lam))
+    offsets, g = full_comb(res, coup, cfg)
     h = np.diag(np.concatenate(([0.0, 0.0], offsets)))
     h[0, 2:] = h[2:, 0] = coup.alpha1 * g
     h[1, 2:] = h[2:, 1] = coup.alpha2 * g
@@ -624,10 +637,8 @@ class TestCouplingOverflow:
 
     # the default comb at 1e152 overflowed its secular solve and blamed
     # freq_window; at 1e153 its density warned of an overflow and the comb
-    # was called too weak; an odd comb, whose centre coupling grows as R**3,
-    # blamed freq_window at 1e60 and overflowed with a warning at 1e120
-    @pytest.mark.parametrize("n_modes, big_r", [(2000, 1e152), (2000, 1e153), (2001, 1e60),
-                                                (3, 1e120)])
+    # was called too weak
+    @pytest.mark.parametrize("n_modes, big_r", [(2000, 1e152), (2000, 1e153)])
     def test_bath_refuses_coupling_past_its_comb(self, n_modes, big_r):
         res, coup = resonant_system(big_r, 0.6)
         cfg = SolverConfig(dt=1e-4 / big_r, t_max=1e-2 / big_r, n_modes=n_modes)
@@ -647,35 +658,18 @@ class TestCouplingOverflow:
             propagator(res, coup, cfg)
 
     def test_bath_refuses_coupling_whose_weight_underflows(self):
-        # a lone mode's squared coupling still fits at 1e-154, but 2 / |a|^2
-        # overflowed and met a 0 of the spectral sums with a numpy warning
-        cfg = SolverConfig(dt=0.01, t_max=0.1, n_modes=1, freq_window=20.0)
-        res, coup = resonant_system(1e-154, 0.6)
-        with pytest.raises(ValueError, match=r"^big_r = 1e-154 is too weak a coupling for the "
-                                             r"bath comb: .* \|a\|\^2 to 1e-308"):
+        # the squared couplings of a two-mode comb at w = 10 still fit at
+        # alpha_t = 1e-154, but 2 / |a|^2 overflows; a lone mode at
+        # R = 1e-154 met a 0 of the spectral sums there with a numpy warning
+        res = ReservoirSpec(w=10.0, lam=1.0)
+        cfg = SolverConfig(dt=0.01, t_max=0.1, n_modes=2, freq_window=20.0)
+        coup = CouplingSpec.from_relative(1e-154, 0.6)
+        big_r = re.escape(repr(coup.alpha_t * res.w / res.lam))
+        with pytest.raises(ValueError, match=f"^big_r = {big_r} is too weak a coupling for "
+                                             r"the bath comb: .* \|a\|\^2 to 1e-308"):
             bath_propagator(res, coup, cfg)
-        pair_map = bath_propagator(*resonant_system(1.2e-154, 0.6), cfg)
+        pair_map = bath_propagator(res, CouplingSpec.from_relative(1.2e-154, 0.6), cfg)
         assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
-
-    @pytest.mark.parametrize("n_modes", [3, 51, 2001])
-    def test_bath_refuses_odd_comb_whose_centre_mode_holds_the_peak(self, n_modes):
-        # the mode on resonance takes the Lorentzian of a comb spaced far
-        # wider than a linewidth, and the secular solve divided by zero; it
-        # was refused as too narrow a freq_window.  The even comb runs.
-        res, coup = resonant_system(1e10, 0.6)
-        cfg = SolverConfig(dt=1e-14, t_max=1e-12, n_modes=n_modes)
-        with pytest.raises(ValueError, match=f"^n_modes = {n_modes} is odd, .* at big_r = "
-                                             r"10000000000\.0: .* pick an even n_modes$"):
-            bath_propagator(res, coup, cfg)
-        even = SolverConfig(dt=1e-14, t_max=1e-12, n_modes=n_modes + 1)
-        pair_map = bath_propagator(res, coup, even)
-        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
-
-    def test_bath_refuses_narrow_odd_comb_by_its_window(self):
-        res, coup = resonant_system(0.1, 0.87)
-        cfg = SolverConfig(dt=1e-3, t_max=10.0, n_modes=2001, freq_window=1e-80)
-        with pytest.raises(ValueError, match="^freq_window = 1e-80 is too narrow a bath comb"):
-            bath_propagator(res, coup, cfg)
 
     def test_bath_builds_at_1e151(self):
         res, coup = resonant_system(1e151, 0.6)
@@ -719,10 +713,20 @@ class TestSolverConfig:
 
     def test_rejects_comb_past_mode_ceiling(self):
         assert SolverConfig(dt=1e-3, t_max=1.0, n_modes=solvers.MAX_MODES).n_modes == 20000
-        for n_modes in (solvers.MAX_MODES + 1, 10**12):
-            with pytest.raises(ValueError, match=r"n_modes must be between 1 and 20000, "
-                                                 f"got {n_modes}$"):
+        for n_modes in (solvers.MAX_MODES + 2, 10**12):
+            with pytest.raises(ValueError, match=r"^n_modes must be even and between 2 and "
+                                                 f"20000, got {n_modes}$"):
                 SolverConfig(dt=1e-3, t_max=1.0, n_modes=n_modes)
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 51, 2001, 19999, 20001,
+                                         pytest.param(np.int64(7), id="int64-7")])
+    def test_rejects_odd_mode_count(self, n_modes):
+        # an odd comb put a mode on resonance, which held the Lorentzian peak
+        # of a coarse comb and had a secular solve of its own
+        with pytest.raises(ValueError, match=r"^n_modes must be even and between 2 and "
+                                             f"20000, got {int(n_modes)}$"):
+            SolverConfig(dt=1e-3, t_max=1.0, n_modes=n_modes)
+        assert SolverConfig(dt=1e-3, t_max=1.0, n_modes=2).n_modes == 2
 
     def test_default_comb_within_bath_budget(self):
         # the bare defaults are the scenarios' comb, which reaches tau = 10
@@ -837,17 +841,31 @@ class TestAuxOde:
 
 class TestDiscretizedBath:
     def test_mode_comb_weights_match_spectral_density(self):
-        res = resonant_system(0.5, 0.5)[0]
-        offsets, g, d_omega = solvers._comb(res, n_modes=200, freq_window=10.0)
-        assert offsets.shape == g.shape == (200,)
-        assert d_omega == 2.0 * 10.0 * res.lam / 200
+        res, coup = resonant_system(0.5, 0.5)
+        cfg = bath_cfg(1e-3, 1.0, n_modes=200, freq_window=10.0)
+        edge, d_omega = solvers._comb_spacing(res, coup, cfg)
+        assert (edge, d_omega) == (10.0 * res.lam, 2.0 * 10.0 * res.lam / 200)
+        offsets, g = solvers._comb(res, 200, d_omega)
+        assert offsets.shape == g.shape == (100,)
+        assert offsets[0] == 0.5 * d_omega
+        assert offsets[-1] == pytest.approx(edge - 0.5 * d_omega, rel=1e-15)
         for k in (0, 57, -1):
             assert g[k] ** 2 == pytest.approx(res.detuned_density(offsets[k]) * d_omega,
                                               rel=1e-12)
-        # comb is symmetric around resonance, exactly: offsets mirror and
-        # couplings match bit for bit
-        assert np.array_equal(offsets, -offsets[::-1])
-        assert np.array_equal(g, g[::-1])
+
+    @pytest.mark.parametrize("n_modes", [2, 4, 200, 2000, 20000])
+    @pytest.mark.parametrize("big_r", [0.1, 10.0])
+    def test_mirrored_half_is_the_whole_comb(self, big_r, n_modes):
+        # the kept half and its mirror are bit for bit the whole midpoint
+        # comb, offsets (k - (n - 1) / 2) dω with the couplings of their
+        # density
+        res, coup = resonant_system(big_r, 0.87)
+        cfg = bath_cfg(1e-3, 1.0, n_modes=n_modes)
+        d_omega = solvers._comb_spacing(res, coup, cfg)[1]
+        offsets, g = full_comb(res, coup, cfg)
+        whole = (np.arange(n_modes) - (n_modes - 1) / 2.0) * d_omega
+        assert np.array_equal(offsets, whole)
+        assert np.array_equal(g, np.sqrt(res.detuned_density(whole) * d_omega))
 
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
@@ -883,16 +901,16 @@ class TestDiscretizedBath:
         np.testing.assert_allclose(series.c1, init.c01, atol=1e-12)
         np.testing.assert_allclose(series.c2, init.c02, atol=1e-12)
 
-    @pytest.mark.parametrize("big_r, n_modes", [(0.5, 50), (10.0, 50), (0.5, 51), (20.0, 400)])
+    @pytest.mark.parametrize("big_r, n_modes", [(0.5, 50), (10.0, 50), (0.5, 52), (20.0, 400)])
     def test_nested_step_matches_stage_vector_rk4(self, big_r, n_modes):
         # against the dense eigensolver of the full comb with exact phases;
         # one propagator run serves every initial state, including the
         # sub-radiant one that the comb never sees (a.x0 = 0); the folded
-        # comb is checked on an even comb, an odd one with its centre mode
-        # and a strong coupling; the horizon stops at the comb's recurrence
-        # (0.785 for 50 modes at R = 10), past which runs are refused
+        # comb is checked on small combs and a strong coupling; the horizon
+        # stops at the comb's recurrence (0.785 for 50 modes at R = 10),
+        # past which runs are refused
         res, coup = resonant_system(big_r, 0.87)
-        t_max = min(3.0, comb_recurrence_time(res, coup, n_modes, 20.0))
+        t_max = min(3.0, recurrence_time(res, coup, n_modes))
         cfg = bath_cfg(1e-3, t_max, n_modes=n_modes)
         propagate = bath_propagator(res, coup, cfg)
         inits = [InitialState(1.0, 0.0), InitialState(0.0, 1.0), coup.psi_minus(),
@@ -1041,25 +1059,25 @@ class TestBathSpectrum:
     @staticmethod
     def folded(big_r, n_modes, r1=0.87):
         res, coup = resonant_system(big_r, r1)
-        window = 20.0 * max(1.0, big_r)
-        offsets, g, dw = solvers._comb(res, n_modes, window)
+        cfg = bath_cfg(1e-3, 1e-3, n_modes=n_modes)
+        dw = solvers._comb_spacing(res, coup, cfg)[1]
+        offsets, g = full_comb(res, coup, cfg)
         c = coup.alpha_t * g
         lower = n_modes // 2
-        mult = np.where(np.arange(lower, n_modes) == (n_modes - 1) / 2.0, 1.0, 2.0)
-        # the comb's spacing and Lorentzian, b_k = asq density mult_k / (o_k^2 + lam^2)
+        # the comb's spacing and Lorentzian, b_k = 2 asq density / (o_k^2 + lam^2)
         comb = (dw, res.lam, coup.alpha_t ** 2, res.detuned_density(0.0) * res.lam ** 2 * dw)
-        return offsets, c, offsets[lower:], mult * c[lower:] ** 2, comb
+        return offsets, c, offsets[lower:], 2.0 * c[lower:] ** 2, comb
 
     @staticmethod
     def zero_weight(o, b):
-        """Pair weight of the zero eigenvalue: 0 for an odd comb, else the
-        squared first component of ``(1, -c/offsets)`` normalised."""
-        return 0.0 if o[0] == 0.0 else 1.0 / (1.0 + math.fsum(b / (o * o)))
+        """Pair weight of the zero eigenvalue: the squared first component
+        of ``(1, -c/offsets)`` normalised."""
+        return 1.0 / (1.0 + math.fsum(b / (o * o)))
 
     # from 1000 modes the roots come in several blocks, some with far poles on
     # both sides
     @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200, 1000, 1001])
+    @pytest.mark.parametrize("n_modes", [2, 4, 50, 52, 200, 1000, 1002])
     def test_roots_and_weights_match_dense_eigensolver(self, big_r, n_modes):
         offsets, c, o, b, comb = self.folded(big_r, n_modes)
         lam, w = solvers._folded_spectrum(o, b, *comb)
@@ -1068,7 +1086,7 @@ class TestBathSpectrum:
         h[0, 1:] = h[1:, 0] = c
         evals, evecs = np.linalg.eigh(h)
         weights = evecs[0] ** 2
-        # +-lam_j, and 0 for an even comb, with the pair's weight on each
+        # +-lam_j and 0, with the pair's weight on each
         m = lam.size
         scale = float(np.max(np.abs(evals)))
         # eigh is backward stable, so its eigenvalues sit within a few ulps
@@ -1077,14 +1095,11 @@ class TestBathSpectrum:
         np.testing.assert_allclose(evals[:m], -lam[::-1], rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(weights[-m:], w, rtol=1e-10, atol=0)
         np.testing.assert_allclose(weights[:m], w[::-1], rtol=1e-10, atol=0)
-        if n_modes % 2:
-            assert w0 == 0.0 and evals.size == 2 * m
-        else:
-            assert abs(evals[m]) < 1e-14 * scale
-            assert w0 == pytest.approx(weights[m], rel=1e-10, abs=0)
+        assert abs(evals[m]) < 1e-14 * scale
+        assert w0 == pytest.approx(weights[m], rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("big_r", [1e-3, 0.5, 20.0])
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 51, 200, 2000])
+    @pytest.mark.parametrize("n_modes", [2, 4, 50, 52, 200, 2000])
     def test_weights_complete_and_roots_interlace(self, big_r, n_modes):
         _, _, o, b, comb = self.folded(big_r, n_modes)
         lam, w = solvers._folded_spectrum(o, b, *comb)
@@ -1094,11 +1109,11 @@ class TestBathSpectrum:
         mu = lam * lam
         assert np.all(o * o < mu)
         assert np.all(mu[:-1] < o[1:] * o[1:])
-        # equal for a lone mode, whose root is o^2 + b, up to the rounding of lam^2
+        # equal for one kept mode, whose root is o^2 + b, up to the rounding of lam^2
         assert mu[-1] <= (o[-1] ** 2 + float(np.sum(b))) * (1.0 + 4e-16)
 
     @pytest.mark.parametrize("big_r", [0.01, 0.1, 0.5, 1.0, 10.0, 24.0])
-    @pytest.mark.parametrize("n_modes", [2000, 2001, 20000])
+    @pytest.mark.parametrize("n_modes", [2000, 2002, 20000])
     def test_far_field_matches_all_pole_solve(self, big_r, n_modes):
         self.check_against_all_poles(big_r, n_modes)
 
@@ -1112,31 +1127,26 @@ class TestBathSpectrum:
         np.testing.assert_allclose(w, ref_w, rtol=5e-14, atol=0)
 
     @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
-    @pytest.mark.parametrize("n_modes", [2000, 2001])
+    @pytest.mark.parametrize("n_modes", [2000, 2002])
     def test_far_field_at_block_edge_matches_all_pole_solve(self, big_r, n_modes):
         # every root hugs its pole, within about big_r^2 of it: the far
-        # field's runs start one spacing from the root, and an odd comb's
-        # centre root sits far below the spacing from its pole
+        # field's runs start one spacing from the root
         self.check_against_all_poles(big_r, n_modes)
 
     @pytest.mark.parametrize("big_r", [1e-8, 1e-100])
-    @pytest.mark.parametrize("n_modes", [50, 51])
+    @pytest.mark.parametrize("n_modes", [50, 52])
     def test_weak_coupling_matches_stage_vector_rk4(self, big_r, n_modes):
         # roots within b ~ big_r^2 of their poles, whose 1/delta^2 overflows
         # at 1e-100; the exchange c1 ~ big_r^2 keeps its relative digits.
         # The oracle is second-order perturbation theory, whose next term is
-        # smaller by about big_r^2: sigma = -sum_k g_k^2 (1 - cos w_k t) / w_k^2,
-        # with t^2 / 2 for a centre mode at w = 0
+        # smaller by about big_r^2: sigma = -sum_k g_k^2 (1 - cos w_k t) / w_k^2
         res, coup = resonant_system(big_r, 0.87)
         cfg = bath_cfg(1e-3, 2.0, n_modes=n_modes)
         init = InitialState(0.0, 1.0)
         series = bath_propagator(res, coup, cfg)(init)
-        offsets, g, _ = solvers._comb(res, n_modes, 20.0)
+        offsets, g = full_comb(res, coup, cfg)
         tau = np.arange(2001) * 1e-3
-        wt = np.multiply.outer(tau, offsets)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            terms = np.where(offsets == 0.0, 0.5 * tau[:, None] ** 2,
-                             (1.0 - np.cos(wt)) / offsets ** 2)
+        terms = (1.0 - np.cos(np.multiply.outer(tau, offsets))) / offsets ** 2
         sigma = -(terms @ g ** 2)
         a1, a2 = coup.alpha1, coup.alpha2
         c1, c2 = a1 * a2 * sigma, 1.0 + a2 * a2 * sigma
@@ -1205,7 +1215,7 @@ class TestPoleSums:
     # up to about 2 eps o_k^2 / |o_k^2 - mu| of itself (twice that for a
     # squared one), and the sums round by a few eps of their terms
     @pytest.mark.parametrize("big_r", [1e-100, 1e-8, 0.5, 24.0])
-    @pytest.mark.parametrize("n_modes", [1, 2, 3, 51, 2000, 2001])
+    @pytest.mark.parametrize("n_modes", [2, 4, 52, 2000, 2002])
     def test_matches_fsum_over_every_pole(self, n_modes, big_r):
         _, _, o, b, comb = TestBathSpectrum.folded(big_r, n_modes)
         m, dw = o.size, comb[0]
@@ -1252,29 +1262,18 @@ class TestPoleSums:
 
 
 class TestCombInputs:
-    @pytest.mark.parametrize("call", [
-        lambda res, coup: solvers._comb(res, 2.5, 10.0),
-        lambda res, coup: solvers._comb(res, True, 10.0),
-        lambda res, coup: solvers._comb(res, 10.0, 10.0),
-        lambda res, coup: solvers._comb(res, "10", 10.0),
-        lambda res, coup: comb_recurrence_time(res, coup, 0, 20.0),
-        lambda res, coup: comb_recurrence_time(res, coup, -100, 20.0),
-        lambda res, coup: comb_recurrence_time(res, coup, 2.5, 20.0),
-        lambda res, coup: comb_recurrence_time(res, coup, True, 20.0),
-        lambda res, coup: comb_recurrence_time(res, coup, 100, -1.0),
-        lambda res, coup: comb_recurrence_time(res, coup, 100, 0.0),
-        lambda res, coup: comb_recurrence_time(res, coup, 100, math.inf),
-        lambda res, coup: comb_recurrence_time(res, coup, 100, math.nan),
-        lambda res, coup: comb_recurrence_time(res, coup, 100, True),
-        lambda res, coup: comb_recurrence_time(res, coup, 100, 10**400),
-    ], ids=["sample-2.5", "sample-True", "sample-10.0", "sample-str",
-            "recur-0", "recur-neg", "recur-2.5", "recur-True",
-            "recur-window-neg", "recur-window-0", "recur-window-inf", "recur-window-nan",
-            "recur-window-True", "recur-window-huge"])
-    def test_rejects_bad_comb(self, call):
-        res, coup = resonant_system(0.5, 0.87)
-        with pytest.raises(ValueError, match="n_modes must be|freq_window must be"):
-            call(res, coup)
+    # a comb's bad counts and windows, refused by SolverConfig before any
+    # comb is built
+    @pytest.mark.parametrize("n_modes, freq_window", [
+        (0, 20.0), (-100, 20.0), (2.5, 20.0), (True, 20.0),
+        (100, -1.0), (100, 0.0), (100, math.inf), (100, math.nan), (100, True),
+        (100, 10**400),
+    ], ids=["config-0", "config-neg", "config-2.5", "config-True",
+            "config-window-neg", "config-window-0", "config-window-inf", "config-window-nan",
+            "config-window-True", "config-window-huge"])
+    def test_rejects_bad_comb(self, n_modes, freq_window):
+        with pytest.raises(ValueError, match="^n_modes must be|^freq_window must be"):
+            SolverConfig(dt=1e-3, t_max=1.0, n_modes=n_modes, freq_window=freq_window)
 
     @pytest.mark.parametrize("window", [5e-324, 1e-300, 1e-80])
     def test_rejects_window_past_double_precision(self, window):
@@ -1286,11 +1285,40 @@ class TestCombInputs:
         with pytest.raises(ValueError, match=f"freq_window = {window!r} "):
             bath_propagator(res, coup, cfg)
 
-    def test_narrow_window_that_resolves_still_runs(self):
-        res, coup = resonant_system(0.1, 0.87)
-        pair_map = bath_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0,
-                                                           freq_window=1e-60))
-        assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
+    # the comb's secular solve resolves these windows, and at 1e-60 the run
+    # was 0.166 off the closed form in concurrence with exit 0; at R = 0.01
+    # a window of 1.999 keeps its estimate within budget, but is below 2
+    @pytest.mark.parametrize("big_r, window", [(0.1, 1e-60), (0.1, 1.0), (0.01, 1.999)])
+    def test_window_too_narrow_to_sample_is_refused(self, big_r, window):
+        res, coup = resonant_system(big_r, 0.87)
+        cfg = SolverConfig(dt=1e-3, t_max=10.0, freq_window=window)
+        with pytest.raises(ValueError, match=f"^freq_window = {window!r} is too narrow a bath "
+                                             "comb to sample the reservoir at big_r = "
+                                             f"{re.escape(repr(big_r))}: "):
+            bath_propagator(res, coup, cfg)
+        assert bath_propagator(res, coup, SolverConfig(dt=1e-3, t_max=10.0, freq_window=3.0))
+
+    # R = 1 at freq_window = 10 sits on the budget, so the grid keeps off it
+    @pytest.mark.parametrize("freq_window", [2.0, 3.0, 5.0, 20.0])
+    @pytest.mark.parametrize("big_r", [0.1, 0.3, 1.0, 3.0, 10.0])
+    def test_refused_exactly_where_truncation_exceeds_budget(self, big_r, freq_window):
+        # the weight beyond the band edge moves E by about rabi^2 lam /
+        # edge^3; that estimate bounds the worst |E_bath - E| of each comb
+        # that runs (by 0.33-0.80 of it here), and the comb is refused
+        # exactly where it exceeds the bath's budget
+        res, coup = resonant_system(big_r, 0.87)
+        edge = freq_window * max(1.0, big_r)
+        estimate = big_r ** 2 / edge ** 3
+        cfg = SolverConfig(dt=1e-2, t_max=10.0, n_modes=2000, freq_window=freq_window)
+        if estimate > BATH_TOLERANCE:
+            with pytest.raises(ValueError, match=f"^freq_window = {freq_window!r} is too "
+                                                 "narrow a bath comb"):
+                bath_propagator(res, coup, cfg)
+            return
+        pair_map = bath_propagator(res, coup, cfg)
+        e_bath = 1.0 + coup.alpha_t ** 2 * pair_map.rows(0, pair_map.size)
+        e_exact = survival_amplitude(res, coup, pair_map.times(0, pair_map.size))
+        assert float(np.max(np.abs(e_bath - e_exact))) < estimate
 
     def test_step_limit_rejects_unknown_method(self):
         res, coup = resonant_system(0.5, 0.87)

@@ -1,0 +1,39 @@
+"""The committed source counter, ``tools/src_lines.py``."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools",
+                    "src_lines.py")
+
+# 12 lines: a module docstring of two, a comment, a blank line, a function
+# whose docstring takes one, and a call over three lines
+MODULE = '''"""A module.
+Its docstring spans two lines."""
+# a comment
+import math
+
+def f(x):
+    """One line."""
+    return math.hypot(
+        x,
+        1.0,
+    )
+y = "not a docstring"
+'''
+
+
+def test_counts_lines_holding_a_token_outside_docstrings(tmp_path):
+    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # import, def, the four lines of the call and the assignment
+    assert tool.count(MODULE) == (12, 7)
+    path = tmp_path / "mod.py"
+    path.write_text(MODULE, encoding="utf-8")
+    proc = subprocess.run([sys.executable, TOOL, str(path)], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.splitlines()[1:] == ["     12       7  mod.py",
+                                            "     12       7  total"]
