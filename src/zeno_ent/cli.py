@@ -15,6 +15,7 @@ stderr), 4 output could not be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -68,7 +69,10 @@ def _glue_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's one parser, built on first use: parsing reads it
+    and changes nothing in it, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="zeno-ent",
         description="Entanglement dynamics of two qubits sharing a lossy "

@@ -351,15 +351,15 @@ def survival_amplitude(res: ReservoirSpec, coup: CouplingSpec, t):
     """
     t = _checked_times(t)
     if isinstance(t, float):
-        return float(_survival(res, coup, t)[0])
+        return float(_survival(res, coup, t, factor=False)[0])
     # a decay exponent past the largest double is -inf and its exp the right
     # 0, which a float time's product gives silently
     with np.errstate(over="ignore"):
-        e = _survival(res, coup, t)[0]
+        e = _survival(res, coup, t, factor=False)[0]
     return e if e.ndim else float(e)
 
 
-def _survival(res: ReservoirSpec, coup: CouplingSpec, t):
+def _survival(res: ReservoirSpec, coup: CouplingSpec, t, factor: bool = True):
     """``(E, k, f)`` at checked times ``t``, in the regimes of
     :func:`survival_amplitude`: ``E(t) = exp(k t) * f`` with ``k`` the
     slowest decay rate and ``f`` a factor that grows at most linearly, so
@@ -367,7 +367,8 @@ def _survival(res: ReservoirSpec, coup: CouplingSpec, t):
     ``k t`` overflows.  The overdamped ``E`` is its two-exponential sum;
     the other regimes form it from ``(k, f)``.  Only the underdamped factor
     ``cos(w t/2) + (lam/w) sin(w t/2)`` has zeros, which are those of
-    ``E``."""
+    ``E``.  Without ``factor``, the overdamped ``f`` is ``None``: ``E``
+    does not read it."""
     lam = res.lam
     rabi, omega_sq = _rabi_omega_sq(res, coup)
     if omega_sq >= _NEAR_CRITICAL * lam * lam:
@@ -387,7 +388,7 @@ def _survival(res: ReservoirSpec, coup: CouplingSpec, t):
             am = 0.5 * (1.0 - lam / om)
         xm, ap = -0.5 * (om + lam), 0.5 * (1.0 + lam / om)
         e = ap * np.exp(xp * t) + am * np.exp(xm * t)
-        return e, xp, ap + am * np.exp((xm - xp) * t)
+        return e, xp, ap + am * np.exp((xm - xp) * t) if factor else None
     eps = _DEGENERATE_EPS * lam * lam
     if omega_sq >= eps:
         # the weights (1 +- lam/om)/2 of the two exponentials grow as 1/om

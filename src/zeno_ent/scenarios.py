@@ -77,8 +77,8 @@ SOLVERS = ("closed",) + SOLVER_NAMES
 XCHECK_TOLERANCES = {"volterra": 1e-5, "ode": 1e-6, "bath": BATH_TOLERANCE}
 
 # most steps one numeric solver run may take: at a million Volterra steps
-# a solver-xcheck run at one r1 without the bath has a traced peak of 1.9
-# MB and runs in about 0.06 s; a time-evolution curve holds only its
+# a solver-xcheck run at one r1 without the bath has a traced peak of 0.8
+# MB and runs in about 0.04 s; a time-evolution curve holds only its
 # output points, whatever its step count (0.17 MB at 990000 steps)
 MAX_SOLVER_STEPS = 1_000_000
 
@@ -90,9 +90,12 @@ _TAU_BLOCK = 4096
 # points per block of each solver grid in solver-xcheck: at R = 10 the
 # traced peak, 2.5 MB for one r1 and for the default five, is the bath's
 # run up to blocks of 2**15 points (3.3 MB in blocks of 2**16); at 10**6
-# Volterra steps without the bath it is 1.7 MB in blocks of 2**14, 3.2 MB
-# of 2**15, 5.3 MB of 2**16
-_XCHECK_BLOCK = 1 << 14
+# Volterra steps without the bath it is 0.8 MB in blocks of 2**13, 1.5 MB
+# of 2**14, 3.0 MB of 2**15.  A block's reads, 64 kB each, stay below the
+# size whose free lets glibc trim the heap, so each block reuses the memory
+# of the last: repeated in one process, that run takes about one minor page
+# fault, and 1.6k to 6k in blocks of 2**14, by the heap's layout
+_XCHECK_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class ScenarioConfig:

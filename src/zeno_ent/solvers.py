@@ -86,7 +86,9 @@ MAX_MODES = 20_000
 # and the bound on a comb's band-edge truncation that it must sample within
 BATH_TOLERANCE = 1e-3
 
-# the bath's phase sums: most elements of their tallest work array (1 MB)
+# the bath's phase sums: most elements of one chunk's tails (1 MB); a call
+# builds every chunk's heads and tails in one work array of about twice
+# that, so that a repeated run takes its memory back from the heap
 _CHUNK = 1 << 16
 # the secular solve: the cap on root iterations, the poles from the origin
 # whose sums above are taken term by term, and the Bernoulli terms B_2k/2k
@@ -196,7 +198,12 @@ class PairMap:
             j, i = np.divmod(np.arange(lo, hi, step), k)
             t0, t1, heads, cut = t0[j], t1[j], [h[i] for h in heads], slice(None)
         h0, h1, h2 = heads
-        return (t0 + h0 + t0 * h1 + t1 * h2).reshape(-1)[cut]
+        # ((t0 + h0) + t0 h1) + t1 h2 in one output and one scratch array
+        out = np.add(t0, h0)
+        part = np.multiply(t0, h1)
+        out += part
+        out += np.multiply(t1, h2, out=part)
+        return out.reshape(-1)[cut]
 
     def __call__(self, init: InitialState, step: int = 1) -> TimeSeries:
         x1, x2 = init.c01, init.c02
@@ -231,15 +238,19 @@ def _check_comb(n_modes, freq_window) -> int:
     return n_modes
 
 
-def _comb_spacing(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
-    """The bath comb's band edge ``K max(lam, rabi)``, ``K =
-    cfg.freq_window``, and its mode spacing ``dω = 2 edge / n_modes``.
+def _band_edge(res: ReservoirSpec, coup: CouplingSpec, window: float) -> float:
+    """The band edge ``K max(lam, rabi)`` of a comb over the window ``K``.
 
     The comb must reach past the vacuum-Rabi splitting at ``+-rabi``, or its
-    truncation floor grows as ``R**2``.  A window whose spacing rounds to 0
-    or overflows is refused.
-    """
-    edge = cfg.freq_window * max(1.0, coup.alpha_t * res.w / res.lam) * res.lam
+    truncation floor grows as ``R**2``."""
+    return window * max(1.0, coup.alpha_t * res.w / res.lam) * res.lam
+
+
+def _comb_spacing(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
+    """The bath comb's band edge (:func:`_band_edge`) at ``cfg.freq_window``
+    and its mode spacing ``dω = 2 edge / n_modes``.  A window whose spacing
+    rounds to 0 or overflows is refused."""
+    edge = _band_edge(res, coup, cfg.freq_window)
     dw = 2.0 * edge / cfg.n_modes
     if not (math.isfinite(dw) and dw > 0.0):
         raise ValueError(f"freq_window = {cfg.freq_window!r} gives the bath comb a mode "
@@ -267,9 +278,10 @@ def _grid(cfg: SolverConfig, limit: float) -> int:
     return max(int(round(cfg.t_max / cfg.dt)), 1)
 
 
-def _power_table(d, count: int, mul):
+def _power_table(d, count: int, mul, out=None):
     """``Q_i = M**i - 1`` for ``i = 0..count``, stacked on a new first axis,
-    from ``d = M - 1``.
+    from ``d = M - 1``; built in ``out``, of shape ``(count + 1,) +
+    d.shape``, when it is given, else in a new array.
 
     ``mul`` is the product: a matrix product such as ``np.matmul``, or
     ``np.multiply`` elementwise.  The table is built by doubling: with ``Q_0 .. Q_h`` in hand, ``Q_(h+i) = Q_i + Q_h +
@@ -278,7 +290,7 @@ def _power_table(d, count: int, mul):
     ``(1 + a)(1 + b) - 1 = a + b + a b`` combines two powers, so each row
     is a small correction formed without rounding it against the 1.
     """
-    table = np.empty((count + 1,) + d.shape, dtype=d.dtype)
+    table = np.empty((count + 1,) + d.shape, dtype=d.dtype) if out is None else out
     table[0] = 0.0
     if count:
         table[1] = d
@@ -293,23 +305,37 @@ def _power_table(d, count: int, mul):
     return table
 
 
-def _blocked_powers(d, n: int, mul):
+def _blocks(n: int) -> tuple[int, int]:
+    """``(K, J)`` of :func:`_blocked_powers` for the powers to ``n``:
+    ``K = isqrt(n + 1)`` heads and ``J = ceil((n + 1) / K)`` tails."""
+    block = math.isqrt(n + 1)
+    return block, n // block + 1
+
+
+def _blocked_powers(d, n: int, mul, out=None):
     """The powers ``M**k - 1`` for ``k = 0..n``, from ``d = M - 1``, as the
     heads ``Q_i`` and tails ``A_j`` that combine them.
 
     ``mul`` is the product, as in :func:`_power_table`.  With ``K =
-    isqrt(n + 1)`` and ``J = ceil((n + 1) / K)``, ``Q_i = M**i - 1`` (``i <
-    K``) and ``A_j = M**(j*K) - 1`` (``j < J``), each a
+    isqrt(n + 1)`` and ``J = ceil((n + 1) / K)`` (:func:`_blocks`), ``Q_i =
+    M**i - 1`` (``i < K``) and ``A_j = M**(j*K) - 1`` (``j < J``), each a
     :func:`_power_table` stacked on the first axis, give ``M**(j*K + i) - 1
     = A_j + Q_i + Q_i A_j``: the ``n + 1`` powers are read off the ``J x
     K`` grid in row order, in one product over ``J`` and ``K``, from
     ``O(sqrt n)`` heads and tails.  Carrying ``D``, ``Q_i`` and ``A_j``
     rather than ``M`` and its powers keeps the rounding of the entries near
-    1 out of the powers.
+    1 out of the powers.  The ``K + 1`` rows of the heads' table and then
+    the tails are built at the front of one flat array of ``d``'s dtype,
+    each contiguous: ``out``, with at least ``(K + 1 + J) d.size`` entries,
+    when it is given, else a new one.
     """
-    block = math.isqrt(n + 1)
-    heads = _power_table(d, block, mul)
-    return heads[:block], _power_table(heads[block], n // block, mul)
+    block, tall = _blocks(n)
+    cut = (block + 1) * d.size
+    if out is None:
+        out = np.empty(cut + tall * d.size, dtype=d.dtype)
+    heads = _power_table(d, block, mul, out[:cut].reshape((block + 1,) + d.shape))
+    tails = out[cut:cut + tall * d.size].reshape((tall,) + d.shape)
+    return heads[:block], _power_table(heads[block], tall - 1, mul, tails)
 
 
 def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
@@ -407,6 +433,19 @@ def _comb(res: ReservoirSpec, n_modes: int, dw: float):
     return offsets, np.sqrt(res.detuned_density(offsets) * dw)
 
 
+def _comb_couplings(res: ReservoirSpec, asq: float, n_modes: int, dw: float):
+    """The kept offsets of the comb of :func:`_comb`, their couplings ``b =
+    2 c^2``, each mode counting twice in ``c^T c`` for its mirror, and the
+    couplings' sum.  The secular solve squares the offsets, and distances up
+    to the sum (the top root's reach above the top mode); past a double, an
+    offset's density is 0 and a coupling inf or nan, which the caller
+    refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets, g = _comb(res, n_modes, dw)
+        b = asq * 2.0 * g ** 2
+        return offsets, b, float(np.sum(b))
+
+
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     """Run the comb once for this coupling; returns its :class:`PairMap`.
 
@@ -475,15 +514,17 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             "emitted excitation back; raise n_modes or shorten tau_max")
     n = _grid(cfg, step_limit(res, coup, "bath"))
 
-    # the upper half of the comb, each mode counting twice in c^T c for its
-    # mirror; the secular solve squares the offsets, and distances up to the
-    # sum of the couplings (the top root's reach above the top mode); past a
-    # double, an offset's density is 0 and a coupling inf or nan, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        offsets, g = _comb(res, cfg.n_modes, dw)
-        b = asq * 2.0 * g ** 2
-        total = float(np.sum(b))
+    offsets, b, total = _comb_couplings(res, asq, cfg.n_modes, dw)
     if not (edge * edge < math.inf and 4.0 * total * total < math.inf):
+        # the window is at fault where the default one's comb squares its
+        # band edge and couplings' sum within a double
+        usual = _band_edge(res, coup, SolverConfig.freq_window)
+        usual_total = _comb_couplings(res, asq, cfg.n_modes, 2.0 * usual / cfg.n_modes)[2]
+        if usual * usual < math.inf and 4.0 * usual_total * usual_total < math.inf:
+            raise ValueError(
+                f"freq_window = {cfg.freq_window!r} is too wide a bath comb at big_r = "
+                f"{big_r!r}: its secular solve squares its band edge {edge:.3g} past a "
+                f"double; pick a window near the default {SolverConfig.freq_window!r}")
         raise ValueError(
             f"big_r = {big_r!r} is too strong a coupling for the "
             f"bath comb at freq_window = {cfg.freq_window!r}: its secular solve squares its "
@@ -554,7 +595,7 @@ def _folded_spectrum(o, b, dw, lam, asq, density):
     # F(mid) >= 0 puts the root in the left half, nearer the left pole
     b_right = np.where(top, 0.0, b[right])
     half = 0.5 * np.where(top, total, (o[right] - o) * (o[right] + o))
-    rest = 1.0 + sum(sums(j, right, half)[:2])
+    rest = 1.0 + sum(sums(j, right, half, slopes=False))
     flip = (rest + (b_right - b) / half < 0.0) & ~top
     pole = np.where(flip, right, j)
     origin = o[pole]
@@ -601,7 +642,8 @@ def _pole_sums(o, b, dw, lam, asq, density):
     dpsi, dphi)``, elementwise, giving ``sum_k b_k / (o_k^2 - mu)`` over
     ``k < lp`` and over ``k > rp``, then the same of ``b_k / (o_k^2 -
     mu)^2``, at ``mu = o_lp^2 + shift`` between ``o_{lp-1}^2`` and
-    ``o_{rp+1}^2``, ``rp`` being ``lp`` or ``lp + 1``.
+    ``o_{rp+1}^2``, ``rp`` being ``lp`` or ``lp + 1``; with ``slopes=False``
+    it forms ``(psi, phi)`` alone, bit for bit the same.
 
     Partial fractions split ``b_k / (o_k^2 - mu)`` into ``2 beta / (mu +
     lam^2)``, formed as ``asq (density / (mu + lam^2))`` since ``beta``
@@ -628,13 +670,12 @@ def _pole_sums(o, b, dw, lam, asq, density):
     pad_o = np.concatenate(([np.inf], o, [np.inf]))
     pad_b = np.concatenate(([0.0], b, [0.0]))
 
-    def sums(lp, rp, shift):
+    def sums(lp, rp, shift, slopes=True):
         base = o[lp]
         # the poles lp - 1 and rp + 1
         k = np.stack([lp, rp + 2])
         inv = 1.0 / ((pad_o[k] - base) * (pad_o[k] + base) - shift)
         terms = pad_b[k] * inv
-        slopes = inv * inv * pad_b[k]
         # x - o_lp over dw, formed without rounding mu
         x = np.sqrt(base * base + shift)
         lt = shift / ((x + base) * dw)
@@ -649,27 +690,32 @@ def _pole_sums(o, b, dw, lam, asq, density):
         run, run_slope = _digamma_steps(
             np.stack([1.0 + lt + left, rt + (2 * rp + 2) + right,
                       np.where(count > 0, 2.0 - rt, 1.0)]),
-            np.stack([2 * np.maximum(lp - 1, 0), count - right, count - right]))
+            np.stack([2 * np.maximum(lp - 1, 0), count - right, count - right]), slopes)
         left_run = run[0] / dw
         right_run = (run[1] - run[2]) / dw
         mu = x * x
         scale = asq * (density / (mu + lsq))
         psi = -scale * (left_run / x + below[lp - left])
         phi = -scale * (right_run / x + above[rp + right])
-        # their slopes are -sum / (mu + lam^2) plus scale times the slopes
-        # of the comb's own sums, sum 2 / (o_k^2 - mu)^2, which are the
-        # runs' slopes in x over 2 mu
-        curve = 0.5 / x / x
-        dpsi = scale * ((run_slope[0] / dw / dw + left_run / x) * curve) - psi / (mu + lsq)
-        dphi = scale * (((run_slope[1] + run_slope[2]) / dw / dw + right_run / x) * curve) \
-            - phi / (mu + lsq)
-        out = [psi + terms[0], phi + terms[1], dpsi + slopes[0], dphi + slopes[1]]
+        out = [psi + terms[0], phi + terms[1]]
+        if slopes:
+            # their slopes are -sum / (mu + lam^2) plus scale times the
+            # slopes of the comb's own sums, sum 2 / (o_k^2 - mu)^2, which
+            # are the runs' slopes in x over 2 mu
+            near = inv * inv * pad_b[k]
+            curve = 0.5 / x / x
+            dpsi = scale * ((run_slope[0] / dw / dw + left_run / x) * curve) - psi / (mu + lsq)
+            dphi = scale * (((run_slope[1] + run_slope[2]) / dw / dw + right_run / x)
+                            * curve) - phi / (mu + lsq)
+            out += [dpsi + near[0], dphi + near[1]]
         rows = np.flatnonzero(direct)
         if rows.size:
             beyond = np.arange(m) > rp[rows, None]
             gap = (o - base[rows, None]) * (o + base[rows, None]) - shift[rows, None]
             inv = 1.0 / np.where(beyond, gap, np.inf)
-            out[1][rows], out[3][rows] = inv @ b, (inv * inv) @ b
+            out[1][rows] = inv @ b
+            if slopes:
+                out[3][rows] = (inv * inv) @ b
         return out
 
     return sums
@@ -685,30 +731,35 @@ def _running_sum(v):
     return out
 
 
-def _digamma_steps(a, n):
+def _digamma_steps(a, n, slopes=True):
     """``psi(a + n) - psi(a)`` and ``psi'(a) - psi'(a + n)``, elementwise for
     ``a > 0`` and counts ``n >= 0``, the sums of ``1 / (a + k)`` and its
     square over ``k < n``: below 10 up to ten terms as they are, the rest as
     the difference, term by term and with ``log1p``, of eight Bernoulli
-    terms of the asymptotic series (the next is below ``1e-17``)."""
+    terms of the asymptotic series (the next is below ``1e-17``).  With
+    ``slopes=False`` the second is ``None`` and is not formed."""
     peel = np.where(a < 10.0, np.minimum(n, 10.0), 0.0)
     w = np.maximum(a + peel, 10.0)
     d = n - peel
     v = w + d
     r2 = 1.0 / np.stack([w, v]) ** 2
-    series = np.zeros((2,) + r2.shape)
-    for c in _SERIES:
-        series += c.reshape((2,) + (1,) * r2.ndim)
+    kinds = 2 if slopes else 1
+    series = np.zeros((kinds,) + r2.shape)
+    for c in _SERIES[:, :kinds]:
+        series += c.reshape((kinds,) + (1,) * r2.ndim)
         series *= r2
     wv = w * v
     step = np.log1p(d / w) + 0.5 * d / wv - (series[0, 1] - series[0, 0])
-    slope = d / wv + 0.5 * d * (w + v) / (wv * wv) + (series[1, 0] / w - series[1, 1] / v)
+    slope = None
+    if slopes:
+        slope = d / wv + 0.5 * d * (w + v) / (wv * wv) + (series[1, 0] / w - series[1, 1] / v)
     low = peel > 0
     if low.any():
         k = np.arange(10.0)[:, None]
         inv = (k < peel[low]) / (a[low] + k)
         step[low] += inv.sum(axis=0)
-        slope[low] += (inv * inv).sum(axis=0)
+        if slopes:
+            slope[low] += (inv * inv).sum(axis=0)
     return step, slope
 
 
@@ -738,21 +789,20 @@ def _spectral_sums(theta, weight, n: int):
     :func:`_blocked_powers`, so with the heads conjugated, ``Re(A_j Q_i)``
     is a real product of the float views, and the sum is one ``(J, K)``
     product over the modes.  The modes are taken in chunks, so that the
-    tails, the tallest work array, hold at most ``_CHUNK`` elements.
+    tails hold at most ``_CHUNK`` elements, and every chunk's powers are
+    built in one work array, sized for the widest chunk.
     """
     half = np.sin(0.5 * theta)
     step = -2.0 * half * half - 1j * np.sin(theta)
-    # the J x K layout of the sums, read off the powers of no modes
-    heads, tails = _blocked_powers(theta[:0], n, np.multiply)
-    out = np.zeros((len(tails), len(heads)))
-    width = max(1, _CHUNK // len(tails))
+    block, tall = _blocks(n)
+    out = np.zeros((tall, block))
+    width = max(1, _CHUNK // tall)
+    work = np.empty((block + 1 + tall) * min(width, theta.size), dtype=step.dtype)
     for lo in range(0, theta.size, width):
         w = weight[lo:lo + width]
-        heads, tails = _blocked_powers(step[lo:lo + width], n, np.multiply)
+        heads, tails = _blocked_powers(step[lo:lo + width], n, np.multiply, work)
         np.conjugate(heads, out=heads)
         tails *= w
         out += tails.view(float) @ heads.view(float).T
         out += tails.real.sum(axis=1)[:, None] + heads.real @ w
-        # freed before the next powers are built
-        del heads, tails
     return out.reshape(-1)[:n + 1]

@@ -38,7 +38,8 @@ from zeno_ent import (
     write_result,
 )
 from zeno_ent import scenarios, search, solvers
-from zeno_ent.cli import main
+from zeno_ent import cli
+from zeno_ent.cli import build_parser, main
 from zeno_ent.scenarios import load_config_file, render_csv, render_json
 from zeno_ent.solvers import SOLVER_NAMES, _bright_weight, step_limit
 
@@ -531,8 +532,8 @@ class TestSolverXcheck:
 
     @pytest.mark.parametrize("case, n_keys, n_blocks", [
         (dict(big_r=0.5, r1=(0.0, 0.5, 0.87), s=(-1.0, 0.0, 0.3), tau_max=0.5), 2, 6),
-        (dict(big_r=10.0, r1=(0.6,), tau_max=3.7, dt_bath=2e-3), 1, 5),
-        (dict(big_r=7.0, tau_max=2.0), 2, 8),
+        (dict(big_r=10.0, r1=(0.6,), tau_max=3.7, dt_bath=2e-3), 1, 7),
+        (dict(big_r=7.0, tau_max=2.0), 2, 10),
     ], ids=["two-keys", "blocks", "seven"])
     def test_closed_form_once_per_key_on_each_home_grid(self, monkeypatch, case, n_keys,
                                                         n_blocks):
@@ -540,7 +541,7 @@ class TestSolverXcheck:
         # in pair order, at every point of its numeric side's grid, in blocks
         # of whole tail rows of that map (the last block may be short): at
         # R = 0.5 r1 = 0.5 has a key of its own, at R = 7 r1 = 1/sqrt(2), and
-        # Volterra's grid takes three blocks to tau = 3.7 and two to tau = 2
+        # Volterra's grid takes five blocks to tau = 3.7 and three to tau = 2
         calls = []
         real = scenarios.survival_amplitude
 
@@ -690,7 +691,7 @@ class TestSolverXcheck:
     def test_every_shared_point_is_compared(self, monkeypatch, solver):
         # one series flat at 0 but for a spike at one shared point, at either
         # end of a block of the ODE walk, where the pair is formed (30001
-        # points in blocks of 16262): the row reads the spike wherever it is
+        # points in blocks of 8131): the row reads the spike wherever it is
         cfg = ScenarioConfig(scenario="solver-xcheck", big_r=10.0, r1=(0.6,), s=(0.0,),
                              tau_max=30.0, include_bath=False)
         real = scenarios._propagator
@@ -1400,6 +1401,28 @@ class TestCliMain:
                 "for the bath comb at freq_window = 20.0") in err
         assert main(argv + ["--big-r", "1e151", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("big_r, window, blamed", [
+        ("0.1", 1e155, "freq_window = 1e+155 is too wide a bath comb at big_r = 0.1: its "
+                       "secular solve squares its band edge 1e+155 past a double"),
+        ("3e152", 1e60, "big_r = 3e+152 is too strong a coupling for the bath comb at "
+                        "freq_window = 1e+60"),
+    ], ids=["window", "coupling"])
+    def test_comb_whose_band_edge_overflows_names_its_cause(self, tmp_path, capsys, big_r,
+                                                             window, blamed):
+        # the band edge K max(1, R) lam squares past a double: at R = 0.1
+        # because the window is wide, which was blamed on big_r; at R =
+        # 3e152 the coupling is at fault, whose comb overflows at the
+        # default window too
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"freq_window": window}))
+        out = tmp_path / "t.csv"
+        argv = ["time-evolution", "--solver", "bath", "--tau-max", "1e-300", "--tau-steps", "3",
+                "--big-r", big_r, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        assert f"configuration error: {blamed}" in err
+
     @pytest.mark.parametrize("entry", [
         # JSON booleans and strings ran as 1 and 0.5
         *wrong_type_entries(),
@@ -1428,6 +1451,28 @@ class TestCliMain:
         assert main(base + ["--s=-0.5,0.2", "--out", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
         assert spaced.read_text().count("\n") == 6
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_a_row_parse_only_their_own_options(self, monkeypatch, tmp_path, capsys):
+        # the one parser keeps nothing of a call: the second run reads the
+        # defaults for every option that only the first gave, and writes to
+        # stdout, not to the first one's --out
+        seen = []
+        real = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: seen.append(cfg) or real(cfg))
+        out = tmp_path / "first.csv"
+        assert main(["stationary-surface", "--r1", "0.3,0.9", "--s", "-0.5,0.2", "--phi", "2.5",
+                     "--out", str(out)]) == 0
+        first = out.read_bytes()
+        assert main(["stationary-surface", "--r1", "0.5"]) == 0
+        assert out.read_bytes() == first
+        assert seen == [ScenarioConfig(scenario="stationary-surface", r1=[0.3, 0.9],
+                                       s=[-0.5, 0.2], phi=2.5),
+                        ScenarioConfig(scenario="stationary-surface", r1=[0.5])]
+        # the header, a row per s at r1 = 0.5 and the argmax row
+        assert capsys.readouterr().out.count("\n") == len(seen[1].s_axis()) + 2
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

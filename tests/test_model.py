@@ -360,6 +360,30 @@ class TestSurvivalAmplitude:
                  + 0.5 * (1.0 - lam / om) * np.exp(-0.5 * (om + lam) * tau))
         assert np.array_equal(survival_amplitude(res, coup, tau), plain)
 
+    @pytest.mark.parametrize("big_r", [1e-4, 0.1, 0.4999])
+    def test_amplitude_forms_no_overdamped_factor(self, monkeypatch, big_r):
+        # E reads the two-exponential sum alone: two exps of the times, for a
+        # float time and an array alike, where the factor took a third; the
+        # factor zeno_rate reads is unchanged
+        res, coup = resonant_system(big_r, 0.87)
+        tau = np.linspace(0.0, 50.0, 11)
+        f = model._survival(res, coup, tau)[2]
+        calls = []
+        real = np.exp
+
+        def counting(x, *args, **kwargs):
+            calls.append(x)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(model.np, "exp", counting)
+        vec = survival_amplitude(res, coup, tau)
+        assert len(calls) == 2
+        assert [survival_amplitude(res, coup, t) for t in tau.tolist()] == vec.tolist()
+        assert len(calls) == 2 + 2 * tau.size
+        monkeypatch.undo()
+        assert model._survival(res, coup, tau, factor=False)[2] is None
+        assert f.shape == tau.shape and np.all(f > 0.0)
+
     def test_overdamped_no_overflow_at_long_times(self):
         res, coup = resonant_system(1e-3, 0.5)
         value = survival_amplitude(res, coup, 5e4)

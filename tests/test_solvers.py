@@ -431,6 +431,31 @@ class TestPowerTable:
             re = solvers._spectral_sums(theta, weight, stride * n)[::stride]
             np.testing.assert_allclose(re, re_ref, rtol=0, atol=bound, err_msg=f"chunk {chunk}")
 
+    def test_spectral_sums_build_every_chunk_in_one_buffer(self, monkeypatch):
+        # chunks of two modes split the five into three, the last one short:
+        # each chunk's heads and tails are built in views of one work array,
+        # sized for the heads and tails of the widest chunk
+        theta = np.array([0.0, 2e-3, 0.07, 0.3, 0.9])
+        weight = np.array([0.05, 0.1, 0.2, 0.1, 0.05])
+        n = 99
+        block, tall = math.isqrt(n + 1), n // math.isqrt(n + 1) + 1
+        whole = solvers._spectral_sums(theta, weight, n)
+        outs = []
+        real = solvers._power_table
+
+        def recording(d, count, mul, out=None):
+            outs.append((d.size, out))
+            return real(d, count, mul, out)
+
+        monkeypatch.setattr(solvers, "_power_table", recording)
+        monkeypatch.setattr(solvers, "_CHUNK", 2 * tall)
+        got = solvers._spectral_sums(theta, weight, n)
+        assert [size for size, _ in outs] == [2, 2, 2, 2, 1, 1]
+        work = outs[0][1].base
+        assert work is not None and work.shape == ((block + 1 + tall) * 2,)
+        assert all(out.base is work and out.flags.c_contiguous for _, out in outs)
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-15 * n)
+
 
 class TestPairMap:
     """The propagators' pair maps: what a state reads off them, and their
@@ -1238,6 +1263,27 @@ class TestPoleSums:
             for value, (ref, scale) in zip((g[i] for g in got),
                                            self.exact(o, b, lp[i], rp[i], shift[i])):
                 assert abs(value - ref) <= bound * scale, (i, lp[i], rp[i], shift[i])
+
+    @pytest.mark.parametrize("n_modes", [4, 52, 2000])
+    def test_values_alone_match_the_full_sums_bit_for_bit(self, n_modes):
+        # the mid-gap pass asks for (psi, phi) alone: the same bits as the
+        # first two of the four sums, at rows that sum the poles above
+        # term by term and at rows that take them as runs
+        _, _, o, b, comb = TestBathSpectrum.folded(0.5, n_modes)
+        j = np.arange(o.size - 1)
+        gap = (o[j + 1] - o[j]) * (o[j + 1] + o[j])
+        lp, rp = np.concatenate([j, j]), np.concatenate([j, j + 1])
+        shift = np.concatenate([0.25 * gap, 0.5 * gap])
+        sums = solvers._pole_sums(o, b, *comb)
+        full, alone = sums(lp, rp, shift), sums(lp, rp, shift, slopes=False)
+        assert len(alone) == 2
+        for got, want in zip(alone, full[:2]):
+            assert np.array_equal(got, want)
+        a = np.concatenate([np.geomspace(1e-3, 1e6, 40), [0.5, 10.0]])
+        n = np.tile([0.0, 3.0, 40.0], a.size)
+        a = np.repeat(a, 3)
+        step, slope = solvers._digamma_steps(a, n, slopes=False)
+        assert slope is None and np.array_equal(step, solvers._digamma_steps(a, n)[0])
 
     def test_digamma_steps_match_mpmath(self):
         # psi(a + n) - psi(a) and psi'(a) - psi'(a + n): sums of positive

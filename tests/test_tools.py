@@ -1,9 +1,13 @@
-"""The committed source counter, ``tools/src_lines.py``."""
+"""The committed tools: the source counter, ``tools/src_lines.py``, and the
+page-fault counter, ``tools/faults.py``."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools",
                     "src_lines.py")
@@ -37,3 +41,22 @@ def test_counts_lines_holding_a_token_outside_docstrings(tmp_path):
                           timeout=60, check=True)
     assert proc.stdout.splitlines()[1:] == ["     12       7  mod.py",
                                             "     12       7  total"]
+
+
+FAULTS = os.path.join(os.path.dirname(TOOL), "faults.py")
+
+
+def test_faults_times_a_command_repeated_in_one_process():
+    # Unix only: the counts come from resource.getrusage
+    pytest.importorskip("resource")
+    proc = subprocess.run([sys.executable, FAULTS, "-n", "3", "--", "stationary-surface",
+                           "--r1", "0.5", "--s", "0"], capture_output=True, text=True,
+                          timeout=120, check=True)
+    match = re.fullmatch(r"runs 3  exit 0  median wall (\S+) ms  minor faults per run (\S+)\n",
+                         proc.stdout)
+    assert match and float(match[1]) > 0.0 and float(match[2]) >= 0.0
+    # a command that exits 2 is timed like any other, and its code printed
+    proc = subprocess.run([sys.executable, FAULTS, "-n", "1", "--", "stationary-surface",
+                           "--r1", "2"], capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.startswith("runs 1  exit 2  ")
