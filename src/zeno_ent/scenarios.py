@@ -44,6 +44,7 @@ from .solvers import (
     BATH_TOLERANCE,
     SOLVER_NAMES,
     SolverConfig,
+    _blocks,
     _bright_weight,
     _check_comb,
     aux_ode_propagator,
@@ -106,26 +107,22 @@ class ScenarioConfig:
     units of the reservoir memory time (the linewidth is fixed at 1, so
     ``big_r`` is the vacuum Rabi frequency over the linewidth).
 
-    ``n_modes`` and ``freq_window`` set the bath comb: ``n_modes`` modes,
-    an even count, over ``+-freq_window * max(1, big_r)`` linewidths
-    around resonance, so the comb widens with the coupling and always
-    covers the vacuum-Rabi splitting.  ``time-evolution`` refines the Volterra and ODE steps until
-    they pass their solver's resolution check, while ``solver-xcheck`` keeps
-    the steps as given.  The bath evolves its comb exactly, so no step is
+    ``n_modes`` and ``freq_window`` set the bath comb, an even count of
+    modes whose band widens with the coupling past the vacuum-Rabi
+    splitting.  :func:`~zeno_ent.solvers.bath_propagator` states its rules:
+    a bath run past the comb's recurrence time (e.g. ``big_r = 40`` at
+    ``tau_max = 10``) or on a comb too narrow to sample the reservoir (e.g.
+    ``freq_window = 1`` at ``big_r = 0.1``) is refused before it starts.
+    ``time-evolution`` refines the Volterra and ODE steps until they pass
+    their solver's resolution check, while ``solver-xcheck`` keeps the
+    steps as given.  The bath evolves its comb exactly, so no step is
     refused for it and its step only spaces its output: ``time-evolution``
     takes the output spacing, and only ``solver-xcheck`` reads ``dt_bath``.
-    A bath run whose ``tau_max`` passes the comb's recurrence time ``2*pi/dω
-    = pi * n_modes / (freq_window * max(1, big_r))`` is refused before it
-    starts, e.g. ``big_r = 40`` at ``tau_max = 10``, and so is one on a
-    comb too narrow to sample the reservoir: ``freq_window`` below 2, or a
-    band-edge truncation ``big_r**2 / (freq_window * max(1, big_r))**3``
-    above the bath's budget, e.g. ``freq_window = 1`` at ``big_r = 0.1``.
-    A numeric
-    solver run of more than :data:`MAX_SOLVER_STEPS` steps is refused too,
-    in either scenario: e.g. the ``ode`` solver of ``time-evolution`` at
-    ``big_r = 1e12``, whose step is refined to the coupling, or
-    ``solver-xcheck`` at ``tau_max = 2000``, where Volterra's ``dt = 1e-4``
-    would take 2e7 steps.  So is a ``tau_steps`` above
+    A numeric solver run of more than :data:`MAX_SOLVER_STEPS` steps is
+    refused too, in either scenario: e.g. the ``ode`` solver of
+    ``time-evolution`` at ``big_r = 1e12``, whose step is refined to the
+    coupling, or ``solver-xcheck`` at ``tau_max = 2000``, where Volterra's
+    ``dt = 1e-4`` would take 2e7 steps.  So is a ``tau_steps`` above
     ``MAX_SOLVER_STEPS + 1``, which no numeric curve could reach, and an
     ``n_modes`` that is odd, below 2 or above
     :data:`~zeno_ent.solvers.MAX_MODES`, in any scenario.  Only
@@ -484,7 +481,7 @@ def _pair_peak(home, fine, stride: int, n: int, asq: float, system):
     blocks of whole tail rows of ``home``, about :data:`_XCHECK_BLOCK`
     points each, each side read off :meth:`~zeno_ent.solvers.PairMap.rows`
     on the block alone; ``np.maximum`` keeps a NaN."""
-    row = math.isqrt(home.size)
+    row = _blocks(home.size - 1)[0]
     width = max(_XCHECK_BLOCK // row, 2) * row
     peak, scale = 0.0, 1.0 if fine is None else asq
     for lo in range(0, n, width):
@@ -537,13 +534,13 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
     ``transient``: maximise the closed-form concurrence over (r1, tau) on
     [0, 1] x [0, tau_max].  ``|c1 conj(c2)|**2`` is a real quartic in the
     survival amplitude ``E(tau)`` with coefficients that depend on r1 only
-    (:func:`_transient_coefficients`), so the 201-row coarse grid is one
-    product of the coefficients with the powers of ``E`` on the tau grid.
+    (:func:`_transient_coefficients`), so the 201-row coarse grid is read,
+    in blocks of tau, as the coefficients times the powers of ``E``.
     Rows whose peak of the quartic lies within :data:`~zeno_ent.search.TIE`
     of the best tie, and the smallest r1 among them wins, at its first peak
-    in tau.
-    :func:`~zeno_ent.search.refine_max` refines that point on grids of the
-    same quartic, from +-1 coarse cell to a thousandth of one.  The value is
+    in tau.  :func:`~zeno_ent.search.refine_max` refines that point on
+    grids of the same quartic, one closure for every grid, from +-1 coarse
+    cell to a thousandth of one.  The value is
     :func:`concurrence_closed` of :func:`amplitudes_at` at the point found.
     Every param and the value are Python floats.
     """
@@ -571,13 +568,11 @@ def find_optimum(objective: str, cfg: ScenarioConfig) -> OptimumResult:
 
         tau = _grid_tau(cfg)
         r1_axis = np.linspace(0.0, 1.0, 201)
-        kappa = _transient_coefficients(r1_axis, init)
-        e = survival_amplitude(res, ref_coup, tau)
         rows = np.arange(r1_axis.size)
         top = np.full(r1_axis.size, -np.inf)
         where = np.zeros(r1_axis.size, dtype=int)
         for k in range(0, tau.size, _TAU_BLOCK):
-            block = kappa @ np.vander(e[k:k + _TAU_BLOCK], 5, increasing=True).T
+            block = quartic(r1_axis, tau[k:k + _TAU_BLOCK])
             arg = block.argmax(axis=1)
             peak = block[rows, arg]
             better = peak > top
@@ -652,35 +647,28 @@ def _json_cells(col: np.ndarray) -> list:
     return cells
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """json's hook for what it cannot encode itself: a numpy scalar or array
+    as its Python value or nested list; anything else is refused."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(result: ScenarioResult) -> str:
-    """``json.dumps(..., indent=1)``; the rows block comes from one row
-    template over the ``%s`` cells of :func:`_json_cells`."""
+    """``json.dumps(..., indent=1)``, numpy values through
+    :func:`_json_default`; the rows block comes from one row template over
+    the ``%s`` cells of :func:`_json_cells`."""
     payload = {
-        "config": _json_safe(dataclasses.asdict(result.config)) if result.config else None,
+        "config": dataclasses.asdict(result.config) if result.config else None,
         "columns": list(result.columns),
         "rows": [],
-        "meta": _json_safe(result.meta),
+        "meta": result.meta,
     }
     tmpl = "  [\n   " + ",\n   ".join(["%s"] * len(result.data)) + "\n  ]"
     cells = (_json_cells(np.asarray(c)) for c in result.data)
     rows = ",\n".join(tmpl % row for row in zip(*cells))
-    return json.dumps(payload, indent=1).replace(
+    return json.dumps(payload, indent=1, default=_json_default).replace(
         '\n "rows": []', '\n "rows": ' + ("[\n" + rows + "\n ]" if rows else "[]"), 1) + "\n"
 
 

@@ -238,27 +238,6 @@ def _check_comb(n_modes, freq_window) -> int:
     return n_modes
 
 
-def _band_edge(res: ReservoirSpec, coup: CouplingSpec, window: float) -> float:
-    """The band edge ``K max(lam, rabi)`` of a comb over the window ``K``.
-
-    The comb must reach past the vacuum-Rabi splitting at ``+-rabi``, or its
-    truncation floor grows as ``R**2``."""
-    return window * max(1.0, coup.alpha_t * res.w / res.lam) * res.lam
-
-
-def _comb_spacing(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
-    """The bath comb's band edge (:func:`_band_edge`) at ``cfg.freq_window``
-    and its mode spacing ``dω = 2 edge / n_modes``.  A window whose spacing
-    rounds to 0 or overflows is refused."""
-    edge = _band_edge(res, coup, cfg.freq_window)
-    dw = 2.0 * edge / cfg.n_modes
-    if not (math.isfinite(dw) and dw > 0.0):
-        raise ValueError(f"freq_window = {cfg.freq_window!r} gives the bath comb a mode "
-                         f"spacing of {dw!r} at double precision; pick a window near the "
-                         f"default {SolverConfig.freq_window!r}")
-    return edge, dw
-
-
 def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str) -> float:
     """Steps strictly below ``1 / (2 * fastest rate)`` pass ``solver``'s
     resolution check.  The rates are the memory decay ``lam`` and the
@@ -421,29 +400,27 @@ def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig
     return _bright_propagator("ode", res, coup, cfg, increment)
 
 
-def _comb(res: ReservoirSpec, n_modes: int, dw: float):
-    """The upper half of the uniform midpoint comb of ``n_modes`` modes
-    spaced by ``dw`` about resonance: the offsets ``(k + 1/2) dw`` for ``k
-    < n_modes / 2`` and their couplings ``g`` as arrays, with ``g_k**2 =
-    J(offset_k) * dw``.  The whole comb is its exact mirror, the offsets
-    ``-offsets[::-1]`` with the couplings ``g[::-1]`` below these, bit for
-    bit ``(arange(n_modes) - (n_modes - 1) / 2) * dw``; no mode sits on
-    resonance."""
-    offsets = (np.arange(n_modes // 2) + 0.5) * dw
-    return offsets, np.sqrt(res.detuned_density(offsets) * dw)
+def _comb(res: ReservoirSpec, coup: CouplingSpec, asq: float, window: float, n_modes: int):
+    """The bath comb of ``n_modes`` modes over the window ``K``: ``(edge,
+    dω, offsets, b, total)``.
 
-
-def _comb_couplings(res: ReservoirSpec, asq: float, n_modes: int, dw: float):
-    """The kept offsets of the comb of :func:`_comb`, their couplings ``b =
-    2 c^2``, each mode counting twice in ``c^T c`` for its mirror, and the
-    couplings' sum.  The secular solve squares the offsets, and distances up
-    to the sum (the top root's reach above the top mode); past a double, an
-    offset's density is 0 and a coupling inf or nan, which the caller
-    refuses."""
+    The band edge ``K max(lam, rabi)`` reaches past the vacuum-Rabi
+    splitting at ``+-rabi``, or the truncation floor grows as ``R**2``.
+    The modes sit on the midpoint grid spaced by ``dω = 2 edge / n_modes``
+    about resonance, and only the upper half is built, the offsets ``(k +
+    1/2) dω``, ``k < n_modes / 2``: their exact mirror ``-offsets[::-1]``
+    completes it, bit for bit ``(arange(n_modes) - (n_modes - 1) / 2) *
+    dω``, with no mode on resonance.  Each kept mode's coupling is ``b = 2
+    asq g^2``, ``g^2 = J(offset) dω``, twice for its mirror, and ``total``
+    is their sum, the top root's reach above the top mode, which the secular
+    solve squares as it does the offsets.  Past a double the spacing is 0
+    or inf, a density 0 and a coupling inf or nan, which the caller refuses."""
+    edge = window * max(1.0, coup.alpha_t * res.w / res.lam) * res.lam
+    dw = 2.0 * edge / n_modes
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets, g = _comb(res, n_modes, dw)
-        b = asq * 2.0 * g ** 2
-        return offsets, b, float(np.sum(b))
+        offsets = (np.arange(n_modes // 2) + 0.5) * dw
+        b = asq * 2.0 * np.sqrt(res.detuned_density(offsets) * dw) ** 2
+        return edge, dw, offsets, b, float(np.sum(b))
 
 
 def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -453,7 +430,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     qubit amplitudes untouched and makes the right-hand side autonomous.
     The comb is ``cfg.n_modes`` modes, an even count, on a uniform
     midpoint grid over resonance ``+- edge``, ``edge = cfg.freq_window *
-    max(lam, rabi)`` (:func:`_comb_spacing`), which at strong coupling
+    max(lam, rabi)`` (:func:`_comb`), which at strong coupling
     scales with the vacuum-Rabi frequency instead of cutting the spectrum
     off near the splitting at ``+-rabi``.  The comb is evolved exactly, so
     no step is refused and ``dt`` only spaces the output: the comb's
@@ -495,7 +472,11 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     """
     asq = _bright_weight(res, coup)
     big_r = coup.alpha_t * res.w / res.lam
-    edge, dw = _comb_spacing(res, coup, cfg)
+    edge, dw, offsets, b, total = _comb(res, coup, asq, cfg.freq_window, cfg.n_modes)
+    if not (math.isfinite(dw) and dw > 0.0):
+        raise ValueError(f"freq_window = {cfg.freq_window!r} gives the bath comb a mode "
+                         f"spacing of {dw!r} at double precision; pick a window near the "
+                         f"default {SolverConfig.freq_window!r}")
     # multiplied, not squared by **, which raises on overflow
     reach = coup.alpha_t * res.w / edge
     estimate = reach * reach * (res.lam / edge)
@@ -513,13 +494,10 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"big_r = {big_r!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
     n = _grid(cfg, step_limit(res, coup, "bath"))
-
-    offsets, b, total = _comb_couplings(res, asq, cfg.n_modes, dw)
     if not (edge * edge < math.inf and 4.0 * total * total < math.inf):
         # the window is at fault where the default one's comb squares its
         # band edge and couplings' sum within a double
-        usual = _band_edge(res, coup, SolverConfig.freq_window)
-        usual_total = _comb_couplings(res, asq, cfg.n_modes, 2.0 * usual / cfg.n_modes)[2]
+        usual, *_, usual_total = _comb(res, coup, asq, SolverConfig.freq_window, cfg.n_modes)
         if usual * usual < math.inf and 4.0 * usual_total * usual_total < math.inf:
             raise ValueError(
                 f"freq_window = {cfg.freq_window!r} is too wide a bath comb at big_r = "
@@ -539,7 +517,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     # a comb too narrow for double precision overflows its secular solve
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            lam, weight = _folded_spectrum(offsets, b, dw, res.lam, asq,
+            lam, weight = _folded_spectrum(offsets, b, total, dw, res.lam, asq,
                                            res.detuned_density(0.0) * res.lam**2 * dw)
     except FloatingPointError as exc:
         raise ValueError(
@@ -560,15 +538,16 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
                    sigma=sigma)
 
 
-def _folded_spectrum(o, b, dw, lam, asq, density):
+def _folded_spectrum(o, b, total, dw, lam, asq, density):
     """Spectrum of the mirrored arrowhead from the upper half of its comb.
 
     ``o`` are the kept offsets ``o_k = (k + 1/2) dw`` of an even comb,
     ``b`` their couplings ``c_k^2`` times 2, for the mode and its mirror,
-    Lorentzian up to rounding: ``b_k = 2 asq density / (o_k^2 + lam^2)``.
+    Lorentzian up to rounding: ``b_k = 2 asq density / (o_k^2 + lam^2)``,
+    and ``total`` their sum.
     The nonzero eigenvalues are ``+-lam_j`` with ``mu_j = lam_j^2`` the
     roots of ``1 = sum_k b_k / (mu - o_k^2)``, one in each gap ``(o_j^2,
-    o_{j+1}^2)`` and the last within ``sum b`` above ``o^2`` of the top
+    o_{j+1}^2)`` and the last within ``total`` above ``o^2`` of the top
     mode.  Returns ``(lam, w)`` with the pair weight ``w_j = 1 / (2 mu_j
     sum_k b_k / (mu_j - o_k^2)^2)`` of each of ``+-lam_j``.  The comb also
     has the eigenvalue 0, which the run never sees, with weight ``w0 = 1 /
@@ -586,7 +565,6 @@ def _folded_spectrum(o, b, dw, lam, asq, density):
     """
     m = o.size
     sums = _pole_sums(o, b, dw, lam, asq, density)
-    total = float(np.sum(b))
     eps = np.finfo(float).eps
     j = np.arange(m)
     top = j == m - 1

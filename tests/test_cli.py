@@ -1093,15 +1093,46 @@ def _oracle_csv(result):
     return "\n".join(lines) + "\n"
 
 
+def _json_safe(obj):
+    """Every numpy value of ``obj`` as its Python one, walked by hand: the
+    normaliser that json's ``default`` hook replaced."""
+    if isinstance(obj, dict):
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_json_safe(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    return obj
+
+
 def _oracle_json(result):
     rows = [list(vals) for vals in zip(*result.data)]
     payload = {
-        "config": scenarios._json_safe(dataclasses.asdict(result.config)),
+        "config": _json_safe(dataclasses.asdict(result.config)),
         "columns": list(result.columns),
-        "rows": scenarios._json_safe(rows),
-        "meta": scenarios._json_safe(result.meta),
+        "rows": _json_safe(rows),
+        "meta": _json_safe(result.meta),
     }
     return json.dumps(payload, indent=1) + "\n"
+
+
+def _numpy_typed_result():
+    """A table whose config and meta hold numpy scalars and an array, beside
+    a NaN and an infinity."""
+    cfg = ScenarioConfig(scenario="solver-xcheck", big_r=np.float64(0.5), phi=np.float32(0.1),
+                         tau_max=np.float64(2.0), tau_steps=np.int64(3), n_modes=np.int64(50),
+                         freq_window=np.float32(20.0), include_bath=np.bool_(False),
+                         r1=(np.float64(0.87),), s=(np.float32(-0.5),))
+    meta = {"nan": math.nan, "inf": -np.inf, "grid": np.arange(3.0) / 3.0,
+            "count": np.int64(7), "flag": np.bool_(True), "pair": (np.float32(0.25), 1)}
+    return ScenarioResult(columns=["x", "n"], data=[np.array([0.5, math.nan]), np.arange(2)],
+                          meta=meta, config=cfg)
 
 
 def _repeating_columns():
@@ -1155,6 +1186,26 @@ class TestSerialization:
         # every float column but the last takes the repeated-value path
         taken = {k: scenarios._repeated_cells(v, repr) is not None for k, v in floats.items()}
         assert taken == {k: k != "past_half" for k in floats}
+
+    def test_numpy_values_render_as_python_ones(self):
+        # the bytes that the hand-walked normaliser wrote, and the oracle's
+        result = _numpy_typed_result()
+        text = render_json(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "906bd59425770d0a881ac0c9ae7ec12c5e1bdf382a0c4d02637bf0d693f80eee")
+        assert text == _oracle_json(result)
+        payload = json.loads(text)
+        assert payload["config"]["phi"] == float(np.float32(0.1))
+        assert payload["config"]["include_bath"] is False and payload["meta"]["count"] == 7
+        assert payload["meta"]["grid"] == [0.0, 1.0 / 3.0, 2.0 / 3.0]
+
+    @pytest.mark.parametrize("odd", [object(), np.complex128(1j), {1j: 0.0}],
+                             ids=["object", "numpy-complex", "complex-key"])
+    def test_value_json_cannot_encode_is_refused(self, odd):
+        result = _numpy_typed_result()
+        result.meta["odd"] = odd
+        with pytest.raises(TypeError):
+            render_json(result)
 
     def tiny_result(self):
         cfg = ScenarioConfig(scenario="stationary-surface", r1=(0.5,), s=(1.0,))
@@ -1400,6 +1451,22 @@ class TestCliMain:
         assert (f"configuration error: big_r = {float(big_r)!r} is too strong a coupling "
                 "for the bath comb at freq_window = 20.0") in err
         assert main(argv + ["--big-r", "1e151", "--out", str(out)]) == 0
+
+    def test_bath_whose_spectrum_overflows_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a secular solve that overflows stands in for a comb too narrow
+        # for double precision, which no input is known to reach
+        def overflowing(*args):
+            raise FloatingPointError("overflow encountered in multiply")
+
+        monkeypatch.setattr(solvers, "_folded_spectrum", overflowing)
+        out = tmp_path / "t.csv"
+        assert main(["time-evolution", "--solver", "bath", "--tau-max", "1", "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        assert ("configuration error: freq_window = 20.0 is too narrow a bath comb for double "
+                "precision: its spectrum does not resolve (overflow encountered in multiply); "
+                "pick a window near the default 20.0") in err
 
     @pytest.mark.parametrize("big_r, window, blamed", [
         ("0.1", 1e155, "freq_window = 1e+155 is too wide a bath comb at big_r = 0.1: its "

@@ -44,18 +44,26 @@ def bath_cfg(dt, t_max, n_modes=2000, freq_window=20.0):
     return SolverConfig(dt=dt, t_max=t_max, n_modes=n_modes, freq_window=freq_window)
 
 
+def solver_comb(res, coup, cfg):
+    """The solver's comb of ``cfg`` at this coupling, ``(edge, dω, offsets,
+    b, total)`` of its upper half."""
+    return solvers._comb(res, coup, solvers._bright_weight(res, coup), cfg.freq_window,
+                         cfg.n_modes)
+
+
 def full_comb(res, coup, cfg):
-    """The whole comb of ``cfg`` at this coupling, offsets and couplings:
-    the upper half that the solver builds and its mirror below."""
-    offsets, g = solvers._comb(res, cfg.n_modes, solvers._comb_spacing(res, coup, cfg)[1])
-    return np.concatenate((-offsets[::-1], offsets)), np.concatenate((g[::-1], g))
+    """The whole comb of ``cfg`` at this coupling, the offsets of the upper
+    half that the solver builds and their mirror below, with the couplings
+    ``g`` of the density, ``g**2 = J(offset) dω``."""
+    _, dw, offsets, _, _ = solver_comb(res, coup, cfg)
+    offsets = np.concatenate((-offsets[::-1], offsets))
+    return offsets, np.sqrt(res.detuned_density(offsets) * dw)
 
 
 def recurrence_time(res, coup, n_modes):
     """``2 pi / dω`` of the default window's comb of ``n_modes`` modes at
     this coupling."""
-    cfg = bath_cfg(1.0, 1.0, n_modes=n_modes)
-    return 2.0 * math.pi / solvers._comb_spacing(res, coup, cfg)[1]
+    return 2.0 * math.pi / solver_comb(res, coup, bath_cfg(1.0, 1.0, n_modes=n_modes))[1]
 
 
 def exact_bath_reference(res, coup, init, cfg):
@@ -701,6 +709,23 @@ class TestCouplingOverflow:
         pair_map = bath_propagator(res, coup, SolverConfig(dt=1e-4 / 1e151, t_max=1e-2 / 1e151))
         assert np.all(np.isfinite(pair_map.rows(0, pair_map.size)))
 
+    def test_bath_refuses_spectrum_that_overflows(self, monkeypatch):
+        # no input is known to reach this guard past the comb's sampling
+        # refusal, so a secular solve that overflows stands in for one: the
+        # solve runs with numpy's overflow raised, and the refusal names it
+        def overflowing(o, b, total, dw, lam, asq, density):
+            return np.float64(1e308) * np.array([10.0]), None
+
+        monkeypatch.setattr(solvers, "_folded_spectrum", overflowing)
+        res, coup = resonant_system(0.1, 0.87)
+        with pytest.raises(ValueError) as info:
+            bath_propagator(res, coup, bath_cfg(1e-3, 1.0))
+        assert str(info.value) == (
+            "freq_window = 20.0 is too narrow a bath comb for double precision: its spectrum "
+            "does not resolve (overflow encountered in multiply); pick a window near the "
+            "default 20.0")
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
 
 class TestSolverConfig:
     def test_numpy_scalars_stored_as_floats(self):
@@ -868,29 +893,33 @@ class TestDiscretizedBath:
     def test_mode_comb_weights_match_spectral_density(self):
         res, coup = resonant_system(0.5, 0.5)
         cfg = bath_cfg(1e-3, 1.0, n_modes=200, freq_window=10.0)
-        edge, d_omega = solvers._comb_spacing(res, coup, cfg)
+        edge, d_omega, offsets, b, total = solver_comb(res, coup, cfg)
         assert (edge, d_omega) == (10.0 * res.lam, 2.0 * 10.0 * res.lam / 200)
-        offsets, g = solvers._comb(res, 200, d_omega)
-        assert offsets.shape == g.shape == (100,)
+        assert offsets.shape == b.shape == (100,)
         assert offsets[0] == 0.5 * d_omega
         assert offsets[-1] == pytest.approx(edge - 0.5 * d_omega, rel=1e-15)
+        # each kept mode counts twice, for its mirror
+        asq = solvers._bright_weight(res, coup)
         for k in (0, 57, -1):
-            assert g[k] ** 2 == pytest.approx(res.detuned_density(offsets[k]) * d_omega,
-                                              rel=1e-12)
+            assert b[k] == pytest.approx(
+                2.0 * asq * res.detuned_density(offsets[k]) * d_omega, rel=1e-12)
+        assert total == pytest.approx(math.fsum(b), rel=1e-14)
 
     @pytest.mark.parametrize("n_modes", [2, 4, 200, 2000, 20000])
     @pytest.mark.parametrize("big_r", [0.1, 10.0])
     def test_mirrored_half_is_the_whole_comb(self, big_r, n_modes):
         # the kept half and its mirror are bit for bit the whole midpoint
-        # comb, offsets (k - (n - 1) / 2) dω with the couplings of their
-        # density
+        # comb, offsets (k - (n - 1) / 2) dω with the couplings b = 2 |a|^2
+        # g^2 of their density, g = sqrt(J dω), and the couplings' sum
         res, coup = resonant_system(big_r, 0.87)
         cfg = bath_cfg(1e-3, 1.0, n_modes=n_modes)
-        d_omega = solvers._comb_spacing(res, coup, cfg)[1]
-        offsets, g = full_comb(res, coup, cfg)
+        _, d_omega, o, b, total = solver_comb(res, coup, cfg)
         whole = (np.arange(n_modes) - (n_modes - 1) / 2.0) * d_omega
-        assert np.array_equal(offsets, whole)
-        assert np.array_equal(g, np.sqrt(res.detuned_density(whole) * d_omega))
+        assert np.array_equal(np.concatenate((-o[::-1], o)), whole)
+        asq = solvers._bright_weight(res, coup)
+        g = np.sqrt(res.detuned_density(whole) * d_omega)
+        assert np.array_equal(np.concatenate((b[::-1], b)), asq * 2.0 * g ** 2)
+        assert total == float(np.sum(b))
 
     def test_reference_accuracy_weak_coupling(self):
         res, coup = resonant_system(0.1, 0.87)
@@ -1085,7 +1114,7 @@ class TestBathSpectrum:
     def folded(big_r, n_modes, r1=0.87):
         res, coup = resonant_system(big_r, r1)
         cfg = bath_cfg(1e-3, 1e-3, n_modes=n_modes)
-        dw = solvers._comb_spacing(res, coup, cfg)[1]
+        dw = solver_comb(res, coup, cfg)[1]
         offsets, g = full_comb(res, coup, cfg)
         c = coup.alpha_t * g
         lower = n_modes // 2
@@ -1105,7 +1134,7 @@ class TestBathSpectrum:
     @pytest.mark.parametrize("n_modes", [2, 4, 50, 52, 200, 1000, 1002])
     def test_roots_and_weights_match_dense_eigensolver(self, big_r, n_modes):
         offsets, c, o, b, comb = self.folded(big_r, n_modes)
-        lam, w = solvers._folded_spectrum(o, b, *comb)
+        lam, w = solvers._folded_spectrum(o, b, float(np.sum(b)), *comb)
         w0 = self.zero_weight(o, b)
         h = np.diag(np.concatenate(([0.0], offsets)))
         h[0, 1:] = h[1:, 0] = c
@@ -1127,7 +1156,7 @@ class TestBathSpectrum:
     @pytest.mark.parametrize("n_modes", [2, 4, 50, 52, 200, 2000])
     def test_weights_complete_and_roots_interlace(self, big_r, n_modes):
         _, _, o, b, comb = self.folded(big_r, n_modes)
-        lam, w = solvers._folded_spectrum(o, b, *comb)
+        lam, w = solvers._folded_spectrum(o, b, float(np.sum(b)), *comb)
         w0 = self.zero_weight(o, b)
         assert abs(w0 + 2.0 * math.fsum(w) - 1.0) <= 1e-14
         assert np.all(w > 0.0)
@@ -1146,7 +1175,7 @@ class TestBathSpectrum:
         # the far poles' sums in closed form against every pole summed per
         # root; both are rounded, so they may part by an ulp or two
         _, _, o, b, comb = self.folded(big_r, n_modes)
-        lam, w = solvers._folded_spectrum(o, b, *comb)
+        lam, w = solvers._folded_spectrum(o, b, float(np.sum(b)), *comb)
         ref_lam, ref_w = folded_spectrum_all_poles(o, b)
         assert np.all(np.abs(lam - ref_lam) <= 2.0 * np.spacing(ref_lam))
         np.testing.assert_allclose(w, ref_w, rtol=5e-14, atol=0)
@@ -1198,7 +1227,7 @@ class TestBathSpectrum:
         init = InitialState.from_separability(0.3, 0.7)
         series = propagate(init)
         _, _, o, b, comb = self.folded(big_r, 2000)
-        lam, w = solvers._folded_spectrum(o, b, *comb)
+        lam, w = solvers._folded_spectrum(o, b, float(np.sum(b)), *comb)
         tau = np.arange(10001) * 1e-3
         re = np.concatenate([(np.cos(np.multiply.outer(t, lam)) - 1.0) @ w
                              for t in np.array_split(tau, 20)])

@@ -3,6 +3,7 @@ page-fault counter, ``tools/faults.py``."""
 
 import importlib.util
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -41,6 +42,49 @@ def test_counts_lines_holding_a_token_outside_docstrings(tmp_path):
                           timeout=60, check=True)
     assert proc.stdout.splitlines()[1:] == ["     12       7  mod.py",
                                             "     12       7  total"]
+
+
+def test_rev_counts_head_beside_the_working_tree():
+    root = pathlib.Path(TOOL).resolve().parent.parent
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, timeout=60)
+
+    try:
+        if git("rev-parse", "--verify", "--quiet", "HEAD^{commit}").returncode:
+            pytest.skip("not a git checkout")
+    except FileNotFoundError:
+        pytest.skip("no git")
+    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    proc = subprocess.run([sys.executable, TOOL, "--rev", "HEAD"], capture_output=True,
+                          text=True, timeout=60, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["HEAD", "tree"]
+    assert lines[1].split() == ["wc", "-l", "code", "wc", "-l", "code", "module"]
+    rows = {line.split()[-1]: line.split()[:-1] for line in lines[2:]}
+    total = rows.pop("total")
+    # the package's modules on either side, "-" where a side lacks one
+    package = root / "src" / "zeno_ent"
+    listed = git("ls-tree", "--name-only", "HEAD", "src/zeno_ent/").stdout.decode().split()
+    names = {p.name for p in package.glob("*.py")} | {n.split("/")[-1] for n in listed
+                                                       if n.endswith(".py")}
+    assert set(rows) == names
+
+    def cells(text):
+        return ["-", "-"] if text is None else [str(n) for n in tool.count(text)]
+
+    for name in names:
+        shown = git("show", f"HEAD:src/zeno_ent/{name}")
+        head = shown.stdout.decode() if shown.returncode == 0 else None
+        tree = (package / name).read_text(encoding="utf-8") if (package / name).exists() else None
+        assert rows[name] == cells(head) + cells(tree), name
+    assert total == [str(sum(int(r[i]) for r in rows.values() if r[i] != "-"))
+                     for i in range(4)]
+    bad = subprocess.run([sys.executable, TOOL, "--rev", "no-such-revision"],
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "unknown revision 'no-such-revision'" in bad.stderr
 
 
 FAULTS = os.path.join(os.path.dirname(TOOL), "faults.py")

@@ -6,15 +6,20 @@ docstrings: a comment, a blank line or a docstring line holds none, and
 each line that a multi-line token or a bracketed statement spans counts
 once.  Run from anywhere as::
 
-    python tools/src_lines.py [FILE ...]
+    python tools/src_lines.py [--rev REV] [FILE ...]
 
-With no files it counts ``src/zeno_ent/*.py``.
+With no files it counts ``src/zeno_ent/*.py``.  With ``--rev`` it prints
+the counts of the same files at the git revision ``REV`` beside those of
+the working tree, the package's modules being those of either side, and
+``-`` for a file that one side lacks.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -48,17 +53,54 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code - docs)
 
 
+def _git(root: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, check=False)
+
+
+def _text_at(root: Path, rev: str, path: Path) -> str | None:
+    """``path``'s text at the git revision ``rev``, or ``None`` where the
+    revision has no such file."""
+    try:
+        name = path.resolve().relative_to(root).as_posix()
+    except ValueError:
+        return None
+    shown = _git(root, "show", f"{rev}:{name}")
+    return shown.stdout.decode("utf-8") if shown.returncode == 0 else None
+
+
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Count the package's source lines.")
+    parser.add_argument("--rev", help="also count the files at this git revision")
+    parser.add_argument("files", nargs="*", type=Path)
+    args = parser.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
-    paths = [Path(p) for p in argv] or sorted((root / "src" / "zeno_ent").glob("*.py"))
-    totals = [0, 0]
-    print(f"{'wc -l':>7} {'code':>7}  module")
-    for path in paths:
-        wc, code = count(path.read_text(encoding="utf-8"))
-        totals[0] += wc
-        totals[1] += code
-        print(f"{wc:7d} {code:7d}  {path.name}")
-    print(f"{totals[0]:7d} {totals[1]:7d}  total")
+    paths = args.files or sorted((root / "src" / "zeno_ent").glob("*.py"))
+    sides = []
+    if args.rev is not None:
+        if _git(root, "rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}").returncode:
+            parser.error(f"unknown revision {args.rev!r}")
+        if not args.files:
+            listed = _git(root, "ls-tree", "--name-only", args.rev, "src/zeno_ent/").stdout
+            paths = sorted(set(paths) | {root / name for name in listed.decode().split()
+                                         if name.endswith(".py")})
+        sides.append([_text_at(root, args.rev, path) for path in paths])
+        print(f"{args.rev:>15} {'tree':>15}")
+    sides.append([path.read_text(encoding="utf-8") if path.exists() else None
+                  for path in paths])
+    totals = [[0, 0] for _ in sides]
+    print(" ".join(f"{'wc -l':>7} {'code':>7}" for _ in sides) + "  module")
+    for i, path in enumerate(paths):
+        cells = []
+        for texts, total in zip(sides, totals):
+            if texts[i] is None:
+                cells.append(f"{'-':>7} {'-':>7}")
+                continue
+            wc, code = count(texts[i])
+            total[0] += wc
+            total[1] += code
+            cells.append(f"{wc:7d} {code:7d}")
+        print(" ".join(cells) + f"  {path.name}")
+    print(" ".join(f"{wc:7d} {code:7d}" for wc, code in totals) + "  total")
     return 0
 
 
