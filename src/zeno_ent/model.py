@@ -279,9 +279,9 @@ class BellBasis:
 
 @dataclass(eq=False)
 class TimeSeries:
-    """Pair amplitudes ``c1``, ``c2`` at the times ``tau``, with optional
-    solver metadata: arrays over a uniform grid, or scalars at one time
-    (:func:`amplitudes_at`)."""
+    """Pair amplitudes ``c1``, ``c2`` at the times ``tau``: arrays over a
+    uniform grid, or scalars at one time (:func:`amplitudes_at`); ``meta``
+    holds a stroboscopic run's record (:mod:`zeno_ent.zeno`), else nothing."""
 
     tau: np.ndarray
     c1: np.ndarray
@@ -435,8 +435,7 @@ def closed_form_series(res: ReservoirSpec, coup: CouplingSpec, init: InitialStat
     tau = np.atleast_1d(_checked_times(tau, "tau"))
     e = survival_amplitude(res, coup, tau)
     c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
-    return TimeSeries(tau=tau, c1=np.asarray(c1, complex), c2=np.asarray(c2, complex),
-                      meta={"solver": "closed"})
+    return TimeSeries(tau=tau, c1=np.asarray(c1, complex), c2=np.asarray(c2, complex))
 
 
 def _to_amplitudes(name, value) -> np.ndarray:

@@ -428,9 +428,10 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
     peaks, rows = {}, []
     for r1 in cfg.r1_axis():
         res, coup = resonant_system(cfg.big_r, r1)
-        key = (_bright_weight(res, coup), coup.alpha_t)
+        asq = _bright_weight(res, coup)
+        key = (asq, coup.alpha_t)
         if key not in peaks:
-            peaks[key] = _xcheck_peaks(cfg, pairs, res, coup)
+            peaks[key] = _xcheck_peaks(cfg, pairs, res, coup, asq)
         reach = max(abs(coup.r1), abs(coup.r2)) * np.abs(coup.r1 * x[:, 0] + coup.r2 * x[:, 1])
         for j, s in enumerate(s_axis):
             for (a, b, tol), (n, top) in zip(pairs, peaks[key]):
@@ -442,18 +443,18 @@ def run_solver_xcheck(cfg: ScenarioConfig) -> ScenarioResult:
                           config=cfg)
 
 
-def _xcheck_peaks(cfg: ScenarioConfig, pairs, res, coup) -> list:
-    """``(n_shared, max_t |Delta|)`` of each pair at one coupling, from one
-    map per solver, dropped on return.  A pair is walked on its home grid
-    (:func:`_pair_peak`): its numeric side's if the other is the closed
-    form, else its side of the larger step (on a tie the second).  Steps
-    that share no points are refused before any pair is walked."""
+def _xcheck_peaks(cfg: ScenarioConfig, pairs, res, coup, asq: float) -> list:
+    """``(n_shared, max_t |Delta|)`` of each pair at one coupling, whose
+    ``|a|^2`` is ``asq``, from one map per solver, dropped on return.  A
+    pair is walked on its home grid (:func:`_pair_peak`): its numeric
+    side's if the other is the closed form, else its side of the larger
+    step (on a tie the second).  Steps that share no points are refused
+    before any pair is walked."""
     maps = {name: _propagator(cfg, name, res, coup, getattr(cfg, f"dt_{name}"))
             for name in dict.fromkeys(b for _, b, _ in pairs)}
     sides = [(maps[b], None) if a == "closed" else
              sorted((maps[b], maps[a]), key=lambda m: -m.dt) for a, b, _ in pairs]
     shared = [_shared_points(*side) for side in sides]
-    asq = _bright_weight(res, coup)
     return [(n, _pair_peak(*side, stride, n, asq, (res, coup)))
             for side, (stride, n) in zip(sides, shared)]
 

@@ -9,8 +9,7 @@ coupling and returns the real map ``P(t) = M(t) - 1`` that takes the pair
 ``x = (c1, c2)`` from empty memory or modes to ``x + P x`` at each output
 time (:class:`PairMap`), held as one scalar series.  The map serves any number of initial states:
 called on one, it gives its ``TimeSeries``.  Each solver has one name, in
-:data:`SOLVER_NAMES`, which :func:`step_limit` takes and
-``TimeSeries.meta["solver"]`` carries:
+:data:`SOLVER_NAMES`, which :func:`step_limit` takes:
 
 * ``"volterra"``, :func:`volterra_propagator` -- the memory-kernel
   integro-differential equations
@@ -143,7 +142,7 @@ class PairMap:
     is real, since the qubits sit on resonance of a symmetric Lorentzian.
     Called on an :class:`~zeno_ent.model.InitialState`, the map gives that
     state's :class:`~zeno_ent.model.TimeSeries` on every ``step``-th point
-    of its grid, with ``meta`` in its ``meta``.
+    of its grid.
 
     The grid is the ``size`` points ``i dt`` from 0, held as those two
     numbers: :meth:`times` forms the times asked for.  The bath holds
@@ -154,7 +153,6 @@ class PairMap:
 
     dt: float
     size: int
-    meta: dict
     drive: tuple[float, float]
     sigma: np.ndarray | None = None
     factors: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
@@ -210,7 +208,7 @@ class PairMap:
         a1, a2 = self.drive
         drift = (a1 * x1 + a2 * x2) * self.rows(0, self.size, step)
         return TimeSeries(tau=self.times(0, self.size, step), c1=x1 + a1 * drift,
-                          c2=x2 + a2 * drift, meta=dict(self.meta))
+                          c2=x2 + a2 * drift)
 
 
 def _bright_weight(res: ReservoirSpec, coup: CouplingSpec) -> float:
@@ -249,12 +247,12 @@ def step_limit(res: ReservoirSpec, coup: CouplingSpec, solver: str) -> float:
 
 
 def _grid(cfg: SolverConfig, limit: float) -> int:
-    """The step count, the last index of the ``dt`` grid.  A step at or
-    above ``limit``, the solver's :func:`step_limit`, cannot resolve the
-    fastest timescale and is refused."""
+    """The step count, the ``dt`` grid's last index: at least 1, as ``t_max
+    >= dt``.  A step at or above ``limit``, the solver's :func:`step_limit`,
+    cannot resolve the fastest timescale and is refused."""
     if cfg.dt >= limit:
         raise ValueError(f"dt = {cfg.dt!r} under-resolves the dynamics; need dt < {limit!r}")
-    return max(int(round(cfg.t_max / cfg.dt)), 1)
+    return int(round(cfg.t_max / cfg.dt))
 
 
 def _power_table(d, count: int, mul, out=None):
@@ -318,10 +316,10 @@ def _blocked_powers(d, n: int, mul, out=None):
 
 
 def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
-                       cfg: SolverConfig, increment) -> PairMap:
+                       cfg: SolverConfig, asq: float, increment) -> PairMap:
     """The :class:`PairMap` of a numeric solver: ``increment(u, m)`` gives
     the step's ``(ds, dm)`` from ``u = a.x`` and the memory variable, where
-    the pair moves by ``a ds`` and ``u`` by ``|a|^2 ds``.
+    the pair moves by ``a ds`` and ``u`` by ``|a|^2 ds``, ``|a|^2 = asq``.
 
     ``D`` is read off it with ``u``'s row over ``|a|^2``, ``D~ = diag(1 /
     |a|^2, 1) D``; sums keep that form and ``(X Y)~ = X~ G Y~`` with ``G =
@@ -331,7 +329,6 @@ def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     Q~_i[0,0] + A~_j[1,0] Q~_i[0,1]``, with no division by ``|a|^2``, which
     may underflow.  The map keeps these two tail and three head vectors."""
     n = _grid(cfg, step_limit(res, coup, solver))
-    asq = _bright_weight(res, coup)
     d = np.array([increment(1.0, 0.0), increment(0.0, 1.0)]).T
     g = np.array([[asq], [1.0]])
 
@@ -341,8 +338,7 @@ def _bright_propagator(solver: str, res: ReservoirSpec, coup: CouplingSpec,
     heads, tails = _blocked_powers(d, n, mul)
     h0 = heads[:, 0, 0]
     factors = (tails[:, 0, 0], tails[:, 1, 0]), (h0, asq * h0, heads[:, 0, 1])
-    return PairMap(dt=cfg.dt, size=n + 1, meta={"solver": solver, "dt": cfg.dt},
-                   drive=(coup.alpha1, coup.alpha2), factors=factors)
+    return PairMap(dt=cfg.dt, size=n + 1, drive=(coup.alpha1, coup.alpha2), factors=factors)
 
 
 def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -370,7 +366,7 @@ def volterra_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfi
         un = u + asq * ds
         return ds, decay_m1 * m + panel * (decay * u + un)
 
-    return _bright_propagator("volterra", res, coup, cfg, increment)
+    return _bright_propagator("volterra", res, coup, cfg, asq, increment)
 
 
 def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
@@ -397,7 +393,7 @@ def aux_ode_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig
         return ((dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
                 (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
 
-    return _bright_propagator("ode", res, coup, cfg, increment)
+    return _bright_propagator("ode", res, coup, cfg, asq, increment)
 
 
 def _comb(res: ReservoirSpec, coup: CouplingSpec, asq: float, window: float, n_modes: int):
@@ -467,8 +463,6 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
     finds the spectrum from it, iterating every root at once on
     closed-form sums over the poles: each pass costs ``O(modes)``, and the
     sums over the spectrum (:func:`_spectral_sums`) ``modes * steps / 2``.
-
-    Metadata carries the full mode count and the recurrence time.
     """
     asq = _bright_weight(res, coup)
     big_r = coup.alpha_t * res.w / res.lam
@@ -494,19 +488,22 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"big_r = {big_r!r}), where the comb sends the "
             "emitted excitation back; raise n_modes or shorten tau_max")
     n = _grid(cfg, step_limit(res, coup, "bath"))
-    if not (edge * edge < math.inf and 4.0 * total * total < math.inf):
-        # the window is at fault where the default one's comb squares its
-        # band edge and couplings' sum within a double
+    edge_sq, sum_sq = edge * edge, 4.0 * total * total
+    if not (edge_sq < math.inf and sum_sq < math.inf):
+        squares = (f"its secular solve squares its band edge {edge:.3g} to {edge_sq:.3g} and "
+                   f"twice its couplings' sum, {2.0 * total:.3g}, to {sum_sq:.3g}")
+        # the window is at fault where the default one's comb squares both
+        # within a double: too wide where its edge overflows, else too
+        # narrow, the lowest mode's coupling growing as 1/dω while dω >> lam
         usual, *_, usual_total = _comb(res, coup, asq, SolverConfig.freq_window, cfg.n_modes)
         if usual * usual < math.inf and 4.0 * usual_total * usual_total < math.inf:
             raise ValueError(
-                f"freq_window = {cfg.freq_window!r} is too wide a bath comb at big_r = "
-                f"{big_r!r}: its secular solve squares its band edge {edge:.3g} past a "
-                f"double; pick a window near the default {SolverConfig.freq_window!r}")
-        raise ValueError(
-            f"big_r = {big_r!r} is too strong a coupling for the "
-            f"bath comb at freq_window = {cfg.freq_window!r}: its secular solve squares its "
-            f"band edge {edge:.3g} and twice its couplings' sum {total:.3g} past a double")
+                f"freq_window = {cfg.freq_window!r} is too "
+                f"{'narrow' if edge_sq < math.inf else 'wide'} a bath comb at big_r = "
+                f"{big_r!r}: {squares}; pick a window near the default "
+                f"{SolverConfig.freq_window!r}")
+        raise ValueError(f"big_r = {big_r!r} is too strong a coupling for the bath comb at "
+                         f"freq_window = {cfg.freq_window!r}: {squares}")
     # sigma is read off the spectrum as 2 / |a|^2 times its sums
     if not (np.min(b) >= np.finfo(float).tiny and 2.0 / asq < math.inf):
         raise ValueError(
@@ -526,16 +523,7 @@ def bath_propagator(res: ReservoirSpec, coup: CouplingSpec, cfg: SolverConfig):
             f"the default {SolverConfig.freq_window!r}") from None
     # u - 1 = |a|^2 sigma = 2 sum_j w_j Re(e^{-i lam_j t} - 1)
     sigma = (2.0 / asq) * _spectral_sums(cfg.dt * lam, weight, n)
-
-    meta = {
-        "solver": "bath",
-        "dt": cfg.dt,
-        "n_modes": cfg.n_modes,
-        "freq_window": cfg.freq_window,
-        "recurrence_time": recurrence,
-    }
-    return PairMap(dt=cfg.dt, size=n + 1, meta=meta, drive=(coup.alpha1, coup.alpha2),
-                   sigma=sigma)
+    return PairMap(dt=cfg.dt, size=n + 1, drive=(coup.alpha1, coup.alpha2), sigma=sigma)
 
 
 def _folded_spectrum(o, b, total, dw, lam, asq, density):

@@ -530,6 +530,31 @@ class TestSolverXcheck:
         assert code == 0
         assert runs == pytest.approx([0.0, 0.87])
 
+    def test_bright_weight_once_per_propagator_and_coupling(self, monkeypatch):
+        # |a|^2 is formed once by each propagator call, and once by xcheck
+        # for each r1's key, which its solvers' peaks then take as given
+        calls = {"solvers": 0, "scenarios": 0}
+
+        def counting(module):
+            def weight(res, coup):
+                calls[module.__name__.split(".")[-1]] += 1
+                return _bright_weight(res, coup)
+            monkeypatch.setattr(module, "_bright_weight", weight)
+
+        counting(solvers)
+        counting(scenarios)
+        res, coup = resonant_system(0.5, 0.87)
+        cfg = solvers.SolverConfig(dt=1e-2, t_max=0.5, n_modes=50)
+        for propagator in (solvers.volterra_propagator, solvers.aux_ode_propagator,
+                           solvers.bath_propagator):
+            propagator(res, coup, cfg)
+        assert calls == {"solvers": 3, "scenarios": 0}
+        # at R = 0.5, r1 = 0 and 0.87 share a key: three r1, two keys, and
+        # three solvers run per key
+        run_solver_xcheck(ScenarioConfig(scenario="solver-xcheck", big_r=0.5,
+                                         r1=(0.0, 0.5, 0.87), s=(0.0, 0.3), tau_max=0.5))
+        assert calls == {"solvers": 3 + 2 * 3, "scenarios": 3}
+
     @pytest.mark.parametrize("case, n_keys, n_blocks", [
         (dict(big_r=0.5, r1=(0.0, 0.5, 0.87), s=(-1.0, 0.0, 0.3), tau_max=0.5), 2, 6),
         (dict(big_r=10.0, r1=(0.6,), tau_max=3.7, dt_bath=2e-3), 1, 7),
@@ -1470,16 +1495,26 @@ class TestCliMain:
 
     @pytest.mark.parametrize("big_r, window, blamed", [
         ("0.1", 1e155, "freq_window = 1e+155 is too wide a bath comb at big_r = 0.1: its "
-                       "secular solve squares its band edge 1e+155 past a double"),
+                       "secular solve squares its band edge 1e+155 to inf and twice its "
+                       "couplings' sum, 6.27e-154, to 3.94e-307; pick a window near the "
+                       "default 20.0\n"),
         ("3e152", 1e60, "big_r = 3e+152 is too strong a coupling for the bath comb at "
-                        "freq_window = 1e+60"),
-    ], ids=["window", "coupling"])
+                        "freq_window = 1e+60: its secular solve squares its band edge "
+                        "3e+212 to inf and twice its couplings' sum, 0, to 0\n"),
+        ("1e151", 2.0, "freq_window = 2.0 is too narrow a bath comb at big_r = 1e+151: its "
+                       "secular solve squares its band edge 2e+151 to 4e+302 and twice its "
+                       "couplings' sum, 3.14e+154, to inf; pick a window near the default "
+                       "20.0\n"),
+    ], ids=["window", "coupling", "narrow-window"])
     def test_comb_whose_band_edge_overflows_names_its_cause(self, tmp_path, capsys, big_r,
                                                              window, blamed):
-        # the band edge K max(1, R) lam squares past a double: at R = 0.1
-        # because the window is wide, which was blamed on big_r; at R =
-        # 3e152 the coupling is at fault, whose comb overflows at the
-        # default window too
+        # the secular solve squares the band edge K max(1, R) lam and twice
+        # the couplings' sum past a double: at R = 0.1 the edge, because the
+        # window is wide, which was blamed on big_r; at R = 3e152 the
+        # coupling is at fault, whose comb overflows at the default window
+        # too; at R = 1e151 the sum alone, because the window is narrow:
+        # its spacing is far wider than lam, so the lowest mode's coupling
+        # grows as 1/dω, and the default window's comb runs
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"freq_window": window}))
         out = tmp_path / "t.csv"
@@ -1730,8 +1765,11 @@ class TestGoldens:
 class TestXcheckDigests:
     """``solver-xcheck`` CSV bytes, pinned by sha256: at three couplings,
     and on every config of :data:`WALK_CASES` and at ``R = 7``, whose
-    default r1 have two ``alpha_t``; and two bath ``time-evolution``
-    tables, the default comb at ``R = 10`` in JSON and a 16-mode comb.
+    default r1 have two ``alpha_t``; two bath ``time-evolution`` tables,
+    the default comb at ``R = 10`` in JSON and a 16-mode comb; and the
+    Volterra and ODE ``time-evolution`` tables, each map read at every
+    ``k``-th step and re-wrapped on the output grid, at ``R = 10`` in CSV
+    and at ``R = 0.5`` with a complex state in JSON.
 
     Each table is written by a child at one BLAS thread: the bath's sums
     are one large BLAS product, whose rounding may change with the thread
@@ -1760,6 +1798,19 @@ class TestXcheckDigests:
                      "112b74f878b3342de6da251f96d96073f2125642050a8b31b036a0c41a17c332"),
         "r1-16-modes": (["--big-r", "1", "--tau-max", "0.5"], {"n_modes": 16},
                         "2508622e921c346d528cf902736695db307d65d3b2103771cf64d856f4072929"),
+    }
+
+    STATE_ARGS = ["--big-r", "0.5", "--r1", "0.87", "--s", "0.3", "--phi", "0.7", "--format",
+                  "json"]
+    NUMERIC_DIGESTS = {
+        "volterra-r10": (["--solver", "volterra", "--big-r", "10"],
+                         "6c6c6d1708ec446877070a9a26e74d6dc913de2130d17df9e06717362b31281f"),
+        "ode-r10": (["--solver", "ode", "--big-r", "10"],
+                    "385c6543f97b270709d256fba149cb6490a7c8d1266dab3798dfbc6ab831b940"),
+        "volterra-json": (["--solver", "volterra", *STATE_ARGS],
+                          "943de62e6aba7415bdc6974656323ddd214db6abdaf712f9ffbedd821509a4f5"),
+        "ode-json": (["--solver", "ode", *STATE_ARGS],
+                     "1f3358e84e08a17a75571a750ecc67cc79c7ec55805993405a50887433766343"),
     }
 
     @staticmethod
@@ -1793,3 +1844,8 @@ class TestXcheckDigests:
         config.write_text(json.dumps(keys))
         argv = ["--solver", "bath", *args, "--config", str(config)]
         assert self.digest(tmp_path, "time-evolution", argv) == want
+
+    @pytest.mark.parametrize("case", sorted(NUMERIC_DIGESTS))
+    def test_numeric_table_matches_digest(self, tmp_path, case):
+        args, want = self.NUMERIC_DIGESTS[case]
+        assert self.digest(tmp_path, "time-evolution", args) == want

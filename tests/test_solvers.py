@@ -497,7 +497,6 @@ class TestPairMap:
             series = pair_map(init)
             c = x[:, None] + np.einsum("ijt,j->it", whole_map(pair_map), x)
             assert np.array_equal(series.tau, pair_map.times(0, pair_map.size))
-            assert series.meta["solver"] == pair_map.meta["solver"]
             np.testing.assert_allclose(series.c1, c[0], rtol=0, atol=1e-15)
             np.testing.assert_allclose(series.c2, c[1], rtol=0, atol=1e-15)
         # the comb's map is a a^T sigma, its drive the coupling vector
@@ -1025,14 +1024,15 @@ class TestDiscretizedBath:
     def test_refuses_horizon_past_recurrence(self):
         res, coup = resonant_system(0.1, 0.5)
         init = InitialState.from_separability(0.0)
-        # 100 modes over [-20, 20]: recurrence at 2 pi / 0.4 ~ 15.7
-        short = bath_propagator(res, coup, bath_cfg(1e-3, 10.0, n_modes=100))(init)
-        assert short.meta["recurrence_time"] == pytest.approx(2.0 * math.pi / 0.4,
-                                                              rel=1e-12)
-        assert "recurrence_warning" not in short.meta
-        with pytest.raises(ValueError, match=r"recurrence time 15\.708 .*"
-                                             "raise n_modes or shorten tau_max"):
-            bath_propagator(res, coup, bath_cfg(1e-3, 20.0, n_modes=100))
+        # 100 modes over [-20, 20]: recurrence at 2 pi / 0.4 ~ 15.7, to the
+        # last bit: a horizon there runs, one double past it is refused
+        recurrence = 2.0 * math.pi / 0.4
+        bath_propagator(res, coup, bath_cfg(1e-3, 10.0, n_modes=100))(init)
+        bath_propagator(res, coup, bath_cfg(1e-3, recurrence, n_modes=100))(init)
+        for t_max in (math.nextafter(recurrence, math.inf), 20.0):
+            with pytest.raises(ValueError, match=r"recurrence time 15\.708 .*"
+                                                 "raise n_modes or shorten tau_max"):
+                bath_propagator(res, coup, bath_cfg(1e-3, t_max, n_modes=100))
 
 
 def folded_spectrum_all_poles(o, b, chunk=1 << 16, iterations=12):
@@ -1403,16 +1403,15 @@ class TestCombInputs:
 
 class TestSolverNames:
     def test_one_name_per_solver(self):
-        # the name step_limit takes, the series carries, the config's step
-        # key and the cross-check budget use, and the CLI offers
+        # the name step_limit takes, the config's step key and the
+        # cross-check budget use, and the CLI offers
         res, coup = resonant_system(0.5, 0.87)
         cfg = ScenarioConfig(scenario="solver-xcheck", tau_max=0.1, n_modes=50)
         init = InitialState.from_separability(0.0)
         for name in SOLVER_NAMES:
             assert step_limit(res, coup, name) > 0.0
             dt = getattr(cfg, f"dt_{name}")
-            series = scenarios._propagator(cfg, name, res, coup, dt)(init)
-            assert series.meta["solver"] == name
+            scenarios._propagator(cfg, name, res, coup, dt)(init)
         assert set(scenarios.XCHECK_TOLERANCES) == set(SOLVER_NAMES)
         solver = next(a for a in build_parser()._actions if a.dest == "solver")
         assert tuple(solver.choices) == ("closed",) + SOLVER_NAMES

@@ -1,7 +1,9 @@
-"""The committed tools: the source counter, ``tools/src_lines.py``, and the
-page-fault counter, ``tools/faults.py``."""
+"""The committed tools: the source counter, ``tools/src_lines.py``, the
+page-fault counter, ``tools/faults.py``, and the render digests,
+``tools/digests.py``."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -104,3 +106,18 @@ def test_faults_times_a_command_repeated_in_one_process():
                            "--r1", "2"], capture_output=True, text=True, timeout=120,
                           check=True)
     assert proc.stdout.startswith("runs 1  exit 2  ")
+
+
+DIGESTS = os.path.join(os.path.dirname(TOOL), "digests.py")
+
+
+def test_digests_match_the_goldens_and_refuse_an_unknown_revision():
+    proc = subprocess.run([sys.executable, DIGESTS], capture_output=True, text=True,
+                          timeout=300, check=True)
+    rows = dict(line.split()[::-1] for line in proc.stdout.splitlines())
+    golden = os.path.join(os.path.dirname(TOOL), os.pardir, "perfbench", "goldens.json")
+    with open(golden, encoding="utf-8") as fh:
+        assert rows["surface/csv"] == json.load(fh)["surface/csv"]
+    bad = subprocess.run([sys.executable, DIGESTS, "--rev", "no-such-revision"],
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "unknown revision 'no-such-revision'" in bad.stderr
