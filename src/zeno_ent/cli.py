@@ -54,15 +54,15 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-_LIST_OPTIONS = ("--r1", "--s", "--meas-interval")
-
-
-def _glue_negative_lists(argv: list[str]) -> list[str]:
-    """``--s -0.5,0.2`` as ``--s=-0.5,0.2``: argparse reads a value that
-    starts with a minus sign and is not a plain number as an option."""
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """``--phi -1e-3`` as ``--phi=-1e-3`` for every long option but
+    ``--help`` (or a prefix of it): argparse reads a value that starts with
+    a minus sign and is not a plain decimal, such as ``-1e-3`` or
+    ``-0.5,0.2``, as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\.?\d", arg):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and not "--help".startswith(out[-1]) and re.match(r"-\.?\d", arg)):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -123,7 +123,7 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge_config(args)
         result = run_scenario(cfg)

@@ -169,22 +169,12 @@ class CouplingSpec:
         _finite("alpha2", self.alpha2, 0.0)
         if self.alpha1 == 0.0 and self.alpha2 == 0.0:
             raise ValueError("at least one coupling must be nonzero")
-        self._derive_weights()
-
-    def _derive_weights(self):
-        """Set ``alpha_t``, ``r1`` and ``r2`` once, as attributes outside the
-        fields: ``==``, ``hash``, ``repr`` and ``asdict`` see the couplings
-        alone, and the pickled state is the fields'."""
+        # alpha_t, r1 and r2 are set once, as attributes outside the fields:
+        # ==, hash, repr and asdict see the couplings alone, and a pickle or
+        # copy carries the weights with them
         d = self.__dict__
         d["alpha_t"] = math.hypot(self.alpha1, self.alpha2)
         d["r1"], d["r2"] = _relative_weights(self.alpha1, self.alpha2)
-
-    def __getstate__(self):
-        return {"alpha1": self.alpha1, "alpha2": self.alpha2}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._derive_weights()
 
     @classmethod
     def from_relative(cls, alpha_t: float, r1: float) -> "CouplingSpec":
@@ -281,7 +271,8 @@ class BellBasis:
 class TimeSeries:
     """Pair amplitudes ``c1``, ``c2`` at the times ``tau``: arrays over a
     uniform grid, or scalars at one time (:func:`amplitudes_at`); ``meta``
-    holds a stroboscopic run's record (:mod:`zeno_ent.zeno`), else nothing."""
+    holds a stroboscopic run's oscillatory flag (:mod:`zeno_ent.zeno`), else
+    nothing."""
 
     tau: np.ndarray
     c1: np.ndarray
@@ -413,11 +404,13 @@ def _capped_time(t, rate: float):
     ``E`` is 0 there."""
     if isinstance(t, float) and rate * t < math.inf:
         return t
+    # the double above the cap has an infinite product: the loop stepped
+    # down from it, or the cap is max / rate rounded, where the product is
+    # over max + rate ulp(cap) / 2 > max + 2**970 - 2**917 and a multiple of
+    # 2**918 or more, like max, so at least max + 2**970, which rounds to inf
     cap = sys.float_info.max / rate
     while rate * cap == math.inf:
         cap = math.nextafter(cap, 0.0)
-    while rate * math.nextafter(cap, math.inf) < math.inf:
-        cap = math.nextafter(cap, math.inf)
     return np.minimum(t, cap)
 
 

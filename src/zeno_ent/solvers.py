@@ -127,7 +127,7 @@ class SolverConfig:
         for name in ("dt", "t_max", "freq_window"):
             object.__setattr__(self, name, _positive(name, _real(name, getattr(self, name))))
         if self.t_max < self.dt:
-            raise ValueError("t_max must be at least one step long")
+            raise ValueError(f"t_max = {self.t_max!r} is shorter than one step, dt = {self.dt!r}")
         object.__setattr__(self, "n_modes", _check_comb(self.n_modes, self.freq_window))
 
 

@@ -215,10 +215,10 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
     each interval, and the series ends on the last measurement: interval
     ``k`` holds ``E(T)**k E(offset)``, the last point ``E(T)**N``.  Ground
     truth for the measured dynamics in all regimes, including intervals
-    where the survival amplitude has gone negative.  Metadata reports the
-    per-interval survival ``E(T)``, the oscillatory flag, and the population
-    already leaked to the ground state just before each measurement
-    (informational; no threshold is enforced on it).
+    where the survival amplitude has gone negative.  ``meta`` holds the
+    oscillatory flag alone.  The population already leaked to the ground
+    state just before measurement ``k`` is ``1 - |c1|**2 - |c2|**2`` at
+    index ``k * samples_per_interval``.
     """
     samples_per_interval = _integer("samples_per_interval", samples_per_interval, 1)
     t_int = sched.interval
@@ -228,20 +228,5 @@ def simulate_stroboscopic(res: ReservoirSpec, coup: CouplingSpec, init: InitialS
     e_t = survival_amplitude(res, coup, t_int)
     powers = e_t ** np.arange(n + 1)
     e = np.append((powers[:-1, None] * survival_amplitude(res, coup, local)).ravel(), powers[-1])
-    basis = BellBasis.from_state(coup, init)
-    c1, c2 = basis.amplitudes(coup, e)
-    g1, g2 = basis.amplitudes(coup, powers[1:])
-    ground = 1.0 - (np.abs(g1) ** 2 + np.abs(g2) ** 2)
-
-    return TimeSeries(
-        tau=tau, c1=c1, c2=c2,
-        meta={
-            "solver": "stroboscopic",
-            "interval": t_int,
-            "count": n,
-            "samples_per_interval": samples_per_interval,
-            "interval_survival": float(e_t),
-            "oscillatory": bool(e_t < 0.0),
-            "ground_population_before_measurement": ground,
-        },
-    )
+    c1, c2 = BellBasis.from_state(coup, init).amplitudes(coup, e)
+    return TimeSeries(tau=tau, c1=c1, c2=c2, meta={"oscillatory": bool(e_t < 0.0)})

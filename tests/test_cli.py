@@ -121,6 +121,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="zeno-compare", meas_intervals=(0.0,))
 
+    @pytest.mark.parametrize("name", ["r1", "s", "meas_intervals"])
+    def test_rejects_a_scalar_for_a_list(self, name):
+        # a config file wraps a scalar in a list; the API does not
+        with pytest.raises(ValueError, match=rf"^{name} must be a list of numbers, got 0\.5$"):
+            ScenarioConfig(scenario="time-evolution", **{name: 0.5})
+
     def test_default_axes_per_scenario(self):
         surface = ScenarioConfig(scenario="stationary-surface")
         assert len(surface.r1_axis()) == 201
@@ -1553,6 +1559,35 @@ class TestCliMain:
         assert main(base + ["--s=-0.5,0.2", "--out", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
         assert spaced.read_text().count("\n") == 6
+
+    def test_negative_exponent_value_reaches_every_option(self, tmp_path, capsys):
+        # argparse took "-1e-3" for an option: "expected one argument"
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        base = ["zeno-compare", "--tau-max", "0.5", "--tau-steps", "11"]
+        assert main(base + ["--phi", "-1e-3", "--out", str(spaced)]) == 0
+        assert main(base + ["--phi=-1e-3", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        capsys.readouterr()
+        assert main(["zeno-compare", "--big-r", "-1e3"]) == 2
+        assert capsys.readouterr().err == ("zeno-ent: configuration error: big_r must be "
+                                           "positive and finite, got -1000.0\n")
+
+    def test_help_before_a_negative_number_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeno-compare", "--help", "-1"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: zeno-ent")
+
+    def test_list_that_is_no_floats_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["time-evolution", "--r1", "0.5,x"])
+        assert exc.value.code == 2
+        assert "expected comma-separated floats, got '0.5,x'" in capsys.readouterr().err
+
+    def test_horizon_shorter_than_a_step_names_both(self, capsys):
+        assert main(["solver-xcheck", "--tau-max", "5e-5"]) == 2
+        assert capsys.readouterr().err == ("zeno-ent: configuration error: t_max = 5e-05 is "
+                                           "shorter than one step, dt = 0.0001\n")
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

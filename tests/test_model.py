@@ -204,12 +204,10 @@ class TestCouplingSpec:
             coup.r1 = 0.5
         moved = dataclasses.replace(coup, alpha2=0.0)
         assert (moved.alpha_t, moved.r1, moved.r2) == (0.3, 1.0, 0.0)
-        # the pickled state is the two fields, as before the weights were
-        # derived, so such a state loads and derives them
-        assert coup.__reduce_ex__(2)[2] == {"alpha1": 0.3, "alpha2": 0.4}
         for other in (pickle.loads(pickle.dumps(coup)), copy.copy(coup), copy.deepcopy(coup)):
             assert other == coup
-            assert (other.alpha_t, other.r1, other.r2) == (coup.alpha_t, coup.r1, coup.r2)
+            assert ([w.hex() for w in (other.alpha_t, other.r1, other.r2)]
+                    == [w.hex() for w in (coup.alpha_t, coup.r1, coup.r2)])
 
     def test_unit_reservoir_is_shared(self):
         res, coup = resonant_system(10.0, 0.87)
@@ -241,6 +239,14 @@ class TestInitialState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             InitialState(c01=0.9, c02=0.9)
+
+    @pytest.mark.parametrize("c01, c02, message", [
+        (complex("nan"), 1.0, r"^c01 must be finite, got \(nan\+0j\)$"),
+        (1.0, complex("inf"), r"^c02 must be finite, got \(inf\+0j\)$"),
+    ])
+    def test_rejects_amplitude_that_is_not_finite(self, c01, c02, message):
+        with pytest.raises(ValueError, match=message):
+            InitialState(c01, c02)
 
 
 class TestSurvivalAmplitude:
@@ -496,6 +502,29 @@ class TestSurvivalAmplitude:
         assert np.all(np.isfinite(plain))
         assert survival_amplitude(res, coup, tau).tobytes() == plain.tobytes()
         assert np.signbit(plain).any() and not np.signbit(plain).all()
+
+    def test_cap_is_the_largest_time_with_a_finite_product(self):
+        # max / rate rounded, stepped down while its product overflows, is
+        # the largest such double: the rates are every power of two with its
+        # neighbours, those whose cap lands in the top 40 ulps of every
+        # seventh binade with theirs, and random rates of every exponent
+        top = sys.float_info.max
+        rates = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+        for e in range(-1022, 1024, 7):
+            cap = math.ldexp(1.0, e + 1)
+            for _ in range(40):
+                cap = math.nextafter(cap, 0.0)
+                rates.append(top / cap)
+        rng = np.random.default_rng(20261020)
+        rates += [math.ldexp(float(m), int(e)) for m, e in
+                  zip(rng.uniform(1.0, 2.0, 2000), rng.integers(-1074, 1024, 2000))]
+        rates = {r for rate in rates for r in (math.nextafter(rate, 0.0), rate,
+                                               math.nextafter(rate, math.inf))
+                 if 0.0 < r < math.inf}
+        for rate in rates:
+            cap = float(model._capped_time(math.inf, rate))
+            assert rate * cap < math.inf, rate.hex()
+            assert rate * math.nextafter(cap, math.inf) == math.inf, rate.hex()
 
     def test_strongest_coupling_below_overflow_is_finite(self):
         res, coup = resonant_system(6e153, 0.5)

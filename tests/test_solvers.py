@@ -752,6 +752,12 @@ class TestSolverConfig:
             with pytest.raises(ValueError, match=r"^dt = 0\.05 under-resolves"):
                 propagator(res, coup, cfg)
 
+    def test_rejects_horizon_shorter_than_a_step(self):
+        with pytest.raises(ValueError, match=r"^t_max = 5e-05 is shorter than one step, "
+                                             r"dt = 0\.0001$"):
+            SolverConfig(dt=np.float64(1e-4), t_max=5e-5)
+        assert SolverConfig(dt=1e-4, t_max=1e-4).t_max == 1e-4
+
     @pytest.mark.parametrize("n_modes", [2.5, True, "50", 50.0])
     def test_rejects_non_integer_mode_count(self, n_modes):
         with pytest.raises(ValueError, match="n_modes must be an integer"):

@@ -2,6 +2,7 @@
 page-fault counter, ``tools/faults.py``, and the render digests,
 ``tools/digests.py``."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,7 +11,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from zeno_ent import CouplingSpec, ReservoirSpec, survival_amplitude
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools",
                     "src_lines.py")
@@ -121,3 +125,20 @@ def test_digests_match_the_goldens_and_refuse_an_unknown_revision():
     bad = subprocess.run([sys.executable, DIGESTS, "--rev", "no-such-revision"],
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2 and "unknown revision 'no-such-revision'" in bad.stderr
+
+
+def test_digests_print_a_row_per_api_probe():
+    proc = subprocess.run([sys.executable, DIGESTS], capture_output=True, text=True,
+                          timeout=300, check=True)
+    rows = dict(line.split()[::-1] for line in proc.stdout.splitlines())
+    spec = importlib.util.spec_from_file_location("digests", DIGESTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert [name for name in rows if name.startswith("api/")] == [f"api/{name}"
+                                                                   for name in tool.PROBES]
+    # E underdamped at lam = 4, on the array of times, then at each as a float
+    res, coup = ReservoirSpec(w=1.0, lam=4.0), CouplingSpec(10.0, 0.0)
+    digest = hashlib.sha256(survival_amplitude(res, coup, tool.TIMES).tobytes())
+    for t in tool.TIMES.tolist():
+        digest.update(np.float64(survival_amplitude(res, coup, t)).tobytes())
+    assert rows["api/survival-underdamped"] == digest.hexdigest()
